@@ -1,7 +1,7 @@
 // Command dagbench generates a benchmark DAG, executes a registered
 // workload both serially and on the concurrent work-stealing scheduler,
 // checks the two results against each other, and prints timing as JSON. It
-// drives the same execution path as the dagd service (core.ExecuteRun), so
+// drives the same execution path as the dagd service (run.Execute), so
 // the CLI and the daemon can never report differently for the same spec.
 //
 // Usage:
@@ -26,7 +26,9 @@ import (
 	"runtime"
 	"time"
 
-	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/core"
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/gen"
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/run"
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/sched"
 )
 
 // report is the JSON output printed per run: the spec knobs followed by
@@ -39,7 +41,7 @@ type report struct {
 	Seed         int64   `json:"seed"`
 	Work         int     `json:"work"`
 	ParallelWork bool    `json:"parallel_work,omitempty"`
-	core.RunResult
+	run.Result
 }
 
 func main() {
@@ -54,53 +56,53 @@ func main() {
 		work      = flag.Int("work", 0, "busy-work iterations per node (Nabbit W)")
 		parallel  = flag.Bool("parallel-work", false, "split each node's work across idle workers (Nabbit UseParallelNodes)")
 		workers   = flag.Int("workers", 0, "worker pool size (0 = NumCPU)")
-		workload  = flag.String("workload", "", "registered workload name (empty = "+core.DefaultWorkload+")")
+		workload  = flag.String("workload", "", "registered workload name (empty = "+sched.DefaultWorkload+")")
 		list      = flag.Bool("list-workloads", false, "print registered workload names and exit")
 		timeout   = flag.Duration("timeout", 5*time.Minute, "overall run timeout")
 	)
 	flag.Parse()
 
 	if *list {
-		for _, name := range core.Workloads() {
+		for _, name := range sched.Workloads() {
 			fmt.Println(name)
 		}
 		return
 	}
 
-	if err := run(*shapeFlag, *workload, *edges, *nodes, *p, *stages, *width, *seed, *work, *workers, *parallel, *timeout); err != nil {
+	if err := bench(*shapeFlag, *workload, *edges, *nodes, *p, *stages, *width, *seed, *work, *workers, *parallel, *timeout); err != nil {
 		fmt.Fprintln(os.Stderr, "dagbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(shapeFlag, workload, edgesJSON string, nodes int, p float64, stages, width int, seed int64, work, workers int, parallelWork bool, timeout time.Duration) error {
-	shape, err := core.ParseShape(shapeFlag)
+func bench(shapeFlag, workload, edgesJSON string, nodes int, p float64, stages, width int, seed int64, work, workers int, parallelWork bool, timeout time.Duration) error {
+	shape, err := gen.ParseShape(shapeFlag)
 	if err != nil {
 		return err
 	}
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	var edges []core.Edge
+	var edges []gen.Edge
 	if edgesJSON != "" {
-		if shape != core.ExplicitShape {
+		if shape != gen.Explicit {
 			return fmt.Errorf("-edges is only valid with -type explicit")
 		}
 		if err := json.Unmarshal([]byte(edgesJSON), &edges); err != nil {
 			return fmt.Errorf("parsing -edges: %w", err)
 		}
-	} else if shape == core.ExplicitShape {
+	} else if shape == gen.Explicit {
 		// Require the flag so a forgotten -edges can't silently benchmark
 		// an edgeless graph; an explicitly empty list ('[]') is still legal.
 		return fmt.Errorf("-type explicit requires -edges (pass '[]' for an edgeless graph)")
 	}
-	if shape == core.DynamicShape {
+	if shape == gen.Dynamic {
 		// The dynamic expander grows the graph itself; a node count is not a
 		// spec knob there (MaxNodes is enforced as a growth bound at runtime).
 		nodes = 0
 	}
-	spec := core.RunSpec{
-		Config: core.GenConfig{
+	spec := run.Spec{
+		Config: gen.Config{
 			Shape:    shape,
 			Nodes:    nodes,
 			EdgeProb: p,
@@ -118,7 +120,7 @@ func run(shapeFlag, workload, edgesJSON string, nodes int, p float64, stages, wi
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 
-	res, err := core.ExecuteRun(ctx, spec, workers)
+	res, err := run.Execute(ctx, spec, workers)
 	if err != nil && res == nil {
 		return err
 	}
@@ -128,17 +130,17 @@ func run(shapeFlag, workload, edgesJSON string, nodes int, p float64, stages, wi
 		Seed:         seed,
 		Work:         work,
 		ParallelWork: parallelWork,
-		RunResult:    *res,
+		Result:       *res,
 	}
 	switch shape {
-	case core.RandomShape:
+	case gen.Random:
 		rep.EdgeProb = p
-	case core.PipelineShape:
+	case gen.Pipeline:
 		rep.Stages = stages
 		rep.Width = width
-	case core.ExplicitShape, core.ChainShape:
+	case gen.Explicit, gen.Chain:
 		rep.Seed = 0 // explicit and chain graphs involve no randomness
-	case core.DynamicShape:
+	case gen.Dynamic:
 		rep.EdgeProb = p
 		rep.Stages = stages
 		rep.Width = width

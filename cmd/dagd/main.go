@@ -57,7 +57,10 @@ import (
 	"time"
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/core"
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/fleet"
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/sched"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/server"
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/tenant"
 )
 
 func main() {
@@ -66,7 +69,7 @@ func main() {
 		queueDepth   = flag.Int("queue", 256, "dispatch queue depth (max waiting runs)")
 		dispatchers  = flag.Int("dispatchers", 0, "concurrent run executions (0 = NumCPU)")
 		runWorkers   = flag.Int("run-workers", 0, "default scheduler pool size per run (0 = NumCPU)")
-		workload     = flag.String("workload", "", "default workload for specs that name none (empty = "+core.DefaultWorkload+")")
+		workload     = flag.String("workload", "", "default workload for specs that name none (empty = "+sched.DefaultWorkload+")")
 		retainRuns   = flag.Int("retain", 0, "terminal runs to keep, oldest evicted first (0 = 4096, negative = unlimited)")
 		dataDir      = flag.String("data-dir", "", "directory for the durable run WAL; empty = in-memory store (state lost on restart)")
 		fsync        = flag.Bool("fsync", false, "fsync the WAL before acknowledging each transition (needs -data-dir); off = durable against crash, not power loss")
@@ -77,15 +80,15 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max time to drain in-flight runs on shutdown")
 		debugAddr    = flag.String("debug-addr", "", "optional second listener serving net/http/pprof, expvar, and /metrics; keep it private — it exposes profiles and runtime internals")
 		fleetAddr    = flag.String("fleet-addr", "", "listener for the internal worker API; set to lease runs to dagworker processes instead of executing in-process")
-		leaseTTL     = flag.Duration("lease-ttl", 0, "how long a worker lease survives without a heartbeat before its run is requeued (0 = "+core.DefaultLeaseTTL.String()+"; needs -fleet-addr)")
-		heartbeatIvl = flag.Duration("heartbeat-interval", 0, "cadence workers are told to heartbeat at; must stay under half of -lease-ttl (0 = "+core.DefaultHeartbeatInterval.String()+"; needs -fleet-addr)")
+		leaseTTL     = flag.Duration("lease-ttl", 0, "how long a worker lease survives without a heartbeat before its run is requeued (0 = "+fleet.DefaultLeaseTTL.String()+"; needs -fleet-addr)")
+		heartbeatIvl = flag.Duration("heartbeat-interval", 0, "cadence workers are told to heartbeat at; must stay under half of -lease-ttl (0 = "+fleet.DefaultHeartbeatInterval.String()+"; needs -fleet-addr)")
 	)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	if _, err := core.LookupWorkload(*workload); err != nil {
+	if _, err := sched.LookupWorkload(*workload); err != nil {
 		fmt.Fprintln(os.Stderr, "dagd:", err)
 		os.Exit(2)
 	}
@@ -111,20 +114,20 @@ func main() {
 		// default (e.g. -lease-ttl 5ms alone is caught here).
 		ttl, hb := *leaseTTL, *heartbeatIvl
 		if ttl == 0 {
-			ttl = core.DefaultLeaseTTL
+			ttl = fleet.DefaultLeaseTTL
 		}
 		if hb == 0 {
-			hb = core.DefaultHeartbeatInterval
+			hb = fleet.DefaultHeartbeatInterval
 		}
 		if hb >= ttl/2 {
 			fmt.Fprintf(os.Stderr, "dagd: -heartbeat-interval %v must be under half of -lease-ttl %v (one dropped heartbeat must not expire a healthy lease)\n", hb, ttl)
 			os.Exit(2)
 		}
 	}
-	var tenants []core.TenantConfig
+	var tenants []tenant.Config
 	if *tenantsFile != "" {
 		var err error
-		if tenants, err = core.LoadTenantConfigs(*tenantsFile); err != nil {
+		if tenants, err = tenant.LoadFile(*tenantsFile); err != nil {
 			fmt.Fprintln(os.Stderr, "dagd:", err)
 			os.Exit(2)
 		}

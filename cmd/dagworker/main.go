@@ -35,9 +35,10 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/core"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/fleet"
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/gen"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/run"
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/sched"
 )
 
 func main() {
@@ -59,7 +60,7 @@ func main() {
 	if *workloads != "" {
 		for _, wl := range strings.Split(*workloads, ",") {
 			wl = strings.TrimSpace(wl)
-			if _, err := core.LookupWorkload(wl); err != nil {
+			if _, err := sched.LookupWorkload(wl); err != nil {
 				fmt.Fprintln(os.Stderr, "dagworker:", err)
 				os.Exit(2)
 			}
@@ -70,7 +71,7 @@ func main() {
 	if *shapes != "" {
 		for _, sh := range strings.Split(*shapes, ",") {
 			sh = strings.TrimSpace(sh)
-			if _, err := core.ParseShape(sh); err != nil {
+			if _, err := gen.ParseShape(sh); err != nil {
 				fmt.Fprintln(os.Stderr, "dagworker:", err)
 				os.Exit(2)
 			}
@@ -375,8 +376,8 @@ func (w *worker) heartbeatLoop(stop, done chan struct{}) {
 }
 
 // execute runs one leased run to completion and reports its outcome — the
-// same Execute → state mapping the embedded dispatcher applies, with the
-// terminal transition recorded coordinator-side by complete.
+// same run.Execute call dagd's in-process workers make, with the terminal
+// transition recorded coordinator-side by complete.
 func (w *worker) execute(workerID string, r run.Run) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -432,7 +433,8 @@ func (w *worker) execute(workerID string, r run.Run) {
 }
 
 // outcome maps Execute's error to the wire state + message, mirroring how
-// the embedded dispatcher's store.Finish classifies outcomes.
+// store.Finish classifies outcomes (dispatch.CompleteLease turns the pair
+// back into that error).
 func outcome(err error) (run.State, string) {
 	switch {
 	case err == nil:

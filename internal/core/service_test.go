@@ -5,21 +5,25 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/dispatch"
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/gen"
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/run"
 )
 
-// TestServiceLifecycle drives the run service through the core facade:
+// TestServiceLifecycle drives the composed service end to end:
 // submit → poll → result, cancel semantics, stats, shutdown.
 func TestServiceLifecycle(t *testing.T) {
 	svc, err := NewService(ServiceOptions{QueueDepth: 4, Dispatchers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := svc.Submit(RunSpec{Config: GenConfig{Shape: PipelineShape, Stages: 30, Width: 3}})
+	r, err := svc.Submit(run.Spec{Config: gen.Config{Shape: gen.Pipeline, Stages: 30, Width: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(15 * time.Second)
-	var got RunInfo
+	var got run.Run
 	for {
 		got, err = svc.Get(r.ID)
 		if err != nil {
@@ -33,21 +37,21 @@ func TestServiceLifecycle(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if got.State != RunSucceeded || got.Result == nil || !got.Result.Match {
+	if got.State != run.StateSucceeded || got.Result == nil || !got.Result.Match {
 		t.Fatalf("run = %+v, want succeeded with matching result", got)
 	}
 	if list := svc.List(); len(list) != 1 || list[0].ID != r.ID {
 		t.Fatalf("List = %+v, want the one run", list)
 	}
 	stats := svc.Stats()
-	if stats.Runs != 1 || stats.ByState[RunSucceeded.String()] != 1 {
+	if stats.Runs != 1 || stats.ByState[run.StateSucceeded.String()] != 1 {
 		t.Errorf("Stats = %+v, want 1 succeeded run", stats)
 	}
-	if _, err := svc.Cancel(r.ID); !errors.Is(err, ErrRunTerminal) {
-		t.Errorf("Cancel(terminal) = %v, want ErrRunTerminal", err)
+	if _, err := svc.Cancel(r.ID); !errors.Is(err, run.ErrTerminal) {
+		t.Errorf("Cancel(terminal) = %v, want run.ErrTerminal", err)
 	}
-	if _, err := svc.Get("r000000-missing"); !errors.Is(err, ErrRunNotFound) {
-		t.Errorf("Get(missing) = %v, want ErrRunNotFound", err)
+	if _, err := svc.Get("r000000-missing"); !errors.Is(err, run.ErrNotFound) {
+		t.Errorf("Get(missing) = %v, want run.ErrNotFound", err)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -55,7 +59,7 @@ func TestServiceLifecycle(t *testing.T) {
 	if err := svc.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Submit(RunSpec{Config: GenConfig{Shape: PipelineShape, Stages: 3, Width: 2}}); !errors.Is(err, ErrShuttingDown) {
-		t.Errorf("Submit after Shutdown = %v, want ErrShuttingDown", err)
+	if _, err := svc.Submit(run.Spec{Config: gen.Config{Shape: gen.Pipeline, Stages: 3, Width: 2}}); !errors.Is(err, dispatch.ErrShuttingDown) {
+		t.Errorf("Submit after Shutdown = %v, want dispatch.ErrShuttingDown", err)
 	}
 }

@@ -1,7 +1,18 @@
-// Package dispatch admits queued runs into per-tenant bounded queues and
-// executes them on a pool of dispatcher goroutines, recording outcomes back
-// into the run store. It is the bridge between the dagd API surface
-// (internal/server) and the DAG engine (internal/gen + internal/sched).
+// Package dispatch admits runs into per-tenant bounded queues and hands
+// them to workers one lease at a time, recording outcomes back into the run
+// store. It is the bridge between the dagd API surface (internal/server)
+// and the DAG engine (internal/gen + internal/sched).
+//
+// # One run lifecycle
+//
+// Every run takes the same path: Submit queues it, Lease picks it off the
+// queues and marks it running under a worker's name, the worker executes
+// it, and the completion is recorded, its in-flight slot released and old
+// history evicted. Who the worker is is the only thing that varies. An
+// embedded dagd starts Options.Dispatchers in-process workers (worker name
+// "") that loop Lease → run.Execute → complete; a coordinator
+// (Options.Remote) starts none and internal/fleet drives Lease /
+// CompleteLease / ExpireLease on behalf of dagworker processes.
 //
 // # Multi-tenant scheduling
 //
@@ -14,14 +25,11 @@
 // backlogged tenant `weight` runs. A tenant at its in-flight cap is
 // skipped — its queued work waits without blocking other tenants' queues.
 //
-// Each dispatcher executes one run at a time via run.Execute (the same
-// path the dagbench CLI uses): generate, serial reference, concurrent
-// scheduler, self-check. Every run gets its own cancellable context
-// registered in the store, so POST /v1/runs/{id}/cancel aborts the exact
-// run it names, and Shutdown can drain gracefully or force-cancel
-// everything in flight. Cancelling a run that is still queued removes it
-// from its tenant's queue immediately, freeing the slot for new
-// submissions.
+// Every leased run has a cancel hook registered in the store, so POST
+// /v1/runs/{id}/cancel aborts the exact run it names: an in-process worker
+// cancels the run's context, the fleet relays the request to the remote
+// worker. Cancelling a run that is still queued removes it from its
+// tenant's queue immediately, freeing the slot for new submissions.
 package dispatch
 
 import (
@@ -84,8 +92,9 @@ type Options struct {
 	// tenant config sets no MaxQueueDepth of its own. Zero or negative
 	// means 256.
 	QueueDepth int
-	// Dispatchers is the number of goroutines executing runs, i.e. how
-	// many runs proceed concurrently. Zero or negative means NumCPU.
+	// Dispatchers is the number of in-process workers, i.e. how many runs
+	// execute concurrently when Remote is off. Zero or negative means
+	// NumCPU.
 	Dispatchers int
 	// DefaultRunWorkers is the scheduler pool size for specs that leave
 	// Workers at 0. Zero or negative means NumCPU.
@@ -107,12 +116,10 @@ type Options struct {
 	// wait times, run outcomes). Nil disables it — every instrument in
 	// internal/metrics is a no-op on nil.
 	Metrics *metrics.Registry
-	// Remote switches the dispatcher from embedded execution to lease
-	// mode: no dispatcher goroutines are started, and ready runs are
-	// handed out through Lease / CompleteLease / ExpireLease (driven by
-	// internal/fleet) instead of being executed in-process. Admission,
-	// tenant fair queuing, and the store contract are identical in both
-	// modes.
+	// Remote leaves execution to external workers: no in-process workers
+	// are started, and internal/fleet drives Lease / CompleteLease /
+	// ExpireLease instead. Everything else — admission, tenant fair
+	// queuing, the run lifecycle, the store contract — is the same code.
 	Remote bool
 }
 
@@ -138,9 +145,9 @@ func (o Options) withDefaults() Options {
 
 // queued is one pending queue entry: the run's ID, when it entered the
 // queue (so pops can observe queue-wait and scrapes the oldest entry's
-// age), and its workload name and DAG shape so lease mode can match
-// entries against a worker's advertised capabilities without a store read
-// per candidate.
+// age), and its workload name and DAG shape so Lease can match entries
+// against a worker's advertised capabilities without a store read per
+// candidate.
 type queued struct {
 	id       string
 	at       time.Time
@@ -148,9 +155,9 @@ type queued struct {
 	shape    string
 }
 
-// leaseEntry tracks one run handed to a remote worker: which tenant queue
-// owns its in-flight slot and the workload/shape to re-stamp on the queue
-// entry if the lease expires. Guarded by the Dispatcher's mu.
+// leaseEntry tracks one run handed to a worker: which tenant queue owns its
+// in-flight slot and the workload/shape to re-stamp on the queue entry if
+// the lease expires. Guarded by the Dispatcher's mu.
 type leaseEntry struct {
 	tq       *tenantQueue
 	workload string
@@ -165,12 +172,12 @@ type tenantQueue struct {
 
 	queue    []queued // pending runs, FIFO within the tenant
 	reserved int      // Submit slots held while store.Create runs outside mu
-	inflight int      // runs currently claimed by dispatchers
+	inflight int      // runs currently leased to a worker
 	deficit  int      // deficit-round-robin credit within the priority class
 
 	// Monotonic counters for stats.
 	submitted   uint64 // runs admitted to the queue (including recoveries)
-	completed   uint64 // runs executed to a terminal state by a dispatcher
+	completed   uint64 // leases completed (runs a worker took to a terminal state)
 	rejected    uint64 // submissions refused for queue depth / quota
 	rateLimited uint64 // submissions refused by the token bucket
 }
@@ -208,12 +215,11 @@ type priorityClass struct {
 // with its credit intact and resumes when capacity frees up.
 //
 // eligible, when non-nil, restricts the pick to entries whose workload and
-// DAG shape it accepts — lease mode passes the requesting worker's
-// advertised capabilities. The earliest eligible entry in the tenant's
-// FIFO is served; a tenant whose queued work is entirely ineligible is
-// skipped with its credit intact, exactly like an at-cap tenant (another
-// worker may drain it). A nil eligible reproduces the embedded pick byte
-// for byte.
+// DAG shape it accepts — the requesting worker's advertised capabilities.
+// The earliest eligible entry in the tenant's FIFO is served; a tenant
+// whose queued work is entirely ineligible is skipped with its credit
+// intact, exactly like an at-cap tenant (another worker may drain it). A
+// nil eligible (the in-process workers) always serves the head.
 func (cl *priorityClass) pick(eligible func(workload, shape string) bool) (*tenantQueue, queued, bool) {
 	n := len(cl.order)
 	for i := 0; i < n; i++ {
@@ -259,18 +265,18 @@ func (cl *priorityClass) pick(eligible func(workload, shape string) bool) (*tena
 	return nil, queued{}, false
 }
 
-// Dispatcher owns the per-tenant run queues and the goroutine pool
-// draining them.
+// Dispatcher owns the per-tenant run queues, the lease table and, unless
+// Options.Remote, the in-process workers draining them.
 type Dispatcher struct {
 	store run.Store
 	opts  Options
 
-	// baseCtx parents every run's context; force-cancelling it aborts all
-	// in-flight runs during a hard shutdown.
+	// baseCtx parents the context of every run an in-process worker
+	// executes; force-cancelling it aborts them all during a hard shutdown.
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	wg sync.WaitGroup
+	wg sync.WaitGroup // in-process workers
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -309,7 +315,7 @@ func newInstruments(reg *metrics.Registry) instruments {
 		queueDepth: reg.GaugeVec("dagd_queue_depth",
 			"Runs currently waiting in the tenant's queue.", "tenant", "priority"),
 		inflight: reg.GaugeVec("dagd_inflight_runs",
-			"Runs currently claimed by dispatcher goroutines.", "tenant", "priority"),
+			"Runs currently leased to a worker (in-process or remote).", "tenant", "priority"),
 		oldestAge: reg.GaugeVec("dagd_queue_oldest_age_seconds",
 			"Age of the oldest queued run at scrape time (0 when the queue is empty).",
 			"tenant", "priority"),
@@ -319,7 +325,7 @@ func newInstruments(reg *metrics.Registry) instruments {
 		completed: reg.CounterVec("dagd_runs_completed_total",
 			"Runs that reached a terminal state, by tenant and final state.", "tenant", "state"),
 		runDuration: reg.HistogramVec("dagd_run_duration_seconds",
-			"Wall time of run.Execute (generate + serial reference + parallel + verify).",
+			"Wall time a worker held the run: started_at to finished_at on the coordinator's clock.",
 			runBuckets, "workload", "shape"),
 		runNodes: reg.CounterVec("dagd_run_nodes_total",
 			"DAG nodes executed by completed runs.", "workload"),
@@ -329,8 +335,8 @@ func newInstruments(reg *metrics.Registry) instruments {
 }
 
 // New creates a Dispatcher recording into store (any run.Store — in-memory
-// or WAL-backed) and starts its goroutine pool. Callers must eventually
-// call Shutdown.
+// or WAL-backed) and, unless opts.Remote, starts its in-process workers.
+// Callers must eventually call Shutdown.
 func New(store run.Store, opts Options) *Dispatcher {
 	opts = opts.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -385,12 +391,10 @@ func New(store run.Store, opts Options) *Dispatcher {
 		}
 	})
 
-	// In remote mode no execution pool runs in-process; internal/fleet
-	// drains the queues through Lease instead.
 	if !opts.Remote {
 		for i := 0; i < opts.Dispatchers; i++ {
 			d.wg.Add(1)
-			go d.loop()
+			go d.work()
 		}
 	}
 	return d
@@ -427,7 +431,7 @@ func (d *Dispatcher) queuedLocked() int {
 	return n
 }
 
-// Dispatchers returns the pool size.
+// Dispatchers returns the configured number of in-process workers.
 func (d *Dispatcher) Dispatchers() int { return d.opts.Dispatchers }
 
 // Draining reports whether Shutdown has begun, i.e. whether new
@@ -508,7 +512,7 @@ func (d *Dispatcher) Snapshot() Snapshot {
 // The store.Create call — which may fsync a WAL record — runs outside the
 // queue lock: Submit reserves the tenant's queue slot under the lock,
 // creates, then converts the reservation into a real queue entry. Other
-// submissions, cancellations, and dispatcher pops proceed during the disk
+// submissions, cancellations, and leases proceed during the disk
 // write.
 func (d *Dispatcher) Submit(spec run.Spec) (run.Run, error) {
 	// Stamp the service defaults before validation so the stored spec (and
@@ -568,9 +572,9 @@ func (d *Dispatcher) Submit(spec run.Spec) (run.Run, error) {
 	}
 	if d.closed {
 		d.mu.Unlock()
-		// Shutdown began while the record was being written; the pool may
-		// already have drained, so enqueuing now could strand the run in
-		// queued forever. Roll the create back — the ID never escaped.
+		// Shutdown began while the record was being written; the workers
+		// may already have drained, so enqueuing now could strand the run
+		// in queued forever. Roll the create back — the ID never escaped.
 		if derr := d.store.Delete(r.ID); derr != nil {
 			log.Printf("dispatch: rolling back %s admitted during shutdown: %v", r.ID, derr)
 		}
@@ -627,25 +631,22 @@ func (d *Dispatcher) Cancel(id string) (run.Run, error) {
 				break
 			}
 		}
-		// Draining dispatchers may be waiting for exactly this queue to
-		// empty.
+		// A drain may be waiting for exactly this queue to empty.
 		d.cond.Broadcast()
 		d.mu.Unlock()
-		// The run reached a terminal state without ever passing through a
-		// dispatcher, so the execute-side counter will not see it.
+		// The run reached a terminal state without ever being leased, so
+		// complete will not count it.
 		d.met.completed.With(r.Spec.Tenant, run.StateCancelled.String()).Inc()
 	}
 	return r, err
 }
 
-// Shutdown stops accepting new runs, lets queued and in-flight runs drain,
-// and waits for the pool to exit. If ctx expires first, every in-flight
-// run is force-cancelled (it will finish as cancelled) and Shutdown keeps
-// waiting for the pool, returning ctx's error. In remote mode there is no
-// pool: Shutdown instead waits for the queues to empty and every
-// outstanding lease to complete or expire; if ctx expires first the
-// remaining leased runs are abandoned (they replay as queued on the next
-// boot, exactly like a crash). Shutdown is idempotent.
+// Shutdown stops accepting new runs and waits until nothing is queued or
+// leased. What ctx expiring first means is the one place the two modes
+// differ: in-process runs are force-cancelled (each finishes as cancelled)
+// and Shutdown keeps waiting for them, while remote leases are abandoned —
+// they replay as queued on the next boot, exactly like a crash. Either way
+// ctx's error is returned. Shutdown is idempotent.
 func (d *Dispatcher) Shutdown(ctx context.Context) error {
 	d.mu.Lock()
 	if !d.closed {
@@ -654,29 +655,21 @@ func (d *Dispatcher) Shutdown(ctx context.Context) error {
 	}
 	d.mu.Unlock()
 
-	if d.opts.Remote {
-		return d.drainRemote(ctx)
-	}
-
-	done := make(chan struct{})
-	go func() {
-		d.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
+	err := d.drain(ctx)
+	if err != nil && !d.opts.Remote {
 		d.baseCancel()
-		<-done
-		return ctx.Err()
 	}
+	// An in-process worker leaves once the queues are closed and empty and
+	// its own last complete call has returned, so this wait both finishes
+	// a forced drain and covers the tail (Finish, eviction) of a clean one.
+	d.wg.Wait()
+	return err
 }
 
-// drainRemote waits for remote-mode work to finish: CompleteLease and
-// ExpireLease broadcast on every state change, so the wait re-checks until
-// nothing is queued or leased, or ctx gives up.
-func (d *Dispatcher) drainRemote(ctx context.Context) error {
+// drain waits until nothing is queued or leased: complete and ExpireLease
+// broadcast on every state change, so the wait re-checks until then, or
+// until ctx gives up.
+func (d *Dispatcher) drain(ctx context.Context) error {
 	stop := context.AfterFunc(ctx, func() {
 		// Taking mu before broadcasting guarantees the waiter below is
 		// either still before its ctx.Err() check or parked in Wait —
@@ -697,33 +690,7 @@ func (d *Dispatcher) drainRemote(ctx context.Context) error {
 	return nil
 }
 
-// next blocks until a run is scheduled to this dispatcher or the queues
-// are closed and drained; ok is false only on the latter. The returned
-// tenantQueue has had its in-flight count incremented — the caller owes a
-// release. dispatchedAt is the pop time, which Begin stamps on the run.
-func (d *Dispatcher) next() (id string, tq *tenantQueue, dispatchedAt time.Time, ok bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for {
-		for _, cl := range d.classes {
-			if q, picked, found := cl.pick(nil); found {
-				q.inflight++
-				now := time.Now()
-				d.met.queueWait.With(q.cfg.Name).Observe(now.Sub(picked.at).Seconds())
-				return picked.id, q, now, true
-			}
-		}
-		// Nothing eligible. During a drain, queued runs stuck behind an
-		// in-flight cap still count as pending work: a release will
-		// broadcast and re-run the pick.
-		if d.closed && d.queuedLocked() == 0 {
-			return "", nil, time.Time{}, false
-		}
-		d.cond.Wait()
-	}
-}
-
-// release returns a claimed in-flight slot, waking dispatchers that may
+// release returns a leased in-flight slot, waking Lease callers that may
 // have been skipping the tenant at its cap (and drain waiters).
 func (d *Dispatcher) release(tq *tenantQueue, completed bool) {
 	d.mu.Lock()
@@ -733,57 +700,4 @@ func (d *Dispatcher) release(tq *tenantQueue, completed bool) {
 	}
 	d.cond.Broadcast()
 	d.mu.Unlock()
-}
-
-// loop is one dispatcher goroutine: pop, execute, repeat until the queues
-// close and drain.
-func (d *Dispatcher) loop() {
-	defer d.wg.Done()
-	for {
-		id, tq, dispatchedAt, ok := d.next()
-		if !ok {
-			return
-		}
-		d.execute(id, tq, dispatchedAt)
-	}
-}
-
-// execute runs one queued run end to end and records its outcome.
-func (d *Dispatcher) execute(id string, tq *tenantQueue, dispatchedAt time.Time) {
-	ctx, cancel := context.WithCancel(d.baseCtx)
-	defer cancel()
-
-	r, err := d.store.Begin(id, dispatchedAt, "", cancel)
-	if err != nil {
-		if errors.Is(err, run.ErrNotQueued) || errors.Is(err, run.ErrNotFound) {
-			// Cancelled while queued and popped before Cancel could unlink
-			// it (or rolled back): the run never became ours to execute.
-			d.release(tq, false)
-			return
-		}
-		// Anything else is a durable-store append failure — the in-memory
-		// queued→running transition stood (see wal.Store.Begin), so
-		// abandoning the run here would strand it in running forever, with
-		// every Await parked on it. Execute it; only its begin record may
-		// be missing from the log.
-		log.Printf("dispatch: recording begin of %s: %v (executing anyway)", id, err)
-	}
-
-	start := time.Now()
-	res, err := run.Execute(ctx, r.Spec, d.opts.DefaultRunWorkers)
-	fr, ferr := d.store.Finish(id, res, err)
-	if ferr != nil && !errors.Is(ferr, run.ErrNotRunning) {
-		// A WAL append failure: the outcome is recorded in memory but may
-		// not survive a restart. Nothing the dispatcher can do beyond log.
-		log.Printf("dispatch: recording finish of %s: %v", id, ferr)
-	}
-	if ferr == nil {
-		d.met.completed.With(r.Spec.Tenant, fr.State.String()).Inc()
-		d.met.runDuration.With(r.Spec.Workload, r.Spec.Shape.String()).Observe(time.Since(start).Seconds())
-		if res != nil {
-			d.met.runNodes.With(r.Spec.Workload).Add(float64(res.Nodes))
-		}
-	}
-	d.release(tq, true)
-	d.store.EvictTerminal(d.opts.RetainRuns)
 }

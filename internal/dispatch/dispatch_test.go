@@ -53,33 +53,6 @@ func pipelineSpec(stages, width, work int) run.Spec {
 	}
 }
 
-func TestSubmitExecutesToSuccess(t *testing.T) {
-	store, d := newDispatcher(t, Options{QueueDepth: 8, Dispatchers: 2})
-	specs := []run.Spec{
-		pipelineSpec(50, 4, 0),
-		{Config: gen.Config{Shape: gen.Random, Nodes: 400, EdgeProb: 0.02, Seed: 3}, Workers: 4},
-	}
-	for _, spec := range specs {
-		r, err := d.Submit(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := waitForState(t, store, r.ID, run.StateSucceeded)
-		if got.Result == nil {
-			t.Fatalf("succeeded run %s has no result", r.ID)
-		}
-		if !got.Result.Match {
-			t.Errorf("run %s: parallel/serial mismatch", r.ID)
-		}
-		if got.Result.SinkPaths == 0 {
-			t.Errorf("run %s: zero sink paths", r.ID)
-		}
-		if got.StartedAt == nil || got.FinishedAt == nil {
-			t.Errorf("run %s missing timestamps: %+v", r.ID, got)
-		}
-	}
-}
-
 // TestDefaultWorkloadStamped verifies the service-level default workload is
 // applied at admission: the stored spec and the finished result both carry
 // it, and an explicit workload in the spec still wins.
@@ -155,54 +128,6 @@ func TestQueueFullBackpressure(t *testing.T) {
 	}
 }
 
-func TestCancelInFlightRun(t *testing.T) {
-	store, d := newDispatcher(t, Options{QueueDepth: 4, Dispatchers: 1})
-	// Big enough that it cannot finish before we cancel: ~160k nodes with
-	// real per-node work.
-	r, err := d.Submit(pipelineSpec(40000, 4, 2000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitForState(t, store, r.ID, run.StateRunning)
-	if _, err := d.Cancel(r.ID); err != nil {
-		t.Fatal(err)
-	}
-	got := waitForState(t, store, r.ID, run.StateCancelled)
-	if got.FinishedAt == nil {
-		t.Error("cancelled run missing FinishedAt")
-	}
-}
-
-func TestCancelQueuedRunNeverExecutes(t *testing.T) {
-	store, d := newDispatcher(t, Options{QueueDepth: 4, Dispatchers: 1})
-	// Head run occupies the dispatcher; the second sits in the queue.
-	head, err := d.Submit(pipelineSpec(2000, 4, 20000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitForState(t, store, head.ID, run.StateRunning)
-	queued, err := d.Submit(pipelineSpec(5, 2, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c, err := d.Cancel(queued.ID); err != nil || c.State != run.StateCancelled {
-		t.Fatalf("Cancel(queued) = %+v, %v", c, err)
-	}
-	if _, err := d.Cancel(head.ID); err != nil {
-		t.Fatal(err)
-	}
-	waitForState(t, store, head.ID, run.StateCancelled)
-	// The queued run must stay cancelled (dispatcher skipped it) and never
-	// gain a StartedAt.
-	got, err := store.Get(queued.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.State != run.StateCancelled || got.StartedAt != nil {
-		t.Errorf("cancelled-in-queue run = %+v, want cancelled and never started", got)
-	}
-}
-
 func TestCancelQueuedFreesSlot(t *testing.T) {
 	store, d := newDispatcher(t, Options{QueueDepth: 1, Dispatchers: 1})
 	head, err := d.Submit(pipelineSpec(2000, 4, 20000))
@@ -251,68 +176,6 @@ func TestTerminalRunRetention(t *testing.T) {
 	// The newest run always survives its own eviction pass.
 	if _, err := store.Get(ids[len(ids)-1]); err != nil {
 		t.Errorf("newest run evicted: %v", err)
-	}
-}
-
-func TestShutdownDrains(t *testing.T) {
-	store := run.NewMemStore()
-	d := New(store, Options{QueueDepth: 8, Dispatchers: 2})
-	var ids []string
-	for i := 0; i < 4; i++ {
-		r, err := d.Submit(pipelineSpec(30, 3, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, r.ID)
-	}
-	if d.Draining() {
-		t.Error("Draining() true before Shutdown")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := d.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown = %v", err)
-	}
-	if !d.Draining() {
-		t.Error("Draining() false after Shutdown")
-	}
-	for _, id := range ids {
-		r, err := store.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.State != run.StateSucceeded {
-			t.Errorf("run %s after drain = %s, want succeeded", id, r.State)
-		}
-	}
-	if _, err := d.Submit(pipelineSpec(5, 2, 0)); !errors.Is(err, ErrShuttingDown) {
-		t.Errorf("Submit after Shutdown = %v, want ErrShuttingDown", err)
-	}
-	// Idempotent.
-	if err := d.Shutdown(ctx); err != nil {
-		t.Errorf("second Shutdown = %v", err)
-	}
-}
-
-func TestShutdownForceCancelsOnDeadline(t *testing.T) {
-	store := run.NewMemStore()
-	d := New(store, Options{QueueDepth: 4, Dispatchers: 1})
-	r, err := d.Submit(pipelineSpec(40000, 4, 5000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitForState(t, store, r.ID, run.StateRunning)
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if err := d.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Shutdown = %v, want DeadlineExceeded", err)
-	}
-	got, err := store.Get(r.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.State != run.StateCancelled {
-		t.Errorf("force-cancelled run state = %s, want cancelled", got.State)
 	}
 }
 
@@ -368,7 +231,7 @@ func mustRegistry(t *testing.T, cfgs ...tenant.Config) *tenant.Registry {
 // submissions pile up in their tenant queues. Returns the plug's ID.
 func plugDispatcher(t *testing.T, store run.Store, d *Dispatcher) string {
 	t.Helper()
-	plug, err := d.Submit(pipelineSpec(40000, 4, 2000))
+	plug, err := d.Submit(slowSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,44 +377,6 @@ func TestPriorityClassDrainsFirst(t *testing.T) {
 		t.Errorf("a batch (priority 0) run started at %v before the interactive (priority 1) backlog drained at %v",
 			firstLow, lastHigh)
 	}
-}
-
-// TestInFlightCapSkipsNotBlocks: a tenant at its in-flight cap is passed
-// over, leaving the dispatcher free for other tenants, and its queued work
-// resumes once the cap frees up.
-func TestInFlightCapSkipsNotBlocks(t *testing.T) {
-	reg := mustRegistry(t,
-		tenant.Config{Name: "capped", MaxInFlight: 1},
-		tenant.Config{Name: "free"},
-	)
-	store, d := newDispatcher(t, Options{QueueDepth: 16, Dispatchers: 2, Tenants: reg})
-
-	first, err := d.Submit(tenantSpec("capped", 40000, 4, 2000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitForState(t, store, first.ID, run.StateRunning)
-	second, err := d.Submit(tenantSpec("capped", 5, 2, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The second dispatcher must skip the capped tenant's queued run and
-	// pick up other tenants' work instead.
-	other, err := d.Submit(tenantSpec("free", 5, 2, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitForState(t, store, other.ID, run.StateSucceeded)
-	if got, err := store.Get(second.ID); err != nil || got.State != run.StateQueued {
-		t.Fatalf("capped tenant's second run = %v state %s, want still queued", err, got.State)
-	}
-
-	// Releasing the cap (cancelling the hog) lets the queued run proceed.
-	if _, err := d.Cancel(first.ID); err != nil {
-		t.Fatal(err)
-	}
-	waitForState(t, store, second.ID, run.StateSucceeded)
 }
 
 // TestSubmitRateLimited: past the token bucket, Submit fails fast with

@@ -10,15 +10,38 @@ import (
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/run"
 )
 
-// This file is the remote half of the dispatcher: in lease mode
-// (Options.Remote) no in-process pool drains the tenant queues — instead
-// internal/fleet pulls ready runs through Lease on behalf of registered
-// workers and reports outcomes back through CompleteLease, or gives up on
-// a dead worker through ExpireLease. The scheduling policy (strict
-// priority between classes, weighted deficit round-robin within one,
-// in-flight caps) is exactly the embedded policy: Lease runs the same
-// pick over the same queues, so fairness guarantees hold no matter where
-// execution happens.
+// This file is the run lifecycle after admission: Lease hands a queued run
+// to a worker, complete records the worker's outcome, ExpireLease gives up
+// on a worker that went silent. The in-process workers (work) and
+// internal/fleet (through CompleteLease) are the two callers; the
+// scheduling policy (strict priority between classes, weighted deficit
+// round-robin within one, in-flight caps) is the one pick inside Lease, so
+// fairness guarantees hold no matter where execution happens.
+
+// work is one in-process worker: lease, execute, complete, until the
+// queues close and drain. It leases under the worker name "" and supports
+// every workload, so an embedded run's snapshot carries no worker.
+func (d *Dispatcher) work() {
+	defer d.wg.Done()
+	for {
+		// One run at a time, so the context made before the lease is the
+		// leased run's: its cancel is the hook store.Cancel invokes.
+		ctx, cancel := context.WithCancel(d.baseCtx)
+		// The wait itself is not under baseCtx: after a forced shutdown the
+		// queued remainder must still be leased (and finish as cancelled),
+		// not stranded in the queues.
+		r, err := d.Lease(context.Background(), "", nil, func(string) { cancel() })
+		if err != nil {
+			cancel()
+			return // ErrShuttingDown: closed and drained
+		}
+		res, runErr := run.Execute(ctx, r.Spec, d.opts.DefaultRunWorkers)
+		cancel()
+		// The lease is this goroutine's own and never expires, so complete
+		// cannot lose a race; store failures are logged inside.
+		_, _ = d.complete(r.ID, res, runErr)
+	}
+}
 
 // Lease blocks until a queued run matching the worker's supported
 // workloads is scheduled to it, then transitions the run to running
@@ -32,8 +55,8 @@ import (
 // is entirely unsupported is skipped without losing its rotation credit.
 // onCancel is the run's cancel hook: the store invokes it (possibly under
 // a store shard lock — it must not call back into the dispatcher) when
-// cancellation is requested, and the fleet layer relays it to the worker
-// on its next heartbeat.
+// cancellation is requested. An in-process worker cancels the run's
+// context; the fleet layer relays it to the worker on its next heartbeat.
 func (d *Dispatcher) Lease(ctx context.Context, worker string, supports func(workload, shape string) bool, onCancel func(id string)) (run.Run, error) {
 	stop := context.AfterFunc(ctx, func() {
 		// Lock-step with the wait loop below so a cancellation arriving
@@ -63,8 +86,9 @@ func (d *Dispatcher) Lease(ctx context.Context, worker string, supports func(wor
 				break
 			}
 			// A drain keeps serving leases until the queues are empty:
-			// queued work still needs workers. Leased runs finishing is
-			// drainRemote's concern, not Lease's.
+			// queued runs stuck behind an in-flight cap still count as
+			// pending work, and a release will broadcast and re-run the
+			// pick. Leased runs finishing is drain's concern, not Lease's.
 			if d.closed && d.queuedLocked() == 0 {
 				d.mu.Unlock()
 				return run.Run{}, ErrShuttingDown
@@ -82,7 +106,8 @@ func (d *Dispatcher) Lease(ctx context.Context, worker string, supports func(wor
 		if err != nil {
 			if errors.Is(err, run.ErrNotQueued) || errors.Is(err, run.ErrNotFound) {
 				// Cancelled while queued and popped before Cancel could
-				// unlink it: release the claim and pick again.
+				// unlink it (or rolled back): release the claim and pick
+				// again.
 				d.mu.Lock()
 				delete(d.leased, picked.id)
 				tq.inflight--
@@ -92,20 +117,21 @@ func (d *Dispatcher) Lease(ctx context.Context, worker string, supports func(wor
 			}
 			// Durable-append failure with the in-memory transition standing
 			// (see wal.Store.Begin): lease it anyway — abandoning the run
-			// now would strand it in running with no lease to expire.
-			log.Printf("dispatch: recording lease of %s by %s: %v (leasing anyway)", picked.id, worker, err)
+			// now would strand it in running forever, with every Await
+			// parked on it. Only its begin record may be missing from the
+			// log.
+			log.Printf("dispatch: recording lease of %s by %q: %v (leasing anyway)", picked.id, worker, err)
 		}
 		return r, nil
 	}
 }
 
-// CompleteLease records a worker-reported outcome for a leased run and
-// releases its lease: state must be terminal, and errMsg carries the
-// worker-side error text for failed and cancelled outcomes. It returns
-// ErrNotLeased when the run has no outstanding lease — the loser of a
-// completion-vs-expiry race — in which case the report is discarded and
-// the re-dispatched attempt proceeds elsewhere.
-func (d *Dispatcher) CompleteLease(id string, state run.State, errMsg string, result *run.Result) (run.Run, error) {
+// complete records the outcome of a leased run — runErr is what
+// store.Finish classifies: nil → succeeded, a context cancellation →
+// cancelled, anything else → failed — then releases the lease's in-flight
+// slot and evicts history past the retention bound. It returns
+// ErrNotLeased when the run has no outstanding lease.
+func (d *Dispatcher) complete(id string, result *run.Result, runErr error) (run.Run, error) {
 	d.mu.Lock()
 	le, ok := d.leased[id]
 	if !ok {
@@ -115,27 +141,10 @@ func (d *Dispatcher) CompleteLease(id string, state run.State, errMsg string, re
 	delete(d.leased, id)
 	d.mu.Unlock()
 
-	// Reconstitute the worker's outcome as the error Finish classifies:
-	// nil → succeeded, a context.Canceled-wrapped error → cancelled,
-	// anything else → failed.
-	var runErr error
-	switch state {
-	case run.StateSucceeded:
-	case run.StateCancelled:
-		if errMsg == "" {
-			runErr = context.Canceled
-		} else {
-			runErr = fmt.Errorf("%s: %w", errMsg, context.Canceled)
-		}
-	default:
-		if errMsg == "" {
-			errMsg = "worker reported failure"
-		}
-		runErr = errors.New(errMsg)
-	}
-
 	fr, ferr := d.store.Finish(id, result, runErr)
 	if ferr != nil && !errors.Is(ferr, run.ErrNotRunning) {
+		// A WAL append failure: the outcome is recorded in memory but may
+		// not survive a restart. Nothing the dispatcher can do beyond log.
 		log.Printf("dispatch: recording completion of %s: %v", id, ferr)
 	}
 	if ferr == nil {
@@ -151,6 +160,32 @@ func (d *Dispatcher) CompleteLease(id string, state run.State, errMsg string, re
 	d.release(le.tq, true)
 	d.store.EvictTerminal(d.opts.RetainRuns)
 	return fr, ferr
+}
+
+// CompleteLease records a worker-reported outcome for a leased run and
+// releases its lease: state must be terminal, and errMsg carries the
+// worker-side error text for failed and cancelled outcomes. It returns
+// ErrNotLeased when the run has no outstanding lease — the loser of a
+// completion-vs-expiry race — in which case the report is discarded and
+// the re-dispatched attempt proceeds elsewhere.
+func (d *Dispatcher) CompleteLease(id string, state run.State, errMsg string, result *run.Result) (run.Run, error) {
+	// Reconstitute the worker's outcome as the error complete expects.
+	var runErr error
+	switch state {
+	case run.StateSucceeded:
+	case run.StateCancelled:
+		if errMsg == "" {
+			runErr = context.Canceled
+		} else {
+			runErr = fmt.Errorf("%s: %w", errMsg, context.Canceled)
+		}
+	default:
+		if errMsg == "" {
+			errMsg = "worker reported failure"
+		}
+		runErr = errors.New(errMsg)
+	}
+	return d.complete(id, result, runErr)
 }
 
 // ExpireLease abandons a leased run whose worker stopped heartbeating:
@@ -185,12 +220,9 @@ func (d *Dispatcher) ExpireLease(id string) (run.Run, error) {
 	return r, nil
 }
 
-// LeasedLen returns how many runs are currently leased to remote workers.
+// LeasedLen returns how many runs are currently leased to a worker.
 func (d *Dispatcher) LeasedLen() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return len(d.leased)
 }
-
-// Remote reports whether the dispatcher runs in lease mode.
-func (d *Dispatcher) Remote() bool { return d.opts.Remote }

@@ -277,82 +277,6 @@ func TestLeaseCancelHook(t *testing.T) {
 	}
 }
 
-// TestCancelQueuedInRemoteMode pins that cancelling a still-queued run in
-// remote mode unlinks it so no worker is ever handed a cancelled run.
-func TestCancelQueuedInRemoteMode(t *testing.T) {
-	_, d := newRemoteDispatcher(t, Options{QueueDepth: 8})
-	sub, err := d.Submit(pipelineSpec(5, 2, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r, err := d.Cancel(sub.ID); err != nil || r.State != run.StateCancelled {
-		t.Fatalf("Cancel(queued) = %+v, %v", r, err)
-	}
-	if d.QueueLen() != 0 {
-		t.Fatalf("QueueLen after cancel = %d, want 0", d.QueueLen())
-	}
-}
-
-// TestRemoteShutdownDrains verifies Shutdown in remote mode waits for the
-// outstanding lease to complete, then returns cleanly.
-func TestRemoteShutdownDrains(t *testing.T) {
-	store := run.NewMemStore()
-	d := New(store, Options{QueueDepth: 8, Remote: true})
-	sub, err := d.Submit(pipelineSpec(5, 2, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lease(t, d, "w1")
-
-	done := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		done <- d.Shutdown(ctx)
-	}()
-	time.Sleep(20 * time.Millisecond)
-	select {
-	case err := <-done:
-		t.Fatalf("Shutdown returned %v with a lease outstanding", err)
-	default:
-	}
-	if _, err := d.CompleteLease(sub.ID, run.StateSucceeded, "", &run.Result{Match: true}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("Shutdown = %v, want nil after drain", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Shutdown never returned after the last lease completed")
-	}
-	if _, err := d.Submit(pipelineSpec(5, 2, 0)); !errors.Is(err, ErrShuttingDown) {
-		t.Errorf("Submit after Shutdown = %v, want ErrShuttingDown", err)
-	}
-}
-
-// TestRemoteShutdownAbandonsOnCtxExpiry verifies a remote drain gives up
-// when its context expires while a lease is still outstanding (the run
-// stays running; a restart would replay it as queued).
-func TestRemoteShutdownAbandonsOnCtxExpiry(t *testing.T) {
-	store := run.NewMemStore()
-	d := New(store, Options{QueueDepth: 8, Remote: true})
-	sub, err := d.Submit(pipelineSpec(5, 2, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lease(t, d, "w1")
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if err := d.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Shutdown = %v, want DeadlineExceeded", err)
-	}
-	if got, _ := store.Get(sub.ID); got.State != run.StateRunning {
-		t.Fatalf("abandoned run state = %s, want running", got.State)
-	}
-}
-
 // TestLeaseDrainServesQueuedWork verifies a drain keeps granting leases
 // until the queues are empty: queued work needs workers to finish.
 func TestLeaseDrainServesQueuedWork(t *testing.T) {
@@ -392,9 +316,9 @@ func TestLeaseDrainServesQueuedWork(t *testing.T) {
 	}
 }
 
-// TestLeaseFairnessAcrossTenants verifies lease mode preserves the DRR
-// weight ratio the embedded pool guarantees: with tenants weighted 2:1
-// and equal backlogs, grants alternate two-to-one.
+// TestLeaseFairnessAcrossTenants pins the DRR weight ratio at the grant
+// level: with tenants weighted 2:1 and equal backlogs, grants alternate
+// two-to-one.
 func TestLeaseFairnessAcrossTenants(t *testing.T) {
 	reg := mustRegistry(t,
 		tenant.Config{Name: "default", Weight: 1},

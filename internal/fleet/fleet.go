@@ -1,6 +1,7 @@
 // Package fleet is the coordinator side of dagd's distributed execution
-// plane: it turns the dispatcher's remote lease mode into an internal
-// JSON/HTTP worker API that cmd/dagworker processes consume.
+// plane: it puts the dispatcher's Lease / CompleteLease / ExpireLease — the
+// path dagd's in-process workers also take — behind an internal JSON/HTTP
+// worker API that cmd/dagworker processes consume.
 //
 // # Protocol
 //

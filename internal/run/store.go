@@ -40,7 +40,7 @@ type Store interface {
 	// dispatcher's cancel hook. dispatchedAt is the moment the dispatcher
 	// popped the run off its queue, stamped on the run alongside the
 	// Begin-time StartedAt. worker attributes the execution ("" for
-	// embedded in-process dispatch, the registered worker name for fleet
+	// dagd's in-process workers, the registered worker name for fleet
 	// leases).
 	Begin(id string, dispatchedAt time.Time, worker string, cancel context.CancelFunc) (Run, error)
 	// Finish transitions a running run to its terminal state.

@@ -27,7 +27,7 @@ func BenchmarkRandomDAG(b *testing.B) {
 			ctx := context.Background()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := CountPathsParallel(ctx, d, workers, benchWork); err != nil {
+				if _, err := New(d, Options{Workers: workers}).Run(ctx, PathCount(benchWork)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -46,7 +46,7 @@ func BenchmarkPipelineDAG(b *testing.B) {
 			ctx := context.Background()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := CountPathsParallel(ctx, d, workers, benchWork); err != nil {
+				if _, err := New(d, Options{Workers: workers}).Run(ctx, PathCount(benchWork)); err != nil {
 					b.Fatal(err)
 				}
 			}

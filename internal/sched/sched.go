@@ -172,28 +172,6 @@ func PathCount(work int) Compute {
 	return mustLookup(DefaultWorkload).Compute(work)
 }
 
-// CountPathsParallel generates per-node path counts for d using the worker
-// pool. It is a convenience wrapper over New + Run with the PathCount hook.
-func CountPathsParallel(ctx context.Context, d *dag.DAG, workers, work int) ([]uint64, error) {
-	return New(d, Options{Workers: workers}).Run(ctx, PathCount(work))
-}
-
-// CountPathsSerial computes the same per-node path counts as
-// CountPathsParallel with a single-threaded sweep in topological order.
-// It is the correctness reference for the scheduler.
-func CountPathsSerial(d *dag.DAG, work int) []uint64 {
-	values, _ := CountPathsSerialCtx(context.Background(), d, work)
-	return values
-}
-
-// CountPathsSerialCtx is CountPathsSerial with cooperative cancellation:
-// the sweep polls ctx on a spin-iteration budget and returns ctx.Err() if
-// it fires. Long-running services (dagd) use this so that cancelling a run
-// aborts the serial reference pass too, not just the parallel one.
-func CountPathsSerialCtx(ctx context.Context, d *dag.DAG, work int) ([]uint64, error) {
-	return mustLookup(DefaultWorkload).Serial(ctx, d, work)
-}
-
 // TotalSinkPaths sums the values of all sink nodes — for the pathcount
 // workload, the number of distinct source→sink paths through the whole DAG
 // (mod 2^64).

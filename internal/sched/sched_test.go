@@ -11,6 +11,17 @@ import (
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/gen"
 )
 
+// serialCounts is the pathcount workload's single-threaded reference sweep:
+// what every parallel result in these tests is compared against.
+func serialCounts(t testing.TB, d *dag.DAG, work int) []uint64 {
+	t.Helper()
+	values, err := mustLookup(DefaultWorkload).Serial(context.Background(), d, work)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return values
+}
+
 func assertEqualCounts(t *testing.T, serial, parallel []uint64) {
 	t.Helper()
 	if len(serial) != len(parallel) {
@@ -34,11 +45,11 @@ func TestDiamondPathCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := CountPathsSerial(d, 0)
+	serial := serialCounts(t, d, 0)
 	if serial[3] != 2 {
 		t.Fatalf("diamond sink count = %d, want 2", serial[3])
 	}
-	parallel, err := CountPathsParallel(context.Background(), d, 4, 0)
+	parallel, err := New(d, Options{Workers: 4}).Run(context.Background(), PathCount(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +75,8 @@ func TestRandomDAGsParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("gen(%+v): %v", tc, err)
 		}
-		serial := CountPathsSerial(d, tc.work)
-		parallel, err := CountPathsParallel(context.Background(), d, tc.workers, tc.work)
+		serial := serialCounts(t, d, tc.work)
+		parallel, err := New(d, Options{Workers: tc.workers}).Run(context.Background(), PathCount(tc.work))
 		if err != nil {
 			t.Fatalf("parallel(%+v): %v", tc, err)
 		}
@@ -81,8 +92,8 @@ func TestPipelineParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := CountPathsSerial(d, 0)
-	parallel, err := CountPathsParallel(context.Background(), d, 8, 0)
+	serial := serialCounts(t, d, 0)
+	parallel, err := New(d, Options{Workers: 8}).Run(context.Background(), PathCount(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +113,11 @@ func TestDisconnectedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := CountPathsParallel(context.Background(), d, 4, 0)
+	parallel, err := New(d, Options{Workers: 4}).Run(context.Background(), PathCount(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertEqualCounts(t, CountPathsSerial(d, 0), parallel)
+	assertEqualCounts(t, serialCounts(t, d, 0), parallel)
 	if got := TotalSinkPaths(d, parallel); got != 3 {
 		t.Errorf("TotalSinkPaths = %d, want 3", got)
 	}
@@ -196,8 +207,9 @@ func TestMidRunCancellation(t *testing.T) {
 	}
 }
 
-// TestSerialCtxCancellation covers the cancellation-aware serial sweep used
-// by the dagd dispatcher.
+// TestSerialCtxCancellation covers the serial sweep's cooperative
+// cancellation, which is what lets a cancelled dagd run stop before its
+// parallel pass even starts.
 func TestSerialCtxCancellation(t *testing.T) {
 	d, err := gen.PipelineDAG(1000, 4)
 	if err != nil {
@@ -205,14 +217,9 @@ func TestSerialCtxCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CountPathsSerialCtx(ctx, d, 0); err != context.Canceled {
-		t.Fatalf("CountPathsSerialCtx = %v, want context.Canceled", err)
+	if _, err := mustLookup(DefaultWorkload).Serial(ctx, d, 0); err != context.Canceled {
+		t.Fatalf("pathcount Serial = %v, want context.Canceled", err)
 	}
-	vals, err := CountPathsSerialCtx(context.Background(), d, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertEqualCounts(t, CountPathsSerial(d, 0), vals)
 }
 
 func TestContextCancellation(t *testing.T) {
@@ -222,7 +229,7 @@ func TestContextCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: run must bail out, not hang
-	if _, err := CountPathsParallel(ctx, d, 4, 0); err == nil {
+	if _, err := New(d, Options{Workers: 4}).Run(ctx, PathCount(0)); err == nil {
 		t.Error("cancelled run returned nil error")
 	}
 }
@@ -244,25 +251,25 @@ func TestExecutorReusable(t *testing.T) {
 	assertEqualCounts(t, first, second)
 }
 
-func BenchmarkCountPathsSerial(b *testing.B) {
+func BenchmarkPathCountSerial(b *testing.B) {
 	d, err := gen.RandomDAG(1000, 0.01, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		CountPathsSerial(d, 100)
+		serialCounts(b, d, 100)
 	}
 }
 
-func BenchmarkCountPathsParallel(b *testing.B) {
+func BenchmarkPathCountParallel(b *testing.B) {
 	d, err := gen.RandomDAG(1000, 0.01, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CountPathsParallel(context.Background(), d, 0, 100); err != nil {
+		if _, err := New(d, Options{Workers: 0}).Run(context.Background(), PathCount(100)); err != nil {
 			b.Fatal(err)
 		}
 	}

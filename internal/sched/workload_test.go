@@ -196,7 +196,7 @@ func TestManyWorkersFewNodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertEqualCounts(t, CountPathsSerial(d, 0), parallel)
+		assertEqualCounts(t, serialCounts(t, d, 0), parallel)
 	}
 }
 
@@ -219,8 +219,8 @@ func TestWideFanout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := CountPathsSerial(d, 0)
-	parallel, err := CountPathsParallel(context.Background(), d, 8, 0)
+	serial := serialCounts(t, d, 0)
+	parallel, err := New(d, Options{Workers: 8}).Run(context.Background(), PathCount(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,8 @@ import (
 	"net/http"
 	"strconv"
 
-	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/core"
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/dispatch"
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/run"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/pkg/api"
 )
 
@@ -26,16 +27,16 @@ var errorMapping = []struct {
 	status   int
 	code     api.Code
 }{
-	{core.ErrInvalidSpec, http.StatusBadRequest, api.CodeInvalidSpec},
-	{core.ErrUnknownWorkload, http.StatusBadRequest, api.CodeUnknownWorkload},
+	{run.ErrInvalidSpec, http.StatusBadRequest, api.CodeInvalidSpec},
+	{run.ErrUnknownWorkload, http.StatusBadRequest, api.CodeUnknownWorkload},
 	{errInvalidRequest, http.StatusBadRequest, api.CodeInvalidRequest},
 	{errUnsupportedMediaType, http.StatusUnsupportedMediaType, api.CodeUnsupportedMediaType},
-	{core.ErrRunNotFound, http.StatusNotFound, api.CodeNotFound},
-	{core.ErrRunTerminal, http.StatusConflict, api.CodeRunTerminal},
-	{core.ErrQueueFull, http.StatusTooManyRequests, api.CodeQueueFull},
-	{core.ErrRateLimited, http.StatusTooManyRequests, api.CodeRateLimited},
-	{core.ErrQuotaExceeded, http.StatusTooManyRequests, api.CodeQuotaExceeded},
-	{core.ErrShuttingDown, http.StatusServiceUnavailable, api.CodeShuttingDown},
+	{run.ErrNotFound, http.StatusNotFound, api.CodeNotFound},
+	{run.ErrTerminal, http.StatusConflict, api.CodeRunTerminal},
+	{dispatch.ErrQueueFull, http.StatusTooManyRequests, api.CodeQueueFull},
+	{dispatch.ErrRateLimited, http.StatusTooManyRequests, api.CodeRateLimited},
+	{dispatch.ErrQuotaExceeded, http.StatusTooManyRequests, api.CodeQuotaExceeded},
+	{dispatch.ErrShuttingDown, http.StatusServiceUnavailable, api.CodeShuttingDown},
 }
 
 // classify maps err to its HTTP status and machine-readable code,
@@ -55,12 +56,12 @@ func classify(err error) (int, api.Code) {
 
 // writeError emits the structured v1 error envelope
 // {"error":{"code":...,"message":...,"details":...}} for err; details may
-// be nil. Backpressure errors (a core.RetryableError in the chain) also
+// be nil. Backpressure errors (a dispatch.RetryableError in the chain) also
 // carry a Retry-After header and retry details, so well-behaved clients
 // can back off for exactly as long as the tenant's token bucket needs.
 func writeError(w http.ResponseWriter, err error, details map[string]any) {
 	status, code := classify(err)
-	var retryable *core.RetryableError
+	var retryable *dispatch.RetryableError
 	if errors.As(err, &retryable) {
 		// Retry-After is whole seconds; round up so a 300ms token deficit
 		// doesn't advertise "retry immediately".

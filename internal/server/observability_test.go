@@ -10,6 +10,7 @@ import (
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/core"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/metrics"
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/tenant"
 )
 
 // hammerSubmits floods POST /v1/runs with small fast runs from n goroutines
@@ -67,7 +68,7 @@ func TestHealthzConsistentSnapshotUnderLoad(t *testing.T) {
 	ts := newTestServer(t, core.ServiceOptions{
 		QueueDepth:  512,
 		Dispatchers: 2,
-		Tenants: []core.TenantConfig{
+		Tenants: []tenant.Config{
 			{Name: "ha", Weight: 2},
 			{Name: "hb", Weight: 1},
 		},

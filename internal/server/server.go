@@ -38,7 +38,10 @@ import (
 	"time"
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/core"
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/dispatch"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/metrics"
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/run"
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/sched"
 )
 
 // maxSpecBytes bounds the POST /v1/runs body. Explicit specs carry literal
@@ -170,7 +173,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("%w: %v", errInvalidRequest, err), nil)
 		return
 	}
-	var spec core.RunSpec
+	var spec run.Spec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
@@ -187,7 +190,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	rr, err := s.svc.Submit(spec)
 	if err != nil {
 		var details map[string]any
-		if errors.Is(err, core.ErrQueueFull) {
+		if errors.Is(err, dispatch.ErrQueueFull) {
 			details = map[string]any{"queue_depth": s.svc.Stats().QueueDepth}
 		}
 		writeError(w, err, details)
@@ -200,7 +203,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	runs := s.svc.List() // sorted by (CreatedAt, ID) — the pagination order
 	if want := q.Get("state"); want != "" {
-		state, err := core.ParseRunState(want)
+		state, err := run.ParseState(want)
 		if err != nil {
 			writeError(w, fmt.Errorf("%w: %v", errInvalidRequest, err), nil)
 			return
@@ -237,7 +240,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		// shifting later pages the way offset pagination would.
 		kept := runs[:0]
 		for _, rr := range runs {
-			if core.CompareRunToCursor(rr, afterNanos, afterID) > 0 {
+			if run.CompareToCursor(rr, afterNanos, afterID) > 0 {
 				kept = append(kept, rr)
 			}
 		}
@@ -260,7 +263,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		next = encodeCursor(last.CreatedAt.UnixNano(), last.ID)
 	}
 	if runs == nil {
-		runs = []core.RunInfo{}
+		runs = []run.Run{}
 	}
 	resp := map[string]any{"runs": runs, "count": len(runs)}
 	if next != "" {
@@ -331,7 +334,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
-	names := core.Workloads()
+	names := sched.Workloads()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"workloads": names,
 		"count":     len(names),
@@ -355,7 +358,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // green.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() || s.svc.Draining() {
-		writeError(w, core.ErrShuttingDown, nil)
+		writeError(w, dispatch.ErrShuttingDown, nil)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})

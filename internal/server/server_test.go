@@ -15,6 +15,9 @@ import (
 	"time"
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/core"
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/run"
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/sched"
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/tenant"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/pkg/api"
 )
 
@@ -156,7 +159,7 @@ func TestEndToEndBothShapes(t *testing.T) {
 // acceptance criterion for workload pluggability.
 func TestEndToEndAllWorkloads(t *testing.T) {
 	ts := newTestServer(t, core.ServiceOptions{QueueDepth: 8, Dispatchers: 2})
-	for _, name := range core.Workloads() {
+	for _, name := range sched.Workloads() {
 		spec := fmt.Sprintf(`{"shape":"random","nodes":300,"p":0.03,"seed":5,"workload":%q}`, name)
 		id := submit(t, ts.URL, spec)
 		body := pollUntil(t, ts.URL, id, "succeeded")
@@ -644,7 +647,7 @@ func TestGracefulServeDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.State != core.RunSucceeded {
+	if r.State != run.StateSucceeded {
 		t.Errorf("drained run state = %s, want succeeded", r.State)
 	}
 }
@@ -711,7 +714,7 @@ func TestTenantHeaderAttribution(t *testing.T) {
 	ts := newTestServer(t, core.ServiceOptions{
 		QueueDepth:  8,
 		Dispatchers: 1,
-		Tenants:     []core.TenantConfig{{Name: "alpha", Priority: 2}},
+		Tenants:     []tenant.Config{{Name: "alpha", Priority: 2}},
 	})
 	spec := `{"shape":"pipeline","stages":5,"width":2}`
 
@@ -773,7 +776,7 @@ func TestTenantRateLimit429RetryAfter(t *testing.T) {
 	ts := newTestServer(t, core.ServiceOptions{
 		QueueDepth:  8,
 		Dispatchers: 1,
-		Tenants:     []core.TenantConfig{{Name: "limited", SubmitRate: 0.01, SubmitBurst: 1}},
+		Tenants:     []tenant.Config{{Name: "limited", SubmitRate: 0.01, SubmitBurst: 1}},
 	})
 	spec := `{"shape":"pipeline","stages":5,"width":2}`
 
@@ -812,7 +815,7 @@ func TestTenantQuota429(t *testing.T) {
 	ts := newTestServer(t, core.ServiceOptions{
 		QueueDepth:  64,
 		Dispatchers: 1,
-		Tenants:     []core.TenantConfig{{Name: "small", MaxQueueDepth: 1}},
+		Tenants:     []tenant.Config{{Name: "small", MaxQueueDepth: 1}},
 	})
 	// Occupy the single dispatcher so submissions stay queued.
 	plugID := submit(t, ts.URL, `{"shape":"pipeline","stages":40000,"width":4,"work":2000}`)
@@ -846,7 +849,7 @@ func TestListTenantFilter(t *testing.T) {
 	ts := newTestServer(t, core.ServiceOptions{
 		QueueDepth:  16,
 		Dispatchers: 2,
-		Tenants:     []core.TenantConfig{{Name: "alpha"}, {Name: "beta"}},
+		Tenants:     []tenant.Config{{Name: "alpha"}, {Name: "beta"}},
 	})
 	spec := `{"shape":"pipeline","stages":5,"width":2}`
 	var alphaIDs []string
@@ -902,7 +905,7 @@ func TestHealthzTenantStats(t *testing.T) {
 	ts := newTestServer(t, core.ServiceOptions{
 		QueueDepth:  4,
 		Dispatchers: 1,
-		Tenants:     []core.TenantConfig{{Name: "alpha", Weight: 3}},
+		Tenants:     []tenant.Config{{Name: "alpha", Weight: 3}},
 	})
 	code, body := doJSON(t, http.MethodGet, ts.URL+"/healthz", "")
 	if code != http.StatusOK {

@@ -70,9 +70,9 @@ func newReplayState() *replayState {
 	}
 }
 
-// loadChain replays the snapshot + segment chain in dir — a shard directory,
-// or a legacy pre-shard data dir during migration — and returns the
-// surviving replay state and the highest file sequence number seen.
+// loadChain replays the snapshot + segment chain in dir (a shard directory)
+// and returns the surviving replay state and the highest file sequence
+// number seen.
 func loadChain(dir string) (*replayState, uint64, error) {
 	snaps, segs, err := scanDir(dir)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"os"
 	"path/filepath"
 	"strings"
@@ -69,22 +68,20 @@ func writeManifest(dir string, shards int) error {
 	return writeFileAtomic(dir, manifestName, append(data, '\n'))
 }
 
-// resolveShards decides the shard count for dir and brings the directory to
-// the sharded layout:
+// resolveShards decides the shard count for dir:
 //
 //   - A manifest pins the count. A non-zero request that disagrees is
 //     refused with ErrShardCountMismatch — re-hashing run IDs with a new
 //     modulus would scatter each run's records across shards and break the
 //     per-shard replay-order guarantee.
-//   - No manifest but root-level log files: a legacy (pre-shard,
-//     single-stream) layout. It is migrated in place: the root chain is
-//     replayed and re-written as one snapshot per shard, the manifest is
-//     installed, and only then are the root files removed — a crash at any
-//     point leaves either the untouched legacy layout or a complete
-//     sharded one.
-//   - Neither: a fresh dir; the manifest is written with the requested (or
-//     default) count. Stray shard dirs without a manifest are debris from
-//     an interrupted migration and are wiped.
+//   - No manifest and nothing else: a fresh dir; the manifest is written
+//     with the requested (or default) count.
+//   - No manifest but log files or shard directories: refused, with every
+//     file left as it is. Root-level log files are the pre-shard
+//     single-stream layout, which this store no longer reads; shard
+//     directories without a manifest mean the manifest was lost, and with
+//     it the modulus their runs were hashed by. Both hold run history that
+//     only an operator can decide about.
 func resolveShards(dir string, requested int) (int, error) {
 	if requested < 0 || requested > MaxShards {
 		return 0, fmt.Errorf("wal: shard count %d out of range [1,%d] (0 = adopt existing layout or default %d)",
@@ -99,114 +96,34 @@ func resolveShards(dir string, requested int) (int, error) {
 			return 0, fmt.Errorf("%w: data dir %s was created with %d shards, asked to open with %d (a run's records live in exactly one shard; a different count would split its history)",
 				ErrShardCountMismatch, dir, m.Shards, requested)
 		}
-		// Root-level log files under a manifest are pre-migration leftovers
-		// (migration removes them only after the manifest is durable); their
-		// content already lives in the shard snapshots.
-		removeRootLogs(dir)
+		removeStaleTemps(dir) // a manifest write that died before its rename
 		return m.Shards, nil
 	}
 
-	n := requested
-	if n == 0 {
-		n = DefaultShards
-	}
 	snaps, segs, err := scanDir(dir)
 	if err != nil {
 		return 0, err
 	}
 	if len(snaps)+len(segs) > 0 {
-		if err := migrateLegacy(dir, n); err != nil {
-			return 0, err
-		}
-		return n, nil
+		return 0, fmt.Errorf("wal: data dir %s holds an unsupported pre-shard layout (root-level log files, no %s); nothing was changed",
+			dir, manifestName)
 	}
-	// Fresh dir. Shard dirs are only meaningful under a manifest; any that
-	// exist are debris from a migration that died before pinning one.
-	if err := removeShardDirs(dir); err != nil {
-		return 0, err
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return 0, fmt.Errorf("wal: scanning data dir: %w", err)
+	}
+	for _, e := range entries {
+		if e.IsDir() && strings.HasPrefix(e.Name(), "shard-") {
+			return 0, fmt.Errorf("wal: data dir %s holds shard directories without %s (the shard count their runs were hashed with is lost); nothing was changed",
+				dir, manifestName)
+		}
+	}
+	n := requested
+	if n == 0 {
+		n = DefaultShards
 	}
 	if err := writeManifest(dir, n); err != nil {
 		return 0, err
 	}
 	return n, nil
-}
-
-// migrateLegacy rewrites a pre-shard single-stream layout into n shards:
-// replay the root chain (same corruption policy as any open: torn tail of
-// the final segment tolerated, damage in sealed files refused), write each
-// surviving run into its hash shard's baseline snapshot, install the
-// manifest, then drop the root files. Runs with a pending cancellation
-// acknowledgement are carried as cancel-request records so recovery still
-// finishes the cancellation instead of re-admitting them.
-func migrateLegacy(dir string, n int) error {
-	if err := removeShardDirs(dir); err != nil {
-		return err
-	}
-	state, _, err := loadChain(dir)
-	if err != nil {
-		return fmt.Errorf("wal: migrating legacy single-stream layout: %w", err)
-	}
-	bufs := make([][]byte, n)
-	for id, r := range state.runs {
-		r := r
-		rec := record{Op: opPut, Run: &r}
-		if state.cancelRequested[id] && !r.State.Terminal() {
-			rec.Op = opCancelReq
-		}
-		i := shardIndex(id, n)
-		if bufs[i], err = encodeFrame(bufs[i], rec); err != nil {
-			return err
-		}
-	}
-	for i := range bufs {
-		sdir := filepath.Join(dir, shardDirName(i))
-		if err := os.MkdirAll(sdir, 0o755); err != nil {
-			return fmt.Errorf("wal: creating shard dir: %w", err)
-		}
-		if len(bufs[i]) == 0 {
-			continue
-		}
-		if err := writeFileAtomic(sdir, snapshotName(1), bufs[i]); err != nil {
-			return err
-		}
-	}
-	if err := writeManifest(dir, n); err != nil {
-		return err
-	}
-	removeRootLogs(dir)
-	log.Printf("wal: migrated legacy single-stream layout at %s into %d shards (%d runs)", dir, n, len(state.runs))
-	return nil
-}
-
-// removeRootLogs drops root-level segment/snapshot files (and staging
-// temps). Only called once their content is durable elsewhere.
-func removeRootLogs(dir string) {
-	snaps, segs, err := scanDir(dir)
-	if err != nil {
-		return
-	}
-	for _, seq := range snaps {
-		os.Remove(filepath.Join(dir, snapshotName(seq)))
-	}
-	for _, seq := range segs {
-		os.Remove(filepath.Join(dir, segmentName(seq)))
-	}
-	removeStaleTemps(dir)
-}
-
-// removeShardDirs wipes shard-NN directories. Callers only do this when no
-// manifest exists, i.e. the dirs can only be interrupted-migration debris.
-func removeShardDirs(dir string) error {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return fmt.Errorf("wal: scanning data dir: %w", err)
-	}
-	for _, e := range entries {
-		if e.IsDir() && strings.HasPrefix(e.Name(), "shard-") {
-			if err := os.RemoveAll(filepath.Join(dir, e.Name())); err != nil {
-				return fmt.Errorf("wal: removing stale %s: %w", e.Name(), err)
-			}
-		}
-	}
-	return nil
 }

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -85,6 +88,108 @@ func TestShardCountMismatchFailsClosed(t *testing.T) {
 		}
 		s2.Close()
 	}
+}
+
+// treeOf reads every file under dir, keyed by its path relative to dir.
+func treeOf(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	tree := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		rel, _ := filepath.Rel(dir, path)
+		tree[rel] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+// TestNoManifestFailsClosed pins what Open does with run history it has no
+// manifest for: it refuses, and leaves every file as it found it. The
+// pre-shard single-stream layout (log files at the root) used to be
+// migrated in place; shard directories whose manifest was lost used to be
+// taken for migration debris and wiped on the way to a fresh store.
+func TestNoManifestFailsClosed(t *testing.T) {
+	cases := []struct {
+		name    string
+		shards  int
+		damage  func(t *testing.T, dir string)
+		wantErr string
+	}{
+		{
+			// A one-shard chain moved to the root is byte for byte what the
+			// single-stream store wrote: the file format never changed.
+			name: "legacy root chain", shards: 1,
+			damage: func(t *testing.T, dir string) {
+				sdir := filepath.Join(dir, "shard-00")
+				entries, err := os.ReadDir(sdir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range entries {
+					if err := os.Rename(filepath.Join(sdir, e.Name()), filepath.Join(dir, e.Name())); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := os.Remove(sdir); err != nil {
+					t.Fatal(err)
+				}
+			},
+			wantErr: "unsupported pre-shard layout",
+		},
+		{
+			name: "shards without manifest", shards: 4,
+			damage:  func(*testing.T, string) {},
+			wantErr: "shard directories without MANIFEST",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, _ := mustOpen(t, dir, wal.Options{Shards: tc.shards})
+			for i := 0; i < 8; i++ {
+				r := mustCreate(t, s, pipelineSpec())
+				drive(t, s, r.ID, nil)
+			}
+			s.Close()
+			if err := os.Remove(filepath.Join(dir, "MANIFEST")); err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(t, dir)
+			before := treeOf(t, dir)
+			if len(before) == 0 {
+				t.Fatal("no log files on disk to protect")
+			}
+
+			for _, shards := range []int{0, tc.shards} {
+				s2, _, err := wal.Open(dir, wal.Options{Shards: shards})
+				if err == nil {
+					s2.Close()
+					t.Fatalf("Open(Shards:%d) succeeded on a data dir with history and no manifest", shards)
+				}
+				if !strings.Contains(err.Error(), tc.wantErr) {
+					t.Errorf("Open(Shards:%d) = %v, want an error naming %q", shards, err, tc.wantErr)
+				}
+			}
+			if after := treeOf(t, dir); !reflect.DeepEqual(before, after) {
+				t.Errorf("refused Open changed the data dir:\nbefore %v\nafter  %v", keys(before), keys(after))
+			}
+		})
+	}
+}
+
+func keys(m map[string]string) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // TestTornTailIsolatedToShard damages the active-at-crash tail of every

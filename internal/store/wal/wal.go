@@ -19,8 +19,9 @@
 // compaction cycle — so transitions for runs in different shards never
 // contend. Because the routing depends on N, the manifest is load-bearing:
 // opening an existing directory with a different shard count is refused
-// with ErrShardCountMismatch rather than silently splitting run histories.
-// A pre-shard (single-stream) layout is migrated in place on first open.
+// with ErrShardCountMismatch rather than silently splitting run histories,
+// and so is a directory that holds log files or shard directories but no
+// manifest (the pre-shard single-stream layout, or a lost manifest).
 //
 // Inside a shard, files follow the original single-stream format — both are
 // sequences of identically framed records:

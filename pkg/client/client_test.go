@@ -13,7 +13,10 @@ import (
 	"time"
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/core"
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/gen"
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/run"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/server"
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/tenant"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/pkg/api"
 )
 
@@ -238,26 +241,26 @@ func TestWaitSliceGuard(t *testing.T) {
 	}
 }
 
-// TestWireCompat pins that the server's run JSON (internal/core types)
+// TestWireCompat pins that the server's run JSON (internal/run types)
 // decodes losslessly into the public api.Run shape, so pkg/api can never
 // drift from what dagd actually serves.
 func TestWireCompat(t *testing.T) {
 	now := time.Now().UTC().Truncate(time.Second)
-	info := core.RunInfo{
+	info := run.Run{
 		ID: "r000001-aabbccdd",
-		Spec: core.RunSpec{
-			Config: core.GenConfig{
-				Shape: core.ExplicitShape,
+		Spec: run.Spec{
+			Config: gen.Config{
+				Shape: gen.Explicit,
 				Nodes: 4,
-				Edges: []core.Edge{{0, 1}, {0, 2}, {1, 3}, {2, 3}},
+				Edges: []gen.Edge{{0, 1}, {0, 2}, {1, 3}, {2, 3}},
 			},
 			Workload: "hashchain",
 			Work:     7,
 			Workers:  3,
 		},
-		State:     core.RunSucceeded,
+		State:     run.StateSucceeded,
 		CreatedAt: now,
-		Result: &core.RunResult{
+		Result: &run.Result{
 			Workload: "hashchain", Nodes: 4, Edges: 4, Depth: 2,
 			Workers: 3, SinkPaths: 99, Match: true,
 		},
@@ -293,7 +296,7 @@ func TestWireCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var serverSpec core.RunSpec
+	var serverSpec run.Spec
 	if err := unmarshalStrict(specBlob, &serverSpec); err != nil {
 		t.Fatalf("api.RunSpec JSON rejected by server decoding: %v\n%s", err, specBlob)
 	}
@@ -318,9 +321,9 @@ func TestWireFieldConformance(t *testing.T) {
 		name             string
 		internal, public any
 	}{
-		{"RunSpec", core.RunSpec{}, api.RunSpec{}},
-		{"Run", core.RunInfo{}, api.Run{}},
-		{"Result", core.RunResult{}, api.Result{}},
+		{"RunSpec", run.Spec{}, api.RunSpec{}},
+		{"Run", run.Run{}, api.Run{}},
+		{"Result", run.Result{}, api.Result{}},
 	}
 	for _, tc := range cases {
 		in, pub := jsonFieldSet(t, tc.internal), jsonFieldSet(t, tc.public)
@@ -385,7 +388,7 @@ func TestWithTenant(t *testing.T) {
 	url := newServerURL(t, core.ServiceOptions{
 		QueueDepth:  8,
 		Dispatchers: 2,
-		Tenants:     []core.TenantConfig{{Name: "alpha", Priority: 1}},
+		Tenants:     []tenant.Config{{Name: "alpha", Priority: 1}},
 	})
 	ctx := context.Background()
 	alpha := New(url, WithTenant("alpha"), WithWaitSlice(100*time.Millisecond))
@@ -428,7 +431,7 @@ func TestRetryAfterDecoding(t *testing.T) {
 	url := newServerURL(t, core.ServiceOptions{
 		QueueDepth:  8,
 		Dispatchers: 1,
-		Tenants:     []core.TenantConfig{{Name: "limited", SubmitRate: 0.01, SubmitBurst: 1}},
+		Tenants:     []tenant.Config{{Name: "limited", SubmitRate: 0.01, SubmitBurst: 1}},
 	})
 	ctx := context.Background()
 	c := New(url, WithTenant("limited"))
