@@ -219,10 +219,3 @@ func (d *Dispatcher) ExpireLease(id string) (run.Run, error) {
 	d.met.redispatched.With(r.Spec.Tenant).Inc()
 	return r, nil
 }
-
-// LeasedLen returns how many runs are currently leased to a worker.
-func (d *Dispatcher) LeasedLen() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.leased)
-}

@@ -24,6 +24,13 @@ func newRemoteDispatcher(t *testing.T, opts Options) (run.Store, *Dispatcher) {
 	return store, d
 }
 
+// leasedLen reports how many runs are currently leased to a worker.
+func leasedLen(d *Dispatcher) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.leased)
+}
+
 func lease(t *testing.T, d *Dispatcher, worker string) run.Run {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -49,8 +56,8 @@ func TestLeaseCompleteLifecycle(t *testing.T) {
 	if r.DispatchedAt == nil || r.StartedAt == nil {
 		t.Fatalf("Lease left timestamps unset: %+v", r)
 	}
-	if d.LeasedLen() != 1 {
-		t.Fatalf("LeasedLen = %d, want 1", d.LeasedLen())
+	if leasedLen(d) != 1 {
+		t.Fatalf("leased = %d, want 1", leasedLen(d))
 	}
 
 	fr, err := d.CompleteLease(r.ID, run.StateSucceeded, "", &run.Result{Match: true, Nodes: 12})
@@ -60,8 +67,8 @@ func TestLeaseCompleteLifecycle(t *testing.T) {
 	if fr.State != run.StateSucceeded || fr.Worker != "w1" {
 		t.Fatalf("CompleteLease = %+v, want succeeded on w1", fr)
 	}
-	if d.LeasedLen() != 0 {
-		t.Fatalf("LeasedLen after complete = %d, want 0", d.LeasedLen())
+	if leasedLen(d) != 0 {
+		t.Fatalf("leased after complete = %d, want 0", leasedLen(d))
 	}
 	if got, _ := store.Get(r.ID); got.State != run.StateSucceeded {
 		t.Fatalf("store state = %s, want succeeded", got.State)
@@ -124,8 +131,8 @@ func TestExpireLeaseRedispatches(t *testing.T) {
 	if r.State != run.StateQueued || r.Restarts != 1 || r.Worker != "" {
 		t.Fatalf("ExpireLease = %+v, want queued/restarts=1/no worker", r)
 	}
-	if d.LeasedLen() != 0 {
-		t.Fatalf("LeasedLen after expiry = %d, want 0", d.LeasedLen())
+	if leasedLen(d) != 0 {
+		t.Fatalf("leased after expiry = %d, want 0", leasedLen(d))
 	}
 	// The dead worker's completion report loses the race.
 	if _, err := d.CompleteLease(sub.ID, run.StateSucceeded, "", nil); !errors.Is(err, ErrNotLeased) {

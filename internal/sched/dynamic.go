@@ -2,9 +2,7 @@ package sched
 
 import (
 	"context"
-	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/dag"
@@ -27,33 +25,11 @@ type DynamicGraph interface {
 	Expand(u dag.NodeID) ([]dag.NodeID, error)
 }
 
-// dynRun is the scheduling state of one dynamic execution. It reuses the
-// work-stealing deques but swaps the fixed-size value/pending arrays for
-// growable ones: growth takes the full lock, while every per-node access
-// holds the read lock (element-level updates stay atomic — many read-lock
-// holders decrement concurrently). A worker calls ensure after every
-// Expand and before touching any child counter, so an index is always
-// initialized (under the write lock) before any decrement can reach it.
-type dynRun struct {
-	g DynamicGraph
-	f Compute
+// staticGraph is a fully built DAG seen as a DynamicGraph: every node is
+// known before the run starts, and expanding one only looks its children up.
+type staticGraph struct{ *dag.DAG }
 
-	mu      sync.RWMutex
-	values  []uint64
-	pending []int32
-
-	size    atomic.Int64 // nodes covered by ensure so far
-	retired atomic.Int64
-	steals  atomic.Int64
-
-	deques []*wsDeque
-	wake   chan struct{}
-	done   chan struct{}
-
-	abort   chan struct{}
-	errOnce sync.Once
-	err     error
-}
+func (s staticGraph) Expand(u dag.NodeID) ([]dag.NodeID, error) { return s.Children(u), nil }
 
 // RunDynamic executes f over every node g discovers, in dependency order,
 // on a work-stealing pool of the given size (zero or negative means
@@ -64,197 +40,78 @@ func RunDynamic(ctx context.Context, g DynamicGraph, workers int, f Compute) ([]
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	r := &dynRun{
-		g:      g,
-		f:      f,
-		deques: make([]*wsDeque, workers),
-		wake:   make(chan struct{}, workers),
-		done:   make(chan struct{}),
-		abort:  make(chan struct{}),
-	}
-	for i := range r.deques {
-		r.deques[i] = new(wsDeque)
-	}
-	r.ensure(g.NumNodes())
-	// Seed the initially known roots (no workers running yet, plain appends).
-	next := 0
-	for v := range r.pending {
-		if r.pending[v] == 0 {
-			q := r.deques[next%workers]
-			q.buf = append(q.buf, wsItem{id: dag.NodeID(v)})
-			next++
-		}
-	}
-	if next == 0 {
-		return r.values, nil
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(self int) {
-			defer wg.Done()
-			r.worker(ctx, self)
-		}(w)
-	}
-	wg.Wait()
-	nodesExecuted.Add(r.retired.Load())
-	stealsTotal.Add(r.steals.Load())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if got, want := r.retired.Load(), r.size.Load(); got == want {
-		return r.values, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return nil, fmt.Errorf("sched: dynamic run retired %d of %d discovered nodes (corrupt expansion)",
-		r.retired.Load(), r.size.Load())
+	return (&wsRun{g: g, f: f}).run(ctx, workers)
 }
 
-// ensure grows the value/pending arrays to cover n nodes, initializing each
-// new node's pending counter from its (final, per the DynamicGraph
-// contract) parent list. Safe to call concurrently; late callers see the
-// arrays already grown and return without the write lock.
-func (r *dynRun) ensure(n int) {
+// segSize is how many nodes one growth segment of the node table holds.
+const segSize = 1024
+
+// segment is one fixed-size block of node slots for nodes discovered while
+// the run executes. A segment never moves once allocated, so a pointer into
+// it stays valid for the rest of the run.
+type segment struct {
+	values  [segSize]uint64
+	pending [segSize]atomic.Int32
+}
+
+// results returns the values of the first n nodes as one slice: the flat
+// part itself when the graph never grew, a copy with the segments appended
+// otherwise.
+func (r *wsRun) results(n int) []uint64 {
+	if n == len(r.values) {
+		return r.values
+	}
+	out := make([]uint64, n)
+	done := copy(out, r.values)
+	for _, seg := range *r.dir.Load() {
+		done += copy(out[done:], seg.values[:])
+	}
+	return out
+}
+
+// slot locates node id in the table. A worker holds an ID only if it, or
+// the worker that handed it the node (by keeping it, or through a deque
+// mutex), returned from an ensure that covers the ID — so the directory it
+// loads here already holds the node's segment, without a lock.
+func (r *wsRun) slot(id dag.NodeID) (*uint64, *atomic.Int32) {
+	if int(id) < len(r.values) {
+		return &r.values[id], &r.pending[id]
+	}
+	i := int(id) - len(r.values)
+	seg := (*r.dir.Load())[i/segSize]
+	return &seg.values[i%segSize], &seg.pending[i%segSize]
+}
+
+// ensure grows the node table to cover n nodes, initializing each new
+// node's pending counter from its (final, per the DynamicGraph contract)
+// parent list. A worker calls it after every Expand and before touching any
+// child counter, so a counter is always initialized before a decrement can
+// reach it. Safe to call concurrently; callers that find the table already
+// large enough return without the lock.
+func (r *wsRun) ensure(n int) {
 	if int(r.size.Load()) >= n {
 		return
 	}
-	r.mu.Lock()
-	old := len(r.values)
-	if old < n {
-		values := make([]uint64, n)
-		copy(values, r.values)
-		pending := make([]int32, n)
-		copy(pending, r.pending)
-		for v := old; v < n; v++ {
-			pending[v] = int32(len(r.g.Parents(dag.NodeID(v))))
-		}
-		r.values = values
-		r.pending = pending
-		r.size.Store(int64(n))
+	r.growMu.Lock()
+	defer r.growMu.Unlock()
+	old := int(r.size.Load())
+	if old >= n {
+		return
 	}
-	r.mu.Unlock()
-}
-
-func (r *dynRun) fail(err error) {
-	r.errOnce.Do(func() {
-		r.err = err
-		close(r.abort)
-	})
-}
-
-func (r *dynRun) notify(k int) {
-	for i := 0; i < k; i++ {
-		select {
-		case r.wake <- struct{}{}:
-		default:
-			return
-		}
+	var dir []*segment
+	if p := r.dir.Load(); p != nil {
+		dir = *p
 	}
-}
-
-func (r *dynRun) steal(self int, scratch *[]wsItem) (wsItem, bool) {
-	w := len(r.deques)
-	for off := 1; off < w; off++ {
-		victim := r.deques[(self+off)%w]
-		got := victim.stealHalf((*scratch)[:0])
-		if len(got) == 0 {
-			continue
+	if need := (n - len(r.values) + segSize - 1) / segSize; need > len(dir) {
+		grown := make([]*segment, need)
+		for i := copy(grown, dir); i < need; i++ {
+			grown[i] = new(segment)
 		}
-		r.steals.Add(1)
-		if len(got) > 1 {
-			r.deques[self].pushBatch(got[1:])
-			r.notify(len(got) - 1)
-		}
-		first := got[0]
-		*scratch = got[:0]
-		return first, true
+		r.dir.Store(&grown)
 	}
-	return wsItem{}, false
-}
-
-// worker mirrors wsRun.worker with two differences: the graph's edges come
-// from Expand (called after the node's value is computed, mimicking a node
-// discovering its successors as it runs), and array accesses hold the read
-// lock because another worker may be growing the arrays concurrently.
-func (r *dynRun) worker(ctx context.Context, self int) {
-	q := r.deques[self]
-	parentBuf := make([]uint64, 0, 16)
-	batch := make([]wsItem, 0, 16)
-	stealBuf := make([]wsItem, 0, 16)
-	var next wsItem
-	have := false
-	for {
-		if !have {
-			var ok bool
-			if next, ok = q.popTail(); !ok {
-				if next, ok = r.steal(self, &stealBuf); !ok {
-					select {
-					case <-r.done:
-						return
-					case <-r.abort:
-						return
-					case <-ctx.Done():
-						return
-					case <-r.wake:
-						continue
-					}
-				}
-			}
-			have = true
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-r.abort:
-			return
-		default:
-		}
-		id := next.id
-		have = false
-
-		// Compute the node's value from its already-final parent list.
-		parents := r.g.Parents(id)
-		r.mu.RLock()
-		parentBuf = parentBuf[:0]
-		for _, p := range parents {
-			parentBuf = append(parentBuf, r.values[p])
-		}
-		r.mu.RUnlock()
-		v := r.f(id, parentBuf)
-		r.mu.RLock()
-		r.values[id] = v
-		r.mu.RUnlock()
-
-		// Discover successors; a growth-bound error aborts the whole run.
-		children, err := r.g.Expand(id)
-		if err != nil {
-			r.fail(err)
-			return
-		}
-		r.ensure(r.g.NumNodes())
-
-		batch = batch[:0]
-		r.mu.RLock()
-		for _, c := range children {
-			if atomic.AddInt32(&r.pending[c], -1) == 0 {
-				batch = append(batch, wsItem{id: c})
-			}
-		}
-		r.mu.RUnlock()
-		if len(batch) > 0 {
-			next = batch[0]
-			have = true
-			if len(batch) > 1 {
-				q.pushBatch(batch[1:])
-				r.notify(len(batch) - 1)
-			}
-		}
-		if r.retired.Add(1) == r.size.Load() {
-			close(r.done)
-			return
-		}
+	for v := old; v < n; v++ {
+		_, pending := r.slot(dag.NodeID(v))
+		pending.Store(int32(len(r.g.Parents(dag.NodeID(v)))))
 	}
+	r.size.Store(int64(n))
 }

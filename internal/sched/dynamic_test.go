@@ -132,30 +132,123 @@ func TestSplitWorkSingleNode(t *testing.T) {
 
 // TestRunDynamicMatchesSerial executes a dynamic expansion in parallel and
 // verifies the values against a serial sweep of the final graph — the same
-// verification contract run.Execute applies.
+// verification contract run.Execute applies. The second config grows past
+// three segment boundaries of the node table, so values and counters on
+// both sides of every boundary are checked at every pool size.
 func TestRunDynamicMatchesSerial(t *testing.T) {
-	for _, wl := range []string{"pathcount", "hashchain", "longestpath"} {
-		w := mustLookup(wl)
-		dyn, err := gen.NewDynamic(gen.Config{Shape: gen.Dynamic, Stages: 8, Width: 3, EdgeProb: 0.3, Seed: 17}, gen.DynLimits{})
+	configs := []struct {
+		cfg      gen.Config
+		minNodes int
+	}{
+		{gen.Config{Shape: gen.Dynamic, Stages: 8, Width: 3, EdgeProb: 0.3, Seed: 17}, 2},
+		{gen.Config{Shape: gen.Dynamic, Stages: 12, Width: 3, EdgeProb: 0.2, Seed: 1}, 3*segSize + 2},
+	}
+	for _, tc := range configs {
+		for _, wl := range []string{"pathcount", "hashchain", "longestpath"} {
+			w := mustLookup(wl)
+			for _, workers := range []int{1, 2, 8} {
+				dyn, err := gen.NewDynamic(tc.cfg, gen.DynLimits{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				vals, err := RunDynamic(context.Background(), dyn, workers, w.Compute(0))
+				if err != nil {
+					t.Fatalf("%s P=%d: RunDynamic: %v", wl, workers, err)
+				}
+				if len(vals) < tc.minNodes {
+					t.Fatalf("stages=%d grew %d nodes, want at least %d", tc.cfg.Stages, len(vals), tc.minNodes)
+				}
+				final, err := dyn.FinalDAG()
+				if err != nil {
+					t.Fatalf("%s P=%d: FinalDAG: %v", wl, workers, err)
+				}
+				serial, err := w.Serial(context.Background(), final, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Verify(final, serial, vals); err != nil {
+					t.Fatalf("%s P=%d: %v", wl, workers, err)
+				}
+			}
+		}
+	}
+}
+
+// TestStaticGraphThroughDynamicEntry runs fully built DAGs through
+// RunDynamic: the two entry points share one core, so the values must be
+// identical to Executor.Run's, node for node.
+func TestStaticGraphThroughDynamicEntry(t *testing.T) {
+	for _, cfg := range []gen.Config{
+		{Shape: gen.Random, Nodes: 1500, EdgeProb: 0.01, Seed: 5},
+		{Shape: gen.Pipeline, Stages: 300, Width: 4},
+		{Shape: gen.Chain, Nodes: 5000},
+	} {
+		d, err := gen.Generate(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		vals, err := RunDynamic(context.Background(), dyn, 8, w.Compute(0))
+		hook := mustLookup("hashchain").Compute(0)
+		want, err := New(d, Options{Workers: 4}).Run(context.Background(), hook)
 		if err != nil {
-			t.Fatalf("%s: RunDynamic: %v", wl, err)
+			t.Fatal(err)
 		}
-		final, err := dyn.FinalDAG()
+		got, err := RunDynamic(context.Background(), staticGraph{d}, 4, hook)
 		if err != nil {
-			t.Fatalf("%s: FinalDAG: %v", wl, err)
+			t.Fatalf("%v: RunDynamic: %v", cfg.Shape, err)
 		}
+		assertEqualCounts(t, want, got)
+	}
+}
+
+// FuzzRunDynamic drives the expander and the scheduler together: whatever
+// the spec and pool size, the parallel values verify against the serial
+// sweep of the final graph, and the final graph itself is the one a
+// single-worker run discovers — a pure function of the spec.
+func FuzzRunDynamic(f *testing.F) {
+	f.Add(int64(1), uint8(4), uint8(2), uint8(77), uint8(4))
+	f.Add(int64(17), uint8(8), uint8(3), uint8(77), uint8(8))
+	f.Add(int64(3), uint8(10), uint8(4), uint8(0), uint8(2)) // tree, crosses segments
+	f.Add(int64(9), uint8(1), uint8(1), uint8(255), uint8(1))
+	f.Add(int64(-5), uint8(10), uint8(1), uint8(128), uint8(3)) // chain-like
+	f.Fuzz(func(t *testing.T, seed int64, stages, width, p, workers uint8) {
+		cfg := gen.Config{
+			Shape:    gen.Dynamic,
+			Stages:   1 + int(stages)%10,
+			Width:    1 + int(width)%4,
+			EdgeProb: float64(p) / 255,
+			Seed:     seed,
+		}
+		w := mustLookup("hashchain")
+		pool := 1 + int(workers)%8
+		discover := func(workers int) (*dag.DAG, []uint64) {
+			dyn, err := gen.NewDynamic(cfg, gen.DynLimits{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			vals, err := RunDynamic(context.Background(), dyn, workers, w.Compute(0))
+			if err != nil {
+				t.Fatalf("RunDynamic(P=%d): %v", workers, err)
+			}
+			final, err := dyn.FinalDAG()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return final, vals
+		}
+		final, vals := discover(pool)
 		serial, err := w.Serial(context.Background(), final, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Verify(final, serial, vals); err != nil {
-			t.Fatalf("%s: %v", wl, err)
+			t.Fatal(err)
 		}
-	}
+		ref, _ := discover(1)
+		if final.NumNodes() != ref.NumNodes() || final.NumEdges() != ref.NumEdges() {
+			t.Fatalf("final graph depends on the pool: %d nodes/%d edges at P=%d, %d/%d at P=1",
+				final.NumNodes(), final.NumEdges(), pool, ref.NumNodes(), ref.NumEdges())
+		}
+	})
 }
 
 // TestRunDynamicGrowthBound pins the fail-closed path: an expansion that

@@ -7,24 +7,28 @@
 // workload carries its own single-threaded reference sweep and verifier, so
 // the parallel scheduler is self-checking end to end.
 //
-// The scheduler hot path is a work-stealing core (see steal.go): each
-// worker owns a deque of ready nodes, pushing and popping LIFO at the tail
-// and stealing half a victim's deque FIFO from the head when it runs dry. A
-// retiring node publishes all newly-ready children in one batched push and
-// keeps the first child to execute directly. Dependency tracking stays
-// lock-free: each node carries an atomic pending-parent counter, and
-// whichever worker drops a counter to zero owns the child. Atomic RMW on
-// the counter plus the deque mutex hand-off establish happens-before
-// between a parent's published value and every reader, so runs are clean
-// under the race detector.
+// There is one scheduler with two entry points. Executor.Run takes a fully
+// built DAG and RunDynamic a DynamicGraph that is discovered while it runs;
+// both drive the same work-stealing core (see steal.go), which only ever
+// sees a DynamicGraph — a static DAG is the graph whose Expand looks its
+// children up and whose NumNodes never changes. Each worker owns a deque of
+// ready nodes, pushing and popping LIFO at the tail and stealing half a
+// victim's deque FIFO from the head when it runs dry. A retiring node
+// publishes all newly-ready children in one batched push and keeps the
+// first child to execute directly. Dependency tracking stays lock-free:
+// each node carries an atomic pending-parent counter, and whichever worker
+// drops a counter to zero owns the child. The counters and values live in
+// a node table (see dynamic.go) that grows by fixed-size segments without
+// ever moving a slot, so readers take no lock. Atomic RMW on the counter
+// plus the deque mutex hand-off establish happens-before between a
+// parent's published value and every reader, so runs are clean under the
+// race detector.
 package sched
 
 import (
 	"context"
-	"fmt"
 	"math/bits"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/dag"
@@ -91,40 +95,10 @@ func Steals() int64 { return stealsTotal.Load() }
 // worker pool. It returns the per-node values indexed by NodeID. If ctx is
 // cancelled mid-run, workers drain promptly and ctx.Err() is returned.
 func (e *Executor) Run(ctx context.Context, f Compute) ([]uint64, error) {
-	n := e.d.NumNodes()
-	values := make([]uint64, n)
-	if n == 0 {
-		return values, nil
-	}
-
-	r := newWSRun(e.d, f, e.workers, values, e.splitWork, e.splitChunks())
-	var wg sync.WaitGroup
-	for w := 0; w < e.workers; w++ {
-		wg.Add(1)
-		go func(self int) {
-			defer wg.Done()
-			r.worker(ctx, self)
-		}(w)
-	}
-	wg.Wait()
+	r := &wsRun{g: staticGraph{e.d}, f: f, splitWork: e.splitWork, chunks: e.splitChunks()}
+	values, err := r.run(ctx, e.workers)
 	e.splitMask.Store(r.splitMask.Load())
-	// Flush this run's tallies into the process-lifetime counters once,
-	// after the pool drains — the workers themselves never touch a shared
-	// sink (see the per-worker deque comment below).
-	nodesExecuted.Add(r.retired.Load())
-	stealsTotal.Add(r.steals.Load())
-	// A run that retired every node is a success even if ctx was cancelled
-	// in the instant between the last retirement and the workers draining.
-	if got := r.retired.Load(); got == int64(n) {
-		return values, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// Build guarantees acyclicity, so this is unreachable unless the DAG
-	// was constructed outside Builder; fail loudly rather than return
-	// partial values.
-	return nil, fmt.Errorf("sched: only %d of %d nodes retired (cyclic or corrupt graph)", r.retired.Load(), n)
+	return values, err
 }
 
 // splitChunks decides how many slices each node's emulated work splits
@@ -151,25 +125,6 @@ func (e *Executor) splitChunks() int {
 // Run. Zero when SplitWork was off or every node ran unsliced.
 func (e *Executor) SplitWorkers() int {
 	return bits.OnesCount64(e.splitMask.Load())
-}
-
-// mustLookup resolves a built-in workload; the registry is populated in
-// init, so a miss is a programming error.
-func mustLookup(name string) Workload {
-	w, err := LookupWorkload(name)
-	if err != nil {
-		panic(err)
-	}
-	return w
-}
-
-// PathCount returns the Compute hook of the built-in pathcount workload:
-// sources get 1, and every other node the sum of its parents' counts, in
-// wrapping uint64 arithmetic (deterministic and therefore directly
-// comparable with the serial reference). work adds W iterations of busy
-// arithmetic per node to emulate the Nabbit NodeWork knob.
-func PathCount(work int) Compute {
-	return mustLookup(DefaultWorkload).Compute(work)
 }
 
 // TotalSinkPaths sums the values of all sink nodes — for the pathcount

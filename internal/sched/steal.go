@@ -83,19 +83,38 @@ func (q *wsDeque) stealHalf(into []wsItem) []wsItem {
 	return into
 }
 
-// wsRun is the per-Run scheduling state shared by all workers.
+// wsRun is the per-run scheduling state shared by all workers: the one core
+// behind Executor.Run and RunDynamic. It executes a DynamicGraph; a static
+// DAG enters as the graph whose Expand never discovers anything (see
+// staticGraph), so its whole node table is the flat part and ensure never
+// grows it.
 type wsRun struct {
-	d       *dag.DAG
-	f       Compute
+	g DynamicGraph
+	f Compute
+
+	// Node table. The nodes known when the run starts sit in the flat
+	// values/pending slices (values doubles as the result when nothing grew).
+	// Nodes discovered later live in segments reached through dir, an
+	// immutable slice that growth replaces wholesale: growers serialize on
+	// growMu, readers take no lock. size is published last, after the
+	// segments exist and the new counters are initialized.
 	values  []uint64
 	pending []atomic.Int32
-	deques  []*wsDeque
+	dir     atomic.Pointer[[]*segment]
+	growMu  sync.Mutex
+	size    atomic.Int64 // nodes covered by the table so far
+
+	deques []*wsDeque
 	// wake is a token semaphore for parked workers: every publish of ready
 	// work sends up to one token per item (non-blocking, capacity = worker
 	// count), so a worker that scanned every deque empty and blocked is
 	// guaranteed a wakeup for work published after its scan.
-	wake    chan struct{}
-	done    chan struct{}
+	wake chan struct{}
+	// stop ends the run: with nil once every covered node has retired, with
+	// the expansion error if the graph fails to grow. It cancels the context
+	// the workers poll, so the caller's cancellation, completion and failure
+	// all reach a worker through the same channel.
+	stop    context.CancelCauseFunc
 	retired atomic.Int64
 	steals  atomic.Int64 // successful stealHalf operations this run
 
@@ -103,45 +122,70 @@ type wsRun struct {
 	// Compute hook is pure (no spin folded in) and the scheduler burns
 	// splitWork spin iterations per node itself, sliced into chunks pieces
 	// that idle workers can steal. remaining[v] counts a node's unfinished
-	// slices; whichever worker drops it to zero finalizes the node.
+	// slices; whichever worker drops it to zero finalizes the node. Only
+	// Executor.Run sets it, on a graph that never grows, so remaining covers
+	// the flat part of the table only.
 	splitWork int
 	chunks    int
 	remaining []atomic.Int32
 	splitMask atomic.Uint64 // bit per worker (mod 64) that ran a split slice
 }
 
-func newWSRun(d *dag.DAG, f Compute, workers int, values []uint64, splitWork, chunks int) *wsRun {
-	n := len(values)
-	r := &wsRun{
-		d:         d,
-		f:         f,
-		values:    values,
-		pending:   make([]atomic.Int32, n),
-		deques:    make([]*wsDeque, workers),
-		wake:      make(chan struct{}, workers),
-		done:      make(chan struct{}),
-		splitWork: splitWork,
-		chunks:    chunks,
-	}
-	if chunks > 1 {
+// run executes f over every node g has and discovers, on a pool of workers
+// goroutines, and returns the per-node values indexed by NodeID.
+func (r *wsRun) run(ctx context.Context, workers int) ([]uint64, error) {
+	n := r.g.NumNodes()
+	r.values = make([]uint64, n)
+	r.pending = make([]atomic.Int32, n)
+	r.size.Store(int64(n))
+	if r.chunks > 1 {
 		r.remaining = make([]atomic.Int32, n)
 	}
+	r.deques = make([]*wsDeque, workers)
 	for i := range r.deques {
 		r.deques[i] = new(wsDeque)
 	}
+	r.wake = make(chan struct{}, workers)
 	// Seed the sources round-robin across the deques so workers start with
 	// disjoint work. Workers have not started yet, so plain appends are fine.
-	next := 0
+	seeded := 0
 	for v := 0; v < n; v++ {
-		deg := d.InDegree(dag.NodeID(v))
+		deg := len(r.g.Parents(dag.NodeID(v)))
 		r.pending[v].Store(int32(deg))
 		if deg == 0 {
-			q := r.deques[next%workers]
+			q := r.deques[seeded%workers]
 			q.buf = append(q.buf, wsItem{id: dag.NodeID(v)})
-			next++
+			seeded++
 		}
 	}
-	return r
+	if seeded == 0 {
+		return r.values, nil
+	}
+
+	ctx, r.stop = context.WithCancelCause(ctx)
+	defer r.stop(nil)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(self int) {
+			defer wg.Done()
+			r.worker(ctx.Done(), self)
+		}(w)
+	}
+	wg.Wait()
+	// Flush this run's tallies into the process-lifetime counters once,
+	// after the pool drains — the workers themselves never touch a shared
+	// sink.
+	nodesExecuted.Add(r.retired.Load())
+	stealsTotal.Add(r.steals.Load())
+	// A run that retired every node is a success even if ctx was cancelled
+	// in the instant between the last retirement and the workers draining.
+	if n := r.size.Load(); r.retired.Load() == n {
+		return r.results(int(n)), nil
+	}
+	// Otherwise something stopped the workers early, and the cause says
+	// what: the caller's ctx.Err(), or the expansion error handed to stop.
+	return nil, context.Cause(ctx)
 }
 
 // chunkSize returns the spin iterations of slice k (1-based): splitWork
@@ -204,10 +248,10 @@ func (r *wsRun) steal(self int, scratch *[]wsItem) (wsItem, bool) {
 }
 
 // worker is one scheduler goroutine: execute the local deque depth-first,
-// steal when it runs dry, park when the whole frontier is empty.
-func (r *wsRun) worker(ctx context.Context, self int) {
+// steal when it runs dry, park when the whole frontier is empty. done is the
+// run context's Done channel.
+func (r *wsRun) worker(done <-chan struct{}, self int) {
 	q := r.deques[self]
-	n := int64(len(r.values))
 	parentBuf := make([]uint64, 0, 16)
 	batch := make([]wsItem, 0, 16)
 	stealBuf := make([]wsItem, 0, 16)
@@ -219,9 +263,7 @@ func (r *wsRun) worker(ctx context.Context, self int) {
 			if next, ok = q.popTail(); !ok {
 				if next, ok = r.steal(self, &stealBuf); !ok {
 					select {
-					case <-r.done:
-						return
-					case <-ctx.Done():
+					case <-done:
 						return
 					case <-r.wake:
 						continue
@@ -233,7 +275,7 @@ func (r *wsRun) worker(ctx context.Context, self int) {
 		// One cheap cancellation poll per item: a non-blocking receive on a
 		// not-ready channel stays on its lock-free fast path.
 		select {
-		case <-ctx.Done():
+		case <-done:
 			return
 		default:
 		}
@@ -273,16 +315,28 @@ func (r *wsRun) worker(ctx context.Context, self int) {
 		id := it.id
 
 		parentBuf = parentBuf[:0]
-		for _, p := range r.d.Parents(id) {
-			parentBuf = append(parentBuf, r.values[p])
+		for _, p := range r.g.Parents(id) {
+			v, _ := r.slot(p)
+			parentBuf = append(parentBuf, *v)
 		}
-		r.values[id] = r.f(id, parentBuf)
+		v, _ := r.slot(id)
+		*v = r.f(id, parentBuf)
+
+		// Discover the node's successors (for a static DAG, look them up) and
+		// make sure the table covers them before touching their counters. An
+		// expansion error — the growth bound — ends the whole run.
+		children, err := r.g.Expand(id)
+		if err != nil {
+			r.stop(err)
+			return
+		}
+		r.ensure(r.g.NumNodes())
 
 		// Retire: collect every child whose last dependency this was, keep
 		// the first to run next, and publish the rest in one batched push.
 		batch = batch[:0]
-		for _, c := range r.d.Children(id) {
-			if r.pending[c].Add(-1) == 0 {
+		for _, c := range children {
+			if _, pending := r.slot(c); pending.Add(-1) == 0 {
 				batch = append(batch, wsItem{id: c})
 			}
 		}
@@ -294,8 +348,8 @@ func (r *wsRun) worker(ctx context.Context, self int) {
 				r.notify(len(batch) - 1)
 			}
 		}
-		if r.retired.Add(1) == n {
-			close(r.done)
+		if r.retired.Add(1) == r.size.Load() {
+			r.stop(nil)
 			return
 		}
 	}

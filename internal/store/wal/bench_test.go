@@ -13,10 +13,7 @@ import (
 // BenchmarkWALAppend measures the durable append path (Create: one framed
 // record written and, under fsync, made durable before return) across the
 // axes the sharded redesign targets: serial vs 16 concurrent appenders,
-// fsync off / group-commit fsync / the pre-group-commit per-record-fsync
-// baseline, and 1 vs 8 shards. The acceptance bar for the redesign is
-// Goroutines16/GroupFsync beating Goroutines16/PerRecordFsync/Shards1 by
-// ≥ 4x records/sec.
+// fsync off / group-commit fsync, and 1 vs 8 shards.
 //
 // Compaction is disabled and segments are kept large so the numbers are
 // the append+sync cost, not snapshot churn.
@@ -29,12 +26,10 @@ func BenchmarkWALAppend(b *testing.B) {
 	configs := []config{
 		{"Serial/NoFsync", 1, Options{Shards: 1}},
 		{"Serial/GroupFsync", 1, Options{Shards: 1, Fsync: true}},
-		{"Serial/PerRecordFsync", 1, Options{Shards: 1, Fsync: true, syncEveryRecord: true}},
 		{"Goroutines16/NoFsync/Shards1", 16, Options{Shards: 1}},
 		{"Goroutines16/NoFsync/Shards8", 16, Options{Shards: 8}},
 		{"Goroutines16/GroupFsync/Shards1", 16, Options{Shards: 1, Fsync: true}},
 		{"Goroutines16/GroupFsync/Shards8", 16, Options{Shards: 8, Fsync: true}},
-		{"Goroutines16/PerRecordFsync/Shards1", 16, Options{Shards: 1, Fsync: true, syncEveryRecord: true}},
 	}
 	spec := run.Spec{Config: gen.Config{Shape: gen.Pipeline, Stages: 5, Width: 2}}
 	for _, cfg := range configs {
@@ -83,16 +78,14 @@ func BenchmarkWALAppend(b *testing.B) {
 }
 
 // BenchmarkWALFinishParallel measures the full transition path (Begin +
-// Finish on pre-created runs) with 16 workers, comparing group-commit
-// against the per-record baseline — closer to what a loaded dagd does per
-// run than raw Creates.
+// Finish on pre-created runs) with 16 workers under group commit — closer
+// to what a loaded dagd does per run than raw Creates.
 func BenchmarkWALFinishParallel(b *testing.B) {
 	for _, cfg := range []struct {
 		name string
 		opts Options
 	}{
 		{"GroupFsync/Shards8", Options{Shards: 8, Fsync: true}},
-		{"PerRecordFsync/Shards1", Options{Shards: 1, Fsync: true, syncEveryRecord: true}},
 	} {
 		cfg.opts.CompactThreshold = -1
 		cfg.opts.SegmentMaxBytes = 1 << 30

@@ -85,16 +85,6 @@ func (sh *walShard) appendLocked(rec record) (uint64, error) {
 	var ticket uint64
 	if sh.gc != nil {
 		ticket = sh.gc.ticket()
-	} else if sh.store.opts.Fsync {
-		// Per-record fsync: the pre-group-commit baseline, kept for the
-		// syncEveryRecord benchmark mode.
-		t0 := time.Now()
-		if err := sh.seg.Sync(); err != nil {
-			return 0, fmt.Errorf("wal: fsync: %w", err)
-		}
-		sh.met.fsyncs.Inc()
-		sh.met.fsyncSeconds.Observe(time.Since(t0).Seconds())
-		sh.met.batchSize.Observe(1)
 	}
 	sh.segBytes += int64(len(buf))
 	sh.appended++
@@ -115,7 +105,7 @@ func (sh *walShard) appendLocked(rec record) (uint64, error) {
 }
 
 // waitDurable blocks until the ticketed record is on disk. A zero ticket
-// (no group committer) means durability was already settled inline.
+// means there is no group committer: Fsync is off and nothing is waited for.
 func (sh *walShard) waitDurable(ticket uint64) error {
 	if sh.gc == nil || ticket == 0 {
 		return nil

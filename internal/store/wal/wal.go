@@ -132,11 +132,6 @@ type Options struct {
 	// latency, commit batch sizes, rotations, compactions), all labelled by
 	// shard. Nil disables it.
 	Metrics *metrics.Registry
-
-	// syncEveryRecord restores the pre-group-commit behavior of one inline
-	// fsync per appended record. Test-only: it exists so BenchmarkWALAppend
-	// can measure group commit against the baseline it replaced.
-	syncEveryRecord bool
 }
 
 func (o Options) withDefaults() Options {
@@ -297,7 +292,7 @@ func Open(dir string, opts Options) (*Store, []run.Run, error) {
 	// Committers start only after every shard has an active segment; sh.gc
 	// is assigned together with its goroutine so close never waits on a
 	// committer that was never started.
-	if opts.Fsync && !opts.syncEveryRecord {
+	if opts.Fsync {
 		for _, sh := range s.shards {
 			sh.gc = newGroupCommit(opts.FsyncMaxDelay)
 			go sh.gc.run(sh)
