@@ -15,10 +15,9 @@
 //     huge-span pipelines break naive (stack-recursive) execution; chain
 //     specs near the node cap prove the scheduler's iterative continuation
 //     loop handles them.
-//   - Explicit: a client-supplied node count and edge list, built verbatim
-//     through dag.Builder. Unlike the generated shapes nothing is invented:
-//     self-loops, duplicate edges, out-of-range endpoints, and cycles are
-//     all rejected.
+//   - Explicit: a client-supplied node count and edge list, frozen verbatim.
+//     Unlike the generated shapes nothing is invented: self-loops, duplicate
+//     edges, out-of-range endpoints, and cycles are all rejected.
 //   - Dynamic: a seeded expansion whose nodes are discovered at runtime
 //     (Nabbit's dynamic mode): the graph is never built up front — see
 //     dynamic.go for the lazy expander the scheduler grows mid-run.
@@ -139,7 +138,7 @@ func (e *Edge) UnmarshalJSON(b []byte) error {
 // describe equal DAGs.
 type Config struct {
 	Shape    Shape   `json:"shape"`
-	Nodes    int     `json:"nodes,omitempty"`  // total node count (Random, Explicit); ignored by Pipeline
+	Nodes    int     `json:"nodes,omitempty"`  // total node count (Random, Chain, Explicit); ignored by Pipeline
 	EdgeProb float64 `json:"p,omitempty"`      // forward-edge probability p (Random only)
 	Stages   int     `json:"stages,omitempty"` // pipeline depth (Pipeline only)
 	Width    int     `json:"width,omitempty"`  // pipeline width (Pipeline only)
@@ -166,13 +165,13 @@ func Generate(cfg Config) (*dag.DAG, error) {
 	}
 }
 
-// ChainDAG builds the n-node path 0→1→…→n-1. It bypasses Builder's
-// duplicate-edge map: a chain near the node cap is the deep-span stress
-// shape, and paying a million-entry hash map to dedupe edges that cannot
-// repeat would roughly triple generation cost for nothing.
+// ChainDAG builds the n-node path 0→1→…→n-1.
 func ChainDAG(n int) (*dag.DAG, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("gen: chain needs >= 1 node, got %d", n)
+	}
+	if err := dag.CheckSize(n, n-1); err != nil {
+		return nil, err
 	}
 	edges := make([][2]dag.NodeID, n-1)
 	for i := range edges {
@@ -182,25 +181,17 @@ func ChainDAG(n int) (*dag.DAG, error) {
 }
 
 // ExplicitDAG builds the graph a client described literally: n nodes
-// identified 0..n-1 and exactly the given edges. The Builder rejects
-// out-of-range endpoints and self-loops edge by edge, duplicate edges are
-// rejected here (the Builder would silently ignore them, which is the wrong
-// posture for untrusted input), and Build's Kahn pass rejects cycles.
+// identified 0..n-1 and exactly the given edges. Out-of-range endpoints,
+// self-loops, duplicate edges and cycles are all rejected, none repaired.
 func ExplicitDAG(n int, edges []Edge) (*dag.DAG, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("gen: explicit dag needs >= 1 node, got %d", n)
 	}
-	b := dag.NewBuilder(n)
-	for _, e := range edges {
-		before := b.NumEdges()
-		if err := b.AddEdge(dag.NodeID(e[0]), dag.NodeID(e[1])); err != nil {
-			return nil, err
-		}
-		if b.NumEdges() == before {
-			return nil, fmt.Errorf("gen: duplicate edge (%d,%d)", e[0], e[1])
-		}
+	list := make([][2]dag.NodeID, len(edges))
+	for i, e := range edges {
+		list[i] = [2]dag.NodeID{dag.NodeID(e[0]), dag.NodeID(e[1])}
 	}
-	return b.Build()
+	return dag.FromEdges(n, list)
 }
 
 // RandomDAG generates a random DAG with n nodes. Every forward pair (i, j)
@@ -216,40 +207,42 @@ func RandomDAG(n int, p float64, seed int64) (*dag.DAG, error) {
 		return nil, fmt.Errorf("gen: edge probability %v outside [0,1]", p)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	b := dag.NewBuilder(n)
+	edges := make([][2]dag.NodeID, 0, randomReserve(n, p))
 	hasParent := make([]bool, n)
 	hasChild := make([]bool, n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if rng.Float64() < p {
-				if err := b.AddEdge(dag.NodeID(i), dag.NodeID(j)); err != nil {
-					return nil, err
-				}
+				edges = append(edges, [2]dag.NodeID{dag.NodeID(i), dag.NodeID(j)})
 				hasParent[j] = true
 				hasChild[i] = true
 			}
 		}
 	}
 	// Connectivity fill-in: orphaned interior nodes get a random earlier
-	// parent; childless interior nodes get a random later child.
+	// parent; childless interior nodes get a random later child. Neither can
+	// repeat an edge: the node had none on that side.
 	for j := 1; j < n; j++ {
 		if !hasParent[j] {
 			i := rng.Intn(j)
-			if err := b.AddEdge(dag.NodeID(i), dag.NodeID(j)); err != nil {
-				return nil, err
-			}
+			edges = append(edges, [2]dag.NodeID{dag.NodeID(i), dag.NodeID(j)})
 			hasChild[i] = true
 		}
 	}
 	for i := n - 2; i >= 0; i-- {
 		if !hasChild[i] {
 			j := i + 1 + rng.Intn(n-1-i)
-			if err := b.AddEdge(dag.NodeID(i), dag.NodeID(j)); err != nil {
-				return nil, err
-			}
+			edges = append(edges, [2]dag.NodeID{dag.NodeID(i), dag.NodeID(j)})
 		}
 	}
-	return b.Build()
+	return dag.FromEdges(n, edges)
+}
+
+// randomReserve is RandomDAG's starting edge capacity: the expected p·n(n-1)/2
+// plus the most the fill-in adds, in float64 so that a large n cannot wrap it,
+// capped where append's doubling becomes noise beside the n²/2 draws.
+func randomReserve(n int, p float64) int {
+	return int(math.Min(p*float64(n)*float64(n-1)/2+2*float64(n), 1<<20))
 }
 
 // PipelineDAG generates a stages×width grid with a dedicated source (node 0)
@@ -261,38 +254,28 @@ func PipelineDAG(stages, width int) (*dag.DAG, error) {
 	if stages < 1 || width < 1 {
 		return nil, fmt.Errorf("gen: pipeline needs stages >= 1 and width >= 1, got %dx%d", stages, width)
 	}
-	// Division-based guard: stages*width+2 overflows int for adversarial
-	// dimensions (wrapping negative and panicking in NewBuilder), and
-	// admission caps are not on every caller's path — the CLI hands
-	// dimensions straight here.
-	if stages > (math.MaxInt-2)/width {
-		return nil, fmt.Errorf("gen: pipeline %dx%d overflows the node count", stages, width)
+	// Division-based guard: stages*width overflows int for adversarial
+	// dimensions, and the CLI hands them here with no admission cap between.
+	// The grid has under 3·stages·width edges, so a third of what a DAG can
+	// index bounds its nodes and its edges.
+	if stages > dag.MaxSize/3/width {
+		return nil, fmt.Errorf("gen: pipeline %dx%d is too large: 3·stages·width must stay under %d", stages, width, dag.MaxSize)
 	}
 	n := stages*width + 2
-	source := dag.NodeID(0)
-	sink := dag.NodeID(n - 1)
+	source, sink := dag.NodeID(0), dag.NodeID(n-1)
 	// Grid node (s, i) is ID 1 + s*width + i.
 	id := func(s, i int) dag.NodeID { return dag.NodeID(1 + s*width + i) }
-	b := dag.NewBuilder(n)
+	// An interior column feeds three neighbours, the two edge columns two.
+	edges := make([][2]dag.NodeID, 0, 2*width+(stages-1)*(3*width-2))
 	for i := 0; i < width; i++ {
-		if err := b.AddEdge(source, id(0, i)); err != nil {
-			return nil, err
-		}
-		if err := b.AddEdge(id(stages-1, i), sink); err != nil {
-			return nil, err
-		}
+		edges = append(edges, [2]dag.NodeID{source, id(0, i)}, [2]dag.NodeID{id(stages-1, i), sink})
 	}
 	for s := 0; s < stages-1; s++ {
 		for i := 0; i < width; i++ {
-			for j := i - 1; j <= i+1; j++ {
-				if j < 0 || j >= width {
-					continue
-				}
-				if err := b.AddEdge(id(s, i), id(s+1, j)); err != nil {
-					return nil, err
-				}
+			for j := max(i-1, 0); j <= min(i+1, width-1); j++ {
+				edges = append(edges, [2]dag.NodeID{id(s, i), id(s+1, j)})
 			}
 		}
 	}
-	return b.Build()
+	return dag.FromEdges(n, edges)
 }
