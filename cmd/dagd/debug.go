@@ -2,23 +2,20 @@ package main
 
 import (
 	"expvar"
-	"log"
 	"net/http"
 	"net/http/pprof"
-	"time"
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/server"
 )
 
-// serveDebug runs the private debug listener: the full net/http/pprof
-// surface (CPU/heap/goroutine/block profiles and execution traces), expvar
-// runtime internals, and a second /metrics mount so a scraper pointed at
-// the debug port never touches the public API listener. It is deliberately
-// outside the main server's middleware chain — profile downloads can run
-// for 30s+ and must not pollute the request-latency histograms.
-//
-// The listener has no auth: bind it to localhost or a private interface.
-func serveDebug(addr string, srv *server.Server) {
+// debugHandler is what the private debug listener serves: the full
+// net/http/pprof surface (CPU/heap/goroutine/block profiles and execution
+// traces), expvar runtime internals, and a second /metrics mount so a
+// scraper pointed at the debug port never touches the public API listener.
+// It is deliberately outside the main server's middleware chain — profile
+// downloads can run for 30s+ and must not pollute the request-latency
+// histograms.
+func debugHandler(srv *server.Server) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -27,14 +24,5 @@ func serveDebug(addr string, srv *server.Server) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.Handle("/metrics", srv.MetricsHandler())
-
-	s := &http.Server{
-		Addr:              addr,
-		Handler:           mux,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	log.Printf("dagd: debug listener on %s (pprof, expvar, /metrics)", addr)
-	if err := s.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		log.Printf("dagd: debug listener: %v", err)
-	}
+	return mux
 }

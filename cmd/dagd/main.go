@@ -73,7 +73,6 @@ func main() {
 		retainRuns   = flag.Int("retain", 0, "terminal runs to keep, oldest evicted first (0 = 4096, negative = unlimited)")
 		dataDir      = flag.String("data-dir", "", "directory for the durable run WAL; empty = in-memory store (state lost on restart)")
 		fsync        = flag.Bool("fsync", false, "fsync the WAL before acknowledging each transition (needs -data-dir); off = durable against crash, not power loss")
-		fsyncDelay   = flag.Duration("fsync-max-delay", 0, "max time a WAL group-commit batch may keep accumulating while appends arrive (0 = 2ms, negative = sync each batch immediately; needs -fsync)")
 		walShards    = flag.Int("wal-shards", 0, "independent WAL shard directories (0 = adopt existing layout, or 8 when fresh; needs -data-dir); must match the data dir's manifest on restart")
 		compactEvery = flag.Int("compact-threshold", 0, "WAL records per shard between compactions into a snapshot file (0 = 4096, negative = never; needs -data-dir)")
 		tenantsFile  = flag.String("tenants", "", "JSON tenant config file (weights, priorities, quotas, rate limits); empty = single default tenant")
@@ -92,12 +91,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dagd:", err)
 		os.Exit(2)
 	}
-	if *dataDir == "" && (*fsync || *compactEvery != 0 || *walShards != 0 || *fsyncDelay != 0) {
-		fmt.Fprintln(os.Stderr, "dagd: -fsync, -fsync-max-delay, -wal-shards, and -compact-threshold require -data-dir")
-		os.Exit(2)
-	}
-	if !*fsync && *fsyncDelay != 0 {
-		fmt.Fprintln(os.Stderr, "dagd: -fsync-max-delay requires -fsync")
+	if *dataDir == "" && (*fsync || *compactEvery != 0 || *walShards != 0) {
+		fmt.Fprintln(os.Stderr, "dagd: -fsync, -wal-shards, and -compact-threshold require -data-dir")
 		os.Exit(2)
 	}
 	if *fleetAddr == "" && (*leaseTTL != 0 || *heartbeatIvl != 0) {
@@ -141,7 +136,6 @@ func main() {
 		RetainRuns:        *retainRuns,
 		DataDir:           *dataDir,
 		Fsync:             *fsync,
-		FsyncMaxDelay:     *fsyncDelay,
 		WALShards:         *walShards,
 		CompactThreshold:  *compactEvery,
 		Tenants:           tenants,
@@ -159,10 +153,13 @@ func main() {
 	}
 	srv := server.New(svc)
 	if *debugAddr != "" {
-		go serveDebug(*debugAddr, srv)
+		if _, err := serveSide("debug", "pprof, expvar, /metrics", *debugAddr, debugHandler(srv)); err != nil {
+			fmt.Fprintln(os.Stderr, "dagd:", err)
+			os.Exit(1)
+		}
 	}
 	if *fleetAddr != "" {
-		fleetSrv, err := serveFleet(*fleetAddr, svc)
+		fleetSrv, err := serveSide("fleet", "worker API", *fleetAddr, svc.FleetHandler())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dagd:", err)
 			os.Exit(1)

@@ -5,12 +5,10 @@
 package e2e
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -23,116 +21,17 @@ import (
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/pkg/client"
 )
 
-// buildDagworker compiles the dagworker binary once per test.
-func buildDagworker(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "dagworker")
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/dagworker")
-	cmd.Dir = ".."
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("building dagworker: %v\n%s", err, out)
-	}
-	return bin
-}
-
-// coordProc is a dagd coordinator (fleet mode) plus its two listeners.
-type coordProc struct {
-	cmd       *exec.Cmd
-	base      string // public v1 API
-	fleetBase string // worker API
-	c         *client.Client
-}
-
 // fleetClocks are the tight lease clocks every fleet e2e test runs with:
 // expiry within ~2s of a worker death keeps the tests fast while still
 // spanning several heartbeats.
 var fleetClocks = []string{"-lease-ttl", "2s", "-heartbeat-interval", "400ms"}
 
-// startCoordinator launches dagd with -fleet-addr and waits for both
-// listeners. fleetAddr may be "127.0.0.1:0"; the bound address is scraped
-// from the log either way.
-func startCoordinator(t *testing.T, bin, dataDir, fleetAddr string, extraArgs ...string) *coordProc {
-	t.Helper()
-	args := append([]string{
-		"-addr", "127.0.0.1:0",
-		"-data-dir", dataDir,
-		"-queue", "64",
-		"-drain-timeout", "10s",
-		"-fleet-addr", fleetAddr,
-	}, extraArgs...)
-	cmd := exec.Command(bin, args...)
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatalf("starting coordinator: %v", err)
-	}
-	t.Cleanup(func() {
-		if cmd.ProcessState == nil {
-			cmd.Process.Kill()
-			cmd.Wait()
-		}
-	})
-
-	apic := make(chan string, 1)
-	fleetc := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			line := sc.Text()
-			if _, rest, ok := strings.Cut(line, "fleet listener on "); ok {
-				addr, _, _ := strings.Cut(strings.TrimSpace(rest), " ")
-				select {
-				case fleetc <- addr:
-				default:
-				}
-			} else if _, rest, ok := strings.Cut(line, "listening on "); ok {
-				select {
-				case apic <- strings.TrimSpace(rest):
-				default:
-				}
-			}
-		}
-	}()
-	p := &coordProc{cmd: cmd}
-	for p.base == "" || p.fleetBase == "" {
-		select {
-		case addr := <-apic:
-			p.base = "http://" + addr
-		case addr := <-fleetc:
-			p.fleetBase = "http://" + addr
-		case <-time.After(30 * time.Second):
-			t.Fatalf("coordinator never reported its listeners (api %q, fleet %q)", p.base, p.fleetBase)
-		}
-	}
-	p.c = client.New(p.base, client.WithWaitSlice(200*time.Millisecond))
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, err := p.c.Workloads(context.Background()); err == nil {
-			return p
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("coordinator API never became reachable")
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-func (p *coordProc) sigkill(t *testing.T) {
-	t.Helper()
-	if err := p.cmd.Process.Kill(); err != nil {
-		t.Fatalf("SIGKILL coordinator: %v", err)
-	}
-	p.cmd.Wait()
-}
-
 // startWorker launches a dagworker pointed at the coordinator's fleet
 // listener. Its stderr is drained and discarded; the coordinator's view is
 // what the tests assert on.
-func startWorker(t *testing.T, bin, fleetBase, name string, capacity int) *exec.Cmd {
+func startWorker(t *testing.T, fleetBase, name string, capacity int) *exec.Cmd {
 	t.Helper()
-	cmd := exec.Command(bin,
+	cmd := exec.Command(workerBin,
 		"-coordinator", fleetBase,
 		"-name", name,
 		"-capacity", fmt.Sprint(capacity),
@@ -154,8 +53,19 @@ func startWorker(t *testing.T, bin, fleetBase, name string, capacity int) *exec.
 	return cmd
 }
 
-// fleetStats reads the fleet block out of /healthz.
-func fleetStats(t *testing.T, base string) (workers, leases int) {
+// healthStats is the part of /healthz's stats block the e2e tests read.
+type healthStats struct {
+	Tenants map[string]struct {
+		Queued   int `json:"queued"`
+		InFlight int `json:"in_flight"`
+	} `json:"tenants"`
+	Fleet *struct {
+		Workers int `json:"workers"`
+	} `json:"fleet"`
+}
+
+// health fetches /healthz and returns its stats block.
+func health(t *testing.T, base string) healthStats {
 	t.Helper()
 	resp, err := http.Get(base + "/healthz")
 	if err != nil {
@@ -163,20 +73,12 @@ func fleetStats(t *testing.T, base string) (workers, leases int) {
 	}
 	defer resp.Body.Close()
 	var body struct {
-		Stats struct {
-			Fleet *struct {
-				Workers      int `json:"workers"`
-				ActiveLeases int `json:"active_leases"`
-			} `json:"fleet"`
-		} `json:"stats"`
+		Stats healthStats `json:"stats"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatalf("decoding /healthz: %v", err)
 	}
-	if body.Stats.Fleet == nil {
-		t.Fatal("/healthz has no fleet stats; coordinator not in remote mode?")
-	}
-	return body.Stats.Fleet.Workers, body.Stats.Fleet.ActiveLeases
+	return body.Stats
 }
 
 // waitWorkers polls /healthz until the coordinator sees want workers.
@@ -184,52 +86,41 @@ func waitWorkers(t *testing.T, base string, want int) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if got, _ := fleetStats(t, base); got == want {
+		fleet := health(t, base).Fleet
+		if fleet == nil {
+			t.Fatal("/healthz has no fleet stats; coordinator not in remote mode?")
+		}
+		if fleet.Workers == want {
 			return
 		}
 		if time.Now().After(deadline) {
-			got, _ := fleetStats(t, base)
-			t.Fatalf("coordinator sees %d workers, want %d", got, want)
+			t.Fatalf("coordinator sees %d workers, want %d", fleet.Workers, want)
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
 }
 
-// freePort reserves an ephemeral port and releases it for the process
-// under test to bind. Racy in principle; fine for a test that needs the
-// same fleet port across a coordinator restart.
-func freePort(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
-}
-
 // TestWorkerCrashRedispatch is the fleet acceptance test: two workers, a
 // slow run observed mid-flight on one of them, SIGKILL that worker, and
 // require the coordinator to expire the lease and re-dispatch the run to
-// the survivor — restart counted, tenant attribution intact.
+// the survivor — restart counted, tenant attribution intact — while a
+// trickle of small runs submitted across the kill all still succeed.
 func TestWorkerCrashRedispatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e fleet test builds and kills real processes")
 	}
-	bin := buildDagd(t)
-	wbin := buildDagworker(t)
-	dataDir := t.TempDir()
 	cfgPath := filepath.Join(t.TempDir(), "tenants.json")
 	if err := os.WriteFile(cfgPath, []byte(`{"tenants":[{"name":"acme","weight":2}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 
-	p := startCoordinator(t, bin, dataDir, "127.0.0.1:0", append(fleetClocks, "-tenants", cfgPath)...)
+	p := startDagd(t, t.TempDir(), append(fleetClocks, "-fleet-addr", "127.0.0.1:0", "-tenants", cfgPath)...)
+	// Capacity 1 each: whichever worker holds the slow run holds nothing
+	// else, and the other one carries the background load.
 	workers := map[string]*exec.Cmd{
-		"alpha": startWorker(t, wbin, p.fleetBase, "alpha", 1),
-		"beta":  startWorker(t, wbin, p.fleetBase, "beta", 1),
+		"alpha": startWorker(t, p.fleetBase, "alpha", 1),
+		"beta":  startWorker(t, p.fleetBase, "beta", 1),
 	}
 	waitWorkers(t, p.base, 2)
 	alpha := client.New(p.base, client.WithTenant("acme"), client.WithWaitSlice(200*time.Millisecond))
@@ -239,15 +130,31 @@ func TestWorkerCrashRedispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wctx, cancel := context.WithTimeout(ctx, 60*time.Second)
-	fin, err := alpha.Wait(wctx, warm.ID)
-	cancel()
-	if err != nil || fin.State != api.StateSucceeded || fin.Result == nil || !fin.Result.Match {
-		t.Fatalf("warmup run = %+v, %v; want succeeded with matching result", fin, err)
-	}
-	if fin.Worker == "" {
+	if fin := waitSucceeded(t, alpha, warm.ID); fin.Worker == "" {
 		t.Fatalf("warmup run has no worker attribution: %+v", fin)
 	}
+
+	// Background load: small default-tenant runs spread over the seconds
+	// around the kill. Every submission must be accepted and every run must
+	// succeed, whichever worker it lands on.
+	type submitted struct {
+		ids []string
+		err error
+	}
+	loadc := make(chan submitted, 1)
+	go func() {
+		var s submitted
+		defer func() { loadc <- s }()
+		for i := 0; i < 24; i++ {
+			r, err := p.c.Submit(ctx, api.RunSpec{Shape: api.ShapePipeline, Stages: 50, Width: 4, Work: 50})
+			if err != nil {
+				s.err = err
+				return
+			}
+			s.ids = append(s.ids, r.ID)
+			time.Sleep(100 * time.Millisecond)
+		}
+	}()
 
 	// The victim: a slow run, observed running, whose holder we kill.
 	slow, err := alpha.Submit(ctx, slowSpec())
@@ -275,15 +182,7 @@ func TestWorkerCrashRedispatch(t *testing.T) {
 	victim.Wait()
 
 	// The lease expires within ~2s; the survivor re-executes from scratch.
-	wctx, cancel = context.WithTimeout(ctx, 120*time.Second)
-	fin, err = alpha.Wait(wctx, slow.ID)
-	cancel()
-	if err != nil {
-		t.Fatalf("Wait(redispatched %s): %v", slow.ID, err)
-	}
-	if fin.State != api.StateSucceeded || fin.Result == nil || !fin.Result.Match {
-		t.Fatalf("redispatched run finished as %+v, want succeeded with matching result", fin)
-	}
+	fin := waitSucceeded(t, alpha, slow.ID)
 	if fin.Restarts < 1 {
 		t.Errorf("redispatched run has Restarts = %d, want >= 1", fin.Restarts)
 	}
@@ -294,18 +193,21 @@ func TestWorkerCrashRedispatch(t *testing.T) {
 		t.Errorf("redispatched run lost tenant attribution: %q, want acme", fin.Spec.Tenant)
 	}
 
-	// The dead worker's registration lapses too: only the survivor remains.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if got, _ := fleetStats(t, p.base); got == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			got, _ := fleetStats(t, p.base)
-			t.Fatalf("dead worker never pruned: %d workers registered, want 1", got)
-		}
-		time.Sleep(100 * time.Millisecond)
+	load := <-loadc
+	if load.err != nil {
+		t.Fatalf("background submit %d across the worker kill: %v", len(load.ids)+1, load.err)
 	}
+	for _, id := range load.ids {
+		waitSucceeded(t, p.c, id)
+	}
+
+	// The expiry is on the coordinator's wire too, on a page that parses.
+	if n := scrapeMetrics(t, p.base)["dagd_lease_expiries_total"].Sum(); n < 1 {
+		t.Errorf("dagd_lease_expiries_total = %v after a worker SIGKILL, want >= 1", n)
+	}
+
+	// The dead worker's registration lapses too: only the survivor remains.
+	waitWorkers(t, p.base, 1)
 }
 
 // TestCoordinatorRestartRecoversLeases kills the coordinator while a run
@@ -316,14 +218,11 @@ func TestCoordinatorRestartRecoversLeases(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e fleet test builds and kills real processes")
 	}
-	bin := buildDagd(t)
-	wbin := buildDagworker(t)
 	dataDir := t.TempDir()
-	fleetAddr := freePort(t)
 	ctx := context.Background()
 
-	p1 := startCoordinator(t, bin, dataDir, fleetAddr, fleetClocks...)
-	startWorker(t, wbin, p1.fleetBase, "omega", 1)
+	p1 := startDagd(t, dataDir, append(fleetClocks, "-fleet-addr", "127.0.0.1:0")...)
+	startWorker(t, p1.fleetBase, "omega", 1)
 	waitWorkers(t, p1.base, 1)
 
 	slow, err := p1.c.Submit(ctx, slowSpec())
@@ -336,7 +235,7 @@ func TestCoordinatorRestartRecoversLeases(t *testing.T) {
 	// Same data dir, same fleet port: the worker's configured coordinator
 	// URL stays valid, it re-registers after its 404s, and the recovered
 	// run (queued again, restart counted) drains through it.
-	p2 := startCoordinator(t, bin, dataDir, fleetAddr, fleetClocks...)
+	p2 := startDagd(t, dataDir, append(fleetClocks, "-fleet-addr", strings.TrimPrefix(p1.fleetBase, "http://"))...)
 	got, err := p2.c.Get(ctx, slow.ID)
 	if err != nil {
 		t.Fatalf("Get(recovered %s): %v", slow.ID, err)
@@ -347,13 +246,7 @@ func TestCoordinatorRestartRecoversLeases(t *testing.T) {
 	if got.Restarts < 1 {
 		t.Errorf("recovered run has Restarts = %d, want >= 1", got.Restarts)
 	}
-	wctx, cancel := context.WithTimeout(ctx, 120*time.Second)
-	fin, err := p2.c.Wait(wctx, slow.ID)
-	cancel()
-	if err != nil || fin.State != api.StateSucceeded || fin.Result == nil || !fin.Result.Match {
-		t.Fatalf("recovered run finished as %+v, %v; want succeeded with matching result", fin, err)
-	}
-	if !strings.HasPrefix(fin.Worker, "omega-") {
+	if fin := waitSucceeded(t, p2.c, slow.ID); !strings.HasPrefix(fin.Worker, "omega-") {
 		t.Errorf("recovered run attributed to %q, want omega-*", fin.Worker)
 	}
 }

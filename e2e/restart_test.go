@@ -1,12 +1,18 @@
-// Package e2e black-box tests a real dagd binary over its public surfaces
-// only: the compiled command, its flags, and pkg/client. The tests here
-// cover what in-process tests cannot — a SIGKILL'd process and a cold
-// restart from the same -data-dir.
+// Package e2e black-box tests real dagd and dagworker binaries over their
+// public surfaces only: the compiled commands, their flags, what they log
+// and serve, and pkg/client. It is the one out-of-process functional check,
+// so it covers what in-process tests cannot — SIGKILL'd processes, cold
+// restarts from the same -data-dir, signal-driven shutdown, and the
+// listeners main wires up.
 package e2e
 
 import (
 	"bufio"
 	"context"
+	"flag"
+	"fmt"
+	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -14,42 +20,65 @@ import (
 	"testing"
 	"time"
 
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/metrics"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/pkg/api"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/pkg/client"
 )
 
-// buildDagd compiles the dagd binary once per test run.
-func buildDagd(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "dagd")
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/dagd")
-	cmd.Dir = ".." // module root
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("building dagd: %v\n%s", err, out)
+// The binaries under test, built once per go test ./e2e by TestMain.
+var dagdBin, workerBin string
+
+// TestMain compiles dagd and dagworker before any test runs. Under -short
+// every test skips, so nothing is built or spawned.
+func TestMain(m *testing.M) {
+	flag.Parse()
+	if testing.Short() {
+		os.Exit(m.Run())
 	}
-	return bin
+	dir, err := os.MkdirTemp("", "dag-e2e-")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "e2e:", err)
+		os.Exit(1)
+	}
+	build := exec.Command("go", "build", "-o", dir, "./cmd/dagd", "./cmd/dagworker")
+	build.Dir = ".." // module root
+	out, err := build.CombinedOutput()
+	code := 1
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "e2e: building dagd and dagworker: %v\n%s", err, out)
+	} else {
+		dagdBin, workerBin = filepath.Join(dir, "dagd"), filepath.Join(dir, "dagworker")
+		code = m.Run()
+	}
+	os.RemoveAll(dir)
+	os.Exit(code)
 }
 
-// dagdProc is one live dagd process plus the client bound to it.
-type dagdProc struct {
-	cmd  *exec.Cmd
-	base string
-	c    *client.Client
+// proc is one live dagd process, the base URL of each listener it reported
+// and a client bound to its public API.
+type proc struct {
+	cmd       *exec.Cmd
+	base      string // public v1 API
+	fleetBase string // worker API; empty without -fleet-addr
+	debugBase string // pprof, expvar, second /metrics; empty without -debug-addr
+	c         *client.Client
 }
 
-// startDagd launches dagd on an ephemeral port with the given data dir and
-// waits until its API answers. The process is force-killed at test cleanup
-// if the test didn't stop it first.
-func startDagd(t *testing.T, bin, dataDir string, extraArgs ...string) *dagdProc {
+// startDagd launches dagd on an ephemeral port over dataDir and waits until
+// its API answers. extraArgs come last, so they override the defaults here
+// (flag keeps the last value) and pick the mode: -fleet-addr makes the
+// process a coordinator. It is force-killed at test cleanup if the test
+// didn't stop it first.
+func startDagd(t *testing.T, dataDir string, extraArgs ...string) *proc {
 	t.Helper()
 	args := append([]string{
 		"-addr", "127.0.0.1:0",
 		"-data-dir", dataDir,
 		"-dispatchers", "1",
 		"-queue", "64",
-		"-drain-timeout", "5s",
+		"-drain-timeout", "10s",
 	}, extraArgs...)
-	cmd := exec.Command(bin, args...)
+	cmd := exec.Command(dagdBin, args...)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -64,45 +93,60 @@ func startDagd(t *testing.T, bin, dataDir string, extraArgs ...string) *dagdProc
 		}
 	})
 
-	// dagd logs "dagd: listening on 127.0.0.1:<port>" once bound; scan for
-	// it, then keep draining stderr so the child never blocks on the pipe.
-	addrc := make(chan string, 1)
+	// dagd logs each listener's bound address once it is bound, the public
+	// API's ("dagd: listening on 127.0.0.1:<port>") last, so that line
+	// completes the set. Keep draining stderr afterwards so the child never
+	// blocks on the pipe.
+	ready := make(chan *proc, 1)
 	go func() {
+		p := &proc{cmd: cmd}
+		listeners := []struct {
+			marker string
+			base   *string
+		}{
+			{"debug listener on ", &p.debugBase},
+			{"fleet listener on ", &p.fleetBase},
+			{"listening on ", &p.base},
+		}
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
-			line := sc.Text()
-			if _, rest, ok := strings.Cut(line, "listening on "); ok {
-				select {
-				case addrc <- strings.TrimSpace(rest):
-				default:
+			if p == nil {
+				continue
+			}
+			for _, l := range listeners {
+				if _, rest, ok := strings.Cut(sc.Text(), l.marker); ok {
+					addr, _, _ := strings.Cut(rest, " ")
+					*l.base = "http://" + addr
 				}
+			}
+			if p.base != "" {
+				ready <- p
+				p = nil
 			}
 		}
 	}()
-	var base string
+	var p *proc
 	select {
-	case addr := <-addrc:
-		base = "http://" + addr
+	case p = <-ready:
 	case <-time.After(30 * time.Second):
 		t.Fatal("dagd never reported its listen address")
 	}
 
-	c := client.New(base, client.WithWaitSlice(200*time.Millisecond))
+	p.c = client.New(p.base, client.WithWaitSlice(200*time.Millisecond))
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, err := c.Workloads(context.Background()); err == nil {
-			break
+		if _, err := p.c.Workloads(context.Background()); err == nil {
+			return p
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("dagd API never became reachable")
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	return &dagdProc{cmd: cmd, base: base, c: c}
 }
 
 // sigkill hard-kills the process — no drain, no WAL close — and reaps it.
-func (p *dagdProc) sigkill(t *testing.T) {
+func (p *proc) sigkill(t *testing.T) {
 	t.Helper()
 	if err := p.cmd.Process.Kill(); err != nil {
 		t.Fatalf("SIGKILL: %v", err)
@@ -110,8 +154,8 @@ func (p *dagdProc) sigkill(t *testing.T) {
 	p.cmd.Wait()
 }
 
-// stop shuts the process down gracefully via SIGTERM.
-func (p *dagdProc) stop(t *testing.T) {
+// stop shuts the process down gracefully via SIGTERM and requires exit 0.
+func (p *proc) stop(t *testing.T) {
 	t.Helper()
 	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatalf("SIGTERM: %v", err)
@@ -144,6 +188,41 @@ func waitState(t *testing.T, c *client.Client, id string, want api.State) {
 	}
 }
 
+// waitSucceeded long-polls the run to a terminal state and requires it to
+// be succeeded with a matching serial self-check.
+func waitSucceeded(t *testing.T, c *client.Client, id string) *api.Run {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	fin, err := c.Wait(ctx, id)
+	if err != nil {
+		t.Fatalf("Wait(%s): %v", id, err)
+	}
+	if fin.State != api.StateSucceeded || fin.Result == nil || !fin.Result.Match {
+		t.Fatalf("run %s finished as %+v, want succeeded with matching result", id, fin)
+	}
+	return fin
+}
+
+// scrapeMetrics GETs base/metrics from the live process and strict-parses
+// the page: any malformed line or broken histogram invariant fails the test.
+func scrapeMetrics(t *testing.T, base string) map[string]*metrics.Family {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || !strings.Contains(ct, "text/plain") {
+		t.Fatalf("GET /metrics = %d %q, want 200 text/plain", resp.StatusCode, ct)
+	}
+	fams, err := metrics.ParsePrometheus(resp.Body)
+	if err != nil {
+		t.Fatalf("strict-parsing /metrics: %v", err)
+	}
+	return fams
+}
+
 var diamond = []api.Edge{{0, 1}, {0, 2}, {1, 3}, {2, 3}}
 
 // slowSpec runs for a second or two on one dispatcher — long enough that a
@@ -160,11 +239,10 @@ func TestCrashRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e restart test builds and kills real processes")
 	}
-	bin := buildDagd(t)
 	dataDir := t.TempDir()
 	ctx := context.Background()
 
-	p1 := startDagd(t, bin, dataDir)
+	p1 := startDagd(t, dataDir)
 
 	// Two fast runs driven to completion before the crash: one explicit,
 	// one generated, per the durability contract for terminal history.
@@ -176,18 +254,8 @@ func TestCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit(pipeline): %v", err)
 	}
-	for _, id := range []string{expl.ID, genr.ID} {
-		wctx, cancel := context.WithTimeout(ctx, 60*time.Second)
-		r, err := p1.c.Wait(wctx, id)
-		cancel()
-		if err != nil || r.State != api.StateSucceeded {
-			t.Fatalf("pre-crash run %s = %v, %v; want succeeded", id, r, err)
-		}
-	}
-	explDone, err := p1.c.Get(ctx, expl.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	explDone := waitSucceeded(t, p1.c, expl.ID)
+	waitSucceeded(t, p1.c, genr.ID)
 
 	// One slow run observed mid-execution, plus two queued behind it
 	// (the single dispatcher is busy), then pull the plug.
@@ -207,7 +275,7 @@ func TestCrashRecovery(t *testing.T) {
 	p1.sigkill(t)
 
 	// Restart on the same data dir.
-	p2 := startDagd(t, bin, dataDir)
+	p2 := startDagd(t, dataDir)
 
 	// (a) Terminal history survived, results and all.
 	for _, id := range []string{expl.ID, genr.ID} {
@@ -242,15 +310,7 @@ func TestCrashRecovery(t *testing.T) {
 		if got.Restarts < 1 {
 			t.Errorf("interrupted run %s has Restarts = %d, want >= 1", interrupted.ID, got.Restarts)
 		}
-		wctx, cancel := context.WithTimeout(ctx, 120*time.Second)
-		fin, err := p2.c.Wait(wctx, interrupted.ID)
-		cancel()
-		if err != nil {
-			t.Fatalf("Wait(interrupted %s): %v", interrupted.ID, err)
-		}
-		if fin.State != api.StateSucceeded || fin.Result == nil || !fin.Result.Match {
-			t.Fatalf("interrupted run %s finished as %+v, want succeeded with matching result", interrupted.ID, fin)
-		}
+		waitSucceeded(t, p2.c, interrupted.ID)
 	}
 
 	// The full listing reads coherently from the recovered store: all five
@@ -289,7 +349,7 @@ func TestCrashRecovery(t *testing.T) {
 	// Graceful shutdown this time, then a third boot: everything must now
 	// be terminal history, with nothing left to recover.
 	p2.stop(t)
-	p3 := startDagd(t, bin, dataDir)
+	p3 := startDagd(t, dataDir)
 	for _, id := range []string{expl.ID, genr.ID, slow.ID, q1.ID, q2.ID} {
 		r, err := p3.c.Get(ctx, id)
 		if err != nil || r.State != api.StateSucceeded {
@@ -309,12 +369,11 @@ func TestCrashRecoveryShardedFsync(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e restart test builds and kills real processes")
 	}
-	bin := buildDagd(t)
 	dataDir := t.TempDir()
 	ctx := context.Background()
 	shardArgs := []string{"-wal-shards", "4", "-fsync"}
 
-	p1 := startDagd(t, bin, dataDir, shardArgs...)
+	p1 := startDagd(t, dataDir, shardArgs...)
 
 	// Enough terminal runs to touch several shards (IDs are routed by
 	// hash), plus one run killed mid-flight and one still queued.
@@ -327,12 +386,7 @@ func TestCrashRecoveryShardedFsync(t *testing.T) {
 		terminal = append(terminal, r.ID)
 	}
 	for _, id := range terminal {
-		wctx, cancel := context.WithTimeout(ctx, 60*time.Second)
-		r, err := p1.c.Wait(wctx, id)
-		cancel()
-		if err != nil || r.State != api.StateSucceeded {
-			t.Fatalf("pre-crash run %s = %v, %v; want succeeded", id, r, err)
-		}
+		waitSucceeded(t, p1.c, id)
 	}
 	slow, err := p1.c.Submit(ctx, slowSpec())
 	if err != nil {
@@ -347,7 +401,7 @@ func TestCrashRecoveryShardedFsync(t *testing.T) {
 
 	// A restart with a different shard count must fail closed: the process
 	// exits non-zero before ever listening, naming the mismatch.
-	mism := exec.Command(bin, "-addr", "127.0.0.1:0", "-data-dir", dataDir,
+	mism := exec.Command(dagdBin, "-addr", "127.0.0.1:0", "-data-dir", dataDir,
 		"-wal-shards", "2", "-fsync")
 	out, err := mism.CombinedOutput()
 	if err == nil {
@@ -359,7 +413,7 @@ func TestCrashRecoveryShardedFsync(t *testing.T) {
 	}
 
 	// The matching count recovers everything.
-	p2 := startDagd(t, bin, dataDir, shardArgs...)
+	p2 := startDagd(t, dataDir, shardArgs...)
 	for _, id := range terminal {
 		r, err := p2.c.Get(ctx, id)
 		if err != nil || r.State != api.StateSucceeded || r.Result == nil || !r.Result.Match {
@@ -374,12 +428,7 @@ func TestCrashRecoveryShardedFsync(t *testing.T) {
 		if got.Restarts < 1 {
 			t.Errorf("interrupted run %s has Restarts = %d, want >= 1", interrupted.ID, got.Restarts)
 		}
-		wctx, cancel := context.WithTimeout(ctx, 120*time.Second)
-		fin, err := p2.c.Wait(wctx, interrupted.ID)
-		cancel()
-		if err != nil || fin.State != api.StateSucceeded {
-			t.Fatalf("interrupted run %s finished as %+v, %v; want succeeded", interrupted.ID, fin, err)
-		}
+		waitSucceeded(t, p2.c, interrupted.ID)
 	}
 	p2.stop(t)
 }
@@ -390,24 +439,18 @@ func TestRestartPreservesFsync(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e restart test builds and kills real processes")
 	}
-	bin := buildDagd(t)
 	dataDir := t.TempDir()
 	ctx := context.Background()
 
-	p1 := startDagd(t, bin, dataDir, "-fsync", "-compact-threshold", "8")
+	p1 := startDagd(t, dataDir, "-fsync", "-compact-threshold", "8")
 	r, err := p1.c.SubmitExplicit(ctx, 4, diamond, client.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wctx, cancel := context.WithTimeout(ctx, 60*time.Second)
-	fin, err := p1.c.Wait(wctx, r.ID)
-	cancel()
-	if err != nil || fin.State != api.StateSucceeded {
-		t.Fatalf("fsync run = %v, %v; want succeeded", fin, err)
-	}
+	waitSucceeded(t, p1.c, r.ID)
 	p1.sigkill(t)
 
-	p2 := startDagd(t, bin, dataDir, "-fsync", "-compact-threshold", "8")
+	p2 := startDagd(t, dataDir, "-fsync", "-compact-threshold", "8")
 	got, err := p2.c.Get(ctx, r.ID)
 	if err != nil || got.State != api.StateSucceeded {
 		t.Fatalf("fsync'd run after SIGKILL = %+v, %v; want succeeded", got, err)

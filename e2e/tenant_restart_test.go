@@ -2,8 +2,6 @@ package e2e
 
 import (
 	"context"
-	"encoding/json"
-	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,31 +10,6 @@ import (
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/pkg/api"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/pkg/client"
 )
-
-// healthTenants fetches /healthz and returns the per-tenant stats map.
-func healthTenants(t *testing.T, base string) map[string]struct {
-	Queued   int `json:"queued"`
-	InFlight int `json:"in_flight"`
-} {
-	t.Helper()
-	resp, err := http.Get(base + "/healthz")
-	if err != nil {
-		t.Fatalf("healthz: %v", err)
-	}
-	defer resp.Body.Close()
-	var body struct {
-		Stats struct {
-			Tenants map[string]struct {
-				Queued   int `json:"queued"`
-				InFlight int `json:"in_flight"`
-			} `json:"tenants"`
-		} `json:"stats"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatalf("decoding healthz: %v", err)
-	}
-	return body.Stats.Tenants
-}
 
 // TestCrashRecoveryPreservesTenants is the multi-tenant durability
 // acceptance test: SIGKILL a dagd with runs from two tenants in flight and
@@ -47,7 +20,6 @@ func TestCrashRecoveryPreservesTenants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e restart test builds and kills real processes")
 	}
-	bin := buildDagd(t)
 	dataDir := t.TempDir()
 	cfgPath := filepath.Join(t.TempDir(), "tenants.json")
 	cfg := `{"tenants":[{"name":"alpha","weight":1},{"name":"beta","weight":2}]}`
@@ -56,7 +28,7 @@ func TestCrashRecoveryPreservesTenants(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	p1 := startDagd(t, bin, dataDir, "-tenants", cfgPath)
+	p1 := startDagd(t, dataDir, "-tenants", cfgPath)
 	alpha1 := client.New(p1.base, client.WithTenant("alpha"), client.WithWaitSlice(200*time.Millisecond))
 	beta1 := client.New(p1.base, client.WithTenant("beta"), client.WithWaitSlice(200*time.Millisecond))
 
@@ -65,12 +37,7 @@ func TestCrashRecoveryPreservesTenants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wctx, cancel := context.WithTimeout(ctx, 60*time.Second)
-	if fin, err := beta1.Wait(wctx, done.ID); err != nil || fin.State != api.StateSucceeded {
-		cancel()
-		t.Fatalf("pre-crash beta run = %v, %v; want succeeded", fin, err)
-	}
-	cancel()
+	waitSucceeded(t, beta1, done.ID)
 
 	// alpha holds the single dispatcher with a slow run; both tenants
 	// queue work behind it, then the process dies.
@@ -93,7 +60,7 @@ func TestCrashRecoveryPreservesTenants(t *testing.T) {
 	}
 	p1.sigkill(t)
 
-	p2 := startDagd(t, bin, dataDir, "-tenants", cfgPath)
+	p2 := startDagd(t, dataDir, "-tenants", cfgPath)
 
 	// Attribution survived the crash on every record, terminal and
 	// re-admitted alike.
@@ -120,7 +87,7 @@ func TestCrashRecoveryPreservesTenants(t *testing.T) {
 	// takes seconds, so one observation right after boot is reliable —
 	// but skip the count check gracefully if it already finished.
 	if r, err := p2.c.Get(ctx, slow.ID); err == nil && r.State == api.StateRunning {
-		tenants := healthTenants(t, p2.base)
+		tenants := health(t, p2.base).Tenants
 		if tenants["beta"].Queued != 2 {
 			t.Errorf("beta queue after recovery holds %d runs, want 2", tenants["beta"].Queued)
 		}
@@ -133,12 +100,7 @@ func TestCrashRecoveryPreservesTenants(t *testing.T) {
 
 	// Everything drains to success with attribution intact.
 	for _, id := range []string{slow.ID, alphaQ.ID, betaQ1.ID, betaQ2.ID} {
-		wctx, cancel := context.WithTimeout(ctx, 120*time.Second)
-		fin, err := p2.c.Wait(wctx, id)
-		cancel()
-		if err != nil || fin.State != api.StateSucceeded {
-			t.Fatalf("recovered run %s = %v, %v; want succeeded", id, fin, err)
-		}
+		fin := waitSucceeded(t, p2.c, id)
 		if fin.Restarts < 1 {
 			t.Errorf("recovered run %s has Restarts = %d, want >= 1", id, fin.Restarts)
 		}

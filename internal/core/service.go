@@ -44,8 +44,6 @@ type ServiceOptions struct {
 	DataDir string
 	// Fsync makes a WAL append wait for its group-committed fsync.
 	Fsync bool
-	// FsyncMaxDelay bounds how long a group-commit batch may accumulate.
-	FsyncMaxDelay time.Duration
 	// WALShards is the number of WAL shard directories (0 = adopt the data
 	// dir's manifest). A value that disagrees with an existing manifest
 	// fails NewService with wal.ErrShardCountMismatch.
@@ -124,7 +122,6 @@ func NewService(opts ServiceOptions) (*Service, error) {
 	if opts.DataDir != "" {
 		ws, rec, err := wal.Open(opts.DataDir, wal.Options{
 			Fsync:            opts.Fsync,
-			FsyncMaxDelay:    opts.FsyncMaxDelay,
 			Shards:           opts.WALShards,
 			CompactThreshold: opts.CompactThreshold,
 			Metrics:          opts.Metrics,

@@ -635,8 +635,9 @@ func (d *Dispatcher) Cancel(id string) (run.Run, error) {
 		d.cond.Broadcast()
 		d.mu.Unlock()
 		// The run reached a terminal state without ever being leased, so
-		// complete will not count it.
+		// complete will neither count it nor evict past the retention bound.
 		d.met.completed.With(r.Spec.Tenant, run.StateCancelled.String()).Inc()
+		d.store.EvictTerminal(d.opts.RetainRuns)
 	}
 	return r, err
 }

@@ -179,6 +179,25 @@ func TestTerminalRunRetention(t *testing.T) {
 	}
 }
 
+// TestCancelQueuedHonoursRetention: a run cancelled out of the queue never
+// reaches complete, so Cancel itself must apply the retention bound — on a
+// coordinator with no workers, submit → cancel is the only path there is.
+func TestCancelQueuedHonoursRetention(t *testing.T) {
+	store, d := newDispatcher(t, Options{QueueDepth: 8, Remote: true, RetainRuns: 4})
+	for i := 0; i < 32; i++ {
+		r, err := d.Submit(pipelineSpec(5, 2, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c, err := d.Cancel(r.ID); err != nil || c.State != run.StateCancelled {
+			t.Fatalf("Cancel(%s) = %s, %v; want cancelled", r.ID, c.State, err)
+		}
+	}
+	if n := store.Len(); n > 4 {
+		t.Errorf("store holds %d cancelled runs with RetainRuns=4", n)
+	}
+}
+
 // beginDegradedStore mimics a WAL store whose disk fails the Begin append:
 // per the run.Store contract the queued→running transition stands in
 // memory, but the call reports an error.

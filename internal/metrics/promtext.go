@@ -12,9 +12,8 @@ import (
 
 // This file is a strict parser for the Prometheus text exposition format
 // v0.0.4 — the format WritePrometheus renders. It exists for two callers:
-// the registry's own round-trip tests, and the CI smoke (cmd/dagsmoke
-// -metrics), which scrapes a live dagd and refuses malformed lines instead
-// of grepping blindly. "Strict" means every non-comment line must parse
+// the registry's own round-trip tests, and the e2e tests, which scrape a
+// live dagd and refuse malformed lines instead of grepping blindly. "Strict" means every non-comment line must parse
 // fully: valid metric and label names, correctly quoted and escaped label
 // values, a parseable float value, and histogram series attached to a
 // # TYPE histogram family with intact +Inf/_sum/_count invariants.

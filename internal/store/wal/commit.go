@@ -8,9 +8,9 @@ import (
 	"time"
 )
 
-// DefaultFsyncMaxDelay is how long a group-commit batch may keep
-// accumulating before its fsync is issued when Options.FsyncMaxDelay is 0.
-const DefaultFsyncMaxDelay = 2 * time.Millisecond
+// fsyncMaxDelay is how long a group-commit batch may keep accumulating
+// before its fsync is issued.
+const fsyncMaxDelay = 2 * time.Millisecond
 
 // groupCommit is one shard's fsync batcher. Appends write their record to
 // the active segment under the shard lock, take a ticket (written), release
@@ -24,8 +24,6 @@ const DefaultFsyncMaxDelay = 2 * time.Millisecond
 // segment (rotation, compaction's swap, Close) syncs the file first and
 // then calls advance for everything written so far.
 type groupCommit struct {
-	maxDelay time.Duration
-
 	mu       sync.Mutex
 	cond     *sync.Cond
 	written  uint64 // tickets issued: records written to the shard's segment chain
@@ -38,12 +36,11 @@ type groupCommit struct {
 	done chan struct{}
 }
 
-func newGroupCommit(maxDelay time.Duration) *groupCommit {
+func newGroupCommit() *groupCommit {
 	gc := &groupCommit{
-		maxDelay: maxDelay,
-		kick:     make(chan struct{}, 1),
-		quit:     make(chan struct{}),
-		done:     make(chan struct{}),
+		kick: make(chan struct{}, 1),
+		quit: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	gc.cond = sync.NewCond(&gc.mu)
 	return gc
@@ -147,13 +144,10 @@ func (gc *groupCommit) run(sh *walShard) {
 // in this batch before the fsync is issued, by yielding the scheduler while
 // the batch keeps growing. Yielding costs ~ns when nothing is runnable, so
 // a lone append is effectively never delayed; sleeping here instead would
-// serialize the whole shard behind the timer granularity. maxDelay bounds
+// serialize the whole shard behind the timer granularity. fsyncMaxDelay bounds
 // the loop as a safety valve against pathological scheduling.
 func (gc *groupCommit) coalesce() {
-	if gc.maxDelay <= 0 {
-		return
-	}
-	deadline := time.Now().Add(gc.maxDelay)
+	deadline := time.Now().Add(fsyncMaxDelay)
 	last := gc.pending()
 	for {
 		runtime.Gosched()

@@ -45,7 +45,7 @@
 // With Options.Fsync on, an append does not return until its record is on
 // disk — but the fsync itself is batched per shard: every record that
 // arrives while a sync is in flight joins the next batch and is covered by
-// one fsync (bounded by Options.FsyncMaxDelay), so K concurrent appends
+// one fsync (the batch accumulates for at most 2ms), so K concurrent appends
 // cost ~1 fsync instead of K without weakening the contract. A lone append
 // is never delayed. Compaction snapshots are always fsynced before old
 // segments are removed, regardless of the Fsync setting.
@@ -102,17 +102,11 @@ type Options struct {
 	// Fsync makes every acknowledged transition durable against power loss,
 	// not just process crash: an append does not return until its record is
 	// fsynced. Off by default — the OS page cache survives SIGKILL. Syncs
-	// are group-committed per shard (see FsyncMaxDelay), so the cost under
+	// are group-committed per shard (see groupCommit), so the cost under
 	// concurrent load is ~1 fsync per batch, not per record. Compaction
 	// snapshots are always fsynced before old segments are removed,
 	// regardless of this setting.
 	Fsync bool
-	// FsyncMaxDelay bounds how long a group-commit batch may keep
-	// accumulating once more than one append is waiting: a burst coalesces
-	// into one fsync, a lone append is synced immediately. Zero means
-	// DefaultFsyncMaxDelay (2ms); negative disables coalescing (every batch
-	// is synced as soon as the committer gets to it).
-	FsyncMaxDelay time.Duration
 	// Shards is the number of independent log shards. Zero adopts the count
 	// pinned in the data dir's manifest (or DefaultShards for a fresh dir).
 	// Non-zero must match an existing manifest: run IDs are routed to shards
@@ -140,9 +134,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SegmentMaxBytes <= 0 {
 		o.SegmentMaxBytes = 8 << 20
-	}
-	if o.FsyncMaxDelay == 0 {
-		o.FsyncMaxDelay = DefaultFsyncMaxDelay
 	}
 	return o
 }
@@ -294,7 +285,7 @@ func Open(dir string, opts Options) (*Store, []run.Run, error) {
 	// committer that was never started.
 	if opts.Fsync {
 		for _, sh := range s.shards {
-			sh.gc = newGroupCommit(opts.FsyncMaxDelay)
+			sh.gc = newGroupCommit()
 			go sh.gc.run(sh)
 		}
 	}
