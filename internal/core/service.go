@@ -91,10 +91,13 @@ type ServiceStats struct {
 // Service is what dagd serves over HTTP: a run store (in-memory, or
 // WAL-backed when ServiceOptions.DataDir is set), the dispatcher leasing
 // submitted runs to in-process or remote workers, and — in remote mode —
-// the fleet manager those workers talk to.
+// the fleet manager those workers talk to. Store and Dispatcher are the
+// ones NewService built; the HTTP layer calls them directly (reads and
+// Await on the store, Submit/Cancel/Draining on the dispatcher).
 type Service struct {
-	store           run.Store
-	disp            *dispatch.Dispatcher
+	Store      run.Store
+	Dispatcher *dispatch.Dispatcher
+
 	fleet           *fleet.Manager // nil unless ServiceOptions.Remote
 	metrics         *metrics.Registry
 	defaultWorkload string
@@ -147,8 +150,8 @@ func NewService(opts ServiceOptions) (*Service, error) {
 		disp.Recover(recovered)
 	}
 	svc := &Service{
-		store:           store,
-		disp:            disp,
+		Store:           store,
+		Dispatcher:      disp,
 		metrics:         opts.Metrics,
 		defaultWorkload: opts.DefaultWorkload,
 		recovered:       len(recovered),
@@ -176,7 +179,7 @@ func NewService(opts ServiceOptions) (*Service, error) {
 		func() float64 { return float64(svc.recovered) })
 	byState := opts.Metrics.GaugeVec("dagd_runs", "Runs in the store, by lifecycle state.", "state")
 	opts.Metrics.OnCollect(func() {
-		counts := svc.store.CountByState()
+		counts := svc.Store.CountByState()
 		for _, st := range []run.State{run.StateQueued, run.StateRunning, run.StateSucceeded, run.StateFailed, run.StateCancelled} {
 			byState.With(st.String()).Set(float64(counts[st]))
 		}
@@ -207,29 +210,6 @@ func (s *Service) FleetHandler() http.Handler {
 	return s.fleet.Handler()
 }
 
-// Submit validates and enqueues a run, returning its queued snapshot.
-func (s *Service) Submit(spec run.Spec) (run.Run, error) { return s.disp.Submit(spec) }
-
-// Get returns a snapshot of one run.
-func (s *Service) Get(id string) (run.Run, error) { return s.store.Get(id) }
-
-// Await blocks until the run reaches a terminal state or ctx is done and
-// returns the latest snapshot either way; it fails only on unknown IDs.
-// This backs the HTTP API's ?wait= long-poll.
-func (s *Service) Await(ctx context.Context, id string) (run.Run, error) {
-	return s.store.Await(ctx, id)
-}
-
-// Draining reports whether Shutdown has begun (readiness signal; new
-// submissions are already being refused with dispatch.ErrShuttingDown).
-func (s *Service) Draining() bool { return s.disp.Draining() }
-
-// List returns snapshots of all runs, oldest first.
-func (s *Service) List() []run.Run { return s.store.List() }
-
-// Cancel requests cancellation of a queued or running run.
-func (s *Service) Cancel(id string) (run.Run, error) { return s.disp.Cancel(id) }
-
 // Stats snapshots current service load. QueueLen and the per-tenant table
 // come from one dispatch.Snapshot, so QueueLen always equals the sum of the
 // per-tenant Queued values — read separately, the counters can move in
@@ -237,17 +217,17 @@ func (s *Service) Cancel(id string) (run.Run, error) { return s.disp.Cancel(id) 
 func (s *Service) Stats() ServiceStats {
 	byState := make(map[string]int)
 	total := 0
-	for state, n := range s.store.CountByState() {
+	for state, n := range s.Store.CountByState() {
 		byState[state.String()] = n
 		total += n
 	}
-	snap := s.disp.Snapshot()
+	snap := s.Dispatcher.Snapshot()
 	stats := ServiceStats{
 		Runs:        total,
 		ByState:     byState,
 		QueueLen:    snap.QueueLen,
-		QueueDepth:  s.disp.QueueDepth(),
-		Dispatchers: s.disp.Dispatchers(),
+		QueueDepth:  s.Dispatcher.QueueDepth(),
+		Dispatchers: s.Dispatcher.Dispatchers(),
 		Recovered:   s.recovered,
 		Tenants:     snap.Tenants,
 	}
@@ -263,13 +243,13 @@ func (s *Service) Stats() ServiceStats {
 // then closes the store so a WAL backend seals its active segment. The
 // dispatcher error wins when both fail.
 func (s *Service) Shutdown(ctx context.Context) error {
-	err := s.disp.Shutdown(ctx)
+	err := s.Dispatcher.Shutdown(ctx)
 	// The fleet sweeper outlives the drain: if a worker dies mid-drain its
 	// leases must still expire and requeue so a survivor can finish them.
 	if s.fleet != nil {
 		s.fleet.Close()
 	}
-	if cerr := s.store.Close(); err == nil {
+	if cerr := s.Store.Close(); err == nil {
 		err = cerr
 	}
 	return err

@@ -109,10 +109,12 @@ func TestEvictionTieBreakDeterministic(t *testing.T) {
 	// Force a full FinishedAt tie so only the comparator decides.
 	now := time.Now().Round(0)
 	for _, id := range ids {
-		sh := s.shardFor(id)
-		sh.mu.Lock()
-		sh.runs[id].run.FinishedAt = &now
-		sh.mu.Unlock()
+		r, err := s.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.FinishedAt = &now
+		s.Restore(r)
 	}
 	survivorsWant := make(map[string]bool)
 	all := s.List() // CompareRuns order; the last 3 must survive EvictTerminal(3)
@@ -126,5 +128,45 @@ func TestEvictionTieBreakDeterministic(t *testing.T) {
 		if !survivorsWant[r.ID] {
 			t.Errorf("tie-break evicted the wrong run: %s survived, want %v", r.ID, survivorsWant)
 		}
+	}
+}
+
+// TestRestoreRefilesTerminalRun pins Restore over an existing terminal
+// entry: the run moves to the place its new FinishedAt earns in the finish
+// order and is counted once, so eviction neither double-counts it nor
+// evicts by the stale stamp.
+func TestRestoreRefilesTerminalRun(t *testing.T) {
+	s := NewMemStore()
+	t0 := time.Date(2026, 7, 1, 12, 0, 0, 0, time.UTC)
+	var runs []Run
+	for i := 0; i < 4; i++ {
+		at := t0.Add(time.Duration(i) * time.Second)
+		r := Run{ID: string(rune('a' + i)), State: StateSucceeded, CreatedAt: t0, FinishedAt: &at}
+		s.Restore(r)
+		runs = append(runs, r)
+	}
+	// The oldest-finished run becomes the newest; the same snapshot twice
+	// over must still be one entry.
+	newest := t0.Add(time.Hour)
+	runs[0].FinishedAt = &newest
+	s.Restore(runs[0])
+	s.Restore(runs[0])
+	if n := s.EvictTerminal(4); n != 0 {
+		t.Fatalf("EvictTerminal(4) over 4 runs = %d, want 0 (re-restored run double-counted)", n)
+	}
+	if n := s.EvictTerminal(2); n != 2 {
+		t.Fatalf("EvictTerminal(2) = %d, want 2", n)
+	}
+	for i, r := range runs {
+		_, err := s.Get(r.ID)
+		if gone := i == 1 || i == 2; gone != (err != nil) {
+			t.Errorf("run %s: Get = %v, want gone=%v", r.ID, err, gone)
+		}
+	}
+	// A terminal entry restored as non-terminal leaves the finish order.
+	runs[3].State, runs[3].FinishedAt = StateQueued, nil
+	s.Restore(runs[3])
+	if n := s.EvictTerminal(1); n != 0 {
+		t.Errorf("EvictTerminal(1) = %d, want 0: only one terminal run is left", n)
 	}
 }

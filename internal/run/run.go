@@ -1,6 +1,7 @@
 // Package run models the lifecycle of one DAG execution request inside the
 // dagd service and defines the Store abstraction for tracking many of them
-// concurrently, with an in-memory, mutex-sharded implementation (MemStore).
+// concurrently, with an in-memory implementation (MemStore: one map, one
+// finish-ordered list of terminal runs, one lock).
 // A durable, WAL-backed implementation lives in internal/store/wal.
 //
 // A run moves through the states

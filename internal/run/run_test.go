@@ -456,7 +456,7 @@ func TestSnapshotIsolation(t *testing.T) {
 }
 
 // TestConcurrentLifecycles hammers the store from many goroutines; run
-// with -race this validates the sharded locking.
+// with -race this validates the locking.
 func TestConcurrentLifecycles(t *testing.T) {
 	s := NewMemStore()
 	const n = 200

@@ -1,12 +1,12 @@
 package run
 
 import (
+	"container/list"
 	"context"
 	crand "crypto/rand"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 	"sync"
@@ -100,51 +100,82 @@ func comparePosition(aNanos int64, aID string, bNanos int64, bID string) int {
 	return strings.Compare(aID, bID)
 }
 
-// numShards is the number of independent mutex-guarded maps the store
-// spreads runs across. IDs hash uniformly, so contention on any one shard
-// is ~1/numShards of a single-lock design under concurrent API traffic.
-const numShards = 16
+// CompareFinished is the (FinishedAt, CreatedAt, ID) eviction order:
+// oldest-finished first, ties broken by CompareRuns so the victim set is
+// deterministic. MemStore keeps its terminal runs in this order and WAL
+// replay sorts by it before restoring them. A nil FinishedAt (a terminal
+// snapshot only a hand-made Restore can produce) sorts as the zero time.
+func CompareFinished(a, b Run) int {
+	var at, bt time.Time
+	if a.FinishedAt != nil {
+		at = *a.FinishedAt
+	}
+	if b.FinishedAt != nil {
+		bt = *b.FinishedAt
+	}
+	if c := at.Compare(bt); c != 0 {
+		return c
+	}
+	return CompareRuns(a, b)
+}
 
-// MemStore is the in-memory, mutex-sharded Store implementation. All
-// methods are safe for concurrent use and return snapshot copies, never
-// live internal state. It is both the default backend (dagd without
-// -data-dir) and the in-memory half of the WAL-backed store, which replays
-// its log into a MemStore on boot via Restore.
+// MemStore is the in-memory Store implementation: one map of runs and one
+// list of the terminal ones in CompareFinished order, behind one RWMutex.
+// One lock is enough because every critical section is a map operation on
+// a small record; the only O(n) hold is List's copy (under the read lock,
+// its sort outside it). All methods are safe for concurrent use and return
+// snapshot copies, never live internal state. It is both the default
+// backend (dagd without -data-dir) and the in-memory half of the
+// WAL-backed store, which replays its log into a MemStore on boot via
+// Restore.
 type MemStore struct {
-	shards [numShards]shard
-	seq    atomic.Uint64
+	mu       sync.RWMutex
+	runs     map[string]*tracked
+	finished list.List // *tracked, every terminal run, in CompareFinished order
+	seq      atomic.Uint64
 }
 
 var _ Store = (*MemStore)(nil)
 
-type shard struct {
-	mu   sync.RWMutex
-	runs map[string]*tracked
-}
-
 // tracked is the store's live record for one run: the run itself, the
-// dispatcher's cancel hook while the run is in flight, and a done channel
+// dispatcher's cancel hook while the run is in flight, a done channel
 // closed exactly once when the run enters a terminal state (or is deleted
-// before reaching one), which is what Await long-polls block on.
+// before reaching one), which is what Await long-polls block on, and the
+// run's place in the finish order once it is terminal.
 type tracked struct {
-	run    Run
-	cancel context.CancelFunc
-	done   chan struct{}
+	run      Run
+	cancel   context.CancelFunc
+	done     chan struct{}
+	finished *list.Element
 }
 
 // NewMemStore returns an empty MemStore.
 func NewMemStore() *MemStore {
-	s := &MemStore{}
-	for i := range s.shards {
-		s.shards[i].runs = make(map[string]*tracked)
-	}
-	return s
+	return &MemStore{runs: make(map[string]*tracked)}
 }
 
-func (s *MemStore) shardFor(id string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return &s.shards[h.Sum32()%numShards]
+// file places a now-terminal run in the finish order, walking from the
+// back. Finish and Cancel stamp FinishedAt under the same lock that files
+// the run, so the walk ends at once; only Restore can hand in an older
+// stamp, and WAL replay restores in CompareFinished order.
+func (s *MemStore) file(t *tracked) {
+	at := s.finished.Back()
+	for at != nil && CompareFinished(t.run, at.Value.(*tracked).run) < 0 {
+		at = at.Prev()
+	}
+	if at == nil {
+		t.finished = s.finished.PushFront(t)
+	} else {
+		t.finished = s.finished.InsertAfter(t, at)
+	}
+}
+
+// unfile takes a run out of the finish order, if it is there.
+func (s *MemStore) unfile(t *tracked) {
+	if t.finished != nil {
+		s.finished.Remove(t.finished)
+		t.finished = nil
+	}
 }
 
 // newID returns a unique run ID: a monotonic sequence number (uniqueness)
@@ -174,10 +205,9 @@ func (s *MemStore) Create(spec Spec) (Run, error) {
 		State:     StateQueued,
 		CreatedAt: time.Now().Round(0),
 	}
-	sh := s.shardFor(r.ID)
-	sh.mu.Lock()
-	sh.runs[r.ID] = &tracked{run: r, done: make(chan struct{})}
-	sh.mu.Unlock()
+	s.mu.Lock()
+	s.runs[r.ID] = &tracked{run: r, done: make(chan struct{})}
+	s.mu.Unlock()
 	return r, nil
 }
 
@@ -186,15 +216,14 @@ func (s *MemStore) Create(spec Spec) (Run, error) {
 // in-memory state by restoring each surviving run on boot. Terminal
 // restores arrive with their done channel already closed so Await returns
 // immediately; restoring a terminal snapshot over a live entry releases
-// its waiters.
+// its waiters, and over a terminal one re-files it under its new stamp.
 func (s *MemStore) Restore(r Run) {
-	sh := s.shardFor(r.ID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	t, ok := sh.runs[r.ID]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t, ok := s.runs[r.ID]
 	if !ok {
 		t = &tracked{done: make(chan struct{})}
-		sh.runs[r.ID] = t
+		s.runs[r.ID] = t
 		// Keep the ID sequence moving so fresh Create IDs don't reuse the
 		// low sequence numbers restored runs already occupy (the random
 		// suffix would disambiguate, but distinct prefixes read better).
@@ -203,7 +232,11 @@ func (s *MemStore) Restore(r Run) {
 	if r.State.Terminal() && !t.run.State.Terminal() {
 		close(t.done)
 	}
+	s.unfile(t)
 	t.run = r
+	if r.State.Terminal() {
+		s.file(t)
+	}
 }
 
 // Delete removes a run entirely. It exists so a submitter can roll back a
@@ -213,24 +246,23 @@ func (s *MemStore) Restore(r Run) {
 // snapshot, so Delete must not be used on runs whose IDs callers may
 // already be watching.
 func (s *MemStore) Delete(id string) error {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	if t, ok := sh.runs[id]; ok {
+	s.mu.Lock()
+	if t, ok := s.runs[id]; ok {
 		if !t.run.State.Terminal() {
 			close(t.done) // release any waiter; they'll re-read the last snapshot
 		}
-		delete(sh.runs, id)
+		s.unfile(t)
+		delete(s.runs, id)
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	return nil
 }
 
 // Get returns a snapshot of the run with the given ID.
 func (s *MemStore) Get(id string) (Run, error) {
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	t, ok := sh.runs[id]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	t, ok := s.runs[id]
 	if !ok {
 		return Run{}, ErrNotFound
 	}
@@ -240,29 +272,21 @@ func (s *MemStore) Get(id string) (Run, error) {
 // List returns snapshots of every run in CompareRuns order: oldest first,
 // ties broken by ID so the order is stable.
 func (s *MemStore) List() []Run {
-	var out []Run
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, t := range sh.runs {
-			out = append(out, t.run)
-		}
-		sh.mu.RUnlock()
+	s.mu.RLock()
+	out := make([]Run, 0, len(s.runs))
+	for _, t := range s.runs {
+		out = append(out, t.run)
 	}
+	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return CompareRuns(out[i], out[j]) < 0 })
 	return out
 }
 
 // Len returns the total number of tracked runs.
 func (s *MemStore) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		n += len(sh.runs)
-		sh.mu.RUnlock()
-	}
-	return n
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.runs)
 }
 
 // EvictTerminal deletes the oldest-finished terminal runs so that at most
@@ -276,45 +300,20 @@ func (s *MemStore) EvictTerminal(keep int) int {
 
 // EvictTerminalIDs is EvictTerminal returning the evicted IDs instead of a
 // count, so a durable wrapper can log a deletion record per evicted run.
-// Eviction order is (FinishedAt, CreatedAt, ID): oldest-finished first,
-// with ties broken by the same CompareRuns order pagination uses, so the
-// victim set is deterministic.
+// Victims come off the front of the finish order (CompareFinished), so a
+// sweep costs the number of runs it evicts, not the size of the history.
 func (s *MemStore) EvictTerminalIDs(keep int) []string {
 	if keep <= 0 {
 		return nil
 	}
-	var terminal []Run
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, t := range sh.runs {
-			if t.run.State.Terminal() && t.run.FinishedAt != nil {
-				terminal = append(terminal, t.run)
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	excess := len(terminal) - keep
-	if excess <= 0 {
-		return nil
-	}
-	sort.Slice(terminal, func(i, j int) bool {
-		if !terminal[i].FinishedAt.Equal(*terminal[j].FinishedAt) {
-			return terminal[i].FinishedAt.Before(*terminal[j].FinishedAt)
-		}
-		return CompareRuns(terminal[i], terminal[j]) < 0
-	})
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var evicted []string
-	for _, f := range terminal[:excess] {
-		sh := s.shardFor(f.ID)
-		sh.mu.Lock()
-		// Re-check under the write lock: a concurrent evictor may have
-		// removed it already.
-		if t, ok := sh.runs[f.ID]; ok && t.run.State.Terminal() {
-			delete(sh.runs, f.ID)
-			evicted = append(evicted, f.ID)
-		}
-		sh.mu.Unlock()
+	for s.finished.Len() > keep {
+		t := s.finished.Front().Value.(*tracked)
+		s.unfile(t)
+		delete(s.runs, t.run.ID)
+		evicted = append(evicted, t.run.ID)
 	}
 	return evicted
 }
@@ -322,14 +321,11 @@ func (s *MemStore) EvictTerminalIDs(keep int) []string {
 // CountByState returns how many runs are in each state.
 func (s *MemStore) CountByState() map[State]int {
 	counts := make(map[State]int)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, t := range sh.runs {
-			counts[t.run.State]++
-		}
-		sh.mu.RUnlock()
+	s.mu.RLock()
+	for _, t := range s.runs {
+		counts[t.run.State]++
 	}
+	s.mu.RUnlock()
 	return counts
 }
 
@@ -338,10 +334,9 @@ func (s *MemStore) CountByState() map[State]int {
 // ErrNotQueued (without touching the run) if the run is in any other state
 // — in particular if it was cancelled while still in the queue.
 func (s *MemStore) Begin(id string, dispatchedAt time.Time, worker string, cancel context.CancelFunc) (Run, error) {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	t, ok := sh.runs[id]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t, ok := s.runs[id]
 	if !ok {
 		return Run{}, ErrNotFound
 	}
@@ -364,10 +359,9 @@ func (s *MemStore) Begin(id string, dispatchedAt time.Time, worker string, cance
 // to reach a terminal state, exactly as they would across a crash-recovery
 // requeue. Returns ErrNotRunning unless the run is currently running.
 func (s *MemStore) Requeue(id string) (Run, error) {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	t, ok := sh.runs[id]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t, ok := s.runs[id]
 	if !ok {
 		return Run{}, ErrNotFound
 	}
@@ -389,10 +383,9 @@ func (s *MemStore) Requeue(id string) (Run, error) {
 // is a context cancellation, failed for any other error, succeeded
 // otherwise. The result (may be nil on error) and FinishedAt are recorded.
 func (s *MemStore) Finish(id string, result *Result, err error) (Run, error) {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	t, ok := sh.runs[id]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t, ok := s.runs[id]
 	if !ok {
 		return Run{}, ErrNotFound
 	}
@@ -414,6 +407,7 @@ func (s *MemStore) Finish(id string, result *Result, err error) (Run, error) {
 		t.run.Error = err.Error()
 	}
 	redactEdges(&t.run)
+	s.file(t)
 	close(t.done)
 	return t.run, nil
 }
@@ -446,21 +440,20 @@ func redactEdges(r *Run) {
 // time. This is what backs the HTTP API's ?wait= long-poll: callers park
 // on the run's done channel instead of busy-polling Get.
 func (s *MemStore) Await(ctx context.Context, id string) (Run, error) {
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	t, ok := sh.runs[id]
+	s.mu.RLock()
+	t, ok := s.runs[id]
 	var r Run
 	if ok {
 		r = t.run
 	}
-	sh.mu.RUnlock()
+	s.mu.RUnlock()
 	if !ok {
 		return Run{}, ErrNotFound
 	}
 	// t stays valid even if the run leaves the map while we wait: eviction
 	// only removes terminal (never-again-mutated) entries, and Delete (the
 	// submit-rollback path) closes done so waiters wake rather than hang —
-	// they return the last snapshot taken below under the shard lock.
+	// they return the last snapshot taken below under the lock.
 	if r.State.Terminal() {
 		return r, nil
 	}
@@ -468,9 +461,9 @@ func (s *MemStore) Await(ctx context.Context, id string) (Run, error) {
 	case <-ctx.Done():
 	case <-t.done:
 	}
-	sh.mu.RLock()
+	s.mu.RLock()
 	r = t.run
-	sh.mu.RUnlock()
+	s.mu.RUnlock()
 	return r, nil
 }
 
@@ -480,10 +473,9 @@ func (s *MemStore) Await(ctx context.Context, id string) (Run, error) {
 // dispatcher observes the cancellation and calls Finish, at which point it
 // lands in cancelled. Cancelling a terminal run returns ErrTerminal.
 func (s *MemStore) Cancel(id string) (Run, error) {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	t, ok := sh.runs[id]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t, ok := s.runs[id]
 	if !ok {
 		return Run{}, ErrNotFound
 	}
@@ -494,6 +486,7 @@ func (s *MemStore) Cancel(id string) (Run, error) {
 		t.run.Error = "cancelled while queued"
 		t.run.FinishedAt = &now
 		redactEdges(&t.run)
+		s.file(t)
 		close(t.done)
 		return t.run, nil
 	case StateRunning:

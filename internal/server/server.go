@@ -187,11 +187,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// quota. The dispatcher overwrites both with the resolved values.
 	spec.Tenant = tenantName
 	spec.Priority = 0
-	rr, err := s.svc.Submit(spec)
+	rr, err := s.svc.Dispatcher.Submit(spec)
 	if err != nil {
 		var details map[string]any
 		if errors.Is(err, dispatch.ErrQueueFull) {
-			details = map[string]any{"queue_depth": s.svc.Stats().QueueDepth}
+			details = map[string]any{"queue_depth": s.svc.Dispatcher.QueueDepth()}
 		}
 		writeError(w, err, details)
 		return
@@ -201,7 +201,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	runs := s.svc.List() // sorted by (CreatedAt, ID) — the pagination order
+	runs := s.svc.Store.List() // sorted by (CreatedAt, ID) — the pagination order
 	if want := q.Get("state"); want != "" {
 		state, err := run.ParseState(want)
 		if err != nil {
@@ -308,7 +308,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), d)
 		defer cancel()
-		rr, err := s.svc.Await(ctx, id)
+		rr, err := s.svc.Store.Await(ctx, id)
 		if err != nil {
 			writeError(w, err, map[string]any{"id": id})
 			return
@@ -316,7 +316,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, rr)
 		return
 	}
-	rr, err := s.svc.Get(id)
+	rr, err := s.svc.Store.Get(id)
 	if err != nil {
 		writeError(w, err, map[string]any{"id": id})
 		return
@@ -325,7 +325,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	rr, err := s.svc.Cancel(r.PathValue("id"))
+	rr, err := s.svc.Dispatcher.Cancel(r.PathValue("id"))
 	if err != nil {
 		writeError(w, err, map[string]any{"id": r.PathValue("id")})
 		return
@@ -357,7 +357,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // so load balancers route new submissions elsewhere, while liveness stays
 // green.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() || s.svc.Draining() {
+	if s.draining.Load() || s.svc.Dispatcher.Draining() {
 		writeError(w, dispatch.ErrShuttingDown, nil)
 		return
 	}

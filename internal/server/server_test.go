@@ -396,8 +396,14 @@ func TestQueueFullReturns429(t *testing.T) {
 	submit(t, ts.URL, slow)
 	got429 := false
 	for i := 0; i < 20 && !got429; i++ {
-		code, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/runs", slow)
-		got429 = code == http.StatusTooManyRequests
+		code, body := doJSON(t, http.MethodPost, ts.URL+"/v1/runs", slow)
+		if got429 = code == http.StatusTooManyRequests; got429 {
+			env, _ := body["error"].(map[string]any)
+			details, _ := env["details"].(map[string]any)
+			if depth, _ := details["queue_depth"].(float64); depth != 1 {
+				t.Errorf("429 error.details.queue_depth = %v, want 1", details["queue_depth"])
+			}
+		}
 	}
 	if !got429 {
 		t.Error("saturated queue never returned 429")
@@ -643,7 +649,7 @@ func TestGracefulServeDrain(t *testing.T) {
 		t.Fatal("serve did not return after ctx cancel")
 	}
 	// The in-flight run must have drained to success, not been dropped.
-	r, err := svc.Get(id)
+	r, err := svc.Store.Get(id)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -244,6 +244,54 @@ func TestEvictionAndDeletePersist(t *testing.T) {
 	}
 }
 
+// TestReplayOrderAtScale reopens a data dir holding 20 000 terminal runs,
+// written under unlimited retention. Open hands that history to the
+// MemStore in finish order (restoring it in replay's map order is quadratic
+// and this test crawls), so the first EvictTerminal(10) after boot leaves
+// exactly the 10 newest by the records' FinishedAt — and a second boot
+// shows the same 10: an evicted run never reappears.
+func TestReplayOrderAtScale(t *testing.T) {
+	const total, keep = 20000, 10
+	dir := t.TempDir()
+	s, _ := mustOpen(t, dir, wal.Options{})
+	for i := 0; i < total; i++ {
+		drive(t, s, mustCreate(t, s, pipelineSpec()).ID, nil)
+	}
+	s.Close()
+
+	s2, recovered := mustOpen(t, dir, wal.Options{})
+	if len(recovered) != 0 || s2.Len() != total {
+		t.Fatalf("reopen: %d runs, %d recovered; want %d, 0", s2.Len(), len(recovered), total)
+	}
+	history := s2.List()
+	sort.Slice(history, func(i, j int) bool { return run.CompareFinished(history[i], history[j]) < 0 })
+	want := make(map[string]bool, keep)
+	for _, r := range history[total-keep:] {
+		want[r.ID] = true
+	}
+	if n := s2.EvictTerminal(keep); n != total-keep {
+		t.Fatalf("EvictTerminal(%d) = %d, want %d", keep, n, total-keep)
+	}
+	survivors := func(s *wal.Store) {
+		t.Helper()
+		list := s.List()
+		if len(list) != keep {
+			t.Fatalf("%d runs survive, want %d", len(list), keep)
+		}
+		for _, r := range list {
+			if !want[r.ID] {
+				t.Errorf("run %s (finished %v) survived; not among the %d newest-finished", r.ID, r.FinishedAt, keep)
+			}
+		}
+	}
+	survivors(s2)
+	s2.Close()
+
+	s3, _ := mustOpen(t, dir, wal.Options{})
+	defer s3.Close()
+	survivors(s3)
+}
+
 // TestSegmentRotation forces tiny segments and checks the log splits while
 // replay still sees one coherent history. Shards: 1 so every record hits
 // the same segment chain and the rotation count is deterministic.

@@ -217,7 +217,7 @@ func Open(dir string, opts Options) (*Store, []run.Run, error) {
 	// repaired collects runs that recovery itself drives to a terminal
 	// state (crash-orphaned cancellations, specs failing re-validation);
 	// their synthesized snapshots are logged below as opPut.
-	var recovered, repaired []run.Run
+	var history, interrupted, recovered, repaired []run.Run
 	for _, r := range replayed.runs {
 		// Records written before tenancy existed carry no attribution;
 		// replay them as the catch-all default tenant so history filters
@@ -226,9 +226,19 @@ func Open(dir string, opts Options) (*Store, []run.Run, error) {
 			r.Spec.Tenant = tenant.Default
 		}
 		if r.State.Terminal() {
-			s.mem.Restore(r)
-			continue
+			history = append(history, r)
+		} else {
+			interrupted = append(interrupted, r)
 		}
+	}
+	// History goes in sorted by the order MemStore keeps it in: replay
+	// hands over a map, and filing shuffled runs one sorted insert at a
+	// time is O(n²) where filing them in order is O(n).
+	sort.Slice(history, func(i, j int) bool { return run.CompareFinished(history[i], history[j]) < 0 })
+	for _, r := range history {
+		s.mem.Restore(r)
+	}
+	for _, r := range interrupted {
 		if replayed.cancelRequested[r.ID] {
 			// A cancel was acknowledged while this run was running, and the
 			// process died before the dispatcher could record the terminal

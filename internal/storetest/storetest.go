@@ -15,6 +15,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -40,6 +43,7 @@ func Run(t *testing.T, newStore Factory) {
 	t.Run("Delete", func(t *testing.T) { testDelete(t, newStore) })
 	t.Run("Counts", func(t *testing.T) { testCounts(t, newStore) })
 	t.Run("Requeue", func(t *testing.T) { testRequeue(t, newStore) })
+	t.Run("Hammer", func(t *testing.T) { testHammer(t, newStore) })
 }
 
 func spec() run.Spec {
@@ -307,6 +311,133 @@ func testEviction(t *testing.T, newStore Factory) {
 	}
 	if got := s.EvictTerminal(3); got != 0 {
 		t.Errorf("eviction not idempotent: second EvictTerminal(3) = %d", got)
+	}
+
+	// Runs cancelled while queued take their place in the finish order
+	// between finished ones, and a deleted terminal run stops counting
+	// toward keep: of the 9 terminal runs below, one is deleted, so
+	// EvictTerminal(4) evicts exactly the 4 oldest-finished that are left.
+	order := append([]string(nil), ids[7:]...)
+	for i := 0; i < 6; i++ {
+		if i%2 == 0 {
+			r := create(t, s)
+			if _, err := s.Cancel(r.ID); err != nil {
+				t.Fatalf("Cancel(queued): %v", err)
+			}
+			order = append(order, r.ID)
+		} else {
+			order = append(order, finished(t, s).ID)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := s.Delete(order[6]); err != nil {
+		t.Fatalf("Delete(terminal): %v", err)
+	}
+	if got := s.EvictTerminal(4); got != 4 {
+		t.Fatalf("EvictTerminal(4) over 8 terminal runs = %d, want 4", got)
+	}
+	for i, id := range order {
+		_, err := s.Get(id)
+		if gone := i < 4 || i == 6; gone != errors.Is(err, run.ErrNotFound) {
+			t.Errorf("finish-order position %d (%s): Get = %v, want gone=%v", i, id, err, gone)
+		}
+	}
+	for _, id := range []string{queued, running} {
+		if _, err := s.Get(id); err != nil {
+			t.Errorf("non-terminal run %s evicted: %v", id, err)
+		}
+	}
+}
+
+// testHammer is the -race case: writers drive whole lifecycles and evict
+// after every finish, the way the dispatcher does, while readers list,
+// count and long-poll. Afterwards exactly keep terminal runs remain, the
+// bystanders are as they were, and no Await that found its run came back
+// with anything but a terminal snapshot.
+func testHammer(t *testing.T, newStore Factory) {
+	const writers, cycles, keep = 8, 40, 16
+	s := newStore(t)
+	queued := create(t, s).ID
+	running := create(t, s).ID
+	begin(t, s, running)
+
+	stop := make(chan struct{})
+	var readers, work sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				list := s.List()
+				for i := 1; i < len(list); i++ {
+					if run.CompareRuns(list[i-1], list[i]) >= 0 {
+						t.Errorf("List out of order at %d", i)
+					}
+				}
+				if n := s.CountByState()[run.StateRunning]; n < 1 || n > 1+writers {
+					t.Errorf("CountByState[running] = %d, want 1..%d", n, 1+writers)
+				}
+				// Yield, or on a small box a writer woken by the RUnlock
+				// above waits out a preemption tick for a P.
+				runtime.Gosched()
+			}
+		}()
+	}
+	var awaited atomic.Int64
+	for w := 0; w < writers; w++ {
+		work.Add(1)
+		go func() {
+			defer work.Done()
+			for i := 0; i < cycles; i++ {
+				r, err := s.Create(spec())
+				if err != nil {
+					t.Errorf("Create: %v", err)
+					return
+				}
+				work.Add(1)
+				go func() {
+					defer work.Done()
+					// The run may already be finished and evicted by the
+					// time this goroutine is scheduled; found, it is terminal.
+					got, err := s.Await(context.Background(), r.ID)
+					switch {
+					case err == nil && got.State.Terminal():
+						awaited.Add(1)
+					case !errors.Is(err, run.ErrNotFound):
+						t.Errorf("Await(%s) = state %s, %v; want a terminal snapshot", r.ID, got.State, err)
+					}
+				}()
+				if _, err := s.Begin(r.ID, time.Now(), "", func() {}); err != nil {
+					t.Errorf("Begin: %v", err)
+				}
+				if _, err := s.Finish(r.ID, &run.Result{Match: true}, nil); err != nil {
+					t.Errorf("Finish: %v", err)
+				}
+				s.EvictTerminal(keep)
+			}
+		}()
+	}
+	work.Wait()
+	close(stop)
+	readers.Wait()
+
+	counts := s.CountByState()
+	if counts[run.StateSucceeded] != keep || s.Len() != keep+2 {
+		t.Errorf("after the hammer: %d succeeded of %d runs, want %d of %d", counts[run.StateSucceeded], s.Len(), keep, keep+2)
+	}
+	if r, err := s.Get(queued); err != nil || r.State != run.StateQueued {
+		t.Errorf("queued bystander = %+v, %v", r, err)
+	}
+	if r, err := s.Get(running); err != nil || r.State != run.StateRunning {
+		t.Errorf("running bystander = %+v, %v", r, err)
+	}
+	if awaited.Load() == 0 {
+		t.Error("no Await ever observed its run")
 	}
 }
 
