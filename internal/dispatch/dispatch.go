@@ -301,6 +301,7 @@ type instruments struct {
 	runDuration  *metrics.HistogramVec // dagd_run_duration_seconds{workload,shape}
 	runNodes     *metrics.CounterVec   // dagd_run_nodes_total{workload}
 	redispatched *metrics.CounterVec   // dagd_runs_redispatched_total{tenant}
+	evicted      *metrics.Counter      // dagd_runs_evicted_total
 }
 
 // newInstruments registers the dispatcher's metric families. reg may be nil.
@@ -331,6 +332,8 @@ func newInstruments(reg *metrics.Registry) instruments {
 			"DAG nodes executed by completed runs.", "workload"),
 		redispatched: reg.CounterVec("dagd_runs_redispatched_total",
 			"Runs requeued after their worker lease expired (Restarts incremented).", "tenant"),
+		evicted: reg.Counter("dagd_runs_evicted_total",
+			"Terminal runs dropped from the store for exceeding the retention bound, oldest-finished first."),
 	}
 }
 
@@ -390,6 +393,13 @@ func New(store run.Store, opts Options) *Dispatcher {
 			d.met.oldestAge.With(name, prio).Set(age)
 		}
 	})
+
+	// Apply the retention bound to whatever the store came up holding: a
+	// durable store logs no evictions, so a replay can hand back runs that
+	// were evicted after their shard last compacted — all older than
+	// anything retained, and trimmed here before a worker or a reader can
+	// see them.
+	d.evict()
 
 	if !opts.Remote {
 		for i := 0; i < opts.Dispatchers; i++ {
@@ -637,7 +647,7 @@ func (d *Dispatcher) Cancel(id string) (run.Run, error) {
 		// The run reached a terminal state without ever being leased, so
 		// complete will neither count it nor evict past the retention bound.
 		d.met.completed.With(r.Spec.Tenant, run.StateCancelled.String()).Inc()
-		d.store.EvictTerminal(d.opts.RetainRuns)
+		d.evict()
 	}
 	return r, err
 }
@@ -689,6 +699,11 @@ func (d *Dispatcher) drain(ctx context.Context) error {
 		d.cond.Wait()
 	}
 	return nil
+}
+
+// evict drops terminal history past the retention bound.
+func (d *Dispatcher) evict() {
+	d.met.evicted.Add(float64(d.store.EvictTerminal(d.opts.RetainRuns)))
 }
 
 // release returns a leased in-flight slot, waking Lease callers that may

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/gen"
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/metrics"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/run"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/tenant"
 )
@@ -183,7 +184,7 @@ func TestTerminalRunRetention(t *testing.T) {
 // reaches complete, so Cancel itself must apply the retention bound — on a
 // coordinator with no workers, submit → cancel is the only path there is.
 func TestCancelQueuedHonoursRetention(t *testing.T) {
-	store, d := newDispatcher(t, Options{QueueDepth: 8, Remote: true, RetainRuns: 4})
+	store, d := newDispatcher(t, Options{QueueDepth: 8, Remote: true, RetainRuns: 4, Metrics: metrics.NewRegistry()})
 	for i := 0; i < 32; i++ {
 		r, err := d.Submit(pipelineSpec(5, 2, 0))
 		if err != nil {
@@ -195,6 +196,37 @@ func TestCancelQueuedHonoursRetention(t *testing.T) {
 	}
 	if n := store.Len(); n > 4 {
 		t.Errorf("store holds %d cancelled runs with RetainRuns=4", n)
+	}
+	if n := d.met.evicted.Value(); n != 28 {
+		t.Errorf("dagd_runs_evicted_total = %v after 32 cancellations with RetainRuns=4, want 28", n)
+	}
+}
+
+// TestNewAppliesRetention: a durable store logs no evictions, so what it
+// replays can exceed the bound; New trims it before any worker or reader
+// sees it, and counts what it dropped.
+func TestNewAppliesRetention(t *testing.T) {
+	store := run.NewMemStore()
+	var ids []string
+	for i := 0; i < 6; i++ {
+		r, _ := store.Create(pipelineSpec(5, 2, 0))
+		if _, err := store.Cancel(r.ID); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, r.ID)
+	}
+	d := New(store, Options{RetainRuns: 2, Remote: true, Metrics: metrics.NewRegistry()})
+	defer d.Shutdown(context.Background())
+	if n := store.Len(); n != 2 {
+		t.Fatalf("store holds %d runs behind a fresh dispatcher with RetainRuns=2", n)
+	}
+	for _, id := range ids[4:] {
+		if _, err := store.Get(id); err != nil {
+			t.Errorf("newest-finished run %s trimmed: %v", id, err)
+		}
+	}
+	if n := d.met.evicted.Value(); n != 4 {
+		t.Errorf("dagd_runs_evicted_total = %v, want 4", n)
 	}
 }
 

@@ -45,10 +45,11 @@ func (d *Dispatcher) work() {
 
 // Lease blocks until a queued run matching the worker's supported
 // workloads is scheduled to it, then transitions the run to running
-// (store.Begin, attributing it to worker and logging the grant through
-// the WAL-backed store) and returns the running snapshot. It returns
-// ctx.Err() when the caller gives up waiting (long-poll deadline),
-// ErrShuttingDown once a drain has begun and the queues are empty.
+// (store.Begin, attributing it to worker; the WAL-backed store logs the
+// grant without waiting for it to be durable) and returns the running
+// snapshot. It returns ctx.Err() when the caller gives up waiting
+// (long-poll deadline), ErrShuttingDown once a drain has begun and the
+// queues are empty.
 //
 // supports filters which queue entries this worker may take, by workload
 // name and DAG shape (nil accepts everything); a tenant whose queued work
@@ -98,10 +99,10 @@ func (d *Dispatcher) Lease(ctx context.Context, worker string, supports func(wor
 		tq.inflight++
 		d.leased[picked.id] = &leaseEntry{tq: tq, workload: picked.workload, shape: picked.shape}
 		now := time.Now()
-		d.met.queueWait.With(tq.cfg.Name).Observe(now.Sub(picked.at).Seconds())
 		d.mu.Unlock()
 
-		// Begin outside mu: the WAL-backed store fsyncs here.
+		// Begin outside mu: the WAL-backed store appends its begin record
+		// here (a write under the run's shard lock, not an fsync).
 		r, err := d.store.Begin(picked.id, now, worker, func() { onCancel(picked.id) })
 		if err != nil {
 			if errors.Is(err, run.ErrNotQueued) || errors.Is(err, run.ErrNotFound) {
@@ -122,6 +123,8 @@ func (d *Dispatcher) Lease(ctx context.Context, worker string, supports func(wor
 			// log.
 			log.Printf("dispatch: recording lease of %s by %q: %v (leasing anyway)", picked.id, worker, err)
 		}
+		// Only a granted lease counts as a queue wait.
+		d.met.queueWait.With(tq.cfg.Name).Observe(now.Sub(picked.at).Seconds())
 		return r, nil
 	}
 }
@@ -158,7 +161,7 @@ func (d *Dispatcher) complete(id string, result *run.Result, runErr error) (run.
 		}
 	}
 	d.release(le.tq, true)
-	d.store.EvictTerminal(d.opts.RetainRuns)
+	d.evict()
 	return fr, ferr
 }
 

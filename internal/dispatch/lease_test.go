@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/metrics"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/run"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/tenant"
 )
@@ -77,6 +78,34 @@ func TestLeaseCompleteLifecycle(t *testing.T) {
 	// Double completion: the lease is gone.
 	if _, err := d.CompleteLease(r.ID, run.StateSucceeded, "", nil); !errors.Is(err, ErrNotLeased) {
 		t.Errorf("second CompleteLease = %v, want ErrNotLeased", err)
+	}
+}
+
+// TestQueueWaitCountsGrantedLeasesOnly: a run cancelled while queued whose
+// entry Lease pops before Cancel unlinks it is skipped, not leased, and must
+// not leave a sample in dagd_queue_wait_seconds. Cancelling through the
+// store leaves the stale entry in place deterministically.
+func TestQueueWaitCountsGrantedLeasesOnly(t *testing.T) {
+	store, d := newRemoteDispatcher(t, Options{QueueDepth: 8, Metrics: metrics.NewRegistry()})
+	victim, err := d.Submit(pipelineSpec(5, 2, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower, err := d.Submit(pipelineSpec(5, 2, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Cancel(victim.ID); err != nil {
+		t.Fatal(err)
+	}
+	if r := lease(t, d, "w1"); r.ID != follower.ID {
+		t.Fatalf("leased %s, want the follower %s (the cancelled run is skipped)", r.ID, follower.ID)
+	}
+	if n := d.met.queueWait.With(tenant.Default).Count(); n != 1 {
+		t.Errorf("dagd_queue_wait_seconds holds %d samples after 1 granted lease", n)
+	}
+	if _, err := d.CompleteLease(follower.ID, run.StateSucceeded, "", nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

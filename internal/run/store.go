@@ -62,7 +62,10 @@ type Store interface {
 	// MemStore.Delete for the semantics).
 	Delete(id string) error
 	// EvictTerminal deletes the oldest-finished terminal runs so at most
-	// keep remain, returning how many were evicted.
+	// keep remain, returning how many were evicted. Retention is a rule,
+	// not a transition: a durable backend records nothing here and may
+	// come back from a restart holding more than keep, so whoever owns the
+	// bound applies it again before serving (dispatch.New does).
 	EvictTerminal(keep int) int
 	// Close releases backend resources (file handles, buffers). The
 	// in-memory store's Close is a no-op.
@@ -293,27 +296,21 @@ func (s *MemStore) Len() int {
 // keep remain, and returns how many were evicted. Queued and running runs
 // are never touched. keep <= 0 is a no-op (unlimited retention). The
 // dispatcher calls this after each finish so a long-running dagd holds a
-// bounded history instead of growing without bound.
+// bounded history instead of growing without bound. Victims come off the
+// front of the finish order (CompareFinished), so a sweep costs the number
+// of runs it evicts, not the size of the history.
 func (s *MemStore) EvictTerminal(keep int) int {
-	return len(s.EvictTerminalIDs(keep))
-}
-
-// EvictTerminalIDs is EvictTerminal returning the evicted IDs instead of a
-// count, so a durable wrapper can log a deletion record per evicted run.
-// Victims come off the front of the finish order (CompareFinished), so a
-// sweep costs the number of runs it evicts, not the size of the history.
-func (s *MemStore) EvictTerminalIDs(keep int) []string {
 	if keep <= 0 {
-		return nil
+		return 0
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var evicted []string
+	evicted := 0
 	for s.finished.Len() > keep {
 		t := s.finished.Front().Value.(*tracked)
 		s.unfile(t)
 		delete(s.runs, t.run.ID)
-		evicted = append(evicted, t.run.ID)
+		evicted++
 	}
 	return evicted
 }
@@ -368,15 +365,24 @@ func (s *MemStore) Requeue(id string) (Run, error) {
 	if t.run.State != StateRunning {
 		return t.run, fmt.Errorf("%w (state %s)", ErrNotRunning, t.run.State)
 	}
-	t.run.State = StateQueued
-	t.run.Restarts++
-	t.run.DispatchedAt = nil
-	t.run.StartedAt = nil
-	t.run.Worker = ""
-	t.run.Result = nil
-	t.run.Error = ""
+	RequeueSnapshot(&t.run)
 	t.cancel = nil
 	return t.run, nil
+}
+
+// RequeueSnapshot turns an interrupted run's snapshot into the queued one
+// its retry starts from: Restarts incremented, every execution-side field
+// cleared. Requeue applies it to a live run whose lease expired; the WAL
+// store's crash recovery applies it to runs the log shows queued or
+// running, so both read the same to a client.
+func RequeueSnapshot(r *Run) {
+	r.State = StateQueued
+	r.Restarts++
+	r.DispatchedAt = nil
+	r.StartedAt = nil
+	r.Worker = ""
+	r.Result = nil
+	r.Error = ""
 }
 
 // Finish transitions a running run to its terminal state: cancelled if err

@@ -123,7 +123,9 @@ func TestHealthzConsistentSnapshotUnderLoad(t *testing.T) {
 // though observations land concurrently with rendering. A final quiesced
 // scrape must show the core families with non-zero values.
 func TestMetricsScrapeMidLoad(t *testing.T) {
-	ts := newTestServer(t, core.ServiceOptions{QueueDepth: 256, Dispatchers: 2})
+	// A retention bound the load overruns at once, so the eviction counter
+	// is part of the non-zero contract below.
+	ts := newTestServer(t, core.ServiceOptions{QueueDepth: 256, Dispatchers: 2, RetainRuns: 8})
 
 	stop := make(chan struct{})
 	wg := hammerSubmits(t, ts.URL, []string{""}, 3, stop)
@@ -161,6 +163,7 @@ func TestMetricsScrapeMidLoad(t *testing.T) {
 	for _, name := range []string{
 		"dagd_submits_total",
 		"dagd_runs_completed_total",
+		"dagd_runs_evicted_total",
 		"dagd_queue_wait_seconds",
 		"dagd_run_duration_seconds",
 		"dagd_http_requests_total",

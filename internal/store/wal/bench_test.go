@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/gen"
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/metrics"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/run"
 )
 
@@ -133,4 +134,42 @@ func BenchmarkWALFinishParallel(b *testing.B) {
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "runs/sec")
 		})
 	}
+}
+
+// BenchmarkRunLifecycleFsync is one run as a loaded dagd drives it with
+// -fsync — Create → Begin → Finish → EvictTerminal(keep) on one shard
+// already holding keep terminal runs, so every op evicts one. What it costs
+// is the two awaited appends (fsyncs/op ≈ 2): the begin record rides the
+// finish's fsync and the eviction writes nothing.
+func BenchmarkRunLifecycleFsync(b *testing.B) {
+	const keep = 4096
+	dir := b.TempDir()
+	opts := Options{Shards: 1, CompactThreshold: -1, SegmentMaxBytes: 1 << 30}
+	// Fill without fsync, then reopen with it: the history replays.
+	fill, _, err := Open(dir, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < keep; i++ {
+		lifecycle(b, fill, func() {})
+	}
+	if err := fill.Close(); err != nil {
+		b.Fatal(err)
+	}
+	opts.Fsync = true
+	opts.Metrics = metrics.NewRegistry()
+	s, _, err := Open(dir, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	fsyncs := s.shards[0].met.fsyncs
+	before := fsyncs.Value()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lifecycle(b, s, func() {})
+		s.EvictTerminal(keep)
+	}
+	b.StopTimer()
+	b.ReportMetric((fsyncs.Value()-before)/float64(b.N), "fsyncs/op")
 }

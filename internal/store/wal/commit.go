@@ -14,11 +14,12 @@ const fsyncMaxDelay = 2 * time.Millisecond
 
 // groupCommit is one shard's fsync batcher. Appends write their record to
 // the active segment under the shard lock, take a ticket (written), release
-// the lock, and park in await until the committer goroutine has fsynced
-// past their ticket. One fsync therefore covers every record written since
-// the previous one — under concurrent load, K per-record fsyncs collapse
-// into ~1 — without weakening the durability contract: an append does not
-// return until its record is on disk.
+// the lock, and — all but Begin, whose record rides the next batch — park
+// in await until the committer goroutine has fsynced past their ticket. One
+// fsync therefore covers every record written since the previous one —
+// under concurrent load, K per-record fsyncs collapse into ~1 — without
+// weakening the durability contract: an awaited append does not return
+// until its record is on disk.
 //
 // Durability can also be advanced without a committer fsync: sealing a
 // segment (rotation, compaction's swap, Close) syncs the file first and

@@ -26,7 +26,7 @@ const (
 	opCancelReq = "cancelreq" // cancellation acknowledged on a running run
 	opRequeue   = "requeue"   // interrupted → queued on recovery
 	opPut       = "put"       // compaction baseline / recovery-repair snapshot
-	opDel       = "del"       // run removed (eviction or submit rollback)
+	opDel       = "del"       // run removed (submit rollback; evictions in older logs)
 )
 
 // record is the JSON payload of one framed WAL entry.

@@ -206,8 +206,10 @@ func TestRecoveryTwice(t *testing.T) {
 	}
 }
 
-// TestEvictionAndDeletePersist pins that del records replay: evicted and
-// deleted runs stay gone after a restart.
+// TestEvictionAndDeletePersist pins the two ways a run leaves the store.
+// A delete is a logged transition: the run stays gone after a restart. An
+// eviction is not logged: replay hands the victims back, and re-applying
+// the bound leaves exactly the runs that were retained before the restart.
 func TestEvictionAndDeletePersist(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir, wal.Options{})
@@ -231,16 +233,25 @@ func TestEvictionAndDeletePersist(t *testing.T) {
 	if len(recovered) != 0 {
 		t.Fatalf("recovered %d runs, want 0", len(recovered))
 	}
+	if _, err := s2.Get(dropped.ID); !errors.Is(err, run.ErrNotFound) {
+		t.Errorf("deleted run %s resurrected by replay", dropped.ID)
+	}
+	// Nothing compacted in between, so replay saw all six.
+	if n := s2.EvictTerminal(2); n != 4 {
+		t.Fatalf("EvictTerminal(2) after restart = %d, want 4", n)
+	}
 	if got := s2.Len(); got != 2 {
 		t.Fatalf("Len after restart = %d, want 2 retained runs", got)
 	}
 	for _, id := range ids[:4] {
 		if _, err := s2.Get(id); !errors.Is(err, run.ErrNotFound) {
-			t.Errorf("evicted run %s resurrected by replay", id)
+			t.Errorf("evicted run %s survived the bound after restart", id)
 		}
 	}
-	if _, err := s2.Get(dropped.ID); !errors.Is(err, run.ErrNotFound) {
-		t.Errorf("deleted run %s resurrected by replay", dropped.ID)
+	for _, id := range ids[4:] {
+		if got, err := s2.Get(id); err != nil || got.State != run.StateSucceeded {
+			t.Errorf("retained run %s after restart = %+v, %v", id, got, err)
+		}
 	}
 }
 
@@ -248,8 +259,8 @@ func TestEvictionAndDeletePersist(t *testing.T) {
 // written under unlimited retention. Open hands that history to the
 // MemStore in finish order (restoring it in replay's map order is quadratic
 // and this test crawls), so the first EvictTerminal(10) after boot leaves
-// exactly the 10 newest by the records' FinishedAt — and a second boot
-// shows the same 10: an evicted run never reappears.
+// exactly the 10 newest by the records' FinishedAt — and a second boot,
+// once the same bound is applied to what it replayed, shows the same 10.
 func TestReplayOrderAtScale(t *testing.T) {
 	const total, keep = 20000, 10
 	dir := t.TempDir()
@@ -289,6 +300,7 @@ func TestReplayOrderAtScale(t *testing.T) {
 
 	s3, _ := mustOpen(t, dir, wal.Options{})
 	defer s3.Close()
+	s3.EvictTerminal(keep)
 	survivors(s3)
 }
 

@@ -1,8 +1,11 @@
 // Package wal is the durable run.Store implementation: an append-only
 // write-ahead log of run state transitions layered over the in-memory
-// MemStore. Reads are served from memory; every mutation is recorded to
-// disk before the call returns, so a crashed dagd rebuilds its full run
-// history — and re-admits interrupted work — by replaying the log on boot.
+// MemStore. Reads are served from memory; every state transition is
+// appended to the log in the order memory applied it, so a crashed dagd
+// rebuilds its run history — and re-admits interrupted work — by replaying
+// the log on boot. Which appends a caller waits on is listed under
+// "Awaited and ordered" below; eviction is not a transition and writes
+// nothing.
 //
 // # On-disk layout
 //
@@ -35,15 +38,42 @@
 //
 // where the payload is one JSON-encoded record: an op name plus either a
 // full post-transition run snapshot ("create", "begin", "finish", "cancel",
-// "requeue", "put") or a bare run ID ("del", written for evictions and
-// deletes). Carrying the full snapshot makes replay trivially idempotent —
-// the last record for an ID wins — and means a reordered or partially
-// missing history still converges to a valid state.
+// "requeue", "put") or a bare run ID ("del", written when a submit is
+// rolled back; older logs also hold one per evicted run and replay honours
+// them). Carrying the full snapshot makes replay trivially idempotent — the
+// last record for an ID wins — and means a reordered or partially missing
+// history still converges to a valid state.
+//
+// # Awaited and ordered
+//
+//   - Awaited — the call returns only once the record is written (and, with
+//     Options.Fsync, fsynced): Create (the client's 202), Finish, Cancel
+//     (both the terminal record and the cancel-request), Requeue, Delete,
+//     and the requeue/put records Open itself writes. These are the
+//     transitions a client is told about.
+//   - Ordered only — Begin. Its record is appended under the shard lock, so
+//     it sits ahead of the run's finish in the same shard and the finish's
+//     fsync covers it, but nothing waits on it. Losing it to a power
+//     failure replays the run as queued instead of running, and Open treats
+//     the two identically (requeue, Restarts+1): the loss is unobservable.
+//   - Not logged — EvictTerminal. The retained history is by definition the
+//     newest keep terminal runs in run.CompareFinished order. Memory
+//     enforces that after every completion; evicted runs leave the disk at
+//     their shard's next compaction (which snapshots memory); a replay
+//     before then resurrects them, every one older than anything retained,
+//     and the dispatcher's EvictTerminal in dispatch.New — before any
+//     worker starts or a recovered run is re-admitted — trims them again,
+//     so no reader ever sees one.
+//
+// Two honest edges: reopening with a larger bound can bring back runs
+// evicted since the last compaction (true history, never wrong data), and
+// with compaction disabled (CompactThreshold < 0) replay's working set is
+// every run ever logged, not keep.
 //
 // # Durability: group-commit fsync
 //
-// With Options.Fsync on, an append does not return until its record is on
-// disk — but the fsync itself is batched per shard: every record that
+// With Options.Fsync on, an awaited append does not return until its record
+// is on disk — but the fsync itself is batched per shard: every record that
 // arrives while a sync is in flight joins the next batch and is covered by
 // one fsync (the batch accumulates for at most 2ms), so K concurrent appends
 // cost ~1 fsync instead of K without weakening the contract. A lone append
@@ -86,7 +116,6 @@ package wal
 import (
 	"context"
 	"fmt"
-	"log"
 	"os"
 	"sort"
 	"sync"
@@ -100,8 +129,8 @@ import (
 // Options configures a WAL store.
 type Options struct {
 	// Fsync makes every acknowledged transition durable against power loss,
-	// not just process crash: an append does not return until its record is
-	// fsynced. Off by default — the OS page cache survives SIGKILL. Syncs
+	// not just process crash: an awaited append (see the package doc) does
+	// not return until its record is fsynced. Off by default — the OS page cache survives SIGKILL. Syncs
 	// are group-committed per shard (see groupCommit), so the cost under
 	// concurrent load is ~1 fsync per batch, not per record. Compaction
 	// snapshots are always fsynced before old segments are removed,
@@ -255,12 +284,7 @@ func Open(dir string, opts Options) (*Store, []run.Run, error) {
 			continue
 		}
 		// interrupted → queued: the process died before this run finished.
-		r.State = run.StateQueued
-		r.DispatchedAt = nil
-		r.StartedAt = nil
-		r.Result = nil
-		r.Error = ""
-		r.Restarts++
+		run.RequeueSnapshot(&r)
 		if err := r.Spec.Validate(); err != nil {
 			// Reachable when a newer dagd tightened admission bounds over
 			// specs an older one logged (or the log was hand-edited — CRC
@@ -362,25 +386,23 @@ func (s *Store) Create(spec run.Spec) (run.Run, error) {
 }
 
 // Begin transitions queued → running (see run.Store). The transition is
-// applied in memory and logged under the run's shard lock — so the record
-// order on disk matches memory order — then awaited durable outside it; a
-// log failure is returned but the in-memory transition stands — memory is
-// the source of truth while the process lives, and the next compaction
-// re-syncs the log.
+// applied in memory and appended under the run's shard lock, so the record
+// lands ahead of the run's finish, whose group commit covers it; nothing
+// waits on it. A begin record lost to power failure replays the run as
+// queued, which Open re-admits exactly as it does a running one — no
+// client was ever told otherwise. An append failure is returned but the
+// in-memory transition stands — memory is the source of truth while the
+// process lives, and the next compaction re-syncs the log.
 func (s *Store) Begin(id string, dispatchedAt time.Time, worker string, cancel context.CancelFunc) (run.Run, error) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	r, err := s.mem.Begin(id, dispatchedAt, worker, cancel)
 	if err != nil {
-		sh.mu.Unlock()
 		return r, err
 	}
-	ticket, err := sh.appendLocked(record{Op: opBegin, Run: &r})
-	sh.mu.Unlock()
-	if err != nil {
-		return r, err
-	}
-	return r, sh.waitDurable(ticket)
+	_, err = sh.appendLocked(record{Op: opBegin, Run: &r})
+	return r, err
 }
 
 // Requeue moves a running run back to queued (see run.Store) — the live
@@ -480,44 +502,14 @@ func (s *Store) Delete(id string) error {
 	return sh.waitDurable(ticket)
 }
 
-// EvictTerminal evicts oldest-finished terminal runs past keep, logging a
-// deletion per victim so replay converges to the same bounded history. The
-// deletions are appended per shard and awaited once per shard (group commit
-// covers a whole batch with one fsync).
-func (s *Store) EvictTerminal(keep int) int {
-	ids := s.mem.EvictTerminalIDs(keep)
-	if len(ids) == 0 {
-		return 0
-	}
-	perShard := make(map[*walShard][]string)
-	for _, id := range ids {
-		sh := s.shardFor(id)
-		perShard[sh] = append(perShard[sh], id)
-	}
-	for sh, victims := range perShard {
-		var last uint64
-		sh.mu.Lock()
-		for _, id := range victims {
-			delete(sh.cancelReq, id)
-			ticket, err := sh.appendLocked(record{Op: opDel, ID: id})
-			if err != nil {
-				// The run is gone from memory but not the log: after a crash
-				// it would be resurrected until the next successful eviction
-				// or compaction trims it again. Harmless beyond disk space.
-				log.Printf("wal: logging eviction of %s: %v", id, err)
-				continue
-			}
-			if ticket > last {
-				last = ticket
-			}
-		}
-		sh.mu.Unlock()
-		if err := sh.waitDurable(last); err != nil {
-			log.Printf("wal: syncing evictions in %s: %v", shardDirName(sh.index), err)
-		}
-	}
-	return len(ids)
-}
+// EvictTerminal evicts oldest-finished terminal runs past keep (see
+// run.Store) and writes nothing: the retained history is by definition the
+// newest keep terminal runs in run.CompareFinished order, so the log needs
+// no record of who fell off the end. Victims leave the disk at their
+// shard's next compaction; a replay before that resurrects them — always
+// older than everything retained — and the caller's first EvictTerminal
+// after Open trims them again.
+func (s *Store) EvictTerminal(keep int) int { return s.mem.EvictTerminal(keep) }
 
 // Get returns a snapshot of one run (read-only; served from memory).
 func (s *Store) Get(id string) (run.Run, error) { return s.mem.Get(id) }
