@@ -43,6 +43,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/gen"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/metrics"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/run"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/tenant"
@@ -526,11 +527,16 @@ func (d *Dispatcher) Snapshot() Snapshot {
 // write.
 func (d *Dispatcher) Submit(spec run.Spec) (run.Run, error) {
 	// Stamp the service defaults before validation so the stored spec (and
-	// any 400 for a bad default) reflects what will actually execute. The
-	// tenant attribution is resolved here — never trusted from the spec —
-	// so unknown names collapse onto the catch-all default tenant.
+	// any 400 for a bad default) reflects what will actually execute — the
+	// generator version too, so a replayed record keeps denoting the graph
+	// it was admitted as after a later version becomes current. The tenant
+	// attribution is resolved here — never trusted from the spec — so
+	// unknown names collapse onto the catch-all default tenant.
 	if spec.Workload == "" {
 		spec.Workload = d.opts.DefaultWorkload
+	}
+	if spec.GenVersion == 0 {
+		spec.GenVersion = gen.CurrentVersion
 	}
 	cfg := d.opts.Tenants.Resolve(spec.Tenant)
 	spec.Tenant = cfg.Name

@@ -93,6 +93,41 @@ func TestUnknownDefaultWorkloadFailsSubmit(t *testing.T) {
 	}
 }
 
+// TestGenVersionStamped pins the generator version at admission: an absent
+// gen_version is stored as the current one, and an explicit 1 is kept and
+// executes version 1's graph. (Versions outside 0..2 are TestErrorPaths'
+// 400s.)
+func TestGenVersionStamped(t *testing.T) {
+	store, d := newDispatcher(t, Options{QueueDepth: 8, Dispatchers: 1})
+	random := func(version int) run.Spec {
+		return run.Spec{Config: gen.Config{Shape: gen.Random, Nodes: 300, EdgeProb: 0.02, Seed: 5, GenVersion: version}}
+	}
+	sinks := map[int]uint64{}
+	for _, v := range []int{1, 2} {
+		res, err := run.Execute(context.Background(), random(v), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sinks[v] = res.SinkPaths
+	}
+	if sinks[1] == sinks[2] {
+		t.Fatalf("v1 and v2 give the same sink value %d; pick a seed that tells them apart", sinks[1])
+	}
+	for _, tc := range []struct{ submitted, stored int }{{0, gen.CurrentVersion}, {1, 1}, {2, 2}} {
+		r, err := d.Submit(random(tc.submitted))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Spec.GenVersion != tc.stored {
+			t.Errorf("gen_version %d stored as %d, want %d", tc.submitted, r.Spec.GenVersion, tc.stored)
+		}
+		got := waitForState(t, store, r.ID, run.StateSucceeded)
+		if got.Result.SinkPaths != sinks[tc.stored] {
+			t.Errorf("gen_version %d executed to sink %d, want v%d's %d", tc.submitted, got.Result.SinkPaths, tc.stored, sinks[tc.stored])
+		}
+	}
+}
+
 func TestSubmitInvalidSpec(t *testing.T) {
 	_, d := newDispatcher(t, Options{QueueDepth: 2, Dispatchers: 1})
 	if _, err := d.Submit(run.Spec{Config: gen.Config{Shape: gen.Random, Nodes: 1}}); err == nil {

@@ -10,14 +10,19 @@ var benchSink *dag.DAG
 
 // BenchmarkGenerate times graph construction over the three static shapes
 // of the benchmark's engine_fine workload, where run.Execute pays for it on
-// every run. ns/edge is the figure to compare across shapes: for random it
-// carries the n²/2 draws, for the other two it is the freeze alone.
+// every run, plus the service mix's random graph. The _v1 case is the same
+// spec under generator version 1, so one run shows the skip sampler against
+// the n²/2 draws it replaced. ns/edge is the figure to compare across
+// shapes: for v1 random it carries the per-pair draws, for v2 one draw per
+// edge, for the other two shapes the freeze alone.
 func BenchmarkGenerate(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		cfg  Config
 	}{
 		{"random_n2000_p0.01", Config{Shape: Random, Nodes: 2000, EdgeProb: 0.01, Seed: 1}},
+		{"random_n2000_p0.01_v1", Config{Shape: Random, Nodes: 2000, EdgeProb: 0.01, Seed: 1, GenVersion: 1}},
+		{"random_n200_p0.02", Config{Shape: Random, Nodes: 200, EdgeProb: 0.02, Seed: 1}},
 		{"pipeline_2000x8", Config{Shape: Pipeline, Stages: 2000, Width: 8}},
 		{"chain_n100000", Config{Shape: Chain, Nodes: 100000}},
 	} {

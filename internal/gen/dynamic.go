@@ -67,7 +67,7 @@ func NewDynamic(cfg Config, limits DynLimits) (*Dyn, error) {
 	if cfg.Width < 1 {
 		return nil, fmt.Errorf("gen: dynamic dag needs width >= 1, got %d", cfg.Width)
 	}
-	if cfg.EdgeProb < 0 || cfg.EdgeProb > 1 {
+	if !(cfg.EdgeProb >= 0 && cfg.EdgeProb <= 1) { // NaN fails it too
 		return nil, fmt.Errorf("gen: edge probability %v outside [0,1]", cfg.EdgeProb)
 	}
 	return &Dyn{

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -67,6 +68,9 @@ func TestNewDynamicValidation(t *testing.T) {
 		{Shape: Dynamic, Stages: 4, Width: 0},
 		{Shape: Dynamic, Stages: 4, Width: 2, EdgeProb: -0.1},
 		{Shape: Dynamic, Stages: 4, Width: 2, EdgeProb: 1.1},
+		{Shape: Dynamic, Stages: 4, Width: 2, EdgeProb: math.NaN()},
+		{Shape: Dynamic, Stages: 4, Width: 2, EdgeProb: math.Inf(1)},
+		{Shape: Dynamic, Stages: 4, Width: 2, EdgeProb: math.Inf(-1)},
 	}
 	for _, cfg := range bad {
 		if _, err := NewDynamic(cfg, DynLimits{}); err == nil {

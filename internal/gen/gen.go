@@ -22,9 +22,10 @@
 //     (Nabbit's dynamic mode): the graph is never built up front — see
 //     dynamic.go for the lazy expander the scheduler grows mid-run.
 //
-// All randomness flows from Config.Seed, so a given Config always produces
-// an identical DAG (Explicit involves no randomness at all, Chain only
-// depends on its node count).
+// All randomness flows from (Config.Seed, Config.GenVersion), so a given
+// Config always produces an identical DAG (Explicit involves no randomness
+// at all, Chain only depends on its node count). GenVersion names the
+// generator a graph was drawn with; only Random differs between versions.
 package gen
 
 import (
@@ -32,6 +33,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	randv2 "math/rand/v2"
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/dag"
 )
@@ -142,15 +144,29 @@ type Config struct {
 	EdgeProb float64 `json:"p,omitempty"`      // forward-edge probability p (Random only)
 	Stages   int     `json:"stages,omitempty"` // pipeline depth (Pipeline only)
 	Width    int     `json:"width,omitempty"`  // pipeline width (Pipeline only)
-	Seed     int64   `json:"seed,omitempty"`   // PRNG seed; equal seeds give equal DAGs
+	Seed     int64   `json:"seed,omitempty"`   // PRNG seed; equal seeds give equal DAGs under one GenVersion
 	Edges    []Edge  `json:"edges,omitempty"`  // explicit edge list (Explicit only)
+	// GenVersion selects the generator a seed is drawn with: 1 tests every
+	// forward pair of a random DAG, 2 skips between present pairs. 0 means
+	// CurrentVersion; the service stamps the number at admission so a
+	// logged spec keeps denoting the graph it was admitted as.
+	GenVersion int `json:"gen_version,omitempty"`
 }
+
+// CurrentVersion is the generator version a zero Config.GenVersion means.
+const CurrentVersion = 2
 
 // Generate builds the DAG described by cfg. The dynamic shape has no
 // up-front graph by design — callers execute it through NewDynamic instead.
 func Generate(cfg Config) (*dag.DAG, error) {
+	if cfg.GenVersion < 0 || cfg.GenVersion > CurrentVersion {
+		return nil, fmt.Errorf("gen: unknown gen_version %d (want 1..%d, or 0 for the current one)", cfg.GenVersion, CurrentVersion)
+	}
 	switch cfg.Shape {
 	case Random:
+		if cfg.GenVersion == 1 {
+			return randomDAGv1(cfg.Nodes, cfg.EdgeProb, cfg.Seed)
+		}
 		return RandomDAG(cfg.Nodes, cfg.EdgeProb, cfg.Seed)
 	case Pipeline:
 		return PipelineDAG(cfg.Stages, cfg.Width)
@@ -194,53 +210,149 @@ func ExplicitDAG(n int, edges []Edge) (*dag.DAG, error) {
 	return dag.FromEdges(n, list)
 }
 
-// RandomDAG generates a random DAG with n nodes. Every forward pair (i, j)
-// with i < j gets an edge with probability p. To keep the source→sink path
-// count well defined, every node except 0 is guaranteed at least one parent
-// and every node except n-1 at least one child (fill-in edges are drawn from
-// the same seeded PRNG, so the result is still fully deterministic).
+// RandomDAG generates a random DAG with n nodes, the current (version 2)
+// generator. Every forward pair (i, j) with i < j gets an edge with
+// probability p. To keep the source→sink path count well defined, every node
+// except 0 is guaranteed at least one parent and every node except n-1 at
+// least one child (fill-in edges are drawn from the same seeded PRNG, so the
+// result is still fully deterministic).
 func RandomDAG(n int, p float64, seed int64) (*dag.DAG, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("gen: random dag needs >= 2 nodes, got %d", n)
+	if err := checkRandom(n, p); err != nil {
+		return nil, err
 	}
-	if p < 0 || p > 1 {
-		return nil, fmt.Errorf("gen: edge probability %v outside [0,1]", p)
+	rng := randv2.New(randv2.NewPCG(uint64(seed), seedStream))
+	g := skipSample(n, p, rng)
+	g.fillIn(rng.IntN)
+	return dag.FromEdges(n, g.edges)
+}
+
+// seedStream is the second PCG state word of RandomDAG's PRNG; the seed is
+// the first. PCG seeds in O(1), where math/rand's source fills 607 words.
+const seedStream = 0x9e3779b97f4a7c15
+
+// skipSample finds the present forward pairs by geometric skip sampling
+// (Batagelj & Brandes, Phys. Rev. E 71, 2005): walking the pairs in
+// row-major order, the number of absent pairs before the next present one is
+// Geometric(p), drawn as ⌊log U / log(1−p)⌋. That is one draw per edge where
+// pairSample makes one per pair, and the edges still come out in row-major
+// order, so every adjacency list is ascending. p = 0 and p = 1 draw nothing.
+func skipSample(n int, p float64, rng *randv2.Rand) randomEdges {
+	g := newRandomEdges(n, p)
+	switch {
+	case p == 1:
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				g.add(i, j)
+			}
+		}
+	case p > 0:
+		logq := math.Log1p(-p)
+		// (i, j) is the last pair passed, (0, 0) standing for "before (0, 1)";
+		// rem counts the pairs after it.
+		i, j, rem := 0, 0, int64(n)*int64(n-1)/2
+		for {
+			// 1 − Float64() is in (0, 1], so the log is finite. The skip is
+			// compared as a float: for a tiny p it can exceed any integer.
+			skip := math.Floor(math.Log(1-rng.Float64()) / logq)
+			if skip >= float64(rem) {
+				break
+			}
+			k := int64(skip) + 1
+			rem -= k
+			for k > int64(n-1-j) {
+				k -= int64(n - 1 - j)
+				i++
+				j = i
+			}
+			j += int(k)
+			g.add(i, j)
+		}
+	}
+	return g
+}
+
+// randomDAGv1 is the version 1 generator, kept for the specs admitted under
+// it. It must keep denoting the graphs it always has (golden_test.go).
+func randomDAGv1(n int, p float64, seed int64) (*dag.DAG, error) {
+	if err := checkRandom(n, p); err != nil {
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed))
-	edges := make([][2]dag.NodeID, 0, randomReserve(n, p))
-	hasParent := make([]bool, n)
-	hasChild := make([]bool, n)
+	g := pairSample(n, p, rng)
+	g.fillIn(rng.Intn)
+	return dag.FromEdges(n, g.edges)
+}
+
+// pairSample is version 1's sampler: one Float64 draw per forward pair,
+// n(n−1)/2 in all, from math/rand's lagged-Fibonacci source.
+func pairSample(n int, p float64, rng *rand.Rand) randomEdges {
+	g := newRandomEdges(n, p)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if rng.Float64() < p {
-				edges = append(edges, [2]dag.NodeID{dag.NodeID(i), dag.NodeID(j)})
-				hasParent[j] = true
-				hasChild[i] = true
+				g.add(i, j)
 			}
 		}
 	}
-	// Connectivity fill-in: orphaned interior nodes get a random earlier
-	// parent; childless interior nodes get a random later child. Neither can
-	// repeat an edge: the node had none on that side.
+	return g
+}
+
+func checkRandom(n int, p float64) error {
+	if n < 2 {
+		return fmt.Errorf("gen: random dag needs >= 2 nodes, got %d", n)
+	}
+	if err := dag.CheckSize(n, 0); err != nil {
+		return err
+	}
+	if !(p >= 0 && p <= 1) { // NaN fails it too
+		return fmt.Errorf("gen: edge probability %v outside [0,1]", p)
+	}
+	return nil
+}
+
+// randomEdges is a random DAG's edge list under construction, with the
+// per-node flags its connectivity fill-in needs.
+type randomEdges struct {
+	edges               [][2]dag.NodeID
+	hasParent, hasChild []bool
+}
+
+func newRandomEdges(n int, p float64) randomEdges {
+	return randomEdges{
+		edges:     make([][2]dag.NodeID, 0, randomReserve(n, p)),
+		hasParent: make([]bool, n),
+		hasChild:  make([]bool, n),
+	}
+}
+
+func (g *randomEdges) add(i, j int) {
+	g.edges = append(g.edges, [2]dag.NodeID{dag.NodeID(i), dag.NodeID(j)})
+	g.hasParent[j] = true
+	g.hasChild[i] = true
+}
+
+// fillIn gives every orphaned interior node a random earlier parent, then
+// every childless interior node a random later child, drawing with intn.
+// Neither can repeat an edge: the node had none on that side.
+func (g *randomEdges) fillIn(intn func(int) int) {
+	n := len(g.hasParent)
 	for j := 1; j < n; j++ {
-		if !hasParent[j] {
-			i := rng.Intn(j)
-			edges = append(edges, [2]dag.NodeID{dag.NodeID(i), dag.NodeID(j)})
-			hasChild[i] = true
+		if !g.hasParent[j] {
+			g.add(intn(j), j)
 		}
 	}
 	for i := n - 2; i >= 0; i-- {
-		if !hasChild[i] {
-			j := i + 1 + rng.Intn(n-1-i)
-			edges = append(edges, [2]dag.NodeID{dag.NodeID(i), dag.NodeID(j)})
+		if !g.hasChild[i] {
+			g.add(i, i+1+intn(n-1-i))
 		}
 	}
-	return dag.FromEdges(n, edges)
 }
 
-// randomReserve is RandomDAG's starting edge capacity: the expected p·n(n-1)/2
-// plus the most the fill-in adds, in float64 so that a large n cannot wrap it,
-// capped where append's doubling becomes noise beside the n²/2 draws.
+// randomReserve is a random DAG's starting edge capacity: the expected
+// p·n(n-1)/2 plus the most the fill-in adds, in float64 so that a large n
+// cannot wrap it, capped at 1<<20 edges so that a huge spec does not claim
+// its memory before the first pair is drawn; past the cap append's doubling
+// costs an amortised copy per edge, less than the freeze already spends.
 func randomReserve(n int, p float64) int {
 	return int(math.Min(p*float64(n)*float64(n-1)/2+2*float64(n), 1<<20))
 }

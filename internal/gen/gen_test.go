@@ -3,6 +3,7 @@ package gen
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -115,14 +116,32 @@ func TestRandomDAGConnectivity(t *testing.T) {
 }
 
 func TestRandomDAGValidation(t *testing.T) {
-	if _, err := RandomDAG(1, 0.5, 1); err == nil {
-		t.Error("RandomDAG(1, ...) succeeded, want error")
+	cases := []struct {
+		name string
+		n    int
+		p    float64
+	}{
+		{"one node", 1, 0.5},
+		{"p<0", 10, -0.1},
+		{"p>1", 10, 1.5},
+		// NaN fails every ordered comparison, so a `p < 0 || p > 1` check
+		// let it through; the skip sampler would read it as "every pair".
+		{"p NaN", 10, math.NaN()},
+		{"p +Inf", 10, math.Inf(1)},
+		{"p -Inf", 10, math.Inf(-1)},
+		{"n over dag.MaxSize", dag.MaxSize + 1, 0.5},
 	}
-	if _, err := RandomDAG(10, -0.1, 1); err == nil {
-		t.Error("RandomDAG with p<0 succeeded, want error")
+	for _, tc := range cases {
+		for version, generate := range map[int]func(int, float64, int64) (*dag.DAG, error){1: randomDAGv1, 2: RandomDAG} {
+			if _, err := generate(tc.n, tc.p, 1); err == nil {
+				t.Errorf("%s: v%d generator succeeded, want error", tc.name, version)
+			}
+		}
 	}
-	if _, err := RandomDAG(10, 1.5, 1); err == nil {
-		t.Error("RandomDAG with p>1 succeeded, want error")
+	for _, v := range []int{-1, 3} {
+		if _, err := Generate(Config{Shape: Random, Nodes: 10, EdgeProb: 0.1, GenVersion: v}); err == nil {
+			t.Errorf("Generate with gen_version %d succeeded, want error", v)
+		}
 	}
 }
 

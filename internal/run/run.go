@@ -149,6 +149,9 @@ func (s Spec) Validate() error {
 	if err := s.validateShape(); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 	}
+	if s.GenVersion < 0 || s.GenVersion > gen.CurrentVersion {
+		return fmt.Errorf("%w: gen_version %d outside [0,%d]", ErrInvalidSpec, s.GenVersion, gen.CurrentVersion)
+	}
 	if s.Work < 0 || s.Work > MaxWork {
 		return fmt.Errorf("%w: work %d outside [0,%d]", ErrInvalidSpec, s.Work, MaxWork)
 	}
@@ -185,7 +188,7 @@ func (s Spec) validateShape() error {
 		if s.Nodes < 2 || s.Nodes > MaxNodes {
 			return fmt.Errorf("random spec needs 2 <= nodes <= %d, got %d", MaxNodes, s.Nodes)
 		}
-		if s.EdgeProb < 0 || s.EdgeProb > 1 {
+		if !(s.EdgeProb >= 0 && s.EdgeProb <= 1) { // NaN fails it too
 			return fmt.Errorf("edge probability %v outside [0,1]", s.EdgeProb)
 		}
 		// The node cap alone doesn't bound memory: a dense random graph
@@ -218,7 +221,7 @@ func (s Spec) validateShape() error {
 		if s.Width < 1 || s.Width > MaxDynWidth {
 			return fmt.Errorf("dynamic spec needs 1 <= width <= %d, got %d", MaxDynWidth, s.Width)
 		}
-		if s.EdgeProb < 0 || s.EdgeProb > 1 {
+		if !(s.EdgeProb >= 0 && s.EdgeProb <= 1) { // NaN fails it too
 			return fmt.Errorf("edge probability %v outside [0,1]", s.EdgeProb)
 		}
 		if s.Nodes != 0 {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -42,6 +43,13 @@ func TestSpecValidate(t *testing.T) {
 		{"random too dense", Spec{Config: gen.Config{Shape: gen.Random, Nodes: MaxNodes, EdgeProb: 1}}, false},
 		{"random big but sparse", Spec{Config: gen.Config{Shape: gen.Random, Nodes: 100000, EdgeProb: 0.0001}}, true},
 		{"bad prob", Spec{Config: gen.Config{Shape: gen.Random, Nodes: 10, EdgeProb: 1.5}}, false},
+		{"NaN prob", Spec{Config: gen.Config{Shape: gen.Random, Nodes: 10, EdgeProb: math.NaN()}}, false},
+		{"+Inf prob", Spec{Config: gen.Config{Shape: gen.Random, Nodes: 10, EdgeProb: math.Inf(1)}}, false},
+		{"-Inf prob", Spec{Config: gen.Config{Shape: gen.Random, Nodes: 10, EdgeProb: math.Inf(-1)}}, false},
+		{"gen_version 1", func() Spec { s := pipelineSpec(); s.GenVersion = 1; return s }(), true},
+		{"gen_version 2", func() Spec { s := pipelineSpec(); s.GenVersion = 2; return s }(), true},
+		{"gen_version 3", func() Spec { s := pipelineSpec(); s.GenVersion = 3; return s }(), false},
+		{"gen_version -1", func() Spec { s := pipelineSpec(); s.GenVersion = -1; return s }(), false},
 		{"pipeline zero width", Spec{Config: gen.Config{Shape: gen.Pipeline, Stages: 5, Width: 0}}, false},
 		{"pipeline node cap", Spec{Config: gen.Config{Shape: gen.Pipeline, Stages: MaxNodes, Width: 2}}, false},
 		{"bad shape", Spec{Config: gen.Config{Shape: gen.Shape(42), Nodes: 10}}, false},
@@ -71,6 +79,8 @@ func TestValidateSentinels(t *testing.T) {
 		{"random too small", Spec{Config: gen.Config{Shape: gen.Random, Nodes: 1}}},
 		{"bad shape", Spec{Config: gen.Config{Shape: gen.Shape(42)}}},
 		{"negative work", func() Spec { s := pipelineSpec(); s.Work = -1; return s }()},
+		{"NaN prob", Spec{Config: gen.Config{Shape: gen.Random, Nodes: 10, EdgeProb: math.NaN()}}},
+		{"gen_version 3", func() Spec { s := pipelineSpec(); s.GenVersion = 3; return s }()},
 		{"explicit ok graph on random shape", Spec{Config: gen.Config{Shape: gen.Random, Nodes: 10, EdgeProb: 0.1, Edges: []gen.Edge{{0, 1}}}}},
 		{"explicit zero nodes", explicit(0, nil)},
 		{"explicit cycle", explicit(3, []gen.Edge{{0, 1}, {1, 2}, {2, 0}})},

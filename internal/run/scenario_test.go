@@ -3,6 +3,7 @@ package run
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/dag"
@@ -76,6 +77,9 @@ func TestValidateDynamic(t *testing.T) {
 		{"dynamic zero width", dyn(8, 0, 0.2), false},
 		{"dynamic width over cap", dyn(8, MaxDynWidth+1, 0.2), false},
 		{"dynamic bad prob", dyn(8, 2, 1.5), false},
+		{"dynamic NaN prob", dyn(8, 2, math.NaN()), false},
+		{"dynamic +Inf prob", dyn(8, 2, math.Inf(1)), false},
+		{"dynamic -Inf prob", dyn(8, 2, math.Inf(-1)), false},
 		{"dynamic nodes set", func() Spec { s := dyn(8, 2, 0.2); s.Nodes = 100; return s }(), false},
 	}
 	for _, tc := range cases {

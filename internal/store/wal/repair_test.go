@@ -1,6 +1,9 @@
 package wal
 
 import (
+	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -31,19 +34,7 @@ func TestRecoveryFailsRevalidationTerminally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Plant the record in the sharded layout: the manifest pins the count
-	// and the segment goes into the shard that owns the run's ID.
-	const shards = 4
-	if err := writeManifest(dir, shards); err != nil {
-		t.Fatal(err)
-	}
-	sdir := filepath.Join(dir, shardDirName(shardIndex(invalid.ID, shards)))
-	if err := os.MkdirAll(sdir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(sdir, segmentName(1)), buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	plantSegment(t, dir, invalid.ID, buf)
 
 	s, recovered, err := Open(dir, Options{})
 	if err != nil {
@@ -82,5 +73,70 @@ func TestRecoveryFailsRevalidationTerminally(t *testing.T) {
 	}
 	if n := s.EvictTerminal(1); n != 1 {
 		t.Errorf("EvictTerminal(1) = %d, want 1 (the repaired run evicts first)", n)
+	}
+}
+
+// plantSegment writes one segment holding frames as the whole log of a
+// four-shard data dir, in the shard that owns id.
+func plantSegment(t *testing.T, dir, id string, frames []byte) {
+	t.Helper()
+	const shards = 4
+	if err := writeManifest(dir, shards); err != nil {
+		t.Fatal(err)
+	}
+	sdir := filepath.Join(dir, shardDirName(shardIndex(id, shards)))
+	if err := os.MkdirAll(sdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(sdir, segmentName(1)), frames, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReplayUnversionedSpecAsV1 plants a queued random-spec record written
+// before gen_version existed — JSON by hand, framed by hand — and pins that
+// recovery reads it as generator version 1, so the re-executed run rebuilds
+// the graph it was admitted as and not the one its seed means today.
+func TestReplayUnversionedSpecAsV1(t *testing.T) {
+	dir := t.TempDir()
+	const id = "r000001-0ddba11a"
+	payload := []byte(`{"op":"create","run":{"id":"` + id + `","spec":{"shape":"random","nodes":300,"p":0.02,"seed":5,"workload":"pathcount","tenant":"default"},"state":"queued","created_at":"2026-07-01T12:00:00Z"}}`)
+	frame := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.BigEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	plantSegment(t, dir, id, append(frame, payload...))
+
+	s, recovered, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	if len(recovered) != 1 || recovered[0].ID != id {
+		t.Fatalf("recovered %+v, want the one queued run", recovered)
+	}
+	spec := recovered[0].Spec
+	if spec.GenVersion != 1 {
+		t.Fatalf("replayed gen_version %d, want 1", spec.GenVersion)
+	}
+
+	res, err := run.Execute(context.Background(), spec, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := func(version int) uint64 {
+		t.Helper()
+		v := spec
+		v.GenVersion = version
+		r, err := run.Execute(context.Background(), v, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.SinkPaths
+	}
+	v1, v2 := sink(1), sink(2)
+	if v1 == v2 {
+		t.Fatalf("v1 and v2 agree on sink %d; the test cannot tell them apart", v1)
+	}
+	if res.SinkPaths != v1 {
+		t.Errorf("re-executed sink_paths_mod64 %d, want v1's %d (v2's is %d)", res.SinkPaths, v1, v2)
 	}
 }

@@ -17,10 +17,11 @@ import (
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/tenant"
 )
 
-// tinySpec is a spec as the dispatcher stores one: tenant already resolved
-// (replay stamps the default tenant on records that predate tenancy).
+// tinySpec is a spec as the dispatcher stores one: tenant and generator
+// version already stamped (replay fills in the default tenant and version 1
+// on records that predate them).
 func tinySpec() run.Spec {
-	return run.Spec{Config: gen.Config{Shape: gen.Pipeline, Stages: 5, Width: 2}, Tenant: tenant.Default}
+	return run.Spec{Config: gen.Config{Shape: gen.Pipeline, Stages: 5, Width: 2, GenVersion: gen.CurrentVersion}, Tenant: tenant.Default}
 }
 
 // copyTree copies the data dir src into dst, so a crash point can be

@@ -254,6 +254,12 @@ func Open(dir string, opts Options) (*Store, []run.Run, error) {
 		if r.Spec.Tenant == "" {
 			r.Spec.Tenant = tenant.Default
 		}
+		// Records written before the generator was versioned carry none;
+		// their graphs were drawn by version 1, and a zero would now mean
+		// the current version.
+		if r.Spec.GenVersion == 0 {
+			r.Spec.GenVersion = 1
+		}
 		if r.State.Terminal() {
 			history = append(history, r)
 		} else {

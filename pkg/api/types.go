@@ -68,6 +68,10 @@ type RunSpec struct {
 	// ParallelWork splits each node's Work across idle scheduler workers
 	// (Nabbit UseParallelNodes). Not valid for the dynamic shape.
 	ParallelWork bool `json:"parallel_work,omitempty"`
+	// GenVersion selects the generator version the seed is drawn with
+	// (random only; every other shape denotes the same graph under each).
+	// 0 = the server's current version, which it stamps on the stored spec.
+	GenVersion int `json:"gen_version,omitempty"`
 	// Tenant and Priority are server-stamped attribution: who the run was
 	// admitted for (from the X-Tenant header, never this field) and the
 	// tenant's priority class at admission. Both are ignored on submission.
