@@ -73,8 +73,7 @@ func main() {
 		retainRuns   = flag.Int("retain", 0, "terminal runs to keep, oldest evicted first (0 = 4096, negative = unlimited)")
 		dataDir      = flag.String("data-dir", "", "directory for the durable run WAL; empty = in-memory store (state lost on restart)")
 		fsync        = flag.Bool("fsync", false, "fsync the WAL before acknowledging each transition (needs -data-dir); off = durable against crash, not power loss")
-		walShards    = flag.Int("wal-shards", 0, "independent WAL shard directories (0 = adopt existing layout, or 8 when fresh; needs -data-dir); must match the data dir's manifest on restart")
-		compactEvery = flag.Int("compact-threshold", 0, "WAL records per shard between compactions into a snapshot file (0 = 4096, negative = never; needs -data-dir)")
+		compactEvery = flag.Int("compact-threshold", 0, "WAL records between compactions into a snapshot file (0 = 4096, negative = never; needs -data-dir)")
 		tenantsFile  = flag.String("tenants", "", "JSON tenant config file (weights, priorities, quotas, rate limits); empty = single default tenant")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max time to drain in-flight runs on shutdown")
 		debugAddr    = flag.String("debug-addr", "", "optional second listener serving net/http/pprof, expvar, and /metrics; keep it private — it exposes profiles and runtime internals")
@@ -91,8 +90,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dagd:", err)
 		os.Exit(2)
 	}
-	if *dataDir == "" && (*fsync || *compactEvery != 0 || *walShards != 0) {
-		fmt.Fprintln(os.Stderr, "dagd: -fsync, -wal-shards, and -compact-threshold require -data-dir")
+	if *dataDir == "" && (*fsync || *compactEvery != 0) {
+		fmt.Fprintln(os.Stderr, "dagd: -fsync and -compact-threshold require -data-dir")
 		os.Exit(2)
 	}
 	if *fleetAddr == "" && (*leaseTTL != 0 || *heartbeatIvl != 0) {
@@ -136,7 +135,6 @@ func main() {
 		RetainRuns:        *retainRuns,
 		DataDir:           *dataDir,
 		Fsync:             *fsync,
-		WALShards:         *walShards,
 		CompactThreshold:  *compactEvery,
 		Tenants:           tenants,
 		Remote:            *fleetAddr != "",

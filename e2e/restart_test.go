@@ -359,24 +359,22 @@ func TestCrashRecovery(t *testing.T) {
 	p3.stop(t)
 }
 
-// TestCrashRecoveryShardedFsync repeats the SIGKILL crash-recovery pass
-// against the sharded group-commit configuration (-wal-shards 4 -fsync):
-// terminal history and interrupted-run re-admission must survive a hard
-// kill exactly as they do under the defaults, and a restart asking for a
-// different shard count must refuse to load rather than split run
-// histories across layouts.
-func TestCrashRecoveryShardedFsync(t *testing.T) {
+// TestRestartPreservesFsync repeats the SIGKILL crash-recovery pass with
+// -fsync and a compaction threshold low enough that the run history spans a
+// snapshot: terminal history and interrupted-run re-admission must survive
+// a hard kill exactly as they do under the defaults.
+func TestRestartPreservesFsync(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e restart test builds and kills real processes")
 	}
 	dataDir := t.TempDir()
 	ctx := context.Background()
-	shardArgs := []string{"-wal-shards", "4", "-fsync"}
+	args := []string{"-fsync", "-compact-threshold", "8"}
 
-	p1 := startDagd(t, dataDir, shardArgs...)
+	p1 := startDagd(t, dataDir, args...)
 
-	// Enough terminal runs to touch several shards (IDs are routed by
-	// hash), plus one run killed mid-flight and one still queued.
+	// Enough terminal runs to cross the compaction threshold, plus one run
+	// killed mid-flight and one still queued.
 	var terminal []string
 	for i := 0; i < 6; i++ {
 		r, err := p1.c.SubmitExplicit(ctx, 4, diamond, client.SubmitOptions{})
@@ -399,25 +397,11 @@ func TestCrashRecoveryShardedFsync(t *testing.T) {
 	}
 	p1.sigkill(t)
 
-	// A restart with a different shard count must fail closed: the process
-	// exits non-zero before ever listening, naming the mismatch.
-	mism := exec.Command(dagdBin, "-addr", "127.0.0.1:0", "-data-dir", dataDir,
-		"-wal-shards", "2", "-fsync")
-	out, err := mism.CombinedOutput()
-	if err == nil {
-		mism.Process.Kill()
-		t.Fatalf("dagd started over a 4-shard data dir with -wal-shards 2; output:\n%s", out)
-	}
-	if !strings.Contains(string(out), "shard count") {
-		t.Errorf("mismatch refusal doesn't name the shard count:\n%s", out)
-	}
-
-	// The matching count recovers everything.
-	p2 := startDagd(t, dataDir, shardArgs...)
+	p2 := startDagd(t, dataDir, args...)
 	for _, id := range terminal {
 		r, err := p2.c.Get(ctx, id)
 		if err != nil || r.State != api.StateSucceeded || r.Result == nil || !r.Result.Match {
-			t.Fatalf("terminal run %s degraded across sharded restart: %+v, %v", id, r, err)
+			t.Fatalf("fsync'd terminal run %s after SIGKILL = %+v, %v; want succeeded", id, r, err)
 		}
 	}
 	for _, interrupted := range []*api.Run{slow, queued} {
@@ -429,31 +413,6 @@ func TestCrashRecoveryShardedFsync(t *testing.T) {
 			t.Errorf("interrupted run %s has Restarts = %d, want >= 1", interrupted.ID, got.Restarts)
 		}
 		waitSucceeded(t, p2.c, interrupted.ID)
-	}
-	p2.stop(t)
-}
-
-// TestRestartPreservesFsync runs a minimal durability pass with -fsync on,
-// covering the flag plumbing end to end.
-func TestRestartPreservesFsync(t *testing.T) {
-	if testing.Short() {
-		t.Skip("e2e restart test builds and kills real processes")
-	}
-	dataDir := t.TempDir()
-	ctx := context.Background()
-
-	p1 := startDagd(t, dataDir, "-fsync", "-compact-threshold", "8")
-	r, err := p1.c.SubmitExplicit(ctx, 4, diamond, client.SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitSucceeded(t, p1.c, r.ID)
-	p1.sigkill(t)
-
-	p2 := startDagd(t, dataDir, "-fsync", "-compact-threshold", "8")
-	got, err := p2.c.Get(ctx, r.ID)
-	if err != nil || got.State != api.StateSucceeded {
-		t.Fatalf("fsync'd run after SIGKILL = %+v, %v; want succeeded", got, err)
 	}
 	p2.stop(t)
 }

@@ -44,11 +44,7 @@ type ServiceOptions struct {
 	DataDir string
 	// Fsync makes a WAL append wait for its group-committed fsync.
 	Fsync bool
-	// WALShards is the number of WAL shard directories (0 = adopt the data
-	// dir's manifest). A value that disagrees with an existing manifest
-	// fails NewService with wal.ErrShardCountMismatch.
-	WALShards int
-	// CompactThreshold is how many records a shard accumulates before it
+	// CompactThreshold is how many records the WAL accumulates before it
 	// is compacted into a snapshot (negative = never).
 	CompactThreshold int
 	// Tenants is the admission policy (dagd -tenants). Nil means only the
@@ -125,7 +121,6 @@ func NewService(opts ServiceOptions) (*Service, error) {
 	if opts.DataDir != "" {
 		ws, rec, err := wal.Open(opts.DataDir, wal.Options{
 			Fsync:            opts.Fsync,
-			Shards:           opts.WALShards,
 			CompactThreshold: opts.CompactThreshold,
 			Metrics:          opts.Metrics,
 		})

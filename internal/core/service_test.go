@@ -75,7 +75,7 @@ func TestRetentionSurvivesRestart(t *testing.T) {
 	const keep, total = 3, 9
 	opts := ServiceOptions{
 		Dispatchers: 1, RetainRuns: keep,
-		DataDir: t.TempDir(), WALShards: 2, CompactThreshold: -1,
+		DataDir: t.TempDir(), CompactThreshold: -1,
 	}
 	listing := func(svc *Service) string {
 		t.Helper()

@@ -397,7 +397,7 @@ func New(store run.Store, opts Options) *Dispatcher {
 
 	// Apply the retention bound to whatever the store came up holding: a
 	// durable store logs no evictions, so a replay can hand back runs that
-	// were evicted after their shard last compacted — all older than
+	// were evicted after the log last compacted — all older than
 	// anything retained, and trimmed here before a worker or a reader can
 	// see them.
 	d.evict()

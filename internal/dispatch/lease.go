@@ -55,7 +55,7 @@ func (d *Dispatcher) work() {
 // name and DAG shape (nil accepts everything); a tenant whose queued work
 // is entirely unsupported is skipped without losing its rotation credit.
 // onCancel is the run's cancel hook: the store invokes it (possibly under
-// a store shard lock — it must not call back into the dispatcher) when
+// the store's lock — it must not call back into the dispatcher) when
 // cancellation is requested. An in-process worker cancels the run's
 // context; the fleet layer relays it to the worker on its next heartbeat.
 func (d *Dispatcher) Lease(ctx context.Context, worker string, supports func(workload, shape string) bool, onCancel func(id string)) (run.Run, error) {
@@ -102,7 +102,7 @@ func (d *Dispatcher) Lease(ctx context.Context, worker string, supports func(wor
 		d.mu.Unlock()
 
 		// Begin outside mu: the WAL-backed store appends its begin record
-		// here (a write under the run's shard lock, not an fsync).
+		// here (a write under the store's lock, not an fsync).
 		r, err := d.store.Begin(picked.id, now, worker, func() { onCancel(picked.id) })
 		if err != nil {
 			if errors.Is(err, run.ErrNotQueued) || errors.Is(err, run.ErrNotFound) {

@@ -112,7 +112,7 @@ type Manager struct {
 	leases  map[string]*lease // by run ID
 
 	// cancels marks runs with a pending cancellation. It is written by
-	// the dispatcher's cancel hook, which may fire under a store shard
+	// the dispatcher's cancel hook, which may fire under the store's
 	// lock — a sync.Map keeps that path lock-free so it can never entangle
 	// with mu.
 	cancels sync.Map
@@ -290,7 +290,7 @@ func (m *Manager) acquire(ctx context.Context, workerID string) (run.Run, error)
 	m.mu.Unlock()
 
 	r, err := m.disp.Lease(ctx, workerID, supports, func(id string) {
-		// Fires from store.Cancel, possibly under a shard lock: record
+		// Fires from store.Cancel, possibly under the store's lock: record
 		// only, the next heartbeat relays it.
 		m.cancels.Store(id, true)
 	})
@@ -452,7 +452,7 @@ func (m *Manager) sweepOnce(now time.Time) {
 	}
 	m.mu.Unlock()
 
-	// Dispatcher and store calls happen outside mu: they take shard locks
+	// Dispatcher and store calls happen outside mu: they take the store's lock
 	// and may fsync, and nothing here needs the registry anymore.
 	for _, v := range victims {
 		m.met.expiries.Inc()

@@ -12,9 +12,8 @@ import (
 )
 
 // BenchmarkWALAppend measures the durable append path (Create: one framed
-// record written and, under fsync, made durable before return) across the
-// axes the sharded redesign targets: serial vs 16 concurrent appenders,
-// fsync off / group-commit fsync, and 1 vs 8 shards.
+// record written and, under fsync, made durable before return): serial vs
+// 16 concurrent appenders, fsync off vs group-commit fsync.
 //
 // Compaction is disabled and segments are kept large so the numbers are
 // the append+sync cost, not snapshot churn.
@@ -25,12 +24,10 @@ func BenchmarkWALAppend(b *testing.B) {
 		opts    Options
 	}
 	configs := []config{
-		{"Serial/NoFsync", 1, Options{Shards: 1}},
-		{"Serial/GroupFsync", 1, Options{Shards: 1, Fsync: true}},
-		{"Goroutines16/NoFsync/Shards1", 16, Options{Shards: 1}},
-		{"Goroutines16/NoFsync/Shards8", 16, Options{Shards: 8}},
-		{"Goroutines16/GroupFsync/Shards1", 16, Options{Shards: 1, Fsync: true}},
-		{"Goroutines16/GroupFsync/Shards8", 16, Options{Shards: 8, Fsync: true}},
+		{"Serial/NoFsync", 1, Options{}},
+		{"Serial/GroupFsync", 1, Options{Fsync: true}},
+		{"Goroutines16/NoFsync", 16, Options{}},
+		{"Goroutines16/GroupFsync", 16, Options{Fsync: true}},
 	}
 	spec := run.Spec{Config: gen.Config{Shape: gen.Pipeline, Stages: 5, Width: 2}}
 	for _, cfg := range configs {
@@ -86,7 +83,7 @@ func BenchmarkWALFinishParallel(b *testing.B) {
 		name string
 		opts Options
 	}{
-		{"GroupFsync/Shards8", Options{Shards: 8, Fsync: true}},
+		{"GroupFsync", Options{Fsync: true}},
 	} {
 		cfg.opts.CompactThreshold = -1
 		cfg.opts.SegmentMaxBytes = 1 << 30
@@ -137,14 +134,14 @@ func BenchmarkWALFinishParallel(b *testing.B) {
 }
 
 // BenchmarkRunLifecycleFsync is one run as a loaded dagd drives it with
-// -fsync — Create → Begin → Finish → EvictTerminal(keep) on one shard
+// -fsync — Create → Begin → Finish → EvictTerminal(keep) on a store
 // already holding keep terminal runs, so every op evicts one. What it costs
 // is the two awaited appends (fsyncs/op ≈ 2): the begin record rides the
 // finish's fsync and the eviction writes nothing.
 func BenchmarkRunLifecycleFsync(b *testing.B) {
 	const keep = 4096
 	dir := b.TempDir()
-	opts := Options{Shards: 1, CompactThreshold: -1, SegmentMaxBytes: 1 << 30}
+	opts := Options{CompactThreshold: -1, SegmentMaxBytes: 1 << 30}
 	// Fill without fsync, then reopen with it: the history replays.
 	fill, _, err := Open(dir, opts)
 	if err != nil {
@@ -163,7 +160,7 @@ func BenchmarkRunLifecycleFsync(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer s.Close()
-	fsyncs := s.shards[0].met.fsyncs
+	fsyncs := s.met.fsyncs
 	before := fsyncs.Value()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

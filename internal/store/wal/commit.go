@@ -12,8 +12,8 @@ import (
 // before its fsync is issued.
 const fsyncMaxDelay = 2 * time.Millisecond
 
-// groupCommit is one shard's fsync batcher. Appends write their record to
-// the active segment under the shard lock, take a ticket (written), release
+// groupCommit is the store's fsync batcher. Appends write their record to
+// the active segment under the store lock, take a ticket (written), release
 // the lock, and — all but Begin, whose record rides the next batch — park
 // in await until the committer goroutine has fsynced past their ticket. One
 // fsync therefore covers every record written since the previous one —
@@ -23,11 +23,11 @@ const fsyncMaxDelay = 2 * time.Millisecond
 //
 // Durability can also be advanced without a committer fsync: sealing a
 // segment (rotation, compaction's swap, Close) syncs the file first and
-// then calls advance for everything written so far.
+// then calls markAllDurable.
 type groupCommit struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
-	written  uint64 // tickets issued: records written to the shard's segment chain
+	written  uint64 // tickets issued: records written to the segment chain
 	synced   uint64 // tickets durable: records covered by a completed fsync
 	failedAt uint64 // high-water ticket of the last failed batch
 	err      error  // last batch error; cleared by the next successful batch
@@ -48,7 +48,7 @@ func newGroupCommit() *groupCommit {
 }
 
 // ticket issues the commit ticket for a record just written to the segment
-// chain. Called with the shard lock held, so ticket order matches file
+// chain. Called with the store lock held, so ticket order matches file
 // order.
 func (gc *groupCommit) ticket() uint64 {
 	gc.mu.Lock()
@@ -76,22 +76,10 @@ func (gc *groupCommit) await(seq uint64) error {
 	return nil
 }
 
-// advance marks every ticket up to upto durable without an fsync of its
-// own — the caller just synced the file(s) holding them (segment seal,
-// snapshot install, final sync on Close). Safe to call with the shard lock
-// held; the lock order is always shard.mu → gc.mu.
-func (gc *groupCommit) advance(upto uint64) {
-	gc.mu.Lock()
-	if upto > gc.synced {
-		gc.synced = upto
-		gc.cond.Broadcast()
-	}
-	gc.mu.Unlock()
-}
-
-// markAllDurable is advance for "everything written so far": called under
-// the shard lock right after a seal's sync, when no new ticket can be
-// issued concurrently.
+// markAllDurable marks every ticket issued so far durable without an fsync
+// of its own: called under the store lock right after a seal's sync
+// (rotation, final sync on Close), when no new ticket can be issued
+// concurrently. The lock order is always Store.mu → gc.mu.
 func (gc *groupCommit) markAllDurable() {
 	gc.mu.Lock()
 	if gc.written > gc.synced {
@@ -114,23 +102,23 @@ func (gc *groupCommit) stop() {
 	<-gc.done
 }
 
-// run is the per-shard committer goroutine: woken by the first waiter of a
+// run is the committer goroutine: woken by the first waiter of a
 // batch, it fsyncs the active segment once for everything pending and wakes
 // every waiter. Records that arrive while an fsync is in flight simply form
 // the next batch, so the fsync rate is bounded by the disk, not the append
 // rate.
-func (gc *groupCommit) run(sh *walShard) {
+func (gc *groupCommit) run(s *Store) {
 	defer close(gc.done)
 	for {
 		select {
 		case <-gc.kick:
 		case <-gc.quit:
-			gc.commit(sh) // final drain for any parked waiters
+			gc.commit(s) // final drain for any parked waiters
 			return
 		}
 		for gc.pending() > 0 {
 			gc.coalesce()
-			if !gc.commit(sh) {
+			if !gc.commit(s) {
 				// Sync failure: the waiters of this batch were failed; retry
 				// only when a new append kicks, rather than hammering a sick
 				// disk in a tight loop.
@@ -145,7 +133,7 @@ func (gc *groupCommit) run(sh *walShard) {
 // in this batch before the fsync is issued, by yielding the scheduler while
 // the batch keeps growing. Yielding costs ~ns when nothing is runnable, so
 // a lone append is effectively never delayed; sleeping here instead would
-// serialize the whole shard behind the timer granularity. fsyncMaxDelay bounds
+// serialize the whole store behind the timer granularity. fsyncMaxDelay bounds
 // the loop as a safety valve against pathological scheduling.
 func (gc *groupCommit) coalesce() {
 	deadline := time.Now().Add(fsyncMaxDelay)
@@ -163,37 +151,32 @@ func (gc *groupCommit) coalesce() {
 	}
 }
 
-// commit fsyncs the shard's active segment and advances durability to the
+// commit fsyncs the active segment and advances durability to the
 // tickets issued before the sync began. Returns false if the sync failed
 // (after failing that batch's waiters).
-func (gc *groupCommit) commit(sh *walShard) bool {
+func (gc *groupCommit) commit(s *Store) bool {
 	// Capture a consistent (segment, ticket) pair: every ticket ≤ upto was
 	// written to the chain ending in seg. Records in earlier, sealed
 	// segments are already durable (sealing syncs first).
-	sh.mu.Lock()
-	seg := sh.seg
+	s.mu.Lock()
+	seg := s.seg
 	gc.mu.Lock()
 	upto := gc.written
 	already := gc.synced
 	gc.mu.Unlock()
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	if upto <= already {
 		return true
 	}
 
-	var err error
-	if seg == nil {
-		err = errors.New("wal: shard has no active segment")
-	} else {
-		t0 := time.Now()
-		err = seg.Sync()
-		if err == nil {
-			sh.met.fsyncs.Inc()
-			sh.met.fsyncSeconds.Observe(time.Since(t0).Seconds())
-		}
+	t0 := time.Now()
+	err := seg.Sync()
+	if err == nil {
+		s.met.fsyncs.Inc()
+		s.met.fsyncSeconds.Observe(time.Since(t0).Seconds())
 	}
-	if err != nil && errors.Is(err, os.ErrClosed) {
-		// The captured segment was sealed (sync + close under the shard
+	if errors.Is(err, os.ErrClosed) {
+		// The captured segment was sealed (sync + close under the store
 		// lock) between capture and Sync; the seal's sync already made every
 		// captured ticket durable.
 		err = nil
@@ -209,7 +192,7 @@ func (gc *groupCommit) commit(sh *walShard) bool {
 	}
 	gc.err = nil
 	if upto > gc.synced {
-		sh.met.batchSize.Observe(float64(upto - gc.synced))
+		s.met.batchSize.Observe(float64(upto - gc.synced))
 		gc.synced = upto
 	}
 	gc.cond.Broadcast()

@@ -1,6 +1,9 @@
 package wal_test
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/run"
@@ -9,14 +12,17 @@ import (
 )
 
 // TestStoreConformance runs the shared store conformance suite against the
-// WAL backend — default config, group-commit fsync, aggressive compaction,
-// and explicit shard counts at 1 and 4 (each with and without fsync) — so
-// list order, eviction, Await, and cursor semantics are bit-identical to
-// the in-memory store's no matter how the log is laid out.
+// WAL backend — default config, group-commit fsync, aggressive compaction
+// (with and without fsync), segment rotation every few records (with and
+// without fsync), and a store folded from an empty data dir an older
+// version laid out in four shard directories — so list order, eviction,
+// Await, and cursor semantics are bit-identical to the in-memory store's.
 func TestStoreConformance(t *testing.T) {
-	open := func(opts wal.Options) storetest.Factory {
+	openIn := func(prepare func(t *testing.T, dir string), opts wal.Options) storetest.Factory {
 		return func(t *testing.T) run.Store {
-			s, recovered, err := wal.Open(t.TempDir(), opts)
+			dir := t.TempDir()
+			prepare(t, dir)
+			s, recovered, err := wal.Open(dir, opts)
 			if err != nil {
 				t.Fatalf("wal.Open: %v", err)
 			}
@@ -27,19 +33,41 @@ func TestStoreConformance(t *testing.T) {
 			return s
 		}
 	}
+	open := func(opts wal.Options) storetest.Factory {
+		return openIn(func(*testing.T, string) {}, opts)
+	}
 	t.Run("Default", func(t *testing.T) { storetest.Run(t, open(wal.Options{})) })
 	t.Run("Fsync", func(t *testing.T) { storetest.Run(t, open(wal.Options{Fsync: true})) })
 	// A tiny compaction threshold forces snapshot+truncate churn under
-	// every conformance scenario.
+	// every conformance scenario; with fsync, every swap shares the log
+	// with the group committer.
 	t.Run("AggressiveCompaction", func(t *testing.T) {
 		storetest.Run(t, open(wal.Options{CompactThreshold: 4}))
 	})
-	t.Run("Shards1", func(t *testing.T) { storetest.Run(t, open(wal.Options{Shards: 1})) })
-	t.Run("Shards1Fsync", func(t *testing.T) {
-		storetest.Run(t, open(wal.Options{Shards: 1, Fsync: true}))
+	t.Run("FsyncAggressiveCompaction", func(t *testing.T) {
+		storetest.Run(t, open(wal.Options{Fsync: true, CompactThreshold: 4}))
 	})
-	t.Run("Shards4", func(t *testing.T) { storetest.Run(t, open(wal.Options{Shards: 4})) })
-	t.Run("Shards4Fsync", func(t *testing.T) {
-		storetest.Run(t, open(wal.Options{Shards: 4, Fsync: true}))
+	// A segment cap below a handful of records rotates the active segment
+	// all through every scenario.
+	t.Run("SmallSegments", func(t *testing.T) {
+		storetest.Run(t, open(wal.Options{SegmentMaxBytes: 1024}))
+	})
+	t.Run("SmallSegmentsFsync", func(t *testing.T) {
+		storetest.Run(t, open(wal.Options{Fsync: true, SegmentMaxBytes: 1024}))
+	})
+	// An older version's four-shard dir with no history yet: Open folds it
+	// to one log, which then behaves as a fresh one.
+	t.Run("FoldedLegacyDir", func(t *testing.T) {
+		storetest.Run(t, openIn(func(t *testing.T, dir string) {
+			manifest := []byte(`{"version":1,"shards":4}` + "\n")
+			if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), manifest, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 4; i++ {
+				if err := os.Mkdir(filepath.Join(dir, fmt.Sprintf("shard-%02d", i)), 0o755); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}, wal.Options{}))
 	})
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"hash/fnv"
 	"log"
 	"os"
 	"path/filepath"
@@ -46,15 +45,6 @@ const frameHeaderSize = 8
 // allocation request.
 const maxRecordBytes = 128 << 20
 
-// shardIndex maps a run ID to its owning shard. It must be a pure function
-// of the ID and the (manifest-pinned) shard count: every record for one run
-// lands in one shard, so per-shard replay order is total order for that run.
-func shardIndex(id string, shards int) int {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return int(h.Sum32() % uint32(shards))
-}
-
 // replayState is the fold over a log chain: the latest snapshot per
 // surviving run, plus which non-terminal runs had a cancellation
 // acknowledged (an opCancelReq with no terminal record after it).
@@ -70,15 +60,13 @@ func newReplayState() *replayState {
 	}
 }
 
-// loadChain replays the snapshot + segment chain in dir (a shard directory)
-// and returns the surviving replay state and the highest file sequence
-// number seen.
-func loadChain(dir string) (*replayState, uint64, error) {
+// loadChain replays the snapshot + segment chain in dir into state and
+// returns the highest file sequence number seen.
+func loadChain(dir string, state *replayState) (uint64, error) {
 	snaps, segs, err := scanDir(dir)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	state := newReplayState()
 	var maxSeq uint64
 
 	// Baseline: the highest-numbered snapshot. Older snapshots are only
@@ -92,7 +80,7 @@ func loadChain(dir string) (*replayState, uint64, error) {
 		// place, so it is either absent or complete: any damage is real
 		// corruption, never a torn tail.
 		if err := replayFile(path, false, state); err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 	}
 
@@ -108,10 +96,10 @@ func loadChain(dir string) (*replayState, uint64, error) {
 		}
 		final := i == len(segs)-1
 		if err := replayFile(filepath.Join(dir, segmentName(seq)), final, state); err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 	}
-	return state, maxSeq, nil
+	return maxSeq, nil
 }
 
 // replayFile applies every record in path to state. final selects the
@@ -239,6 +227,25 @@ func encodeFrame(buf []byte, rec record) ([]byte, error) {
 	return append(append(buf, hdr[:]...), payload...), nil
 }
 
+// encodeSnapshot frames a snapshot file's contents: one opPut per run, or
+// opCancelReq for a run still running whose cancellation was acknowledged,
+// so recovery finishes the cancellation instead of re-admitting the run.
+// Compaction snapshots memory with it, and Open's fold a replayed state.
+func encodeSnapshot(runs []run.Run, cancelReq map[string]bool) ([]byte, error) {
+	var buf []byte
+	for i := range runs {
+		rec := record{Op: opPut, Run: &runs[i]}
+		if cancelReq[runs[i].ID] && !runs[i].State.Terminal() {
+			rec.Op = opCancelReq
+		}
+		var err error
+		if buf, err = encodeFrame(buf, rec); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
 func segmentName(seq uint64) string  { return fmt.Sprintf("wal-%016d.log", seq) }
 func snapshotName(seq uint64) string { return fmt.Sprintf("snapshot-%016d.log", seq) }
 func shardDirName(i int) string      { return fmt.Sprintf("shard-%02d", i) }
@@ -276,8 +283,29 @@ func scanDir(dir string) (snaps, segs []uint64, err error) {
 	return snaps, segs, nil
 }
 
-// writeFileAtomic stages data in a temp file, fsyncs it, and renames it to
-// name inside dir, so the file is either absent or complete — never torn.
+// removeBelow deletes the snapshots and segments in dir that a durable
+// snapshot at seq supersedes. Failures are tolerable: replay skips files at
+// or below the newest snapshot's sequence, and the next caller retries.
+func removeBelow(dir string, seq uint64) {
+	snaps, segs, err := scanDir(dir)
+	if err != nil {
+		return
+	}
+	for _, s := range snaps {
+		if s < seq {
+			os.Remove(filepath.Join(dir, snapshotName(s)))
+		}
+	}
+	for _, s := range segs {
+		if s < seq {
+			os.Remove(filepath.Join(dir, segmentName(s)))
+		}
+	}
+}
+
+// writeFileAtomic stages data in a temp file, fsyncs it, renames it to name
+// inside dir and fsyncs dir, so the file is either absent or complete —
+// never torn — and, once this returns, survives a power cut.
 func writeFileAtomic(dir, name string, data []byte) error {
 	tmp, err := os.CreateTemp(dir, name+".*.tmp")
 	if err != nil {
@@ -301,6 +329,14 @@ func writeFileAtomic(dir, name string, data []byte) error {
 	if err := os.Rename(tmpName, filepath.Join(dir, name)); err != nil {
 		os.Remove(tmpName)
 		return fmt.Errorf("wal: installing %s: %w", name, err)
+	}
+	d, err := os.Open(dir)
+	if err == nil {
+		err = d.Sync()
+		d.Close()
+	}
+	if err != nil {
+		return fmt.Errorf("wal: syncing the directory of %s: %w", name, err)
 	}
 	return nil
 }

@@ -10,14 +10,8 @@ import (
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/run"
 )
 
-// fuzzShards is the shard count the fuzz layout is built with; small enough
-// that the hand-picked run IDs below cover both shards.
-const fuzzShards = 2
-
 // fuzzSegment builds a valid segment: create/begin/finish for one run plus
-// a create for a second, the kind of tail a crash leaves behind. Both IDs
-// hash to the same shard under fuzzShards, so the whole segment is a legal
-// single-shard chain.
+// a create for a second, the kind of tail a crash leaves behind.
 func fuzzSegment(t interface{ Fatalf(string, ...any) }) []byte {
 	now := time.Date(2026, 7, 1, 12, 0, 0, 0, time.UTC)
 	started := now.Add(time.Second)
@@ -44,9 +38,9 @@ func fuzzSegment(t interface{ Fatalf(string, ...any) }) []byte {
 	return buf
 }
 
-// fuzzBystander builds a one-record segment holding a terminal run whose ID
-// hashes to the other shard — the canary that shard-local damage must never
-// touch.
+// fuzzBystander builds a one-record snapshot holding a terminal run that
+// the fuzzed segment never mentions — the canary that damage to a later
+// file must never touch.
 func fuzzBystander(t interface{ Fatalf(string, ...any) }) []byte {
 	now := time.Date(2026, 7, 1, 12, 0, 0, 0, time.UTC)
 	finishedAt := now.Add(time.Second)
@@ -63,34 +57,23 @@ func fuzzBystander(t interface{ Fatalf(string, ...any) }) []byte {
 	return buf
 }
 
-// The fuzz layout's run IDs. fuzzRunA and fuzzRunB share a shard;
-// fuzzRunOther lives in the other one. Pinned by TestFuzzShardRouting so a
-// change to shardIndex cannot silently turn the isolation check vacuous.
+// The fuzz layout's run IDs: fuzzRunA and fuzzRunB are in the fuzzed
+// segment, fuzzRunOther in the snapshot ahead of it.
 const (
 	fuzzRunA     = "r000001-aaaaaaaa"
 	fuzzRunB     = "r000003-cccccccc"
 	fuzzRunOther = "r000002-bbbbbbbb"
 )
 
-func TestFuzzShardRouting(t *testing.T) {
-	sa, sb := shardIndex(fuzzRunA, fuzzShards), shardIndex(fuzzRunB, fuzzShards)
-	so := shardIndex(fuzzRunOther, fuzzShards)
-	if sa != sb {
-		t.Fatalf("fuzzRunA and fuzzRunB must share a shard, got %d and %d", sa, sb)
-	}
-	if so == sa {
-		t.Fatalf("fuzzRunOther must live in the other shard, got %d for both", so)
-	}
-}
-
-// FuzzWALReplay throws arbitrary bytes at the sharded replay path, both as
-// a shard's final (active-at-crash) segment and as a sealed one shadowed by
-// a valid later segment, and pins the corruption contract:
+// FuzzWALReplay throws arbitrary bytes at the replay path, both as the
+// log's final (active-at-crash) segment and as a sealed one shadowed by a
+// valid later segment, behind a sealed snapshot holding a bystander run,
+// and pins the corruption contract:
 //
 //   - replay never panics;
-//   - a damaged final segment is safely truncated — and only in its own
-//     shard: Open succeeds, every surviving run is structurally sound, and
-//     the bystander run in the other shard is untouched;
+//   - a damaged final segment is safely truncated: Open succeeds, every
+//     surviving run is structurally sound, and the bystander run in the
+//     snapshot is untouched;
 //   - a damaged sealed segment is rejected: Open either refuses (the
 //     common case) or — if the mutation kept every frame intact — loads
 //     only structurally sound runs. Corrupt bytes never resurrect a run
@@ -115,27 +98,13 @@ func FuzzWALReplay(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte, final bool) {
 		dir := t.TempDir()
-		if err := writeManifest(dir, fuzzShards); err != nil {
-			t.Fatal(err)
-		}
-		fuzzed := filepath.Join(dir, shardDirName(shardIndex(fuzzRunA, fuzzShards)))
-		other := filepath.Join(dir, shardDirName(shardIndex(fuzzRunOther, fuzzShards)))
-		for _, d := range []string{fuzzed, other} {
-			if err := os.MkdirAll(d, 0o755); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := os.WriteFile(filepath.Join(fuzzed, segmentName(1)), data, 0o644); err != nil {
+		logDir := plantSegment(t, dir, 1, 0, 2, data)
+		if err := os.WriteFile(filepath.Join(logDir, snapshotName(1)), fuzzBystander(t), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if !final {
 			// A later, valid segment makes the fuzzed file a sealed one.
-			if err := os.WriteFile(filepath.Join(fuzzed, segmentName(2)), fuzzSegment(t), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := os.WriteFile(filepath.Join(other, segmentName(1)), fuzzBystander(t), 0o644); err != nil {
-			t.Fatal(err)
+			plantSegment(t, dir, 1, 0, 3, fuzzSegment(t))
 		}
 
 		s, recovered, err := Open(dir, Options{})
@@ -149,10 +118,10 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		defer s.Close()
 
-		// Damage in one shard never leaks into another: the bystander run
-		// replays intact no matter what the fuzzed shard held.
+		// Damage never reaches back into an earlier file: the bystander run
+		// replays intact no matter what the fuzzed segment held.
 		if got, err := s.Get(fuzzRunOther); err != nil || got.State != run.StateSucceeded {
-			t.Fatalf("bystander run in the undamaged shard = %+v, %v; want succeeded", got, err)
+			t.Fatalf("bystander run in the sealed snapshot = %+v, %v; want succeeded", got, err)
 		}
 
 		// Whatever survived must be structurally sound.

@@ -7,66 +7,38 @@ import "github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/metrics"
 // many appends each fsync absorbed under concurrency.
 var batchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 
-// walInstruments is the store's metric families, all split by shard so
-// per-shard load skew and batching are observable; nil-safe throughout.
+// walInstruments is the store's metric handles; nil-safe throughout.
 type walInstruments struct {
-	appends       *metrics.CounterVec   // dagd_wal_appends_total{shard}
-	appendedBytes *metrics.CounterVec   // dagd_wal_appended_bytes_total{shard}
-	fsyncs        *metrics.CounterVec   // dagd_wal_fsyncs_total{shard}
-	fsyncSeconds  *metrics.HistogramVec // dagd_wal_fsync_seconds{shard}
-	batchSize     *metrics.HistogramVec // dagd_wal_commit_batch_size{shard}
-	rotations     *metrics.CounterVec   // dagd_wal_segment_rotations_total{shard}
-	compactions   *metrics.CounterVec   // dagd_wal_compactions_total{shard}
-	compactSecs   *metrics.HistogramVec // dagd_wal_compaction_seconds{shard}
-	reclaimed     *metrics.CounterVec   // dagd_wal_compaction_reclaimed_records_total{shard}
+	appends       *metrics.Counter   // dagd_wal_appends_total
+	appendedBytes *metrics.Counter   // dagd_wal_appended_bytes_total
+	fsyncs        *metrics.Counter   // dagd_wal_fsyncs_total
+	fsyncSeconds  *metrics.Histogram // dagd_wal_fsync_seconds
+	batchSize     *metrics.Histogram // dagd_wal_commit_batch_size
+	rotations     *metrics.Counter   // dagd_wal_segment_rotations_total
+	compactions   *metrics.Counter   // dagd_wal_compactions_total
+	compactSecs   *metrics.Histogram // dagd_wal_compaction_seconds
+	reclaimed     *metrics.Counter   // dagd_wal_compaction_reclaimed_records_total
 }
 
 func newWALInstruments(reg *metrics.Registry) walInstruments {
 	return walInstruments{
-		appends: reg.CounterVec("dagd_wal_appends_total",
-			"Records appended to a shard's active WAL segment.", "shard"),
-		appendedBytes: reg.CounterVec("dagd_wal_appended_bytes_total",
-			"Bytes appended to a shard's WAL segments (framed record size).", "shard"),
-		fsyncs: reg.CounterVec("dagd_wal_fsyncs_total",
-			"Group-commit fsyncs: each one makes every record appended to the shard since the previous fsync durable.", "shard"),
-		fsyncSeconds: reg.HistogramVec("dagd_wal_fsync_seconds",
-			"Latency of group-commit fsyncs.", metrics.IOBuckets, "shard"),
-		batchSize: reg.HistogramVec("dagd_wal_commit_batch_size",
-			"Records made durable per group-commit fsync (1 = no batching; higher = concurrent appends sharing one fsync).", batchBuckets, "shard"),
-		rotations: reg.CounterVec("dagd_wal_segment_rotations_total",
-			"Active-segment rotations (seal + open a fresh segment) per shard.", "shard"),
-		compactions: reg.CounterVec("dagd_wal_compactions_total",
-			"Completed compactions (snapshot written, older files removed) per shard.", "shard"),
-		compactSecs: reg.HistogramVec("dagd_wal_compaction_seconds",
-			"Wall time of a completed shard compaction.", metrics.DefBuckets, "shard"),
-		reclaimed: reg.CounterVec("dagd_wal_compaction_reclaimed_records_total",
-			"Log records dropped by compaction: records accumulated in the shard since its prior compaction minus the snapshot records that replaced them.", "shard"),
-	}
-}
-
-// shardInstruments is one shard's bound metric handles.
-type shardInstruments struct {
-	appends       *metrics.Counter
-	appendedBytes *metrics.Counter
-	fsyncs        *metrics.Counter
-	fsyncSeconds  *metrics.Histogram
-	batchSize     *metrics.Histogram
-	rotations     *metrics.Counter
-	compactions   *metrics.Counter
-	compactSecs   *metrics.Histogram
-	reclaimed     *metrics.Counter
-}
-
-func (w walInstruments) forShard(label string) shardInstruments {
-	return shardInstruments{
-		appends:       w.appends.With(label),
-		appendedBytes: w.appendedBytes.With(label),
-		fsyncs:        w.fsyncs.With(label),
-		fsyncSeconds:  w.fsyncSeconds.With(label),
-		batchSize:     w.batchSize.With(label),
-		rotations:     w.rotations.With(label),
-		compactions:   w.compactions.With(label),
-		compactSecs:   w.compactSecs.With(label),
-		reclaimed:     w.reclaimed.With(label),
+		appends: reg.Counter("dagd_wal_appends_total",
+			"Records appended to the active WAL segment."),
+		appendedBytes: reg.Counter("dagd_wal_appended_bytes_total",
+			"Bytes appended to the WAL segments (framed record size)."),
+		fsyncs: reg.Counter("dagd_wal_fsyncs_total",
+			"Group-commit fsyncs: each one makes every record appended since the previous fsync durable."),
+		fsyncSeconds: reg.Histogram("dagd_wal_fsync_seconds",
+			"Latency of group-commit fsyncs.", metrics.IOBuckets),
+		batchSize: reg.Histogram("dagd_wal_commit_batch_size",
+			"Records made durable per group-commit fsync (1 = no batching; higher = concurrent appends sharing one fsync).", batchBuckets),
+		rotations: reg.Counter("dagd_wal_segment_rotations_total",
+			"Active-segment rotations (seal + open a fresh segment)."),
+		compactions: reg.Counter("dagd_wal_compactions_total",
+			"Completed compactions (snapshot written, older files removed)."),
+		compactSecs: reg.Histogram("dagd_wal_compaction_seconds",
+			"Wall time of a completed compaction.", metrics.DefBuckets),
+		reclaimed: reg.Counter("dagd_wal_compaction_reclaimed_records_total",
+			"Log records dropped by compaction: records accumulated since the prior compaction minus the snapshot records that replaced them."),
 	}
 }

@@ -6,39 +6,32 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
+
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/run"
 )
 
-// DefaultShards is the shard count for a freshly initialized data dir when
-// Options.Shards is 0. Beyond the core count extra shards only add file
-// handles; 8 keeps per-shard contention negligible on typical hosts while
-// the manifest lets bigger deployments pin more.
-const DefaultShards = 8
-
-// MaxShards bounds the shard count: past this, per-shard batching degrades
-// (each shard sees too few appends to group) and open-file pressure grows.
-const MaxShards = 64
-
-// ErrShardCountMismatch is returned by Open when the requested shard count
-// disagrees with the one pinned in the data dir's manifest. Records are
-// routed to shards by run-ID hash mod the shard count, so opening an
-// existing layout with a different count would split each run's history
-// across shards; the store fails closed instead.
-var ErrShardCountMismatch = errors.New("wal: shard count mismatch")
+// maxShards bounds the shard count a manifest may pin. Older versions
+// refused to write more, so a larger count is damage, not a layout.
+const maxShards = 64
 
 // manifestName is the layout-pinning file at the data dir root.
 const manifestName = "MANIFEST"
 
-// manifest pins the facts replay cannot re-derive: the layout version and
-// the shard count every run ID was hashed with.
+// manifest records the layout version and how many shard directories the
+// data dir holds: 1 for every dir this version writes, up to maxShards in
+// one an older version wrote (its runs routed to a shard by ID hash), which
+// Open folds into one log.
 type manifest struct {
-	Version int `json:"version"`
-	Shards  int `json:"shards"`
+	Version    int `json:"version"`
+	ShardCount int `json:"shards"`
 }
 
 // readManifest returns the data dir's manifest, or nil if none exists yet.
-// An unreadable or implausible manifest is corruption: the shard count is
-// the one fact replay cannot reconstruct, so the store refuses to guess.
+// An unreadable or implausible manifest is corruption: which shard
+// directories hold the history is the one fact replay cannot reconstruct,
+// so the store refuses to guess.
 func readManifest(dir string) (*manifest, error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if errors.Is(err, os.ErrNotExist) {
@@ -54,50 +47,40 @@ func readManifest(dir string) (*manifest, error) {
 	if m.Version != 1 {
 		return nil, fmt.Errorf("wal: manifest version %d not supported", m.Version)
 	}
-	if m.Shards < 1 || m.Shards > MaxShards {
-		return nil, fmt.Errorf("wal: manifest pins implausible shard count %d", m.Shards)
+	if m.ShardCount < 1 || m.ShardCount > maxShards {
+		return nil, fmt.Errorf("wal: manifest pins implausible shard count %d", m.ShardCount)
 	}
 	return &m, nil
 }
 
 func writeManifest(dir string, shards int) error {
-	data, err := json.Marshal(manifest{Version: 1, Shards: shards})
+	data, err := json.Marshal(manifest{Version: 1, ShardCount: shards})
 	if err != nil {
 		return fmt.Errorf("wal: encoding manifest: %w", err)
 	}
 	return writeFileAtomic(dir, manifestName, append(data, '\n'))
 }
 
-// resolveShards decides the shard count for dir:
+// resolveShards returns how many shard directories dir's history is in:
 //
-//   - A manifest pins the count. A non-zero request that disagrees is
-//     refused with ErrShardCountMismatch — re-hashing run IDs with a new
-//     modulus would scatter each run's records across shards and break the
-//     per-shard replay-order guarantee.
-//   - No manifest and nothing else: a fresh dir; the manifest is written
-//     with the requested (or default) count.
+//   - A manifest says: 1, or more for a dir an older version wrote, which
+//     Open then folds.
+//   - No manifest and nothing else: a fresh dir; a one-shard manifest is
+//     written.
 //   - No manifest but log files or shard directories: refused, with every
 //     file left as it is. Root-level log files are the pre-shard
 //     single-stream layout, which this store no longer reads; shard
 //     directories without a manifest mean the manifest was lost, and with
-//     it the modulus their runs were hashed by. Both hold run history that
-//     only an operator can decide about.
-func resolveShards(dir string, requested int) (int, error) {
-	if requested < 0 || requested > MaxShards {
-		return 0, fmt.Errorf("wal: shard count %d out of range [1,%d] (0 = adopt existing layout or default %d)",
-			requested, MaxShards, DefaultShards)
-	}
+//     it which of them hold history. Both hold run history that only an
+//     operator can decide about.
+func resolveShards(dir string) (int, error) {
 	m, err := readManifest(dir)
 	if err != nil {
 		return 0, err
 	}
 	if m != nil {
-		if requested != 0 && requested != m.Shards {
-			return 0, fmt.Errorf("%w: data dir %s was created with %d shards, asked to open with %d (a run's records live in exactly one shard; a different count would split its history)",
-				ErrShardCountMismatch, dir, m.Shards, requested)
-		}
 		removeStaleTemps(dir) // a manifest write that died before its rename
-		return m.Shards, nil
+		return m.ShardCount, nil
 	}
 
 	snaps, segs, err := scanDir(dir)
@@ -114,16 +97,58 @@ func resolveShards(dir string, requested int) (int, error) {
 	}
 	for _, e := range entries {
 		if e.IsDir() && strings.HasPrefix(e.Name(), "shard-") {
-			return 0, fmt.Errorf("wal: data dir %s holds shard directories without %s (the shard count their runs were hashed with is lost); nothing was changed",
+			return 0, fmt.Errorf("wal: data dir %s holds shard directories without %s (which of them hold history is lost); nothing was changed",
 				dir, manifestName)
 		}
 	}
-	n := requested
-	if n == 0 {
-		n = DefaultShards
+	return 1, writeManifest(dir, 1)
+}
+
+// fold turns a data dir an older version wrote with shards > 1 into one
+// log (package doc, "Folding a sharded data dir"). It replays shard-01 and
+// up into replayed, which already holds shard-00, writes the union into
+// shard-00 as one snapshot above every file there, and only once that is
+// durable rewrites the manifest to one shard. Open removes the other shard
+// directories afterwards. Nothing is written unless every shard loads.
+func (s *Store) fold(dataDir string, shards int, replayed *replayState) error {
+	for i := 1; i < shards; i++ {
+		d := filepath.Join(dataDir, shardDirName(i))
+		if _, err := os.Stat(d); errors.Is(err, os.ErrNotExist) {
+			continue // written before the older version created its shard dirs: it held nothing
+		}
+		if _, err := loadChain(d, replayed); err != nil {
+			return fmt.Errorf("wal: replaying %s: %w", shardDirName(i), err)
+		}
 	}
-	if err := writeManifest(dir, n); err != nil {
-		return 0, err
+	runs := make([]run.Run, 0, len(replayed.runs))
+	for _, r := range replayed.runs {
+		runs = append(runs, r)
 	}
-	return n, nil
+	sort.Slice(runs, func(i, j int) bool { return run.CompareRuns(runs[i], runs[j]) < 0 })
+	buf, err := encodeSnapshot(runs, replayed.cancelRequested)
+	if err != nil {
+		return err
+	}
+	snapSeq := s.nextSeq
+	s.nextSeq++
+	if err := writeFileAtomic(s.dir, snapshotName(snapSeq), buf); err != nil {
+		return err
+	}
+	removeBelow(s.dir, snapSeq)
+	return writeManifest(dataDir, 1)
+}
+
+// removeFoldedShards removes shard-01 and up from a one-shard data dir: what
+// a fold leaves behind when it stops between its manifest rewrite and the
+// removal, redundant since the snapshot that covers them is durable.
+func removeFoldedShards(dataDir string) {
+	entries, err := os.ReadDir(dataDir)
+	if err != nil {
+		return
+	}
+	for _, e := range entries {
+		if e.IsDir() && strings.HasPrefix(e.Name(), "shard-") && e.Name() != shardDirName(0) {
+			os.RemoveAll(filepath.Join(dataDir, e.Name()))
+		}
+	}
 }

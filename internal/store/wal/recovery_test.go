@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -305,11 +306,10 @@ func TestReplayOrderAtScale(t *testing.T) {
 }
 
 // TestSegmentRotation forces tiny segments and checks the log splits while
-// replay still sees one coherent history. Shards: 1 so every record hits
-// the same segment chain and the rotation count is deterministic.
+// replay still sees one coherent history.
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := mustOpen(t, dir, wal.Options{SegmentMaxBytes: 512, CompactThreshold: -1, Shards: 1})
+	s, _ := mustOpen(t, dir, wal.Options{SegmentMaxBytes: 512, CompactThreshold: -1})
 	for i := 0; i < 20; i++ {
 		r := mustCreate(t, s, pipelineSpec())
 		drive(t, s, r.ID, nil)
@@ -335,7 +335,7 @@ func TestSegmentRotation(t *testing.T) {
 // replays identically.
 func TestCompaction(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := mustOpen(t, dir, wal.Options{CompactThreshold: 10, SegmentMaxBytes: 256, Shards: 1})
+	s, _ := mustOpen(t, dir, wal.Options{CompactThreshold: 10, SegmentMaxBytes: 256})
 	var last run.Run
 	for i := 0; i < 15; i++ {
 		r := mustCreate(t, s, pipelineSpec())
@@ -376,7 +376,7 @@ func TestCompaction(t *testing.T) {
 // active segment is truncated away and every complete record survives.
 func TestTornTail(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := mustOpen(t, dir, wal.Options{Shards: 1})
+	s, _ := mustOpen(t, dir, wal.Options{})
 	a := mustCreate(t, s, pipelineSpec())
 	drive(t, s, a.ID, nil)
 	b := mustCreate(t, s, pipelineSpec())
@@ -414,7 +414,7 @@ func TestTornTail(t *testing.T) {
 // refuse rather than load a partial history.
 func TestCorruptSealedSegmentRejected(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := mustOpen(t, dir, wal.Options{Shards: 1})
+	s, _ := mustOpen(t, dir, wal.Options{})
 	r := mustCreate(t, s, pipelineSpec())
 	drive(t, s, r.ID, nil)
 	s.Close()
@@ -585,5 +585,55 @@ func TestRecoveryStampsLegacyTenant(t *testing.T) {
 	got, err := s2.Get(terminal.ID)
 	if err != nil || got.Spec.Tenant != tenant.Default {
 		t.Errorf("legacy terminal run replayed with tenant %q, %v; want %q", got.Spec.Tenant, err, tenant.Default)
+	}
+}
+
+// TestGroupCommitConcurrentDurability hammers an fsync-on store from many
+// goroutines and then replays it: every acknowledged transition must be on
+// disk. This is the durability half of the group-commit contract (the
+// batching half is the BenchmarkWALAppend numbers).
+func TestGroupCommitConcurrentDurability(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := mustOpen(t, dir, wal.Options{Fsync: true})
+	const workers, each = 16, 4
+	idCh := make(chan string, workers*each)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				r, err := s.Create(pipelineSpec())
+				if err != nil {
+					t.Errorf("Create: %v", err)
+					return
+				}
+				if _, err := s.Begin(r.ID, time.Now(), "", func() {}); err != nil {
+					t.Errorf("Begin(%s): %v", r.ID, err)
+					return
+				}
+				if _, err := s.Finish(r.ID, &run.Result{Nodes: 12, Match: true}, nil); err != nil {
+					t.Errorf("Finish(%s): %v", r.ID, err)
+					return
+				}
+				idCh <- r.ID
+			}
+		}()
+	}
+	wg.Wait()
+	close(idCh)
+	s.Close()
+
+	s2, _ := mustOpen(t, dir, wal.Options{Fsync: true})
+	defer s2.Close()
+	n := 0
+	for id := range idCh {
+		n++
+		if got, err := s2.Get(id); err != nil || got.State != run.StateSucceeded {
+			t.Errorf("acknowledged run %s not durable: %+v, %v", id, got, err)
+		}
+	}
+	if n != workers*each {
+		t.Errorf("drove %d runs, want %d", n, workers*each)
 	}
 }

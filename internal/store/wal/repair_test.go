@@ -34,7 +34,7 @@ func TestRecoveryFailsRevalidationTerminally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plantSegment(t, dir, invalid.ID, buf)
+	plantSegment(t, dir, 4, 3, 1, buf)
 
 	s, recovered, err := Open(dir, Options{})
 	if err != nil {
@@ -76,21 +76,22 @@ func TestRecoveryFailsRevalidationTerminally(t *testing.T) {
 	}
 }
 
-// plantSegment writes one segment holding frames as the whole log of a
-// four-shard data dir, in the shard that owns id.
-func plantSegment(t *testing.T, dir, id string, frames []byte) {
+// plantSegment writes frames as segment seq of shard directory shard in a
+// data dir whose manifest pins shards, and returns that directory. With
+// shards > 1 it lays out what an older, sharded version wrote.
+func plantSegment(t *testing.T, dir string, shards, shard int, seq uint64, frames []byte) string {
 	t.Helper()
-	const shards = 4
 	if err := writeManifest(dir, shards); err != nil {
 		t.Fatal(err)
 	}
-	sdir := filepath.Join(dir, shardDirName(shardIndex(id, shards)))
+	sdir := filepath.Join(dir, shardDirName(shard))
 	if err := os.MkdirAll(sdir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(sdir, segmentName(1)), frames, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(sdir, segmentName(seq)), frames, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return sdir
 }
 
 // TestReplayUnversionedSpecAsV1 plants a queued random-spec record written
@@ -103,7 +104,7 @@ func TestReplayUnversionedSpecAsV1(t *testing.T) {
 	payload := []byte(`{"op":"create","run":{"id":"` + id + `","spec":{"shape":"random","nodes":300,"p":0.02,"seed":5,"workload":"pathcount","tenant":"default"},"state":"queued","created_at":"2026-07-01T12:00:00Z"}}`)
 	frame := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
 	frame = binary.BigEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
-	plantSegment(t, dir, id, append(frame, payload...))
+	plantSegment(t, dir, 4, 1, 1, append(frame, payload...))
 
 	s, recovered, err := Open(dir, Options{})
 	if err != nil {

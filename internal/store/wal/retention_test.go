@@ -62,24 +62,23 @@ func snapshotJSON(t *testing.T, r run.Run) string {
 }
 
 // TestRetentionAcrossCrashPoints is the retention rule as a crash property.
-// A single-shard store is driven past keep with EvictTerminal(keep) after
+// A store is driven past keep with EvictTerminal(keep) after
 // every completion — which logs nothing — across two compaction swaps, and
 // then every record-boundary truncation of the active segment (the shape a
 // power loss leaves: a durable prefix) is reopened and trimmed the way
 // dispatch.New trims it.
 func TestRetentionAcrossCrashPoints(t *testing.T) {
 	const keep = 3
-	opts := Options{Shards: 1, CompactThreshold: 16}
+	opts := Options{CompactThreshold: 16}
 	dir := t.TempDir()
 	s, _, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := s.shards[0]
 	// Compaction runs in the background; waiting it out after every step
 	// pins each swap to the record that triggered it, so the layout (and
 	// the set of crash points) is the same on every run of the test.
-	settle := func() { sh.compactWG.Wait() }
+	settle := func() { s.compactWG.Wait() }
 	create := func() string {
 		t.Helper()
 		r, err := s.Create(tinySpec())
@@ -132,7 +131,7 @@ func TestRetentionAcrossCrashPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snaps, segs, err := scanDir(sh.dir)
+	snaps, segs, err := scanDir(s.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +139,7 @@ func TestRetentionAcrossCrashPoints(t *testing.T) {
 		t.Fatal("no compaction swap happened mid-history")
 	}
 	active := segmentName(segs[len(segs)-1])
-	data, err := os.ReadFile(filepath.Join(sh.dir, active))
+	data, err := os.ReadFile(filepath.Join(s.dir, active))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +329,7 @@ func walCounters(t *testing.T, reg *metrics.Registry) (appends, fsyncs, batches,
 // a finish whose batch carries the begin — and eviction costs neither.
 func TestAwaitedAppends(t *testing.T) {
 	reg := metrics.NewRegistry()
-	s, _, err := Open(t.TempDir(), Options{Fsync: true, Shards: 1, Metrics: reg})
+	s, _, err := Open(t.TempDir(), Options{Fsync: true, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

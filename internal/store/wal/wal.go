@@ -9,25 +9,20 @@
 //
 // # On-disk layout
 //
-// The log is sharded by run-ID hash: a data directory holds a MANIFEST file
-// pinning the shard count, plus one directory per shard:
+// A data directory holds one log, in the directory names older versions
+// gave a log sharded by run-ID hash, at one shard:
 //
-//	MANIFEST   {"version":1,"shards":N} — the layout contract
-//	shard-00/  ... shard-<N-1>/
+//	MANIFEST   {"version":1,"shards":1}
+//	shard-00/  the log's segments and snapshots
 //
-// Every record for a run lands in shardIndex(id) = fnv32a(id) mod N, so a
-// run's full history lives in exactly one shard and per-shard replay order
-// is a total order for that run. Shards are fully independent — each has
-// its own mutex, active segment, rotation, group-commit batcher, and
-// compaction cycle — so transitions for runs in different shards never
-// contend. Because the routing depends on N, the manifest is load-bearing:
-// opening an existing directory with a different shard count is refused
-// with ErrShardCountMismatch rather than silently splitting run histories,
-// and so is a directory that holds log files or shard directories but no
-// manifest (the pre-shard single-stream layout, or a lost manifest).
+// so an older binary opens what this one writes. A data dir an older
+// version wrote with N > 1 shards is folded into one log on its first Open
+// (see "Folding a sharded data dir"). A directory that holds log files or
+// shard directories but no manifest (the pre-shard single-stream layout, or
+// a lost manifest) is refused, with every file left as it is.
 //
-// Inside a shard, files follow the original single-stream format — both are
-// sequences of identically framed records:
+// In the log directory, files follow the original single-stream format —
+// both are sequences of identically framed records:
 //
 //	wal-<seq>.log      active/sealed log segments, one record per transition
 //	snapshot-<seq>.log compacted baseline: one record per surviving run
@@ -51,19 +46,19 @@
 //     (both the terminal record and the cancel-request), Requeue, Delete,
 //     and the requeue/put records Open itself writes. These are the
 //     transitions a client is told about.
-//   - Ordered only — Begin. Its record is appended under the shard lock, so
-//     it sits ahead of the run's finish in the same shard and the finish's
-//     fsync covers it, but nothing waits on it. Losing it to a power
-//     failure replays the run as queued instead of running, and Open treats
-//     the two identically (requeue, Restarts+1): the loss is unobservable.
+//   - Ordered only — Begin. Its record is appended under the store lock, so
+//     it sits ahead of the run's finish in the log and the finish's fsync
+//     covers it, but nothing waits on it. Losing it to a power failure
+//     replays the run as queued instead of running, and Open treats the two
+//     identically (requeue, Restarts+1): the loss is unobservable.
 //   - Not logged — EvictTerminal. The retained history is by definition the
 //     newest keep terminal runs in run.CompareFinished order. Memory
 //     enforces that after every completion; evicted runs leave the disk at
-//     their shard's next compaction (which snapshots memory); a replay
-//     before then resurrects them, every one older than anything retained,
-//     and the dispatcher's EvictTerminal in dispatch.New — before any
-//     worker starts or a recovered run is re-admitted — trims them again,
-//     so no reader ever sees one.
+//     the next compaction (which snapshots memory); a replay before then
+//     resurrects them, every one older than anything retained, and the
+//     dispatcher's EvictTerminal in dispatch.New — before any worker starts
+//     or a recovered run is re-admitted — trims them again, so no reader
+//     ever sees one.
 //
 // Two honest edges: reopening with a larger bound can bring back runs
 // evicted since the last compaction (true history, never wrong data), and
@@ -73,33 +68,49 @@
 // # Durability: group-commit fsync
 //
 // With Options.Fsync on, an awaited append does not return until its record
-// is on disk — but the fsync itself is batched per shard: every record that
-// arrives while a sync is in flight joins the next batch and is covered by
-// one fsync (the batch accumulates for at most 2ms), so K concurrent appends
+// is on disk — but the fsync itself is batched: every record that arrives
+// while a sync is in flight joins the next batch and is covered by one
+// fsync (the batch accumulates for at most 2ms), so K concurrent appends
 // cost ~1 fsync instead of K without weakening the contract. A lone append
 // is never delayed. Compaction snapshots are always fsynced before old
 // segments are removed, regardless of the Fsync setting.
 //
 // # Compaction: off the write path
 //
-// When a shard accumulates CompactThreshold records it compacts in a
-// background goroutine: the shard lock is held only long enough to swap in
+// When the log accumulates CompactThreshold records it compacts in a
+// background goroutine: the store lock is held only long enough to swap in
 // a fresh active segment; encoding and installing the snapshot (and
 // deleting the superseded files) happen off-path, so the write path never
 // stalls behind a snapshot of the store.
 //
 // # Replay and corruption policy
 //
-// Open replays every shard (concurrently): the highest-numbered snapshot,
-// then every later segment in sequence order. A truncated or
-// checksum-failing record in a shard's final (active-at-crash) segment is
-// treated as a torn tail: that file is truncated at the last good record
-// and recovery proceeds — a crash mid-append must not brick the store, and
-// damage in one shard's tail never touches another shard. The same damage
-// in any earlier file means real corruption (those files were sealed
-// complete), and Open refuses to load rather than resurrect a partial
-// history. Records that decode but fail validation (empty ID, unknown op)
-// follow the same policy.
+// Open replays the log: the highest-numbered snapshot, then every later
+// segment in sequence order. A truncated or checksum-failing record in the
+// final (active-at-crash) segment is treated as a torn tail: that file is
+// truncated at the last good record and recovery proceeds — a crash
+// mid-append must not brick the store. The same damage in any earlier file
+// means real corruption (those files were sealed complete), and Open
+// refuses to load rather than resurrect a partial history. Records that
+// decode but fail validation (empty ID, unknown op) follow the same policy.
+//
+// # Folding a sharded data dir
+//
+// Older versions routed each run to one of N shard directories by the hash
+// of its ID. Open folds such a dir into one log, once:
+//
+//  1. replay every shard-NN/ as above — their union is the history, since
+//     a run's records all live in one shard; if any shard refuses to load,
+//     Open fails with nothing changed beyond torn-tail truncation;
+//  2. write that state into shard-00 as one snapshot, above every file
+//     there, with the compaction encoder;
+//  3. rewrite the manifest to one shard;
+//  4. remove shard-01 and up;
+//
+// and recovery proceeds as for any one log. A crash before step 3 folds
+// again on the next Open: the runs the snapshot duplicates are identical to
+// the shards' own. After step 3, Open removes any shard-NN (NN ≥ 1) left
+// over, redundant since the snapshot that covers them is durable.
 //
 // # Recovery semantics
 //
@@ -117,6 +128,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -130,30 +142,23 @@ import (
 type Options struct {
 	// Fsync makes every acknowledged transition durable against power loss,
 	// not just process crash: an awaited append (see the package doc) does
-	// not return until its record is fsynced. Off by default — the OS page cache survives SIGKILL. Syncs
-	// are group-committed per shard (see groupCommit), so the cost under
-	// concurrent load is ~1 fsync per batch, not per record. Compaction
-	// snapshots are always fsynced before old segments are removed,
-	// regardless of this setting.
+	// not return until its record is fsynced. Off by default — the OS page
+	// cache survives SIGKILL. Syncs are group-committed (see groupCommit),
+	// so the cost under concurrent load is ~1 fsync per batch, not per
+	// record. Compaction snapshots are always fsynced before old segments
+	// are removed, regardless of this setting.
 	Fsync bool
-	// Shards is the number of independent log shards. Zero adopts the count
-	// pinned in the data dir's manifest (or DefaultShards for a fresh dir).
-	// Non-zero must match an existing manifest: run IDs are routed to shards
-	// by hash mod Shards, so reopening with a different count is refused
-	// (ErrShardCountMismatch) rather than splitting run histories.
-	Shards int
-	// CompactThreshold is how many records may be appended to one shard (or
-	// replayed from its segments on boot) before that shard compacts in the
-	// background: all its surviving runs — mostly terminal history — are
-	// written into a snapshot file and the older segments deleted. Zero
-	// means 4096; negative disables compaction.
+	// CompactThreshold is how many records may be appended to the log (or
+	// replayed from it on boot) before it compacts in the background: all
+	// surviving runs — mostly terminal history — are written into a
+	// snapshot file and the older segments deleted. Zero means 4096;
+	// negative disables compaction.
 	CompactThreshold int
-	// SegmentMaxBytes rotates a shard's active segment once it grows past
-	// this size, bounding the largest file replay must buffer. Zero means 8MB.
+	// SegmentMaxBytes rotates the active segment once it grows past this
+	// size, bounding the largest file replay must buffer. Zero means 8MB.
 	SegmentMaxBytes int64
 	// Metrics receives the store's instrumentation (append/fsync volume and
-	// latency, commit batch sizes, rotations, compactions), all labelled by
-	// shard. Nil disables it.
+	// latency, commit batch sizes, rotations, compactions). Nil disables it.
 	Metrics *metrics.Registry
 }
 
@@ -168,79 +173,72 @@ func (o Options) withDefaults() Options {
 }
 
 // Store is the WAL-backed run.Store. The embedded MemStore answers every
-// read; each shard's mutex serializes mutations for the runs it owns, so
-// the record order on disk always matches the order transitions were
-// applied in memory (without it, two racing transitions on one run could
-// log in the opposite order and replay to the wrong final state) — while
-// runs in different shards proceed in parallel.
+// read; mu serializes each mutation with its append, so the record order on
+// disk always matches the order transitions were applied in memory
+// (without it, two racing transitions on one run could log in the opposite
+// order and replay to the wrong final state).
 type Store struct {
-	dir    string
-	opts   Options
-	mem    *run.MemStore
-	met    walInstruments
-	shards []*walShard
+	dir  string // the log's directory: shard-00 of the data dir
+	opts Options
+	mem  *run.MemStore
+	met  walInstruments
+
+	mu         sync.Mutex
+	seg        *os.File // active segment
+	segBytes   int64
+	nextSeq    uint64 // next file sequence number (segments and snapshots share it)
+	appended   int    // records since the last compaction (or replayed since boot)
+	compacting bool   // a background compaction is in flight
+	closed     bool
+	// cancelReq tracks runs with an acknowledged-but-unfinished
+	// cancellation, so a compaction snapshot preserves the acknowledgement
+	// (as an opCancelReq record) instead of flattening it into a plain put
+	// that recovery would re-admit.
+	cancelReq map[string]bool
+
+	compactWG sync.WaitGroup
+	gc        *groupCommit // nil unless Options.Fsync
 }
 
 var _ run.Store = (*Store)(nil)
 
-// Open loads (or initializes) the WAL in dir and returns the store plus the
-// recovered queued runs — every run that was queued or running at crash
+// Open loads (or initializes) the WAL in dataDir and returns the store plus
+// the recovered queued runs — every run that was queued or running at crash
 // time, already reset to queued — oldest first, for the caller to re-admit
 // to its dispatcher.
-func Open(dir string, opts Options) (*Store, []run.Run, error) {
+func Open(dataDir string, opts Options) (*Store, []run.Run, error) {
 	opts = opts.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(dataDir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: creating data dir: %w", err)
 	}
-	n, err := resolveShards(dir, opts.Shards)
+	shards, err := resolveShards(dataDir)
 	if err != nil {
 		return nil, nil, err
 	}
 	s := &Store{
-		dir:  dir,
-		opts: opts,
-		mem:  run.NewMemStore(),
-		met:  newWALInstruments(opts.Metrics),
+		dir:       filepath.Join(dataDir, shardDirName(0)),
+		opts:      opts,
+		mem:       run.NewMemStore(),
+		met:       newWALInstruments(opts.Metrics),
+		cancelReq: make(map[string]bool),
 	}
-	s.shards = make([]*walShard, n)
-	for i := range s.shards {
-		if s.shards[i], err = newShard(s, i); err != nil {
+	if err := os.MkdirAll(s.dir, 0o755); err != nil {
+		return nil, nil, fmt.Errorf("wal: creating %s: %w", shardDirName(0), err)
+	}
+	removeStaleTemps(s.dir)
+	replayed := newReplayState()
+	maxSeq, err := loadChain(s.dir, replayed)
+	if err != nil {
+		return nil, nil, fmt.Errorf("wal: replaying %s: %w", shardDirName(0), err)
+	}
+	s.nextSeq = maxSeq + 1
+	if shards > 1 {
+		if err := s.fold(dataDir, shards, replayed); err != nil {
 			return nil, nil, err
 		}
 	}
-
-	// Replay all shards concurrently; runs never straddle shards, so the
-	// per-shard states merge by plain union.
-	type shardLoad struct {
-		state  *replayState
-		maxSeq uint64
-		err    error
-	}
-	loads := make([]shardLoad, n)
-	var wg sync.WaitGroup
-	for i := range s.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			st, maxSeq, err := loadChain(s.shards[i].dir)
-			loads[i] = shardLoad{st, maxSeq, err}
-		}(i)
-	}
-	wg.Wait()
-	replayed := newReplayState()
-	for i, ld := range loads {
-		if ld.err != nil {
-			return nil, nil, fmt.Errorf("wal: replaying %s: %w", shardDirName(i), ld.err)
-		}
-		s.shards[i].nextSeq = ld.maxSeq + 1
-		s.shards[i].appended = len(ld.state.runs)
-		for id, r := range ld.state.runs {
-			replayed.runs[id] = r
-		}
-		for id := range ld.state.cancelRequested {
-			replayed.cancelRequested[id] = true
-		}
-	}
+	removeFoldedShards(dataDir)
+	s.appended = len(replayed.runs)
 
 	// Restore terminal history first, then convert interrupted runs.
 	// repaired collects runs that recovery itself drives to a terminal
@@ -310,62 +308,36 @@ func Open(dir string, opts Options) (*Store, []run.Run, error) {
 	}
 	sort.Slice(recovered, func(i, j int) bool { return run.CompareRuns(recovered[i], recovered[j]) < 0 })
 
-	for _, sh := range s.shards {
-		if err := sh.openSegmentLocked(); err != nil {
-			for _, sh2 := range s.shards {
-				if sh2.seg != nil {
-					sh2.seg.Close()
-				}
-			}
-			return nil, nil, err
-		}
+	if s.seg, err = createSegment(s.dir, s.nextSeq); err != nil {
+		return nil, nil, err
 	}
-	// Committers start only after every shard has an active segment; sh.gc
-	// is assigned together with its goroutine so close never waits on a
-	// committer that was never started.
+	s.nextSeq++
 	if opts.Fsync {
-		for _, sh := range s.shards {
-			sh.gc = newGroupCommit()
-			go sh.gc.run(sh)
-		}
+		s.gc = newGroupCommit()
+		go s.gc.run(s)
 	}
 
 	// Log the recovery transitions themselves, so a second crash before the
 	// next compaction still replays to the re-admitted (or repaired) state.
-	logRecovery := func(rec record) error {
-		sh := s.shardFor(rec.Run.ID)
-		sh.mu.Lock()
-		ticket, err := sh.appendLocked(rec)
-		sh.mu.Unlock()
-		if err != nil {
-			return err
+	logRecovery := func(op string, runs []run.Run) error {
+		for i := range runs {
+			s.mu.Lock()
+			if err := s.commitLocked(record{Op: op, Run: &runs[i]}); err != nil {
+				return err
+			}
 		}
-		return sh.waitDurable(ticket)
+		return nil
 	}
-	for _, r := range recovered {
-		r := r
-		if err := logRecovery(record{Op: opRequeue, Run: &r}); err != nil {
-			s.Close()
-			return nil, nil, err
-		}
+	err = logRecovery(opRequeue, recovered)
+	if err == nil {
+		err = logRecovery(opPut, repaired)
 	}
-	for _, r := range repaired {
-		r := r
-		if err := logRecovery(record{Op: opPut, Run: &r}); err != nil {
-			s.Close()
-			return nil, nil, err
-		}
+	if err != nil {
+		s.Close()
+		return nil, nil, err
 	}
 	return s, recovered, nil
 }
-
-// shardFor routes a run ID to its owning shard.
-func (s *Store) shardFor(id string) *walShard {
-	return s.shards[shardIndex(id, len(s.shards))]
-}
-
-// Shards returns the store's shard count (pinned by the data dir manifest).
-func (s *Store) Shards() int { return len(s.shards) }
 
 // Create registers a queued run, logging it before the ID escapes. If the
 // log write or its sync fails the in-memory entry is rolled back, so a run
@@ -376,15 +348,9 @@ func (s *Store) Create(spec run.Spec) (run.Run, error) {
 		return run.Run{}, err
 	}
 	// The ID is fresh and unpublished, so nothing can race this run's log
-	// order; the shard lock is needed only for the append itself.
-	sh := s.shardFor(r.ID)
-	sh.mu.Lock()
-	ticket, err := sh.appendLocked(record{Op: opCreate, Run: &r})
-	sh.mu.Unlock()
-	if err == nil {
-		err = sh.waitDurable(ticket)
-	}
-	if err != nil {
+	// order; the lock is needed only for the append itself.
+	s.mu.Lock()
+	if err := s.commitLocked(record{Op: opCreate, Run: &r}); err != nil {
 		s.mem.Delete(r.ID)
 		return run.Run{}, err
 	}
@@ -392,22 +358,21 @@ func (s *Store) Create(spec run.Spec) (run.Run, error) {
 }
 
 // Begin transitions queued → running (see run.Store). The transition is
-// applied in memory and appended under the run's shard lock, so the record
-// lands ahead of the run's finish, whose group commit covers it; nothing
-// waits on it. A begin record lost to power failure replays the run as
-// queued, which Open re-admits exactly as it does a running one — no
-// client was ever told otherwise. An append failure is returned but the
-// in-memory transition stands — memory is the source of truth while the
-// process lives, and the next compaction re-syncs the log.
+// applied in memory and appended under the store lock, so the record lands
+// ahead of the run's finish, whose group commit covers it; nothing waits on
+// it. A begin record lost to power failure replays the run as queued,
+// which Open re-admits exactly as it does a running one — no client was
+// ever told otherwise. An append failure is returned but the in-memory
+// transition stands — memory is the source of truth while the process
+// lives, and the next compaction re-syncs the log.
 func (s *Store) Begin(id string, dispatchedAt time.Time, worker string, cancel context.CancelFunc) (run.Run, error) {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	r, err := s.mem.Begin(id, dispatchedAt, worker, cancel)
 	if err != nil {
 		return r, err
 	}
-	_, err = sh.appendLocked(record{Op: opBegin, Run: &r})
+	_, err = s.appendLocked(record{Op: opBegin, Run: &r})
 	return r, err
 }
 
@@ -420,38 +385,26 @@ func (s *Store) Begin(id string, dispatchedAt time.Time, worker string, cancel c
 // superseded by the re-dispatch (callers expire cancel-requested leases as
 // cancelled instead of requeueing them).
 func (s *Store) Requeue(id string) (run.Run, error) {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
+	s.mu.Lock()
 	r, err := s.mem.Requeue(id)
 	if err != nil {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return r, err
 	}
-	delete(sh.cancelReq, id)
-	ticket, err := sh.appendLocked(record{Op: opRequeue, Run: &r})
-	sh.mu.Unlock()
-	if err != nil {
-		return r, err
-	}
-	return r, sh.waitDurable(ticket)
+	delete(s.cancelReq, id)
+	return r, s.commitLocked(record{Op: opRequeue, Run: &r})
 }
 
 // Finish transitions running → terminal (see run.Store).
 func (s *Store) Finish(id string, result *run.Result, runErr error) (run.Run, error) {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
+	s.mu.Lock()
 	r, err := s.mem.Finish(id, result, runErr)
 	if err != nil {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return r, err
 	}
-	delete(sh.cancelReq, id)
-	ticket, err := sh.appendLocked(record{Op: opFinish, Run: &r})
-	sh.mu.Unlock()
-	if err != nil {
-		return r, err
-	}
-	return r, sh.waitDurable(ticket)
+	delete(s.cancelReq, id)
+	return r, s.commitLocked(record{Op: opFinish, Run: &r})
 }
 
 // Cancel requests cancellation (see run.Store). A queued → cancelled
@@ -461,11 +414,10 @@ func (s *Store) Finish(id string, result *run.Result, runErr error) (run.Run, er
 // cancellation instead of resurrecting and re-executing an acknowledged-
 // cancelled run.
 func (s *Store) Cancel(id string) (run.Run, error) {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
+	s.mu.Lock()
 	r, err := s.mem.Cancel(id)
 	if err != nil {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return r, err
 	}
 	var rec record
@@ -474,47 +426,36 @@ func (s *Store) Cancel(id string) (run.Run, error) {
 		rec = record{Op: opCancel, Run: &r}
 	case r.State == run.StateRunning:
 		rec = record{Op: opCancelReq, Run: &r}
-		sh.cancelReq[id] = true
+		s.cancelReq[id] = true
 	default:
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return r, nil
 	}
-	ticket, err := sh.appendLocked(rec)
-	sh.mu.Unlock()
-	if err != nil {
-		return r, err
-	}
-	return r, sh.waitDurable(ticket)
+	return r, s.commitLocked(rec)
 }
 
 // Delete removes a run entirely (see run.Store).
 func (s *Store) Delete(id string) error {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
+	s.mu.Lock()
 	if _, err := s.mem.Get(id); err != nil {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return nil // nothing tracked, nothing to log
 	}
 	if err := s.mem.Delete(id); err != nil {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return err
 	}
-	delete(sh.cancelReq, id)
-	ticket, err := sh.appendLocked(record{Op: opDel, ID: id})
-	sh.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return sh.waitDurable(ticket)
+	delete(s.cancelReq, id)
+	return s.commitLocked(record{Op: opDel, ID: id})
 }
 
 // EvictTerminal evicts oldest-finished terminal runs past keep (see
 // run.Store) and writes nothing: the retained history is by definition the
 // newest keep terminal runs in run.CompareFinished order, so the log needs
-// no record of who fell off the end. Victims leave the disk at their
-// shard's next compaction; a replay before that resurrects them — always
-// older than everything retained — and the caller's first EvictTerminal
-// after Open trims them again.
+// no record of who fell off the end. Victims leave the disk at the next
+// compaction; a replay before that resurrects them — always older than
+// everything retained — and the caller's first EvictTerminal after Open
+// trims them again.
 func (s *Store) EvictTerminal(keep int) int { return s.mem.EvictTerminal(keep) }
 
 // Get returns a snapshot of one run (read-only; served from memory).
@@ -533,17 +474,4 @@ func (s *Store) CountByState() map[run.State]int { return s.mem.CountByState() }
 // on the in-memory done channel, no log involvement).
 func (s *Store) Await(ctx context.Context, id string) (run.Run, error) {
 	return s.mem.Await(ctx, id)
-}
-
-// Close seals every shard: stops the committers (draining a final batch),
-// waits out in-flight compactions, and syncs + closes the active segments.
-// The store must not be used afterwards.
-func (s *Store) Close() error {
-	var firstErr error
-	for _, sh := range s.shards {
-		if err := sh.close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
 }
