@@ -88,7 +88,7 @@ type ServiceStats struct {
 // ones NewService built; the HTTP layer calls them directly (reads and
 // Await on the store, Submit/Cancel/Draining on the dispatcher).
 type Service struct {
-	Store      run.Store
+	Store      *run.Store
 	Dispatcher *dispatch.Dispatcher
 
 	fleet           *fleet.Manager // nil unless ServiceOptions.Remote
@@ -113,10 +113,10 @@ func NewService(opts ServiceOptions) (*Service, error) {
 	if opts.Metrics == nil {
 		opts.Metrics = metrics.NewRegistry()
 	}
-	var store run.Store
+	var store *run.Store
 	var recovered []run.Run
 	if opts.DataDir != "" {
-		ws, rec, err := wal.Open(opts.DataDir, wal.Options{
+		store, recovered, err = wal.Open(opts.DataDir, wal.Options{
 			Fsync:            opts.Fsync,
 			CompactThreshold: opts.CompactThreshold,
 			Metrics:          opts.Metrics,
@@ -124,7 +124,6 @@ func NewService(opts ServiceOptions) (*Service, error) {
 		if err != nil {
 			return nil, err
 		}
-		store, recovered = ws, rec
 	} else {
 		store = run.NewMemStore()
 	}

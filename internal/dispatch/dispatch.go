@@ -270,7 +270,7 @@ func (cl *priorityClass) pick(eligible func(workload, shape string) bool) (*tena
 // Dispatcher owns the per-tenant run queues and, unless Options.Remote, the
 // in-process workers draining them.
 type Dispatcher struct {
-	store run.Store
+	store *run.Store
 	opts  Options
 
 	// baseCtx parents the context of every run an in-process worker
@@ -338,10 +338,10 @@ func newInstruments(reg *metrics.Registry) instruments {
 	}
 }
 
-// New creates a Dispatcher recording into store (any run.Store — in-memory
-// or WAL-backed) and, unless opts.Remote, starts its in-process workers.
+// New creates a Dispatcher recording into store (with a durable log or
+// without) and, unless opts.Remote, starts its in-process workers.
 // Callers must eventually call Shutdown.
-func New(store run.Store, opts Options) *Dispatcher {
+func New(store *run.Store, opts Options) *Dispatcher {
 	opts = opts.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	d := &Dispatcher{

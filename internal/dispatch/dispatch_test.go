@@ -14,7 +14,7 @@ import (
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/tenant"
 )
 
-func newDispatcher(t *testing.T, opts Options) (run.Store, *Dispatcher) {
+func newDispatcher(t *testing.T, opts Options) (*run.Store, *Dispatcher) {
 	t.Helper()
 	store := run.NewMemStore()
 	d := New(store, opts)
@@ -27,7 +27,7 @@ func newDispatcher(t *testing.T, opts Options) (run.Store, *Dispatcher) {
 }
 
 // waitForState polls until the run reaches want or the deadline passes.
-func waitForState(t *testing.T, store run.Store, id string, want run.State) run.Run {
+func waitForState(t *testing.T, store *run.Store, id string, want run.State) run.Run {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
@@ -265,27 +265,44 @@ func TestNewAppliesRetention(t *testing.T) {
 	}
 }
 
-// beginDegradedStore mimics a WAL store whose disk fails the Begin append:
-// per the run.Store contract the queued→running transition stands in
-// memory, but the call reports an error.
-type beginDegradedStore struct {
-	run.Store
+// failingLog fails the records of one op: at Append, or — atWait — at
+// Wait.
+type failingLog struct {
+	op     run.Op
+	atWait bool
 }
 
-func (s *beginDegradedStore) Begin(id string, dispatchedAt time.Time, worker string, cancel context.CancelFunc) (run.Run, error) {
-	r, err := s.Store.Begin(id, dispatchedAt, worker, cancel)
-	if err != nil {
-		return r, err
+var errLogDown = errors.New("log: device gone")
+
+// failTicket marks a record whose wait fails.
+const failTicket = 1
+
+func (l failingLog) Append(op run.Op, _ *run.Run) (uint64, error) {
+	switch {
+	case op != l.op:
+		return 0, nil
+	case l.atWait:
+		return failTicket, nil
 	}
-	return r, errors.New("wal: appending record: disk full")
+	return 0, errLogDown
 }
+
+func (failingLog) Wait(ticket uint64) error {
+	if ticket == failTicket {
+		return errLogDown
+	}
+	return nil
+}
+
+func (failingLog) Close() error { return nil }
 
 // TestExecuteSurvivesBeginLogFailure pins that a durability error from
-// Begin does not strand the run: the transition stood, so the dispatcher
+// Begin does not strand the run: per the run.Store contract the
+// queued→running transition stood in memory, so the dispatcher
 // must execute it to a terminal state rather than abandoning it in
 // running forever (where every Await would park until timeout).
 func TestExecuteSurvivesBeginLogFailure(t *testing.T) {
-	store := &beginDegradedStore{Store: run.NewMemStore()}
+	store := run.NewStore(failingLog{op: run.OpBegin})
 	d := New(store, Options{QueueDepth: 4, Dispatchers: 1})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -315,7 +332,7 @@ func mustRegistry(t *testing.T, cfgs ...tenant.Config) *tenant.Registry {
 // plugDispatcher submits a long cancellable run on the default tenant and
 // waits until it occupies the (single) dispatcher, so subsequent
 // submissions pile up in their tenant queues. Returns the plug's ID.
-func plugDispatcher(t *testing.T, store run.Store, d *Dispatcher) string {
+func plugDispatcher(t *testing.T, store *run.Store, d *Dispatcher) string {
 	t.Helper()
 	plug, err := d.Submit(slowSpec)
 	if err != nil {
@@ -604,31 +621,41 @@ func TestQueuedCancelPoppedBeforeUnlink(t *testing.T) {
 	}
 }
 
-// blockingCreateStore parks every Create until released, modeling a WAL
-// store mid-fsync.
-type blockingCreateStore struct {
-	run.Store
-	entered chan struct{} // closed when the first Create is reached
-	release chan struct{} // Create returns once this closes
+// blockingCreateLog parks every wait for a create record until released,
+// modeling a log mid-fsync.
+type blockingCreateLog struct {
+	entered chan struct{} // closed when the first create's wait is reached
+	release chan struct{} // the wait returns once this closes
 	once    sync.Once
 }
 
-func (s *blockingCreateStore) Create(spec run.Spec) (run.Run, error) {
-	s.once.Do(func() { close(s.entered) })
-	<-s.release
-	return s.Store.Create(spec)
+// createTicket marks a create record's ticket; every other record is
+// durable at once.
+const createTicket = 1
+
+func (l *blockingCreateLog) Append(op run.Op, _ *run.Run) (uint64, error) {
+	if op == run.OpCreate {
+		return createTicket, nil
+	}
+	return 0, nil
 }
+
+func (l *blockingCreateLog) Wait(ticket uint64) error {
+	if ticket == createTicket {
+		l.once.Do(func() { close(l.entered) })
+		<-l.release
+	}
+	return nil
+}
+
+func (l *blockingCreateLog) Close() error { return nil }
 
 // TestSubmitDoesNotHoldLockAcrossCreate pins the satellite fix: with
 // store.Create blocked (an fsync in flight), Snapshot and other
 // submissions' backpressure checks must not block behind it.
 func TestSubmitDoesNotHoldLockAcrossCreate(t *testing.T) {
-	store := &blockingCreateStore{
-		Store:   run.NewMemStore(),
-		entered: make(chan struct{}),
-		release: make(chan struct{}),
-	}
-	d := New(store, Options{QueueDepth: 1, Dispatchers: 1})
+	blocking := &blockingCreateLog{entered: make(chan struct{}), release: make(chan struct{})}
+	d := New(run.NewStore(blocking), Options{QueueDepth: 1, Dispatchers: 1})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -640,7 +667,7 @@ func TestSubmitDoesNotHoldLockAcrossCreate(t *testing.T) {
 		_, err := d.Submit(pipelineSpec(5, 2, 0))
 		submitted <- err
 	}()
-	<-store.entered
+	<-blocking.entered
 
 	// The queue lock must be free while Create is in flight.
 	lens := make(chan int, 1)
@@ -670,8 +697,30 @@ func TestSubmitDoesNotHoldLockAcrossCreate(t *testing.T) {
 		t.Fatal("second Submit blocked behind the first's store.Create")
 	}
 
-	close(store.release)
+	close(blocking.release)
 	if err := <-submitted; err != nil {
 		t.Fatalf("blocked submit failed after release: %v", err)
+	}
+}
+
+// TestSubmitOverFailingLog: a run the log does not take is not admitted —
+// Submit returns the log's error, the store holds nothing, and the queue
+// stays empty for a worker to find nothing in.
+func TestSubmitOverFailingLog(t *testing.T) {
+	for _, atWait := range []bool{false, true} {
+		store := run.NewStore(failingLog{op: run.OpCreate, atWait: atWait})
+		d := New(store, Options{QueueDepth: 4, Dispatchers: 1})
+		if _, err := d.Submit(pipelineSpec(5, 2, 0)); !errors.Is(err, errLogDown) {
+			t.Errorf("atWait=%v: Submit = %v, want the log's error", atWait, err)
+		}
+		if n := d.Snapshot().QueueLen; n != 0 {
+			t.Errorf("atWait=%v: QueueLen = %d after a refused create, want 0", atWait, n)
+		}
+		if n := store.Len(); n != 0 {
+			t.Errorf("atWait=%v: store holds %d runs after a refused create", atWait, n)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		d.Shutdown(ctx)
+		cancel()
 	}
 }

@@ -45,7 +45,7 @@ func (d *Dispatcher) work() {
 
 // Lease blocks until a queued run matching the worker's supported
 // workloads is scheduled to it, then transitions the run to running
-// (store.Begin, attributing it to worker; the WAL-backed store logs the
+// (store.Begin, attributing it to worker; a store with a log logs the
 // grant without waiting for it to be durable) and returns the running
 // snapshot. It returns ctx.Err() when the caller gives up waiting
 // (long-poll deadline), ErrShuttingDown once a drain has begun and the
@@ -102,8 +102,8 @@ func (d *Dispatcher) Lease(ctx context.Context, worker string, supports func(wor
 		now := time.Now()
 		d.mu.Unlock()
 
-		// Begin outside mu: the WAL-backed store appends its begin record
-		// here (a write under the store's lock, not an fsync).
+		// Begin outside mu: a store with a log appends the begin record
+		// here (a write under the store's write lock, not an fsync).
 		r, err := d.store.Begin(picked.id, now, worker, func() { onCancel(picked.id) })
 		if err != nil {
 			if errors.Is(err, run.ErrNotQueued) || errors.Is(err, run.ErrNotFound) {
@@ -116,11 +116,10 @@ func (d *Dispatcher) Lease(ctx context.Context, worker string, supports func(wor
 				d.mu.Unlock()
 				continue
 			}
-			// Durable-append failure with the in-memory transition standing
-			// (see wal.Store.Begin): lease it anyway — abandoning the run
-			// now would strand it in running forever, with every Await
-			// parked on it. Only its begin record may be missing from the
-			// log.
+			// Log failure with the in-memory transition standing (see
+			// run.Store): lease it anyway — abandoning the run now would
+			// strand it in running forever, with every Await parked on it.
+			// Only its begin record may be missing from the log.
 			log.Printf("dispatch: recording lease of %s by %q: %v (leasing anyway)", picked.id, worker, err)
 		}
 		// Only a granted lease counts as a queue wait.

@@ -12,7 +12,7 @@ import (
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/tenant"
 )
 
-func newRemoteDispatcher(t *testing.T, opts Options) (run.Store, *Dispatcher) {
+func newRemoteDispatcher(t *testing.T, opts Options) (*run.Store, *Dispatcher) {
 	t.Helper()
 	opts.Remote = true
 	store := run.NewMemStore()

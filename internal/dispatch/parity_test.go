@@ -52,7 +52,7 @@ const parityWorker = "parity-worker"
 // harness is a dispatcher in one of the two modes behind one surface.
 type harness struct {
 	remote bool
-	store  run.Store
+	store  *run.Store
 	d      *Dispatcher
 	reg    *metrics.Registry
 }

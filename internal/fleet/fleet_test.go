@@ -17,7 +17,7 @@ import (
 // harness is one coordinator-side stack (store → remote dispatcher →
 // manager → HTTP server) plus a protocol client pointed at it.
 type harness struct {
-	store  run.Store
+	store  *run.Store
 	disp   *dispatch.Dispatcher
 	mgr    *Manager
 	client *Client

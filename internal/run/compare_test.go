@@ -6,6 +6,13 @@ import (
 	"time"
 )
 
+// restore is Recover's upsert, under the lock it is called with.
+func restore(s *Store, r Run) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.restore(r)
+}
+
 func runAt(id string, at time.Time) Run {
 	return Run{ID: id, CreatedAt: at}
 }
@@ -114,7 +121,7 @@ func TestEvictionTieBreakDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.FinishedAt = &now
-		s.Restore(r)
+		restore(s, r)
 	}
 	survivorsWant := make(map[string]bool)
 	all := s.List() // CompareRuns order; the last 3 must survive EvictTerminal(3)
@@ -131,7 +138,7 @@ func TestEvictionTieBreakDeterministic(t *testing.T) {
 	}
 }
 
-// TestRestoreRefilesTerminalRun pins Restore over an existing terminal
+// TestRestoreRefilesTerminalRun pins restore over an existing terminal
 // entry: the run moves to the place its new FinishedAt earns in the finish
 // order and is counted once, so eviction neither double-counts it nor
 // evicts by the stale stamp.
@@ -142,15 +149,15 @@ func TestRestoreRefilesTerminalRun(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		at := t0.Add(time.Duration(i) * time.Second)
 		r := Run{ID: string(rune('a' + i)), State: StateSucceeded, CreatedAt: t0, FinishedAt: &at}
-		s.Restore(r)
+		restore(s, r)
 		runs = append(runs, r)
 	}
 	// The oldest-finished run becomes the newest; the same snapshot twice
 	// over must still be one entry.
 	newest := t0.Add(time.Hour)
 	runs[0].FinishedAt = &newest
-	s.Restore(runs[0])
-	s.Restore(runs[0])
+	restore(s, runs[0])
+	restore(s, runs[0])
 	if n := s.EvictTerminal(4); n != 0 {
 		t.Fatalf("EvictTerminal(4) over 4 runs = %d, want 0 (re-restored run double-counted)", n)
 	}
@@ -165,7 +172,7 @@ func TestRestoreRefilesTerminalRun(t *testing.T) {
 	}
 	// A terminal entry restored as non-terminal leaves the finish order.
 	runs[3].State, runs[3].FinishedAt = StateQueued, nil
-	s.Restore(runs[3])
+	restore(s, runs[3])
 	if n := s.EvictTerminal(1); n != 0 {
 		t.Errorf("EvictTerminal(1) = %d, want 0: only one terminal run is left", n)
 	}

@@ -7,12 +7,11 @@ import (
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/storetest"
 )
 
-// TestStoreConformance runs the shared store conformance suite against the
-// in-memory backend. The WAL backend runs the identical suite from
-// internal/store/wal, which is what keeps the two implementations
-// observably interchangeable.
+// TestStoreConformance runs the store conformance suite against a store
+// with no log. internal/store/wal runs the identical suite over its durable
+// log configurations, which is what keeps logging observably invisible.
 func TestStoreConformance(t *testing.T) {
-	storetest.Run(t, func(t *testing.T) run.Store {
+	storetest.Run(t, func(t *testing.T) *run.Store {
 		s := run.NewMemStore()
 		t.Cleanup(func() { s.Close() })
 		return s

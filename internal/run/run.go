@@ -1,8 +1,8 @@
 // Package run models the lifecycle of one DAG execution request inside the
-// dagd service and defines the Store abstraction for tracking many of them
-// concurrently, with an in-memory implementation (MemStore: one map, one
-// finish-ordered list of terminal runs, one lock).
-// A durable, WAL-backed implementation lives in internal/store/wal.
+// dagd service, and Store tracks many of them concurrently: one map and one
+// finish-ordered list of terminal runs behind one lock, and an optional Log
+// that every transition is written through, in order, under a write lock
+// (internal/store/wal is the durable one).
 //
 // A run moves through the states
 //
@@ -14,9 +14,9 @@
 // never observe a half-applied transition.
 //
 // One additional transition exists only across process restarts: a run that
-// was queued or running when a WAL-backed dagd crashed is re-admitted as
-// queued on the next boot (interrupted → queued), with Run.Restarts counting
-// how many times that happened.
+// was queued or running when a dagd with a durable log died is re-admitted
+// as queued on the next boot (interrupted → queued, Store.Recover), with
+// Run.Restarts counting how many times that happened.
 package run
 
 import (
@@ -275,7 +275,7 @@ type Run struct {
 	SpecRedacted bool `json:"spec_redacted,omitempty"`
 	// Restarts counts how many times this run was re-admitted to the queue
 	// after an interruption: a service restart (the interrupted → queued
-	// recovery transition of the WAL-backed store) or a fleet worker's
+	// recovery transition, Store.Recover) or a fleet worker's
 	// lease expiring (Requeue). It is 0 for runs that executed on their
 	// first attempt.
 	Restarts int     `json:"restarts,omitempty"`
@@ -292,7 +292,7 @@ type Run struct {
 	// off its queue; StartedAt is when the store applied the queued→running
 	// transition. The CreatedAt→DispatchedAt gap is queue wait,
 	// DispatchedAt→StartedAt is Begin overhead (the wait for the store's
-	// lock; the WAL-backed store appends its begin record after stamping
+	// write lock; a store with a log appends the begin record after stamping
 	// StartedAt and does not wait for it to be durable), StartedAt→FinishedAt
 	// is execution.
 	CreatedAt    time.Time  `json:"created_at"`

@@ -21,7 +21,7 @@ func pipelineSpec() Spec {
 	return Spec{Config: gen.Config{Shape: gen.Pipeline, Stages: 10, Width: 2}}
 }
 
-func mustCreate(t *testing.T, s Store, spec Spec) Run {
+func mustCreate(t *testing.T, s *Store, spec Spec) Run {
 	t.Helper()
 	r, err := s.Create(spec)
 	if err != nil {

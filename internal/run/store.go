@@ -12,72 +12,139 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/tenant"
 )
 
-// Store is the run-tracking abstraction every service layer wires against:
-// the dispatcher records lifecycle transitions through it and the API layer
-// reads snapshots from it. Two implementations exist — the in-memory
-// MemStore below and the WAL-backed store in internal/store/wal — and both
-// must satisfy the shared conformance suite in internal/storetest, so
-// list/pagination order, eviction, and Await semantics read identically
-// regardless of backend.
-//
-// Mutating methods return an error when the backend fails to record the
-// transition durably; the in-memory implementation never does.
-type Store interface {
-	// Create registers a new queued run for spec and returns its snapshot.
-	Create(spec Spec) (Run, error)
-	// Get returns a snapshot of the run with the given ID.
-	Get(id string) (Run, error)
-	// List returns snapshots of every run in (CreatedAt, ID) order — see
-	// CompareRuns, the one comparator pagination and eviction share.
-	List() []Run
-	// Len returns the total number of tracked runs.
-	Len() int
-	// CountByState returns how many runs are in each state.
-	CountByState() map[State]int
-	// Begin transitions a queued run to running and records the
-	// dispatcher's cancel hook. dispatchedAt is the moment the dispatcher
-	// popped the run off its queue, stamped on the run alongside the
-	// Begin-time StartedAt. worker attributes the execution ("" for
-	// dagd's in-process workers, the registered worker name for fleet
-	// leases).
-	Begin(id string, dispatchedAt time.Time, worker string, cancel context.CancelFunc) (Run, error)
-	// Finish transitions a running run to its terminal state.
-	Finish(id string, result *Result, err error) (Run, error)
-	// Requeue moves a running run back to queued within the same process —
-	// the lease-expiry path: a remote worker stopped heartbeating, so the
-	// run is re-admitted with Restarts incremented, execution-side fields
-	// (DispatchedAt, StartedAt, Worker, Result, Error) cleared, and any
-	// Await waiters left blocked until the retry reaches a terminal state.
-	// Returns ErrNotRunning when the run is not running.
-	Requeue(id string) (Run, error)
-	// Cancel requests cancellation (queued → cancelled immediately;
-	// running → cancel hook invoked).
-	Cancel(id string) (Run, error)
-	// Await blocks until the run is terminal or ctx is done, returning the
-	// latest snapshot either way.
-	Await(ctx context.Context, id string) (Run, error)
-	// Delete removes a run entirely (submit-rollback path; see
-	// MemStore.Delete for the semantics).
-	Delete(id string) error
-	// EvictTerminal deletes the oldest-finished terminal runs so at most
-	// keep remain, returning how many were evicted. Retention is a rule,
-	// not a transition: a durable backend records nothing here and may
-	// come back from a restart holding more than keep, so whoever owns the
-	// bound applies it again before serving (dispatch.New does).
-	EvictTerminal(keep int) int
-	// Close releases backend resources (file handles, buffers). The
-	// in-memory store's Close is a no-op.
+// Op names one logged transition. The strings are what a log writes to
+// disk, so they never change.
+type Op string
+
+// The logged transitions. All but OpDel log the run's full post-transition
+// snapshot; OpDel logs its ID.
+const (
+	OpCreate    Op = "create"    // run admitted to the queue
+	OpBegin     Op = "begin"     // queued → running
+	OpFinish    Op = "finish"    // running → succeeded|failed|cancelled
+	OpCancel    Op = "cancel"    // queued → cancelled immediately
+	OpCancelReq Op = "cancelreq" // cancellation acknowledged on a running run
+	OpRequeue   Op = "requeue"   // running → queued: a lease expired, or recovery re-admitted it
+	OpPut       Op = "put"       // a snapshot as-is: recovery's repairs, a log's compaction
+	OpDel       Op = "del"       // run removed (submit rollback; evictions in older logs)
+)
+
+// Log is what a Store writes its transitions through: the durable log in
+// internal/store/wal, or a test's fake. The store calls Append under its
+// lock, in the order it applies transitions, and Wait after releasing it.
+type Log interface {
+	// Append writes op's record of r, which it must not retain, and
+	// returns the ticket Wait takes.
+	Append(op Op, r *Run) (ticket uint64, err error)
+	// Wait blocks until the ticketed record is durable.
+	Wait(ticket uint64) error
+	// Close flushes the log; every Append after it fails.
 	Close() error
 }
 
+// Store tracks runs for every service layer: the dispatcher records
+// lifecycle transitions through it and the API layer reads snapshots from
+// it. It is one map of runs and one list of the terminal ones in
+// CompareFinished order behind one RWMutex — every critical section is a
+// map operation on a small record; the only O(n) hold is List's copy, its
+// sort runs outside the lock — plus an optional Log. All methods are safe
+// for concurrent use and return snapshot copies, never live state.
+//
+// # Logged, awaited and ordered
+//
+// Every mutating method holds the store's write lock from applying its
+// transition in memory through appending its record, so the log holds
+// transitions in the order memory applied them (two racing transitions on
+// one run cannot log in the opposite order and replay to the wrong state),
+// and memory is never behind the log: a snapshot of the store taken after
+// a record (a log's compaction) covers it. The run map's lock is held only
+// to apply: readers never wait on a record's encoding, its write, or a
+// segment rotation. A mutating method waits for its record after releasing
+// the write lock:
+//
+//   - Awaited — the call returns once the log has the record durable:
+//     Create (the client's 202), Finish, Cancel (the terminal record and the
+//     cancel-request), Requeue, Delete, and Recover's own records. These are
+//     the transitions a client is told about. Finish and Cancel release
+//     Await waiters before the wait, so a long-poller can hear of a
+//     terminal state one group commit before it is durable; a power cut in
+//     that window replays the run as interrupted.
+//   - Ordered only — Begin. Its record lands ahead of the run's finish,
+//     whose wait covers it, but nothing waits on it. Lost to a power cut,
+//     it replays the run as queued instead of running, which Recover treats
+//     identically.
+//   - Not logged — EvictTerminal. Retention is a rule (the newest keep
+//     terminal runs in CompareFinished order), not a transition: a replay
+//     may hand back evicted runs, every one older than anything retained,
+//     and whoever owns the bound applies it again before serving
+//     (dispatch.New does).
+//
+// A failed append or wait is returned. Create then removes the run again,
+// so a run the log never acknowledged is never observed; any other
+// transition stands in memory, the truth while the process lives.
+//
+// Lock order: the store's write lock, then either the run map's lock or
+// the log's mutex (never both), then the log's group committer's. A log
+// never calls into the store while holding its own.
+//
+// # Recovery
+//
+// Recover rebuilds a store from a replayed log. Terminal runs are restored
+// as immutable history. Runs that were queued or running are re-admitted:
+// reset to queued (execution fields cleared, Restarts incremented), logged
+// as OpRequeue so a second crash replays the same, and returned oldest
+// first for the caller to hand to a dispatcher. Two finish terminally
+// instead, logged as OpPut: a running run whose cancellation was
+// acknowledged recovers as cancelled, and one whose spec no longer passes
+// Validate (a newer binary's tighter bounds, or a hand-edited log) as
+// failed. Every run is in memory, in its recovered state, before the first
+// of these records is appended.
+type Store struct {
+	log      Log
+	writeMu  sync.Mutex // the write lock: held from apply through Append
+	mu       sync.RWMutex
+	runs     map[string]*tracked
+	finished list.List // *tracked, every terminal run, in CompareFinished order
+	seq      atomic.Uint64
+}
+
+// tracked is the store's live record for one run: the run itself, the
+// dispatcher's cancel hook while the run is in flight, a done channel
+// closed exactly once when the run enters a terminal state (or is deleted
+// before reaching one), which is what Await long-polls block on, and the
+// run's place in the finish order once it is terminal.
+type tracked struct {
+	run      Run
+	cancel   context.CancelFunc
+	done     chan struct{}
+	finished *list.Element
+}
+
+// NewStore returns an empty store that writes every transition through log.
+func NewStore(log Log) *Store {
+	return &Store{log: log, runs: make(map[string]*tracked)}
+}
+
+// NewMemStore returns an empty store that logs nothing.
+func NewMemStore() *Store { return NewStore(nopLog{}) }
+
+// nopLog is the log of a store that lives in memory only.
+type nopLog struct{}
+
+func (nopLog) Append(Op, *Run) (uint64, error) { return 0, nil }
+func (nopLog) Wait(uint64) error               { return nil }
+func (nopLog) Close() error                    { return nil }
+
 // CompareRuns is the single (CreatedAt, ID) comparator behind every place
-// runs are ordered: MemStore.List's sort, eviction tie-breaking, and the
-// API layer's pagination-cursor filter. It returns -1, 0, or +1. Keeping
-// one comparator (rather than hand-rolled comparisons per call site) is
-// what guarantees a cursor walk visits exactly the runs List would return —
-// the orders cannot drift apart.
+// runs are ordered: List's sort, eviction tie-breaking, and the API layer's
+// pagination-cursor filter. It returns -1, 0, or +1. Keeping one comparator
+// (rather than hand-rolled comparisons per call site) is what guarantees a
+// cursor walk visits exactly the runs List would return — the orders cannot
+// drift apart.
 //
 // CreatedAt is compared as UnixNano because that is what pagination cursors
 // encode; Create strips monotonic readings (Round(0)) so the two clocks
@@ -105,9 +172,9 @@ func comparePosition(aNanos int64, aID string, bNanos int64, bID string) int {
 
 // CompareFinished is the (FinishedAt, CreatedAt, ID) eviction order:
 // oldest-finished first, ties broken by CompareRuns so the victim set is
-// deterministic. MemStore keeps its terminal runs in this order and WAL
-// replay sorts by it before restoring them. A nil FinishedAt (a terminal
-// snapshot only a hand-made Restore can produce) sorts as the zero time.
+// deterministic. Store keeps its terminal runs in this order and Recover
+// files replayed history by it. A nil FinishedAt (a terminal snapshot only
+// a hand-made restore can produce) sorts as the zero time.
 func CompareFinished(a, b Run) int {
 	var at, bt time.Time
 	if a.FinishedAt != nil {
@@ -122,46 +189,11 @@ func CompareFinished(a, b Run) int {
 	return CompareRuns(a, b)
 }
 
-// MemStore is the in-memory Store implementation: one map of runs and one
-// list of the terminal ones in CompareFinished order, behind one RWMutex.
-// One lock is enough because every critical section is a map operation on
-// a small record; the only O(n) hold is List's copy (under the read lock,
-// its sort outside it). All methods are safe for concurrent use and return
-// snapshot copies, never live internal state. It is both the default
-// backend (dagd without -data-dir) and the in-memory half of the
-// WAL-backed store, which replays its log into a MemStore on boot via
-// Restore.
-type MemStore struct {
-	mu       sync.RWMutex
-	runs     map[string]*tracked
-	finished list.List // *tracked, every terminal run, in CompareFinished order
-	seq      atomic.Uint64
-}
-
-var _ Store = (*MemStore)(nil)
-
-// tracked is the store's live record for one run: the run itself, the
-// dispatcher's cancel hook while the run is in flight, a done channel
-// closed exactly once when the run enters a terminal state (or is deleted
-// before reaching one), which is what Await long-polls block on, and the
-// run's place in the finish order once it is terminal.
-type tracked struct {
-	run      Run
-	cancel   context.CancelFunc
-	done     chan struct{}
-	finished *list.Element
-}
-
-// NewMemStore returns an empty MemStore.
-func NewMemStore() *MemStore {
-	return &MemStore{runs: make(map[string]*tracked)}
-}
-
 // file places a now-terminal run in the finish order, walking from the
 // back. Finish and Cancel stamp FinishedAt under the same lock that files
-// the run, so the walk ends at once; only Restore can hand in an older
-// stamp, and WAL replay restores in CompareFinished order.
-func (s *MemStore) file(t *tracked) {
+// the run, so the walk ends at once; only restore can hand in an older
+// stamp, and Recover restores in CompareFinished order. s.mu is held.
+func (s *Store) file(t *tracked) {
 	at := s.finished.Back()
 	for at != nil && CompareFinished(t.run, at.Value.(*tracked).run) < 0 {
 		at = at.Prev()
@@ -174,55 +206,28 @@ func (s *MemStore) file(t *tracked) {
 }
 
 // unfile takes a run out of the finish order, if it is there.
-func (s *MemStore) unfile(t *tracked) {
+func (s *Store) unfile(t *tracked) {
 	if t.finished != nil {
 		s.finished.Remove(t.finished)
 		t.finished = nil
 	}
 }
 
-// newID returns a unique run ID: a monotonic sequence number (uniqueness)
-// plus random bytes (avoids accidental collisions with IDs recovered from a
-// previous process's WAL, whose sequence numbers restart from zero).
-func (s *MemStore) newID() string {
-	var b [4]byte
-	if _, err := crand.Read(b[:]); err != nil {
-		// crypto/rand never fails on supported platforms; the sequence
-		// number alone still guarantees in-process uniqueness.
-		copy(b[:], "0000")
+// remove drops a run from the store. Removing a non-terminal run releases
+// any Await waiters with its last (still non-terminal) snapshot. s.mu is
+// held.
+func (s *Store) remove(t *tracked) {
+	if !t.run.State.Terminal() {
+		close(t.done)
 	}
-	return fmt.Sprintf("r%06d-%s", s.seq.Add(1), hex.EncodeToString(b[:]))
+	s.unfile(t)
+	delete(s.runs, t.run.ID)
 }
 
-// Create registers a new queued run for spec and returns its snapshot.
-// CreatedAt is stripped of its monotonic reading (Round(0)) so that
-// List's sort order and the API layer's UnixNano-based pagination cursors
-// compare the same clock — otherwise a wall-clock step between creations
-// could make paginated walks silently skip runs. The error is always nil;
-// it exists for the Store interface, whose durable implementations can
-// fail here.
-func (s *MemStore) Create(spec Spec) (Run, error) {
-	r := Run{
-		ID:        s.newID(),
-		Spec:      spec,
-		State:     StateQueued,
-		CreatedAt: time.Now().Round(0),
-	}
-	s.mu.Lock()
-	s.runs[r.ID] = &tracked{run: r, done: make(chan struct{})}
-	s.mu.Unlock()
-	return r, nil
-}
-
-// Restore upserts a run snapshot exactly as given — ID, timestamps, state
-// and all. It exists for WAL replay: the durable store rebuilds its
-// in-memory state by restoring each surviving run on boot. Terminal
-// restores arrive with their done channel already closed so Await returns
-// immediately; restoring a terminal snapshot over a live entry releases
-// its waiters, and over a terminal one re-files it under its new stamp.
-func (s *MemStore) Restore(r Run) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// restore upserts a run snapshot exactly as given — ID, timestamps, state
+// and all — for Recover. A terminal restore releases the entry's waiters
+// and files it under its stamp. s.mu is held.
+func (s *Store) restore(r Run) {
 	t, ok := s.runs[r.ID]
 	if !ok {
 		t = &tracked{done: make(chan struct{})}
@@ -242,27 +247,100 @@ func (s *MemStore) Restore(r Run) {
 	}
 }
 
-// Delete removes a run entirely. It exists so a submitter can roll back a
-// Create whose queue hand-off failed — before the ID has been revealed to
-// anyone — and it succeeds regardless of state. Deleting a non-terminal
-// run releases any Await waiters with the run's last (still non-terminal)
-// snapshot, so Delete must not be used on runs whose IDs callers may
-// already be watching.
-func (s *MemStore) Delete(id string) error {
+// transition applies apply to run id and logs the op it returns: awaited,
+// except OpBegin. An apply that refuses returns an error and changes
+// nothing.
+func (s *Store) transition(id string, apply func(t *tracked) (Op, error)) (Run, error) {
+	s.writeMu.Lock()
 	s.mu.Lock()
-	if t, ok := s.runs[id]; ok {
-		if !t.run.State.Terminal() {
-			close(t.done) // release any waiter; they'll re-read the last snapshot
+	t, ok := s.runs[id]
+	if !ok {
+		s.mu.Unlock()
+		s.writeMu.Unlock()
+		return Run{}, ErrNotFound
+	}
+	op, err := apply(t)
+	r := t.run
+	s.mu.Unlock()
+	var ticket uint64
+	if err == nil {
+		ticket, err = s.log.Append(op, &r)
+	}
+	s.writeMu.Unlock()
+	if err != nil || op == OpBegin {
+		return r, err
+	}
+	return r, s.log.Wait(ticket)
+}
+
+// newID returns a unique run ID: a monotonic sequence number (uniqueness)
+// plus random bytes (avoids accidental collisions with IDs recovered from a
+// previous process's log, whose sequence numbers restart from zero).
+func (s *Store) newID() string {
+	var b [4]byte
+	if _, err := crand.Read(b[:]); err != nil {
+		// crypto/rand never fails on supported platforms; the sequence
+		// number alone still guarantees in-process uniqueness.
+		copy(b[:], "0000")
+	}
+	return fmt.Sprintf("r%06d-%s", s.seq.Add(1), hex.EncodeToString(b[:]))
+}
+
+// Create registers a new queued run for spec and returns its snapshot once
+// its record is durable. CreatedAt is stripped of its monotonic reading
+// (Round(0)) so that List's sort order and the API layer's UnixNano-based
+// pagination cursors compare the same clock — otherwise a wall-clock step
+// between creations could make paginated walks silently skip runs.
+func (s *Store) Create(spec Spec) (Run, error) {
+	r := Run{
+		ID:        s.newID(),
+		Spec:      spec,
+		State:     StateQueued,
+		CreatedAt: time.Now().Round(0),
+	}
+	t := &tracked{run: r, done: make(chan struct{})}
+	s.writeMu.Lock()
+	s.mu.Lock()
+	s.runs[r.ID] = t
+	s.mu.Unlock()
+	ticket, err := s.log.Append(OpCreate, &r)
+	if err == nil {
+		s.writeMu.Unlock()
+		if err = s.log.Wait(ticket); err == nil {
+			return r, nil
 		}
-		s.unfile(t)
-		delete(s.runs, id)
+		s.writeMu.Lock()
+	}
+	// The log never acknowledged the run: take it out again, releasing
+	// anyone who found it in the meantime.
+	s.mu.Lock()
+	if s.runs[r.ID] == t {
+		s.remove(t)
 	}
 	s.mu.Unlock()
-	return nil
+	s.writeMu.Unlock()
+	return Run{}, err
+}
+
+// Delete removes a run entirely. It exists so a submitter can roll back a
+// Create whose queue hand-off failed — before the ID has been revealed to
+// anyone — and it succeeds regardless of state; deleting an unknown ID is
+// a no-op. Deleting a non-terminal run releases any Await waiters with the
+// run's last (still non-terminal) snapshot, so Delete must not be used on
+// runs whose IDs callers may already be watching.
+func (s *Store) Delete(id string) error {
+	_, err := s.transition(id, func(t *tracked) (Op, error) {
+		s.remove(t)
+		return OpDel, nil
+	})
+	if errors.Is(err, ErrNotFound) {
+		return nil
+	}
+	return err
 }
 
 // Get returns a snapshot of the run with the given ID.
-func (s *MemStore) Get(id string) (Run, error) {
+func (s *Store) Get(id string) (Run, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	t, ok := s.runs[id]
@@ -274,7 +352,7 @@ func (s *MemStore) Get(id string) (Run, error) {
 
 // List returns snapshots of every run in CompareRuns order: oldest first,
 // ties broken by ID so the order is stable.
-func (s *MemStore) List() []Run {
+func (s *Store) List() []Run {
 	s.mu.RLock()
 	out := make([]Run, 0, len(s.runs))
 	for _, t := range s.runs {
@@ -286,7 +364,7 @@ func (s *MemStore) List() []Run {
 }
 
 // Len returns the total number of tracked runs.
-func (s *MemStore) Len() int {
+func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.runs)
@@ -298,8 +376,9 @@ func (s *MemStore) Len() int {
 // dispatcher calls this after each finish so a long-running dagd holds a
 // bounded history instead of growing without bound. Victims come off the
 // front of the finish order (CompareFinished), so a sweep costs the number
-// of runs it evicts, not the size of the history.
-func (s *MemStore) EvictTerminal(keep int) int {
+// of runs it evicts, not the size of the history. It logs nothing (see the
+// type doc).
+func (s *Store) EvictTerminal(keep int) int {
 	if keep <= 0 {
 		return 0
 	}
@@ -307,16 +386,14 @@ func (s *MemStore) EvictTerminal(keep int) int {
 	defer s.mu.Unlock()
 	evicted := 0
 	for s.finished.Len() > keep {
-		t := s.finished.Front().Value.(*tracked)
-		s.unfile(t)
-		delete(s.runs, t.run.ID)
+		s.remove(s.finished.Front().Value.(*tracked))
 		evicted++
 	}
 	return evicted
 }
 
 // CountByState returns how many runs are in each state.
-func (s *MemStore) CountByState() map[State]int {
+func (s *Store) CountByState() map[State]int {
 	counts := make(map[State]int)
 	s.mu.RLock()
 	for _, t := range s.runs {
@@ -327,55 +404,48 @@ func (s *MemStore) CountByState() map[State]int {
 }
 
 // Begin transitions a queued run to running, records the dispatcher's
-// cancel hook, and stamps DispatchedAt and StartedAt. It returns
-// ErrNotQueued (without touching the run) if the run is in any other state
-// — in particular if it was cancelled while still in the queue.
-func (s *MemStore) Begin(id string, dispatchedAt time.Time, worker string, cancel context.CancelFunc) (Run, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.runs[id]
-	if !ok {
-		return Run{}, ErrNotFound
-	}
-	if t.run.State != StateQueued {
-		return t.run, fmt.Errorf("%w (state %s)", ErrNotQueued, t.run.State)
-	}
-	now := time.Now()
-	t.run.State = StateRunning
-	t.run.DispatchedAt = &dispatchedAt
-	t.run.StartedAt = &now
-	t.run.Worker = worker
-	t.cancel = cancel
-	return t.run, nil
+// cancel hook, and stamps DispatchedAt (the moment the dispatcher popped
+// the run off its queue) and StartedAt. worker attributes the execution
+// ("" for dagd's in-process workers, the registered worker name for fleet
+// leases). It returns ErrNotQueued (without touching the run) if the run is
+// in any other state — in particular if it was cancelled while still in
+// the queue.
+func (s *Store) Begin(id string, dispatchedAt time.Time, worker string, cancel context.CancelFunc) (Run, error) {
+	return s.transition(id, func(t *tracked) (Op, error) {
+		if t.run.State != StateQueued {
+			return "", fmt.Errorf("%w (state %s)", ErrNotQueued, t.run.State)
+		}
+		now := time.Now()
+		t.run.State = StateRunning
+		t.run.DispatchedAt = &dispatchedAt
+		t.run.StartedAt = &now
+		t.run.Worker = worker
+		t.cancel = cancel
+		return OpBegin, nil
+	})
 }
 
-// Requeue moves a running run back to queued: Restarts is incremented and
-// the execution-side fields (DispatchedAt, StartedAt, Worker, Result,
-// Error) are cleared so the retry's snapshot reads like a fresh queued run.
-// The done channel is left open — Await waiters keep waiting for the retry
-// to reach a terminal state, exactly as they would across a crash-recovery
-// requeue. Returns ErrNotRunning unless the run is currently running.
-func (s *MemStore) Requeue(id string) (Run, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.runs[id]
-	if !ok {
-		return Run{}, ErrNotFound
-	}
-	if t.run.State != StateRunning {
-		return t.run, fmt.Errorf("%w (state %s)", ErrNotRunning, t.run.State)
-	}
-	RequeueSnapshot(&t.run)
-	t.cancel = nil
-	return t.run, nil
+// Requeue moves a running run back to queued — the lease-expiry path: a
+// remote worker stopped heartbeating, so the run is re-admitted with
+// Restarts incremented and the execution-side fields cleared, the same
+// snapshot Recover gives an interrupted run. The done channel is left open:
+// Await waiters keep waiting for the retry to reach a terminal state.
+// Returns ErrNotRunning unless the run is currently running.
+func (s *Store) Requeue(id string) (Run, error) {
+	return s.transition(id, func(t *tracked) (Op, error) {
+		if t.run.State != StateRunning {
+			return "", fmt.Errorf("%w (state %s)", ErrNotRunning, t.run.State)
+		}
+		requeueSnapshot(&t.run)
+		t.cancel = nil
+		return OpRequeue, nil
+	})
 }
 
-// RequeueSnapshot turns an interrupted run's snapshot into the queued one
+// requeueSnapshot turns an interrupted run's snapshot into the queued one
 // its retry starts from: Restarts incremented, every execution-side field
-// cleared. Requeue applies it to a live run whose lease expired; the WAL
-// store's crash recovery applies it to runs the log shows queued or
-// running, so both read the same to a client.
-func RequeueSnapshot(r *Run) {
+// cleared.
+func requeueSnapshot(r *Run) {
 	r.State = StateQueued
 	r.Restarts++
 	r.DispatchedAt = nil
@@ -388,42 +458,31 @@ func RequeueSnapshot(r *Run) {
 // Finish transitions a running run to its terminal state: cancelled if err
 // is a context cancellation, failed for any other error, succeeded
 // otherwise. The result (may be nil on error) and FinishedAt are recorded.
-func (s *MemStore) Finish(id string, result *Result, err error) (Run, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.runs[id]
-	if !ok {
-		return Run{}, ErrNotFound
-	}
-	if t.run.State != StateRunning {
-		return t.run, fmt.Errorf("%w (state %s)", ErrNotRunning, t.run.State)
-	}
-	now := time.Now()
-	t.run.FinishedAt = &now
-	t.run.Result = result
-	t.cancel = nil
-	switch {
-	case err == nil:
-		t.run.State = StateSucceeded
-	case errors.Is(err, context.Canceled):
-		t.run.State = StateCancelled
-		t.run.Error = err.Error()
-	default:
-		t.run.State = StateFailed
-		t.run.Error = err.Error()
-	}
-	redactEdges(&t.run)
-	s.file(t)
-	close(t.done)
-	return t.run, nil
+func (s *Store) Finish(id string, result *Result, err error) (Run, error) {
+	return s.transition(id, func(t *tracked) (Op, error) {
+		if t.run.State != StateRunning {
+			return "", fmt.Errorf("%w (state %s)", ErrNotRunning, t.run.State)
+		}
+		now := time.Now()
+		t.run.FinishedAt = &now
+		t.run.Result = result
+		t.cancel = nil
+		switch {
+		case err == nil:
+			t.run.State = StateSucceeded
+		case errors.Is(err, context.Canceled):
+			t.run.State = StateCancelled
+			t.run.Error = err.Error()
+		default:
+			t.run.State = StateFailed
+			t.run.Error = err.Error()
+		}
+		redactEdges(&t.run)
+		s.file(t)
+		close(t.done)
+		return OpFinish, nil
+	})
 }
-
-// RedactTerminalSpec applies the terminal-snapshot edge redaction below to
-// a run owned by the caller. It exists for the WAL store's recovery paths,
-// which synthesize terminal snapshots (crash-cancelled runs, specs failing
-// re-validation) outside Finish/Cancel and must uphold the same
-// retained-memory bound.
-func RedactTerminalSpec(r *Run) { redactEdges(r) }
 
 // redactEdges drops the explicit edge list from a terminal snapshot: it
 // can be ~64MB per run, and retaining it for thousands of finished runs
@@ -445,7 +504,7 @@ func redactEdges(r *Run) {
 // reports current progress). It fails only when id is unknown at call
 // time. This is what backs the HTTP API's ?wait= long-poll: callers park
 // on the run's done channel instead of busy-polling Get.
-func (s *MemStore) Await(ctx context.Context, id string) (Run, error) {
+func (s *Store) Await(ctx context.Context, id string) (Run, error) {
 	s.mu.RLock()
 	t, ok := s.runs[id]
 	var r Run
@@ -457,9 +516,9 @@ func (s *MemStore) Await(ctx context.Context, id string) (Run, error) {
 		return Run{}, ErrNotFound
 	}
 	// t stays valid even if the run leaves the map while we wait: eviction
-	// only removes terminal (never-again-mutated) entries, and Delete (the
-	// submit-rollback path) closes done so waiters wake rather than hang —
-	// they return the last snapshot taken below under the lock.
+	// only removes terminal (never-again-mutated) entries, and remove (the
+	// rollback paths) closes done so waiters wake rather than hang — they
+	// return the last snapshot taken below under the lock.
 	if r.State.Terminal() {
 		return r, nil
 	}
@@ -475,35 +534,113 @@ func (s *MemStore) Await(ctx context.Context, id string) (Run, error) {
 
 // Cancel requests cancellation of a run. A queued run moves directly to
 // cancelled (a dispatcher that later pops it will find Begin refusing). A
-// running run has its cancel hook invoked; it stays running until the
-// dispatcher observes the cancellation and calls Finish, at which point it
-// lands in cancelled. Cancelling a terminal run returns ErrTerminal.
-func (s *MemStore) Cancel(id string) (Run, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.runs[id]
-	if !ok {
-		return Run{}, ErrNotFound
-	}
-	switch t.run.State {
-	case StateQueued:
-		now := time.Now()
-		t.run.State = StateCancelled
-		t.run.Error = "cancelled while queued"
-		t.run.FinishedAt = &now
-		redactEdges(&t.run)
-		s.file(t)
-		close(t.done)
-		return t.run, nil
-	case StateRunning:
-		if t.cancel != nil {
-			t.cancel()
+// running run has its cancel hook invoked and the request logged; it stays
+// running until the dispatcher observes the cancellation and calls Finish,
+// at which point it lands in cancelled. Cancelling a terminal run returns
+// ErrTerminal.
+func (s *Store) Cancel(id string) (Run, error) {
+	return s.transition(id, func(t *tracked) (Op, error) {
+		switch t.run.State {
+		case StateQueued:
+			now := time.Now()
+			t.run.State = StateCancelled
+			t.run.Error = "cancelled while queued"
+			t.run.FinishedAt = &now
+			redactEdges(&t.run)
+			s.file(t)
+			close(t.done)
+			return OpCancel, nil
+		case StateRunning:
+			if t.cancel != nil {
+				t.cancel()
+			}
+			return OpCancelReq, nil
+		default:
+			return "", fmt.Errorf("%w (state %s)", ErrTerminal, t.run.State)
 		}
-		return t.run, nil
-	default:
-		return t.run, fmt.Errorf("%w (state %s)", ErrTerminal, t.run.State)
-	}
+	})
 }
 
-// Close implements Store; the in-memory store holds no external resources.
-func (s *MemStore) Close() error { return nil }
+// Recover loads replayed — every run a log held, in any order — into an
+// empty store before it serves, and re-admits what was interrupted (see
+// "Recovery" in the type doc); cancelRequested names the runs whose
+// cancellation was acknowledged while they ran. It returns the runs to
+// re-admit, oldest first.
+func (s *Store) Recover(replayed []Run, cancelRequested map[string]bool) ([]Run, error) {
+	var history, readmitted, recovered []Run
+	var ops []Op
+	for _, r := range replayed {
+		// Records written before tenancy existed carry no attribution;
+		// replay them as the catch-all default tenant so history filters
+		// and re-admission both have a real tenant to point at.
+		if r.Spec.Tenant == "" {
+			r.Spec.Tenant = tenant.Default
+		}
+		// Records written before the generator was versioned carry none;
+		// their graphs were drawn by version 1, and a zero would now mean
+		// the current version.
+		if r.Spec.GenVersion == 0 {
+			r.Spec.GenVersion = 1
+		}
+		if r.State.Terminal() {
+			history = append(history, r)
+			continue
+		}
+		r, op := readmit(r, cancelRequested[r.ID])
+		readmitted, ops = append(readmitted, r), append(ops, op)
+		if op == OpRequeue {
+			recovered = append(recovered, r)
+		}
+	}
+	// History goes in in the order the store keeps it: filing shuffled runs
+	// one sorted insert at a time is O(n²), in order O(n). The terminal
+	// repairs, stamped now, file after it.
+	sort.Slice(history, func(i, j int) bool { return CompareFinished(history[i], history[j]) < 0 })
+	s.mu.Lock()
+	for _, r := range append(history, readmitted...) {
+		s.restore(r)
+	}
+	s.mu.Unlock()
+
+	for i := range readmitted {
+		s.writeMu.Lock()
+		ticket, err := s.log.Append(ops[i], &readmitted[i])
+		s.writeMu.Unlock()
+		if err == nil {
+			err = s.log.Wait(ticket)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	sort.Slice(recovered, func(i, j int) bool { return CompareRuns(recovered[i], recovered[j]) < 0 })
+	return recovered, nil
+}
+
+// readmit derives what an interrupted run becomes on recovery, and the op
+// that logs it: queued again (OpRequeue), or one of the two terminal
+// repairs (OpPut).
+func readmit(r Run, cancelRequested bool) (Run, Op) {
+	end := func(state State, msg string) (Run, Op) {
+		now := time.Now().Round(0)
+		r.State, r.Error, r.FinishedAt, r.Result = state, msg, &now, nil
+		redactEdges(&r)
+		return r, OpPut
+	}
+	if cancelRequested {
+		// The process died before the dispatcher recorded the outcome;
+		// honouring the acknowledgement means finishing the cancellation,
+		// not re-executing the run.
+		return end(StateCancelled, "cancelled; the service restarted before the cancellation completed")
+	}
+	requeueSnapshot(&r)
+	if err := r.Spec.Validate(); err != nil {
+		// Admission would refuse this spec now: never re-execute it.
+		return end(StateFailed, fmt.Sprintf("spec failed re-validation during crash recovery: %v", err))
+	}
+	return r, OpRequeue
+}
+
+// Close closes the store's log: after it, a durable log refuses every
+// transition, and a NewMemStore store carries on.
+func (s *Store) Close() error { return s.log.Close() }

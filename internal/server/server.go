@@ -49,7 +49,7 @@ import (
 // the bound is sized for those rather than the tiny generated-shape specs.
 // This is a per-request bound; aggregate exposure is limited by the queue
 // depth (-queue, each queued run holds its edge list until execution) and
-// by terminal snapshots dropping their edge lists (run.Store) — operators
+// by terminal snapshots dropping their edge lists (run.Store.Finish) — operators
 // serving untrusted clients should size -queue accordingly.
 const maxSpecBytes = 64 << 20
 

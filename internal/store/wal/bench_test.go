@@ -133,6 +133,78 @@ func BenchmarkWALFinishParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkReadsDuringExplicitCreates times Get while another goroutine
+// drives runs with a 64k-edge explicit spec through the log (Create, Begin,
+// Finish, EvictTerminal), so every create and begin record encodes about a
+// megabyte. A read that waits for a record to be written shows up as
+// max-read-µs near that encode's time and as slow-reads (reads of 1ms or
+// more); runs/sec is the writer's rate.
+func BenchmarkReadsDuringExplicitCreates(b *testing.B) {
+	const edges = 1 << 16
+	big := run.Spec{Config: gen.Config{Shape: gen.Explicit, Nodes: edges + 1, Edges: make([]gen.Edge, edges)}}
+	for i := range big.Edges {
+		big.Edges[i] = gen.Edge{i, i + 1}
+	}
+	s, _, err := Open(b.TempDir(), Options{CompactThreshold: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	probe, err := s.Create(run.Spec{Config: gen.Config{Shape: gen.Pipeline, Stages: 5, Width: 2}})
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var written atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			r, err := s.Create(big)
+			if err == nil {
+				_, err = s.Begin(r.ID, time.Now(), "", func() {})
+			}
+			if err == nil {
+				_, err = s.Finish(r.ID, &run.Result{Nodes: edges + 1, Match: true}, nil)
+			}
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			s.EvictTerminal(8)
+			written.Add(1)
+		}
+	}()
+
+	var worst time.Duration
+	slow := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		if _, err := s.Get(probe.ID); err != nil {
+			b.Fatal(err)
+		}
+		d := time.Since(t0)
+		worst = max(worst, d)
+		if d >= time.Millisecond {
+			slow++
+		}
+	}
+	b.StopTimer()
+	close(stop)
+	wg.Wait()
+	b.ReportMetric(float64(worst.Microseconds()), "max-read-µs")
+	b.ReportMetric(float64(slow), "slow-reads")
+	b.ReportMetric(float64(written.Load())/b.Elapsed().Seconds(), "runs/sec")
+}
+
 // BenchmarkRunLifecycleFsync is one run as a loaded dagd drives it with
 // -fsync — Create → Begin → Finish → EvictTerminal(keep) on a store
 // already holding keep terminal runs, so every op evicts one. What it costs
@@ -155,12 +227,13 @@ func BenchmarkRunLifecycleFsync(b *testing.B) {
 	}
 	opts.Fsync = true
 	opts.Metrics = metrics.NewRegistry()
-	s, _, err := Open(dir, opts)
+	l, _, err := open(dir, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
+	s := l.store
 	defer s.Close()
-	fsyncs := s.met.fsyncs
+	fsyncs := l.met.fsyncs
 	before := fsyncs.Value()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

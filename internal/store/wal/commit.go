@@ -12,25 +12,27 @@ import (
 // before its fsync is issued.
 const fsyncMaxDelay = 2 * time.Millisecond
 
-// groupCommit is the store's fsync batcher. Appends write their record to
-// the active segment under the store lock, take a ticket (written), release
-// the lock, and — all but Begin, whose record rides the next batch — park
-// in await until the committer goroutine has fsynced past their ticket. One
-// fsync therefore covers every record written since the previous one —
-// under concurrent load, K per-record fsyncs collapse into ~1 — without
-// weakening the durability contract: an awaited append does not return
-// until its record is on disk.
+// groupCommit is the log's fsync batcher. Appends write their record to
+// the active segment under the log's lock and take a ticket (written); once
+// the store has released its write lock, every transition but Begin, whose
+// record rides the next batch, parks in await until the committer goroutine
+// has fsynced past its ticket. One fsync therefore covers every record
+// written since the previous one — under concurrent load, K per-record
+// fsyncs collapse into ~1 — without weakening the durability contract: an
+// awaited append does not return until its record is on disk.
 //
 // Durability can also be advanced without a committer fsync: sealing a
-// segment (rotation, compaction's swap, Close) syncs the file first and
-// then calls markAllDurable.
+// segment (rotation, compaction's swap) syncs the file first and then
+// calls markAllDurable.
+//
+// A failed sync is sticky (package doc): err is set once and never
+// cleared, and synced never moves again.
 type groupCommit struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	written  uint64 // tickets issued: records written to the segment chain
-	synced   uint64 // tickets durable: records covered by a completed fsync
-	failedAt uint64 // high-water ticket of the last failed batch
-	err      error  // last batch error; cleared by the next successful batch
+	mu      sync.Mutex
+	cond    *sync.Cond
+	written uint64 // tickets issued: records written to the segment chain
+	synced  uint64 // tickets durable: records covered by a completed fsync
+	err     error  // the first failed sync of the log
 
 	kick chan struct{}
 	quit chan struct{}
@@ -48,7 +50,7 @@ func newGroupCommit() *groupCommit {
 }
 
 // ticket issues the commit ticket for a record just written to the segment
-// chain. Called with the store lock held, so ticket order matches file
+// chain. Called with the log's lock held, so ticket order matches file
 // order.
 func (gc *groupCommit) ticket() uint64 {
 	gc.mu.Lock()
@@ -59,7 +61,7 @@ func (gc *groupCommit) ticket() uint64 {
 }
 
 // await blocks until ticket seq is durable (covered by an fsync or a
-// segment seal) or its batch's fsync failed.
+// segment seal) or a sync of the log has failed.
 func (gc *groupCommit) await(seq uint64) error {
 	select {
 	case gc.kick <- struct{}{}:
@@ -68,7 +70,7 @@ func (gc *groupCommit) await(seq uint64) error {
 	gc.mu.Lock()
 	defer gc.mu.Unlock()
 	for gc.synced < seq {
-		if gc.err != nil && gc.failedAt >= seq {
+		if gc.err != nil {
 			return gc.err
 		}
 		gc.cond.Wait()
@@ -76,13 +78,31 @@ func (gc *groupCommit) await(seq uint64) error {
 	return nil
 }
 
+// fail records a failed sync of the log, failing every waiter not yet
+// durable, now and from here on.
+func (gc *groupCommit) fail(err error) {
+	gc.mu.Lock()
+	if gc.err == nil {
+		gc.err = err
+	}
+	gc.cond.Broadcast()
+	gc.mu.Unlock()
+}
+
+// failure returns the sticky sync failure, if any.
+func (gc *groupCommit) failure() error {
+	gc.mu.Lock()
+	defer gc.mu.Unlock()
+	return gc.err
+}
+
 // markAllDurable marks every ticket issued so far durable without an fsync
-// of its own: called under the store lock right after a seal's sync
-// (rotation, final sync on Close), when no new ticket can be issued
-// concurrently. The lock order is always Store.mu → gc.mu.
+// of its own: called under the log's lock right after a seal's sync, when
+// no new ticket can be issued concurrently. The lock order is always
+// walLog.mu → gc.mu.
 func (gc *groupCommit) markAllDurable() {
 	gc.mu.Lock()
-	if gc.written > gc.synced {
+	if gc.err == nil && gc.written > gc.synced {
 		gc.synced = gc.written
 		gc.cond.Broadcast()
 	}
@@ -107,22 +127,19 @@ func (gc *groupCommit) stop() {
 // every waiter. Records that arrive while an fsync is in flight simply form
 // the next batch, so the fsync rate is bounded by the disk, not the append
 // rate.
-func (gc *groupCommit) run(s *Store) {
+func (gc *groupCommit) run(l *walLog) {
 	defer close(gc.done)
 	for {
 		select {
 		case <-gc.kick:
 		case <-gc.quit:
-			gc.commit(s) // final drain for any parked waiters
+			gc.commit(l) // final drain for any parked waiters
 			return
 		}
 		for gc.pending() > 0 {
 			gc.coalesce()
-			if !gc.commit(s) {
-				// Sync failure: the waiters of this batch were failed; retry
-				// only when a new append kicks, rather than hammering a sick
-				// disk in a tight loop.
-				break
+			if !gc.commit(l) {
+				break // a sync failed, for good: every waiter is told
 			}
 		}
 	}
@@ -133,7 +150,7 @@ func (gc *groupCommit) run(s *Store) {
 // in this batch before the fsync is issued, by yielding the scheduler while
 // the batch keeps growing. Yielding costs ~ns when nothing is runnable, so
 // a lone append is effectively never delayed; sleeping here instead would
-// serialize the whole store behind the timer granularity. fsyncMaxDelay bounds
+// serialize the whole log behind the timer granularity. fsyncMaxDelay bounds
 // the loop as a safety valve against pathological scheduling.
 func (gc *groupCommit) coalesce() {
 	deadline := time.Now().Add(fsyncMaxDelay)
@@ -152,49 +169,48 @@ func (gc *groupCommit) coalesce() {
 }
 
 // commit fsyncs the active segment and advances durability to the
-// tickets issued before the sync began. Returns false if the sync failed
-// (after failing that batch's waiters).
-func (gc *groupCommit) commit(s *Store) bool {
+// tickets issued before the sync began. Returns false once a sync of the
+// log has failed: it never syncs or advances again.
+func (gc *groupCommit) commit(l *walLog) bool {
 	// Capture a consistent (segment, ticket) pair: every ticket ≤ upto was
 	// written to the chain ending in seg. Records in earlier, sealed
 	// segments are already durable (sealing syncs first).
-	s.mu.Lock()
-	seg := s.seg
+	l.mu.Lock()
+	seg := l.seg
 	gc.mu.Lock()
-	upto := gc.written
-	already := gc.synced
+	upto, already, failed := gc.written, gc.synced, gc.err != nil
 	gc.mu.Unlock()
-	s.mu.Unlock()
+	l.mu.Unlock()
+	if failed {
+		return false
+	}
 	if upto <= already {
 		return true
 	}
 
 	t0 := time.Now()
-	err := seg.Sync()
+	err := l.sync(seg)
 	if err == nil {
-		s.met.fsyncs.Inc()
-		s.met.fsyncSeconds.Observe(time.Since(t0).Seconds())
+		l.met.fsyncs.Inc()
+		l.met.fsyncSeconds.Observe(time.Since(t0).Seconds())
 	}
 	if errors.Is(err, os.ErrClosed) {
-		// The captured segment was sealed (sync + close under the store
+		// The captured segment was sealed (sync + close under the log's
 		// lock) between capture and Sync; the seal's sync already made every
 		// captured ticket durable.
 		err = nil
 	}
 
-	gc.mu.Lock()
-	defer gc.mu.Unlock()
 	if err != nil {
-		gc.err = err
-		gc.failedAt = upto
-		gc.cond.Broadcast()
+		gc.fail(err)
 		return false
 	}
-	gc.err = nil
-	if upto > gc.synced {
-		s.met.batchSize.Observe(float64(upto - gc.synced))
+	gc.mu.Lock()
+	defer gc.mu.Unlock()
+	if gc.err == nil && upto > gc.synced {
+		l.met.batchSize.Observe(float64(upto - gc.synced))
 		gc.synced = upto
 	}
 	gc.cond.Broadcast()
-	return true
+	return gc.err == nil
 }

@@ -19,7 +19,7 @@ import (
 // Await, and cursor semantics are bit-identical to the in-memory store's.
 func TestStoreConformance(t *testing.T) {
 	openIn := func(prepare func(t *testing.T, dir string), opts wal.Options) storetest.Factory {
-		return func(t *testing.T) run.Store {
+		return func(t *testing.T) *run.Store {
 			dir := t.TempDir()
 			prepare(t, dir)
 			s, recovered, err := wal.Open(dir, opts)

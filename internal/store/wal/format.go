@@ -16,21 +16,9 @@ import (
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/run"
 )
 
-// Record ops. All but opDel carry a full run snapshot.
-const (
-	opCreate    = "create"    // run admitted to the queue
-	opBegin     = "begin"     // queued → running
-	opFinish    = "finish"    // running → succeeded|failed|cancelled
-	opCancel    = "cancel"    // queued → cancelled immediately
-	opCancelReq = "cancelreq" // cancellation acknowledged on a running run
-	opRequeue   = "requeue"   // interrupted → queued on recovery
-	opPut       = "put"       // compaction baseline / recovery-repair snapshot
-	opDel       = "del"       // run removed (submit rollback; evictions in older logs)
-)
-
 // record is the JSON payload of one framed WAL entry.
 type record struct {
-	Op  string   `json:"op"`
+	Op  run.Op   `json:"op"`
 	Run *run.Run `json:"run,omitempty"`
 	ID  string   `json:"id,omitempty"`
 }
@@ -47,7 +35,7 @@ const maxRecordBytes = 128 << 20
 
 // replayState is the fold over a log chain: the latest snapshot per
 // surviving run, plus which non-terminal runs had a cancellation
-// acknowledged (an opCancelReq with no terminal record after it).
+// acknowledged (a run.OpCancelReq with no terminal record after it).
 type replayState struct {
 	runs            map[string]run.Run
 	cancelRequested map[string]bool
@@ -58,6 +46,15 @@ func newReplayState() *replayState {
 		runs:            make(map[string]run.Run),
 		cancelRequested: make(map[string]bool),
 	}
+}
+
+// list returns the replayed runs, in no particular order.
+func (st *replayState) list() []run.Run {
+	runs := make([]run.Run, 0, len(st.runs))
+	for _, r := range st.runs {
+		runs = append(runs, r)
+	}
+	return runs
 }
 
 // loadChain replays the snapshot + segment chain in dir into state and
@@ -137,17 +134,17 @@ func replayFile(path string, final bool, state *replayState) error {
 // are last-writer-wins; the cancel-requested flag survives later
 // non-terminal records for the run except an explicit requeue — a requeue
 // supersedes the interrupted attempt (live lease expiry never requeues a
-// cancel-requested run, and recovery only writes opRequeue when the flag
-// was absent) — and becomes irrelevant once a terminal record lands.
+// cancel-requested run, and recovery only writes run.OpRequeue when the
+// flag was absent) — and becomes irrelevant once a terminal record lands.
 func applyRecord(rec record, state *replayState) {
 	switch rec.Op {
-	case opDel:
+	case run.OpDel:
 		delete(state.runs, rec.ID)
 		delete(state.cancelRequested, rec.ID)
-	case opCancelReq:
+	case run.OpCancelReq:
 		state.runs[rec.Run.ID] = *rec.Run
 		state.cancelRequested[rec.Run.ID] = true
-	case opRequeue:
+	case run.OpRequeue:
 		state.runs[rec.Run.ID] = *rec.Run
 		delete(state.cancelRequested, rec.Run.ID)
 	default:
@@ -198,11 +195,11 @@ func decodeFrame(b []byte) (int, record, error) {
 // unmarshals from its text form and rejects unknown names.)
 func validateRecord(rec record) error {
 	switch rec.Op {
-	case opDel:
+	case run.OpDel:
 		if rec.ID == "" {
 			return errors.New("del record without id")
 		}
-	case opCreate, opBegin, opFinish, opCancel, opCancelReq, opRequeue, opPut:
+	case run.OpCreate, run.OpBegin, run.OpFinish, run.OpCancel, run.OpCancelReq, run.OpRequeue, run.OpPut:
 		if rec.Run == nil || rec.Run.ID == "" {
 			return fmt.Errorf("%s record without run snapshot", rec.Op)
 		}
@@ -227,16 +224,16 @@ func encodeFrame(buf []byte, rec record) ([]byte, error) {
 	return append(append(buf, hdr[:]...), payload...), nil
 }
 
-// encodeSnapshot frames a snapshot file's contents: one opPut per run, or
-// opCancelReq for a run still running whose cancellation was acknowledged,
+// encodeSnapshot frames a snapshot file's contents: one run.OpPut per run, or
+// run.OpCancelReq for a run still running whose cancellation was acknowledged,
 // so recovery finishes the cancellation instead of re-admitting the run.
 // Compaction snapshots memory with it, and Open's fold a replayed state.
 func encodeSnapshot(runs []run.Run, cancelReq map[string]bool) ([]byte, error) {
 	var buf []byte
 	for i := range runs {
-		rec := record{Op: opPut, Run: &runs[i]}
+		rec := record{Op: run.OpPut, Run: &runs[i]}
 		if cancelReq[runs[i].ID] && !runs[i].State.Terminal() {
-			rec.Op = opCancelReq
+			rec.Op = run.OpCancelReq
 		}
 		var err error
 		if buf, err = encodeFrame(buf, rec); err != nil {

@@ -1,8 +1,11 @@
 package wal
 
 import (
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -25,16 +28,16 @@ func fuzzSegment(t interface{ Fatalf(string, ...any) }) []byte {
 			t.Fatalf("encodeFrame: %v", err)
 		}
 	}
-	appendRec(record{Op: opCreate, Run: &a})
+	appendRec(record{Op: run.OpCreate, Run: &a})
 	a.State = run.StateRunning
 	a.StartedAt = &started
-	appendRec(record{Op: opBegin, Run: &a})
+	appendRec(record{Op: run.OpBegin, Run: &a})
 	a.State = run.StateSucceeded
 	a.FinishedAt = &finishedAt
 	a.Result = &run.Result{Nodes: 8, Match: true}
-	appendRec(record{Op: opFinish, Run: &a})
+	appendRec(record{Op: run.OpFinish, Run: &a})
 	b := run.Run{ID: fuzzRunB, Spec: spec, State: run.StateQueued, CreatedAt: now.Add(3 * time.Second)}
-	appendRec(record{Op: opCreate, Run: &b})
+	appendRec(record{Op: run.OpCreate, Run: &b})
 	return buf
 }
 
@@ -50,7 +53,7 @@ func fuzzBystander(t interface{ Fatalf(string, ...any) }) []byte {
 		CreatedAt: now, FinishedAt: &finishedAt,
 		Result: &run.Result{Nodes: 8, Match: true},
 	}
-	buf, err := encodeFrame(nil, record{Op: opPut, Run: &c})
+	buf, err := encodeFrame(nil, record{Op: run.OpPut, Run: &c})
 	if err != nil {
 		t.Fatalf("encodeFrame: %v", err)
 	}
@@ -148,6 +151,223 @@ func FuzzWALReplay(f *testing.F) {
 			if err := r.Spec.Validate(); err != nil {
 				t.Fatalf("recovered run %s has unvalidatable spec: %v", r.ID, err)
 			}
+		}
+	})
+}
+
+// storeProgram ops: each step is an (op, arg) byte pair; arg picks one of
+// the runs created so far, or EvictTerminal's keep.
+const (
+	progCreate = iota
+	progBegin
+	progCancel
+	progRequeue
+	progDelete
+	progEvict
+	progSucceed
+	progFail
+	progCancelled
+	progRace // Finish, Requeue and Cancel at once on one running run
+	progOps
+)
+
+// FuzzStoreReplay drives one WAL-backed store with a byte program over at
+// most 8 runs — its first byte picks fsync, compaction every few records
+// and small segments — then closes it, reopens the data dir and checks
+// recovery against what memory held at Close:
+//
+//   - every run memory held replays as Recover derives it: terminal runs
+//     identical, queued and running ones requeued with Restarts+1, or
+//     cancelled if a cancel was acknowledged while they ran;
+//   - a deleted run never reappears;
+//   - an evicted run that reappears is older than every retained terminal
+//     run, and EvictTerminal down to the retained count removes exactly
+//     those.
+//
+// The race step is the store's ordering invariant under load: the log
+// holds the transitions in the order memory applied them, or a replay
+// contradicts the live store.
+func FuzzStoreReplay(f *testing.F) {
+	// TestRecovery: succeeded, failed, cancelled while queued, queued, running.
+	f.Add([]byte{0, progCreate, 0, progBegin, 0, progSucceed, 0, progCreate, 0, progBegin, 1, progFail, 1,
+		progCreate, 0, progCancel, 2, progCreate, 0, progCreate, 0, progBegin, 4})
+	// TestCancelRequestedSurvivesCrash: a cancel acknowledged while running.
+	f.Add([]byte{0, progCreate, 0, progBegin, 0, progCancel, 0})
+	f.Add([]byte{3, progCreate, 0, progBegin, 0, progCancel, 0, progCreate, 0, progBegin, 1, progCancelled, 1})
+	// Races, a lease expiry, retention and a rollback, across compaction
+	// swaps and rotations with fsync on.
+	f.Add([]byte{7, progCreate, 0, progCreate, 0, progCreate, 0, progCreate, 0, progBegin, 0, progBegin, 1,
+		progRace, 0, progRequeue, 1, progBegin, 2, progSucceed, 2, progEvict, 1, progDelete, 3,
+		progBegin, 1, progRace, 1, progCreate, 0, progSucceed, 1, progEvict, 2, progCreate, 0, progBegin, 5})
+
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) == 0 {
+			return
+		}
+		opts := Options{Fsync: prog[0]&1 != 0, CompactThreshold: -1}
+		if prog[0]&2 != 0 {
+			opts.CompactThreshold = 6
+		}
+		if prog[0]&4 != 0 {
+			opts.SegmentMaxBytes = 1024
+		}
+		dir := t.TempDir()
+		s, _, err := Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refused := func(err error) {
+			t.Helper()
+			for _, want := range []error{run.ErrNotFound, run.ErrNotQueued, run.ErrNotRunning, run.ErrTerminal} {
+				if err == nil || errors.Is(err, want) {
+					return
+				}
+			}
+			t.Fatalf("store failed: %v", err)
+		}
+		var ids []string
+		deleted, evicted, cancelAcked := map[string]bool{}, map[string]bool{}, map[string]bool{}
+		for step := 1; step+1 < len(prog) && step < 128; step += 2 {
+			op, arg := int(prog[step])%progOps, int(prog[step+1])
+			switch op {
+			case progCreate:
+				if len(ids) < 8 {
+					r, err := s.Create(tinySpec())
+					if err != nil {
+						t.Fatal(err)
+					}
+					ids = append(ids, r.ID)
+				}
+				continue
+			case progEvict:
+				before := s.List()
+				s.EvictTerminal(arg%3 + 1)
+				for _, r := range before {
+					if _, err := s.Get(r.ID); err != nil {
+						evicted[r.ID] = true
+					}
+				}
+				continue
+			}
+			if len(ids) == 0 {
+				continue
+			}
+			id := ids[arg%len(ids)]
+			switch op {
+			case progBegin:
+				_, err := s.Begin(id, time.Now(), "w1", func() {})
+				refused(err)
+			case progCancel:
+				r, err := s.Cancel(id)
+				refused(err)
+				if err == nil && r.State == run.StateRunning {
+					cancelAcked[id] = true
+				}
+			case progRequeue:
+				_, err := s.Requeue(id)
+				refused(err)
+				if err == nil {
+					delete(cancelAcked, id)
+				}
+			case progDelete:
+				if _, err := s.Get(id); err == nil {
+					deleted[id] = true
+				}
+				refused(s.Delete(id))
+			case progSucceed, progFail, progCancelled:
+				runErr := map[int]error{progSucceed: nil, progFail: errors.New("boom"), progCancelled: context.Canceled}[op]
+				_, err := s.Finish(id, &run.Result{Nodes: 12, Match: runErr == nil}, runErr)
+				refused(err)
+			case progRace:
+				if r, err := s.Get(id); err != nil || r.State != run.StateRunning {
+					continue
+				}
+				var wg sync.WaitGroup
+				var finishErr, requeueErr, cancelErr error
+				wg.Add(3)
+				go func() { defer wg.Done(); _, finishErr = s.Finish(id, &run.Result{Nodes: 12, Match: true}, nil) }()
+				go func() { defer wg.Done(); _, requeueErr = s.Requeue(id) }()
+				go func() { defer wg.Done(); _, cancelErr = s.Cancel(id) }()
+				wg.Wait()
+				refused(finishErr)
+				refused(requeueErr)
+				refused(cancelErr)
+				if (finishErr == nil) == (requeueErr == nil) {
+					t.Fatalf("Finish = %v, Requeue = %v: exactly one may take a running run", finishErr, requeueErr)
+				}
+				// Finished, or requeued — after any cancel that came first.
+				delete(cancelAcked, id)
+			}
+		}
+		live := s.List()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		s2, recovered, err := Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s2.Close()
+		requeued := map[string]bool{}
+		for _, r := range recovered {
+			requeued[r.ID] = true
+		}
+		held := map[string]bool{}
+		for _, was := range live {
+			held[was.ID] = true
+			got, err := s2.Get(was.ID)
+			if err != nil {
+				t.Fatalf("run %s (%s) lost across the restart", was.ID, was.State)
+			}
+			switch {
+			case was.State.Terminal():
+				if a, b := snapshotJSON(t, was), snapshotJSON(t, got); a != b {
+					t.Errorf("terminal run changed across the restart:\n was %s\n got %s", a, b)
+				}
+			case was.State == run.StateRunning && cancelAcked[was.ID]:
+				if got.State != run.StateCancelled || got.FinishedAt == nil || got.Error == "" || requeued[was.ID] {
+					t.Errorf("run %s cancelled while running recovered as %+v, want cancelled", was.ID, got)
+				}
+			default:
+				want := was
+				want.State, want.Restarts = run.StateQueued, was.Restarts+1
+				want.DispatchedAt, want.StartedAt, want.Worker, want.Result, want.Error = nil, nil, "", nil, ""
+				if a, b := snapshotJSON(t, want), snapshotJSON(t, got); a != b || !requeued[was.ID] {
+					t.Errorf("interrupted run not requeued (re-admitted: %v):\n want %s\n got  %s", requeued[was.ID], a, b)
+				}
+			}
+		}
+		var retained, back []run.Run
+		for _, r := range s2.List() {
+			switch {
+			case held[r.ID]:
+				if r.State.Terminal() {
+					retained = append(retained, r)
+				}
+			case deleted[r.ID]:
+				t.Fatalf("deleted run %s reappeared as %s", r.ID, r.State)
+			case !evicted[r.ID]:
+				t.Fatalf("run %s (%s) reappeared that memory never evicted", r.ID, r.State)
+			default:
+				back = append(back, r)
+			}
+		}
+		for _, e := range back {
+			for _, r := range retained {
+				if run.CompareFinished(e, r) >= 0 {
+					t.Fatalf("evicted run %s (finished %v) reappeared no older than retained %s (finished %v)", e.ID, e.FinishedAt, r.ID, r.FinishedAt)
+				}
+			}
+		}
+		if len(retained) == 0 {
+			return // EvictTerminal(0) keeps everything: nothing to trim to
+		}
+		if n := s2.EvictTerminal(len(retained)); n != len(back) {
+			t.Fatalf("EvictTerminal(%d) = %d, want the %d that reappeared", len(retained), n, len(back))
+		}
+		if s2.Len() != len(live) {
+			t.Fatalf("%d runs after the trim, memory held %d", s2.Len(), len(live))
 		}
 	})
 }

@@ -7,7 +7,7 @@ import "github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/metrics"
 // many appends each fsync absorbed under concurrency.
 var batchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 
-// walInstruments is the store's metric handles; nil-safe throughout.
+// walInstruments is the log's metric handles; nil-safe throughout.
 type walInstruments struct {
 	appends       *metrics.Counter   // dagd_wal_appends_total
 	appendedBytes *metrics.Counter   // dagd_wal_appended_bytes_total

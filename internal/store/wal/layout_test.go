@@ -202,10 +202,10 @@ func foldFixture(t *testing.T, dir string) {
 			r := run.Run{ID: id, Spec: tinySpec(), State: run.StateQueued, CreatedAt: *at(sec)}
 			runs[id] = &r
 			snap := r
-			return record{Op: opCreate, Run: &snap}
+			return record{Op: run.OpCreate, Run: &snap}
 		}
 	}
-	step := func(op, id string, apply func(r *run.Run)) func() record {
+	step := func(op run.Op, id string, apply func(r *run.Run)) func() record {
 		return func() record {
 			apply(runs[id])
 			snap := *runs[id]
@@ -213,10 +213,10 @@ func foldFixture(t *testing.T, dir string) {
 		}
 	}
 	begin := func(id string, sec int) func() record {
-		return step(opBegin, id, func(r *run.Run) { r.State, r.StartedAt, r.Worker = run.StateRunning, at(sec), "w1" })
+		return step(run.OpBegin, id, func(r *run.Run) { r.State, r.StartedAt, r.Worker = run.StateRunning, at(sec), "w1" })
 	}
 	finish := func(id string, sec int, errMsg string) func() record {
-		return step(opFinish, id, func(r *run.Run) {
+		return step(run.OpFinish, id, func(r *run.Run) {
 			r.State, r.FinishedAt = run.StateSucceeded, at(sec)
 			r.Result = &run.Result{Nodes: 12, SinkPaths: 3, Match: true}
 			if errMsg != "" {
@@ -232,7 +232,7 @@ func foldFixture(t *testing.T, dir string) {
 	// between the snapshot's install and the cleanup left behind.
 	plantSegment(t, dir, 4, 1, 2, frames(
 		create(foldSnapshot, 6), begin(foldSnapshot, 7), finish(foldSnapshot, 8, ""),
-		create(foldCancelReq, 9), begin(foldCancelReq, 10), step(opCancelReq, foldCancelReq, func(*run.Run) {})))
+		create(foldCancelReq, 9), begin(foldCancelReq, 10), step(run.OpCancelReq, foldCancelReq, func(*run.Run) {})))
 	buf, err := encodeSnapshot([]run.Run{*runs[foldSnapshot], *runs[foldCancelReq]}, map[string]bool{foldCancelReq: true})
 	if err != nil {
 		t.Fatal(err)
@@ -247,14 +247,14 @@ func foldFixture(t *testing.T, dir string) {
 	plantSegment(t, dir, 4, 3, 1, frames(create(foldFailed, 12), begin(foldFailed, 13), finish(foldFailed, 14, "boom")))
 	plantSegment(t, dir, 4, 3, 2, frames(
 		create(foldQueued2, 15), create(foldCancelled, 16),
-		step(opCancel, foldCancelled, func(r *run.Run) { r.State, r.FinishedAt = run.StateCancelled, at(17) })))
+		step(run.OpCancel, foldCancelled, func(r *run.Run) { r.State, r.FinishedAt = run.StateCancelled, at(17) })))
 }
 
 // foldedStore is what a reader sees of an opened store, for comparing two
 // opens: every run as JSON, with the FinishedAt recovery stamps on the run
 // whose acknowledged cancellation it completes cleared, plus the IDs Open
 // handed back to re-admit.
-func foldedStore(t *testing.T, s *Store, recovered []run.Run) []string {
+func foldedStore(t *testing.T, s *run.Store, recovered []run.Run) []string {
 	t.Helper()
 	var out []string
 	for _, r := range s.List() {

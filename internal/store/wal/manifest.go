@@ -110,7 +110,7 @@ func resolveShards(dir string) (int, error) {
 // shard-00 as one snapshot above every file there, and only once that is
 // durable rewrites the manifest to one shard. Open removes the other shard
 // directories afterwards. Nothing is written unless every shard loads.
-func (s *Store) fold(dataDir string, shards int, replayed *replayState) error {
+func (l *walLog) fold(dataDir string, shards int, replayed *replayState) error {
 	for i := 1; i < shards; i++ {
 		d := filepath.Join(dataDir, shardDirName(i))
 		if _, err := os.Stat(d); errors.Is(err, os.ErrNotExist) {
@@ -120,21 +120,18 @@ func (s *Store) fold(dataDir string, shards int, replayed *replayState) error {
 			return fmt.Errorf("wal: replaying %s: %w", shardDirName(i), err)
 		}
 	}
-	runs := make([]run.Run, 0, len(replayed.runs))
-	for _, r := range replayed.runs {
-		runs = append(runs, r)
-	}
+	runs := replayed.list()
 	sort.Slice(runs, func(i, j int) bool { return run.CompareRuns(runs[i], runs[j]) < 0 })
 	buf, err := encodeSnapshot(runs, replayed.cancelRequested)
 	if err != nil {
 		return err
 	}
-	snapSeq := s.nextSeq
-	s.nextSeq++
-	if err := writeFileAtomic(s.dir, snapshotName(snapSeq), buf); err != nil {
+	snapSeq := l.nextSeq
+	l.nextSeq++
+	if err := writeFileAtomic(l.dir, snapshotName(snapSeq), buf); err != nil {
 		return err
 	}
-	removeBelow(s.dir, snapSeq)
+	removeBelow(l.dir, snapSeq)
 	return writeManifest(dataDir, 1)
 }
 

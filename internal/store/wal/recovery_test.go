@@ -5,6 +5,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -21,7 +22,7 @@ func pipelineSpec() run.Spec {
 	return run.Spec{Config: gen.Config{Shape: gen.Pipeline, Stages: 5, Width: 2}}
 }
 
-func mustOpen(t *testing.T, dir string, opts wal.Options) (*wal.Store, []run.Run) {
+func mustOpen(t *testing.T, dir string, opts wal.Options) (*run.Store, []run.Run) {
 	t.Helper()
 	s, recovered, err := wal.Open(dir, opts)
 	if err != nil {
@@ -30,7 +31,7 @@ func mustOpen(t *testing.T, dir string, opts wal.Options) (*wal.Store, []run.Run
 	return s, recovered
 }
 
-func mustCreate(t *testing.T, s *wal.Store, spec run.Spec) run.Run {
+func mustCreate(t *testing.T, s *run.Store, spec run.Spec) run.Run {
 	t.Helper()
 	r, err := s.Create(spec)
 	if err != nil {
@@ -39,7 +40,7 @@ func mustCreate(t *testing.T, s *wal.Store, spec run.Spec) run.Run {
 	return r
 }
 
-func drive(t *testing.T, s *wal.Store, id string, runErr error) run.Run {
+func drive(t *testing.T, s *run.Store, id string, runErr error) run.Run {
 	t.Helper()
 	if _, err := s.Begin(id, time.Now(), "", func() {}); err != nil {
 		t.Fatalf("Begin(%s): %v", id, err)
@@ -207,6 +208,72 @@ func TestRecoveryTwice(t *testing.T) {
 	}
 }
 
+// TestCompactionDuringRecoveryKeepsEveryRun: a data dir holding at least
+// CompactThreshold runs compacts on recovery's first record, and the
+// snapshot deletes every file the replay came from. A crash right after
+// it must still find every interrupted run, so the snapshot has to hold
+// all of them, not only those recovery had reached.
+func TestCompactionDuringRecoveryKeepsEveryRun(t *testing.T) {
+	const history, interrupted = 4, 16
+	dir := t.TempDir()
+	s, _ := mustOpen(t, dir, wal.Options{CompactThreshold: -1})
+	for i := 0; i < history; i++ {
+		drive(t, s, mustCreate(t, s, pipelineSpec()).ID, nil)
+	}
+	want := map[string]bool{}
+	for i := 0; i < interrupted; i++ {
+		r := mustCreate(t, s, pipelineSpec())
+		if i%2 == 0 {
+			if _, err := s.Begin(r.ID, time.Now(), "", func() {}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want[r.ID] = true
+	}
+	s.Close()
+
+	// The threshold is the replayed count, so exactly one compaction runs;
+	// fsync spreads recovery's records out behind it.
+	s2, _ := mustOpen(t, dir, wal.Options{Fsync: true, CompactThreshold: history + interrupted})
+	if err := s2.Close(); err != nil { // waits the compaction out
+		t.Fatal(err)
+	}
+	segs, snaps := listWALFiles(t, dir)
+	if len(snaps) != 1 {
+		t.Fatalf("snapshots %v, want the one compaction's", snaps)
+	}
+	// Crash right after the compaction: no record recovery appended after
+	// the swap reached the disk. (File sequence numbers are zero-padded, so
+	// they compare as strings.)
+	seqOf := func(rel string) string {
+		name := strings.TrimSuffix(filepath.Base(rel), ".log")
+		return name[strings.IndexByte(name, '-')+1:]
+	}
+	for _, seg := range segs {
+		if seqOf(seg) > seqOf(snaps[0]) {
+			if err := os.Remove(filepath.Join(dir, seg)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	s3, recovered := mustOpen(t, dir, wal.Options{})
+	defer s3.Close()
+	if s3.Len() != history+interrupted {
+		t.Errorf("reopened with %d runs, want %d", s3.Len(), history+interrupted)
+	}
+	got := map[string]bool{}
+	for _, r := range recovered {
+		got[r.ID] = true
+		if r.Restarts != 2 {
+			t.Errorf("run %s Restarts = %d, want 2 (recovered twice)", r.ID, r.Restarts)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered %d of the %d interrupted runs", len(got), len(want))
+	}
+}
+
 // TestEvictionAndDeletePersist pins the two ways a run leaves the store.
 // A delete is a logged transition: the run stays gone after a restart. An
 // eviction is not logged: replay hands the victims back, and re-applying
@@ -257,8 +324,8 @@ func TestEvictionAndDeletePersist(t *testing.T) {
 }
 
 // TestReplayOrderAtScale reopens a data dir holding 20 000 terminal runs,
-// written under unlimited retention. Open hands that history to the
-// MemStore in finish order (restoring it in replay's map order is quadratic
+// written under unlimited retention. Recovery hands that history to the
+// store in finish order (restoring it in replay's map order is quadratic
 // and this test crawls), so the first EvictTerminal(10) after boot leaves
 // exactly the 10 newest by the records' FinishedAt — and a second boot,
 // once the same bound is applied to what it replayed, shows the same 10.
@@ -284,7 +351,7 @@ func TestReplayOrderAtScale(t *testing.T) {
 	if n := s2.EvictTerminal(keep); n != total-keep {
 		t.Fatalf("EvictTerminal(%d) = %d, want %d", keep, n, total-keep)
 	}
-	survivors := func(s *wal.Store) {
+	survivors := func(s *run.Store) {
 		t.Helper()
 		list := s.List()
 		if len(list) != keep {
@@ -635,5 +702,33 @@ func TestGroupCommitConcurrentDurability(t *testing.T) {
 	}
 	if n != workers*each {
 		t.Errorf("drove %d runs, want %d", n, workers*each)
+	}
+}
+
+// TestCreateAfterCloseLeavesNoTrace: a closed log refuses the create
+// record, and the store takes the run back out — nothing a reader sees
+// changes.
+func TestCreateAfterCloseLeavesNoTrace(t *testing.T) {
+	s, _ := mustOpen(t, t.TempDir(), wal.Options{Fsync: true})
+	drive(t, s, mustCreate(t, s, pipelineSpec()).ID, nil)
+	mustCreate(t, s, pipelineSpec())
+	before, counts := s.List(), s.CountByState()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := s.Create(pipelineSpec()); err == nil {
+		t.Fatalf("Create after Close = %+v, want an error", r)
+	}
+	after := s.List()
+	if len(after) != len(before) {
+		t.Fatalf("List holds %d runs after a refused Create, want %d", len(after), len(before))
+	}
+	for i := range after {
+		if after[i].ID != before[i].ID || after[i].State != before[i].State {
+			t.Errorf("List[%d] = %s %s, want %s %s", i, after[i].ID, after[i].State, before[i].ID, before[i].State)
+		}
+	}
+	if got := s.CountByState(); !reflect.DeepEqual(got, counts) {
+		t.Errorf("CountByState = %v after a refused Create, want %v", got, counts)
 	}
 }

@@ -30,7 +30,7 @@ func TestRecoveryFailsRevalidationTerminally(t *testing.T) {
 		State:     run.StateQueued,
 		CreatedAt: time.Date(2026, 7, 1, 12, 0, 0, 0, time.UTC),
 	}
-	buf, err := encodeFrame(nil, record{Op: opCreate, Run: &invalid})
+	buf, err := encodeFrame(nil, record{Op: run.OpCreate, Run: &invalid})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,14 +71,15 @@ func TestRetentionAcrossCrashPoints(t *testing.T) {
 	const keep = 3
 	opts := Options{CompactThreshold: 16}
 	dir := t.TempDir()
-	s, _, err := Open(dir, opts)
+	l, _, err := open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := l.store
 	// Compaction runs in the background; waiting it out after every step
 	// pins each swap to the record that triggered it, so the layout (and
 	// the set of crash points) is the same on every run of the test.
-	settle := func() { s.compactWG.Wait() }
+	settle := func() { l.compactWG.Wait() }
 	create := func() string {
 		t.Helper()
 		r, err := s.Create(tinySpec())
@@ -131,7 +132,7 @@ func TestRetentionAcrossCrashPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snaps, segs, err := scanDir(s.dir)
+	snaps, segs, err := scanDir(l.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestRetentionAcrossCrashPoints(t *testing.T) {
 		t.Fatal("no compaction swap happened mid-history")
 	}
 	active := segmentName(segs[len(segs)-1])
-	data, err := os.ReadFile(filepath.Join(s.dir, active))
+	data, err := os.ReadFile(filepath.Join(l.dir, active))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +157,11 @@ func TestRetentionAcrossCrashPoints(t *testing.T) {
 		cuts = append(cuts, off)
 		recs = append(recs, rec)
 	}
-	ops := map[string]int{}
+	ops := map[run.Op]int{}
 	for _, rec := range recs {
 		ops[rec.Op]++
 	}
-	if ops[opBegin] < 2 || ops[opFinish] < 2 || ops[opCreate] < 2 || ops[opDel] != 0 {
+	if ops[run.OpBegin] < 2 || ops[run.OpFinish] < 2 || ops[run.OpCreate] < 2 || ops[run.OpDel] != 0 {
 		t.Fatalf("active segment holds %v; want several creates, begins and finishes and no del", ops)
 	}
 
@@ -253,7 +254,7 @@ func TestRetentionAcrossCrashPoints(t *testing.T) {
 	// A cut that drops a begin record and the cut just past it give the
 	// same reader-visible run: the un-awaited record protects nothing.
 	for k, rec := range recs {
-		if rec.Op != opBegin {
+		if rec.Op != run.OpBegin {
 			continue
 		}
 		id := rec.Run.ID
@@ -289,7 +290,7 @@ func TestRetentionAcrossCrashPoints(t *testing.T) {
 
 // lifecycle drives one run Create → Begin → Finish the way the dispatcher
 // does, calling afterBegin in between.
-func lifecycle(tb testing.TB, s *Store, afterBegin func()) {
+func lifecycle(tb testing.TB, s *run.Store, afterBegin func()) {
 	tb.Helper()
 	r, err := s.Create(tinySpec())
 	if err != nil {

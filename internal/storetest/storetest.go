@@ -1,13 +1,12 @@
-// Package storetest is the shared conformance suite for run.Store
-// implementations. Every backend — the in-memory MemStore and the durable
-// WAL store — must pass the same table of lifecycle, eviction, Await, and
-// pagination-order tests, so the dispatcher and API layers behave
-// identically no matter which store dagd was started with.
+// Package storetest is the conformance suite for run.Store, run against
+// the store with no log and with each durable log configuration, so the
+// dispatcher and API layers behave identically whether dagd logs or not:
+// lifecycle, eviction, Await, and pagination order must read the same.
 //
-// Backends wire in with one line from their own test package:
+// A configuration wires in with one line from its own test package:
 //
 //	func TestStoreConformance(t *testing.T) {
-//		storetest.Run(t, func(t *testing.T) run.Store { ... })
+//		storetest.Run(t, func(t *testing.T) *run.Store { ... })
 //	}
 package storetest
 
@@ -27,7 +26,7 @@ import (
 
 // Factory opens a fresh, empty store for one subtest. Implementations
 // should register cleanup (Close, temp dirs) on t themselves.
-type Factory func(t *testing.T) run.Store
+type Factory func(t *testing.T) *run.Store
 
 // Run executes the full conformance suite against stores opened by
 // newStore.
@@ -47,8 +46,8 @@ func Run(t *testing.T, newStore Factory) {
 }
 
 func spec() run.Spec {
-	// Tenant-bearing, so every backend proves attribution survives each
-	// transition (and, for the WAL store, a replay) unchanged.
+	// Tenant-bearing, so every configuration proves attribution survives
+	// each transition (and, with a durable log, a replay) unchanged.
 	return run.Spec{
 		Config:   gen.Config{Shape: gen.Pipeline, Stages: 5, Width: 2},
 		Tenant:   "conformance-tenant",
@@ -56,7 +55,7 @@ func spec() run.Spec {
 	}
 }
 
-func create(t *testing.T, s run.Store) run.Run {
+func create(t *testing.T, s *run.Store) run.Run {
 	t.Helper()
 	r, err := s.Create(spec())
 	if err != nil {
@@ -65,7 +64,7 @@ func create(t *testing.T, s run.Store) run.Run {
 	return r
 }
 
-func begin(t *testing.T, s run.Store, id string) run.Run {
+func begin(t *testing.T, s *run.Store, id string) run.Run {
 	t.Helper()
 	r, err := s.Begin(id, time.Now(), "", func() {})
 	if err != nil {
@@ -74,7 +73,7 @@ func begin(t *testing.T, s run.Store, id string) run.Run {
 	return r
 }
 
-func finish(t *testing.T, s run.Store, id string, res *run.Result, runErr error) run.Run {
+func finish(t *testing.T, s *run.Store, id string, res *run.Result, runErr error) run.Run {
 	t.Helper()
 	r, err := s.Finish(id, res, runErr)
 	if err != nil {
@@ -84,7 +83,7 @@ func finish(t *testing.T, s run.Store, id string, res *run.Result, runErr error)
 }
 
 // finished creates a run and drives it to succeeded.
-func finished(t *testing.T, s run.Store) run.Run {
+func finished(t *testing.T, s *run.Store) run.Run {
 	t.Helper()
 	r := create(t, s)
 	begin(t, s, r.ID)

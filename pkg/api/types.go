@@ -117,7 +117,7 @@ type Run struct {
 	// transition: CreatedAt at admission, DispatchedAt when a dispatcher
 	// popped it off the queue, StartedAt when the queued→running transition
 	// was applied (the gap to DispatchedAt is the server's Begin overhead,
-	// e.g. waiting for the WAL's lock; nothing waits for an fsync there),
+	// e.g. waiting for the run store's write lock; nothing waits for an fsync there),
 	// FinishedAt at the terminal transition. Clients
 	// compute queue-vs-execute breakdowns from these.
 	CreatedAt    time.Time  `json:"created_at"`
