@@ -38,3 +38,28 @@ func BenchmarkGenerate(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDynamicExpand times a serial full expansion of the benchmark's
+// engine_fine dynamic config: every node expanded once, in ID order, so each
+// level is built by the first Expand of its parent level and every later
+// Expand is a lookup. ns/node and allocs/op are the figures to watch: the
+// expander's allocations are a handful of array growths per level, not one
+// per node or edge.
+func BenchmarkDynamicExpand(b *testing.B) {
+	cfg := Config{Shape: Dynamic, Stages: 12, Width: 3, EdgeProb: 0.2, Seed: 1}
+	b.ReportAllocs()
+	nodes := 0
+	for i := 0; i < b.N; i++ {
+		d, err := NewDynamic(cfg, DynLimits{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for u := 0; u < d.NumNodes(); u++ {
+			if _, err := d.Expand(dag.NodeID(u)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		nodes += d.NumNodes()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
+}

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/dag"
 )
@@ -28,29 +30,58 @@ type DynLimits struct {
 // node's successors are only known once the node runs.
 //
 // The graph is layered. Level 0 is the single root (node 0). The first time
-// any level-ℓ node is expanded, the whole of level ℓ+1 materializes under
-// the expander's mutex: each level-ℓ node spawns between 1 and Width fresh
-// children, and each child then gains up to three extra cross-parents drawn
-// from level ℓ with probability EdgeProb apiece. Nodes at level Stages are
-// leaves. Because levels materialize wholly, in order, from a single seeded
-// PRNG, the final graph is a pure function of the Config no matter which
-// worker triggers each expansion or in what order — which is what lets
-// run.Execute verify the parallel result against a serial sweep of the
-// final graph.
+// any level-ℓ node is expanded, the whole of level ℓ+1 materializes: each
+// level-ℓ node spawns between 1 and Width fresh children, and each child then
+// gains up to three extra cross-parents drawn from level ℓ with probability
+// EdgeProb apiece. Nodes at level Stages are leaves. Because levels
+// materialize wholly, in order, from a single seeded PRNG, the final graph
+// is a pure function of the Config no matter which worker triggers each
+// expansion or in what order — which is what lets run.Execute verify the
+// parallel result against a serial sweep of the final graph.
+//
+// A level's node IDs are one contiguous range, and building it appends, in
+// compressed-sparse-row form, its nodes' parents and the previous level's
+// children to arrays that only grow. A level is published by storing a new
+// dynGraph whose slices cover it; what a published dynGraph covers is never
+// written again, so Expand, Parents, NumNodes and NumEdges read without a
+// lock. Only building a level takes the mutex.
 type Dyn struct {
 	stages int
 	width  int
 	p      float64
+	limits DynLimits
 
-	mu       sync.Mutex
-	rng      *rand.Rand
-	limits   DynLimits
-	levels   [][]dag.NodeID // node IDs per level; levels[0] == {0}
-	levelOf  []int          // level of each discovered node
-	children [][]dag.NodeID // successors, discovery order
-	parents  [][]dag.NodeID // predecessors; primary parent first
-	nEdges   int
-	err      error // sticky growth-bound error
+	graph atomic.Pointer[dynGraph] // every level published so far
+
+	mu  sync.Mutex // held while a level is built
+	rng *rand.Rand // guarded by mu
+}
+
+// dynGraph is one published state of a Dyn: immutable once stored. The
+// parents of node v are parents[parOff[v]:parOff[v+1]], primary parent
+// first; a node below last has its children in kids[kidOff[u]:kidOff[u+1]],
+// primary children first, then cross-children in draw order. Nodes from last
+// on form the newest level, depth, whose children do not exist yet.
+type dynGraph struct {
+	parOff  []int32
+	parents []dag.NodeID
+	kidOff  []int32
+	kids    []dag.NodeID
+	last    int
+	depth   int
+	err     error // sticky growth-bound error
+}
+
+func (g *dynGraph) numNodes() int { return len(g.parOff) - 1 }
+
+func (g *dynGraph) parentsOf(v dag.NodeID) []dag.NodeID {
+	lo, hi := g.parOff[v], g.parOff[v+1]
+	return g.parents[lo:hi:hi]
+}
+
+func (g *dynGraph) childrenOf(u dag.NodeID) []dag.NodeID {
+	lo, hi := g.kidOff[u], g.kidOff[u+1]
+	return g.kids[lo:hi:hi]
 }
 
 // NewDynamic creates the expander for a dynamic Config. Stages is the
@@ -70,17 +101,15 @@ func NewDynamic(cfg Config, limits DynLimits) (*Dyn, error) {
 	if !(cfg.EdgeProb >= 0 && cfg.EdgeProb <= 1) { // NaN fails it too
 		return nil, fmt.Errorf("gen: edge probability %v outside [0,1]", cfg.EdgeProb)
 	}
-	return &Dyn{
-		stages:   cfg.Stages,
-		width:    cfg.Width,
-		p:        cfg.EdgeProb,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		limits:   limits,
-		levels:   [][]dag.NodeID{{0}},
-		levelOf:  []int{0},
-		children: [][]dag.NodeID{nil},
-		parents:  [][]dag.NodeID{nil},
-	}, nil
+	d := &Dyn{
+		stages: cfg.Stages,
+		width:  cfg.Width,
+		p:      cfg.EdgeProb,
+		limits: limits,
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+	}
+	d.graph.Store(&dynGraph{parOff: []int32{0, 0}, kidOff: []int32{0}})
+	return d, nil
 }
 
 // Expand reports the successors of u, materializing u's child level on
@@ -88,80 +117,149 @@ func NewDynamic(cfg Config, limits DynLimits) (*Dyn, error) {
 // graph would exceed the expander's limits; the error is sticky, so every
 // subsequent Expand fails the same way and the run winds down.
 func (d *Dyn) Expand(u dag.NodeID) ([]dag.NodeID, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.err != nil {
-		return nil, d.err
+	g := d.graph.Load()
+	if g.err == nil && int(u) >= g.last && int(u) < g.numNodes() && g.depth < d.stages {
+		g = d.grow(g) // u is on the newest level, whose children do not exist yet
 	}
-	if u < 0 || int(u) >= len(d.levelOf) {
+	switch {
+	case g.err != nil:
+		return nil, g.err
+	case u < 0 || int(u) >= g.numNodes():
 		return nil, fmt.Errorf("gen: expand of undiscovered node %d", u)
-	}
-	lvl := d.levelOf[u]
-	if lvl >= d.stages {
+	case int(u) >= g.last:
 		return nil, nil // leaf level
 	}
-	if lvl+1 >= len(d.levels) {
-		if err := d.materializeLocked(lvl + 1); err != nil {
-			d.err = err
-			return nil, err
-		}
-	}
-	return d.children[u], nil
+	return g.childrenOf(u), nil
 }
 
-// materializeLocked builds the whole of the given level. The caller holds
-// d.mu and guarantees level == len(d.levels): a level-ℓ node can only run
-// after level ℓ materialized, so levels always build in order 1, 2, 3, …
-// and the shared PRNG is consumed deterministically.
-func (d *Dyn) materializeLocked(level int) error {
-	prev := d.levels[level-1]
-	var lvl []dag.NodeID
-	for _, u := range prev {
+// grow publishes the level after seen's newest one and returns the state
+// that covers it, or, if the build fails, seen with its sticky error. A
+// caller that finds another caller already replaced seen gets the state now
+// current instead.
+func (d *Dyn) grow(seen *dynGraph) *dynGraph {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if g := d.graph.Load(); g != seen {
+		return g
+	}
+	next, err := d.growLocked(seen)
+	if err != nil {
+		failed := *seen
+		failed.err = err
+		next = &failed
+	}
+	d.graph.Store(next)
+	return next
+}
+
+// growLocked builds the level after g's newest one and returns the state
+// that covers it, without publishing it. The caller holds d.mu. Levels build
+// in order 1, 2, 3, … (a level-ℓ node can only run after level ℓ was
+// published), so the shared PRNG is consumed deterministically: first every
+// previous-level node's child count, then every new node's cross-parent
+// draws. The slices it appends to may share backing arrays with g; it only
+// writes past g's lengths, where no reader looks.
+func (d *Dyn) growLocked(g *dynGraph) (*dynGraph, error) {
+	level := g.depth + 1
+	first, n := g.last, g.numNodes() // the previous level is [first, n)
+	prev := n - first
+	parOff, parents, kidOff, kids := g.parOff, g.parents, g.kidOff, g.kids
+
+	// Child counts, checked against the caps node by node.
+	counts := make([]int32, 0, prev)
+	nodes, edges := n, len(parents)
+	for j := 0; j < prev; j++ {
 		c := 1 + d.rng.Intn(d.width)
 		for k := 0; k < c; k++ {
-			if d.limits.MaxNodes > 0 && len(d.levelOf)+1 > d.limits.MaxNodes {
-				return fmt.Errorf("gen: dynamic dag grew to %d nodes at level %d (cap %d): %w",
-					len(d.levelOf)+1, level, d.limits.MaxNodes, ErrGrowthBound)
+			if d.limits.MaxNodes > 0 && nodes+1 > d.limits.MaxNodes {
+				return nil, fmt.Errorf("gen: dynamic dag grew to %d nodes at level %d (cap %d): %w",
+					nodes+1, level, d.limits.MaxNodes, ErrGrowthBound)
 			}
-			id := dag.NodeID(len(d.levelOf))
-			d.levelOf = append(d.levelOf, level)
-			d.children = append(d.children, nil)
-			d.parents = append(d.parents, nil)
-			if err := d.addEdgeLocked(u, id); err != nil {
-				return err
+			if err := d.checkEdges(edges + 1); err != nil {
+				return nil, err
 			}
-			lvl = append(lvl, id)
+			nodes++
+			edges++
+		}
+		counts = append(counts, int32(c))
+	}
+
+	// The new nodes' parents: the primary, then cross-parents as drawn. The
+	// arrays grow once for the level (by the expected cross-parent count;
+	// append covers any excess).
+	grown := nodes - n
+	crosses := 0
+	if d.p > 0 && prev > 1 {
+		crosses = int(3 * d.p * float64(grown))
+	}
+	parOff = slices.Grow(parOff, grown)
+	parents = slices.Grow(parents, grown+crosses)
+	for j, c := range counts {
+		for ; c > 0; c-- {
+			own := len(parents)
+			parents = append(parents, dag.NodeID(first+j))
+			if d.p > 0 && prev > 1 {
+				for t := 0; t < 3; t++ {
+					if d.rng.Float64() >= d.p {
+						continue
+					}
+					w := dag.NodeID(first + d.rng.Intn(prev))
+					if containsNode(parents[own:], w) {
+						continue
+					}
+					if err := d.checkEdges(edges + 1); err != nil {
+						return nil, err
+					}
+					edges++
+					parents = append(parents, w)
+				}
+			}
+			parOff = append(parOff, int32(len(parents)))
 		}
 	}
-	if d.p > 0 && len(prev) > 1 {
-		for _, v := range lvl {
-			primary := d.parents[v][0]
-			for k := 0; k < 3; k++ {
-				if d.rng.Float64() >= d.p {
-					continue
-				}
-				w := prev[d.rng.Intn(len(prev))]
-				if w == primary || containsNode(d.parents[v], w) {
-					continue
-				}
-				if err := d.addEdgeLocked(w, v); err != nil {
-					return err
-				}
-			}
+	next := &dynGraph{parOff: parOff, parents: parents, last: n, depth: level}
+
+	// The previous level's children: each node's primaries, then its
+	// cross-children in draw order, which is the order of the new nodes and
+	// of their parent lists. cursor holds each previous-level node's count
+	// of cross-children, then the slot its next one goes in.
+	cursor := make([]int32, prev)
+	for v := n; v < nodes; v++ {
+		for _, w := range next.parentsOf(dag.NodeID(v))[1:] {
+			cursor[int(w)-first]++
 		}
 	}
-	d.levels = append(d.levels, lvl)
-	return nil
+	kidOff = slices.Grow(kidOff, prev)
+	kids = slices.Grow(kids, len(parents)-len(g.parents))
+	child := dag.NodeID(n)
+	for j, c := range counts {
+		for ; c > 0; c-- {
+			kids = append(kids, child)
+			child++
+		}
+		x := cursor[j]
+		cursor[j] = int32(len(kids))
+		for ; x > 0; x-- {
+			kids = append(kids, 0)
+		}
+		kidOff = append(kidOff, int32(len(kids)))
+	}
+	for v := n; v < nodes; v++ {
+		for _, w := range next.parentsOf(dag.NodeID(v))[1:] {
+			j := int(w) - first
+			kids[cursor[j]] = dag.NodeID(v)
+			cursor[j]++
+		}
+	}
+	next.kidOff, next.kids = kidOff, kids
+	return next, nil
 }
 
-func (d *Dyn) addEdgeLocked(u, v dag.NodeID) error {
-	if d.limits.MaxEdges > 0 && d.nEdges+1 > d.limits.MaxEdges {
-		return fmt.Errorf("gen: dynamic dag grew to %d edges (cap %d): %w",
-			d.nEdges+1, d.limits.MaxEdges, ErrGrowthBound)
+// checkEdges fails if the graph may not hold m edges.
+func (d *Dyn) checkEdges(m int) error {
+	if d.limits.MaxEdges > 0 && m > d.limits.MaxEdges {
+		return fmt.Errorf("gen: dynamic dag grew to %d edges (cap %d): %w", m, d.limits.MaxEdges, ErrGrowthBound)
 	}
-	d.children[u] = append(d.children[u], v)
-	d.parents[v] = append(d.parents[v], u)
-	d.nEdges++
 	return nil
 }
 
@@ -174,29 +272,16 @@ func containsNode(s []dag.NodeID, v dag.NodeID) bool {
 	return false
 }
 
-// Parents returns the predecessors of a discovered node. A node's parent
-// slice never changes once its level materialized (cross-parents only come
-// from the previous level), but the outer slice may be reallocated by
-// growth, so the lookup takes the expander's mutex.
-func (d *Dyn) Parents(v dag.NodeID) []dag.NodeID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.parents[v]
-}
+// Parents returns the predecessors of a discovered node, primary parent
+// first. The slice is shared and never changes.
+func (d *Dyn) Parents(v dag.NodeID) []dag.NodeID { return d.graph.Load().parentsOf(v) }
 
-// NumNodes returns how many nodes have been discovered so far.
-func (d *Dyn) NumNodes() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.levelOf)
-}
+// NumNodes returns how many nodes have been discovered so far: every node
+// of a published level, never one of a level whose build failed.
+func (d *Dyn) NumNodes() int { return d.graph.Load().numNodes() }
 
 // NumEdges returns how many edges have been discovered so far.
-func (d *Dyn) NumEdges() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.nEdges
-}
+func (d *Dyn) NumEdges() int { return len(d.graph.Load().parents) }
 
 // FinalDAG freezes the discovered graph into an immutable DAG, for the
 // serial verification sweep that runs after a dynamic execution finishes.
@@ -205,12 +290,11 @@ func (d *Dyn) NumEdges() int {
 // workload that folds parent values in order sees identical inputs on both
 // the parallel and serial passes.
 func (d *Dyn) FinalDAG() (*dag.DAG, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := len(d.levelOf)
-	edges := make([][2]dag.NodeID, 0, d.nEdges)
+	g := d.graph.Load()
+	n := g.numNodes()
+	edges := make([][2]dag.NodeID, 0, len(g.parents))
 	for v := 0; v < n; v++ {
-		for _, u := range d.parents[v] {
+		for _, u := range g.parentsOf(dag.NodeID(v)) {
 			edges = append(edges, [2]dag.NodeID{u, dag.NodeID(v)})
 		}
 	}

@@ -2,9 +2,12 @@ package gen
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/dag"
 )
@@ -88,6 +91,16 @@ func TestNewDynamicValidation(t *testing.T) {
 // count. order permutes each discovery frontier before expanding it.
 func expandAll(t *testing.T, d *Dyn, order func([]dag.NodeID)) int {
 	t.Helper()
+	seen, err := walk(d, order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seen
+}
+
+// walk is expandAll for any goroutine: it returns the first Expand error
+// instead of failing the test.
+func walk(d *Dyn, order func([]dag.NodeID)) (int, error) {
 	frontier := []dag.NodeID{0}
 	seen := 1
 	for len(frontier) > 0 {
@@ -97,7 +110,7 @@ func expandAll(t *testing.T, d *Dyn, order func([]dag.NodeID)) int {
 		for _, u := range frontier {
 			children, err := d.Expand(u)
 			if err != nil {
-				t.Fatalf("Expand(%d): %v", u, err)
+				return seen, fmt.Errorf("Expand(%d): %w", u, err)
 			}
 			for _, c := range children {
 				if !visited[c] {
@@ -109,7 +122,7 @@ func expandAll(t *testing.T, d *Dyn, order func([]dag.NodeID)) int {
 		}
 		frontier = next
 	}
-	return seen
+	return seen, nil
 }
 
 // TestDynamicDeterministicAcrossOrders pins the core property run.Execute
@@ -261,5 +274,168 @@ func TestDynamicLeafAndUnknown(t *testing.T) {
 	}
 	if _, err := d.Expand(-1); err == nil {
 		t.Error("Expand(-1) succeeded, want error")
+	}
+}
+
+// TestDynamicConcurrentReaders races expanders, each walking the graph in
+// its own shuffled order, against readers of Parents and NumNodes, none of
+// which take the expander's lock. Readers must only ever see whole levels —
+// every discovered node with its primary parent on the level before — and
+// the final graph must be the one a serial expansion discovers. Run it under
+// -race: a published level is read while the next one is being built.
+func TestDynamicConcurrentReaders(t *testing.T) {
+	cfg := Config{Shape: Dynamic, Stages: 10, Width: 3, EdgeProb: 0.3, Seed: 11}
+	serial, err := NewDynamic(cfg, DynLimits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expandAll(t, serial, func([]dag.NodeID) {})
+	want, err := serial.FinalDAG()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	d, err := NewDynamic(cfg, DynLimits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const expanders, readers = 4, 4
+	errs := make(chan error, expanders+readers)
+	done := make(chan struct{})
+	var expanding, reading sync.WaitGroup
+	for i := 0; i < expanders; i++ {
+		expanding.Add(1)
+		go func(seed int64) {
+			defer expanding.Done()
+			rng := rand.New(rand.NewSource(seed))
+			_, err := walk(d, func(f []dag.NodeID) {
+				rng.Shuffle(len(f), func(i, j int) { f[i], f[j] = f[j], f[i] })
+			})
+			errs <- err
+		}(int64(i))
+	}
+	for i := 0; i < readers; i++ {
+		reading.Add(1)
+		go func(seed int64) {
+			defer reading.Done()
+			rng := rand.New(rand.NewSource(seed))
+			last := 0
+			for {
+				select {
+				case <-done:
+					errs <- nil
+					return
+				default:
+				}
+				n := d.NumNodes()
+				if n < last {
+					errs <- fmt.Errorf("NumNodes went from %d to %d", last, n)
+					return
+				}
+				last = n
+				v := dag.NodeID(rng.Intn(n))
+				ps := d.Parents(v)
+				if v > 0 && (len(ps) == 0 || ps[0] >= v) {
+					errs <- fmt.Errorf("node %d of %d: parents %v", v, n, ps)
+					return
+				}
+			}
+		}(int64(100 + i))
+	}
+	expanding.Wait()
+	close(done)
+	reading.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := d.FinalDAG()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if graphDigest(got) != graphDigest(want) {
+		t.Fatalf("concurrent expansion: %d nodes/%d edges, digest differs from the serial expansion's (%d/%d)",
+			got.NumNodes(), got.NumEdges(), want.NumNodes(), want.NumEdges())
+	}
+}
+
+// TestDynamicDeepNarrow pins that discovering a level costs the same however
+// many levels came before: a width-1 spec is one node per level, so each
+// Expand publishes a level and then looks its node's children up. Four
+// times the stages must take about four times as long; a ratio of 16 would
+// mean a per-level cost linear in the depth. The best of three runs is
+// compared, not absolute times.
+func TestDynamicDeepNarrow(t *testing.T) {
+	expand := func(stages int) time.Duration {
+		best := time.Duration(math.MaxInt64)
+		for rep := 0; rep < 3; rep++ {
+			d, err := NewDynamic(Config{Shape: Dynamic, Stages: stages, Width: 1, EdgeProb: 0.5, Seed: 4}, DynLimits{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			for u := dag.NodeID(0); ; {
+				children, err := d.Expand(u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(children) == 0 {
+					break
+				}
+				u = children[0]
+			}
+			best = min(best, time.Since(start))
+			if got := d.NumNodes(); got != stages+1 {
+				t.Fatalf("stages %d: NumNodes = %d, want %d", stages, got, stages+1)
+			}
+		}
+		return best
+	}
+	short, long := expand(50_000), expand(200_000)
+	if ratio := float64(long) / float64(short); ratio >= 8 {
+		t.Fatalf("200k stages took %v, 50k took %v: ratio %.1f, want < 8 (linear is 4)", long, short, ratio)
+	}
+}
+
+// TestDynamicGrowthBoundPublishesNothing pins that a level whose build fails
+// is never seen: NumNodes, NumEdges and FinalDAG stay at the last whole
+// level, under either cap.
+func TestDynamicGrowthBoundPublishesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		cfg    Config
+		limits DynLimits
+	}{
+		{Config{Shape: Dynamic, Stages: 30, Width: 4, Seed: 5}, DynLimits{MaxNodes: 200}},
+		{Config{Shape: Dynamic, Stages: 30, Width: 4, EdgeProb: 0.9, Seed: 5}, DynLimits{MaxEdges: 100}},
+	} {
+		d, err := NewDynamic(tc.cfg, tc.limits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var nodes, edges int
+		var boundErr error
+		for u := dag.NodeID(0); boundErr == nil; u++ {
+			if int(u) >= d.NumNodes() {
+				t.Fatalf("%+v: expanded every node without reaching the bound", tc.limits)
+			}
+			nodes, edges = d.NumNodes(), d.NumEdges()
+			_, boundErr = d.Expand(u)
+		}
+		if !errors.Is(boundErr, ErrGrowthBound) {
+			t.Fatalf("%+v: Expand = %v, want ErrGrowthBound", tc.limits, boundErr)
+		}
+		if d.NumNodes() != nodes || d.NumEdges() != edges {
+			t.Errorf("%+v: after the failed build NumNodes/NumEdges = %d/%d, want the last level's %d/%d",
+				tc.limits, d.NumNodes(), d.NumEdges(), nodes, edges)
+		}
+		fin, err := d.FinalDAG()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fin.NumNodes() != nodes || fin.NumEdges() != edges {
+			t.Errorf("%+v: FinalDAG has %d/%d, want %d/%d", tc.limits, fin.NumNodes(), fin.NumEdges(), nodes, edges)
+		}
 	}
 }

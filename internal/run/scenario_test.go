@@ -111,10 +111,15 @@ func (unsplittableWorkload) Serial(ctx context.Context, d *dag.DAG, work int) ([
 }
 func (unsplittableWorkload) Verify(d *dag.DAG, serial, parallel []uint64) error { return nil }
 
-func TestValidateParallelWork(t *testing.T) {
+// Registered once per process, not per test run: the registry refuses a
+// second registration, which would fail the test under -count=2.
+func init() {
 	if err := sched.RegisterWorkload(unsplittableWorkload{}); err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
+}
+
+func TestValidateParallelWork(t *testing.T) {
 	ok := pipelineSpec()
 	ok.ParallelWork = true
 	ok.Work = 10000

@@ -31,6 +31,15 @@ type staticGraph struct{ *dag.DAG }
 
 func (s staticGraph) Expand(u dag.NodeID) ([]dag.NodeID, error) { return s.Children(u), nil }
 
+// static returns the run's graph as the DAG it is, or nil if it can grow.
+// The core asks once per run and once per worker, outside the node loop: a
+// static DAG's adjacency is then read straight from its CSR arrays, and as
+// its table never grows, its nodes skip Expand, NumNodes and ensure.
+func (r *wsRun) static() *dag.DAG {
+	s, _ := r.g.(staticGraph)
+	return s.DAG
+}
+
 // RunDynamic executes f over every node g discovers, in dependency order,
 // on a work-stealing pool of the given size (zero or negative means
 // runtime.NumCPU()). It returns the per-node values of the final graph,
@@ -48,10 +57,11 @@ const segSize = 1024
 
 // segment is one fixed-size block of node slots for nodes discovered while
 // the run executes. A segment never moves once allocated, so a pointer into
-// it stays valid for the rest of the run.
+// it stays valid for the rest of the run. Its counters are only ever
+// accessed atomically.
 type segment struct {
 	values  [segSize]uint64
-	pending [segSize]atomic.Int32
+	pending [segSize]int32
 }
 
 // results returns the values of the first n nodes as one slice: the flat
@@ -69,17 +79,32 @@ func (r *wsRun) results(n int) []uint64 {
 	return out
 }
 
-// slot locates node id in the table. A worker holds an ID only if it, or
-// the worker that handed it the node (by keeping it, or through a deque
-// mutex), returned from an ensure that covers the ID — so the directory it
-// loads here already holds the node's segment, without a lock.
-func (r *wsRun) slot(id dag.NodeID) (*uint64, *atomic.Int32) {
+// value and counter locate node id's slots in the table. A worker holds an
+// ID only if it, or the worker that handed it the node (by keeping it, or
+// through a deque mutex), returned from an ensure that covers the ID — so
+// the directory segmentOf loads already holds the node's segment, without a
+// lock.
+func (r *wsRun) value(id dag.NodeID) *uint64 {
 	if int(id) < len(r.values) {
-		return &r.values[id], &r.pending[id]
+		return &r.values[id]
 	}
+	seg, i := r.segmentOf(id)
+	return &seg.values[i]
+}
+
+func (r *wsRun) counter(id dag.NodeID) *int32 {
+	if int(id) < len(r.pending) {
+		return &r.pending[id]
+	}
+	seg, i := r.segmentOf(id)
+	return &seg.pending[i]
+}
+
+// segmentOf returns the segment holding a node past the flat part, and the
+// node's index in it.
+func (r *wsRun) segmentOf(id dag.NodeID) (*segment, int) {
 	i := int(id) - len(r.values)
-	seg := (*r.dir.Load())[i/segSize]
-	return &seg.values[i%segSize], &seg.pending[i%segSize]
+	return (*r.dir.Load())[i/segSize], i % segSize
 }
 
 // ensure grows the node table to cover n nodes, initializing each new
@@ -110,8 +135,7 @@ func (r *wsRun) ensure(n int) {
 		r.dir.Store(&grown)
 	}
 	for v := old; v < n; v++ {
-		_, pending := r.slot(dag.NodeID(v))
-		pending.Store(int32(len(r.g.Parents(dag.NodeID(v)))))
+		atomic.StoreInt32(r.counter(dag.NodeID(v)), int32(len(r.g.Parents(dag.NodeID(v)))))
 	}
 	r.size.Store(int64(n))
 }

@@ -16,13 +16,22 @@
 // victim's deque FIFO from the head when it runs dry. A retiring node
 // publishes all newly-ready children in one batched push and keeps the
 // first child to execute directly. Dependency tracking stays lock-free:
-// each node carries an atomic pending-parent counter, and whichever worker
-// drops a counter to zero owns the child. The counters and values live in
-// a node table (see dynamic.go) that grows by fixed-size segments without
-// ever moving a slot, so readers take no lock. Atomic RMW on the counter
-// plus the deque mutex hand-off establish happens-before between a
-// parent's published value and every reader, so runs are clean under the
-// race detector.
+// each node carries a pending-parent counter, filled with plain stores
+// before any worker starts and accessed atomically after. A retiring parent
+// owns a child if an atomic load of its counter reads 1 (every other parent
+// has already decremented it, so a single-parent child costs no
+// read-modify-write at all), or else if its own decrement reaches zero. The
+// counters and values live in a node table (see dynamic.go) that grows by
+// fixed-size segments without ever moving a slot, so readers take no lock.
+// Retired nodes are counted in a per-worker tally that reaches the run's
+// shared total only when the worker runs dry and when it exits, so no
+// cache line is written by every worker on every node; the flush that
+// brings the total to the table's size completes the run. A static DAG's
+// adjacency is read straight from its CSR arrays, and a one-worker run
+// executes on the caller's goroutine. The counter protocol plus the deque
+// mutex hand-off establish happens-before between a parent's published
+// value and every reader (the memory-model note in steal.go), so runs are
+// clean under the race detector.
 package sched
 
 import (

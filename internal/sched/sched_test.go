@@ -2,6 +2,9 @@ package sched
 
 import (
 	"context"
+	"errors"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -271,6 +274,85 @@ func BenchmarkPathCountParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := New(d, Options{Workers: 0}).Run(context.Background(), PathCount(100)); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// goroutineID returns the calling goroutine's number, from the header line
+// of its stack trace ("goroutine 7 [running]:").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// TestNodesExecutedExact pins the per-worker retirement tallies: whatever
+// the shape and pool size, a completed run moves NodesExecuted by exactly
+// the nodes it retired, so every tally was flushed once. A dynamic run that
+// hits its growth bound must still end, with the bound's error, and a
+// one-worker run executes every node on the caller's goroutine.
+func TestNodesExecutedExact(t *testing.T) {
+	static := []gen.Config{
+		{Shape: gen.Random, Nodes: 2000, EdgeProb: 0.01, Seed: 3},
+		{Shape: gen.Pipeline, Stages: 300, Width: 8},
+		{Shape: gen.Chain, Nodes: 20000},
+	}
+	dynamic := gen.Config{Shape: gen.Dynamic, Stages: 12, Width: 3, EdgeProb: 0.2, Seed: 1}
+	caller := goroutineID()
+	for _, workers := range []int{1, 2, 4} {
+		var elsewhere atomic.Int64
+		hook := func(id dag.NodeID, parents []uint64) uint64 {
+			if workers == 1 && goroutineID() != caller {
+				elsewhere.Add(1)
+			}
+			return PathCount(0)(id, parents)
+		}
+		check := func(name string, run func() ([]uint64, error)) {
+			t.Helper()
+			before := NodesExecuted()
+			vals, err := run()
+			if err != nil {
+				t.Fatalf("%s P=%d: %v", name, workers, err)
+			}
+			if got := NodesExecuted() - before; got != int64(len(vals)) {
+				t.Errorf("%s P=%d: NodesExecuted moved by %d, want %d", name, workers, got, len(vals))
+			}
+		}
+		for _, cfg := range static {
+			d, err := gen.Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(cfg.Shape.String(), func() ([]uint64, error) {
+				return New(d, Options{Workers: workers}).Run(context.Background(), hook)
+			})
+		}
+		check("dynamic", func() ([]uint64, error) {
+			dyn, err := gen.NewDynamic(dynamic, gen.DynLimits{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return RunDynamic(context.Background(), dyn, workers, hook)
+		})
+		if n := elsewhere.Load(); n > 0 {
+			t.Errorf("P=1: %d nodes ran off the caller's goroutine", n)
+		}
+
+		bounded, err := gen.NewDynamic(dynamic, gen.DynLimits{MaxNodes: 3000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := RunDynamic(context.Background(), bounded, workers, hook)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, gen.ErrGrowthBound) {
+				t.Errorf("bounded dynamic P=%d: %v, want gen.ErrGrowthBound", workers, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("bounded dynamic P=%d: no return after 10s", workers)
 		}
 	}
 }

@@ -17,15 +17,33 @@ import (
 // back and executed directly, so a chain of unary nodes never touches a
 // deque at all.
 //
+// Nothing a worker does per node writes a cache line every worker shares:
+// the counters it touches belong to the node's children, and the count of
+// retired nodes is a per-worker tally, added to the run's shared total only
+// when the worker runs dry (its deque is empty), and on every exit. Every
+// retired node is below the table's size, so the flush that makes the total
+// equal the size is the one that completes the run; a worker flushes before
+// it steals or parks, so the last node's worker makes that flush when it
+// runs dry.
+//
 // Memory-model note: a child's parents' values are always visible to the
-// worker that executes it. The last parent's writer performs an atomic
-// decrement that reaches zero, then publishes the child either by keeping
-// it (same goroutine, program order) or under the deque mutex; any other
-// parent's write is ordered before its own decrement, and Go's
-// sequentially-consistent atomics order that decrement before the final
-// one. Acquiring the deque mutex (locally or via steal) therefore
-// establishes happens-before from every parent's write to the child's read,
-// and runs stay clean under the race detector.
+// worker that executes it.
+//   - The flat part of the counter table is filled with plain stores before
+//     the first worker starts (the go statement, or the call itself for a
+//     one-worker run, orders them before every worker's atomics); segment
+//     counters are stored atomically in ensure, before the size that covers
+//     them is published.
+//   - A parent takes ownership of a child with an atomic load that reads 1,
+//     or else with the decrement that reaches zero. Every other parent wrote
+//     its value before its own decrement, and a load that reads 1 has
+//     observed all of those decrements (the caller is the last parent), so in
+//     both cases Go's sequentially-consistent atomics order every parent's
+//     write before the owner's next step. A single-parent child is therefore
+//     owned with one load and no read-modify-write.
+//   - The owner publishes the child either by keeping it (same goroutine,
+//     program order) or under the deque mutex; acquiring that mutex (locally
+//     or via steal) establishes happens-before from every parent's write to
+//     the child's read, and runs stay clean under the race detector.
 
 // wsItem is one deque entry. chunk 0 means "the whole node"; chunk k > 0 is
 // the k-th slice of a split node's emulated work (the Nabbit
@@ -97,9 +115,12 @@ type wsRun struct {
 	// Nodes discovered later live in segments reached through dir, an
 	// immutable slice that growth replaces wholesale: growers serialize on
 	// growMu, readers take no lock. size is published last, after the
-	// segments exist and the new counters are initialized.
+	// segments exist and the new counters are initialized. Once workers run,
+	// every counter is accessed atomically; pending is a plain []int32 so
+	// that run can fill it with plain stores (an atomic store is a locked
+	// instruction, paid per node).
 	values  []uint64
-	pending []atomic.Int32
+	pending []int32
 	dir     atomic.Pointer[[]*segment]
 	growMu  sync.Mutex
 	size    atomic.Int64 // nodes covered by the table so far
@@ -108,14 +129,18 @@ type wsRun struct {
 	// wake is a token semaphore for parked workers: every publish of ready
 	// work sends up to one token per item (non-blocking, capacity = worker
 	// count), so a worker that scanned every deque empty and blocked is
-	// guaranteed a wakeup for work published after its scan.
+	// guaranteed a wakeup for work published after its scan. A one-worker
+	// run has none: its worker has no one to wait for.
 	wake chan struct{}
 	// stop ends the run: with nil once every covered node has retired, with
-	// the expansion error if the graph fails to grow. It cancels the context
-	// the workers poll, so the caller's cancellation, completion and failure
-	// all reach a worker through the same channel.
-	stop    context.CancelCauseFunc
-	retired atomic.Int64
+	// the expansion error if the graph fails to grow, with the caller's
+	// cause once the caller's ctx is done. It cancels the context whose
+	// channel parked workers wait on, then sets halted, which a working
+	// worker polls once per item. The poll is one load: a non-blocking
+	// receive on the channel cost about a third of a chain node at work=0.
+	stop    func(cause error)
+	halted  atomic.Bool
+	retired atomic.Int64 // the workers' flushed tallies
 	steals  atomic.Int64 // successful stealHalf operations this run
 
 	// Split-work state (Nabbit UseParallelNodes). When splitWork > 0 the
@@ -132,11 +157,12 @@ type wsRun struct {
 }
 
 // run executes f over every node g has and discovers, on a pool of workers
-// goroutines, and returns the per-node values indexed by NodeID.
+// goroutines, and returns the per-node values indexed by NodeID. One worker
+// runs on the caller's goroutine.
 func (r *wsRun) run(ctx context.Context, workers int) ([]uint64, error) {
 	n := r.g.NumNodes()
 	r.values = make([]uint64, n)
-	r.pending = make([]atomic.Int32, n)
+	r.pending = make([]int32, n)
 	r.size.Store(int64(n))
 	if r.chunks > 1 {
 		r.remaining = make([]atomic.Int32, n)
@@ -145,13 +171,22 @@ func (r *wsRun) run(ctx context.Context, workers int) ([]uint64, error) {
 	for i := range r.deques {
 		r.deques[i] = new(wsDeque)
 	}
-	r.wake = make(chan struct{}, workers)
+	if workers > 1 {
+		r.wake = make(chan struct{}, workers)
+	}
 	// Seed the sources round-robin across the deques so workers start with
-	// disjoint work. Workers have not started yet, so plain appends are fine.
+	// disjoint work. Workers have not started yet, so plain stores and
+	// appends are fine.
+	static := r.static()
 	seeded := 0
 	for v := 0; v < n; v++ {
-		deg := len(r.g.Parents(dag.NodeID(v)))
-		r.pending[v].Store(int32(deg))
+		var deg int
+		if static != nil {
+			deg = static.InDegree(dag.NodeID(v))
+		} else {
+			deg = len(r.g.Parents(dag.NodeID(v)))
+		}
+		r.pending[v] = int32(deg)
 		if deg == 0 {
 			q := r.deques[seeded%workers]
 			q.buf = append(q.buf, wsItem{id: dag.NodeID(v)})
@@ -162,17 +197,35 @@ func (r *wsRun) run(ctx context.Context, workers int) ([]uint64, error) {
 		return r.values, nil
 	}
 
-	ctx, r.stop = context.WithCancelCause(ctx)
-	defer r.stop(nil)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(self int) {
-			defer wg.Done()
-			r.worker(ctx.Done(), self)
-		}(w)
+	parent := ctx
+	ctx, cancel := context.WithCancelCause(parent)
+	defer cancel(nil)
+	// The cause is recorded before the flag is set, so a worker that saw the
+	// flag and returned leaves the cause for run to report.
+	r.stop = func(cause error) {
+		cancel(cause)
+		r.halted.Store(true)
 	}
-	wg.Wait()
+	// The caller's cancellation stops the run the same way. AfterFunc calls
+	// it on a goroutine of its own, so a ctx that is done already halts the
+	// workers here, before they start.
+	defer context.AfterFunc(parent, func() { r.stop(context.Cause(parent)) })()
+	if ctx.Err() != nil {
+		r.halted.Store(true)
+	}
+	if workers == 1 {
+		r.worker(ctx.Done(), 0)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(self int) {
+				defer wg.Done()
+				r.worker(ctx.Done(), self)
+			}(w)
+		}
+		wg.Wait()
+	}
 	// Flush this run's tallies into the process-lifetime counters once,
 	// after the pool drains — the workers themselves never touch a shared
 	// sink.
@@ -214,6 +267,9 @@ func (r *wsRun) markSplit(self int) {
 // notify wakes up to k parked workers, dropping tokens once the semaphore
 // is full (at that point every worker already has a pending wakeup).
 func (r *wsRun) notify(k int) {
+	if r.wake == nil {
+		return
+	}
 	for i := 0; i < k; i++ {
 		select {
 		case r.wake <- struct{}{}:
@@ -252,15 +308,26 @@ func (r *wsRun) steal(self int, scratch *[]wsItem) (wsItem, bool) {
 // run context's Done channel.
 func (r *wsRun) worker(done <-chan struct{}, self int) {
 	q := r.deques[self]
+	static := r.static()
 	parentBuf := make([]uint64, 0, 16)
 	batch := make([]wsItem, 0, 16)
 	stealBuf := make([]wsItem, 0, 16)
+	var tally int64 // nodes retired since this worker's last flush
+	defer func() { r.retired.Add(tally) }()
 	var next wsItem
 	have := false
 	for {
 		if !have {
 			var ok bool
 			if next, ok = q.popTail(); !ok {
+				if tally > 0 {
+					total := r.retired.Add(tally)
+					tally = 0
+					if total == r.size.Load() {
+						r.stop(nil)
+						return
+					}
+				}
 				if next, ok = r.steal(self, &stealBuf); !ok {
 					select {
 					case <-done:
@@ -272,12 +339,8 @@ func (r *wsRun) worker(done <-chan struct{}, self int) {
 			}
 			have = true
 		}
-		// One cheap cancellation poll per item: a non-blocking receive on a
-		// not-ready channel stays on its lock-free fast path.
-		select {
-		case <-done:
+		if r.halted.Load() {
 			return
-		default:
 		}
 		it := next
 		have = false
@@ -314,29 +377,38 @@ func (r *wsRun) worker(done <-chan struct{}, self int) {
 		}
 		id := it.id
 
-		parentBuf = parentBuf[:0]
-		for _, p := range r.g.Parents(id) {
-			v, _ := r.slot(p)
-			parentBuf = append(parentBuf, *v)
+		var parents, children []dag.NodeID
+		if static != nil {
+			parents = static.Parents(id)
+		} else {
+			parents = r.g.Parents(id)
 		}
-		v, _ := r.slot(id)
-		*v = r.f(id, parentBuf)
+		parentBuf = parentBuf[:0]
+		for _, p := range parents {
+			parentBuf = append(parentBuf, *r.value(p))
+		}
+		*r.value(id) = r.f(id, parentBuf)
 
 		// Discover the node's successors (for a static DAG, look them up) and
 		// make sure the table covers them before touching their counters. An
 		// expansion error — the growth bound — ends the whole run.
-		children, err := r.g.Expand(id)
-		if err != nil {
-			r.stop(err)
-			return
+		if static != nil {
+			children = static.Children(id)
+		} else {
+			var err error
+			if children, err = r.g.Expand(id); err != nil {
+				r.stop(err)
+				return
+			}
+			r.ensure(r.g.NumNodes())
 		}
-		r.ensure(r.g.NumNodes())
 
-		// Retire: collect every child whose last dependency this was, keep
-		// the first to run next, and publish the rest in one batched push.
+		// Retire: collect every child whose last dependency this was (see
+		// the memory-model note), keep the first to run next, and publish
+		// the rest in one batched push.
 		batch = batch[:0]
 		for _, c := range children {
-			if _, pending := r.slot(c); pending.Add(-1) == 0 {
+			if p := r.counter(c); atomic.LoadInt32(p) == 1 || atomic.AddInt32(p, -1) == 0 {
 				batch = append(batch, wsItem{id: c})
 			}
 		}
@@ -348,9 +420,6 @@ func (r *wsRun) worker(done <-chan struct{}, self int) {
 				r.notify(len(batch) - 1)
 			}
 		}
-		if r.retired.Add(1) == r.size.Load() {
-			r.stop(nil)
-			return
-		}
+		tally++
 	}
 }
