@@ -3,12 +3,17 @@
 // and topological ordering.
 //
 // A DAG is stored compressed-sparse-row: every children list back to back in
-// one flat array with an offset per node, and the same for parents. One
-// function, freeze, builds that from an edge list in O(n+m): it validates
-// each edge, fills both arrays in a stable counting pass (every Children(u)
-// and Parents(v) keeps edge-list order), finds repeated edges with a stamp
-// array and runs Kahn's algorithm. Builder.Build and FromEdges both call it;
-// a repeated edge is dropped by the first and an error to the second.
+// one flat array with an offset per node, and the same for parents, each
+// entry a 32-bit NodeID. One function, freeze, builds that from an edge list
+// in O(n+m): it validates each edge and fills both arrays in a stable
+// counting pass (every Children(u) and Parents(v) keeps edge-list order).
+// The two remaining passes run only when the edge list leaves them work:
+// repeated edges are looked for with a stamp array unless every children
+// list is strictly ascending (then none can repeat), and Kahn's algorithm
+// orders the graph unless every edge runs from a lower ID to a higher one
+// (then 0..n-1 is the order and no cycle is possible). Every generated shape
+// is such a forward graph. Builder.Build and FromEdges both call freeze; a
+// repeated edge is dropped by the first and an error to the second.
 //
 // Once built, a DAG is never mutated; all accessor methods are safe for
 // concurrent use.
@@ -21,7 +26,10 @@ import (
 )
 
 // NodeID identifies a node in a DAG. Nodes are dense integers in [0, N).
-type NodeID int
+// 32 bits address every node a DAG can hold (MaxSize), at half the bytes of
+// an int per adjacency entry. Convert an int endpoint only after checking it
+// is in range: a conversion keeps the low 32 bits and can land inside it.
+type NodeID int32
 
 // ErrCycle is returned (wrapped) when the graph is cyclic.
 var ErrCycle = errors.New("dag: graph contains a cycle")
@@ -38,15 +46,17 @@ func CheckSize(n, m int) error {
 	return nil
 }
 
-// checkEdge reports why (u,v) cannot be an edge of an n-node DAG, if so.
-func checkEdge(n int, u, v NodeID) error {
+// validEdge reports whether (u,v) can be an edge of an n-node DAG; it is
+// small enough to inline into freeze's per-edge loop. edgeError says why not.
+func validEdge(n int, u, v NodeID) bool {
+	return uint(u) < uint(n) && uint(v) < uint(n) && u != v
+}
+
+func edgeError(n int, u, v NodeID) error {
 	if uint(u) >= uint(n) || uint(v) >= uint(n) {
 		return fmt.Errorf("dag: edge (%d,%d) out of range [0,%d)", u, v, n)
 	}
-	if u == v {
-		return fmt.Errorf("dag: self-loop on node %d: %w", u, ErrCycle)
-	}
-	return nil
+	return fmt.Errorf("dag: self-loop on node %d: %w", u, ErrCycle)
 }
 
 // Builder accumulates nodes and edges before freezing them into a DAG.
@@ -62,8 +72,8 @@ func NewBuilder(n int) *Builder { return &Builder{n: n} }
 // Build keeps the first occurrence of each. It returns an error if either
 // endpoint is out of range or if u == v (a self-loop is trivially a cycle).
 func (b *Builder) AddEdge(u, v NodeID) error {
-	if err := checkEdge(b.n, u, v); err != nil {
-		return err
+	if !validEdge(b.n, u, v) {
+		return edgeError(b.n, u, v)
 	}
 	b.edges = append(b.edges, [2]NodeID{u, v})
 	return nil
@@ -125,56 +135,84 @@ func (a *adjacency) firstOccurrences(stamp []int32) (u, x NodeID) {
 	return u, x
 }
 
+// ascending reports whether every list is strictly ascending, in which case
+// no list repeats a neighbour.
+func (a *adjacency) ascending() bool {
+	for u := 0; u+1 < len(a.off); u++ {
+		list := a.list[a.off[u]:a.off[u+1]]
+		for i := 1; i < len(list); i++ {
+			if list[i] <= list[i-1] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func freeze(n int, edges [][2]NodeID, dropDuplicates bool) (*DAG, error) {
 	if err := CheckSize(n, len(edges)); err != nil {
 		return nil, err
 	}
 	// Degrees are counted two slots ahead of their node: the prefix sum then
 	// leaves the start of u's list in slot u+1, the fill advances it to the
-	// end — the start of u+1's — and slots 0..n are the offsets.
+	// end — the start of u+1's — and slots 0..n are the offsets. Slots are
+	// computed in int: u+2 overflows a NodeID near MaxSize.
 	out := adjacency{make([]int32, n+2), make([]NodeID, len(edges))}
 	in := adjacency{make([]int32, n+2), make([]NodeID, len(edges))}
+	forward := true
 	for _, e := range edges {
-		if err := checkEdge(n, e[0], e[1]); err != nil {
-			return nil, err
+		u, v := e[0], e[1]
+		if !validEdge(n, u, v) {
+			return nil, edgeError(n, u, v)
 		}
-		out.off[e[0]+2]++
-		in.off[e[1]+2]++
+		forward = forward && u < v
+		out.off[int(u)+2]++
+		in.off[int(v)+2]++
 	}
 	for i := 2; i < n+2; i++ {
 		out.off[i] += out.off[i-1]
 		in.off[i] += in.off[i-1]
 	}
 	for _, e := range edges {
-		u, v := e[0], e[1]
-		out.list[out.off[u+1]] = v
-		out.off[u+1]++
-		in.list[in.off[v+1]] = u
-		in.off[v+1]++
+		u, v := int(e[0])+1, int(e[1])+1
+		out.list[out.off[u]] = e[1]
+		out.off[u]++
+		in.list[in.off[v]] = e[0]
+		in.off[v]++
 	}
 	out.off, in.off = out.off[:n+1], in.off[:n+1]
-	scratch := make([]int32, n)
-	if u, v := out.firstOccurrences(scratch); u >= 0 {
-		if !dropDuplicates {
-			return nil, fmt.Errorf("dag: duplicate edge (%d,%d)", u, v)
+	if !out.ascending() {
+		stamp := make([]int32, n)
+		if u, v := out.firstOccurrences(stamp); u >= 0 {
+			if !dropDuplicates {
+				return nil, fmt.Errorf("dag: duplicate edge (%d,%d)", u, v)
+			}
+			// Both fills were stable, so the first (u,v) among u's children and
+			// the first among v's parents are the same edge of the list.
+			clear(stamp)
+			in.firstOccurrences(stamp)
 		}
-		// Both fills were stable, so the first (u,v) among u's children and
-		// the first among v's parents are the same edge of the list.
-		clear(scratch)
-		in.firstOccurrences(scratch)
 	}
 
-	// Kahn's algorithm, the order doubling as the work queue: a node joins it
-	// when scratch, now its count of unvisited parents, reaches zero.
 	topo := make([]NodeID, 0, n)
-	for v := range scratch {
-		if scratch[v] = in.off[v+1] - in.off[v]; scratch[v] == 0 {
+	if forward {
+		// Every edge runs up the IDs, so ascending ID order is topological.
+		for v := range n {
+			topo = append(topo, NodeID(v))
+		}
+		return &DAG{out: out, in: in, topo: topo}, nil
+	}
+	// Kahn's algorithm, the order doubling as the work queue: a node joins it
+	// when pending, its count of unvisited parents, reaches zero.
+	pending := make([]int32, n)
+	for v := range pending {
+		if pending[v] = in.off[v+1] - in.off[v]; pending[v] == 0 {
 			topo = append(topo, NodeID(v))
 		}
 	}
 	for i := 0; i < len(topo); i++ {
 		for _, v := range out.of(topo[i]) {
-			if scratch[v]--; scratch[v] == 0 {
+			if pending[v]--; pending[v] == 0 {
 				topo = append(topo, v)
 			}
 		}
@@ -210,8 +248,10 @@ func (d *DAG) InDegree(id NodeID) int { return len(d.in.of(id)) }
 // OutDegree returns the number of edges leaving id.
 func (d *DAG) OutDegree(id NodeID) int { return len(d.out.of(id)) }
 
-// TopoOrder returns a topological order of all nodes. The returned slice is
-// shared and must not be modified.
+// TopoOrder returns a topological order of all nodes: 0..n-1 when every
+// edge runs from a lower ID to a higher one, otherwise Kahn's order, sources
+// first in ascending ID. The returned slice is shared and must not be
+// modified.
 func (d *DAG) TopoOrder() []NodeID { return d.topo }
 
 // Sources returns all nodes with in-degree zero, in ascending ID order.
@@ -223,13 +263,13 @@ func (d *DAG) Sinks() []NodeID { return d.out.isolated() }
 // Depth returns the length in edges of the longest path in the DAG
 // (the critical-path length, i.e. the span of the task graph).
 func (d *DAG) Depth() int {
-	depth := make([]int, len(d.topo))
-	longest := 0
+	depth := make([]int32, len(d.topo))
+	longest := int32(0)
 	for _, u := range d.topo {
 		for _, v := range d.Children(u) {
 			depth[v] = max(depth[v], depth[u]+1)
 			longest = max(longest, depth[v])
 		}
 	}
-	return longest
+	return int(longest)
 }

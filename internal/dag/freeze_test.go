@@ -13,7 +13,7 @@ import (
 // freeze, Kahn pass and accessors moved here verbatim (only the type's name
 // changed). It is the reference FuzzFreeze compares the CSR freeze against:
 // the two must accept the same edge lists and agree on everything a caller
-// can observe.
+// can observe but which topological order a forward graph gets.
 type refDAG struct {
 	n      int
 	nEdges int
@@ -74,6 +74,18 @@ func refKahn(d *refDAG) ([]NodeID, error) {
 			d.n-len(order), d.n, ErrCycle)
 	}
 	return order, nil
+}
+
+// forward reports whether every edge runs from a lower ID to a higher one.
+func (d *refDAG) forward() bool {
+	for u, children := range d.adj {
+		for _, v := range children {
+			if int(v) <= u {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func (d *refDAG) Sources() []NodeID {
@@ -190,8 +202,17 @@ func assertSameGraph(t *testing.T, got *DAG, want *refDAG) {
 				v, got.InDegree(id), got.OutDegree(id), want.indeg[v], want.outdeg[v])
 		}
 	}
-	if !slices.Equal(got.TopoOrder(), want.topo) {
-		t.Fatalf("TopoOrder = %v, reference %v", got.TopoOrder(), want.topo)
+	// A graph whose every edge runs up the IDs is ordered by ID; any other
+	// keeps the reference's Kahn order.
+	wantTopo := want.topo
+	if want.forward() {
+		wantTopo = make([]NodeID, want.n)
+		for v := range wantTopo {
+			wantTopo[v] = NodeID(v)
+		}
+	}
+	if !slices.Equal(got.TopoOrder(), wantTopo) {
+		t.Fatalf("TopoOrder = %v, want %v", got.TopoOrder(), wantTopo)
 	}
 	if !slices.Equal(got.Sources(), want.Sources()) || !slices.Equal(got.Sinks(), want.Sinks()) {
 		t.Fatalf("Sources/Sinks = %v/%v, reference %v/%v", got.Sources(), got.Sinks(), want.Sources(), want.Sinks())
@@ -204,7 +225,9 @@ func assertSameGraph(t *testing.T, got *DAG, want *refDAG) {
 // FuzzFreeze drives arbitrary small edge lists — out-of-range endpoints,
 // self-loops, repeats and cycles included — through both entry points of
 // the CSR freeze and through the reference, and requires the same verdict
-// and, when accepted, the same graph accessor for accessor.
+// and, when accepted, the same graph accessor for accessor. The one
+// accessor that may differ is TopoOrder: it must be 0..n-1 when every edge
+// runs forward, and the reference's Kahn order otherwise.
 func FuzzFreeze(f *testing.F) {
 	f.Add(uint8(4), []byte{1, 2, 1, 3, 2, 4, 3, 4})       // diamond
 	f.Add(uint8(4), []byte{1, 2, 1, 2, 2, 3, 1, 2, 3, 4}) // repeats
@@ -214,6 +237,10 @@ func FuzzFreeze(f *testing.F) {
 	f.Add(uint8(2), []byte{1, 2, 2, 1, 1, 2})             // two-cycle and a repeat
 	f.Add(uint8(0), []byte{})                             // empty graph
 	f.Add(uint8(9), []byte{6, 8, 1, 4, 3, 4, 1, 2, 4, 8, 2, 8, 3, 6, 1, 8, 4, 6, 8, 9, 2, 3})
+	// Children lists out of ascending order that repeat an edge: forward, then
+	// with backward edges, so both the duplicate pass and Kahn's run.
+	f.Add(uint8(4), []byte{1, 4, 1, 2, 3, 4, 1, 4})
+	f.Add(uint8(5), []byte{3, 1, 3, 5, 3, 2, 3, 1, 2, 4})
 	f.Fuzz(func(t *testing.T, nodes uint8, raw []byte) {
 		n := int(nodes % 24)
 		// A byte maps onto [-1, n]: one value below the range, one above.

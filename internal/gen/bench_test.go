@@ -8,35 +8,53 @@ import (
 
 var benchSink *dag.DAG
 
-// BenchmarkGenerate times graph construction over the three static shapes
-// of the benchmark's engine_fine workload, where run.Execute pays for it on
-// every run, plus the service mix's random graph. The _v1 case is the same
-// spec under generator version 1, so one run shows the skip sampler against
-// the n²/2 draws it replaced. ns/edge is the figure to compare across
-// shapes: for v1 random it carries the per-pair draws, for v2 one draw per
-// edge, for the other two shapes the freeze alone.
+// BenchmarkGenerate times graph construction over the four shapes of the
+// benchmark's engine_fine workload, where run.Execute pays for it on every
+// run, plus the service mix's random graph. The dynamic case is FinalDAG of a
+// graph expanded once beforehand: the freeze of the discovered graph that
+// the serial verification sweeps. The _v1 case is the same random spec under
+// generator version 1, so one run shows the skip sampler against the n²/2
+// draws it replaced. ns/edge is the figure to compare across shapes: for v1
+// random it carries the per-pair draws, for v2 one draw per edge, for the
+// other shapes the freeze alone.
 func BenchmarkGenerate(b *testing.B) {
+	static := func(cfg Config) func() (*dag.DAG, error) {
+		return func() (*dag.DAG, error) { return Generate(cfg) }
+	}
 	for _, bc := range []struct {
-		name string
-		cfg  Config
+		name  string
+		build func() (*dag.DAG, error)
 	}{
-		{"random_n2000_p0.01", Config{Shape: Random, Nodes: 2000, EdgeProb: 0.01, Seed: 1}},
-		{"random_n2000_p0.01_v1", Config{Shape: Random, Nodes: 2000, EdgeProb: 0.01, Seed: 1, GenVersion: 1}},
-		{"random_n200_p0.02", Config{Shape: Random, Nodes: 200, EdgeProb: 0.02, Seed: 1}},
-		{"pipeline_2000x8", Config{Shape: Pipeline, Stages: 2000, Width: 8}},
-		{"chain_n100000", Config{Shape: Chain, Nodes: 100000}},
+		{"random_n2000_p0.01", static(Config{Shape: Random, Nodes: 2000, EdgeProb: 0.01, Seed: 1})},
+		{"random_n2000_p0.01_v1", static(Config{Shape: Random, Nodes: 2000, EdgeProb: 0.01, Seed: 1, GenVersion: 1})},
+		{"random_n200_p0.02", static(Config{Shape: Random, Nodes: 200, EdgeProb: 0.02, Seed: 1})},
+		{"pipeline_2000x8", static(Config{Shape: Pipeline, Stages: 2000, Width: 8})},
+		{"chain_n100000", static(Config{Shape: Chain, Nodes: 100000})},
+		{"dynamic_12x3_final", expandedDynamic(b, Config{Shape: Dynamic, Stages: 12, Width: 3, EdgeProb: 0.2, Seed: 1}).FinalDAG},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var err error
 			for i := 0; i < b.N; i++ {
-				if benchSink, err = Generate(bc.cfg); err != nil {
+				if benchSink, err = bc.build(); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(benchSink.NumEdges()), "ns/edge")
 		})
 	}
+}
+
+// expandedDynamic returns the expander for cfg with every level built.
+func expandedDynamic(b *testing.B, cfg Config) *Dyn {
+	d, err := NewDynamic(cfg, DynLimits{})
+	if err == nil {
+		_, err = walk(d, func([]dag.NodeID) {})
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d
 }
 
 // BenchmarkDynamicExpand times a serial full expansion of the benchmark's

@@ -199,12 +199,17 @@ func ChainDAG(n int) (*dag.DAG, error) {
 // ExplicitDAG builds the graph a client described literally: n nodes
 // identified 0..n-1 and exactly the given edges. Out-of-range endpoints,
 // self-loops, duplicate edges and cycles are all rejected, none repaired.
+// Endpoints are range-checked while they are still ints: a NodeID keeps only
+// the low 32 bits, so 4294967297 would otherwise arrive as node 1.
 func ExplicitDAG(n int, edges []Edge) (*dag.DAG, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("gen: explicit dag needs >= 1 node, got %d", n)
 	}
 	list := make([][2]dag.NodeID, len(edges))
 	for i, e := range edges {
+		if uint(e[0]) >= uint(n) || uint(e[1]) >= uint(n) {
+			return nil, fmt.Errorf("gen: edge (%d,%d) out of range [0,%d)", e[0], e[1], n)
+		}
 		list[i] = [2]dag.NodeID{dag.NodeID(e[0]), dag.NodeID(e[1])}
 	}
 	return dag.FromEdges(n, list)

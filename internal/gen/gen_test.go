@@ -266,6 +266,9 @@ func TestExplicitDAGRejections(t *testing.T) {
 		{"duplicate edge", 3, []Edge{{0, 1}, {0, 1}}, "duplicate edge"},
 		{"out of range", 3, []Edge{{0, 5}}, "out of range"},
 		{"negative endpoint", 3, []Edge{{-1, 2}}, "out of range"},
+		// Both narrow to the valid edge (0,1) if converted before the check.
+		{"endpoint past 32 bits", 4, []Edge{{0, 4294967297}}, "out of range"},
+		{"negative endpoint past 32 bits", 4, []Edge{{-4294967296, 1}}, "out of range"},
 		{"cycle", 3, []Edge{{0, 1}, {1, 2}, {2, 0}}, "cycle"},
 	}
 	for _, tc := range cases {

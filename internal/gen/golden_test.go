@@ -9,9 +9,13 @@ import (
 )
 
 // graphDigest folds everything a workload or the scheduler can observe of a
-// graph — n, m, every Children list in order, every Parents list in order,
-// TopoOrder — into one FNV-1a value. List lengths are folded in too, so
-// moving an edge between neighbouring lists changes the digest.
+// graph — n, m, every Children list in order, every Parents list in order —
+// into one FNV-1a value, and with them the Kahn order of those lists. List
+// lengths are folded in too, so moving an edge between neighbouring lists
+// changes the digest. The order is recomputed here rather than read from
+// TopoOrder, which may be any topological order: the digests were recorded
+// when TopoOrder was always Kahn's, and folding Kahn's order keeps them
+// pinning the lists' order, which Kahn's tie-breaking exposes.
 func graphDigest(d *dag.DAG) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -33,18 +37,69 @@ func graphDigest(d *dag.DAG) uint64 {
 	for v := 0; v < d.NumNodes(); v++ {
 		putList(d.Parents(dag.NodeID(v)))
 	}
-	putList(d.TopoOrder())
+	putList(kahnOrder(d))
 	return h.Sum64()
+}
+
+// kahnOrder is Kahn's algorithm over d's lists with a FIFO queue seeded with
+// the sources in ascending ID: the order the freeze always returned before it
+// learned to skip the pass for forward graphs.
+func kahnOrder(d *dag.DAG) []dag.NodeID {
+	pending := make([]int, d.NumNodes())
+	order := make([]dag.NodeID, 0, d.NumNodes())
+	for v := range pending {
+		if pending[v] = d.InDegree(dag.NodeID(v)); pending[v] == 0 {
+			order = append(order, dag.NodeID(v))
+		}
+	}
+	for i := 0; i < len(order); i++ {
+		for _, v := range d.Children(order[i]) {
+			if pending[v]--; pending[v] == 0 {
+				order = append(order, v)
+			}
+		}
+	}
+	return order
+}
+
+// checkTopoOrder fails t unless d.TopoOrder() holds every node once and
+// puts every edge's parent before its child.
+func checkTopoOrder(t *testing.T, name string, d *dag.DAG) {
+	t.Helper()
+	order := d.TopoOrder()
+	if len(order) != d.NumNodes() {
+		t.Errorf("%s: TopoOrder has %d nodes, want %d", name, len(order), d.NumNodes())
+		return
+	}
+	pos := make([]int, d.NumNodes())
+	for i := range pos {
+		pos[i] = -1
+	}
+	for i, v := range order {
+		if pos[v] >= 0 {
+			t.Errorf("%s: node %d twice in TopoOrder", name, v)
+			return
+		}
+		pos[v] = i
+	}
+	for u := range pos {
+		for _, v := range d.Children(dag.NodeID(u)) {
+			if pos[u] >= pos[v] {
+				t.Errorf("%s: edge (%d,%d) runs backward in TopoOrder", name, u, v)
+				return
+			}
+		}
+	}
 }
 
 // TestGoldenGraphDigests pins that a spec denotes the graph it always has,
 // under each generator version: same edges, same order within every
-// adjacency list, same topological order. The v1 digests were recorded with
-// the slice-of-slices DAG that preceded the CSR layout; a stored run replays
-// identically only while they hold, so a mismatch means a generator or the
-// freeze changed which graph a spec means — which needs a new gen_version,
-// not a new golden value. A zero v2 marks a shape no version changes: its v2
-// digest must equal its v1 one.
+// adjacency list; and that TopoOrder is a topological order of it. The v1
+// digests were recorded with the slice-of-slices DAG that preceded the CSR
+// layout; a stored run replays identically only while they hold, so a
+// mismatch means a generator or the freeze changed which graph a spec means
+// — which needs a new gen_version, not a new golden value. A zero v2 marks a
+// shape no version changes: its v2 digest must equal its v1 one.
 func TestGoldenGraphDigests(t *testing.T) {
 	dynamic := func(stages, width int, p float64, seed int64) func(int) (*dag.DAG, error) {
 		return func(version int) (*dag.DAG, error) {
@@ -89,6 +144,11 @@ func TestGoldenGraphDigests(t *testing.T) {
 		{"explicit", static(Config{Shape: Explicit, Nodes: 9, Edges: []Edge{
 			{5, 7}, {0, 3}, {2, 3}, {0, 1}, {3, 7}, {1, 7}, {2, 5}, {0, 7}, {3, 5}, {7, 8}, {1, 2},
 		}}), 0x942d565f43d7e5eb, 0},
+		// Backward edges, so the freeze runs Kahn's pass; recorded when it
+		// always did.
+		{"explicit backward", static(Config{Shape: Explicit, Nodes: 8, Edges: []Edge{
+			{6, 2}, {2, 0}, {6, 0}, {3, 5}, {0, 5}, {4, 1}, {1, 3}, {7, 4}, {2, 1},
+		}}), 0x33c09d661845726a, 0},
 		{"dynamic 12x3 p=0.2 seed 1", dynamic(12, 3, 0.2, 1), 0x29b011992d090cb7, 0},
 		{"dynamic 6x3 p=0.4 seed 99", dynamic(6, 3, 0.4, 99), 0xf1f6c514cedc051c, 0},
 		{"dynamic 5x4 p=0.5 seed 3", dynamic(5, 4, 0.5, 3), 0x5bfa0cb7fe6d0bca, 0},
@@ -112,6 +172,7 @@ func TestGoldenGraphDigests(t *testing.T) {
 			if got := graphDigest(d); got != want.digest {
 				t.Errorf("%s v%d: digest %#016x (n=%d m=%d), want %#016x", tc.name, want.version, got, d.NumNodes(), d.NumEdges(), want.digest)
 			}
+			checkTopoOrder(t, tc.name, d)
 		}
 	}
 }

@@ -1,0 +1,52 @@
+package run
+
+import (
+	"context"
+	"testing"
+
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/gen"
+)
+
+// TestGoldenResults pins what a run reports for the benchmark's graphs — the
+// four engine_fine shapes and the service mix's two — under every built-in
+// workload: the graph's size and depth, and the sum of its sink values. The
+// values were recorded before node IDs narrowed to 32 bits and before the
+// freeze learned to skip Kahn's pass, so they hold a run's outcome fixed
+// across the graph's representation, not just its digest.
+func TestGoldenResults(t *testing.T) {
+	workloads := [3]string{"pathcount", "hashchain", "longestpath"}
+	cases := []struct {
+		name                string
+		spec                Spec
+		nodes, edges, depth int
+		sinks               [3]uint64 // SinkPaths per workload, in workloads' order
+	}{
+		{"engine_fine pipeline 2000x8", Spec{Config: gen.Config{Shape: gen.Pipeline, Stages: 2000, Width: 8}},
+			16002, 43994, 2001, [3]uint64{0xba8d50fd396167f6, 0xd06bf098ad88f585, 0x7d1}},
+		{"engine_fine random n=2000 p=0.01 seed 1", Spec{Config: gen.Config{Shape: gen.Random, Nodes: 2000, EdgeProb: 0.01, Seed: 1}},
+			2000, 20063, 59, [3]uint64{0x51c68d303, 0x1c9c673400f0ad4e, 0x3b}},
+		{"engine_fine chain n=100000", Spec{Config: gen.Config{Shape: gen.Chain, Nodes: 100000}},
+			100000, 99999, 99999, [3]uint64{0x1, 0xde67264dd016b486, 0x1869f}},
+		{"engine_fine dynamic 12x3 p=0.2 seed 1", Spec{Config: gen.Config{Shape: gen.Dynamic, Stages: 12, Width: 3, EdgeProb: 0.2, Seed: 1}},
+			13689, 21792, 12, [3]uint64{0xd0447, 0x6ef960925d137756, 0x14208}},
+		{"service pipeline 50x4", Spec{Config: gen.Config{Shape: gen.Pipeline, Stages: 50, Width: 4}, Work: 50},
+			202, 498, 51, [3]uint64{0x240c5eed2120718a, 0xcd506c1f87a90d03, 0x33}},
+		{"service random n=200 p=0.02 seed 13", Spec{Config: gen.Config{Shape: gen.Random, Nodes: 200, EdgeProb: 0.02, Seed: 13}, Work: 50},
+			200, 516, 17, [3]uint64{0x45f, 0xfbddefc7dee4b2b4, 0x11}},
+	}
+	for _, tc := range cases {
+		for i, w := range workloads {
+			spec := tc.spec
+			spec.Workload = w
+			res, err := Execute(context.Background(), spec, 2)
+			if err != nil {
+				t.Errorf("%s %s: %v", tc.name, w, err)
+				continue
+			}
+			if res.Nodes != tc.nodes || res.Edges != tc.edges || res.Depth != tc.depth || res.SinkPaths != tc.sinks[i] {
+				t.Errorf("%s %s: nodes %d edges %d depth %d sinks %#x, want %d %d %d %#x",
+					tc.name, w, res.Nodes, res.Edges, res.Depth, res.SinkPaths, tc.nodes, tc.edges, tc.depth, tc.sinks[i])
+			}
+		}
+	}
+}

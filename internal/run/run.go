@@ -235,7 +235,7 @@ func (s Spec) validateShape() error {
 			return fmt.Errorf("explicit spec has %d edges, cap is %d", len(s.Edges), MaxEdges)
 		}
 		// Build the graph once at admission so self-loops, duplicate and
-		// out-of-range edges, and cycles (the Builder's Kahn pass) are all
+		// out-of-range edges, and cycles (the freeze's Kahn pass) are all
 		// rejected before the spec can ever reach a dispatcher. The build
 		// is O(nodes+edges), the same cost the dispatcher pays again at
 		// execution — acceptable for the hard bounds above.

@@ -87,6 +87,9 @@ func TestValidateSentinels(t *testing.T) {
 		{"explicit self edge", explicit(3, []gen.Edge{{1, 1}})},
 		{"explicit duplicate edge", explicit(3, []gen.Edge{{0, 1}, {0, 1}})},
 		{"explicit out of range", explicit(3, []gen.Edge{{0, 7}})},
+		// Endpoints whose low 32 bits are in range: (0,1) once narrowed.
+		{"explicit endpoint past 32 bits", explicit(4, []gen.Edge{{0, 4294967297}})},
+		{"explicit negative endpoint past 32 bits", explicit(4, []gen.Edge{{-4294967296, 1}})},
 	}
 	for _, tc := range invalid {
 		err := tc.spec.Validate()

@@ -299,6 +299,8 @@ func TestExplicitSpecAdmission(t *testing.T) {
 		{"duplicate edge", `{"shape":"explicit","nodes":3,"edges":[[0,1],[0,1]]}`},
 		{"out of range", `{"shape":"explicit","nodes":3,"edges":[[0,5]]}`},
 		{"negative index", `{"shape":"explicit","nodes":3,"edges":[[-1,2]]}`},
+		{"index past 32 bits", `{"shape":"explicit","nodes":4,"edges":[[0,4294967297]]}`},
+		{"negative index past 32 bits", `{"shape":"explicit","nodes":4,"edges":[[-4294967296,1]]}`},
 		{"zero nodes", `{"shape":"explicit","nodes":0}`},
 		{"edges on generated shape", `{"shape":"random","nodes":10,"p":0.1,"edges":[[0,1]]}`},
 	}
