@@ -512,8 +512,8 @@ func (d *Dispatcher) Snapshot() Snapshot {
 func (d *Dispatcher) Submit(spec run.Spec) (run.Run, error) {
 	// Stamp the service defaults before validation so the stored spec (and
 	// any 400 for a bad default) reflects what will actually execute — the
-	// generator version too, so a replayed record keeps denoting the graph
-	// it was admitted as after a later version becomes current. The tenant
+	// generator version too, so a replayed record names the generator it
+	// was admitted under, and fails closed once that one is retired. The tenant
 	// attribution is resolved here — never trusted from the spec — so
 	// unknown names collapse onto the catch-all default tenant.
 	if spec.Workload == "" {

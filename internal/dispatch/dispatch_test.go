@@ -94,36 +94,35 @@ func TestUnknownDefaultWorkloadFailsSubmit(t *testing.T) {
 }
 
 // TestGenVersionStamped pins the generator version at admission: an absent
-// gen_version is stored as the current one, and an explicit 1 is kept and
-// executes version 1's graph. (Versions outside 0..2 are TestErrorPaths'
-// 400s.)
+// gen_version is stored as the current one and executes its graph, and the
+// retired 1 is refused with no run stored. (Versions nobody defined are
+// TestErrorPaths' 400s.)
 func TestGenVersionStamped(t *testing.T) {
 	store, d := newDispatcher(t, Options{QueueDepth: 8, Dispatchers: 1})
 	random := func(version int) run.Spec {
 		return run.Spec{Config: gen.Config{Shape: gen.Random, Nodes: 300, EdgeProb: 0.02, Seed: 5, GenVersion: version}}
 	}
-	sinks := map[int]uint64{}
-	for _, v := range []int{1, 2} {
-		res, err := run.Execute(context.Background(), random(v), 2)
+	if _, err := d.Submit(random(1)); !errors.Is(err, run.ErrInvalidSpec) {
+		t.Fatalf("gen_version 1: Submit = %v, want ErrInvalidSpec", err)
+	}
+	if n := store.Len(); n != 0 {
+		t.Fatalf("gen_version 1 refused but %d runs stored", n)
+	}
+	want, err := run.Execute(context.Background(), random(gen.CurrentVersion), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, submitted := range []int{0, gen.CurrentVersion} {
+		r, err := d.Submit(random(submitted))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sinks[v] = res.SinkPaths
-	}
-	if sinks[1] == sinks[2] {
-		t.Fatalf("v1 and v2 give the same sink value %d; pick a seed that tells them apart", sinks[1])
-	}
-	for _, tc := range []struct{ submitted, stored int }{{0, gen.CurrentVersion}, {1, 1}, {2, 2}} {
-		r, err := d.Submit(random(tc.submitted))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Spec.GenVersion != tc.stored {
-			t.Errorf("gen_version %d stored as %d, want %d", tc.submitted, r.Spec.GenVersion, tc.stored)
+		if r.Spec.GenVersion != gen.CurrentVersion {
+			t.Errorf("gen_version %d stored as %d, want %d", submitted, r.Spec.GenVersion, gen.CurrentVersion)
 		}
 		got := waitForState(t, store, r.ID, run.StateSucceeded)
-		if got.Result.SinkPaths != sinks[tc.stored] {
-			t.Errorf("gen_version %d executed to sink %d, want v%d's %d", tc.submitted, got.Result.SinkPaths, tc.stored, sinks[tc.stored])
+		if got.Result.SinkPaths != want.SinkPaths {
+			t.Errorf("gen_version %d executed to sink %d, want v%d's %d", submitted, got.Result.SinkPaths, gen.CurrentVersion, want.SinkPaths)
 		}
 	}
 }

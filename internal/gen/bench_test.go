@@ -12,11 +12,9 @@ var benchSink *dag.DAG
 // benchmark's engine_fine workload, where run.Execute pays for it on every
 // run, plus the service mix's random graph. The dynamic case is FinalDAG of a
 // graph expanded once beforehand: the freeze of the discovered graph that
-// the serial verification sweeps. The _v1 case is the same random spec under
-// generator version 1, so one run shows the skip sampler against the n²/2
-// draws it replaced. ns/edge is the figure to compare across shapes: for v1
-// random it carries the per-pair draws, for v2 one draw per edge, for the
-// other shapes the freeze alone.
+// the serial verification sweeps. ns/edge is the figure to compare across
+// shapes: for random it carries one draw per edge, for the other shapes the
+// freeze alone.
 func BenchmarkGenerate(b *testing.B) {
 	static := func(cfg Config) func() (*dag.DAG, error) {
 		return func() (*dag.DAG, error) { return Generate(cfg) }
@@ -26,7 +24,6 @@ func BenchmarkGenerate(b *testing.B) {
 		build func() (*dag.DAG, error)
 	}{
 		{"random_n2000_p0.01", static(Config{Shape: Random, Nodes: 2000, EdgeProb: 0.01, Seed: 1})},
-		{"random_n2000_p0.01_v1", static(Config{Shape: Random, Nodes: 2000, EdgeProb: 0.01, Seed: 1, GenVersion: 1})},
 		{"random_n200_p0.02", static(Config{Shape: Random, Nodes: 200, EdgeProb: 0.02, Seed: 1})},
 		{"pipeline_2000x8", static(Config{Shape: Pipeline, Stages: 2000, Width: 8})},
 		{"chain_n100000", static(Config{Shape: Chain, Nodes: 100000})},

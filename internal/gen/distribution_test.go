@@ -2,15 +2,11 @@ package gen
 
 import (
 	"math"
-	"math/rand"
-	randv2 "math/rand/v2"
+	"math/rand/v2"
 	"testing"
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/dag"
 )
-
-// raceEnabled is set by race_test.go in -race builds.
-var raceEnabled bool
 
 // tally accumulates a sample's mean and variance.
 type tally struct{ n, sum, sumSq float64 }
@@ -59,16 +55,35 @@ func chiSquare(observed, pairs []float64) float64 {
 	return chi
 }
 
-// TestSkipSampleDistribution holds version 2's sampler to version 1's, the
-// reference it replaces, over 200 seeds at the service mix, engine_fine and
-// a fill-in heavy setting: the same mean edge count, the same mean fill-in,
-// and present pairs spread uniformly over rows and over gaps j−i.
-func TestSkipSampleDistribution(t *testing.T) {
-	if raceEnabled {
-		// One goroutine per setting sharing nothing: the detector has nothing
-		// to find, and it slows v1's 400M reference draws to some 40 s.
-		t.Skip("single-goroutine statistics; run without -race")
+// expectedFill is the exact mean number of edges fillIn adds to a sample
+// of n nodes at edge probability p. With q = 1−p, node j is an orphan with
+// probability q^j; an interior node i is left childless when its n−1−i
+// pairs are absent and no later orphan j picked it. Given (i, j) is absent,
+// j is an orphan with probability q^(j−1) and picks among its j earlier
+// nodes uniformly, so it leaves i alone with probability 1 − q^(j−1)/j.
+// Orphan status depends on disjoint columns, so those factors are
+// independent.
+func expectedFill(n int, p float64) float64 {
+	q := 1 - p
+	fill := 0.0
+	for j := 1; j < n; j++ {
+		fill += math.Pow(q, float64(j))
 	}
+	notPicked := 1.0 // Π over i < j < n of 1 − q^(j−1)/j
+	for i := n - 2; i >= 0; i-- {
+		j := i + 1
+		notPicked *= 1 - math.Pow(q, float64(j-1))/float64(j)
+		fill += math.Pow(q, float64(n-1-i)) * notPicked
+	}
+	return fill
+}
+
+// TestSkipSampleDistribution holds the sampler to its closed-form
+// expectations over 200 seeds at the service mix, engine_fine and a fill-in
+// heavy setting: the mean edge count p·n(n−1)/2, the mean fill-in
+// expectedFill, and present pairs spread uniformly over rows and over gaps
+// j−i.
+func TestSkipSampleDistribution(t *testing.T) {
 	const seeds = 200
 	for _, tc := range []struct {
 		name string
@@ -82,37 +97,29 @@ func TestSkipSampleDistribution(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			n := tc.n
-			var sampled1, sampled2, fill1, fill2 tally
+			var sampled, fill tally
 			byRow, byGap := make([]float64, n), make([]float64, n)
 			for seed := int64(1); seed <= seeds; seed++ {
-				r1 := rand.New(rand.NewSource(seed))
-				g1 := pairSample(n, tc.p, r1)
-				m1 := len(g1.edges)
-				g1.fillIn(r1.Intn)
-				sampled1.add(m1)
-				fill1.add(len(g1.edges) - m1)
-
-				r2 := randv2.New(randv2.NewPCG(uint64(seed), seedStream))
-				g2 := skipSample(n, tc.p, r2)
-				m2 := len(g2.edges)
-				for _, e := range g2.edges {
+				rng := rand.New(rand.NewPCG(uint64(seed), seedStream))
+				g := skipSample(n, tc.p, rng)
+				m := len(g.edges)
+				for _, e := range g.edges {
 					byRow[e[0]]++
 					byGap[e[1]-e[0]]++
 				}
-				g2.fillIn(r2.IntN)
-				sampled2.add(m2)
-				fill2.add(len(g2.edges) - m2)
+				g.fillIn(rng)
+				sampled.add(m)
+				fill.add(len(g.edges) - m)
 			}
 
 			pairs := float64(n) * float64(n-1) / 2
 			want, sd := tc.p*pairs, math.Sqrt(tc.p*(1-tc.p)*pairs/seeds)
-			for v, s := range map[int]tally{1: sampled1, 2: sampled2} {
-				if d := math.Abs(s.mean() - want); d > 4*sd {
-					t.Errorf("v%d mean sampled edges %.1f, want %.1f ± 4×%.2f", v, s.mean(), want, sd)
-				}
+			if d := math.Abs(sampled.mean() - want); d > 4*sd {
+				t.Errorf("mean sampled edges %.1f, want %.1f ± 4×%.2f", sampled.mean(), want, sd)
 			}
-			if d, sd := math.Abs(fill2.mean()-fill1.mean()), math.Sqrt(fill1.varOfMean()+fill2.varOfMean()); d > 4*sd {
-				t.Errorf("mean fill-in edges v2 %.2f, v1 %.2f: %.2f apart, more than 4×%.3f", fill2.mean(), fill1.mean(), d, sd)
+			wantFill, fillSD := expectedFill(n, tc.p), math.Sqrt(fill.varOfMean())
+			if d := math.Abs(fill.mean() - wantFill); d > 4*fillSD {
+				t.Errorf("mean fill-in edges %.2f, want %.2f ± 4×%.3f", fill.mean(), wantFill, fillSD)
 			}
 
 			rowPairs, gapPairs := make([]float64, n-1), make([]float64, n)
@@ -129,15 +136,15 @@ func TestSkipSampleDistribution(t *testing.T) {
 			if gapChi > chi2Bound {
 				t.Errorf("present pairs by gap j−i: χ² = %.1f over 10 buckets, want ≤ %.1f", gapChi, chi2Bound)
 			}
-			t.Logf("sampled edges v1 %.1f v2 %.1f (want %.1f); fill-in v1 %.2f v2 %.2f; χ² row %.1f gap %.1f",
-				sampled1.mean(), sampled2.mean(), want, fill1.mean(), fill2.mean(), rowChi, gapChi)
+			t.Logf("sampled edges %.1f (want %.1f); fill-in %.2f ± %.2f (want %.2f); χ² row %.1f gap %.1f",
+				sampled.mean(), want, fill.mean(), fillSD, wantFill, rowChi, gapChi)
 		})
 	}
 }
 
 // countingSource counts the words a sampler draws from it.
 type countingSource struct {
-	randv2.Source
+	rand.Source
 	draws int
 }
 
@@ -146,9 +153,9 @@ func (c *countingSource) Uint64() uint64 {
 	return c.Source.Uint64()
 }
 
-func countingRand(seed uint64) (*randv2.Rand, *countingSource) {
-	src := &countingSource{Source: randv2.NewPCG(seed, seedStream)}
-	return randv2.New(src), src
+func countingRand(seed uint64) (*rand.Rand, *countingSource) {
+	src := &countingSource{Source: rand.NewPCG(seed, seedStream)}
+	return rand.New(src), src
 }
 
 // TestSkipSampleEdgeCases pins the ends of p's range and the sizes where a

@@ -92,6 +92,9 @@ func NewDynamic(cfg Config, limits DynLimits) (*Dyn, error) {
 	if cfg.Shape != Dynamic {
 		return nil, fmt.Errorf("gen: NewDynamic called with shape %v", cfg.Shape)
 	}
+	if err := CheckVersion(cfg.GenVersion); err != nil {
+		return nil, err
+	}
 	if cfg.Stages < 1 {
 		return nil, fmt.Errorf("gen: dynamic dag needs stages >= 1, got %d", cfg.Stages)
 	}

@@ -22,18 +22,18 @@
 //     (Nabbit's dynamic mode): the graph is never built up front — see
 //     dynamic.go for the lazy expander the scheduler grows mid-run.
 //
-// All randomness flows from (Config.Seed, Config.GenVersion), so a given
-// Config always produces an identical DAG (Explicit involves no randomness
-// at all, Chain only depends on its node count). GenVersion names the
-// generator a graph was drawn with; only Random differs between versions.
+// All randomness flows from Config.Seed, so a given Config always produces
+// an identical DAG (Explicit involves no randomness at all, Chain only
+// depends on its node count). Each shape has one generator: GenVersion names
+// it, and a version whose generators were replaced is retired, refused like
+// any unknown one (see CheckVersion).
 package gen
 
 import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"math/rand"
-	randv2 "math/rand/v2"
+	"math/rand/v2"
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/dag"
 )
@@ -144,29 +144,41 @@ type Config struct {
 	EdgeProb float64 `json:"p,omitempty"`      // forward-edge probability p (Random only)
 	Stages   int     `json:"stages,omitempty"` // pipeline depth (Pipeline only)
 	Width    int     `json:"width,omitempty"`  // pipeline width (Pipeline only)
-	Seed     int64   `json:"seed,omitempty"`   // PRNG seed; equal seeds give equal DAGs under one GenVersion
+	Seed     int64   `json:"seed,omitempty"`   // PRNG seed; equal seeds give equal DAGs
 	Edges    []Edge  `json:"edges,omitempty"`  // explicit edge list (Explicit only)
-	// GenVersion selects the generator a seed is drawn with: 1 tests every
-	// forward pair of a random DAG, 2 skips between present pairs. 0 means
-	// CurrentVersion; the service stamps the number at admission so a
-	// logged spec keeps denoting the graph it was admitted as.
+	// GenVersion names the generators a seed is drawn with, and must be
+	// CurrentVersion or 0, which means it. The service stamps the number at
+	// admission, so a logged spec names the generator it was admitted
+	// under; version 1, the per-pair random sampler, is retired.
 	GenVersion int `json:"gen_version,omitempty"`
 }
 
 // CurrentVersion is the generator version a zero Config.GenVersion means.
 const CurrentVersion = 2
 
+// CheckVersion is the one rule for Config.GenVersion, applied by Generate,
+// NewDynamic and admission alike: 0 or CurrentVersion. Every version below
+// CurrentVersion is retired, its generators deleted, so a spec naming one
+// fails rather than being drawn as a different graph.
+func CheckVersion(v int) error {
+	switch {
+	case v == 0 || v == CurrentVersion:
+		return nil
+	case v > 0 && v < CurrentVersion:
+		return fmt.Errorf("gen: gen_version %d is retired (want %d, or 0 for the current one)", v, CurrentVersion)
+	default:
+		return fmt.Errorf("gen: unknown gen_version %d (want %d, or 0 for the current one)", v, CurrentVersion)
+	}
+}
+
 // Generate builds the DAG described by cfg. The dynamic shape has no
 // up-front graph by design — callers execute it through NewDynamic instead.
 func Generate(cfg Config) (*dag.DAG, error) {
-	if cfg.GenVersion < 0 || cfg.GenVersion > CurrentVersion {
-		return nil, fmt.Errorf("gen: unknown gen_version %d (want 1..%d, or 0 for the current one)", cfg.GenVersion, CurrentVersion)
+	if err := CheckVersion(cfg.GenVersion); err != nil {
+		return nil, err
 	}
 	switch cfg.Shape {
 	case Random:
-		if cfg.GenVersion == 1 {
-			return randomDAGv1(cfg.Nodes, cfg.EdgeProb, cfg.Seed)
-		}
 		return RandomDAG(cfg.Nodes, cfg.EdgeProb, cfg.Seed)
 	case Pipeline:
 		return PipelineDAG(cfg.Stages, cfg.Width)
@@ -215,19 +227,24 @@ func ExplicitDAG(n int, edges []Edge) (*dag.DAG, error) {
 	return dag.FromEdges(n, list)
 }
 
-// RandomDAG generates a random DAG with n nodes, the current (version 2)
-// generator. Every forward pair (i, j) with i < j gets an edge with
-// probability p. To keep the source→sink path count well defined, every node
-// except 0 is guaranteed at least one parent and every node except n-1 at
-// least one child (fill-in edges are drawn from the same seeded PRNG, so the
-// result is still fully deterministic).
+// RandomDAG generates a random DAG with n nodes. Every forward pair (i, j)
+// with i < j gets an edge with probability p. To keep the source→sink path
+// count well defined, every node except 0 is guaranteed at least one parent
+// and every node except n-1 at least one child (fill-in edges are drawn from
+// the same seeded PRNG, so the result is still fully deterministic).
 func RandomDAG(n int, p float64, seed int64) (*dag.DAG, error) {
-	if err := checkRandom(n, p); err != nil {
+	if n < 2 {
+		return nil, fmt.Errorf("gen: random dag needs >= 2 nodes, got %d", n)
+	}
+	if err := dag.CheckSize(n, 0); err != nil {
 		return nil, err
 	}
-	rng := randv2.New(randv2.NewPCG(uint64(seed), seedStream))
+	if !(p >= 0 && p <= 1) { // NaN fails it too
+		return nil, fmt.Errorf("gen: edge probability %v outside [0,1]", p)
+	}
+	rng := rand.New(rand.NewPCG(uint64(seed), seedStream))
 	g := skipSample(n, p, rng)
-	g.fillIn(rng.IntN)
+	g.fillIn(rng)
 	return dag.FromEdges(n, g.edges)
 }
 
@@ -238,11 +255,15 @@ const seedStream = 0x9e3779b97f4a7c15
 // skipSample finds the present forward pairs by geometric skip sampling
 // (Batagelj & Brandes, Phys. Rev. E 71, 2005): walking the pairs in
 // row-major order, the number of absent pairs before the next present one is
-// Geometric(p), drawn as ⌊log U / log(1−p)⌋. That is one draw per edge where
-// pairSample makes one per pair, and the edges still come out in row-major
-// order, so every adjacency list is ascending. p = 0 and p = 1 draw nothing.
-func skipSample(n int, p float64, rng *randv2.Rand) randomEdges {
-	g := newRandomEdges(n, p)
+// Geometric(p), drawn as ⌊log U / log(1−p)⌋. That is one draw per edge, not
+// one per pair, and the edges still come out in row-major order, so every
+// adjacency list is ascending. p = 0 and p = 1 draw nothing.
+func skipSample(n int, p float64, rng *rand.Rand) randomEdges {
+	g := randomEdges{
+		edges:     make([][2]dag.NodeID, 0, randomReserve(n, p)),
+		hasParent: make([]bool, n),
+		hasChild:  make([]bool, n),
+	}
 	switch {
 	case p == 1:
 		for i := 0; i < n; i++ {
@@ -276,58 +297,11 @@ func skipSample(n int, p float64, rng *randv2.Rand) randomEdges {
 	return g
 }
 
-// randomDAGv1 is the version 1 generator, kept for the specs admitted under
-// it. It must keep denoting the graphs it always has (golden_test.go).
-func randomDAGv1(n int, p float64, seed int64) (*dag.DAG, error) {
-	if err := checkRandom(n, p); err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	g := pairSample(n, p, rng)
-	g.fillIn(rng.Intn)
-	return dag.FromEdges(n, g.edges)
-}
-
-// pairSample is version 1's sampler: one Float64 draw per forward pair,
-// n(n−1)/2 in all, from math/rand's lagged-Fibonacci source.
-func pairSample(n int, p float64, rng *rand.Rand) randomEdges {
-	g := newRandomEdges(n, p)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if rng.Float64() < p {
-				g.add(i, j)
-			}
-		}
-	}
-	return g
-}
-
-func checkRandom(n int, p float64) error {
-	if n < 2 {
-		return fmt.Errorf("gen: random dag needs >= 2 nodes, got %d", n)
-	}
-	if err := dag.CheckSize(n, 0); err != nil {
-		return err
-	}
-	if !(p >= 0 && p <= 1) { // NaN fails it too
-		return fmt.Errorf("gen: edge probability %v outside [0,1]", p)
-	}
-	return nil
-}
-
 // randomEdges is a random DAG's edge list under construction, with the
 // per-node flags its connectivity fill-in needs.
 type randomEdges struct {
 	edges               [][2]dag.NodeID
 	hasParent, hasChild []bool
-}
-
-func newRandomEdges(n int, p float64) randomEdges {
-	return randomEdges{
-		edges:     make([][2]dag.NodeID, 0, randomReserve(n, p)),
-		hasParent: make([]bool, n),
-		hasChild:  make([]bool, n),
-	}
 }
 
 func (g *randomEdges) add(i, j int) {
@@ -337,18 +311,18 @@ func (g *randomEdges) add(i, j int) {
 }
 
 // fillIn gives every orphaned interior node a random earlier parent, then
-// every childless interior node a random later child, drawing with intn.
-// Neither can repeat an edge: the node had none on that side.
-func (g *randomEdges) fillIn(intn func(int) int) {
+// every childless interior node a random later child. Neither can repeat an
+// edge: the node had none on that side.
+func (g *randomEdges) fillIn(rng *rand.Rand) {
 	n := len(g.hasParent)
 	for j := 1; j < n; j++ {
 		if !g.hasParent[j] {
-			g.add(intn(j), j)
+			g.add(rng.IntN(j), j)
 		}
 	}
 	for i := n - 2; i >= 0; i-- {
 		if !g.hasChild[i] {
-			g.add(i, i+1+intn(n-1-i))
+			g.add(i, i+1+rng.IntN(n-1-i))
 		}
 	}
 }

@@ -132,15 +132,44 @@ func TestRandomDAGValidation(t *testing.T) {
 		{"n over dag.MaxSize", dag.MaxSize + 1, 0.5},
 	}
 	for _, tc := range cases {
-		for version, generate := range map[int]func(int, float64, int64) (*dag.DAG, error){1: randomDAGv1, 2: RandomDAG} {
-			if _, err := generate(tc.n, tc.p, 1); err == nil {
-				t.Errorf("%s: v%d generator succeeded, want error", tc.name, version)
-			}
+		if _, err := RandomDAG(tc.n, tc.p, 1); err == nil {
+			t.Errorf("%s: RandomDAG succeeded, want error", tc.name)
 		}
 	}
-	for _, v := range []int{-1, 3} {
-		if _, err := Generate(Config{Shape: Random, Nodes: 10, EdgeProb: 0.1, GenVersion: v}); err == nil {
-			t.Errorf("Generate with gen_version %d succeeded, want error", v)
+}
+
+// TestGenVersionRule pins that both entry points apply CheckVersion: 0 and
+// CurrentVersion build, the retired 1 fails naming its retirement, and
+// versions nobody defined fail as unknown.
+func TestGenVersionRule(t *testing.T) {
+	entries := map[string]func(version int) error{
+		"Generate": func(version int) error {
+			_, err := Generate(Config{Shape: Random, Nodes: 10, EdgeProb: 0.1, GenVersion: version})
+			return err
+		},
+		"NewDynamic": func(version int) error {
+			_, err := NewDynamic(Config{Shape: Dynamic, Stages: 3, Width: 2, EdgeProb: 0.1, GenVersion: version}, DynLimits{})
+			return err
+		},
+	}
+	for _, tc := range []struct {
+		version int
+		want    string // substring of the error; "" accepts
+	}{
+		{-1, "unknown gen_version -1"},
+		{0, ""},
+		{1, "gen_version 1 is retired"},
+		{2, ""},
+		{3, "unknown gen_version 3"},
+	} {
+		for name, entry := range entries {
+			err := entry(tc.version)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Errorf("%s with gen_version %d: %v, want success", name, tc.version, err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Errorf("%s with gen_version %d: error %v, want one containing %q", name, tc.version, err, tc.want)
+			}
 		}
 	}
 }

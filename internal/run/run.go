@@ -149,8 +149,8 @@ func (s Spec) Validate() error {
 	if err := s.validateShape(); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 	}
-	if s.GenVersion < 0 || s.GenVersion > gen.CurrentVersion {
-		return fmt.Errorf("%w: gen_version %d outside [0,%d]", ErrInvalidSpec, s.GenVersion, gen.CurrentVersion)
+	if err := gen.CheckVersion(s.GenVersion); err != nil {
+		return fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 	}
 	if s.Work < 0 || s.Work > MaxWork {
 		return fmt.Errorf("%w: work %d outside [0,%d]", ErrInvalidSpec, s.Work, MaxWork)

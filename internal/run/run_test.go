@@ -46,7 +46,7 @@ func TestSpecValidate(t *testing.T) {
 		{"NaN prob", Spec{Config: gen.Config{Shape: gen.Random, Nodes: 10, EdgeProb: math.NaN()}}, false},
 		{"+Inf prob", Spec{Config: gen.Config{Shape: gen.Random, Nodes: 10, EdgeProb: math.Inf(1)}}, false},
 		{"-Inf prob", Spec{Config: gen.Config{Shape: gen.Random, Nodes: 10, EdgeProb: math.Inf(-1)}}, false},
-		{"gen_version 1", func() Spec { s := pipelineSpec(); s.GenVersion = 1; return s }(), true},
+		{"gen_version 1 (retired)", func() Spec { s := pipelineSpec(); s.GenVersion = 1; return s }(), false},
 		{"gen_version 2", func() Spec { s := pipelineSpec(); s.GenVersion = 2; return s }(), true},
 		{"gen_version 3", func() Spec { s := pipelineSpec(); s.GenVersion = 3; return s }(), false},
 		{"gen_version -1", func() Spec { s := pipelineSpec(); s.GenVersion = -1; return s }(), false},
@@ -80,6 +80,7 @@ func TestValidateSentinels(t *testing.T) {
 		{"bad shape", Spec{Config: gen.Config{Shape: gen.Shape(42)}}},
 		{"negative work", func() Spec { s := pipelineSpec(); s.Work = -1; return s }()},
 		{"NaN prob", Spec{Config: gen.Config{Shape: gen.Random, Nodes: 10, EdgeProb: math.NaN()}}},
+		{"gen_version 1 (retired)", func() Spec { s := pipelineSpec(); s.GenVersion = 1; return s }()},
 		{"gen_version 3", func() Spec { s := pipelineSpec(); s.GenVersion = 3; return s }()},
 		{"explicit ok graph on random shape", Spec{Config: gen.Config{Shape: gen.Random, Nodes: 10, EdgeProb: 0.1, Edges: []gen.Edge{{0, 1}}}}},
 		{"explicit zero nodes", explicit(0, nil)},

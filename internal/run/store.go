@@ -100,9 +100,13 @@ type Log interface {
 // first for the caller to hand to a dispatcher. Two finish terminally
 // instead, logged as OpPut: a running run whose cancellation was
 // acknowledged recovers as cancelled, and one whose spec no longer passes
-// Validate (a newer binary's tighter bounds, or a hand-edited log) as
-// failed. Every run is in memory, in its recovered state, before the first
-// of these records is appended.
+// Validate as failed. The latter covers a newer binary's tighter bounds, a
+// hand-edited log, and a retired gen_version (gen.CheckVersion): a run
+// interrupted under version 1, or logged before versions existed, would
+// have to regenerate a graph whose generator is gone, so it fails closed
+// instead of executing a different one. Terminal runs never regenerate and
+// replay as they were. Every run is in memory, in its recovered state,
+// before the first of these records is appended.
 type Store struct {
 	log      Log
 	writeMu  sync.Mutex // the write lock: held from apply through Append
@@ -578,7 +582,8 @@ func (s *Store) Recover(replayed []Run, cancelRequested map[string]bool) ([]Run,
 		}
 		// Records written before the generator was versioned carry none;
 		// their graphs were drawn by version 1, and a zero would now mean
-		// the current version.
+		// the current version. Version 1 is retired, so an interrupted one
+		// fails re-validation in readmit rather than re-executing.
 		if r.Spec.GenVersion == 0 {
 			r.Spec.GenVersion = 1
 		}

@@ -264,6 +264,7 @@ func TestErrorPaths(t *testing.T) {
 		{"POST", "/v1/runs/r999999-deadbeef/cancel", "", http.StatusNotFound, "not_found"},
 		{"POST", "/v1/runs", `not json`, http.StatusBadRequest, "invalid_request"},
 		{"POST", "/v1/runs", `{"shape":"random","nodes":1}`, http.StatusBadRequest, "invalid_spec"},
+		{"POST", "/v1/runs", `{"shape":"random","nodes":50,"p":0.1,"gen_version":1}`, http.StatusBadRequest, "invalid_spec"},
 		{"POST", "/v1/runs", `{"shape":"random","nodes":50,"p":0.1,"gen_version":3}`, http.StatusBadRequest, "invalid_spec"},
 		{"POST", "/v1/runs", `{"shape":"random","nodes":50,"p":0.1,"gen_version":-1}`, http.StatusBadRequest, "invalid_spec"},
 		// An unparseable shape name fails at JSON decode, before spec

@@ -19,7 +19,9 @@ func fuzzSegment(t interface{ Fatalf(string, ...any) }) []byte {
 	now := time.Date(2026, 7, 1, 12, 0, 0, 0, time.UTC)
 	started := now.Add(time.Second)
 	finishedAt := now.Add(2 * time.Second)
-	spec := run.Spec{Config: gen.Config{Shape: gen.Pipeline, Stages: 3, Width: 2}}
+	// Stamped, so the trailing queued run recovers as queued, not as a
+	// retired gen_version's failure.
+	spec := run.Spec{Config: gen.Config{Shape: gen.Pipeline, Stages: 3, Width: 2, GenVersion: gen.CurrentVersion}}
 	a := run.Run{ID: fuzzRunA, Spec: spec, State: run.StateQueued, CreatedAt: now}
 	var buf []byte
 	var err error

@@ -18,8 +18,11 @@ import (
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/tenant"
 )
 
+// pipelineSpec is a spec with the generator version stamped, as admission
+// stores one: replay reads an absent version as the retired 1, and an
+// interrupted run under it recovers as failed instead of queued.
 func pipelineSpec() run.Spec {
-	return run.Spec{Config: gen.Config{Shape: gen.Pipeline, Stages: 5, Width: 2}}
+	return run.Spec{Config: gen.Config{Shape: gen.Pipeline, Stages: 5, Width: 2, GenVersion: gen.CurrentVersion}}
 }
 
 func mustOpen(t *testing.T, dir string, opts wal.Options) (*run.Store, []run.Run) {

@@ -1,11 +1,13 @@
 package wal
 
 import (
-	"context"
 	"encoding/binary"
+	"encoding/json"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -94,50 +96,63 @@ func plantSegment(t *testing.T, dir string, shards, shard int, seq uint64, frame
 	return sdir
 }
 
-// TestReplayUnversionedSpecAsV1 plants a queued random-spec record written
-// before gen_version existed — JSON by hand, framed by hand — and pins that
-// recovery reads it as generator version 1, so the re-executed run rebuilds
-// the graph it was admitted as and not the one its seed means today.
-func TestReplayUnversionedSpecAsV1(t *testing.T) {
+// TestUnversionedSpecReplaysTerminalFailsInterrupted plants records
+// written before gen_version existed — JSON by hand, framed by hand — and
+// pins what retiring version 1 means for them. Recovery reads an absent
+// version as 1, the generator that drew them. A terminal run never
+// regenerates, so it replays unchanged, result and all. An interrupted one
+// would have to, and version 1 is gone: it fails closed as a terminal repair
+// rather than re-executing as a different graph, and so does an interrupted
+// run logged under 1 explicitly, whatever its shape.
+func TestUnversionedSpecReplaysTerminalFailsInterrupted(t *testing.T) {
 	dir := t.TempDir()
-	const id = "r000001-0ddba11a"
-	payload := []byte(`{"op":"create","run":{"id":"` + id + `","spec":{"shape":"random","nodes":300,"p":0.02,"seed":5,"workload":"pathcount","tenant":"default"},"state":"queued","created_at":"2026-07-01T12:00:00Z"}}`)
-	frame := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
-	frame = binary.BigEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
-	plantSegment(t, dir, 4, 1, 1, append(frame, payload...))
-
-	s, recovered, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
+	const done, queued, running = "r000001-0ddba11a", "r000002-0ddba11b", "r000003-0ddba11c"
+	records := []string{
+		`{"op":"finish","run":{"id":"` + done + `","spec":{"shape":"random","nodes":300,"p":0.02,"seed":5,"workload":"pathcount","tenant":"default"},"state":"succeeded","result":{"workload":"pathcount","nodes":300,"edges":1044,"depth":31,"workers":2,"sink_paths_mod64":123456789,"match":true,"serial_ms":0.2,"parallel_ms":0.3,"speedup":0.67},"created_at":"2026-07-01T12:00:00Z","dispatched_at":"2026-07-01T12:00:01Z","started_at":"2026-07-01T12:00:01Z","finished_at":"2026-07-01T12:00:02Z"}}`,
+		`{"op":"create","run":{"id":"` + queued + `","spec":{"shape":"random","nodes":300,"p":0.02,"seed":5,"workload":"pathcount","tenant":"default"},"state":"queued","created_at":"2026-07-01T12:00:03Z"}}`,
+		`{"op":"begin","run":{"id":"` + running + `","spec":{"shape":"pipeline","stages":5,"width":2,"workload":"pathcount","tenant":"default","gen_version":1},"state":"running","created_at":"2026-07-01T12:00:04Z","dispatched_at":"2026-07-01T12:00:05Z","started_at":"2026-07-01T12:00:05Z"}}`,
 	}
-	defer s.Close()
-	if len(recovered) != 1 || recovered[0].ID != id {
-		t.Fatalf("recovered %+v, want the one queued run", recovered)
+	var frames []byte
+	for _, payload := range records {
+		frames = binary.BigEndian.AppendUint32(frames, uint32(len(payload)))
+		frames = binary.BigEndian.AppendUint32(frames, crc32.ChecksumIEEE([]byte(payload)))
+		frames = append(frames, payload...)
 	}
-	spec := recovered[0].Spec
-	if spec.GenVersion != 1 {
-		t.Fatalf("replayed gen_version %d, want 1", spec.GenVersion)
-	}
-
-	res, err := run.Execute(context.Background(), spec, 2)
-	if err != nil {
+	plantSegment(t, dir, 4, 1, 1, frames)
+	var history record
+	if err := json.Unmarshal([]byte(records[0]), &history); err != nil {
 		t.Fatal(err)
 	}
-	sink := func(version int) uint64 {
+	history.Run.Spec.GenVersion = 1
+	want := snapshotJSON(t, *history.Run)
+
+	reopen := func(pass int) map[string]string {
 		t.Helper()
-		v := spec
-		v.GenVersion = version
-		r, err := run.Execute(context.Background(), v, 2)
+		s, recovered, err := Open(dir, Options{})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("Open %d: %v", pass, err)
 		}
-		return r.SinkPaths
+		defer s.Close()
+		if len(recovered) != 0 {
+			t.Fatalf("Open %d re-admitted %+v; a v1 run must never re-execute", pass, recovered)
+		}
+		reads := map[string]string{}
+		for _, id := range []string{done, queued, running} {
+			r, err := s.Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reads[id] = snapshotJSON(t, r)
+			if id != done && (r.State != run.StateFailed || r.FinishedAt == nil || r.Result != nil || !strings.Contains(r.Error, "gen_version 1 is retired")) {
+				t.Errorf("Open %d: interrupted v1 run recovered as %s", pass, reads[id])
+			}
+		}
+		if reads[done] != want {
+			t.Errorf("Open %d: terminal v1 run replays as\n%s\nwant\n%s", pass, reads[done], want)
+		}
+		return reads
 	}
-	v1, v2 := sink(1), sink(2)
-	if v1 == v2 {
-		t.Fatalf("v1 and v2 agree on sink %d; the test cannot tell them apart", v1)
-	}
-	if res.SinkPaths != v1 {
-		t.Errorf("re-executed sink_paths_mod64 %d, want v1's %d (v2's is %d)", res.SinkPaths, v1, v2)
+	if first, second := reopen(1), reopen(2); !maps.Equal(first, second) {
+		t.Errorf("a second Open reads\n%v\nthe first read\n%v", second, first)
 	}
 }

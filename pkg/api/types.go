@@ -68,9 +68,10 @@ type RunSpec struct {
 	// ParallelWork splits each node's Work across idle scheduler workers
 	// (Nabbit UseParallelNodes). Not valid for the dynamic shape.
 	ParallelWork bool `json:"parallel_work,omitempty"`
-	// GenVersion selects the generator version the seed is drawn with
-	// (random only; every other shape denotes the same graph under each).
-	// 0 = the server's current version, which it stamps on the stored spec.
+	// GenVersion names the generator version the seed is drawn with:
+	// 0 means the server's current version, which it stamps on the stored
+	// spec, and any other value but the current one is rejected as
+	// invalid_spec, including the retired 1.
 	GenVersion int `json:"gen_version,omitempty"`
 	// Tenant and Priority are server-stamped attribution: who the run was
 	// admitted for (from the X-Tenant header, never this field) and the
