@@ -12,8 +12,8 @@
 // list is strictly ascending (then none can repeat), and Kahn's algorithm
 // orders the graph unless every edge runs from a lower ID to a higher one
 // (then 0..n-1 is the order and no cycle is possible). Every generated shape
-// is such a forward graph. Builder.Build and FromEdges both call freeze; a
-// repeated edge is dropped by the first and an error to the second.
+// is such a forward graph. FromEdges is the one constructor; a repeated edge
+// is an error like any other defect.
 //
 // Once built, a DAG is never mutated; all accessor methods are safe for
 // concurrent use.
@@ -59,35 +59,6 @@ func edgeError(n int, u, v NodeID) error {
 	return fmt.Errorf("dag: self-loop on node %d: %w", u, ErrCycle)
 }
 
-// Builder accumulates nodes and edges before freezing them into a DAG.
-type Builder struct {
-	n     int
-	edges [][2]NodeID
-}
-
-// NewBuilder returns a Builder for a graph with n nodes, identified 0..n-1.
-func NewBuilder(n int) *Builder { return &Builder{n: n} }
-
-// AddEdge records a directed edge from u to v. Duplicate edges are ignored:
-// Build keeps the first occurrence of each. It returns an error if either
-// endpoint is out of range or if u == v (a self-loop is trivially a cycle).
-func (b *Builder) AddEdge(u, v NodeID) error {
-	if !validEdge(b.n, u, v) {
-		return edgeError(b.n, u, v)
-	}
-	b.edges = append(b.edges, [2]NodeID{u, v})
-	return nil
-}
-
-// Build freezes the accumulated graph into an immutable DAG, or returns an
-// error wrapping ErrCycle if Kahn's algorithm finds a cycle.
-func (b *Builder) Build() (*DAG, error) { return freeze(b.n, b.edges, true) }
-
-// FromEdges freezes a graph from a prepared edge list, which it does not
-// retain. The list is a generator's or a client's statement of the graph, so
-// unlike Builder it rejects a repeated edge as it does any other defect.
-func FromEdges(n int, edges [][2]NodeID) (*DAG, error) { return freeze(n, edges, false) }
-
 // adjacency is one direction of a graph in compressed-sparse-row form: the
 // neighbours of u are list[off[u]:off[u+1]].
 type adjacency struct {
@@ -111,28 +82,19 @@ func (a *adjacency) isolated() []NodeID {
 	return s
 }
 
-// firstOccurrences cuts every list down to the first occurrence of each
-// neighbour and reports one (u, x) it dropped, or u = -1 if nothing repeated.
-// stamp holds a zero per node; stamp[x] == u+1 marks x as seen in u's list.
-func (a *adjacency) firstOccurrences(stamp []int32) (u, x NodeID) {
-	u = -1
-	w := int32(0)
+// repeat reports one (u, x) where x appears twice in u's list, or u = -1 if
+// no list repeats a neighbour. stamp[x] == u+1 marks x as seen in u's list.
+func (a *adjacency) repeat() (u, x NodeID) {
+	stamp := make([]int32, len(a.off)-1)
 	for owner := range stamp {
-		lo, hi := a.off[owner], a.off[owner+1]
-		a.off[owner] = w
-		for _, nb := range a.list[lo:hi] {
+		for _, nb := range a.of(NodeID(owner)) {
 			if stamp[nb] == int32(owner)+1 {
-				u, x = NodeID(owner), nb
-				continue
+				return NodeID(owner), nb
 			}
 			stamp[nb] = int32(owner) + 1
-			a.list[w] = nb
-			w++
 		}
 	}
-	a.off[len(stamp)] = w
-	a.list = a.list[:w]
-	return u, x
+	return -1, 0
 }
 
 // ascending reports whether every list is strictly ascending, in which case
@@ -149,7 +111,11 @@ func (a *adjacency) ascending() bool {
 	return true
 }
 
-func freeze(n int, edges [][2]NodeID, dropDuplicates bool) (*DAG, error) {
+// FromEdges freezes an n-node graph, nodes 0..n-1, from an edge list, which
+// it does not retain. The list is a generator's or a client's statement of
+// the graph, so every defect is an error: an endpoint out of range, a
+// self-loop or a cycle (both wrapping ErrCycle), or a repeated edge.
+func FromEdges(n int, edges [][2]NodeID) (*DAG, error) {
 	if err := CheckSize(n, len(edges)); err != nil {
 		return nil, err
 	}
@@ -182,15 +148,8 @@ func freeze(n int, edges [][2]NodeID, dropDuplicates bool) (*DAG, error) {
 	}
 	out.off, in.off = out.off[:n+1], in.off[:n+1]
 	if !out.ascending() {
-		stamp := make([]int32, n)
-		if u, v := out.firstOccurrences(stamp); u >= 0 {
-			if !dropDuplicates {
-				return nil, fmt.Errorf("dag: duplicate edge (%d,%d)", u, v)
-			}
-			// Both fills were stable, so the first (u,v) among u's children and
-			// the first among v's parents are the same edge of the list.
-			clear(stamp)
-			in.firstOccurrences(stamp)
+		if u, v := out.repeat(); u >= 0 {
+			return nil, fmt.Errorf("dag: duplicate edge (%d,%d)", u, v)
 		}
 	}
 
@@ -223,7 +182,7 @@ func freeze(n int, edges [][2]NodeID, dropDuplicates bool) (*DAG, error) {
 	return &DAG{out: out, in: in, topo: topo}, nil
 }
 
-// DAG is an immutable directed acyclic graph, made by Builder or FromEdges.
+// DAG is an immutable directed acyclic graph, made by FromEdges.
 type DAG struct {
 	out, in adjacency // children and parents; one list entry per edge in each
 	topo    []NodeID

@@ -7,49 +7,28 @@ import (
 
 func mustBuild(t *testing.T, n int, edges [][2]NodeID) *DAG {
 	t.Helper()
-	b := NewBuilder(n)
-	for _, e := range edges {
-		if err := b.AddEdge(e[0], e[1]); err != nil {
-			t.Fatalf("AddEdge(%d,%d): %v", e[0], e[1], err)
-		}
-	}
-	d, err := b.Build()
+	d, err := FromEdges(n, edges)
 	if err != nil {
-		t.Fatalf("Build: %v", err)
+		t.Fatalf("FromEdges: %v", err)
 	}
 	return d
 }
 
 func TestSelfLoopRejected(t *testing.T) {
-	b := NewBuilder(3)
-	err := b.AddEdge(1, 1)
-	if !errors.Is(err, ErrCycle) {
-		t.Fatalf("AddEdge(1,1) = %v, want ErrCycle", err)
+	if _, err := FromEdges(3, [][2]NodeID{{1, 1}}); !errors.Is(err, ErrCycle) {
+		t.Fatalf("FromEdges with (1,1) = %v, want ErrCycle", err)
 	}
 }
 
 func TestTwoCycleRejected(t *testing.T) {
-	b := NewBuilder(2)
-	if err := b.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddEdge(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Build(); !errors.Is(err, ErrCycle) {
-		t.Fatalf("Build = %v, want ErrCycle", err)
+	if _, err := FromEdges(2, [][2]NodeID{{0, 1}, {1, 0}}); !errors.Is(err, ErrCycle) {
+		t.Fatalf("FromEdges = %v, want ErrCycle", err)
 	}
 }
 
 func TestLongerCycleRejected(t *testing.T) {
-	b := NewBuilder(5)
-	for _, e := range [][2]NodeID{{0, 1}, {1, 2}, {2, 3}, {3, 1}, {3, 4}} {
-		if err := b.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := b.Build(); !errors.Is(err, ErrCycle) {
-		t.Fatalf("Build = %v, want ErrCycle", err)
+	if _, err := FromEdges(5, [][2]NodeID{{0, 1}, {1, 2}, {2, 3}, {3, 1}, {3, 4}}); !errors.Is(err, ErrCycle) {
+		t.Fatalf("FromEdges = %v, want ErrCycle", err)
 	}
 }
 
@@ -96,30 +75,12 @@ func TestEmptyAndSingleNode(t *testing.T) {
 	}
 }
 
-func TestDuplicateEdgeIgnored(t *testing.T) {
-	b := NewBuilder(2)
-	if err := b.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	d, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.NumEdges(); got != 1 {
-		t.Errorf("NumEdges = %d, want 1", got)
-	}
-}
-
 func TestEdgeOutOfRange(t *testing.T) {
-	b := NewBuilder(2)
-	if err := b.AddEdge(0, 2); err == nil {
-		t.Error("AddEdge(0,2) on 2-node graph succeeded, want error")
+	if _, err := FromEdges(2, [][2]NodeID{{0, 2}}); err == nil {
+		t.Error("FromEdges with (0,2) on a 2-node graph succeeded, want error")
 	}
-	if err := b.AddEdge(-1, 0); err == nil {
-		t.Error("AddEdge(-1,0) succeeded, want error")
+	if _, err := FromEdges(2, [][2]NodeID{{-1, 0}}); err == nil {
+		t.Error("FromEdges with (-1,0) succeeded, want error")
 	}
 }
 

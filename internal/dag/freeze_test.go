@@ -152,12 +152,9 @@ func classify(err error) verdict {
 }
 
 // refBuild is the old construction path end to end: the per-edge checks
-// Builder.AddEdge and FromEdges made, the map Builder deduplicated through,
-// then the old freeze. With dropDuplicates it is the old Builder; without,
-// it is what FromEdges' callers had to guarantee for themselves.
-func refBuild(n int, edges [][2]NodeID, dropDuplicates bool) (*refDAG, verdict) {
+// the old entry points made, a map for repeated edges, then the old freeze.
+func refBuild(n int, edges [][2]NodeID) (*refDAG, verdict) {
 	seen := make(map[[2]NodeID]struct{})
-	var distinct [][2]NodeID
 	hasDup := false
 	for _, e := range edges {
 		u, v := e[0], e[1]
@@ -169,15 +166,13 @@ func refBuild(n int, edges [][2]NodeID, dropDuplicates bool) (*refDAG, verdict) 
 		}
 		if _, dup := seen[e]; dup {
 			hasDup = true
-			continue
 		}
 		seen[e] = struct{}{}
-		distinct = append(distinct, e)
 	}
-	if hasDup && !dropDuplicates {
+	if hasDup {
 		return nil, duplicate
 	}
-	d, err := refFreeze(n, distinct)
+	d, err := refFreeze(n, edges)
 	if err != nil {
 		return nil, cyclic
 	}
@@ -223,8 +218,8 @@ func assertSameGraph(t *testing.T, got *DAG, want *refDAG) {
 }
 
 // FuzzFreeze drives arbitrary small edge lists — out-of-range endpoints,
-// self-loops, repeats and cycles included — through both entry points of
-// the CSR freeze and through the reference, and requires the same verdict
+// self-loops, repeats and cycles included — through the CSR freeze and
+// through the reference, and requires the same verdict
 // and, when accepted, the same graph accessor for accessor. The one
 // accessor that may differ is TopoOrder: it must be 0..n-1 when every edge
 // runs forward, and the reference's Kahn order otherwise.
@@ -249,7 +244,7 @@ func FuzzFreeze(f *testing.F) {
 			edges[i] = [2]NodeID{NodeID(int(raw[2*i])%(n+2) - 1), NodeID(int(raw[2*i+1])%(n+2) - 1)}
 		}
 
-		want, wantVerdict := refBuild(n, edges, false)
+		want, wantVerdict := refBuild(n, edges)
 		got, err := FromEdges(n, edges)
 		if v := classify(err); v != wantVerdict {
 			t.Fatalf("FromEdges(%d, %v): %s (%v), reference %s", n, edges, v, err, wantVerdict)
@@ -257,36 +252,13 @@ func FuzzFreeze(f *testing.F) {
 		if err == nil {
 			assertSameGraph(t, got, want)
 		}
-
-		want, wantVerdict = refBuild(n, edges, true)
-		b := NewBuilder(n)
-		for _, e := range edges {
-			if err = b.AddEdge(e[0], e[1]); err != nil {
-				break
-			}
-		}
-		if err == nil {
-			got, err = b.Build()
-		}
-		if v := classify(err); v != wantVerdict {
-			t.Fatalf("Builder(%d, %v): %s (%v), reference %s", n, edges, v, err, wantVerdict)
-		}
-		if err == nil {
-			assertSameGraph(t, got, want)
-		}
 	})
 }
 
-// TestDuplicateEdgePolicy pins the one difference between the two entry
-// points: Builder keeps the first occurrence of a repeated edge in place,
-// FromEdges refuses the list and names the edge.
+// TestDuplicateEdgePolicy pins that FromEdges refuses a list that repeats an
+// edge, and names the edge.
 func TestDuplicateEdgePolicy(t *testing.T) {
 	edges := [][2]NodeID{{0, 2}, {0, 1}, {1, 2}, {0, 2}, {0, 1}}
-	d := mustBuild(t, 3, edges)
-	if d.NumEdges() != 3 || !slices.Equal(d.Children(0), []NodeID{2, 1}) || !slices.Equal(d.Parents(2), []NodeID{0, 1}) {
-		t.Errorf("Builder kept %d edges, Children(0) = %v, Parents(2) = %v; want 3, [2 1], [0 1]",
-			d.NumEdges(), d.Children(0), d.Parents(2))
-	}
 	_, err := FromEdges(3, edges)
 	if classify(err) != duplicate || !(strings.Contains(err.Error(), "(0,2)") || strings.Contains(err.Error(), "(0,1)")) {
 		t.Errorf("FromEdges with repeated edges = %v, want a duplicate-edge error naming (0,2) or (0,1)", err)

@@ -295,29 +295,6 @@ func (failingLog) Wait(ticket uint64) error {
 
 func (failingLog) Close() error { return nil }
 
-// TestExecuteSurvivesBeginLogFailure pins that a durability error from
-// Begin does not strand the run: per the run.Store contract the
-// queued→running transition stood in memory, so the dispatcher
-// must execute it to a terminal state rather than abandoning it in
-// running forever (where every Await would park until timeout).
-func TestExecuteSurvivesBeginLogFailure(t *testing.T) {
-	store := run.NewStore(failingLog{op: run.OpBegin})
-	d := New(store, Options{QueueDepth: 4, Dispatchers: 1})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		d.Shutdown(ctx)
-	})
-	r, err := d.Submit(pipelineSpec(10, 2, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := waitForState(t, store, r.ID, run.StateSucceeded)
-	if got.Result == nil || !got.Result.Match {
-		t.Fatalf("run finished without a matching result: %+v", got)
-	}
-}
-
 // mustRegistry builds a tenant registry or fails the test.
 func mustRegistry(t *testing.T, cfgs ...tenant.Config) *tenant.Registry {
 	t.Helper()

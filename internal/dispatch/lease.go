@@ -45,11 +45,10 @@ func (d *Dispatcher) work() {
 
 // Lease blocks until a queued run matching the worker's supported
 // workloads is scheduled to it, then transitions the run to running
-// (store.Begin, attributing it to worker; a store with a log logs the
-// grant without waiting for it to be durable) and returns the running
-// snapshot. It returns ctx.Err() when the caller gives up waiting
-// (long-poll deadline), ErrShuttingDown once a drain has begun and the
-// queues are empty.
+// (store.Begin, attributing it to worker; the grant is not logged) and
+// returns the running snapshot. It returns ctx.Err() when the caller gives
+// up waiting (long-poll deadline), ErrShuttingDown once a drain has begun
+// and the queues are empty.
 //
 // supports filters which queue entries this worker may take, by workload
 // name and DAG shape (nil accepts everything); a tenant whose queued work
@@ -102,25 +101,17 @@ func (d *Dispatcher) Lease(ctx context.Context, worker string, supports func(wor
 		now := time.Now()
 		d.mu.Unlock()
 
-		// Begin outside mu: a store with a log appends the begin record
-		// here (a write under the store's write lock, not an fsync).
+		// Begin outside mu: it takes the store's map lock, and logs nothing.
 		r, err := d.store.Begin(picked.id, now, worker, func() { onCancel(picked.id) })
 		if err != nil {
-			if errors.Is(err, run.ErrNotQueued) || errors.Is(err, run.ErrNotFound) {
-				// Cancelled while queued and popped before Cancel could
-				// unlink it (or rolled back): release the claim and pick
-				// again.
-				d.mu.Lock()
-				tq.inflight--
-				d.cond.Broadcast()
-				d.mu.Unlock()
-				continue
-			}
-			// Log failure with the in-memory transition standing (see
-			// run.Store): lease it anyway — abandoning the run now would
-			// strand it in running forever, with every Await parked on it.
-			// Only its begin record may be missing from the log.
-			log.Printf("dispatch: recording lease of %s by %q: %v (leasing anyway)", picked.id, worker, err)
+			// ErrNotQueued or ErrNotFound: cancelled while queued and popped
+			// before Cancel could unlink it (or rolled back). Release the
+			// claim and pick again.
+			d.mu.Lock()
+			tq.inflight--
+			d.cond.Broadcast()
+			d.mu.Unlock()
+			continue
 		}
 		// Only a granted lease counts as a queue wait.
 		d.met.queueWait.With(tq.cfg.Name).Observe(now.Sub(picked.at).Seconds())

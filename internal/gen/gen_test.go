@@ -207,8 +207,8 @@ func TestPipelineDAGValidation(t *testing.T) {
 	if _, err := PipelineDAG(3, 0); err == nil {
 		t.Error("PipelineDAG(3,0) succeeded, want error")
 	}
-	// stages*width+2 wraps negative for these dimensions; pre-guard this
-	// panicked in dag.NewBuilder on callers that bypass admission (the CLI).
+	// stages*width+2 wraps negative for these dimensions; without the guard
+	// graph construction panicked on callers that bypass admission (the CLI).
 	if _, err := PipelineDAG(3037000500, 3037000500); err == nil {
 		t.Error("PipelineDAG(3037000500,3037000500) succeeded, want overflow error")
 	}

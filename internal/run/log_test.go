@@ -192,7 +192,7 @@ func TestMemoryLeadsTheLog(t *testing.T) {
 	log2 := &leadCheckingLog{t: t, runs: len(replayed)}
 	s2 := NewStore(log2)
 	log2.store = s2
-	if _, err := s2.Recover(replayed, nil); err != nil {
+	if _, err := s2.Recover(replayed); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,8 +1,8 @@
 // Package run models the lifecycle of one DAG execution request inside the
 // dagd service, and Store tracks many of them concurrently: one map and one
 // finish-ordered list of terminal runs behind one lock, and an optional Log
-// that every transition is written through, in order, under a write lock
-// (internal/store/wal is the durable one).
+// that every transition a client is told about is written through, in
+// order, under a write lock (internal/store/wal is the durable one).
 //
 // A run moves through the states
 //
@@ -278,9 +278,15 @@ type Run struct {
 	// recovery transition, Store.Recover) or a fleet worker's
 	// lease expiring (Requeue). It is 0 for runs that executed on their
 	// first attempt.
-	Restarts int     `json:"restarts,omitempty"`
-	Error    string  `json:"error,omitempty"`
-	Result   *Result `json:"result,omitempty"`
+	Restarts int `json:"restarts,omitempty"`
+	// CancelRequested is set when a cancellation was acknowledged while the
+	// run was running (Store.Cancel). A requeue clears it, since the retry
+	// starts afresh; a terminal snapshot keeps it as history. It is what
+	// recovery reads to finish an interrupted run as cancelled instead of
+	// re-executing it.
+	CancelRequested bool    `json:"cancel_requested,omitempty"`
+	Error           string  `json:"error,omitempty"`
+	Result          *Result `json:"result,omitempty"`
 	// Worker identifies which executor ran (or is running) this run: the
 	// worker ID the coordinator assigned at registration (the worker's name
 	// plus a sequence number) when the run was leased to the fleet, or ""
@@ -291,10 +297,8 @@ type Run struct {
 	// Lifecycle timestamps. DispatchedAt is when a dispatcher popped the run
 	// off its queue; StartedAt is when the store applied the queued→running
 	// transition. The CreatedAt→DispatchedAt gap is queue wait,
-	// DispatchedAt→StartedAt is Begin overhead (the wait for the store's
-	// write lock; a store with a log appends the begin record after stamping
-	// StartedAt and does not wait for it to be durable), StartedAt→FinishedAt
-	// is execution.
+	// DispatchedAt→StartedAt is Begin overhead (the wait for the store's map
+	// lock; Begin logs nothing), StartedAt→FinishedAt is execution.
 	CreatedAt    time.Time  `json:"created_at"`
 	DispatchedAt *time.Time `json:"dispatched_at,omitempty"`
 	StartedAt    *time.Time `json:"started_at,omitempty"`

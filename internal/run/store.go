@@ -23,14 +23,19 @@ type Op string
 // The logged transitions. All but OpDel log the run's full post-transition
 // snapshot; OpDel logs its ID.
 const (
-	OpCreate    Op = "create"    // run admitted to the queue
-	OpBegin     Op = "begin"     // queued → running
-	OpFinish    Op = "finish"    // running → succeeded|failed|cancelled
-	OpCancel    Op = "cancel"    // queued → cancelled immediately
-	OpCancelReq Op = "cancelreq" // cancellation acknowledged on a running run
-	OpRequeue   Op = "requeue"   // running → queued: a lease expired, or recovery re-admitted it
-	OpPut       Op = "put"       // a snapshot as-is: recovery's repairs, a log's compaction
-	OpDel       Op = "del"       // run removed (submit rollback; evictions in older logs)
+	OpCreate Op = "create" // run admitted to the queue
+	// OpBegin (queued → running) is written by older versions only: Begin
+	// logs nothing, and replay reads an old begin record as any snapshot.
+	OpBegin  Op = "begin"
+	OpFinish Op = "finish" // running → succeeded|failed|cancelled
+	OpCancel Op = "cancel" // queued → cancelled immediately
+	// OpCancelReq is a cancellation acknowledged on a running run; its
+	// snapshot carries CancelRequested. Older versions wrote it without the
+	// field, so replay sets the flag on every OpCancelReq record.
+	OpCancelReq Op = "cancelreq"
+	OpRequeue   Op = "requeue" // running → queued: a lease expired, or recovery re-admitted it
+	OpPut       Op = "put"     // a snapshot as-is: recovery's repairs, a log's compaction
+	OpDel       Op = "del"     // run removed (submit rollback; evictions in older logs)
 )
 
 // Log is what a Store writes its transitions through: the durable log in
@@ -54,34 +59,37 @@ type Log interface {
 // sort runs outside the lock — plus an optional Log. All methods are safe
 // for concurrent use and return snapshot copies, never live state.
 //
-// # Logged, awaited and ordered
+// # Awaited or not logged
 //
-// Every mutating method holds the store's write lock from applying its
-// transition in memory through appending its record, so the log holds
-// transitions in the order memory applied them (two racing transitions on
-// one run cannot log in the opposite order and replay to the wrong state),
-// and memory is never behind the log: a snapshot of the store taken after
-// a record (a log's compaction) covers it. The run map's lock is held only
-// to apply: readers never wait on a record's encoding, its write, or a
-// segment rotation. A mutating method waits for its record after releasing
-// the write lock:
+// Every record is the run's full snapshot, and replay keeps the last one
+// per run: nothing recovery needs lives beside the runs. A transition is
+// one of two kinds:
 //
-//   - Awaited — the call returns once the log has the record durable:
-//     Create (the client's 202), Finish, Cancel (the terminal record and the
-//     cancel-request), Requeue, Delete, and Recover's own records. These are
-//     the transitions a client is told about. Finish and Cancel release
+//   - Awaited — Create (the client's 202), Finish, Cancel (the terminal
+//     record, or the cancel acknowledgement a running run carries as
+//     CancelRequested), Requeue, Delete, and Recover's own records: the
+//     transitions a client is told about. Each holds the store's write
+//     lock from applying its transition in memory through appending its
+//     record, so the log holds them in the order memory applied them (two
+//     racing transitions on one run cannot log in the opposite order and
+//     replay to the wrong state), and memory is never behind the log: a
+//     snapshot of the store taken after a record (a log's compaction)
+//     covers it. The call returns once the log has the record durable,
+//     waiting after it releases the write lock. Finish and Cancel release
 //     Await waiters before the wait, so a long-poller can hear of a
 //     terminal state one group commit before it is durable; a power cut in
 //     that window replays the run as interrupted.
-//   - Ordered only — Begin. Its record lands ahead of the run's finish,
-//     whose wait covers it, but nothing waits on it. Lost to a power cut,
-//     it replays the run as queued instead of running, which Recover treats
-//     identically.
-//   - Not logged — EvictTerminal. Retention is a rule (the newest keep
-//     terminal runs in CompareFinished order), not a transition: a replay
-//     may hand back evicted runs, every one older than anything retained,
-//     and whoever owns the bound applies it again before serving
-//     (dispatch.New does).
+//   - Not logged — Begin and EvictTerminal, which take the run map's lock
+//     only. A run replays as its queued record from before Begin, which
+//     Recover re-admits exactly as it would the running run; the run's
+//     next record (finish, cancel acknowledgement, requeue) carries what
+//     Begin stamped. Retention is a rule (the newest keep terminal runs in
+//     CompareFinished order), not a transition: a replay may hand back
+//     evicted runs, every one older than anything retained, and whoever
+//     owns the bound applies it again before serving (dispatch.New does).
+//
+// The run map's lock is held only to apply: readers never wait on a
+// record's encoding, its write, or a segment rotation.
 //
 // A failed append or wait is returned. Create then removes the run again,
 // so a run the log never acknowledged is never observed; any other
@@ -98,8 +106,8 @@ type Log interface {
 // reset to queued (execution fields cleared, Restarts incremented), logged
 // as OpRequeue so a second crash replays the same, and returned oldest
 // first for the caller to hand to a dispatcher. Two finish terminally
-// instead, logged as OpPut: a running run whose cancellation was
-// acknowledged recovers as cancelled, and one whose spec no longer passes
+// instead, logged as OpPut: a running run carrying CancelRequested
+// recovers as cancelled, and one whose spec no longer passes
 // Validate as failed. The latter covers a newer binary's tighter bounds, a
 // hand-edited log, and a retired gen_version (gen.CheckVersion): a run
 // interrupted under version 1, or logged before versions existed, would
@@ -109,7 +117,7 @@ type Log interface {
 // before the first of these records is appended.
 type Store struct {
 	log      Log
-	writeMu  sync.Mutex // the write lock: held from apply through Append
+	writeMu  sync.Mutex // the write lock: held from apply through Append by awaited transitions
 	mu       sync.RWMutex
 	runs     map[string]*tracked
 	finished list.List // *tracked, every terminal run, in CompareFinished order
@@ -251,9 +259,8 @@ func (s *Store) restore(r Run) {
 	}
 }
 
-// transition applies apply to run id and logs the op it returns: awaited,
-// except OpBegin. An apply that refuses returns an error and changes
-// nothing.
+// transition applies apply to run id and logs the op it returns, awaited.
+// An apply that refuses returns an error and changes nothing.
 func (s *Store) transition(id string, apply func(t *tracked) (Op, error)) (Run, error) {
 	s.writeMu.Lock()
 	s.mu.Lock()
@@ -271,7 +278,7 @@ func (s *Store) transition(id string, apply func(t *tracked) (Op, error)) (Run, 
 		ticket, err = s.log.Append(op, &r)
 	}
 	s.writeMu.Unlock()
-	if err != nil || op == OpBegin {
+	if err != nil {
 		return r, err
 	}
 	return r, s.log.Wait(ticket)
@@ -413,20 +420,25 @@ func (s *Store) CountByState() map[State]int {
 // ("" for dagd's in-process workers, the registered worker name for fleet
 // leases). It returns ErrNotQueued (without touching the run) if the run is
 // in any other state — in particular if it was cancelled while still in
-// the queue.
+// the queue — and ErrNotFound for an unknown ID; nothing else, since it
+// logs nothing (see the type doc).
 func (s *Store) Begin(id string, dispatchedAt time.Time, worker string, cancel context.CancelFunc) (Run, error) {
-	return s.transition(id, func(t *tracked) (Op, error) {
-		if t.run.State != StateQueued {
-			return "", fmt.Errorf("%w (state %s)", ErrNotQueued, t.run.State)
-		}
-		now := time.Now()
-		t.run.State = StateRunning
-		t.run.DispatchedAt = &dispatchedAt
-		t.run.StartedAt = &now
-		t.run.Worker = worker
-		t.cancel = cancel
-		return OpBegin, nil
-	})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t, ok := s.runs[id]
+	if !ok {
+		return Run{}, ErrNotFound
+	}
+	if t.run.State != StateQueued {
+		return t.run, fmt.Errorf("%w (state %s)", ErrNotQueued, t.run.State)
+	}
+	now := time.Now()
+	t.run.State = StateRunning
+	t.run.DispatchedAt = &dispatchedAt
+	t.run.StartedAt = &now
+	t.run.Worker = worker
+	t.cancel = cancel
+	return t.run, nil
 }
 
 // Requeue moves a running run back to queued — the lease-expiry path: a
@@ -448,10 +460,11 @@ func (s *Store) Requeue(id string) (Run, error) {
 
 // requeueSnapshot turns an interrupted run's snapshot into the queued one
 // its retry starts from: Restarts incremented, every execution-side field
-// cleared.
+// and any cancel acknowledgement cleared.
 func requeueSnapshot(r *Run) {
 	r.State = StateQueued
 	r.Restarts++
+	r.CancelRequested = false
 	r.DispatchedAt = nil
 	r.StartedAt = nil
 	r.Worker = ""
@@ -538,10 +551,10 @@ func (s *Store) Await(ctx context.Context, id string) (Run, error) {
 
 // Cancel requests cancellation of a run. A queued run moves directly to
 // cancelled (a dispatcher that later pops it will find Begin refusing). A
-// running run has its cancel hook invoked and the request logged; it stays
-// running until the dispatcher observes the cancellation and calls Finish,
-// at which point it lands in cancelled. Cancelling a terminal run returns
-// ErrTerminal.
+// running run has its cancel hook invoked and CancelRequested set, logged;
+// it stays running until the dispatcher observes the cancellation and calls
+// Finish, at which point it lands in cancelled. Cancelling a terminal run
+// returns ErrTerminal.
 func (s *Store) Cancel(id string) (Run, error) {
 	return s.transition(id, func(t *tracked) (Op, error) {
 		switch t.run.State {
@@ -558,6 +571,7 @@ func (s *Store) Cancel(id string) (Run, error) {
 			if t.cancel != nil {
 				t.cancel()
 			}
+			t.run.CancelRequested = true
 			return OpCancelReq, nil
 		default:
 			return "", fmt.Errorf("%w (state %s)", ErrTerminal, t.run.State)
@@ -567,10 +581,9 @@ func (s *Store) Cancel(id string) (Run, error) {
 
 // Recover loads replayed — every run a log held, in any order — into an
 // empty store before it serves, and re-admits what was interrupted (see
-// "Recovery" in the type doc); cancelRequested names the runs whose
-// cancellation was acknowledged while they ran. It returns the runs to
-// re-admit, oldest first.
-func (s *Store) Recover(replayed []Run, cancelRequested map[string]bool) ([]Run, error) {
+// "Recovery" in the type doc). It returns the runs to re-admit, oldest
+// first.
+func (s *Store) Recover(replayed []Run) ([]Run, error) {
 	var history, readmitted, recovered []Run
 	var ops []Op
 	for _, r := range replayed {
@@ -591,7 +604,7 @@ func (s *Store) Recover(replayed []Run, cancelRequested map[string]bool) ([]Run,
 			history = append(history, r)
 			continue
 		}
-		r, op := readmit(r, cancelRequested[r.ID])
+		r, op := readmit(r)
 		readmitted, ops = append(readmitted, r), append(ops, op)
 		if op == OpRequeue {
 			recovered = append(recovered, r)
@@ -625,14 +638,14 @@ func (s *Store) Recover(replayed []Run, cancelRequested map[string]bool) ([]Run,
 // readmit derives what an interrupted run becomes on recovery, and the op
 // that logs it: queued again (OpRequeue), or one of the two terminal
 // repairs (OpPut).
-func readmit(r Run, cancelRequested bool) (Run, Op) {
+func readmit(r Run) (Run, Op) {
 	end := func(state State, msg string) (Run, Op) {
 		now := time.Now().Round(0)
 		r.State, r.Error, r.FinishedAt, r.Result = state, msg, &now, nil
 		redactEdges(&r)
 		return r, OpPut
 	}
-	if cancelRequested {
+	if r.CancelRequested {
 		// The process died before the dispatcher recorded the outcome;
 		// honouring the acknowledgement means finishing the cancellation,
 		// not re-executing the run.

@@ -38,13 +38,7 @@ func assertEqualCounts(t *testing.T, serial, parallel []uint64) {
 }
 
 func TestDiamondPathCount(t *testing.T) {
-	b := dag.NewBuilder(4)
-	for _, e := range [][2]dag.NodeID{{0, 1}, {0, 2}, {1, 3}, {2, 3}} {
-		if err := b.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d, err := b.Build()
+	d, err := dag.FromEdges(4, [][2]dag.NodeID{{0, 1}, {0, 2}, {1, 3}, {2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,14 +99,7 @@ func TestPipelineParallelMatchesSerial(t *testing.T) {
 
 func TestDisconnectedGraph(t *testing.T) {
 	// Components 0→1, 2→3, and isolated 4: every source counts 1 path.
-	b := dag.NewBuilder(5)
-	if err := b.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddEdge(2, 3); err != nil {
-		t.Fatal(err)
-	}
-	d, err := b.Build()
+	d, err := dag.FromEdges(5, [][2]dag.NodeID{{0, 1}, {2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +114,7 @@ func TestDisconnectedGraph(t *testing.T) {
 }
 
 func TestEmptyDAG(t *testing.T) {
-	d, err := dag.NewBuilder(0).Build()
+	d, err := dag.FromEdges(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,14 +121,7 @@ func TestVerifyReportsDivergence(t *testing.T) {
 // out-of-order parent delivery, not just missed dependencies.
 func TestHashChainOrderSensitive(t *testing.T) {
 	build := func(first, second dag.NodeID) *dag.DAG {
-		b := dag.NewBuilder(3)
-		if err := b.AddEdge(first, 2); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.AddEdge(second, 2); err != nil {
-			t.Fatal(err)
-		}
-		d, err := b.Build()
+		d, err := dag.FromEdges(3, [][2]dag.NodeID{{first, 2}, {second, 2}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,13 +174,7 @@ func TestLongestPathMatchesDepth(t *testing.T) {
 // TestManyWorkersFewNodes parks most of the pool immediately and exercises
 // the wake/steal/termination handshake with far more workers than nodes.
 func TestManyWorkersFewNodes(t *testing.T) {
-	b := dag.NewBuilder(4)
-	for _, e := range [][2]dag.NodeID{{0, 1}, {0, 2}, {1, 3}, {2, 3}} {
-		if err := b.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d, err := b.Build()
+	d, err := dag.FromEdges(4, [][2]dag.NodeID{{0, 1}, {0, 2}, {1, 3}, {2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,17 +192,12 @@ func TestManyWorkersFewNodes(t *testing.T) {
 // must then steal and drain.
 func TestWideFanout(t *testing.T) {
 	const width = 2000
-	b := dag.NewBuilder(width + 2)
 	source, sink := dag.NodeID(0), dag.NodeID(width+1)
-	for i := 1; i <= width; i++ {
-		if err := b.AddEdge(source, dag.NodeID(i)); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.AddEdge(dag.NodeID(i), sink); err != nil {
-			t.Fatal(err)
-		}
+	var edges [][2]dag.NodeID
+	for i := dag.NodeID(1); i <= width; i++ {
+		edges = append(edges, [2]dag.NodeID{source, i}, [2]dag.NodeID{i, sink})
 	}
-	d, err := b.Build()
+	d, err := dag.FromEdges(width+2, edges)
 	if err != nil {
 		t.Fatal(err)
 	}

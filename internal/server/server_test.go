@@ -210,11 +210,17 @@ func TestCancelInFlightOverHTTP(t *testing.T) {
 	ts := newTestServer(t, core.ServiceOptions{QueueDepth: 4, Dispatchers: 1})
 	id := submit(t, ts.URL, `{"shape":"pipeline","stages":40000,"width":4,"work":2000}`)
 	pollUntil(t, ts.URL, id, "running")
-	code, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/runs/"+id+"/cancel", "")
+	code, ack := doJSON(t, http.MethodPost, ts.URL+"/v1/runs/"+id+"/cancel", "")
 	if code != http.StatusOK {
 		t.Fatalf("cancel: status %d", code)
 	}
-	pollUntil(t, ts.URL, id, "cancelled")
+	if ack["state"] != "running" || ack["cancel_requested"] != true {
+		t.Errorf("cancel of a running run answered state %v, cancel_requested %v; want running, true", ack["state"], ack["cancel_requested"])
+	}
+	// The acknowledgement rides the run, and its terminal snapshot keeps it.
+	if final := pollUntil(t, ts.URL, id, "cancelled"); final["cancel_requested"] != true {
+		t.Errorf("GET cancelled run: cancel_requested = %v, want true", final["cancel_requested"])
+	}
 	// Cancelling a terminal run conflicts.
 	if code, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/runs/"+id+"/cancel", ""); code != http.StatusConflict {
 		t.Errorf("cancel terminal run: status %d, want 409", code)

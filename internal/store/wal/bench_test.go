@@ -135,8 +135,7 @@ func BenchmarkWALFinishParallel(b *testing.B) {
 
 // BenchmarkReadsDuringExplicitCreates times Get while another goroutine
 // drives runs with a 64k-edge explicit spec through the log (Create, Begin,
-// Finish, EvictTerminal), so every create and begin record encodes about a
-// megabyte. A read that waits for a record to be written shows up as
+// Finish, EvictTerminal), so every create record encodes about a megabyte. A read that waits for a record to be written shows up as
 // max-read-µs near that encode's time and as slow-reads (reads of 1ms or
 // more); runs/sec is the writer's rate.
 func BenchmarkReadsDuringExplicitCreates(b *testing.B) {
@@ -208,8 +207,8 @@ func BenchmarkReadsDuringExplicitCreates(b *testing.B) {
 // BenchmarkRunLifecycleFsync is one run as a loaded dagd drives it with
 // -fsync — Create → Begin → Finish → EvictTerminal(keep) on a store
 // already holding keep terminal runs, so every op evicts one. What it costs
-// is the two awaited appends (fsyncs/op ≈ 2): the begin record rides the
-// finish's fsync and the eviction writes nothing.
+// is the two awaited appends (fsyncs/op ≈ 2): Begin and the eviction write
+// nothing.
 func BenchmarkRunLifecycleFsync(b *testing.B) {
 	const keep = 4096
 	dir := b.TempDir()

@@ -14,9 +14,8 @@ const fsyncMaxDelay = 2 * time.Millisecond
 
 // groupCommit is the log's fsync batcher. Appends write their record to
 // the active segment under the log's lock and take a ticket (written); once
-// the store has released its write lock, every transition but Begin, whose
-// record rides the next batch, parks in await until the committer goroutine
-// has fsynced past its ticket. One fsync therefore covers every record
+// the store has released its write lock, every transition it logged parks
+// in await until the committer goroutine has fsynced past its ticket. One fsync therefore covers every record
 // written since the previous one — under concurrent load, K per-record
 // fsyncs collapse into ~1 — without weakening the durability contract: an
 // awaited append does not return until its record is on disk.

@@ -1,9 +1,6 @@
 package wal_test
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/run"
@@ -14,9 +11,9 @@ import (
 // TestStoreConformance runs the shared store conformance suite against the
 // WAL backend — default config, group-commit fsync, aggressive compaction
 // (with and without fsync), segment rotation every few records (with and
-// without fsync), and a store folded from an empty data dir an older
-// version laid out in four shard directories — so list order, eviction,
-// Await, and cursor semantics are bit-identical to the in-memory store's.
+// without fsync), and a store reopened on a data dir an earlier Open laid
+// out and closed with no runs — so list order, eviction, Await, and cursor
+// semantics are bit-identical to the in-memory store's.
 func TestStoreConformance(t *testing.T) {
 	openIn := func(prepare func(t *testing.T, dir string), opts wal.Options) storetest.Factory {
 		return func(t *testing.T) *run.Store {
@@ -55,19 +52,16 @@ func TestStoreConformance(t *testing.T) {
 	t.Run("SmallSegmentsFsync", func(t *testing.T) {
 		storetest.Run(t, open(wal.Options{Fsync: true, SegmentMaxBytes: 1024}))
 	})
-	// An older version's four-shard dir with no history yet: Open folds it
-	// to one log, which then behaves as a fresh one.
-	t.Run("FoldedLegacyDir", func(t *testing.T) {
+	// The MANIFEST and shard-00 a first boot leaves behind, with no history
+	// yet: the second Open reads the layout instead of writing it, and the
+	// store then behaves as a fresh one.
+	t.Run("ReopenedDir", func(t *testing.T) {
 		storetest.Run(t, openIn(func(t *testing.T, dir string) {
-			manifest := []byte(`{"version":1,"shards":4}` + "\n")
-			if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), manifest, 0o644); err != nil {
-				t.Fatal(err)
+			s, _, err := wal.Open(dir, wal.Options{})
+			if err != nil {
+				t.Fatalf("first wal.Open: %v", err)
 			}
-			for i := 0; i < 4; i++ {
-				if err := os.Mkdir(filepath.Join(dir, fmt.Sprintf("shard-%02d", i)), 0o755); err != nil {
-					t.Fatal(err)
-				}
-			}
+			s.Close()
 		}, wal.Options{}))
 	})
 }

@@ -34,32 +34,36 @@ const frameHeaderSize = 8
 const maxRecordBytes = 128 << 20
 
 // replayState is the fold over a log chain: the latest snapshot per
-// surviving run, plus which non-terminal runs had a cancellation
-// acknowledged (a run.OpCancelReq with no terminal record after it).
-type replayState struct {
-	runs            map[string]run.Run
-	cancelRequested map[string]bool
-}
-
-func newReplayState() *replayState {
-	return &replayState{
-		runs:            make(map[string]run.Run),
-		cancelRequested: make(map[string]bool),
-	}
-}
+// surviving run, by ID.
+type replayState map[string]run.Run
 
 // list returns the replayed runs, in no particular order.
-func (st *replayState) list() []run.Run {
-	runs := make([]run.Run, 0, len(st.runs))
-	for _, r := range st.runs {
+func (st replayState) list() []run.Run {
+	runs := make([]run.Run, 0, len(st))
+	for _, r := range st {
 		runs = append(runs, r)
 	}
 	return runs
 }
 
+// apply folds one decoded record into the replay state: last writer wins.
+func (st replayState) apply(rec record) {
+	switch rec.Op {
+	case run.OpDel:
+		delete(st, rec.ID)
+	case run.OpCancelReq:
+		// The op carries the acknowledgement; older versions' snapshots
+		// lack the field.
+		rec.Run.CancelRequested = true
+		fallthrough
+	default:
+		st[rec.Run.ID] = *rec.Run
+	}
+}
+
 // loadChain replays the snapshot + segment chain in dir into state and
 // returns the highest file sequence number seen.
-func loadChain(dir string, state *replayState) (uint64, error) {
+func loadChain(dir string, state replayState) (uint64, error) {
 	snaps, segs, err := scanDir(dir)
 	if err != nil {
 		return 0, err
@@ -103,7 +107,7 @@ func loadChain(dir string, state *replayState) (uint64, error) {
 // torn-tail policy: in the final segment a truncated, checksum-failing, or
 // undecodable record (and everything after it) is discarded by truncating
 // the file; in any earlier file the same damage is corruption and an error.
-func replayFile(path string, final bool, state *replayState) error {
+func replayFile(path string, final bool, state replayState) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("wal: reading %s: %w", filepath.Base(path), err)
@@ -125,30 +129,8 @@ func replayFile(path string, final bool, state *replayState) error {
 			}
 			return nil
 		}
-		applyRecord(rec, state)
+		state.apply(rec)
 		off += n
-	}
-}
-
-// applyRecord folds one decoded record into the replay state. Snapshots
-// are last-writer-wins; the cancel-requested flag survives later
-// non-terminal records for the run except an explicit requeue — a requeue
-// supersedes the interrupted attempt (live lease expiry never requeues a
-// cancel-requested run, and recovery only writes run.OpRequeue when the
-// flag was absent) — and becomes irrelevant once a terminal record lands.
-func applyRecord(rec record, state *replayState) {
-	switch rec.Op {
-	case run.OpDel:
-		delete(state.runs, rec.ID)
-		delete(state.cancelRequested, rec.ID)
-	case run.OpCancelReq:
-		state.runs[rec.Run.ID] = *rec.Run
-		state.cancelRequested[rec.Run.ID] = true
-	case run.OpRequeue:
-		state.runs[rec.Run.ID] = *rec.Run
-		delete(state.cancelRequested, rec.Run.ID)
-	default:
-		state.runs[rec.Run.ID] = *rec.Run
 	}
 }
 
@@ -224,15 +206,15 @@ func encodeFrame(buf []byte, rec record) ([]byte, error) {
 	return append(append(buf, hdr[:]...), payload...), nil
 }
 
-// encodeSnapshot frames a snapshot file's contents: one run.OpPut per run, or
-// run.OpCancelReq for a run still running whose cancellation was acknowledged,
-// so recovery finishes the cancellation instead of re-admitting the run.
-// Compaction snapshots memory with it, and Open's fold a replayed state.
-func encodeSnapshot(runs []run.Run, cancelReq map[string]bool) ([]byte, error) {
+// encodeSnapshot frames a compaction snapshot's contents: one run.OpPut per
+// run, or run.OpCancelReq for an unfinished run carrying CancelRequested, so
+// an older version, which reads the acknowledgement off the op, opens it
+// too.
+func encodeSnapshot(runs []run.Run) ([]byte, error) {
 	var buf []byte
 	for i := range runs {
 		rec := record{Op: run.OpPut, Run: &runs[i]}
-		if cancelReq[runs[i].ID] && !runs[i].State.Terminal() {
+		if runs[i].CancelRequested && !runs[i].State.Terminal() {
 			rec.Op = run.OpCancelReq
 		}
 		var err error
@@ -245,7 +227,6 @@ func encodeSnapshot(runs []run.Run, cancelReq map[string]bool) ([]byte, error) {
 
 func segmentName(seq uint64) string  { return fmt.Sprintf("wal-%016d.log", seq) }
 func snapshotName(seq uint64) string { return fmt.Sprintf("snapshot-%016d.log", seq) }
-func shardDirName(i int) string      { return fmt.Sprintf("shard-%02d", i) }
 
 // scanDir lists snapshot and segment sequence numbers in dir, each sorted
 // ascending.

@@ -13,8 +13,9 @@ import (
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/run"
 )
 
-// fuzzSegment builds a valid segment: create/begin/finish for one run plus
-// a create for a second, the kind of tail a crash leaves behind.
+// fuzzSegment builds a valid segment: create/begin/finish for one run (the
+// begin record as older versions wrote it) plus a create for a second, the
+// kind of tail a crash leaves behind.
 func fuzzSegment(t interface{ Fatalf(string, ...any) }) []byte {
 	now := time.Date(2026, 7, 1, 12, 0, 0, 0, time.UTC)
 	started := now.Add(time.Second)
@@ -103,13 +104,13 @@ func FuzzWALReplay(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte, final bool) {
 		dir := t.TempDir()
-		logDir := plantSegment(t, dir, 1, 0, 2, data)
+		logDir := plantSegment(t, dir, 2, data)
 		if err := os.WriteFile(filepath.Join(logDir, snapshotName(1)), fuzzBystander(t), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if !final {
 			// A later, valid segment makes the fuzzed file a sealed one.
-			plantSegment(t, dir, 1, 0, 3, fuzzSegment(t))
+			plantSegment(t, dir, 3, fuzzSegment(t))
 		}
 
 		s, recovered, err := Open(dir, Options{})
@@ -169,7 +170,8 @@ const (
 	progSucceed
 	progFail
 	progCancelled
-	progRace // Finish, Requeue and Cancel at once on one running run
+	progRace      // Finish, Requeue and Cancel at once on one running run
+	progBeginRace // Begin, which logs nothing, and Cancel at once on one queued run
 	progOps
 )
 
@@ -186,9 +188,10 @@ const (
 //     run, and EvictTerminal down to the retained count removes exactly
 //     those.
 //
-// The race step is the store's ordering invariant under load: the log
+// The race steps are the store's ordering invariant under load: the log
 // holds the transitions in the order memory applied them, or a replay
-// contradicts the live store.
+// contradicts the live store — Begin included, which applies beside the
+// logged transitions without their write lock.
 func FuzzStoreReplay(f *testing.F) {
 	// TestRecovery: succeeded, failed, cancelled while queued, queued, running.
 	f.Add([]byte{0, progCreate, 0, progBegin, 0, progSucceed, 0, progCreate, 0, progBegin, 1, progFail, 1,
@@ -201,6 +204,9 @@ func FuzzStoreReplay(f *testing.F) {
 	f.Add([]byte{7, progCreate, 0, progCreate, 0, progCreate, 0, progCreate, 0, progBegin, 0, progBegin, 1,
 		progRace, 0, progRequeue, 1, progBegin, 2, progSucceed, 2, progEvict, 1, progDelete, 3,
 		progBegin, 1, progRace, 1, progCreate, 0, progSucceed, 1, progEvict, 2, progCreate, 0, progBegin, 5})
+	// Begin racing a cancel, then the winner's follow-up.
+	f.Add([]byte{1, progCreate, 0, progCreate, 0, progBeginRace, 0, progBeginRace, 1, progCancelled, 0,
+		progRequeue, 1, progBegin, 1, progSucceed, 1})
 
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) == 0 {
@@ -299,6 +305,25 @@ func FuzzStoreReplay(f *testing.F) {
 				}
 				// Finished, or requeued — after any cancel that came first.
 				delete(cancelAcked, id)
+			case progBeginRace:
+				if r, err := s.Get(id); err != nil || r.State != run.StateQueued {
+					continue
+				}
+				var wg sync.WaitGroup
+				var beginErr, cancelErr error
+				var cancelled run.Run
+				wg.Add(2)
+				go func() { defer wg.Done(); _, beginErr = s.Begin(id, time.Now(), "w1", func() {}) }()
+				go func() { defer wg.Done(); cancelled, cancelErr = s.Cancel(id) }()
+				wg.Wait()
+				refused(beginErr)
+				if cancelErr != nil {
+					t.Fatalf("Cancel of a queued or running run: %v", cancelErr)
+				}
+				// Cancelled while queued, or acknowledged on the running run.
+				if cancelled.State == run.StateRunning {
+					cancelAcked[id] = true
+				}
 			}
 		}
 		live := s.List()

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -88,23 +89,63 @@ func keys(m map[string]string) []string {
 	return out
 }
 
+// refuseLayout opens dir, expects a refusal naming wantErr, and pins that
+// the refused Open left every file as it found it.
+func refuseLayout(t *testing.T, dir, wantErr string) {
+	t.Helper()
+	before := treeOf(t, dir)
+	if len(before) == 0 {
+		t.Fatal("no files on disk to protect")
+	}
+
+	s, _, err := Open(dir, Options{})
+	if err == nil {
+		s.Close()
+		t.Fatal("Open succeeded on a data dir in a layout it does not read")
+	}
+	if !strings.Contains(err.Error(), wantErr) {
+		t.Errorf("Open = %v, want an error naming %q", err, wantErr)
+	}
+	if after := treeOf(t, dir); !reflect.DeepEqual(before, after) {
+		t.Errorf("refused Open changed the data dir:\nbefore %v\nafter  %v", keys(before), keys(after))
+	}
+}
+
+// oneLog is a data dir this version wrote, holding eight finished runs.
+func oneLog(t *testing.T, dir string) {
+	t.Helper()
+	s, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		lifecycle(t, s, func() {})
+	}
+	s.Close()
+}
+
+// fourShards is what an older version wrote with four shards, history in
+// two of them.
+func fourShards(t *testing.T, dir string) {
+	t.Helper()
+	oneLog(t, dir)
+	copyTree(t, filepath.Join(dir, "shard-00"), filepath.Join(dir, "shard-03"))
+	writeManifestBytes(t, dir, `{"version":1,"shards":4}`)
+}
+
+func writeManifestBytes(t *testing.T, dir, manifest string) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), []byte(manifest+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestNoManifestFailsClosed pins what Open does with run history it has no
 // manifest for: it refuses, and leaves every file as it found it. The
 // pre-shard single-stream layout (log files at the root) used to be
 // migrated in place; shard directories whose manifest was lost used to be
 // taken for migration debris and wiped on the way to a fresh store.
 func TestNoManifestFailsClosed(t *testing.T) {
-	oneLog := func(t *testing.T, dir string) {
-		t.Helper()
-		s, _, err := Open(dir, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 8; i++ {
-			lifecycle(t, s, func() {})
-		}
-		s.Close()
-	}
 	cases := []struct {
 		name    string
 		build   func(t *testing.T, dir string)
@@ -133,7 +174,7 @@ func TestNoManifestFailsClosed(t *testing.T) {
 			wantErr: "unsupported pre-shard layout",
 		},
 		{name: "one log", build: oneLog, wantErr: "shard directories without MANIFEST"},
-		{name: "four shards", build: foldFixture, wantErr: "shard directories without MANIFEST"},
+		{name: "four shards", build: fourShards, wantErr: "shard directories without MANIFEST"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -142,43 +183,77 @@ func TestNoManifestFailsClosed(t *testing.T) {
 			if err := os.Remove(filepath.Join(dir, "MANIFEST")); err != nil {
 				t.Fatal(err)
 			}
-			before := treeOf(t, dir)
-			if len(before) == 0 {
-				t.Fatal("no log files on disk to protect")
-			}
-
-			s, _, err := Open(dir, Options{})
-			if err == nil {
-				s.Close()
-				t.Fatal("Open succeeded on a data dir with history and no manifest")
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Errorf("Open = %v, want an error naming %q", err, tc.wantErr)
-			}
-			if after := treeOf(t, dir); !reflect.DeepEqual(before, after) {
-				t.Errorf("refused Open changed the data dir:\nbefore %v\nafter  %v", keys(before), keys(after))
-			}
+			refuseLayout(t, dir, tc.wantErr)
 		})
 	}
 }
 
-// The runs of foldFixture, by what the sharded replay made of them.
+// TestManifestFailsClosed pins what Open does with a manifest that pins a
+// layout this version does not read: it refuses, and leaves every file as
+// it found it. A manifest pinning several shards is the retired sharded
+// layout, which older versions fold into one log — with history or, as a
+// first boot of one of them left it, without. A corrupt manifest, one of
+// another version or one pinning no shard at all says nothing about which
+// directories hold the history.
+func TestManifestFailsClosed(t *testing.T) {
+	withManifest := func(manifest string) func(t *testing.T, dir string) {
+		return func(t *testing.T, dir string) {
+			oneLog(t, dir)
+			writeManifestBytes(t, dir, manifest)
+		}
+	}
+	cases := []struct {
+		name    string
+		build   func(t *testing.T, dir string)
+		wantErr string
+	}{
+		{name: "four shards", build: fourShards, wantErr: "retired sharded layout"},
+		{
+			name: "four empty shards",
+			build: func(t *testing.T, dir string) {
+				writeManifestBytes(t, dir, `{"version":1,"shards":4}`)
+				for i := 0; i < 4; i++ {
+					if err := os.Mkdir(filepath.Join(dir, fmt.Sprintf("shard-%02d", i)), 0o755); err != nil {
+						t.Fatal(err)
+					}
+				}
+			},
+			wantErr: "retired sharded layout",
+		},
+		{name: "two shards", build: withManifest(`{"version":1,"shards":2}`), wantErr: "retired sharded layout"},
+		{name: "zero shards", build: withManifest(`{"version":1,"shards":0}`), wantErr: "implausible shard count 0"},
+		{name: "version 2", build: withManifest(`{"version":2,"shards":1}`), wantErr: "manifest version 2 not supported"},
+		{name: "corrupt", build: withManifest(`{"version":1,"sha`), wantErr: "manifest is corrupt"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tc.build(t, dir)
+			refuseLayout(t, dir, tc.wantErr)
+		})
+	}
+}
+
+// The runs of parentFixture, by what the records an older version wrote
+// for them say.
 const (
-	foldSucceeded = "r000001-0000000a" // shard-00, create/begin/finish
-	foldRunning   = "r000002-0000000b" // shard-00, create/begin
-	foldSnapshot  = "r000003-0000000c" // shard-01 snapshot, terminal
-	foldCancelReq = "r000004-0000000d" // shard-01 snapshot, running with a cancel acknowledged
-	foldQueued    = "r000005-0000000e" // shard-01 segment after the snapshot
-	foldFailed    = "r000006-0000000f" // shard-03 sealed segment
-	foldQueued2   = "r000007-00000010" // shard-03 active segment
-	foldCancelled = "r000008-00000011" // shard-03 active segment, cancelled while queued
+	parentSucceeded    = "r000001-0000000a" // create/begin/finish
+	parentRunning      = "r000002-0000000b" // create/begin
+	parentSnapshot     = "r000003-0000000c" // snapshot, terminal
+	parentSnapCancel   = "r000004-0000000d" // snapshot, running with a cancel acknowledged
+	parentQueued       = "r000005-0000000e" // create
+	parentFailed       = "r000006-0000000f" // create/begin/finish, failed
+	parentSegCancel    = "r000007-00000010" // create/begin/cancelreq
+	parentQueued2      = "r000008-00000011" // create, in the active segment
+	parentCancelQueued = "r000009-00000012" // create/cancel, in the active segment
 )
 
-// foldFixture lays out by hand what an older version wrote with four
-// shards: terminal, running, queued and cancel-requested runs spread over
-// them — shard-01 compacted, with a leftover segment below its snapshot,
-// shard-02 empty, shard-03 with a sealed and an active segment.
-func foldFixture(t *testing.T, dir string) {
+// parentFixture lays out by hand a one-shard data dir as the version before
+// this one wrote it: begin records, cancelreq records whose snapshot does
+// not carry the flag (in a segment, and as the compaction snapshot's
+// record of a running run), a leftover segment below the snapshot, two
+// sealed segments and an active one. It returns every run's last snapshot.
+func parentFixture(t *testing.T, dir string) map[string]*run.Run {
 	t.Helper()
 	base := time.Date(2026, 7, 1, 12, 0, 0, 0, time.UTC)
 	runs := map[string]*run.Run{}
@@ -224,188 +299,87 @@ func foldFixture(t *testing.T, dir string) {
 			}
 		})
 	}
+	cancelReq := func(id string) func() record { return step(run.OpCancelReq, id, func(*run.Run) {}) }
 
-	plantSegment(t, dir, 4, 0, 1, frames(
-		create(foldSucceeded, 1), create(foldRunning, 2), begin(foldSucceeded, 3),
-		finish(foldSucceeded, 4, ""), begin(foldRunning, 5)))
-	// shard-01's snapshot 3 summarises its segment 2, which a crash
-	// between the snapshot's install and the cleanup left behind.
-	plantSegment(t, dir, 4, 1, 2, frames(
-		create(foldSnapshot, 6), begin(foldSnapshot, 7), finish(foldSnapshot, 8, ""),
-		create(foldCancelReq, 9), begin(foldCancelReq, 10), step(run.OpCancelReq, foldCancelReq, func(*run.Run) {})))
-	buf, err := encodeSnapshot([]run.Run{*runs[foldSnapshot], *runs[foldCancelReq]}, map[string]bool{foldCancelReq: true})
+	// Snapshot 2 summarises segment 1, which a crash between the
+	// snapshot's install and the cleanup left behind.
+	plantSegment(t, dir, 1, frames(
+		create(parentSnapshot, 1), begin(parentSnapshot, 2), finish(parentSnapshot, 3, ""),
+		create(parentSnapCancel, 4), begin(parentSnapCancel, 5), cancelReq(parentSnapCancel)))
+	snapshot := frames(
+		func() record { return record{Op: run.OpPut, Run: runs[parentSnapshot]} },
+		func() record { return record{Op: run.OpCancelReq, Run: runs[parentSnapCancel]} })
+	if err := os.WriteFile(filepath.Join(dir, logDirName, snapshotName(2)), snapshot, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	plantSegment(t, dir, 3, frames(
+		create(parentSucceeded, 6), create(parentRunning, 7), begin(parentSucceeded, 8),
+		finish(parentSucceeded, 9, ""), begin(parentRunning, 10), create(parentQueued, 11)))
+	plantSegment(t, dir, 4, frames(
+		create(parentFailed, 12), begin(parentFailed, 13), finish(parentFailed, 14, "boom"),
+		create(parentSegCancel, 15), begin(parentSegCancel, 16), cancelReq(parentSegCancel)))
+	plantSegment(t, dir, 5, frames(
+		create(parentQueued2, 17), create(parentCancelQueued, 18),
+		step(run.OpCancel, parentCancelQueued, func(r *run.Run) { r.State, r.FinishedAt = run.StateCancelled, at(19) })))
+	return runs
+}
+
+// TestParentDataDirBoots opens parentFixture's data dir and pins that every
+// run recovers as the version that wrote it recovers it: terminal runs
+// byte-identical, runs a begin record left running and runs only created
+// queued again with Restarts 1, and runs whose cancellation was
+// acknowledged — in a segment, or in the snapshot — cancelled, without
+// re-executing. Nothing about the layout changes.
+func TestParentDataDirBoots(t *testing.T) {
+	dir := t.TempDir()
+	wrote := parentFixture(t, dir)
+	manifest := treeOf(t, dir)["MANIFEST"]
+
+	s, recovered, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "shard-01", snapshotName(3)), buf, 0o644); err != nil {
-		t.Fatal(err)
+	defer s.Close()
+	if got := s.Len(); got != len(wrote) {
+		t.Errorf("Open holds %d runs, the fixture wrote %d", got, len(wrote))
 	}
-	plantSegment(t, dir, 4, 1, 4, frames(create(foldQueued, 11)))
-	if err := os.MkdirAll(filepath.Join(dir, "shard-02"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	plantSegment(t, dir, 4, 3, 1, frames(create(foldFailed, 12), begin(foldFailed, 13), finish(foldFailed, 14, "boom")))
-	plantSegment(t, dir, 4, 3, 2, frames(
-		create(foldQueued2, 15), create(foldCancelled, 16),
-		step(run.OpCancel, foldCancelled, func(r *run.Run) { r.State, r.FinishedAt = run.StateCancelled, at(17) })))
-}
-
-// foldedStore is what a reader sees of an opened store, for comparing two
-// opens: every run as JSON, with the FinishedAt recovery stamps on the run
-// whose acknowledged cancellation it completes cleared, plus the IDs Open
-// handed back to re-admit.
-func foldedStore(t *testing.T, s *run.Store, recovered []run.Run) []string {
-	t.Helper()
-	var out []string
-	for _, r := range s.List() {
-		if r.ID == foldCancelReq {
-			r.FinishedAt = nil
+	for _, id := range []string{parentSucceeded, parentSnapshot, parentFailed, parentCancelQueued} {
+		got, err := s.Get(id)
+		if err != nil {
+			t.Fatal(err)
 		}
-		out = append(out, snapshotJSON(t, r))
-	}
-	for _, r := range recovered {
-		out = append(out, "recovered "+r.ID)
-	}
-	return out
-}
-
-// TestFoldShardedDataDir opens foldFixture's four-shard layout. A clean
-// fold reads the history the sharded replay read, and leaves one log: the
-// manifest names one shard and only shard-00 is left. The two states a
-// crash mid-fold can leave — the snapshot written but the manifest not yet
-// rewritten, and the manifest rewritten with the other shard dirs still
-// there — reopen to the same store.
-func TestFoldShardedDataDir(t *testing.T) {
-	fixture := t.TempDir()
-	foldFixture(t, fixture)
-
-	clean := t.TempDir()
-	copyTree(t, fixture, clean)
-	s, recovered, err := Open(clean, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]struct {
-		state    run.State
-		restarts int
-	}{
-		foldSucceeded: {run.StateSucceeded, 0},
-		foldRunning:   {run.StateQueued, 1},
-		foldSnapshot:  {run.StateSucceeded, 0},
-		foldCancelReq: {run.StateCancelled, 0},
-		foldQueued:    {run.StateQueued, 1},
-		foldFailed:    {run.StateFailed, 0},
-		foldQueued2:   {run.StateQueued, 1},
-		foldCancelled: {run.StateCancelled, 0},
-	}
-	list := s.List()
-	if len(list) != len(want) {
-		t.Fatalf("fold lists %d runs, want %d", len(list), len(want))
-	}
-	for i, r := range list {
-		w := want[r.ID]
-		if r.State != w.state || r.Restarts != w.restarts {
-			t.Errorf("run %s after the fold: %s with Restarts %d, want %s with %d", r.ID, r.State, r.Restarts, w.state, w.restarts)
-		}
-		if i > 0 && run.CompareRuns(list[i-1], r) >= 0 {
-			t.Errorf("List out of (CreatedAt, ID) order at %d", i)
+		if a, b := snapshotJSON(t, *wrote[id]), snapshotJSON(t, got); a != b {
+			t.Errorf("terminal run %s changed:\n wrote %s\n got   %s", id, a, b)
 		}
 	}
-	if got, _ := s.Get(foldSucceeded); got.Result == nil || got.Result.SinkPaths != 3 {
-		t.Errorf("succeeded run lost its result in the fold: %+v", got.Result)
+	for _, id := range []string{parentRunning, parentQueued, parentQueued2} {
+		want := *wrote[id]
+		want.State, want.Restarts, want.StartedAt, want.Worker = run.StateQueued, 1, nil, ""
+		got, err := s.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := snapshotJSON(t, want), snapshotJSON(t, got); a != b {
+			t.Errorf("interrupted run %s not requeued:\n want %s\n got  %s", id, a, b)
+		}
+	}
+	for _, id := range []string{parentSnapCancel, parentSegCancel} {
+		got, err := s.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.State != run.StateCancelled || !got.CancelRequested || got.FinishedAt == nil || got.Error == "" || got.Restarts != 0 {
+			t.Errorf("cancel-acknowledged run %s recovered as %+v, want cancelled", id, got)
+		}
 	}
 	var ids []string
 	for _, r := range recovered {
 		ids = append(ids, r.ID)
 	}
-	if wantIDs := []string{foldRunning, foldQueued, foldQueued2}; !reflect.DeepEqual(ids, wantIDs) {
-		t.Errorf("recovered %v, want %v", ids, wantIDs)
+	if want := []string{parentRunning, parentQueued, parentQueued2}; !reflect.DeepEqual(ids, want) {
+		t.Errorf("re-admitted %v, want %v", ids, want)
 	}
-	cleanStore := foldedStore(t, s, recovered)
-	s.Close()
-
-	oneLog := func(t *testing.T, dir string) {
-		t.Helper()
-		m, err := readManifest(dir)
-		if err != nil || m.ShardCount != 1 {
-			t.Errorf("manifest after the fold = %+v, %v; want one shard", m, err)
-		}
-		entries, _ := os.ReadDir(dir)
-		for _, e := range entries {
-			if e.IsDir() && e.Name() != "shard-00" {
-				t.Errorf("%s survived the fold", e.Name())
-			}
-		}
-	}
-	oneLog(t, clean)
-	snaps, _, err := scanDir(filepath.Join(clean, "shard-00"))
-	if err != nil || len(snaps) != 1 {
-		t.Fatalf("folded shard-00 holds snapshots %v, %v; want the fold's one", snaps, err)
-	}
-	foldSnap := snapshotName(snaps[0])
-
-	// Each crash state is the fixture plus what the fold had made durable.
-	for _, tc := range []struct {
-		name     string
-		manifest bool
-	}{
-		{"snapshot written", false},
-		{"manifest rewritten", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			copyTree(t, fixture, dir)
-			data, err := os.ReadFile(filepath.Join(clean, "shard-00", foldSnap))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, "shard-00", foldSnap), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if tc.manifest {
-				if err := writeManifest(dir, 1); err != nil {
-					t.Fatal(err)
-				}
-			}
-			s, recovered, err := Open(dir, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			if got := foldedStore(t, s, recovered); !reflect.DeepEqual(got, cleanStore) {
-				t.Errorf("reopened after a crash mid-fold:\n got  %v\n want %v", got, cleanStore)
-			}
-			oneLog(t, dir)
-		})
-	}
-}
-
-// TestFoldRefusesCorruptShard pins the fold's failure mode: a corrupt sealed
-// file in any shard fails Open before the fold writes anything, and the
-// data dir is left byte for byte as it was.
-func TestFoldRefusesCorruptShard(t *testing.T) {
-	dir := t.TempDir()
-	foldFixture(t, dir)
-	sealed := filepath.Join(dir, "shard-03", segmentName(1))
-	data, err := os.ReadFile(sealed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(sealed, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	before := treeOf(t, dir)
-
-	s, _, err := Open(dir, Options{})
-	if err == nil {
-		s.Close()
-		t.Fatal("Open folded a sharded data dir with a corrupt sealed segment")
-	}
-	if !strings.Contains(err.Error(), "corrupt") || !strings.Contains(err.Error(), "shard-03") {
-		t.Errorf("refusal %q does not name the corrupt shard", err)
-	}
-	if after := treeOf(t, dir); !reflect.DeepEqual(before, after) {
-		t.Errorf("refused fold changed the data dir:\nbefore %v\nafter  %v", keys(before), keys(after))
+	if got := treeOf(t, dir)["MANIFEST"]; got != manifest {
+		t.Errorf("MANIFEST rewritten: %q, was %q", got, manifest)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"maps"
 	"os"
 	"path/filepath"
 	"time"
@@ -47,12 +46,6 @@ func (l *walLog) Append(op run.Op, r *run.Run) (uint64, error) {
 	}
 	if _, err := l.seg.Write(buf); err != nil {
 		return 0, fmt.Errorf("wal: appending record: %w", err)
-	}
-	switch op {
-	case run.OpCancelReq:
-		l.cancelReq[r.ID] = true
-	case run.OpFinish, run.OpRequeue, run.OpDel:
-		delete(l.cancelReq, r.ID)
 	}
 	var ticket uint64
 	if l.gc != nil {
@@ -151,12 +144,11 @@ func (l *walLog) doCompact() {
 	}
 	base := l.appended
 	l.appended = 0
-	cancelReq := maps.Clone(l.cancelReq)
 	l.mu.Unlock()
 
 	// Phase 2, off-path: snapshot the store.
 	runs := l.store.List()
-	buf, err := encodeSnapshot(runs, cancelReq)
+	buf, err := encodeSnapshot(runs)
 	if err == nil {
 		err = writeFileAtomic(l.dir, snapshotName(snapSeq), buf)
 	}

@@ -106,7 +106,7 @@ func TestFailedSyncIsSticky(t *testing.T) {
 	l.gc.commit(l) // the first batch: its sync fails
 	// A second record in a batch whose sync succeeds. A correct log refuses
 	// the append already; the waits below are what this test pins.
-	l.Append(run.OpBegin, &r)
+	l.Append(run.OpCancelReq, &r)
 	l.gc.commit(l)
 	if syncs.Load() < 1 {
 		t.Fatal("no sync was attempted")

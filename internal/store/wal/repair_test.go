@@ -36,7 +36,7 @@ func TestRecoveryFailsRevalidationTerminally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plantSegment(t, dir, 4, 3, 1, buf)
+	plantSegment(t, dir, 1, buf)
 
 	s, recovered, err := Open(dir, Options{})
 	if err != nil {
@@ -78,15 +78,14 @@ func TestRecoveryFailsRevalidationTerminally(t *testing.T) {
 	}
 }
 
-// plantSegment writes frames as segment seq of shard directory shard in a
-// data dir whose manifest pins shards, and returns that directory. With
-// shards > 1 it lays out what an older, sharded version wrote.
-func plantSegment(t *testing.T, dir string, shards, shard int, seq uint64, frames []byte) string {
+// plantSegment writes frames as segment seq of the data dir's log, and
+// returns the log's directory.
+func plantSegment(t *testing.T, dir string, seq uint64, frames []byte) string {
 	t.Helper()
-	if err := writeManifest(dir, shards); err != nil {
+	if err := writeManifest(dir); err != nil {
 		t.Fatal(err)
 	}
-	sdir := filepath.Join(dir, shardDirName(shard))
+	sdir := filepath.Join(dir, logDirName)
 	if err := os.MkdirAll(sdir, 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +117,7 @@ func TestUnversionedSpecReplaysTerminalFailsInterrupted(t *testing.T) {
 		frames = binary.BigEndian.AppendUint32(frames, crc32.ChecksumIEEE([]byte(payload)))
 		frames = append(frames, payload...)
 	}
-	plantSegment(t, dir, 4, 1, 1, frames)
+	plantSegment(t, dir, 1, frames)
 	var history record
 	if err := json.Unmarshal([]byte(records[0]), &history); err != nil {
 		t.Fatal(err)

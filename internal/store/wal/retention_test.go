@@ -104,7 +104,7 @@ func TestRetentionAcrossCrashPoints(t *testing.T) {
 		settle()
 		s.EvictTerminal(keep)
 	}
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 15; i++ {
 		id := create()
 		begin(id)
 		finish(id, nil)
@@ -161,8 +161,10 @@ func TestRetentionAcrossCrashPoints(t *testing.T) {
 	for _, rec := range recs {
 		ops[rec.Op]++
 	}
-	if ops[run.OpBegin] < 2 || ops[run.OpFinish] < 2 || ops[run.OpCreate] < 2 || ops[run.OpDel] != 0 {
-		t.Fatalf("active segment holds %v; want several creates, begins and finishes and no del", ops)
+	// Begin and eviction log nothing: a run Begin moved replays as the
+	// queued snapshot before it.
+	if ops[run.OpFinish] < 2 || ops[run.OpCreate] < 2 || ops[run.OpBegin] != 0 || ops[run.OpDel] != 0 {
+		t.Fatalf("active segment holds %v; want several creates and finishes, no begin and no del", ops)
 	}
 
 	// after[i] is what a reader sees once cut i has been reopened and
@@ -172,7 +174,7 @@ func TestRetentionAcrossCrashPoints(t *testing.T) {
 	for i, cut := range cuts {
 		crashed := t.TempDir()
 		copyTree(t, dir, crashed)
-		if err := os.Truncate(filepath.Join(crashed, shardDirName(0), active), int64(cut)); err != nil {
+		if err := os.Truncate(filepath.Join(crashed, logDirName, active), int64(cut)); err != nil {
 			t.Fatal(err)
 		}
 		s2, recovered, err := Open(crashed, opts)
@@ -251,22 +253,6 @@ func TestRetentionAcrossCrashPoints(t *testing.T) {
 		}
 	}
 
-	// A cut that drops a begin record and the cut just past it give the
-	// same reader-visible run: the un-awaited record protects nothing.
-	for k, rec := range recs {
-		if rec.Op != run.OpBegin {
-			continue
-		}
-		id := rec.Run.ID
-		without, with := after[k][id], after[k+1][id]
-		if without.State != run.StateQueued || without.Restarts != 1 {
-			t.Errorf("begin of %s lost: recovered as %s with Restarts %d, want queued with 1", id, without.State, without.Restarts)
-		}
-		if a, b := snapshotJSON(t, without), snapshotJSON(t, with); a != b {
-			t.Errorf("begin of %s lost vs kept differ:\n lost %s\n kept %s", id, a, b)
-		}
-	}
-
 	// Nothing lost at all: the reopened store is the live one, with the two
 	// unfinished runs re-admitted.
 	full := after[len(cuts)-1]
@@ -325,9 +311,9 @@ func walCounters(t *testing.T, reg *metrics.Registry) (appends, fsyncs, batches,
 		fams["dagd_wal_commit_batch_size"].Sum(), batched
 }
 
-// TestAwaitedAppends pins which transitions wait for the disk: one run's
-// life at the retention cap is three appends and two fsyncs — create, and
-// a finish whose batch carries the begin — and eviction costs neither.
+// TestAwaitedAppends pins which transitions touch the disk: one run's life
+// at the retention cap is two appends and two fsyncs — create and finish,
+// each in a batch of its own — and Begin and eviction cost neither.
 func TestAwaitedAppends(t *testing.T) {
 	reg := metrics.NewRegistry()
 	s, _, err := Open(t.TempDir(), Options{Fsync: true, Metrics: reg})
@@ -340,21 +326,21 @@ func TestAwaitedAppends(t *testing.T) {
 
 	lifecycle(t, s, func() {
 		a, f, _, _ := walCounters(t, reg)
-		if a != a0+2 || f != f0+1 {
-			t.Errorf("after Create+Begin: appends +%v fsyncs +%v, want +2 and +1 (a lone Begin waits for nothing)", a-a0, f-f0)
+		if a != a0+1 || f != f0+1 {
+			t.Errorf("after Create+Begin: appends +%v fsyncs +%v, want +1 and +1 (Begin logs nothing)", a-a0, f-f0)
 		}
 	})
 	if n := s.EvictTerminal(1); n != 1 {
 		t.Fatalf("EvictTerminal(1) = %d, want 1", n)
 	}
 	a, f, b, n := walCounters(t, reg)
-	if a != a0+3 {
-		t.Errorf("one run at the cap cost %v appends, want 3", a-a0)
+	if a != a0+2 {
+		t.Errorf("one run at the cap cost %v appends, want 2", a-a0)
 	}
 	if f != f0+2 {
 		t.Errorf("one run at the cap cost %v fsyncs, want 2", f-f0)
 	}
-	if b != b0+2 || n != n0+3 {
-		t.Errorf("%v batches covered %v records, want 2 covering 3 (the finish's carries the begin)", b-b0, n-n0)
+	if b != b0+2 || n != n0+2 {
+		t.Errorf("%v batches covered %v records, want 2 covering 2", b-b0, n-n0)
 	}
 }

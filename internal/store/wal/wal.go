@@ -14,11 +14,12 @@
 //	MANIFEST   {"version":1,"shards":1}
 //	shard-00/  the log's segments and snapshots
 //
-// so an older binary opens what this one writes. A data dir an older
-// version wrote with N > 1 shards is folded into one log on its first Open
-// (see "Folding a sharded data dir"). A directory that holds log files or
-// shard directories but no manifest (the pre-shard single-stream layout, or
-// a lost manifest) is refused, with every file left as it is.
+// so an older binary opens what this one writes. Every other layout is
+// refused, with every file left as it is: a manifest that pins more than
+// one shard (the retired sharded layout, which older versions fold into
+// one log on boot), and a directory that holds log files or shard
+// directories but no manifest (the pre-shard single-stream layout, or a
+// lost manifest).
 //
 // In the log directory, files follow the original single-stream format —
 // both are sequences of identically framed records:
@@ -31,12 +32,15 @@
 //	[4-byte big-endian payload length][4-byte big-endian CRC32 (IEEE) of payload][payload]
 //
 // where the payload is one JSON-encoded record: a run.Op name plus either a
-// full post-transition run snapshot ("create", "begin", "finish", "cancel",
+// full post-transition run snapshot ("create", "finish", "cancel",
 // "cancelreq", "requeue", "put") or a bare run ID ("del", written when a
 // submit is rolled back; older logs also hold one per evicted run and
-// replay honours them). Carrying the full snapshot makes replay trivially idempotent — the
-// last record for an ID wins — and means a reordered or partially missing
-// history still converges to a valid state.
+// replay honours them). Older logs also hold "begin" records, and
+// "cancelreq" records whose snapshot lacks cancel_requested; replay reads
+// the first as any snapshot and sets the flag on the second. Carrying the
+// full snapshot makes replay trivially idempotent — the last record for an
+// ID wins, with nothing kept beside it — and means a reordered or partially
+// missing history still converges to a valid state.
 //
 // # Durability: group-commit fsync
 //
@@ -81,25 +85,6 @@
 // means real corruption (those files were sealed complete), and Open
 // refuses to load rather than resurrect a partial history. Records that
 // decode but fail validation (empty ID, unknown op) follow the same policy.
-//
-// # Folding a sharded data dir
-//
-// Older versions routed each run to one of N shard directories by the hash
-// of its ID. Open folds such a dir into one log, once:
-//
-//  1. replay every shard-NN/ as above — their union is the history, since
-//     a run's records all live in one shard; if any shard refuses to load,
-//     Open fails with nothing changed beyond torn-tail truncation;
-//  2. write that state into shard-00 as one snapshot, above every file
-//     there, with the compaction encoder;
-//  3. rewrite the manifest to one shard;
-//  4. remove shard-01 and up;
-//
-// and recovery (run.Store.Recover) proceeds as for any one log. A crash
-// before step 3 folds again on the next Open: the runs the snapshot
-// duplicates are identical to the shards' own. After step 3, Open removes
-// any shard-NN (NN ≥ 1) left over, redundant since the snapshot that covers
-// them is durable.
 package wal
 
 import (
@@ -163,11 +148,6 @@ type walLog struct {
 	appended   int    // records since the last compaction (or replayed since boot)
 	compacting bool   // a background compaction is in flight
 	closed     bool
-	// cancelReq tracks runs with an acknowledged-but-unfinished
-	// cancellation, so a compaction snapshot preserves the acknowledgement
-	// (as a run.OpCancelReq record) instead of flattening it into a plain
-	// put that recovery would re-admit.
-	cancelReq map[string]bool
 
 	compactWG sync.WaitGroup
 	gc        *groupCommit // nil unless Options.Fsync
@@ -192,34 +172,26 @@ func open(dataDir string, opts Options) (*walLog, []run.Run, error) {
 	if err := os.MkdirAll(dataDir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: creating data dir: %w", err)
 	}
-	shards, err := resolveShards(dataDir)
-	if err != nil {
+	if err := checkLayout(dataDir); err != nil {
 		return nil, nil, err
 	}
 	l := &walLog{
-		dir:       filepath.Join(dataDir, shardDirName(0)),
-		opts:      opts,
-		met:       newWALInstruments(opts.Metrics),
-		sync:      (*os.File).Sync,
-		cancelReq: make(map[string]bool),
+		dir:  filepath.Join(dataDir, logDirName),
+		opts: opts,
+		met:  newWALInstruments(opts.Metrics),
+		sync: (*os.File).Sync,
 	}
 	if err := os.MkdirAll(l.dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("wal: creating %s: %w", shardDirName(0), err)
+		return nil, nil, fmt.Errorf("wal: creating %s: %w", logDirName, err)
 	}
 	removeStaleTemps(l.dir)
-	replayed := newReplayState()
+	replayed := replayState{}
 	maxSeq, err := loadChain(l.dir, replayed)
 	if err != nil {
-		return nil, nil, fmt.Errorf("wal: replaying %s: %w", shardDirName(0), err)
+		return nil, nil, fmt.Errorf("wal: replaying %s: %w", logDirName, err)
 	}
 	l.nextSeq = maxSeq + 1
-	if shards > 1 {
-		if err := l.fold(dataDir, shards, replayed); err != nil {
-			return nil, nil, err
-		}
-	}
-	removeFoldedShards(dataDir)
-	l.appended = len(replayed.runs)
+	l.appended = len(replayed)
 
 	if l.seg, err = createSegment(l.dir, l.nextSeq); err != nil {
 		return nil, nil, err
@@ -230,7 +202,7 @@ func open(dataDir string, opts Options) (*walLog, []run.Run, error) {
 		go l.gc.run(l)
 	}
 	l.store = run.NewStore(l)
-	recovered, err := l.store.Recover(replayed.list(), replayed.cancelRequested)
+	recovered, err := l.store.Recover(replayed.list())
 	if err != nil {
 		l.Close()
 		return nil, nil, err

@@ -216,13 +216,14 @@ func testCancelRunning(t *testing.T, newStore Factory) {
 	if !fired {
 		t.Error("cancel hook not invoked")
 	}
-	// The run stays running until the dispatcher observes the cancellation.
-	if c.State != run.StateRunning {
-		t.Errorf("Cancel(running) state = %s, want running", c.State)
+	// The run stays running until the dispatcher observes the cancellation,
+	// carrying the acknowledgement; the terminal snapshot keeps it.
+	if c.State != run.StateRunning || !c.CancelRequested {
+		t.Errorf("Cancel(running) = state %s, CancelRequested %v; want running, true", c.State, c.CancelRequested)
 	}
 	f := finish(t, s, r.ID, nil, context.Canceled)
-	if f.State != run.StateCancelled {
-		t.Errorf("state after Finish(Canceled) = %s, want cancelled", f.State)
+	if f.State != run.StateCancelled || !f.CancelRequested {
+		t.Errorf("after Finish(Canceled) = state %s, CancelRequested %v; want cancelled, true", f.State, f.CancelRequested)
 	}
 }
 
@@ -581,8 +582,9 @@ func testDelete(t *testing.T, newStore Factory) {
 }
 
 // testRequeue exercises the lease-expiry path: a running run drops back to
-// queued with Restarts incremented, execution fields cleared, attribution
-// intact, and Await waiters still parked until the retry finishes.
+// queued with Restarts incremented, execution fields and a pending cancel
+// acknowledgement cleared, attribution intact, and Await waiters still
+// parked until the retry finishes.
 func testRequeue(t *testing.T, newStore Factory) {
 	s := newStore(t)
 
@@ -614,6 +616,11 @@ func testRequeue(t *testing.T, newStore Factory) {
 	}()
 	time.Sleep(10 * time.Millisecond)
 
+	// The lease expires with a cancellation acknowledged but not yet acted
+	// on: the retry starts afresh.
+	if c, err := s.Cancel(r.ID); err != nil || !c.CancelRequested {
+		t.Fatalf("Cancel(running) = %+v, %v; want CancelRequested", c, err)
+	}
 	q, err := s.Requeue(r.ID)
 	if err != nil {
 		t.Fatalf("Requeue(running): %v", err)
@@ -621,7 +628,7 @@ func testRequeue(t *testing.T, newStore Factory) {
 	if q.State != run.StateQueued || q.Restarts != 1 {
 		t.Fatalf("Requeue = state %s restarts %d, want queued/1", q.State, q.Restarts)
 	}
-	if q.Worker != "" || q.DispatchedAt != nil || q.StartedAt != nil || q.Error != "" || q.Result != nil {
+	if q.Worker != "" || q.DispatchedAt != nil || q.StartedAt != nil || q.Error != "" || q.Result != nil || q.CancelRequested {
 		t.Errorf("Requeue left execution fields set: %+v", q)
 	}
 	if q.Spec.Tenant != "conformance-tenant" || q.Spec.Priority != 2 {

@@ -11,8 +11,7 @@
 // operator never configured — are attributed to it, so one unknown client
 // can never mint itself an unbounded number of queues.
 //
-// Configs load from a JSON file (dagd -tenants) shaped either as a bare
-// array or as {"tenants": [...]}:
+// Configs load from a JSON file (dagd -tenants) shaped {"tenants": [...]}:
 //
 //	{"tenants": [
 //	  {"name": "batch", "weight": 1, "max_queue_depth": 512},
@@ -181,35 +180,29 @@ func (r *Registry) Configs() []Config {
 	return out
 }
 
-// configFile is the on-disk shape of a -tenants file: either this wrapper
-// object or a bare array of configs.
+// configFile is the on-disk shape of a -tenants file.
 type configFile struct {
 	Tenants []Config `json:"tenants"`
 }
 
-// LoadFile reads tenant configs from a JSON file — {"tenants":[...]} or a
-// bare [...] — and validates them by building a throwaway Registry.
+// LoadFile reads tenant configs from a JSON file shaped {"tenants":[...]}
+// and validates them by building a throwaway Registry.
 func LoadFile(path string) ([]Config, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("%w: reading %s: %v", ErrInvalidConfig, path, err)
 	}
-	return parseConfigs(data, path)
-}
-
-func parseConfigs(data []byte, origin string) ([]Config, error) {
-	var cfgs []Config
-	if err := json.Unmarshal(data, &cfgs); err != nil {
-		var wrapped configFile
-		if err2 := json.Unmarshal(data, &wrapped); err2 != nil || wrapped.Tenants == nil {
-			return nil, fmt.Errorf("%w: %s is neither a tenant array nor {\"tenants\":[...]}: %v", ErrInvalidConfig, origin, err)
-		}
-		cfgs = wrapped.Tenants
+	var file configFile
+	if err := json.Unmarshal(data, &file); err != nil {
+		return nil, fmt.Errorf("%w: %s is not shaped {\"tenants\":[...]}: %v", ErrInvalidConfig, path, err)
 	}
-	if _, err := NewRegistry(cfgs); err != nil {
-		return nil, fmt.Errorf("%s: %w", origin, err)
+	if file.Tenants == nil {
+		return nil, fmt.Errorf("%w: %s is not shaped {\"tenants\":[...]}: it has no \"tenants\" array", ErrInvalidConfig, path)
 	}
-	return cfgs, nil
+	if _, err := NewRegistry(file.Tenants); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return file.Tenants, nil
 }
 
 // Bucket is a token-bucket rate limiter: capacity `burst` tokens refilled

@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -97,28 +98,27 @@ func TestLoadFile(t *testing.T) {
 		return p
 	}
 
-	// Wrapper object form.
-	p := write("wrapped.json", `{"tenants":[{"name":"a","weight":2},{"name":"b","priority":1}]}`)
+	p := write("tenants.json", `{"tenants":[{"name":"a","weight":2},{"name":"b","priority":1}]}`)
 	cfgs, err := LoadFile(p)
 	if err != nil || len(cfgs) != 2 || cfgs[0].Name != "a" || cfgs[1].Priority != 1 {
-		t.Fatalf("LoadFile(wrapped) = %+v, %v", cfgs, err)
-	}
-
-	// Bare array form.
-	p = write("bare.json", `[{"name":"solo","submit_rate":1}]`)
-	if cfgs, err = LoadFile(p); err != nil || len(cfgs) != 1 || cfgs[0].Name != "solo" {
-		t.Fatalf("LoadFile(bare) = %+v, %v", cfgs, err)
+		t.Fatalf("LoadFile = %+v, %v", cfgs, err)
 	}
 
 	for name, body := range map[string]string{
 		"garbage.json":   `not json`,
+		"bare.json":      `[{"name":"solo","submit_rate":1}]`,
 		"badshape.json":  `{"other":true}`,
-		"badtenant.json": `[{"name":""}]`,
-		"dup.json":       `[{"name":"x"},{"name":"x"}]`,
+		"badtenant.json": `{"tenants":[{"name":""}]}`,
+		"dup.json":       `{"tenants":[{"name":"x"},{"name":"x"}]}`,
 	} {
 		p := write(name, body)
-		if _, err := LoadFile(p); !errors.Is(err, ErrInvalidConfig) {
+		_, err := LoadFile(p)
+		if !errors.Is(err, ErrInvalidConfig) {
 			t.Errorf("LoadFile(%s) = %v, want ErrInvalidConfig", name, err)
+		}
+		// A file of the wrong shape is told which shape is wanted.
+		if wrongShape := name != "badtenant.json" && name != "dup.json"; wrongShape && !strings.Contains(fmt.Sprint(err), `{"tenants":[...]}`) {
+			t.Errorf("LoadFile(%s) = %v, want an error naming the {\"tenants\":[...]} shape", name, err)
 		}
 	}
 	if _, err := LoadFile(filepath.Join(dir, "missing.json")); !errors.Is(err, ErrInvalidConfig) {

@@ -108,9 +108,13 @@ type Run struct {
 	// its queue after an interruption: a durable (WAL-backed) server
 	// restart, or — in distributed mode — a worker lease that expired
 	// after missed heartbeats.
-	Restarts int     `json:"restarts,omitempty"`
-	Error    string  `json:"error,omitempty"`
-	Result   *Result `json:"result,omitempty"`
+	Restarts int `json:"restarts,omitempty"`
+	// CancelRequested means a cancellation was acknowledged while the run
+	// was running: it stays running until the executor stops, then lands in
+	// cancelled (also after a server restart). A terminal snapshot keeps it.
+	CancelRequested bool    `json:"cancel_requested,omitempty"`
+	Error           string  `json:"error,omitempty"`
+	Result          *Result `json:"result,omitempty"`
 	// Worker is the ID of the fleet worker the run last executed on.
 	// Empty when the server executes runs embedded (no -fleet-addr).
 	Worker string `json:"worker,omitempty"`
@@ -118,7 +122,7 @@ type Run struct {
 	// transition: CreatedAt at admission, DispatchedAt when a dispatcher
 	// popped it off the queue, StartedAt when the queued→running transition
 	// was applied (the gap to DispatchedAt is the server's Begin overhead,
-	// e.g. waiting for the run store's write lock; nothing waits for an fsync there),
+	// a wait for the run store's map lock; nothing is logged there),
 	// FinishedAt at the terminal transition. Clients
 	// compute queue-vs-execute breakdowns from these.
 	CreatedAt    time.Time  `json:"created_at"`
