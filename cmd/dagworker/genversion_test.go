@@ -21,7 +21,7 @@ import (
 func TestLeasedSpecKeepsGenVersion(t *testing.T) {
 	store := run.NewMemStore()
 	d := dispatch.New(store, dispatch.Options{QueueDepth: 8, Remote: true})
-	m := fleet.NewManager(d, fleet.Options{})
+	m := fleet.NewManager(d, store, fleet.Options{})
 	srv := httptest.NewServer(m.Handler())
 	t.Cleanup(func() {
 		srv.Close()

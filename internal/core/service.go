@@ -148,7 +148,7 @@ func NewService(opts ServiceOptions) (*Service, error) {
 		recovered:       len(recovered),
 	}
 	if opts.Remote {
-		svc.fleet = fleet.NewManager(disp, fleet.Options{
+		svc.fleet = fleet.NewManager(disp, store, fleet.Options{
 			LeaseTTL: opts.LeaseTTL,
 			Metrics:  opts.Metrics,
 		})

@@ -37,8 +37,8 @@
 //
 // Every leased run has a cancel hook registered in the store, so POST
 // /v1/runs/{id}/cancel aborts the exact run it names: an in-process worker
-// cancels the run's context, the fleet relays the request to the remote
-// worker. Cancelling a run that is still queued removes it from its
+// cancels the run's context; the fleet relays the run's CancelRequested to
+// the remote worker on its next heartbeat. Cancelling a run that is still queued removes it from its
 // tenant's queue immediately, freeing the slot for new submissions.
 package dispatch
 

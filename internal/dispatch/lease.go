@@ -56,7 +56,8 @@ func (d *Dispatcher) work() {
 // onCancel is the run's cancel hook: the store invokes it (possibly under
 // the store's lock — it must not call back into the dispatcher) when
 // cancellation is requested. An in-process worker cancels the run's
-// context; the fleet layer relays it to the worker on its next heartbeat.
+// context; the fleet layer passes a no-op, since its heartbeat reads the
+// acknowledgement off the run (run.Run.CancelRequested).
 func (d *Dispatcher) Lease(ctx context.Context, worker string, supports func(workload, shape string) bool, onCancel func(id string)) (run.Run, error) {
 	stop := context.AfterFunc(ctx, func() {
 		// Lock-step with the wait loop below so a cancellation arriving
@@ -121,9 +122,8 @@ func (d *Dispatcher) Lease(ctx context.Context, worker string, supports func(wor
 
 // complete records the outcome of a leased run — runErr is what
 // store.Finish classifies: nil → succeeded, a context cancellation →
-// cancelled, anything else → failed — then releases the lease's in-flight
-// slot and evicts history past the retention bound. It returns
-// ErrNotLeased when the store does not have the run running.
+// cancelled, anything else → failed — then settles it (see finished). It
+// returns ErrNotLeased when the store does not have the run running.
 func (d *Dispatcher) complete(id string, result *run.Result, runErr error) (run.Run, error) {
 	fr, err := d.store.Finish(id, result, runErr)
 	if errors.Is(err, run.ErrNotRunning) || errors.Is(err, run.ErrNotFound) {
@@ -134,17 +134,24 @@ func (d *Dispatcher) complete(id string, result *run.Result, runErr error) (run.
 		// not survive a restart. Nothing the dispatcher can do beyond log.
 		log.Printf("dispatch: recording completion of %s: %v", id, err)
 	}
+	d.finished(fr)
+	return fr, err
+}
+
+// finished settles a leased run the store just made terminal: it counts
+// the outcome, releases the lease's in-flight slot and evicts history past
+// the retention bound.
+func (d *Dispatcher) finished(fr run.Run) {
 	d.met.completed.With(fr.Spec.Tenant, fr.State.String()).Inc()
 	if fr.StartedAt != nil && fr.FinishedAt != nil {
 		d.met.runDuration.With(fr.Spec.Workload, fr.Spec.Shape.String()).
 			Observe(fr.FinishedAt.Sub(*fr.StartedAt).Seconds())
 	}
-	if result != nil {
-		d.met.runNodes.With(fr.Spec.Workload).Add(float64(result.Nodes))
+	if fr.Result != nil {
+		d.met.runNodes.With(fr.Spec.Workload).Add(float64(fr.Result.Nodes))
 	}
 	d.release(fr.Spec.Tenant)
 	d.evict()
-	return fr, err
 }
 
 // CompleteLease records a worker-reported outcome for a leased run and
@@ -173,9 +180,10 @@ func (d *Dispatcher) CompleteLease(id string, state run.State, errMsg string, re
 	return d.complete(id, result, runErr)
 }
 
-// ExpireLease abandons a leased run whose worker stopped heartbeating:
-// the run is requeued through the store (Restarts++, WAL-logged with the
-// same requeue record crash recovery writes) and re-enqueued at the tail
+// ExpireLease abandons a leased run whose worker stopped heartbeating; the
+// store decides what it becomes (run.Store.Requeue). A run that ends
+// cancelled is settled as complete settles any outcome. A requeued one
+// (Restarts++, the requeue record crash recovery writes) goes to the tail
 // of its tenant's queue for re-dispatch, bypassing queue-depth quotas the
 // same way crash recovery does — the work was already admitted once.
 // Returns ErrNotLeased when the store does not have the run running (its
@@ -186,10 +194,14 @@ func (d *Dispatcher) ExpireLease(id string) (run.Run, error) {
 		return run.Run{}, ErrNotLeased
 	}
 	if err != nil {
-		// As in complete: the run is queued in memory, only its requeue
-		// record may be missing from the log. Re-enqueue it regardless, or
-		// it would sit queued with no queue entry.
-		log.Printf("dispatch: recording requeue of %s: %v", id, err)
+		// As in complete: the outcome stands in memory, only its record
+		// may be missing from the log. Settle it regardless, or a requeued
+		// run would sit queued with no queue entry.
+		log.Printf("dispatch: recording expiry of %s: %v", id, err)
+	}
+	if r.State.Terminal() {
+		d.finished(r)
+		return r, err
 	}
 	d.mu.Lock()
 	tq := d.queueForLocked(r.Spec.Tenant)

@@ -185,6 +185,37 @@ func TestExpireLeaseRedispatches(t *testing.T) {
 	}
 }
 
+// TestExpireLeaseHonoursAcknowledgedCancel pins that an expiry never wipes
+// a cancel the store has acknowledged: the run ends cancelled instead of
+// executing again, and the expiry settles it as a completion would.
+func TestExpireLeaseHonoursAcknowledgedCancel(t *testing.T) {
+	store, d := newRemoteDispatcher(t, Options{QueueDepth: 8})
+	sub, err := d.Submit(pipelineSpec(5, 2, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease(t, d, "w1")
+	if c, err := d.Cancel(sub.ID); err != nil || !c.CancelRequested {
+		t.Fatalf("Cancel(leased) = %+v, %v; want CancelRequested", c, err)
+	}
+
+	r, err := d.ExpireLease(sub.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := store.Get(sub.ID)
+	if r.State != run.StateCancelled || got.State != run.StateCancelled || got.Restarts != 0 {
+		t.Fatalf("ExpireLease returned %s, stored %s restarts %d; want cancelled, restarts 0", r.State, got.State, got.Restarts)
+	}
+	ts := d.Snapshot().Tenants[got.Spec.Tenant]
+	if ts.InFlight != 0 || ts.Queued != 0 || ts.Completed != 1 {
+		t.Fatalf("tenant after expiry = %+v, want nothing in flight or queued, one completed", ts)
+	}
+	if _, err := d.ExpireLease(sub.ID); !errors.Is(err, ErrNotLeased) {
+		t.Errorf("second ExpireLease = %v, want ErrNotLeased", err)
+	}
+}
+
 // TestLeaseWorkloadFilter pins eligibility routing: a worker that only
 // supports hashchain must not be handed a pathcount run, and a tenant
 // whose queued work is unsupported is skipped rather than blocking.

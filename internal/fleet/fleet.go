@@ -9,28 +9,31 @@
 // receives a unique worker ID plus the coordinator's lease TTL and
 // heartbeat interval (HeartbeatInterval of the TTL). It then long-polls for
 // leases: each grant transitions one run to running through the dispatcher
-// (store.Begin, WAL-logged, attributed to the worker ID) and starts a lease
-// clock. While executing, the worker heartbeats every interval; a heartbeat
+// (store.Begin, attributed to the worker ID) and starts a lease clock.
+// While executing, the worker heartbeats every interval; a heartbeat
 // extends every lease it names and returns two lists — runs the
-// coordinator wants cancelled (relayed from POST /v1/runs/{id}/cancel)
-// and runs whose leases the coordinator already gave up on (the worker
-// must abort those; a re-dispatched attempt owns them now). Results are
-// reported through complete, which ends the lease.
+// coordinator wants cancelled (a POST /v1/runs/{id}/cancel acknowledged on
+// the run) and runs whose leases the coordinator already gave up on (the
+// worker must abort those; a re-dispatched attempt owns them now). Results
+// are reported through complete, which ends the lease.
 //
 // # Failure model
 //
-// A lease not extended within LeaseTTL expires: the sweeper requeues the
-// run through the dispatcher (Restarts++, same WAL requeue record crash
-// recovery writes) for re-dispatch to a surviving worker — unless a
-// cancellation was pending, in which case the run completes as cancelled
-// rather than restarting. A worker that stops polling and heartbeating
-// entirely is forgotten once its registration lapses; if it comes back
-// (e.g. after a coordinator restart wiped the registry) it re-registers
-// and resumes. Completion reports and lease expiry race benignly: the
-// store's running state is the lease (see internal/dispatch), the loser
-// gets dispatch.ErrNotLeased, and its report is refused with a conflict the
-// worker treats as "stop working on this". The lease table here records
-// only who holds each lease and until when.
+// A lease not extended within LeaseTTL expires: the sweeper hands the run
+// back through dispatch.ExpireLease, and the run store decides what it
+// becomes by the rule crash recovery uses — requeued (Restarts++, same WAL
+// requeue record) for re-dispatch to a surviving worker, or finished
+// cancelled if a cancellation was acknowledged on it. A worker that stops
+// polling and heartbeating entirely is forgotten once its registration
+// lapses; if it comes back (e.g. after a coordinator restart wiped the
+// registry) it re-registers and resumes. Completion reports and lease
+// expiry race benignly: the store's running state is the lease (see
+// internal/dispatch), the loser gets dispatch.ErrNotLeased, and its report
+// is refused with a conflict the worker treats as "stop working on this".
+//
+// The lease table here holds deadlines only: each worker's map from run
+// ID to when its lease lapses, the holder being the worker whose map names
+// the run. Whether a cancel is pending is read off the run in the store.
 package fleet
 
 import (
@@ -40,7 +43,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/dispatch"
@@ -60,22 +62,11 @@ func HeartbeatInterval(ttl time.Duration) time.Duration { return ttl / 5 }
 // Options configures a Manager.
 type Options struct {
 	// LeaseTTL is how long a granted lease survives without a heartbeat
-	// before the run is requeued. Zero means DefaultLeaseTTL.
+	// before it expires. Zero means DefaultLeaseTTL.
 	LeaseTTL time.Duration
 	// Metrics receives the fleet instrumentation (worker count, leases
-	// granted/expired, heartbeats). Nil means a private throwaway
-	// registry, so the instruments are always live.
+	// granted/expired, heartbeats). Nil disables it.
 	Metrics *metrics.Registry
-}
-
-func (o Options) withDefaults() Options {
-	if o.LeaseTTL <= 0 {
-		o.LeaseTTL = DefaultLeaseTTL
-	}
-	if o.Metrics == nil {
-		o.Metrics = metrics.NewRegistry()
-	}
-	return o
 }
 
 // worker is one registered dagworker process. Guarded by Manager.mu. The
@@ -84,34 +75,25 @@ type worker struct {
 	id        string
 	name      string
 	capacity  int
-	workloads map[string]bool // nil/empty = every workload
-	shapes    map[string]bool // nil/empty = every DAG shape
-	expiresAt time.Time       // registration lapses without polls/heartbeats
-	polls     int             // acquire calls in flight
-	leases    map[string]bool // run IDs currently leased to this worker
-	lost      []string        // expired leases not yet relayed on a heartbeat
-}
-
-// lease is one outstanding grant: who holds it and until when. Guarded by
-// Manager.mu, except cancelled, which the run's cancel hook sets from under
-// the store's lock and so must never need mu.
-type lease struct {
-	workerID  string
-	expiresAt time.Time
-	cancelled atomic.Bool
+	workloads map[string]bool      // nil/empty = every workload
+	shapes    map[string]bool      // nil/empty = every DAG shape
+	expiresAt time.Time            // registration lapses without polls/heartbeats
+	polls     int                  // acquire calls in flight
+	leases    map[string]time.Time // run ID → when its lease lapses
+	lost      []string             // expired leases not yet relayed on a heartbeat
 }
 
 // Manager owns the worker registry and lease table over a remote-mode
 // dispatcher, and runs the expiry sweeper.
 type Manager struct {
-	disp *dispatch.Dispatcher
-	opts Options
-	now  func() time.Time // stamps leases and registrations; tests fake it
+	disp  *dispatch.Dispatcher
+	store *run.Store // the dispatcher's: heartbeats read pending cancels off it
+	opts  Options
+	now   func() time.Time // stamps leases and registrations; tests fake it
 
 	mu      sync.Mutex
 	seq     int
 	workers map[string]*worker
-	leases  map[string]*lease // by run ID
 
 	stop chan struct{}
 	done chan struct{}
@@ -128,15 +110,17 @@ type instruments struct {
 }
 
 // NewManager starts a Manager (and its expiry sweeper) over a dispatcher
-// created with Options.Remote. Callers must eventually call Close.
-func NewManager(d *dispatch.Dispatcher, opts Options) *Manager {
-	opts = opts.withDefaults()
+// created with Options.Remote on store. Callers must eventually call Close.
+func NewManager(d *dispatch.Dispatcher, store *run.Store, opts Options) *Manager {
+	if opts.LeaseTTL <= 0 {
+		opts.LeaseTTL = DefaultLeaseTTL
+	}
 	m := &Manager{
 		disp:    d,
+		store:   store,
 		opts:    opts,
 		now:     time.Now,
 		workers: make(map[string]*worker),
-		leases:  make(map[string]*lease),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -149,10 +133,9 @@ func NewManager(d *dispatch.Dispatcher, opts Options) *Manager {
 		heartbeats:  reg.Counter("dagd_lease_heartbeats_total", "Heartbeats accepted from workers."),
 	}
 	reg.OnCollect(func() {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		m.met.workers.Set(float64(len(m.workers)))
-		m.met.activeLease.Set(float64(len(m.leases)))
+		st := m.Stats()
+		m.met.workers.Set(float64(st.Workers))
+		m.met.activeLease.Set(float64(st.ActiveLeases))
 	})
 	go m.sweep()
 	return m
@@ -175,7 +158,11 @@ type Stats struct {
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return Stats{Workers: len(m.workers), ActiveLeases: len(m.leases)}
+	st := Stats{Workers: len(m.workers)}
+	for _, w := range m.workers {
+		st.ActiveLeases += len(w.leases)
+	}
+	return st
 }
 
 // register admits a worker and returns its unique ID. An unknown or empty
@@ -223,7 +210,7 @@ func (m *Manager) register(name string, capacity int, workloads, shapes []string
 		workloads: set,
 		shapes:    shapeSet,
 		expiresAt: m.deadline(),
-		leases:    make(map[string]bool),
+		leases:    make(map[string]time.Time),
 	}
 	return id, nil
 }
@@ -272,10 +259,8 @@ func (m *Manager) acquire(ctx context.Context, workerID string) (run.Run, error)
 	supports := w.supports()
 	m.mu.Unlock()
 
-	l := &lease{workerID: workerID}
-	// The hook fires from store.Cancel, possibly under the store's lock:
-	// record only, the next heartbeat relays it.
-	r, err := m.disp.Lease(ctx, workerID, supports, func(string) { l.cancelled.Store(true) })
+	// No cancel hook: a heartbeat reads the acknowledgement off the run.
+	r, err := m.disp.Lease(ctx, workerID, supports, func(string) {})
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -283,10 +268,8 @@ func (m *Manager) acquire(ctx context.Context, workerID string) (run.Run, error)
 	if err != nil {
 		return run.Run{}, err
 	}
-	l.expiresAt = m.deadline()
-	m.leases[r.ID] = l
-	w.leases[r.ID] = true
-	w.expiresAt = l.expiresAt
+	w.expiresAt = m.deadline()
+	w.leases[r.ID] = w.expiresAt
 	m.met.granted.Inc()
 	return r, nil
 }
@@ -312,7 +295,8 @@ func (w *worker) supports() func(workload, shape string) bool {
 }
 
 // heartbeat extends the named leases and returns the runs the worker must
-// cancel and the leases it has lost. Unknown worker IDs report false —
+// cancel — those of its leases whose runs carry an acknowledged cancel in
+// the store — and the leases it has lost. Unknown worker IDs report false:
 // the worker re-registers and its orphaned leases expire on schedule.
 func (m *Manager) heartbeat(workerID string, running []string) (cancel, lost []string, ok bool) {
 	m.mu.Lock()
@@ -322,12 +306,11 @@ func (m *Manager) heartbeat(workerID string, running []string) (cancel, lost []s
 		return nil, nil, false
 	}
 	w.expiresAt = m.deadline()
+	var holding []string
 	for _, id := range running {
-		if l, held := m.leases[id]; held && l.workerID == workerID {
-			l.expiresAt = w.expiresAt
-			if l.cancelled.Load() {
-				cancel = append(cancel, id)
-			}
+		if _, held := w.leases[id]; held {
+			w.leases[id] = w.expiresAt
+			holding = append(holding, id)
 		} else {
 			lost = append(lost, id)
 		}
@@ -337,6 +320,12 @@ func (m *Manager) heartbeat(workerID string, running []string) (cancel, lost []s
 	lost = append(lost, w.lost...)
 	w.lost = nil
 	m.mu.Unlock()
+	// The store is read outside mu, so the store's lock never nests in it.
+	for _, id := range holding {
+		if r, err := m.store.Get(id); err == nil && r.CancelRequested {
+			cancel = append(cancel, id)
+		}
+	}
 	m.met.heartbeats.Inc()
 	sort.Strings(lost)
 	return cancel, dedupe(lost), true
@@ -361,13 +350,15 @@ func (m *Manager) complete(workerID, runID string, state run.State, errMsg strin
 		return run.Run{}, fmt.Errorf("fleet: non-terminal completion state %s", state)
 	}
 	m.mu.Lock()
-	l, held := m.leases[runID]
-	if !held || l.workerID != workerID {
+	w := m.workers[workerID]
+	held := false
+	if w != nil {
+		_, held = w.leases[runID]
+	}
+	if !held {
 		m.mu.Unlock()
 		return run.Run{}, dispatch.ErrNotLeased
 	}
-	delete(m.leases, runID)
-	w := m.workers[workerID]
 	delete(w.leases, runID)
 	w.expiresAt = m.deadline()
 	m.mu.Unlock()
@@ -377,9 +368,8 @@ func (m *Manager) complete(workerID, runID string, state run.State, errMsg strin
 var errUnknownWorker = fmt.Errorf("fleet: unknown worker")
 
 // sweep is the expiry loop: every quarter TTL it expires overdue leases
-// (requeueing their runs, or completing them as cancelled when a cancel
-// was already pending — restarting a run the user asked to stop would be
-// worse than failing it) and forgets workers whose registrations lapsed.
+// (the store requeues their runs, or finishes them cancelled when a cancel
+// was acknowledged) and forgets workers whose registrations lapsed.
 func (m *Manager) sweep() {
 	defer close(m.done)
 	t := time.NewTicker(m.opts.LeaseTTL / 4)
@@ -396,26 +386,20 @@ func (m *Manager) sweep() {
 
 // sweepOnce expires overdue state as of now. Split out for tests.
 func (m *Manager) sweepOnce(now time.Time) {
-	type victim struct {
-		runID     string
-		workerID  string
-		cancelled bool
-	}
+	type victim struct{ runID, workerID string }
 	var victims []victim
 
 	m.mu.Lock()
-	for id, l := range m.leases {
-		if now.After(l.expiresAt) {
-			victims = append(victims, victim{runID: id, workerID: l.workerID, cancelled: l.cancelled.Load()})
-			delete(m.leases, id)
-			w := m.workers[l.workerID]
-			delete(w.leases, id)
-			w.lost = append(w.lost, id)
+	for wid, w := range m.workers {
+		for id, expiresAt := range w.leases {
+			if now.After(expiresAt) {
+				victims = append(victims, victim{runID: id, workerID: wid})
+				delete(w.leases, id)
+				w.lost = append(w.lost, id)
+			}
 		}
-	}
-	for id, w := range m.workers {
 		if len(w.leases) == 0 && w.polls == 0 && now.After(w.expiresAt) {
-			delete(m.workers, id)
+			delete(m.workers, wid)
 		}
 	}
 	m.mu.Unlock()
@@ -424,19 +408,12 @@ func (m *Manager) sweepOnce(now time.Time) {
 	// and may fsync, and nothing here needs the registry anymore.
 	for _, v := range victims {
 		m.met.expiries.Inc()
-		if v.cancelled {
-			if _, err := m.disp.CompleteLease(v.runID, run.StateCancelled,
-				fmt.Sprintf("worker %s lost its lease with a cancellation pending", v.workerID), nil); err != nil {
-				log.Printf("fleet: finishing cancelled run %s after lease expiry: %v", v.runID, err)
-			}
-			continue
-		}
 		r, err := m.disp.ExpireLease(v.runID)
 		if err != nil {
 			log.Printf("fleet: expiring lease of %s (worker %s): %v", v.runID, v.workerID, err)
 			continue
 		}
-		log.Printf("fleet: lease of %s expired (worker %s stopped heartbeating); requeued with restarts=%d",
-			v.runID, v.workerID, r.Restarts)
+		log.Printf("fleet: lease of %s expired (worker %s stopped heartbeating); %s with restarts=%d",
+			v.runID, v.workerID, r.State, r.Restarts)
 	}
 }

@@ -41,10 +41,12 @@ func newStack(t *testing.T, opts Options) *harness {
 	store := run.NewMemStore()
 	d := dispatch.New(store, dispatch.Options{QueueDepth: 64, Remote: true, Metrics: reg})
 	opts.Metrics = reg
-	m := NewManager(d, opts)
+	m := NewManager(d, store, opts)
 	t.Cleanup(func() {
 		m.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		// Most tests leave runs queued or leased that no worker will
+		// finish: the drain only has to stop the dispatcher, not wait.
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 		defer cancel()
 		d.Shutdown(ctx)
 	})

@@ -21,11 +21,12 @@ import (
 // heartbeat, complete, cancel and sweep steps over up to three workers and
 // eight runs, on a fake clock the program advances. After every step it
 // checks that the three views of "leased" agree — the store's running runs,
-// the dispatcher's in-flight slots and the manager's lease table — that no
-// run is in two workers' lease sets, and that no terminal run leaves its
+// the dispatcher's in-flight slots and the workers' lease tables — that no
+// run is in two workers' tables, and that no terminal run leaves its
 // state. Of a completion and an expiry exactly one wins and the other gets
-// dispatch.ErrNotLeased. A final drain must bring every run to a terminal
-// state exactly once.
+// dispatch.ErrNotLeased, and an expiry never loses a cancel the store has
+// acknowledged. A final drain must bring every run to a terminal state
+// exactly once.
 func FuzzLeaseProtocol(f *testing.F) {
 	for _, seed := range leaseSeeds {
 		f.Add(seed)
@@ -54,6 +55,7 @@ const (
 	opCancel           // run (through the dispatcher, as POST /v1/runs/{id}/cancel does)
 	opSweep            // clock advance, in sixteenths of the TTL
 	opRace             // run, state: its holder's completion races a sweep past its lease
+	opWindow           // clock advance, victim: a cancel lands between a sweep's pick and its expiry
 	numOps
 )
 
@@ -102,6 +104,9 @@ var leaseSeeds = [][]byte{
 	// completion racing expiry, without and with a cancellation pending.
 	{opSubmit, 0, opRegister, 0, 0, 0, opAcquire, 0, opRace, 0, 0},
 	{opSubmit, 0, opRegister, 0, 0, 0, opAcquire, 0, opCancel, 0, opRace, 0, 1},
+	// a cancel acknowledged inside the sweeper's window: of two overdue
+	// leases, the cancelled one ends cancelled and the other requeues.
+	{opSubmit, 0, opSubmit, 0, opRegister, 0, 1, 0, opAcquire, 0, opAcquire, 0, opWindow, 17, 1},
 }
 
 // leaseSim is one program's run: the coordinator stack and what the program
@@ -156,6 +161,9 @@ func (s *leaseSim) step(op int) {
 		s.checkExpired(overdue)
 	case opRace:
 		s.race(s.arg(), simStates[s.arg()%2])
+	case opWindow:
+		s.clock = s.clock.Add(time.Duration(s.arg()) * DefaultLeaseTTL / 16)
+		s.window(s.arg())
 	}
 }
 
@@ -176,16 +184,21 @@ func (s *leaseSim) run(b int) (string, bool) {
 	return s.runs[b%len(s.runs)], true
 }
 
-// lease reads a run's entry in the manager's lease table.
+// lease finds a run in the lease tables — the worker whose table holds it
+// and its deadline — and reads off the run whether a cancel is pending.
 func (s *leaseSim) lease(id string) (holder string, expiresAt time.Time, cancelled, ok bool) {
 	m := s.h.mgr
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	l, ok := m.leases[id]
-	if !ok {
-		return "", time.Time{}, false, false
+	for wid, w := range m.workers {
+		if at, held := w.leases[id]; held {
+			holder, expiresAt, ok = wid, at, true
+		}
 	}
-	return l.workerID, l.expiresAt, l.cancelled.Load(), true
+	m.mu.Unlock()
+	if ok {
+		cancelled = s.get(id).CancelRequested
+	}
+	return holder, expiresAt, cancelled, ok
 }
 
 func (s *leaseSim) submit(hashchain bool) {
@@ -358,8 +371,8 @@ func (s *leaseSim) cancel(b int) {
 			s.t.Fatalf("Cancel(queued %s) = %s, %v; want cancelled", rid, r.State, err)
 		}
 	case run.StateRunning:
-		if _, _, pending, _ := s.lease(rid); err != nil || r.State != run.StateRunning || !pending {
-			s.t.Fatalf("Cancel(running %s) = %s, %v, pending on its lease %v; want running with the cancel pending", rid, r.State, err, pending)
+		if err != nil || r.State != run.StateRunning || !r.CancelRequested {
+			s.t.Fatalf("Cancel(running %s) = %+v, %v; want running with the cancel acknowledged", rid, r, err)
 		}
 	default:
 		if !errors.Is(err, run.ErrTerminal) {
@@ -380,15 +393,17 @@ func (s *leaseSim) overdue() map[string]expiry {
 	m := s.h.mgr
 	m.mu.Lock()
 	out := map[string]expiry{}
-	for rid, l := range m.leases {
-		if s.clock.After(l.expiresAt) {
-			out[rid] = expiry{cancelled: l.cancelled.Load()}
+	for _, w := range m.workers {
+		for rid, expiresAt := range w.leases {
+			if s.clock.After(expiresAt) {
+				out[rid] = expiry{}
+			}
 		}
 	}
 	m.mu.Unlock()
-	for rid, e := range out {
-		e.restarts = s.get(rid).Restarts
-		out[rid] = e
+	for rid := range out {
+		r := s.get(rid)
+		out[rid] = expiry{cancelled: r.CancelRequested, restarts: r.Restarts}
 	}
 	return out
 }
@@ -407,6 +422,45 @@ func (s *leaseSim) checkExpired(overdue map[string]expiry) {
 				rid, e.cancelled, e.restarts, r.State, r.Restarts)
 		}
 	}
+}
+
+// window replays the sweeper's unlocked stretch: the overdue leases leave
+// the tables as sweepOnce takes them, one victim is cancelled after the
+// sweep picked it and before its expiry reaches the store, and then each
+// victim is expired through the dispatcher. The store acknowledged that
+// cancel, so the expiry must honour it: the victim ends cancelled with
+// Restarts unchanged instead of executing again.
+func (s *leaseSim) window(b int) {
+	overdue := s.overdue()
+	if len(overdue) == 0 {
+		return
+	}
+	var victims []string
+	m := s.h.mgr
+	m.mu.Lock()
+	for _, w := range m.workers {
+		for rid := range w.leases {
+			if _, ok := overdue[rid]; ok {
+				victims = append(victims, rid)
+				delete(w.leases, rid)
+				w.lost = append(w.lost, rid)
+			}
+		}
+	}
+	m.mu.Unlock()
+	sort.Strings(victims)
+
+	cancelled := victims[b%len(victims)]
+	if r, err := s.h.disp.Cancel(cancelled); err != nil || !r.CancelRequested {
+		s.t.Fatalf("Cancel(%s) inside the sweeper's window = %+v, %v; want the cancel acknowledged", cancelled, r, err)
+	}
+	overdue[cancelled] = expiry{cancelled: true, restarts: overdue[cancelled].restarts}
+	for _, rid := range victims {
+		if _, err := s.h.disp.ExpireLease(rid); err != nil {
+			s.t.Fatalf("ExpireLease(%s) of a lease the sweep took = %v", rid, err)
+		}
+	}
+	s.checkExpired(overdue)
 }
 
 // race runs the holder's completion of a run concurrently with a sweep past
@@ -477,10 +531,6 @@ func (s *leaseSim) check() {
 
 	m := s.h.mgr
 	m.mu.Lock()
-	leases := make(map[string]string, len(m.leases))
-	for rid, l := range m.leases {
-		leases[rid] = l.workerID
-	}
 	owner := map[string]string{}
 	for wid, w := range m.workers {
 		if w.polls != 0 || len(w.leases) > w.capacity {
@@ -490,20 +540,20 @@ func (s *leaseSim) check() {
 		for rid := range w.leases {
 			if other, dup := owner[rid]; dup {
 				m.mu.Unlock()
-				s.t.Fatalf("%s is in the lease sets of both %s and %s", rid, other, wid)
+				s.t.Fatalf("%s is in the lease tables of both %s and %s", rid, other, wid)
 			}
 			owner[rid] = wid
 		}
 	}
 	m.mu.Unlock()
 
-	if counts[run.StateRunning] != inflight || inflight != len(leases) || len(owner) != len(leases) {
-		s.t.Fatalf("store running %d, in-flight slots %d, lease table %d, worker lease sets %d: want all equal",
-			counts[run.StateRunning], inflight, len(leases), len(owner))
+	if counts[run.StateRunning] != inflight || inflight != len(owner) {
+		s.t.Fatalf("store running %d, in-flight slots %d, lease tables %d: want all equal",
+			counts[run.StateRunning], inflight, len(owner))
 	}
-	for rid, holder := range leases {
-		if r := s.get(rid); owner[rid] != holder || r.State != run.StateRunning || r.Worker != holder {
-			s.t.Fatalf("%s leased to %s, in the lease set of %q, stored %s on %q", rid, holder, owner[rid], r.State, r.Worker)
+	for rid, holder := range owner {
+		if r := s.get(rid); r.State != run.StateRunning || r.Worker != holder {
+			s.t.Fatalf("%s leased to %s, stored %s on %q", rid, holder, r.State, r.Worker)
 		}
 	}
 	for _, rid := range s.runs {

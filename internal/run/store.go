@@ -99,22 +99,27 @@ type Log interface {
 // the log's mutex (never both), then the log's group committer's. A log
 // never calls into the store while holding its own.
 //
-// # Recovery
+// # Interrupted runs
 //
-// Recover rebuilds a store from a replayed log. Terminal runs are restored
-// as immutable history. Runs that were queued or running are re-admitted:
-// reset to queued (execution fields cleared, Restarts incremented), logged
-// as OpRequeue so a second crash replays the same, and returned oldest
-// first for the caller to hand to a dispatcher. Two finish terminally
-// instead, logged as OpPut: a running run carrying CancelRequested
-// recovers as cancelled, and one whose spec no longer passes
-// Validate as failed. The latter covers a newer binary's tighter bounds, a
-// hand-edited log, and a retired gen_version (gen.CheckVersion): a run
-// interrupted under version 1, or logged before versions existed, would
-// have to regenerate a graph whose generator is gone, so it fails closed
-// instead of executing a different one. Terminal runs never regenerate and
-// replay as they were. Every run is in memory, in its recovered state,
-// before the first of these records is appended.
+// A run whose execution is lost — its worker's lease expired (Requeue), or
+// the process died (Recover) — goes through one rule: with CancelRequested
+// it ends cancelled, Restarts unchanged; otherwise it is reset to queued
+// (execution fields cleared, Restarts incremented) for a retry. Requeue
+// applies it under the write lock Cancel takes, so no acknowledged cancel
+// is lost to an expiry.
+//
+// Recover restores terminal runs as immutable history and re-admits the
+// queued and running ones by that rule, logged as OpRequeue so a second
+// crash replays the same, and returned oldest first for the caller to hand
+// to a dispatcher. Its terminal repairs are logged as OpPut: the cancelled
+// outcome, and a run whose spec no longer passes Validate, which recovers
+// as failed. The latter covers a newer binary's tighter bounds, a hand-edited log, and a
+// retired gen_version (gen.CheckVersion): a run interrupted under version
+// 1, or logged before versions existed, would have to regenerate a graph
+// whose generator is gone, so it fails closed instead of executing a
+// different one. Terminal runs never regenerate and replay as they were.
+// Every run is in memory, in its recovered state, before the first of
+// these records is appended.
 type Store struct {
 	log      Log
 	writeMu  sync.Mutex // the write lock: held from apply through Append by awaited transitions
@@ -441,35 +446,51 @@ func (s *Store) Begin(id string, dispatchedAt time.Time, worker string, cancel c
 	return t.run, nil
 }
 
-// Requeue moves a running run back to queued — the lease-expiry path: a
-// remote worker stopped heartbeating, so the run is re-admitted with
-// Restarts incremented and the execution-side fields cleared, the same
-// snapshot Recover gives an interrupted run. The done channel is left open:
-// Await waiters keep waiting for the retry to reach a terminal state.
-// Returns ErrNotRunning unless the run is currently running.
+// Requeue settles a running run whose remote worker stopped heartbeating,
+// by the rule in "Interrupted runs" (type doc): cancelled, releasing Await
+// waiters, if a cancel was acknowledged on it; otherwise queued for a
+// retry the waiters keep waiting for. Returns ErrNotRunning unless the run
+// is currently running.
 func (s *Store) Requeue(id string) (Run, error) {
 	return s.transition(id, func(t *tracked) (Op, error) {
 		if t.run.State != StateRunning {
 			return "", fmt.Errorf("%w (state %s)", ErrNotRunning, t.run.State)
 		}
-		requeueSnapshot(&t.run)
 		t.cancel = nil
-		return OpRequeue, nil
+		if !interrupt(&t.run, "the worker's lease expired") {
+			return OpRequeue, nil
+		}
+		s.file(t)
+		close(t.done)
+		return OpFinish, nil
 	})
 }
 
-// requeueSnapshot turns an interrupted run's snapshot into the queued one
-// its retry starts from: Restarts incremented, every execution-side field
-// and any cancel acknowledgement cleared.
-func requeueSnapshot(r *Run) {
+// interrupt applies the interrupted-run rule to r and reports whether it
+// ended cancelled: honouring an acknowledged cancel means finishing it, not
+// re-executing the run. Otherwise r becomes the queued snapshot its retry
+// starts from. cause, what was lost, goes into the cancelled run's error.
+func interrupt(r *Run, cause string) (cancelled bool) {
+	if r.CancelRequested {
+		end(r, StateCancelled, "cancelled; "+cause+" before the cancellation completed")
+		return true
+	}
 	r.State = StateQueued
 	r.Restarts++
-	r.CancelRequested = false
 	r.DispatchedAt = nil
 	r.StartedAt = nil
 	r.Worker = ""
 	r.Result = nil
 	r.Error = ""
+	return false
+}
+
+// end finishes an interrupted run in state with msg as its error, stamped
+// now, with no result.
+func end(r *Run, state State, msg string) {
+	now := time.Now().Round(0)
+	r.State, r.Error, r.FinishedAt, r.Result = state, msg, &now, nil
+	redactEdges(r)
 }
 
 // Finish transitions a running run to its terminal state: cancelled if err
@@ -581,8 +602,8 @@ func (s *Store) Cancel(id string) (Run, error) {
 
 // Recover loads replayed — every run a log held, in any order — into an
 // empty store before it serves, and re-admits what was interrupted (see
-// "Recovery" in the type doc). It returns the runs to re-admit, oldest
-// first.
+// "Interrupted runs" in the type doc). It returns the runs to re-admit,
+// oldest first.
 func (s *Store) Recover(replayed []Run) ([]Run, error) {
 	var history, readmitted, recovered []Run
 	var ops []Op
@@ -637,24 +658,16 @@ func (s *Store) Recover(replayed []Run) ([]Run, error) {
 
 // readmit derives what an interrupted run becomes on recovery, and the op
 // that logs it: queued again (OpRequeue), or one of the two terminal
-// repairs (OpPut).
+// repairs (OpPut). Only recovery re-validates the spec: Requeue holds the
+// store's lock, which an explicit spec's DAG build must not run under.
 func readmit(r Run) (Run, Op) {
-	end := func(state State, msg string) (Run, Op) {
-		now := time.Now().Round(0)
-		r.State, r.Error, r.FinishedAt, r.Result = state, msg, &now, nil
-		redactEdges(&r)
+	if interrupt(&r, "the service restarted") {
 		return r, OpPut
 	}
-	if r.CancelRequested {
-		// The process died before the dispatcher recorded the outcome;
-		// honouring the acknowledgement means finishing the cancellation,
-		// not re-executing the run.
-		return end(StateCancelled, "cancelled; the service restarted before the cancellation completed")
-	}
-	requeueSnapshot(&r)
 	if err := r.Spec.Validate(); err != nil {
 		// Admission would refuse this spec now: never re-execute it.
-		return end(StateFailed, fmt.Sprintf("spec failed re-validation during crash recovery: %v", err))
+		end(&r, StateFailed, fmt.Sprintf("spec failed re-validation during crash recovery: %v", err))
+		return r, OpPut
 	}
 	return r, OpRequeue
 }

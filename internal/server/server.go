@@ -34,7 +34,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/core"
@@ -59,10 +58,9 @@ const maxWait = 30 * time.Second
 
 // Server is the HTTP front end for a core.Service.
 type Server struct {
-	svc      *core.Service
-	mux      *http.ServeMux
-	logf     func(format string, args ...any)
-	draining atomic.Bool // set once graceful shutdown begins
+	svc  *core.Service
+	mux  *http.ServeMux
+	logf func(format string, args ...any)
 
 	httpRequests *metrics.CounterVec   // dagd_http_requests_total{route,method,status}
 	httpLatency  *metrics.HistogramVec // dagd_http_request_seconds{route,method}
@@ -141,7 +139,6 @@ func (s *Server) serve(ctx context.Context, ln net.Listener, drainTimeout time.D
 	}
 
 	log.Printf("dagd: shutting down, draining for up to %v", drainTimeout)
-	s.draining.Store(true)
 	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	// Drain the run service while still serving HTTP: /readyz has flipped
@@ -352,12 +349,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleReady is the readiness probe: once shutdown begins (or the
-// dispatcher stops accepting work) it answers 503 with code shutting_down
+// handleReady is the readiness probe: once shutdown begins — the
+// dispatcher stops accepting work — it answers 503 with code shutting_down
 // so load balancers route new submissions elsewhere, while liveness stays
 // green.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() || s.svc.Dispatcher.Draining() {
+	if s.svc.Dispatcher.Draining() {
 		writeError(w, dispatch.ErrShuttingDown, nil)
 		return
 	}

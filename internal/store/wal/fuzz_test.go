@@ -199,6 +199,8 @@ func FuzzStoreReplay(f *testing.F) {
 	// TestCancelRequestedSurvivesCrash: a cancel acknowledged while running.
 	f.Add([]byte{0, progCreate, 0, progBegin, 0, progCancel, 0})
 	f.Add([]byte{3, progCreate, 0, progBegin, 0, progCancel, 0, progCreate, 0, progBegin, 1, progCancelled, 1})
+	// A lease expiry after an acknowledged cancel finishes the run cancelled.
+	f.Add([]byte{0, progCreate, 0, progBegin, 0, progCancel, 0, progRequeue, 0})
 	// Races, a lease expiry, retention and a rollback, across compaction
 	// swaps and rotations with fsync on.
 	f.Add([]byte{7, progCreate, 0, progCreate, 0, progCreate, 0, progCreate, 0, progBegin, 0, progBegin, 1,
@@ -272,9 +274,13 @@ func FuzzStoreReplay(f *testing.F) {
 					cancelAcked[id] = true
 				}
 			case progRequeue:
-				_, err := s.Requeue(id)
+				r, err := s.Requeue(id)
 				refused(err)
 				if err == nil {
+					// An acknowledged cancel ends the run; nothing else does.
+					if cancelAcked[id] != (r.State == run.StateCancelled) {
+						t.Fatalf("Requeue of %s with cancel acknowledged %v = %s", id, cancelAcked[id], r.State)
+					}
 					delete(cancelAcked, id)
 				}
 			case progDelete:
@@ -303,7 +309,8 @@ func FuzzStoreReplay(f *testing.F) {
 				if (finishErr == nil) == (requeueErr == nil) {
 					t.Fatalf("Finish = %v, Requeue = %v: exactly one may take a running run", finishErr, requeueErr)
 				}
-				// Finished, or requeued — after any cancel that came first.
+				// Finished, requeued, or — after a cancel that came first —
+				// cancelled by the requeue: not running either way.
 				delete(cancelAcked, id)
 			case progBeginRace:
 				if r, err := s.Get(id); err != nil || r.State != run.StateQueued {

@@ -581,10 +581,12 @@ func testDelete(t *testing.T, newStore Factory) {
 	}
 }
 
-// testRequeue exercises the lease-expiry path: a running run drops back to
-// queued with Restarts incremented, execution fields and a pending cancel
-// acknowledgement cleared, attribution intact, and Await waiters still
-// parked until the retry finishes.
+// testRequeue exercises the lease-expiry path in its two outcomes. A
+// running run drops back to queued with Restarts incremented, execution
+// fields cleared, attribution intact, and Await waiters still parked until
+// the retry finishes. A running run with a cancel acknowledged ends
+// cancelled instead: Restarts unchanged, Await released, and filed as
+// terminal history that EvictTerminal counts.
 func testRequeue(t *testing.T, newStore Factory) {
 	s := newStore(t)
 
@@ -616,11 +618,6 @@ func testRequeue(t *testing.T, newStore Factory) {
 	}()
 	time.Sleep(10 * time.Millisecond)
 
-	// The lease expires with a cancellation acknowledged but not yet acted
-	// on: the retry starts afresh.
-	if c, err := s.Cancel(r.ID); err != nil || !c.CancelRequested {
-		t.Fatalf("Cancel(running) = %+v, %v; want CancelRequested", c, err)
-	}
 	q, err := s.Requeue(r.ID)
 	if err != nil {
 		t.Fatalf("Requeue(running): %v", err)
@@ -628,7 +625,7 @@ func testRequeue(t *testing.T, newStore Factory) {
 	if q.State != run.StateQueued || q.Restarts != 1 {
 		t.Fatalf("Requeue = state %s restarts %d, want queued/1", q.State, q.Restarts)
 	}
-	if q.Worker != "" || q.DispatchedAt != nil || q.StartedAt != nil || q.Error != "" || q.Result != nil || q.CancelRequested {
+	if q.Worker != "" || q.DispatchedAt != nil || q.StartedAt != nil || q.Error != "" || q.Result != nil {
 		t.Errorf("Requeue left execution fields set: %+v", q)
 	}
 	if q.Spec.Tenant != "conformance-tenant" || q.Spec.Priority != 2 {
@@ -660,6 +657,49 @@ func testRequeue(t *testing.T, newStore Factory) {
 
 	if _, err := s.Requeue(r.ID); !errors.Is(err, run.ErrNotRunning) {
 		t.Errorf("Requeue(terminal) = %v, want ErrNotRunning", err)
+	}
+
+	// The lease expires with a cancellation acknowledged but not yet acted
+	// on: the acknowledgement is honoured, and the run never executes again.
+	c := create(t, s)
+	if _, err := s.Begin(c.ID, time.Now(), "worker-1", func() {}); err != nil {
+		t.Fatal(err)
+	}
+	got = make(chan run.Run, 1)
+	go func() {
+		w, err := s.Await(context.Background(), c.ID)
+		if err != nil {
+			t.Error(err)
+		}
+		got <- w
+	}()
+	if a, err := s.Cancel(c.ID); err != nil || !a.CancelRequested {
+		t.Fatalf("Cancel(running) = %+v, %v; want CancelRequested", a, err)
+	}
+	x, err := s.Requeue(c.ID)
+	if err != nil {
+		t.Fatalf("Requeue(running, cancel acknowledged): %v", err)
+	}
+	if x.State != run.StateCancelled || x.Restarts != 0 || !x.CancelRequested || x.FinishedAt == nil || x.Error == "" {
+		t.Fatalf("Requeue with a cancel acknowledged = %+v, want cancelled with restarts 0", x)
+	}
+	select {
+	case w := <-got:
+		if w.State != run.StateCancelled {
+			t.Errorf("released Await state = %s, want cancelled", w.State)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Await never released by a Requeue that cancelled the run")
+	}
+	// Both runs are terminal history: keeping one evicts the older, r.
+	if n := s.EvictTerminal(1); n != 1 {
+		t.Fatalf("EvictTerminal(1) = %d, want 1", n)
+	}
+	if _, err := s.Get(c.ID); err != nil {
+		t.Errorf("the newest terminal run was evicted: %v", err)
+	}
+	if _, err := s.Requeue(c.ID); !errors.Is(err, run.ErrNotRunning) {
+		t.Errorf("Requeue(cancelled) = %v, want ErrNotRunning", err)
 	}
 }
 
