@@ -1,10 +1,46 @@
 package run
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
+
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/gen"
 )
+
+// BenchmarkExecute is one run.Execute per op at two workers over the
+// benchmark's three engine_coarse specs, plus one dynamic spec. It reports
+// each pass's own wall time beside ns/op: on the static specs the reference
+// sweeps beside the parallel pass, so ns/op is about generate +
+// max(serial, parallel); the dynamic spec's reference must follow its pass,
+// so there ns/op stays about the sum.
+func BenchmarkExecute(b *testing.B) {
+	cases := []struct {
+		name string
+		spec Spec
+	}{
+		{"random", Spec{Config: gen.Config{Shape: gen.Random, Nodes: 2000, EdgeProb: 0.01, Seed: 1}, Work: 2000, Workload: "pathcount"}},
+		{"pipeline", Spec{Config: gen.Config{Shape: gen.Pipeline, Stages: 200, Width: 8}, Work: 2000, Workload: "hashchain"}},
+		{"split", Spec{Config: gen.Config{Shape: gen.Pipeline, Stages: 40, Width: 1}, Work: 160000, ParallelWork: true, Workload: "longestpath"}},
+		{"dynamic", Spec{Config: gen.Config{Shape: gen.Dynamic, Stages: 12, Width: 3, EdgeProb: 0.2, Seed: 1}, Work: 2000, Workload: "pathcount"}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			var serialMs, parallelMs float64
+			for i := 0; i < b.N; i++ {
+				res, err := Execute(context.Background(), c.spec, 2)
+				if err != nil {
+					b.Fatal(err)
+				}
+				serialMs += res.SerialMillis
+				parallelMs += res.ParallelMillis
+			}
+			b.ReportMetric(serialMs/float64(b.N), "serial-ms/op")
+			b.ReportMetric(parallelMs/float64(b.N), "parallel-ms/op")
+		})
+	}
+}
 
 // BenchmarkFinishEvict is one completion as the dispatcher drives it —
 // Create → Begin → Finish → EvictTerminal(keep) — against a store already

@@ -23,6 +23,12 @@ var ErrMismatch = errors.New("run: parallel results diverge from serial referenc
 // shared by the dagbench CLI and the dagd dispatcher, so the two surfaces
 // can never drift.
 //
+// On every shape but dynamic the reference sweeps on a goroutine of its own
+// while the parallel pass runs on the caller's, so a run's wall time is the
+// longer pass, not the sum. Both passes watch ctx, and Execute joins the
+// reference before it verifies or returns, on every path; the pass's error
+// is reported before the reference's.
+//
 // defaultWorkers is used when spec.Workers is 0 (<= 0 falls back to
 // NumCPU). On a verification mismatch the measured Result (with Match
 // false) is returned alongside an error wrapping ErrMismatch; on unknown
@@ -48,16 +54,9 @@ func Execute(ctx context.Context, spec Spec, defaultWorkers int) (*Result, error
 		return nil, err
 	}
 
-	t0 := time.Now()
-	serial, err := workload.Serial(ctx, d, spec.Work)
-	if err != nil {
-		return nil, err
-	}
-	serialDur := time.Since(t0)
-
 	// parallel_work (Nabbit UseParallelNodes): the scheduler burns the
 	// per-node work itself, sliced across idle workers, and finalizes each
-	// node with the workload's pure hook. The serial reference above is
+	// node with the workload's pure hook. The serial reference is
 	// untouched — spin never feeds the recurrence — so Verify still compares
 	// like with like.
 	opts := sched.Options{Workers: workers}
@@ -70,12 +69,32 @@ func Execute(ctx context.Context, spec Spec, defaultWorkers int) (*Result, error
 		opts.SplitWork = spec.Work
 		hook = sc.PureCompute()
 	}
+
+	// The DAG is read-only to both passes, and Workload's contract lets
+	// Serial run beside the hook, so the only shared state is the three
+	// variables the join below orders.
+	var (
+		serial    []uint64
+		serialErr error
+		serialDur time.Duration
+	)
+	joined := make(chan struct{})
+	go func() {
+		defer close(joined)
+		t0 := time.Now()
+		serial, serialErr = workload.Serial(ctx, d, spec.Work)
+		serialDur = time.Since(t0)
+	}()
 	t1 := time.Now()
 	parallel, err := sched.New(d, opts).Run(ctx, hook)
+	parallelDur := time.Since(t1)
+	<-joined
 	if err != nil {
 		return nil, err
 	}
-	parallelDur := time.Since(t1)
+	if serialErr != nil {
+		return nil, serialErr
+	}
 
 	return buildResult(workload, spec, d, workers, serial, parallel, serialDur, parallelDur)
 }
@@ -83,7 +102,7 @@ func Execute(ctx context.Context, spec Spec, defaultWorkers int) (*Result, error
 // executeDynamic runs a dynamic-shape spec: the graph is discovered while
 // the parallel pass executes (bounded by the service growth caps), and the
 // serial reference then sweeps the *final* graph — it necessarily runs
-// after the parallel pass, the reverse of the static ordering.
+// after the parallel pass, not beside it as on the static shapes.
 func executeDynamic(ctx context.Context, spec Spec, workload sched.Workload, workers int) (*Result, error) {
 	dyn, err := gen.NewDynamic(spec.Config, gen.DynLimits{MaxNodes: MaxNodes, MaxEdges: MaxEdges})
 	if err != nil {

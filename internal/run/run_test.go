@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -712,6 +714,86 @@ func TestExecuteErrors(t *testing.T) {
 	cancel()
 	if _, err := Execute(ctx, pipelineSpec(), 2); !errors.Is(err, context.Canceled) {
 		t.Errorf("Execute(cancelled ctx) = %v, want context.Canceled", err)
+	}
+}
+
+// slowUnwindWorkload is pathcount whose reference, once cancelled, takes
+// 100 ms more to return, and which counts its reference calls still running
+// in slowUnwindLive. The pass stops within one node, so an Execute that
+// returned without joining its reference would return with one still live.
+const slowUnwindName = "slow-unwind-test"
+
+type slowUnwindWorkload struct{ sched.Workload }
+
+var slowUnwindLive atomic.Int32
+
+func (slowUnwindWorkload) Name() string { return slowUnwindName }
+
+func (w slowUnwindWorkload) Serial(ctx context.Context, d *dag.DAG, work int) ([]uint64, error) {
+	slowUnwindLive.Add(1)
+	defer slowUnwindLive.Add(-1)
+	values, err := w.Workload.Serial(ctx, d, work)
+	if err != nil {
+		time.Sleep(100 * time.Millisecond)
+	}
+	return values, err
+}
+
+func init() {
+	pathcount, err := sched.LookupWorkload("pathcount")
+	if err == nil {
+		err = sched.RegisterWorkload(slowUnwindWorkload{pathcount})
+	}
+	if err != nil {
+		panic(err)
+	}
+}
+
+// TestExecuteCancelStopsBothPasses pins that Execute leaves nothing running
+// behind it. Cancelled 20 ms into a run whose reference sweeps beside the
+// pass, it returns context.Canceled within a second, only after the
+// reference has returned, and with no goroutine of its own left over; a
+// parallel_work spec it cannot split starts nothing at all.
+func TestExecuteCancelStopsBothPasses(t *testing.T) {
+	heavy := Spec{Config: gen.Config{Shape: gen.Pipeline, Stages: 200, Width: 8}, Work: 2_000_000, Workers: 2}
+	slow := heavy
+	slow.Workload = slowUnwindName
+	unsplit := heavy
+	unsplit.Workload = "unsplittable-test"
+	unsplit.ParallelWork = true
+	for _, tc := range []struct {
+		name string
+		spec Spec
+		want error
+	}{
+		{"heavy", heavy, context.Canceled},
+		{"slow-unwind reference", slow, context.Canceled},
+		{"unsplittable parallel_work", unsplit, ErrInvalidSpec},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			timer := time.AfterFunc(20*time.Millisecond, cancel)
+			defer timer.Stop()
+			start := time.Now()
+			_, err := Execute(ctx, tc.spec, 2)
+			if live := slowUnwindLive.Load(); live != 0 {
+				t.Errorf("Execute returned with %d reference sweeps still running", live)
+			}
+			if elapsed := time.Since(start); elapsed > time.Second {
+				t.Errorf("Execute took %v after a cancel at 20ms", elapsed)
+			}
+			if !errors.Is(err, tc.want) {
+				t.Errorf("Execute = %v, want %v", err, tc.want)
+			}
+			for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines a second after Execute returned, %d before it was called",
+						runtime.NumGoroutine(), before)
+				}
+			}
+		})
 	}
 }
 

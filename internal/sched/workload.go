@@ -25,7 +25,9 @@ type Workload interface {
 	// concurrent invocation on distinct nodes.
 	Compute(work int) Compute
 	// Serial computes the reference values with a single-threaded sweep in
-	// topological order, polling ctx for cooperative cancellation.
+	// topological order, polling ctx for cooperative cancellation. It may
+	// run at the same time as the Compute hook's calls on the same DAG,
+	// the same node included, so neither may write state the other reads.
 	Serial(ctx context.Context, d *dag.DAG, work int) ([]uint64, error)
 	// Verify checks the parallel values against the serial reference and
 	// returns a descriptive error on the first divergence.

@@ -81,6 +81,12 @@ type RunSpec struct {
 }
 
 // Result is the measured outcome of a finished run.
+//
+// SerialMillis and ParallelMillis are each pass's own wall time. On every
+// shape but dynamic the two passes run at the same time, so when the pass
+// uses every core Speedup is the ratio of two passes that shared the cores,
+// not a Nabbit T1/TP; that is ParallelMillis at one worker over
+// ParallelMillis at P, on a machine with a core to spare for the reference.
 type Result struct {
 	Workload       string  `json:"workload"`
 	Nodes          int     `json:"nodes"`
