@@ -365,12 +365,13 @@ func TestDynamicConcurrentReaders(t *testing.T) {
 // many levels came before: a width-1 spec is one node per level, so each
 // Expand publishes a level and then looks its node's children up. Four
 // times the stages must take about four times as long; a ratio of 16 would
-// mean a per-level cost linear in the depth. The best of three runs is
-// compared, not absolute times.
+// mean a per-level cost linear in the depth. The short size is timed over
+// four specs, so both sizes are measured over the same span of wall time
+// and share whatever load the machine is under; the reps alternate between
+// the sizes, and each size's best of five is compared.
 func TestDynamicDeepNarrow(t *testing.T) {
-	expand := func(stages int) time.Duration {
-		best := time.Duration(math.MaxInt64)
-		for rep := 0; rep < 3; rep++ {
+	expand := func(stages, specs int) (took time.Duration) {
+		for range specs {
 			d, err := NewDynamic(Config{Shape: Dynamic, Stages: stages, Width: 1, EdgeProb: 0.5, Seed: 4}, DynLimits{})
 			if err != nil {
 				t.Fatal(err)
@@ -386,14 +387,18 @@ func TestDynamicDeepNarrow(t *testing.T) {
 				}
 				u = children[0]
 			}
-			best = min(best, time.Since(start))
+			took += time.Since(start)
 			if got := d.NumNodes(); got != stages+1 {
 				t.Fatalf("stages %d: NumNodes = %d, want %d", stages, got, stages+1)
 			}
 		}
-		return best
+		return took
 	}
-	short, long := expand(50_000), expand(200_000)
+	short, long := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for range 5 {
+		short = min(short, expand(50_000, 4)/4)
+		long = min(long, expand(200_000, 1))
+	}
 	if ratio := float64(long) / float64(short); ratio >= 8 {
 		t.Fatalf("200k stages took %v, 50k took %v: ratio %.1f, want < 8 (linear is 4)", long, short, ratio)
 	}

@@ -45,7 +45,8 @@ type Log interface {
 	// Append writes op's record of r, which it must not retain, and
 	// returns the ticket Wait takes.
 	Append(op Op, r *Run) (ticket uint64, err error)
-	// Wait blocks until the ticketed record is durable.
+	// Wait blocks until the ticketed record is durable. A nil return means
+	// every record appended before it is durable too.
 	Wait(ticket uint64) error
 	// Close flushes the log; every Append after it fails.
 	Close() error
@@ -96,8 +97,8 @@ type Log interface {
 // transition stands in memory, the truth while the process lives.
 //
 // Lock order: the store's write lock, then either the run map's lock or
-// the log's mutex (never both), then the log's group committer's. A log
-// never calls into the store while holding its own.
+// the log's mutex (never both). A log never calls into the store while
+// holding its own.
 //
 // # Interrupted runs
 //
@@ -641,14 +642,20 @@ func (s *Store) Recover(replayed []Run) ([]Run, error) {
 	}
 	s.mu.Unlock()
 
+	// One wait covers every record: a durable ticket makes each record
+	// appended before it durable too (Log).
+	var ticket uint64
 	for i := range readmitted {
 		s.writeMu.Lock()
-		ticket, err := s.log.Append(ops[i], &readmitted[i])
+		t, err := s.log.Append(ops[i], &readmitted[i])
 		s.writeMu.Unlock()
-		if err == nil {
-			err = s.log.Wait(ticket)
-		}
 		if err != nil {
+			return nil, err
+		}
+		ticket = t
+	}
+	if len(readmitted) > 0 {
+		if err := s.log.Wait(ticket); err != nil {
 			return nil, err
 		}
 	}

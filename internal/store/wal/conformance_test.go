@@ -37,7 +37,7 @@ func TestStoreConformance(t *testing.T) {
 	t.Run("Fsync", func(t *testing.T) { storetest.Run(t, open(wal.Options{Fsync: true})) })
 	// A tiny compaction threshold forces snapshot+truncate churn under
 	// every conformance scenario; with fsync, every swap shares the log
-	// with the group committer.
+	// with the waiters leading group commits.
 	t.Run("AggressiveCompaction", func(t *testing.T) {
 		storetest.Run(t, open(wal.Options{CompactThreshold: 4}))
 	})

@@ -22,9 +22,8 @@ func createSegment(dir string, seq uint64) (*os.File, error) {
 }
 
 // Append writes op's record of r to the active segment, triggering
-// compaction or rotation as thresholds demand (run.Log). The returned
-// ticket is non-zero when the record's durability is deferred to the group
-// committer, which Wait then waits out.
+// compaction or rotation as thresholds demand (run.Log). With Fsync on, the
+// returned ticket is non-zero and Wait makes the record durable.
 func (l *walLog) Append(op run.Op, r *run.Run) (uint64, error) {
 	rec := record{Op: op, Run: r}
 	if op == run.OpDel {
@@ -39,17 +38,16 @@ func (l *walLog) Append(op run.Op, r *run.Run) (uint64, error) {
 	if l.closed {
 		return 0, errors.New("wal: log is closed")
 	}
-	if l.gc != nil {
-		if err := l.gc.failure(); err != nil {
-			return 0, fmt.Errorf("wal: refusing appends after a failed sync: %w", err)
-		}
+	if l.syncErr != nil {
+		return 0, fmt.Errorf("wal: refusing appends after a failed sync: %w", l.syncErr)
 	}
 	if _, err := l.seg.Write(buf); err != nil {
 		return 0, fmt.Errorf("wal: appending record: %w", err)
 	}
 	var ticket uint64
-	if l.gc != nil {
-		ticket = l.gc.ticket()
+	if l.opts.Fsync {
+		l.written++
+		ticket = l.written
 	}
 	l.segBytes += int64(len(buf))
 	l.appended++
@@ -69,43 +67,23 @@ func (l *walLog) Append(op run.Op, r *run.Run) (uint64, error) {
 	return ticket, nil
 }
 
-// Wait blocks until the ticketed record is on disk (run.Log). A zero ticket
-// means there is no group committer: Fsync is off and nothing is waited
-// for.
-func (l *walLog) Wait(ticket uint64) error {
-	if l.gc == nil || ticket == 0 {
-		return nil
-	}
-	return l.gc.await(ticket)
-}
-
 // rotateLocked makes a fresh segment the active one. The successor is
 // created first, so a failure to create it (a taken name, no descriptors,
 // no space) leaves the current segment active and appends carry on into
-// it. Sealing syncs before closing, so every record written so far is
-// durable — the group committer is advanced past all of them, and a
-// committer that raced into Sync on the closed handle treats os.ErrClosed
-// as success. If the sync fails the successor is discarded, the current
-// segment stays active and the failure is the committer's, sticky (see the
-// package doc). Callers hold mu.
+// it. Sealing makes every record written so far durable; a leader that
+// raced into Sync on the sealed handle treats os.ErrClosed as success. If
+// the seal's sync fails the successor is discarded and the current segment
+// stays active (see sealLocked). Callers hold mu.
 func (l *walLog) rotateLocked() error {
 	next, err := createSegment(l.dir, l.nextSeq)
 	if err != nil {
 		return err
 	}
-	if err := l.sync(l.seg); err != nil {
+	if err := l.sealLocked(); err != nil {
 		next.Close()
 		os.Remove(next.Name())
-		err = fmt.Errorf("wal: syncing sealed segment: %w", err)
-		if l.gc != nil {
-			l.gc.fail(err)
-		}
 		return err
 	}
-	if l.gc != nil {
-		l.gc.markAllDurable()
-	}
-	l.seg.Close() // synced: a close error loses nothing
 	l.seg, l.segBytes = next, 0
 	l.nextSeq++
 	l.met.rotations.Inc()
@@ -173,9 +151,9 @@ func (l *walLog) doCompact() {
 	l.mu.Unlock()
 }
 
-// Close seals the log (run.Log): refuse new appends, stop the committer
-// (its final batch covers every record written), wait out any in-flight
-// compaction, then sync and close the active segment.
+// Close seals the log (run.Log): refuse new appends, wait out any
+// in-flight compaction, then seal the active segment, which makes every
+// record written durable for the waiters still to come.
 func (l *walLog) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -185,16 +163,13 @@ func (l *walLog) Close() error {
 	l.closed = true
 	l.mu.Unlock()
 
-	if l.gc != nil {
-		l.gc.stop()
-	}
 	l.compactWG.Wait()
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.sync(l.seg); err != nil {
+	if err := l.sealLocked(); err != nil {
 		l.seg.Close()
-		return fmt.Errorf("wal: syncing on close: %w", err)
+		return err
 	}
-	return l.seg.Close()
+	return nil
 }

@@ -235,8 +235,8 @@ func TestCompactionDuringRecoveryKeepsEveryRun(t *testing.T) {
 	}
 	s.Close()
 
-	// The threshold is the replayed count, so exactly one compaction runs;
-	// fsync spreads recovery's records out behind it.
+	// The threshold is the replayed count, so exactly one compaction runs,
+	// with fsync on as a durable dagd runs.
 	s2, _ := mustOpen(t, dir, wal.Options{Fsync: true, CompactThreshold: history + interrupted})
 	if err := s2.Close(); err != nil { // waits the compaction out
 		t.Fatal(err)

@@ -45,12 +45,15 @@
 // # Durability: group-commit fsync
 //
 // With Options.Fsync on, an awaited append does not return until its record
-// is on disk — but the fsync itself is batched: every record that arrives
-// while a sync is in flight joins the next batch and is covered by one
-// fsync (the batch accumulates for at most 2ms), so K concurrent appends
-// cost ~1 fsync instead of K without weakening the contract. A lone append
-// is never delayed. Compaction snapshots are always fsynced before old
-// segments are removed, regardless of the Fsync setting.
+// is on disk — but the fsync itself is batched, by the waiters themselves:
+// the first waiter whose record is not yet durable fsyncs once for every
+// record written so far, and every record that arrives while that sync is
+// in flight joins the next batch, which one of its own waiters leads (a
+// batch accumulates for at most 2ms). So K concurrent appends cost ~1
+// fsync instead of K without weakening the contract, and the log runs no
+// goroutine of its own to commit. A lone append is never delayed.
+// Compaction snapshots are always fsynced before old segments are removed,
+// regardless of the Fsync setting.
 //
 // A failed segment sync is sticky. The kernel may have dropped the pages it
 // could not write, so a later sync that succeeds proves nothing about them:
@@ -102,10 +105,10 @@ type Options struct {
 	// Fsync makes every acknowledged transition durable against power loss,
 	// not just process crash: an awaited append (see run.Store) does not
 	// return until its record is fsynced. Off by default — the OS page
-	// cache survives SIGKILL. Syncs are group-committed (see groupCommit),
-	// so the cost under concurrent load is ~1 fsync per batch, not per
-	// record. Compaction snapshots are always fsynced before old segments
-	// are removed, regardless of this setting.
+	// cache survives SIGKILL. Syncs are group-committed by the waiters
+	// (see Wait), so the cost under concurrent load is ~1 fsync per batch,
+	// not per record. Compaction snapshots are always fsynced before old
+	// segments are removed, regardless of this setting.
 	Fsync bool
 	// CompactThreshold is how many records may be appended to the log (or
 	// replayed from it on boot) before it compacts in the background: all
@@ -133,7 +136,7 @@ func (o Options) withDefaults() Options {
 
 // walLog is the run.Log Open attaches to the store it returns. The store
 // appends under its write lock; mu serializes appends with rotation, the
-// compaction swap and the group committer's capture of the active segment.
+// compaction swap and group commit, whose state it also guards.
 type walLog struct {
 	dir   string // the log's directory: shard-00 of the data dir
 	opts  Options
@@ -149,8 +152,14 @@ type walLog struct {
 	compacting bool   // a background compaction is in flight
 	closed     bool
 
+	// Group commit (commit.go); tickets are issued only with Fsync on.
+	written uint64    // tickets issued: records written to the segment chain
+	synced  uint64    // tickets durable: covered by a completed fsync or seal
+	syncing bool      // a waiter is leading a batch's fsync
+	syncErr error     // the first failed sync of the log
+	cond    sync.Cond // on mu: a batch finished or failed
+
 	compactWG sync.WaitGroup
-	gc        *groupCommit // nil unless Options.Fsync
 }
 
 // Open loads (or initializes) the WAL in dataDir and returns a store
@@ -181,6 +190,7 @@ func open(dataDir string, opts Options) (*walLog, []run.Run, error) {
 		met:  newWALInstruments(opts.Metrics),
 		sync: (*os.File).Sync,
 	}
+	l.cond.L = &l.mu
 	if err := os.MkdirAll(l.dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: creating %s: %w", logDirName, err)
 	}
@@ -197,10 +207,6 @@ func open(dataDir string, opts Options) (*walLog, []run.Run, error) {
 		return nil, nil, err
 	}
 	l.nextSeq++
-	if opts.Fsync {
-		l.gc = newGroupCommit()
-		go l.gc.run(l)
-	}
 	l.store = run.NewStore(l)
 	recovered, err := l.store.Recover(replayed.list())
 	if err != nil {
