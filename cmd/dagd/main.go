@@ -130,7 +130,7 @@ func main() {
 	}
 	if *dataDir != "" {
 		log.Printf("dagd: durable store at %s (%d runs restored, %d interrupted runs re-admitted)",
-			*dataDir, svc.Stats().Runs, svc.Recovered())
+			*dataDir, svc.Store.Len(), svc.Recovered())
 	}
 	srv := server.New(svc)
 	if *debugAddr != "" {

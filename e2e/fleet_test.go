@@ -6,10 +6,8 @@ package e2e
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -53,48 +51,21 @@ func startWorker(t *testing.T, fleetBase, name string, capacity int) *exec.Cmd {
 	return cmd
 }
 
-// healthStats is the part of /healthz's stats block the e2e tests read.
-type healthStats struct {
-	Tenants map[string]struct {
-		Queued   int `json:"queued"`
-		InFlight int `json:"in_flight"`
-	} `json:"tenants"`
-	Fleet *struct {
-		Workers int `json:"workers"`
-	} `json:"fleet"`
-}
-
-// health fetches /healthz and returns its stats block.
-func health(t *testing.T, base string) healthStats {
-	t.Helper()
-	resp, err := http.Get(base + "/healthz")
-	if err != nil {
-		t.Fatalf("GET /healthz: %v", err)
-	}
-	defer resp.Body.Close()
-	var body struct {
-		Stats healthStats `json:"stats"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatalf("decoding /healthz: %v", err)
-	}
-	return body.Stats
-}
-
-// waitWorkers polls /healthz until the coordinator sees want workers.
+// waitWorkers polls /metrics until the coordinator sees want workers.
 func waitWorkers(t *testing.T, base string, want int) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		fleet := health(t, base).Fleet
-		if fleet == nil {
-			t.Fatal("/healthz has no fleet stats; coordinator not in remote mode?")
+		workers, ok := scrapeMetrics(t, base)["dagd_workers"]
+		if !ok {
+			t.Fatal("/metrics has no dagd_workers; coordinator not in remote mode?")
 		}
-		if fleet.Workers == want {
+		n := workers.Sum()
+		if int(n) == want {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("coordinator sees %d workers, want %d", fleet.Workers, want)
+			t.Fatalf("coordinator sees %v workers, want %d", n, want)
 		}
 		time.Sleep(100 * time.Millisecond)
 	}

@@ -223,6 +223,20 @@ func scrapeMetrics(t *testing.T, base string) map[string]*metrics.Family {
 	return fams
 }
 
+// tenantSum adds up a family's samples labelled with the tenant; a nil
+// family (absent from the page) sums to 0.
+func tenantSum(f *metrics.Family, tenant string) float64 {
+	var total float64
+	if f != nil {
+		for _, s := range f.Samples {
+			if s.Labels["tenant"] == tenant {
+				total += s.Value
+			}
+		}
+	}
+	return total
+}
+
 var diamond = []api.Edge{{0, 1}, {0, 2}, {1, 3}, {2, 3}}
 
 // slowSpec runs for a second or two on one dispatcher — long enough that a

@@ -87,12 +87,13 @@ func TestCrashRecoveryPreservesTenants(t *testing.T) {
 	// takes seconds, so one observation right after boot is reliable —
 	// but skip the count check gracefully if it already finished.
 	if r, err := p2.c.Get(ctx, slow.ID); err == nil && r.State == api.StateRunning {
-		tenants := health(t, p2.base).Tenants
-		if tenants["beta"].Queued != 2 {
-			t.Errorf("beta queue after recovery holds %d runs, want 2", tenants["beta"].Queued)
+		fams := scrapeMetrics(t, p2.base)
+		queued := func(tn string) float64 { return tenantSum(fams["dagd_queue_depth"], tn) }
+		if n := queued("beta"); n != 2 {
+			t.Errorf("beta queue after recovery holds %v runs, want 2", n)
 		}
-		if tenants["alpha"].Queued != 1 || tenants["alpha"].InFlight != 1 {
-			t.Errorf("alpha after recovery = %+v, want 1 queued + 1 in flight", tenants["alpha"])
+		if q, f := queued("alpha"), tenantSum(fams["dagd_inflight_runs"], "alpha"); q != 1 || f != 1 {
+			t.Errorf("alpha after recovery = %v queued + %v in flight, want 1 queued + 1 in flight", q, f)
 		}
 	} else {
 		t.Logf("slow run not running at observation time (%v); skipping queue-count check", err)

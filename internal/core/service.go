@@ -1,8 +1,9 @@
 // Package core is dagd's composition root: Service wires a run store
 // (in-memory or WAL-backed), the dispatcher, the worker fleet (remote mode)
 // and the metrics registry together. The types it handles are the real
-// ones — run.Spec, run.Run, tenant.Config, dispatch.TenantStats — imported
-// by callers from the packages that define them.
+// ones — run.Spec, run.Run, tenant.Config — imported by callers from the
+// packages that define them. Every layer reports its load into the one
+// metrics registry, rendered at GET /metrics.
 package core
 
 import (
@@ -61,24 +62,6 @@ type ServiceOptions struct {
 	// LeaseTTL is how long a worker lease survives without a heartbeat
 	// before its run is requeued. Workers heartbeat at a fifth of it.
 	LeaseTTL time.Duration
-}
-
-// ServiceStats is a snapshot of service load for health reporting.
-type ServiceStats struct {
-	Runs        int            `json:"runs"`
-	ByState     map[string]int `json:"by_state"`
-	QueueLen    int            `json:"queue_len"`
-	QueueDepth  int            `json:"queue_depth"`
-	Dispatchers int            `json:"dispatchers"`
-	// Recovered is how many interrupted runs were re-admitted to the queue
-	// when this process booted from an existing data dir.
-	Recovered int `json:"recovered,omitempty"`
-	// Tenants is each tenant's scheduling snapshot: queue length, in-flight
-	// count, and admission counters, keyed by tenant name.
-	Tenants map[string]dispatch.TenantStats `json:"tenants,omitempty"`
-	// Fleet is the distributed-execution snapshot: registered workers and
-	// active leases. Present only when the service runs in remote mode.
-	Fleet *fleet.Stats `json:"fleet,omitempty"`
 }
 
 // Service is what dagd serves over HTTP: a run store (in-memory, or
@@ -198,34 +181,6 @@ func (s *Service) FleetHandler() http.Handler {
 		return nil
 	}
 	return s.fleet.Handler()
-}
-
-// Stats snapshots current service load. QueueLen and the per-tenant table
-// come from one dispatch.Snapshot, so QueueLen always equals the sum of the
-// per-tenant Queued values — read separately, the counters can move in
-// between and hand /healthz an inconsistent answer.
-func (s *Service) Stats() ServiceStats {
-	byState := make(map[string]int)
-	total := 0
-	for state, n := range s.Store.CountByState() {
-		byState[state.String()] = n
-		total += n
-	}
-	snap := s.Dispatcher.Snapshot()
-	stats := ServiceStats{
-		Runs:        total,
-		ByState:     byState,
-		QueueLen:    snap.QueueLen,
-		QueueDepth:  s.Dispatcher.QueueDepth(),
-		Dispatchers: s.Dispatcher.Dispatchers(),
-		Recovered:   s.recovered,
-		Tenants:     snap.Tenants,
-	}
-	if s.fleet != nil {
-		fs := s.fleet.Stats()
-		stats.Fleet = &fs
-	}
-	return stats
 }
 
 // Shutdown stops accepting runs, drains the dispatcher (if ctx expires

@@ -15,7 +15,8 @@ import (
 )
 
 // TestServiceLifecycle drives the composed service end to end:
-// submit → poll → result, cancel semantics, stats, shutdown.
+// submit → poll → result, cancel semantics, the runs-by-state series,
+// shutdown.
 func TestServiceLifecycle(t *testing.T) {
 	svc, err := NewService(ServiceOptions{QueueDepth: 4, Dispatchers: 2})
 	if err != nil {
@@ -46,9 +47,20 @@ func TestServiceLifecycle(t *testing.T) {
 	if list := svc.Store.List(); len(list) != 1 || list[0].ID != r.ID {
 		t.Fatalf("List = %+v, want the one run", list)
 	}
-	stats := svc.Stats()
-	if stats.Runs != 1 || stats.ByState[run.StateSucceeded.String()] != 1 {
-		t.Errorf("Stats = %+v, want 1 succeeded run", stats)
+	var page bytes.Buffer
+	if err := svc.Metrics().WritePrometheus(&page); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := metrics.ParsePrometheus(&page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, ok := fams["dagd_runs"]
+	if !ok {
+		t.Fatal("no dagd_runs family on the service registry")
+	}
+	if succeeded, _ := runs.Value(map[string]string{"state": run.StateSucceeded.String()}); runs.Sum() != 1 || succeeded != 1 {
+		t.Errorf("dagd_runs = %+v, want 1 succeeded run", runs.Samples)
 	}
 	if _, err := svc.Dispatcher.Cancel(r.ID); !errors.Is(err, run.ErrTerminal) {
 		t.Errorf("Cancel(terminal) = %v, want run.ErrTerminal", err)

@@ -176,12 +176,6 @@ type tenantQueue struct {
 	reserved int      // Submit slots held while store.Create runs outside mu
 	inflight int      // runs the store holds running (see the package doc)
 	deficit  int      // deficit-round-robin credit within the priority class
-
-	// Monotonic counters for stats.
-	submitted   uint64 // runs admitted to the queue (including recoveries)
-	completed   uint64 // leases completed (runs a worker took to a terminal state)
-	rejected    uint64 // submissions refused for queue depth / quota
-	rateLimited uint64 // submissions refused by the token bucket
 }
 
 // depth is the tenant's effective queue bound: its configured quota, or
@@ -422,8 +416,9 @@ func (d *Dispatcher) queueForLocked(name string) *tenantQueue {
 	return d.queues[tenant.Default]
 }
 
-// QueueDepth returns the default per-tenant queue capacity (for health
-// reporting); tenants with a configured MaxQueueDepth use that instead.
+// QueueDepth returns the default per-tenant queue capacity (the queue_full
+// error reports it); tenants with a configured MaxQueueDepth use that
+// instead.
 func (d *Dispatcher) QueueDepth() int { return d.opts.QueueDepth }
 
 func (d *Dispatcher) queuedLocked() int {
@@ -434,9 +429,6 @@ func (d *Dispatcher) queuedLocked() int {
 	return n
 }
 
-// Dispatchers returns the configured number of in-process workers.
-func (d *Dispatcher) Dispatchers() int { return d.opts.Dispatchers }
-
 // Draining reports whether Shutdown has begun, i.e. whether new
 // submissions would be refused with ErrShuttingDown. Readiness probes use
 // this to flip unready while liveness stays green.
@@ -444,58 +436,6 @@ func (d *Dispatcher) Draining() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.closed
-}
-
-// TenantStats is one tenant's scheduling snapshot, surfaced per tenant in
-// the service stats.
-type TenantStats struct {
-	Weight      int    `json:"weight"`
-	Priority    int    `json:"priority,omitempty"`
-	Queued      int    `json:"queued"`
-	InFlight    int    `json:"in_flight"`
-	Submitted   uint64 `json:"submitted"`
-	Completed   uint64 `json:"completed"`
-	Rejected    uint64 `json:"rejected,omitempty"`
-	RateLimited uint64 `json:"rate_limited,omitempty"`
-}
-
-func (d *Dispatcher) tenantStatsLocked() map[string]TenantStats {
-	out := make(map[string]TenantStats, len(d.queues))
-	for name, tq := range d.queues {
-		out[name] = TenantStats{
-			Weight:      tq.cfg.Weight,
-			Priority:    tq.cfg.Priority,
-			Queued:      len(tq.queue),
-			InFlight:    tq.inflight,
-			Submitted:   tq.submitted,
-			Completed:   tq.completed,
-			Rejected:    tq.rejected,
-			RateLimited: tq.rateLimited,
-		}
-	}
-	return out
-}
-
-// Snapshot is one internally consistent view of the dispatcher's state: the
-// total queue length is exactly the sum of the per-tenant Queued values, and
-// Draining matches the same instant. It is the only read of the queues and
-// counters, so no caller can combine values taken at different moments.
-type Snapshot struct {
-	QueueLen int
-	Draining bool
-	Tenants  map[string]TenantStats
-}
-
-// Snapshot captures queue lengths, drain state, and every tenant's counters
-// under a single lock acquisition.
-func (d *Dispatcher) Snapshot() Snapshot {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return Snapshot{
-		QueueLen: d.queuedLocked(),
-		Draining: d.closed,
-		Tenants:  d.tenantStatsLocked(),
-	}
 }
 
 // Submit resolves the spec's tenant, enforces the tenant's rate limit and
@@ -539,14 +479,12 @@ func (d *Dispatcher) Submit(spec run.Spec) (run.Run, error) {
 	tq := d.queueForLocked(cfg.Name)
 	if tq.bucket != nil {
 		if ok, retry := tq.bucket.Take(); !ok {
-			tq.rateLimited++
 			d.mu.Unlock()
 			d.met.rejections.With(cfg.Name, "rate_limited").Inc()
 			return run.Run{}, &RetryableError{Err: ErrRateLimited, Tenant: cfg.Name, RetryAfter: retry}
 		}
 	}
 	if len(tq.queue)+tq.reserved >= tq.depth(d.opts.QueueDepth) {
-		tq.rejected++
 		sentinel := ErrQueueFull
 		reason := "queue_full"
 		if tq.cfg.MaxQueueDepth > 0 {
@@ -582,7 +520,6 @@ func (d *Dispatcher) Submit(spec run.Spec) (run.Run, error) {
 		return run.Run{}, ErrShuttingDown
 	}
 	tq.queue = append(tq.queue, queued{id: r.ID, at: time.Now(), workload: spec.Workload, shape: spec.Shape.String()})
-	tq.submitted++
 	d.cond.Signal()
 	d.mu.Unlock()
 	d.met.submits.With(cfg.Name).Inc()
@@ -608,7 +545,6 @@ func (d *Dispatcher) Recover(runs []run.Run) int {
 	for _, r := range runs {
 		tq := d.queueForLocked(r.Spec.Tenant)
 		tq.queue = append(tq.queue, queued{id: r.ID, at: now, workload: r.Spec.Workload, shape: r.Spec.Shape.String()})
-		tq.submitted++
 		d.met.submits.With(tq.cfg.Name).Inc()
 	}
 	d.cond.Broadcast()
@@ -709,7 +645,6 @@ func (d *Dispatcher) release(tenantName string) {
 	d.mu.Lock()
 	tq := d.queueForLocked(tenantName)
 	tq.inflight--
-	tq.completed++
 	d.cond.Broadcast()
 	d.mu.Unlock()
 }

@@ -26,6 +26,32 @@ func newDispatcher(t *testing.T, opts Options) (*run.Store, *Dispatcher) {
 	return store, d
 }
 
+// tenantLoad is one tenant's queued runs and in-flight slots.
+type tenantLoad struct{ queued, inflight int }
+
+// loads reads every tenant's queue length and in-flight slots under one
+// d.mu acquisition: the quantities the collect hook renders as
+// dagd_queue_depth and dagd_inflight_runs.
+func loads(d *Dispatcher) map[string]tenantLoad {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	out := make(map[string]tenantLoad, len(d.queues))
+	for name, tq := range d.queues {
+		out[name] = tenantLoad{queued: len(tq.queue), inflight: tq.inflight}
+	}
+	return out
+}
+
+// queueLen reports how many runs wait in the queues, summed over every
+// tenant.
+func queueLen(d *Dispatcher) int {
+	n := 0
+	for _, l := range loads(d) {
+		n += l.queued
+	}
+	return n
+}
+
 // waitForState polls until the run reaches want or the deadline passes.
 func waitForState(t *testing.T, store *run.Store, id string, want run.State) run.Run {
 	t.Helper()
@@ -180,7 +206,7 @@ func TestCancelQueuedFreesSlot(t *testing.T) {
 	if _, err := d.Cancel(queued.ID); err != nil {
 		t.Fatal(err)
 	}
-	if n := d.Snapshot().QueueLen; n != 0 {
+	if n := queueLen(d); n != 0 {
 		t.Fatalf("QueueLen after cancelling queued run = %d, want 0", n)
 	}
 	// The freed slot must accept a new submission immediately.
@@ -539,13 +565,13 @@ func TestRecoverRoutesToOwningTenantQueue(t *testing.T) {
 		t.Fatalf("Recover admitted %d runs, want 3", n)
 	}
 
-	stats := d.Snapshot().Tenants
-	if stats["alpha"].Queued != 1 || stats["beta"].Queued != 1 {
-		t.Errorf("per-tenant queued = alpha:%d beta:%d, want 1 each", stats["alpha"].Queued, stats["beta"].Queued)
+	queued := loads(d)
+	if queued["alpha"].queued != 1 || queued["beta"].queued != 1 {
+		t.Errorf("per-tenant queued = alpha:%d beta:%d, want 1 each", queued["alpha"].queued, queued["beta"].queued)
 	}
 	// "ghost" is unconfigured: its run drains via the default queue.
-	if stats[tenant.Default].Queued != 1 {
-		t.Errorf("default queue holds %d recovered runs, want 1 (the unconfigured tenant's)", stats[tenant.Default].Queued)
+	if queued[tenant.Default].queued != 1 {
+		t.Errorf("default queue holds %d recovered runs, want 1 (the unconfigured tenant's)", queued[tenant.Default].queued)
 	}
 
 	if _, err := d.Cancel(plugID); err != nil {
@@ -647,14 +673,14 @@ func TestSubmitDoesNotHoldLockAcrossCreate(t *testing.T) {
 
 	// The queue lock must be free while Create is in flight.
 	lens := make(chan int, 1)
-	go func() { lens <- d.Snapshot().QueueLen }()
+	go func() { lens <- queueLen(d) }()
 	select {
 	case n := <-lens:
 		if n != 0 {
 			t.Errorf("QueueLen during Create = %d, want 0 (slot reserved, not enqueued)", n)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("Snapshot blocked behind an in-flight store.Create")
+		t.Fatal("reading the queues blocked behind an in-flight store.Create")
 	}
 
 	// The reservation still counts against the depth: a concurrent submit
@@ -689,7 +715,7 @@ func TestSubmitOverFailingLog(t *testing.T) {
 		if _, err := d.Submit(pipelineSpec(5, 2, 0)); !errors.Is(err, errLogDown) {
 			t.Errorf("atWait=%v: Submit = %v, want the log's error", atWait, err)
 		}
-		if n := d.Snapshot().QueueLen; n != 0 {
+		if n := queueLen(d); n != 0 {
 			t.Errorf("atWait=%v: QueueLen = %d after a refused create, want 0", atWait, n)
 		}
 		if n := store.Len(); n != 0 {

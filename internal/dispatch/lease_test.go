@@ -29,8 +29,8 @@ func newRemoteDispatcher(t *testing.T, opts Options) (*run.Store, *Dispatcher) {
 // in-flight slots summed over every tenant.
 func leasedLen(d *Dispatcher) int {
 	n := 0
-	for _, ts := range d.Snapshot().Tenants {
-		n += ts.InFlight
+	for _, l := range loads(d) {
+		n += l.inflight
 	}
 	return n
 }
@@ -189,7 +189,7 @@ func TestExpireLeaseRedispatches(t *testing.T) {
 // a cancel the store has acknowledged: the run ends cancelled instead of
 // executing again, and the expiry settles it as a completion would.
 func TestExpireLeaseHonoursAcknowledgedCancel(t *testing.T) {
-	store, d := newRemoteDispatcher(t, Options{QueueDepth: 8})
+	store, d := newRemoteDispatcher(t, Options{QueueDepth: 8, Metrics: metrics.NewRegistry()})
 	sub, err := d.Submit(pipelineSpec(5, 2, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -207,9 +207,13 @@ func TestExpireLeaseHonoursAcknowledgedCancel(t *testing.T) {
 	if r.State != run.StateCancelled || got.State != run.StateCancelled || got.Restarts != 0 {
 		t.Fatalf("ExpireLease returned %s, stored %s restarts %d; want cancelled, restarts 0", r.State, got.State, got.Restarts)
 	}
-	ts := d.Snapshot().Tenants[got.Spec.Tenant]
-	if ts.InFlight != 0 || ts.Queued != 0 || ts.Completed != 1 {
-		t.Fatalf("tenant after expiry = %+v, want nothing in flight or queued, one completed", ts)
+	tl := loads(d)[got.Spec.Tenant]
+	completed := 0.0
+	for _, st := range []run.State{run.StateSucceeded, run.StateFailed, run.StateCancelled} {
+		completed += d.met.completed.With(got.Spec.Tenant, st.String()).Value()
+	}
+	if tl.inflight != 0 || tl.queued != 0 || completed != 1 {
+		t.Fatalf("tenant after expiry = %+v with %v completed, want nothing in flight or queued, one completed", tl, completed)
 	}
 	if _, err := d.ExpireLease(sub.ID); !errors.Is(err, ErrNotLeased) {
 		t.Errorf("second ExpireLease = %v, want ErrNotLeased", err)

@@ -23,10 +23,10 @@ import (
 // This file holds the dispatcher's lifecycle scenarios, each run twice: once
 // with the in-process workers and once with Remote set and a lease loop in
 // the test standing in for a dagworker. Both drive Lease → run.Execute →
-// complete, so everything an operator can observe — terminal states, tenant
-// counters, metric series — must come out the same; the one intended
-// difference (what an expired Shutdown context does) is spelled out in its
-// scenario.
+// complete, so everything an operator can observe — terminal states and
+// metric series, the per-tenant ones included — must come out the same;
+// the one intended difference (what an expired Shutdown context does) is
+// spelled out in its scenario.
 
 // mismatchWorkload is pathcount with a verifier that always objects, so a
 // spec naming it passes admission and fails in the worker with a result.
@@ -128,8 +128,8 @@ func (h *harness) settle(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		busy := 0
-		for _, ts := range h.d.Snapshot().Tenants {
-			busy += ts.InFlight + ts.Queued
+		for _, l := range loads(h.d) {
+			busy += l.inflight + l.queued
 		}
 		if busy == 0 {
 			return
@@ -142,14 +142,15 @@ func (h *harness) settle(t *testing.T) {
 // observed is everything a scenario leaves behind that must not depend on
 // where the run executed.
 type observed struct {
-	States  map[string]run.State // by the scenario's label for the run
-	Tenants map[string]TenantStats
-	Series  map[string]float64 // the lifecycle's counters and histogram counts
+	States map[string]run.State // by the scenario's label for the run
+	// The lifecycle's counters, histogram counts and per-tenant queue and
+	// in-flight gauges.
+	Series map[string]float64
 }
 
 func (h *harness) observe(t *testing.T, ids map[string]string) observed {
 	t.Helper()
-	o := observed{States: map[string]run.State{}, Tenants: h.d.Snapshot().Tenants, Series: map[string]float64{}}
+	o := observed{States: map[string]run.State{}, Series: map[string]float64{}}
 	wantWorker := ""
 	if h.remote {
 		wantWorker = parityWorker
@@ -175,7 +176,10 @@ func (h *harness) observe(t *testing.T, ids map[string]string) observed {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"dagd_runs_completed_total", "dagd_run_duration_seconds", "dagd_queue_wait_seconds"} {
+	for _, name := range []string{
+		"dagd_submits_total", "dagd_submit_rejections_total", "dagd_queue_depth", "dagd_inflight_runs",
+		"dagd_runs_completed_total", "dagd_run_duration_seconds", "dagd_queue_wait_seconds",
+	} {
 		fam, ok := fams[name]
 		if !ok {
 			t.Fatalf("family %s missing from the registry", name)
@@ -259,7 +263,7 @@ func TestLifecycleParity(t *testing.T) {
 				if c, err := h.d.Cancel(victim); err != nil || c.State != run.StateCancelled {
 					t.Fatalf("Cancel(queued) = %+v, %v", c, err)
 				}
-				if n := h.d.Snapshot().QueueLen; n != 0 {
+				if n := queueLen(h.d); n != 0 {
 					t.Errorf("QueueLen after cancelling the queued run = %d, want 0", n)
 				}
 				if _, err := h.d.Cancel(plug); err != nil {

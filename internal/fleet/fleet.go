@@ -5,9 +5,9 @@
 //
 // # Protocol
 //
-// A worker registers once (name, capacity, supported workloads) and
-// receives a unique worker ID plus the coordinator's lease TTL and
-// heartbeat interval (HeartbeatInterval of the TTL). It then long-polls for
+// A worker registers once (name, capacity, supported workloads and DAG
+// shapes) and receives a unique worker ID plus the coordinator's lease TTL
+// and heartbeat interval (HeartbeatInterval of the TTL). It then long-polls for
 // leases: each grant transitions one run to running through the dispatcher
 // (store.Begin, attributed to the worker ID) and starts a lease clock.
 // While executing, the worker heartbeats every interval; a heartbeat
@@ -133,9 +133,14 @@ func NewManager(d *dispatch.Dispatcher, store *run.Store, opts Options) *Manager
 		heartbeats:  reg.Counter("dagd_lease_heartbeats_total", "Heartbeats accepted from workers."),
 	}
 	reg.OnCollect(func() {
-		st := m.Stats()
-		m.met.workers.Set(float64(st.Workers))
-		m.met.activeLease.Set(float64(st.ActiveLeases))
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		leases := 0
+		for _, w := range m.workers {
+			leases += len(w.leases)
+		}
+		m.met.workers.Set(float64(len(m.workers)))
+		m.met.activeLease.Set(float64(leases))
 	})
 	go m.sweep()
 	return m
@@ -146,23 +151,6 @@ func NewManager(d *dispatch.Dispatcher, store *run.Store, opts Options) *Manager
 func (m *Manager) Close() {
 	close(m.stop)
 	<-m.done
-}
-
-// Stats is the fleet snapshot surfaced through /healthz.
-type Stats struct {
-	Workers      int `json:"workers"`
-	ActiveLeases int `json:"active_leases"`
-}
-
-// Stats snapshots the worker registry and lease table.
-func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st := Stats{Workers: len(m.workers)}
-	for _, w := range m.workers {
-		st.ActiveLeases += len(w.leases)
-	}
-	return st
 }
 
 // register admits a worker and returns its unique ID. An unknown or empty

@@ -74,6 +74,14 @@ func (h *harness) register(t *testing.T, name string) RegisterResponse {
 // metricValue sums one family's samples from the strict exposition parser.
 func (h *harness) metricValue(t *testing.T, name string) float64 {
 	t.Helper()
+	return h.metricSums(t, name)[0]
+}
+
+// metricSums sums each named family's samples (0 for an absent family), all
+// from one scrape: the collect hooks run once, each under its own layer's
+// lock, so the values of one layer's gauges are read at one instant.
+func (h *harness) metricSums(t *testing.T, names ...string) []float64 {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := h.reg.WritePrometheus(&buf); err != nil {
 		t.Fatalf("writing metrics: %v", err)
@@ -82,11 +90,13 @@ func (h *harness) metricValue(t *testing.T, name string) float64 {
 	if err != nil {
 		t.Fatalf("parsing /metrics: %v", err)
 	}
-	f, ok := fams[name]
-	if !ok {
-		return 0
+	sums := make([]float64, len(names))
+	for i, name := range names {
+		if f, ok := fams[name]; ok {
+			sums[i] = f.Sum()
+		}
 	}
-	return f.Sum()
+	return sums
 }
 
 func TestRegisterLeaseCompleteOverHTTP(t *testing.T) {

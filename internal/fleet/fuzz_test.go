@@ -21,12 +21,13 @@ import (
 // heartbeat, complete, cancel and sweep steps over up to three workers and
 // eight runs, on a fake clock the program advances. After every step it
 // checks that the three views of "leased" agree — the store's running runs,
-// the dispatcher's in-flight slots and the workers' lease tables — that no
-// run is in two workers' tables, and that no terminal run leaves its
-// state. Of a completion and an expiry exactly one wins and the other gets
-// dispatch.ErrNotLeased, and an expiry never loses a cancel the store has
-// acknowledged. A final drain must bring every run to a terminal state
-// exactly once.
+// the dispatcher's in-flight slots and the workers' lease tables, the
+// dispatcher's read off /metrics as an operator reads them — that the
+// fleet's gauges match its tables, that no run is in two workers' tables,
+// and that no terminal run leaves its state. Of a completion and an expiry
+// exactly one wins and the other gets dispatch.ErrNotLeased, and an expiry
+// never loses a cancel the store has acknowledged. A final drain must bring
+// every run to a terminal state exactly once.
 func FuzzLeaseProtocol(f *testing.F) {
 	for _, seed := range leaseSeeds {
 		f.Add(seed)
@@ -520,17 +521,17 @@ func (s *leaseSim) race(b int, state run.State) {
 func (s *leaseSim) check() {
 	s.t.Helper()
 	counts := s.h.store.CountByState()
-	snap := s.h.disp.Snapshot()
-	inflight := 0
-	for _, ts := range snap.Tenants {
-		inflight += ts.InFlight
-	}
-	if counts[run.StateQueued] != snap.QueueLen {
-		s.t.Fatalf("store holds %d runs queued, the dispatcher's queues %d", counts[run.StateQueued], snap.QueueLen)
+	// The dispatcher's collect hook renders its two gauges under one lock,
+	// the fleet's its two under another.
+	load := s.h.metricSums(s.t, "dagd_queue_depth", "dagd_inflight_runs", "dagd_workers", "dagd_active_leases")
+	queued, inflight, workers, leases := int(load[0]), int(load[1]), int(load[2]), int(load[3])
+	if counts[run.StateQueued] != queued {
+		s.t.Fatalf("store holds %d runs queued, the dispatcher's queues %d", counts[run.StateQueued], queued)
 	}
 
 	m := s.h.mgr
 	m.mu.Lock()
+	registered := len(m.workers)
 	owner := map[string]string{}
 	for wid, w := range m.workers {
 		if w.polls != 0 || len(w.leases) > w.capacity {
@@ -550,6 +551,10 @@ func (s *leaseSim) check() {
 	if counts[run.StateRunning] != inflight || inflight != len(owner) {
 		s.t.Fatalf("store running %d, in-flight slots %d, lease tables %d: want all equal",
 			counts[run.StateRunning], inflight, len(owner))
+	}
+	if leases != len(owner) || workers != registered {
+		s.t.Fatalf("dagd_active_leases %d, dagd_workers %d; the tables hold %d leases over %d workers",
+			leases, workers, len(owner), registered)
 	}
 	for rid, holder := range owner {
 		if r := s.get(rid); r.State != run.StateRunning || r.Worker != holder {
@@ -578,7 +583,7 @@ func (s *leaseSim) drain() {
 	s.check()
 
 	s.register(0, maxSimRuns, false)
-	for s.h.disp.Snapshot().QueueLen > 0 {
+	for s.h.metricValue(s.t, "dagd_queue_depth") > 0 {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		r, err := s.h.mgr.acquire(ctx, s.workers[0])
 		cancel()

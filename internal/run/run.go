@@ -286,10 +286,10 @@ type Run struct {
 	// first attempt.
 	Restarts int `json:"restarts,omitempty"`
 	// CancelRequested is set when a cancellation was acknowledged while the
-	// run was running (Store.Cancel). A requeue clears it, since the retry
-	// starts afresh; a terminal snapshot keeps it as history. It is what
-	// recovery reads to finish an interrupted run as cancelled instead of
-	// re-executing it.
+	// run was running (Store.Cancel), and a terminal snapshot keeps it as
+	// history. A requeued run never carries it: an interrupted run that
+	// carries it (lease expiry, crash recovery) ends cancelled instead of
+	// being requeued and re-executed.
 	CancelRequested bool    `json:"cancel_requested,omitempty"`
 	Error           string  `json:"error,omitempty"`
 	Result          *Result `json:"result,omitempty"`

@@ -10,6 +10,7 @@ import (
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/core"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/metrics"
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/run"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/tenant"
 )
 
@@ -54,17 +55,42 @@ func hammerSubmits(t *testing.T, base string, tenants []string, n int, stop <-ch
 	return &wg
 }
 
-// TestHealthzConsistentSnapshotUnderLoad is the regression test for the
-// /healthz stats race: the handler used to read QueueLen and the per-tenant
-// table through separate lock acquisitions, so the serialized snapshot
-// could claim a total queue length that disagreed with the sum of its own
-// per-tenant queued counts (and, worse, build the tenant map while
-// dispatch counters kept moving). Stats now serializes one
-// dispatch.Snapshot taken under a single lock acquisition; this hammers
-// /healthz during heavy concurrent Submit traffic and asserts the
-// invariant on every response. Run with -race (CI does) to also prove the
-// snapshot path is data-race free.
-func TestHealthzConsistentSnapshotUnderLoad(t *testing.T) {
+// scrape GETs /metrics and strict-parses the page: any malformed line,
+// broken label ordering or escaping, or histogram invariant fails the test.
+func scrape(t *testing.T, base string) map[string]*metrics.Family {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics = %d, want 200", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "text/plain") {
+		t.Fatalf("/metrics Content-Type = %q", ct)
+	}
+	fams, err := metrics.ParsePrometheus(resp.Body)
+	if err != nil {
+		t.Fatalf("/metrics page failed strict parse: %v", err)
+	}
+	return fams
+}
+
+// sample is the value of the named family's series with exactly labels,
+// or false when the family or the series is absent.
+func sample(fams map[string]*metrics.Family, name string, labels map[string]string) (float64, bool) {
+	if f, ok := fams[name]; ok {
+		return f.Value(labels)
+	}
+	return 0, false
+}
+
+// TestHealthzUnderLoad: the liveness probe reads no state, so under heavy
+// concurrent Submit traffic every /healthz still answers 200 with exactly
+// the liveness body. Run with -race (CI does) to also prove it touches
+// nothing the submissions write.
+func TestHealthzUnderLoad(t *testing.T) {
 	ts := newTestServer(t, core.ServiceOptions{
 		QueueDepth:  512,
 		Dispatchers: 2,
@@ -84,36 +110,58 @@ func TestHealthzConsistentSnapshotUnderLoad(t *testing.T) {
 	deadline := time.Now().Add(500 * time.Millisecond)
 	checks := 0
 	for time.Now().Before(deadline) {
-		code, body := doJSON(t, http.MethodGet, ts.URL+"/healthz", "")
-		if code != http.StatusOK {
-			t.Fatalf("GET /healthz = %d, want 200", code)
-		}
-		stats, ok := body["stats"].(map[string]any)
-		if !ok {
-			t.Fatalf("healthz body has no stats object: %v", body)
-		}
-		queueLen := int(stats["queue_len"].(float64))
-		sum := 0
-		tenants, ok := stats["tenants"].(map[string]any)
-		if !ok {
-			t.Fatalf("healthz stats has no tenants table: %v", stats)
-		}
-		for name, v := range tenants {
-			tn, ok := v.(map[string]any)
-			if !ok {
-				t.Fatalf("tenant %s entry is not an object: %v", name, v)
-			}
-			sum += int(tn["queued"].(float64))
-		}
-		if queueLen != sum {
-			t.Fatalf("inconsistent /healthz snapshot: queue_len=%d but per-tenant queued sums to %d", queueLen, sum)
+		if code, body := healthz(t, ts.URL); code != http.StatusOK || body != livenessBody {
+			t.Fatalf("GET /healthz = %d %s, want 200 %s", code, body, livenessBody)
 		}
 		checks++
 	}
 	if checks == 0 {
 		t.Fatal("no /healthz checks executed")
 	}
-	t.Logf("verified %d consistent /healthz snapshots under load", checks)
+	t.Logf("verified %d /healthz answers under load", checks)
+}
+
+// TestMetricsFirstScrape pins the load series that took over from the
+// /healthz stats block: before anything is submitted, the first scrape
+// already carries every tenant's queue and in-flight gauges at 0, the
+// runs-by-state gauge for all five states and the recovered-runs gauge —
+// and, on a coordinator only, the fleet's worker and lease gauges.
+func TestMetricsFirstScrape(t *testing.T) {
+	for _, remote := range []bool{false, true} {
+		ts := newTestServer(t, core.ServiceOptions{
+			QueueDepth:  4,
+			Dispatchers: 1,
+			Tenants:     []tenant.Config{{Name: "alpha", Weight: 3}},
+			Remote:      remote,
+		})
+		fams := scrape(t, ts.URL)
+		for _, name := range []string{"dagd_queue_depth", "dagd_inflight_runs"} {
+			for _, tn := range []string{"alpha", tenant.Default} {
+				want := map[string]string{"tenant": tn, "priority": "0"}
+				if v, ok := sample(fams, name, want); !ok || v != 0 {
+					t.Errorf("remote=%v: %s%v = %v (present %v), want 0", remote, name, want, v, ok)
+				}
+			}
+		}
+		for _, st := range []run.State{run.StateQueued, run.StateRunning, run.StateSucceeded, run.StateFailed, run.StateCancelled} {
+			want := map[string]string{"state": st.String()}
+			if v, ok := sample(fams, "dagd_runs", want); !ok || v != 0 {
+				t.Errorf("remote=%v: dagd_runs%v = %v (present %v), want 0", remote, want, v, ok)
+			}
+		}
+		if v, ok := sample(fams, "dagd_recovered_runs", nil); !ok || v != 0 {
+			t.Errorf("remote=%v: dagd_recovered_runs = %v (present %v), want 0", remote, v, ok)
+		}
+		for _, name := range []string{"dagd_workers", "dagd_active_leases"} {
+			v, ok := sample(fams, name, nil)
+			if remote && (!ok || v != 0) {
+				t.Errorf("coordinator: %s = %v (present %v), want 0", name, v, ok)
+			}
+			if !remote && ok {
+				t.Errorf("embedded: %s = %v, want no fleet series", name, v)
+			}
+		}
+	}
 }
 
 // TestMetricsScrapeMidLoad scrapes GET /metrics repeatedly while the
@@ -130,36 +178,16 @@ func TestMetricsScrapeMidLoad(t *testing.T) {
 	stop := make(chan struct{})
 	wg := hammerSubmits(t, ts.URL, []string{""}, 3, stop)
 
-	scrape := func() map[string]*metrics.Family {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET /metrics = %d, want 200", resp.StatusCode)
-		}
-		if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "text/plain") {
-			t.Fatalf("/metrics Content-Type = %q", ct)
-		}
-		fams, err := metrics.ParsePrometheus(resp.Body)
-		if err != nil {
-			t.Fatalf("mid-load /metrics page failed strict parse: %v", err)
-		}
-		return fams
-	}
-
 	deadline := time.Now().Add(500 * time.Millisecond)
 	scrapes := 0
 	for time.Now().Before(deadline) {
-		scrape()
+		scrape(t, ts.URL)
 		scrapes++
 	}
 	close(stop)
 	wg.Wait()
 
-	fams := scrape()
+	fams := scrape(t, ts.URL)
 	for _, name := range []string{
 		"dagd_submits_total",
 		"dagd_runs_completed_total",

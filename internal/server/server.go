@@ -5,7 +5,7 @@
 //	GET  /v1/runs/{id}        poll one run's status/result (?wait=1s long-polls until terminal)
 //	POST /v1/runs/{id}/cancel request cancellation
 //	GET  /v1/workloads        list registered workloads + the service default
-//	GET  /healthz             liveness + queue stats (stays 200 while draining)
+//	GET  /healthz             liveness; reads no state (stays 200 while draining)
 //	GET  /readyz              readiness; 503 shutting_down once shutdown starts
 //	GET  /metrics             Prometheus text exposition of every dagd metric
 //
@@ -341,12 +341,10 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 
 // handleHealth is the liveness probe: it answers 200 "ok" for as long as
 // the process can serve at all, including while draining — restarting a
-// draining process would only lose in-flight runs.
+// draining process would only lose in-flight runs. It reads no state; the
+// service's load is at GET /metrics.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status": "ok",
-		"stats":  s.svc.Stats(),
-	})
+	writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
 }
 
 // handleReady is the readiness probe: once shutdown begins — the

@@ -421,21 +421,36 @@ func TestQueueFullReturns429(t *testing.T) {
 	}
 }
 
+// livenessBody is the whole /healthz answer: liveness only, no state.
+const livenessBody = `{"status":"ok"}`
+
+// healthz GETs /healthz and returns its status and its body, compacted.
+func healthz(t *testing.T, base string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(base + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	if err := json.Compact(&body, raw); err != nil {
+		t.Fatalf("GET /healthz: bad JSON %q: %v", raw, err)
+	}
+	return resp.StatusCode, body.String()
+}
+
+// TestHealthz: embedded and on a coordinator, /healthz is the liveness
+// body and nothing else.
 func TestHealthz(t *testing.T) {
-	ts := newTestServer(t, core.ServiceOptions{QueueDepth: 7, Dispatchers: 2})
-	code, body := doJSON(t, http.MethodGet, ts.URL+"/healthz", "")
-	if code != http.StatusOK {
-		t.Fatalf("healthz: status %d", code)
-	}
-	if status, _ := body["status"].(string); status != "ok" {
-		t.Errorf("healthz status = %v", body["status"])
-	}
-	stats, ok := body["stats"].(map[string]any)
-	if !ok {
-		t.Fatalf("healthz missing stats: %v", body)
-	}
-	if depth, _ := stats["queue_depth"].(float64); int(depth) != 7 {
-		t.Errorf("queue_depth = %v, want 7", stats["queue_depth"])
+	for _, remote := range []bool{false, true} {
+		ts := newTestServer(t, core.ServiceOptions{QueueDepth: 7, Dispatchers: 2, Remote: remote})
+		if code, body := healthz(t, ts.URL); code != http.StatusOK || body != livenessBody {
+			t.Errorf("remote=%v: GET /healthz = %d %s, want 200 %s", remote, code, body, livenessBody)
+		}
 	}
 }
 
@@ -472,12 +487,8 @@ func TestReadyz(t *testing.T) {
 		t.Errorf("readyz error code %q, want shutting_down", got)
 	}
 	// Liveness is unchanged: the process can still serve.
-	code, body = doJSON(t, http.MethodGet, ts.URL+"/healthz", "")
-	if code != http.StatusOK {
-		t.Errorf("healthz while draining: status %d, want 200", code)
-	}
-	if status, _ := body["status"].(string); status != "ok" {
-		t.Errorf("healthz status while draining = %v, want ok", body["status"])
+	if code, body := healthz(t, ts.URL); code != http.StatusOK || body != livenessBody {
+		t.Errorf("healthz while draining = %d %s, want 200 %s", code, body, livenessBody)
 	}
 }
 
@@ -914,30 +925,5 @@ func TestListTenantFilter(t *testing.T) {
 	}
 	if n, _ := body["count"].(float64); n != 0 {
 		t.Errorf("unknown tenant filter count = %v, want 0", n)
-	}
-}
-
-// TestHealthzTenantStats: /healthz exposes per-tenant queue stats.
-func TestHealthzTenantStats(t *testing.T) {
-	ts := newTestServer(t, core.ServiceOptions{
-		QueueDepth:  4,
-		Dispatchers: 1,
-		Tenants:     []tenant.Config{{Name: "alpha", Weight: 3}},
-	})
-	code, body := doJSON(t, http.MethodGet, ts.URL+"/healthz", "")
-	if code != http.StatusOK {
-		t.Fatalf("healthz: status %d", code)
-	}
-	stats, _ := body["stats"].(map[string]any)
-	tenants, _ := stats["tenants"].(map[string]any)
-	if tenants == nil {
-		t.Fatalf("healthz stats carry no tenants map: %v", stats)
-	}
-	alpha, _ := tenants["alpha"].(map[string]any)
-	if alpha == nil || alpha["weight"].(float64) != 3 {
-		t.Errorf("tenants.alpha = %v, want weight 3", tenants["alpha"])
-	}
-	if _, ok := tenants["default"]; !ok {
-		t.Error("tenants map missing the catch-all default")
 	}
 }

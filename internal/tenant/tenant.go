@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"sync"
 	"time"
@@ -248,6 +249,12 @@ func (b *Bucket) Take() (ok bool, retryAfter time.Duration) {
 		b.tokens--
 		return true, 0
 	}
-	// Seconds until the deficit to one whole token refills.
-	return false, time.Duration((1 - b.tokens) / b.rate * float64(time.Second))
+	// Time until the deficit to one whole token refills, saturated at the
+	// largest Duration: a tiny rate would overflow the conversion and wrap
+	// the hint negative.
+	wait := (1 - b.tokens) / b.rate * float64(time.Second)
+	if wait >= math.MaxInt64 {
+		return false, math.MaxInt64
+	}
+	return false, time.Duration(wait)
 }

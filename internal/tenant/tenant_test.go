@@ -168,4 +168,18 @@ func TestBucket(t *testing.T) {
 	if granted != 2 {
 		t.Fatalf("idle refill granted %d tokens, want burst=2", granted)
 	}
+
+	// A rate so small that the wait overflows a Duration: the hint
+	// saturates instead of wrapping negative.
+	tiny := newBucketAt(1e-12, 1, now)
+	if ok, _ := tiny.Take(); !ok {
+		t.Fatal("first take refused with a full bucket")
+	}
+	ok, retry = tiny.Take()
+	if ok {
+		t.Fatal("take succeeded on an empty bucket at rate 1e-12")
+	}
+	if century := 100 * 365 * 24 * time.Hour; retry < century {
+		t.Fatalf("retryAfter at rate 1e-12 = %v, want positive and at least 100 years", retry)
+	}
 }
