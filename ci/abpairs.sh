@@ -11,8 +11,16 @@
 # fresh directory because where a tree sits shows in the numbers: svc_mem
 # read 3% slower from the checkout itself than from a copy of it. Prints
 # every run, then each end-to-end metric's median and quartiles per side
-# and how many pairs the change won. Exits non-zero if any run reports
-# failed > 0 (or did not finish).
+# and how many pairs the change won. Then, per metric, the median of the
+# per-pair change/parent ratios (absolute numbers drift between sets of
+# pairs; the ratio is what compares) and a verdict under the house rule:
+# "gain" when the change is better in at least 9 of 10 pairs and its median
+# is better than the parent's by more than the parent's interquartile range;
+# "unresolved" when its median is worse than the parent's by more than the
+# metric's bound, or when either side's interquartile range is wider than
+# the bound and not every change run beats every parent run; "within bound"
+# otherwise. Which way is better, and the bound, come from BENCHMARK.json.
+# Exits non-zero if any run reports failed > 0 (or did not finish).
 #
 # parent-rev defaults to HEAD when the checkout has uncommitted changes
 # (the change is the working tree) and to HEAD~1 when it is clean (the
@@ -60,7 +68,7 @@ for i in $(seq 1 "$pairs"); do
 	fi
 done
 
-python3 - "$runs" <<'PY'
+python3 - "$runs" "$root/BENCHMARK.json" <<'PY'
 import json, statistics, sys
 
 sides = {"parent": {}, "change": {}}
@@ -79,7 +87,8 @@ def quartiles(xs):
     q = statistics.quantiles(xs, n=4, method="inclusive")
     return q[0], statistics.median(xs), q[2]
 
-higher_is_better = {"runs_per_s"}
+spec = {m["name"]: m for m in json.load(open(sys.argv[2]))["end_to_end"]}
+higher_is_better = {name for name, m in spec.items() if m["better"] == "higher"}
 names = sorted({k for runs in sides.values() for m in runs.values() for k in m})
 print(f"{'metric':<16}{'side':<8}{'q1':>10}{'median':>10}{'q3':>10}   change vs parent")
 for name in names:
@@ -96,6 +105,33 @@ for name in names:
             wins = sum(sign * (sides["change"][s][name] - sides["parent"][s][name]) > 0 for s in both)
             note = f"   {100 * (med['change'] / med['parent'] - 1):+.1f}%, better in {wins}/{len(both)} pairs"
         print(f"{name:<16}{side:<8}{q1:>10.4g}{med[side]:>10.4g}{q3:>10.4g}{note}")
+
+# The verdicts: one line per end-to-end metric both sides reported.
+both = sorted(set(sides["parent"]) & set(sides["change"]))
+print(f"{'metric':<16}{'pair ratio':>11}   verdict (gain: better in >= 9/10 pairs and medians apart by more than the parent's IQR)")
+for name in names:
+    pairs = [s for s in both if name in sides["parent"][s] and name in sides["change"][s]]
+    if name not in spec or not pairs or any(sides["parent"][s][name] == 0 for s in pairs):
+        continue
+    sign = 1 if name in higher_is_better else -1
+    ratio = statistics.median(sides["change"][s][name] / sides["parent"][s][name] for s in pairs)
+    wins = sum(sign * (sides["change"][s][name] - sides["parent"][s][name]) > 0 for s in pairs)
+    parent = [sides["parent"][s][name] for s in pairs]
+    change = [sides["change"][s][name] for s in pairs]
+    q1, parent_med, q3 = quartiles(parent)
+    c1, change_med, c3 = quartiles(change)
+    gap = sign * (change_med - parent_med)
+    spread = max((q3 - q1) / parent_med, (c3 - c1) / change_med if change_med else 0)
+    bound = spec[name]["bound"]
+    separated = min(sign * x for x in change) > max(sign * x for x in parent)
+    if 10 * wins >= 9 * len(pairs) and gap > q3 - q1:
+        verdict = "gain"
+    elif -gap > bound * parent_med or (spread > bound and not separated):
+        verdict = "unresolved"
+    else:
+        verdict = "within bound"
+    print(f"{name:<16}{ratio:>11.4f}   {verdict}: better in {wins}/{len(pairs)} pairs, medians "
+          f"{gap:+.4g} apart (+ is better), parent IQR {q3 - q1:.4g}, spread {100 * spread:.1f}%, bound {100 * bound:g}%")
 if bad:
     print(f"{bad} run(s) failed or did not finish", file=sys.stderr)
     sys.exit(1)

@@ -4,16 +4,23 @@
 //
 // A DAG is stored compressed-sparse-row: every children list back to back in
 // one flat array with an offset per node, and the same for parents, each
-// entry a 32-bit NodeID. One function, freeze, builds that from an edge list
-// in O(n+m): it validates each edge and fills both arrays in a stable
-// counting pass (every Children(u) and Parents(v) keeps edge-list order).
-// The two remaining passes run only when the edge list leaves them work:
-// repeated edges are looked for with a stamp array unless every children
-// list is strictly ascending (then none can repeat), and Kahn's algorithm
-// orders the graph unless every edge runs from a lower ID to a higher one
-// (then 0..n-1 is the order and no cycle is possible). Every generated shape
-// is such a forward graph. FromEdges is the one constructor; a repeated edge
-// is an error like any other defect.
+// entry a 32-bit NodeID. Two constructors build it in O(n+m), chosen by the
+// form the graph is stated in:
+//
+//   - FromEdges freezes an edge list. It validates each edge and fills both
+//     arrays in a stable counting pass (every Children(u) and Parents(v)
+//     keeps edge-list order). The two remaining passes run only when the
+//     edge list leaves them work: repeated edges are looked for with a stamp
+//     array unless every children list is strictly ascending (then none can
+//     repeat), and Kahn's algorithm orders the graph unless every edge runs
+//     from a lower ID to a higher one (then 0..n-1 is the order and no cycle
+//     is possible).
+//   - FromParents freezes a forward graph already stated as parent lists in
+//     CSR form, as a generator that builds each node's parents in order has
+//     them. It keeps those arrays as the parents side and fills only the
+//     children, ascending, in one counting pass; 0..n-1 is the order.
+//
+// Either way a repeated edge is an error like any other defect.
 //
 // Once built, a DAG is never mutated; all accessor methods are safe for
 // concurrent use.
@@ -112,9 +119,10 @@ func (a *adjacency) ascending() bool {
 }
 
 // FromEdges freezes an n-node graph, nodes 0..n-1, from an edge list, which
-// it does not retain. The list is a generator's or a client's statement of
+// it does not retain. The list is a client's or a generator's statement of
 // the graph, so every defect is an error: an endpoint out of range, a
-// self-loop or a cycle (both wrapping ErrCycle), or a repeated edge.
+// self-loop or a cycle (both wrapping ErrCycle), or a repeated edge. A graph
+// whose parent lists already exist in order is frozen by FromParents.
 func FromEdges(n int, edges [][2]NodeID) (*DAG, error) {
 	if err := CheckSize(n, len(edges)); err != nil {
 		return nil, err
@@ -182,7 +190,79 @@ func FromEdges(n int, edges [][2]NodeID) (*DAG, error) {
 	return &DAG{out: out, in: in, topo: topo}, nil
 }
 
-// DAG is an immutable directed acyclic graph, made by FromEdges.
+// FromParents freezes an n-node forward graph from its parent lists in
+// compressed-sparse-row form: the parents of v are list[off[v]:off[v+1]], and
+// Parents(v) keeps that order. Children are filled in ascending order, and
+// the topological order is 0..n-1. Every defect is an error: offsets that
+// are not n+1 non-decreasing values from 0 to len(list), a parent that is
+// not in [0, v) (a self-loop wraps ErrCycle), or a repeated parent.
+//
+// FromParents keeps off and list as the DAG's parents side: the caller must
+// not modify them afterwards.
+func FromParents(n int, off []int32, list []NodeID) (*DAG, error) {
+	if err := CheckSize(n, len(list)); err != nil {
+		return nil, err
+	}
+	switch {
+	case len(off) != n+1:
+		return nil, fmt.Errorf("dag: %d parent offsets for %d nodes, want %d", len(off), n, n+1)
+	case off[0] != 0:
+		return nil, fmt.Errorf("dag: parent offsets start at %d, want 0", off[0])
+	case int(off[n]) != len(list):
+		return nil, fmt.Errorf("dag: parent offsets end at %d, but the list holds %d parents", off[n], len(list))
+	}
+	for v := 0; v < n; v++ {
+		if off[v+1] < off[v] {
+			return nil, fmt.Errorf("dag: parent offsets decrease at node %d (%d after %d)", v, off[v+1], off[v])
+		}
+	}
+	// Children are counted two slots ahead of their node, as in FromEdges.
+	out := adjacency{make([]int32, n+2), make([]NodeID, len(list))}
+	for v := 0; v < n; v++ {
+		for _, u := range list[off[v]:off[v+1]] {
+			if uint(u) >= uint(v) {
+				return nil, parentError(u, NodeID(v))
+			}
+			out.off[int(u)+2]++
+		}
+	}
+	for i := 2; i < n+2; i++ {
+		out.off[i] += out.off[i-1]
+	}
+	for v := 0; v < n; v++ {
+		for _, u := range list[off[v]:off[v+1]] {
+			out.list[out.off[int(u)+1]] = NodeID(v)
+			out.off[int(u)+1]++
+		}
+	}
+	out.off = out.off[:n+1]
+	// Each children list is filled in ascending child order, so it is
+	// strictly ascending unless a parent list repeats its parent.
+	if !out.ascending() {
+		if u, v := out.repeat(); u >= 0 {
+			return nil, fmt.Errorf("dag: duplicate edge (%d,%d)", u, v)
+		}
+	}
+	topo := make([]NodeID, n)
+	for v := range topo {
+		topo[v] = NodeID(v)
+	}
+	return &DAG{out: out, in: adjacency{off, list}, topo: topo}, nil
+}
+
+// parentError says why u cannot be a parent of v in a forward graph.
+func parentError(u, v NodeID) error {
+	switch {
+	case u == v:
+		return fmt.Errorf("dag: self-loop on node %d: %w", u, ErrCycle)
+	case u < 0:
+		return fmt.Errorf("dag: edge (%d,%d) out of range: parent below 0", u, v)
+	}
+	return fmt.Errorf("dag: edge (%d,%d) does not run upward: a parent must be below its child", u, v)
+}
+
+// DAG is an immutable directed acyclic graph, made by FromEdges or
+// FromParents.
 type DAG struct {
 	out, in adjacency // children and parents; one list entry per edge in each
 	topo    []NodeID

@@ -217,12 +217,43 @@ func assertSameGraph(t *testing.T, got *DAG, want *refDAG) {
 	}
 }
 
+// byChild groups edges stably by child: off and parents are the CSR parent
+// lists FromParents takes, grouped the same edges as a list. ok is false
+// when some edge's child is out of range, so it has no list to go in.
+func byChild(n int, edges [][2]NodeID) (off []int32, parents []NodeID, grouped [][2]NodeID, ok bool) {
+	off = make([]int32, n+1)
+	for _, e := range edges {
+		if uint(e[1]) >= uint(n) {
+			return nil, nil, nil, false
+		}
+		off[e[1]+1]++
+	}
+	for v := 1; v <= n; v++ {
+		off[v] += off[v-1]
+	}
+	parents = make([]NodeID, len(edges))
+	grouped = make([][2]NodeID, len(edges))
+	next := slices.Clone(off[:n])
+	for _, e := range edges {
+		parents[next[e[1]]] = e[0]
+		grouped[next[e[1]]] = e
+		next[e[1]]++
+	}
+	return off, parents, grouped, true
+}
+
 // FuzzFreeze drives arbitrary small edge lists — out-of-range endpoints,
 // self-loops, repeats and cycles included — through the CSR freeze and
 // through the reference, and requires the same verdict
 // and, when accepted, the same graph accessor for accessor. The one
 // accessor that may differ is TopoOrder: it must be 0..n-1 when every edge
 // runs forward, and the reference's Kahn order otherwise.
+//
+// Each list is then grouped stably by child and given to both constructors:
+// to FromEdges as an edge list, to FromParents as parent lists. FromParents
+// must refuse whatever FromEdges refuses and every edge that does not run
+// upward, and when both accept, build the reference's graph of the grouped
+// list, whose children lists are ascending.
 func FuzzFreeze(f *testing.F) {
 	f.Add(uint8(4), []byte{1, 2, 1, 3, 2, 4, 3, 4})       // diamond
 	f.Add(uint8(4), []byte{1, 2, 1, 2, 2, 3, 1, 2, 3, 4}) // repeats
@@ -236,6 +267,9 @@ func FuzzFreeze(f *testing.F) {
 	// with backward edges, so both the duplicate pass and Kahn's run.
 	f.Add(uint8(4), []byte{1, 4, 1, 2, 3, 4, 1, 4})
 	f.Add(uint8(5), []byte{3, 1, 3, 5, 3, 2, 3, 1, 2, 4})
+	f.Add(uint8(3), []byte{1, 3, 2, 3, 1, 3}) // node 2 lists parent 0 twice
+	f.Add(uint8(3), []byte{3, 1, 1, 2})       // back edge (2,0), acyclic
+	f.Add(uint8(24), []byte{1, 1})            // n = 0 with an edge
 	f.Fuzz(func(t *testing.T, nodes uint8, raw []byte) {
 		n := int(nodes % 24)
 		// A byte maps onto [-1, n]: one value below the range, one above.
@@ -252,7 +286,69 @@ func FuzzFreeze(f *testing.F) {
 		if err == nil {
 			assertSameGraph(t, got, want)
 		}
+
+		off, parents, grouped, ok := byChild(n, edges)
+		if !ok {
+			return // FromEdges refused it above
+		}
+		_, errGrouped := FromEdges(n, grouped)
+		if (errGrouped == nil) != (err == nil) {
+			t.Fatalf("FromEdges(%d, %v) = %v, but grouped by child %v: %v", n, edges, err, grouped, errGrouped)
+		}
+		upward := true
+		for _, e := range edges {
+			upward = upward && e[0] < e[1]
+		}
+		fromParents, errParents := FromParents(n, off, parents)
+		if err != nil || !upward {
+			if errParents == nil {
+				t.Fatalf("FromParents(%d, %v, %v) accepted a list FromEdges refuses (%v) or with an edge not upward", n, off, parents, err)
+			}
+			return
+		}
+		if errParents != nil {
+			t.Fatalf("FromParents(%d, %v, %v): %v, FromEdges accepts it", n, off, parents, errParents)
+		}
+		wantGrouped, _ := refBuild(n, grouped)
+		assertSameGraph(t, fromParents, wantGrouped)
 	})
+}
+
+// TestFromParentsRejects pins that every malformed parent CSR is refused
+// with an error naming its defect, none of them by a panic.
+func TestFromParentsRejects(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		n    int
+		off  []int32
+		list []NodeID
+		want string
+	}{
+		{"short offsets", 2, []int32{0, 0}, nil, "2 parent offsets for 2 nodes, want 3"},
+		{"long offsets", 1, []int32{0, 0, 0}, nil, "3 parent offsets for 1 nodes, want 2"},
+		{"first offset not 0", 2, []int32{1, 1, 1}, []NodeID{0}, "start at 1"},
+		{"offsets decrease", 3, []int32{0, 2, 1, 2}, []NodeID{0, 0}, "decrease at node 1"},
+		{"offset past the list inside", 2, []int32{0, 5, 1}, []NodeID{0}, "decrease at node 1"},
+		{"last offset short of the list", 2, []int32{0, 0, 1}, []NodeID{0, 0}, "end at 1, but the list holds 2"},
+		{"last offset past the list", 2, []int32{0, 0, 2}, []NodeID{0}, "end at 2, but the list holds 1"},
+		{"parent equals child", 2, []int32{0, 0, 1}, []NodeID{1}, "self-loop on node 1"},
+		{"parent above child", 3, []int32{0, 1, 1, 1}, []NodeID{2}, "edge (2,0) does not run upward"},
+		{"parent below zero", 2, []int32{0, 0, 1}, []NodeID{-1}, "edge (-1,1) out of range"},
+		{"repeated parent", 3, []int32{0, 0, 1, 3}, []NodeID{0, 1, 1}, "duplicate edge (1,2)"},
+		{"too many nodes", MaxSize + 1, nil, nil, "nodes and 0 edges"},
+		{"negative nodes", -1, nil, nil, "-1 nodes"},
+	} {
+		d, err := FromParents(tc.n, tc.off, tc.list)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: FromParents(%d, %v, %v) = %v, %v; want an error containing %q", tc.name, tc.n, tc.off, tc.list, d, err, tc.want)
+		}
+	}
+	if _, err := FromParents(2, []int32{0, 0, 1}, []NodeID{1}); !errors.Is(err, ErrCycle) {
+		t.Errorf("self-loop: %v does not wrap ErrCycle", err)
+	}
+	if _, err := FromParents(0, []int32{0}, nil); err != nil {
+		t.Errorf("empty graph: %v", err)
+	}
 }
 
 // TestDuplicateEdgePolicy pins that FromEdges refuses a list that repeats an

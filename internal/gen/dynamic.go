@@ -288,18 +288,13 @@ func (d *Dyn) NumEdges() int { return len(d.graph.Load().parents) }
 
 // FinalDAG freezes the discovered graph into an immutable DAG, for the
 // serial verification sweep that runs after a dynamic execution finishes.
-// The edge list is emitted in parent order per node, so the frozen graph's
-// Parents(v) matches the expander's Parents(v) element for element — a
-// workload that folds parent values in order sees identical inputs on both
-// the parallel and serial passes.
+// The DAG takes the published parent lists as they are, so its Parents(v)
+// matches the expander's Parents(v) element for element — a workload that
+// folds parent values in order sees identical inputs on both the parallel
+// and serial passes. It shares their arrays: a published range is never
+// written again, so levels expanded later do not reach it.
 func (d *Dyn) FinalDAG() (*dag.DAG, error) {
 	g := d.graph.Load()
-	n := g.numNodes()
-	edges := make([][2]dag.NodeID, 0, len(g.parents))
-	for v := 0; v < n; v++ {
-		for _, u := range g.parentsOf(dag.NodeID(v)) {
-			edges = append(edges, [2]dag.NodeID{u, dag.NodeID(v)})
-		}
-	}
-	return dag.FromEdges(n, edges)
+	n, m := g.numNodes(), len(g.parents)
+	return dag.FromParents(n, g.parOff[:n+1:n+1], g.parents[:m:m])
 }

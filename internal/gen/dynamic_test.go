@@ -194,6 +194,39 @@ func TestDynamicFinalDAGParentOrder(t *testing.T) {
 	}
 }
 
+// TestDynamicFinalDAGSnapshot pins that a DAG frozen mid-expansion stays
+// the graph it was frozen as while later levels are built: FinalDAG shares
+// the published parent arrays, which later levels only extend.
+func TestDynamicFinalDAGSnapshot(t *testing.T) {
+	d, err := NewDynamic(Config{Shape: Dynamic, Stages: 12, Width: 3, EdgeProb: 0.2, Seed: 1}, DynLimits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Expanding in ID order builds a level at the first node of the newest.
+	for u, levels := 0, 0; levels < 4; u++ {
+		before := d.NumNodes()
+		if _, err := d.Expand(dag.NodeID(u)); err != nil {
+			t.Fatal(err)
+		}
+		if d.NumNodes() > before {
+			levels++
+		}
+	}
+	snap, err := d.FinalDAG()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, digest := snap.NumNodes(), graphDigest(snap)
+	expandAll(t, d, func([]dag.NodeID) {})
+	if d.NumNodes() <= n {
+		t.Fatalf("expanding every level grew the graph from %d to %d nodes", n, d.NumNodes())
+	}
+	if got := graphDigest(snap); got != digest || snap.NumNodes() != n {
+		t.Errorf("snapshot of %d nodes changed while later levels were built: digest %#016x, then %#016x", n, digest, got)
+	}
+	checkTopoOrder(t, "snapshot", snap)
+}
+
 // TestDynamicGrowthBound pins the runtime enforcement of the node cap: an
 // expansion that would exceed it fails with ErrGrowthBound and the error is
 // sticky so the whole run winds down.

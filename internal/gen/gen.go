@@ -201,11 +201,14 @@ func ChainDAG(n int) (*dag.DAG, error) {
 	if err := dag.CheckSize(n, n-1); err != nil {
 		return nil, err
 	}
-	edges := make([][2]dag.NodeID, n-1)
-	for i := range edges {
-		edges[i] = [2]dag.NodeID{dag.NodeID(i), dag.NodeID(i + 1)}
+	// Node v > 0 has the one parent v-1.
+	off := make([]int32, n+1)
+	parents := make([]dag.NodeID, n-1)
+	for v := 1; v < n; v++ {
+		parents[v-1] = dag.NodeID(v - 1)
+		off[v+1] = int32(v)
 	}
-	return dag.FromEdges(n, edges)
+	return dag.FromParents(n, off, parents)
 }
 
 // ExplicitDAG builds the graph a client described literally: n nodes
@@ -245,6 +248,8 @@ func RandomDAG(n int, p float64, seed int64) (*dag.DAG, error) {
 	rng := rand.New(rand.NewPCG(uint64(seed), seedStream))
 	g := skipSample(n, p, rng)
 	g.fillIn(rng)
+	// The fill-in edges come last yet fix each node's parent order, so the
+	// list is frozen as it stands: grouping it by child is FromEdges' fill.
 	return dag.FromEdges(n, g.edges)
 }
 
@@ -353,20 +358,27 @@ func PipelineDAG(stages, width int) (*dag.DAG, error) {
 		return nil, fmt.Errorf("gen: pipeline %dx%d is too large: 3·stages·width must stay under %d", stages, width, dag.MaxSize)
 	}
 	n := stages*width + 2
-	source, sink := dag.NodeID(0), dag.NodeID(n-1)
-	// Grid node (s, i) is ID 1 + s*width + i.
+	// Grid node (s, i) is ID 1 + s*width + i; its parents are listed in
+	// ascending ID order, node by node.
 	id := func(s, i int) dag.NodeID { return dag.NodeID(1 + s*width + i) }
-	// An interior column feeds three neighbours, the two edge columns two.
-	edges := make([][2]dag.NodeID, 0, 2*width+(stages-1)*(3*width-2))
+	// An interior column has three parents, the two edge columns two.
+	off := make([]int32, 2, n+1) // the source, node 0, has no parent
+	parents := make([]dag.NodeID, 0, 2*width+(stages-1)*(3*width-2))
 	for i := 0; i < width; i++ {
-		edges = append(edges, [2]dag.NodeID{source, id(0, i)}, [2]dag.NodeID{id(stages-1, i), sink})
+		parents = append(parents, 0) // the source feeds all of stage 0
+		off = append(off, int32(len(parents)))
 	}
-	for s := 0; s < stages-1; s++ {
-		for i := 0; i < width; i++ {
-			for j := max(i-1, 0); j <= min(i+1, width-1); j++ {
-				edges = append(edges, [2]dag.NodeID{id(s, i), id(s+1, j)})
+	for s := 1; s < stages; s++ {
+		for j := 0; j < width; j++ {
+			for i := max(j-1, 0); i <= min(j+1, width-1); i++ {
+				parents = append(parents, id(s-1, i))
 			}
+			off = append(off, int32(len(parents)))
 		}
 	}
-	return dag.FromEdges(n, edges)
+	for i := 0; i < width; i++ {
+		parents = append(parents, id(stages-1, i))
+	}
+	off = append(off, int32(len(parents)))
+	return dag.FromParents(n, off, parents)
 }

@@ -27,7 +27,10 @@ var ErrMismatch = errors.New("run: parallel results diverge from serial referenc
 // while the parallel pass runs on the caller's, so a run's wall time is the
 // longer pass, not the sum. Both passes watch ctx, and Execute joins the
 // reference before it verifies or returns, on every path; the pass's error
-// is reported before the reference's.
+// is reported before the reference's. The graph's depth and its sink total
+// are the reference's to compute: on a static shape its goroutine takes
+// them once Serial returns, so they overlap the parallel pass too; on the
+// dynamic shape they follow the reference, which follows the pass.
 //
 // defaultWorkers is used when spec.Workers is 0 (<= 0 falls back to
 // NumCPU). On a verification mismatch the measured Result (with Match
@@ -71,19 +74,13 @@ func Execute(ctx context.Context, spec Spec, defaultWorkers int) (*Result, error
 	}
 
 	// The DAG is read-only to both passes, and Workload's contract lets
-	// Serial run beside the hook, so the only shared state is the three
-	// variables the join below orders.
-	var (
-		serial    []uint64
-		serialErr error
-		serialDur time.Duration
-	)
+	// Serial run beside the hook, so the only shared state is ref, which the
+	// join below orders.
+	var ref reference
 	joined := make(chan struct{})
 	go func() {
 		defer close(joined)
-		t0 := time.Now()
-		serial, serialErr = workload.Serial(ctx, d, spec.Work)
-		serialDur = time.Since(t0)
+		ref = sweep(ctx, workload, d, spec.Work)
 	}()
 	t1 := time.Now()
 	parallel, err := sched.New(d, opts).Run(ctx, hook)
@@ -92,11 +89,34 @@ func Execute(ctx context.Context, spec Spec, defaultWorkers int) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	if serialErr != nil {
-		return nil, serialErr
+	if ref.err != nil {
+		return nil, ref.err
 	}
 
-	return buildResult(workload, spec, d, workers, serial, parallel, serialDur, parallelDur)
+	return buildResult(workload, spec, d, workers, ref, parallel, parallelDur)
+}
+
+// reference is a serial sweep's outcome: the values, Serial's own wall time,
+// and what the result reads off the graph with them.
+type reference struct {
+	values    []uint64
+	err       error
+	dur       time.Duration
+	depth     int
+	sinkPaths uint64
+}
+
+// sweep runs the workload's serial reference over d, timing Serial alone,
+// then takes d's depth and its sink total from the values.
+func sweep(ctx context.Context, workload sched.Workload, d *dag.DAG, work int) reference {
+	t0 := time.Now()
+	values, err := workload.Serial(ctx, d, work)
+	ref := reference{values: values, err: err, dur: time.Since(t0)}
+	if err == nil {
+		ref.depth = d.Depth()
+		ref.sinkPaths = sched.TotalSinkPaths(d, values)
+	}
+	return ref
 }
 
 // executeDynamic runs a dynamic-shape spec: the graph is discovered while
@@ -119,35 +139,33 @@ func executeDynamic(ctx context.Context, spec Spec, workload sched.Workload, wor
 	if err != nil {
 		return nil, err
 	}
-	t0 := time.Now()
-	serial, err := workload.Serial(ctx, d, spec.Work)
-	if err != nil {
-		return nil, err
+	ref := sweep(ctx, workload, d, spec.Work)
+	if ref.err != nil {
+		return nil, ref.err
 	}
-	serialDur := time.Since(t0)
 
-	return buildResult(workload, spec, d, workers, serial, parallel, serialDur, parallelDur)
+	return buildResult(workload, spec, d, workers, ref, parallel, parallelDur)
 }
 
 func buildResult(workload sched.Workload, spec Spec, d *dag.DAG, workers int,
-	serial, parallel []uint64, serialDur, parallelDur time.Duration) (*Result, error) {
-	verifyErr := workload.Verify(d, serial, parallel)
+	ref reference, parallel []uint64, parallelDur time.Duration) (*Result, error) {
+	verifyErr := workload.Verify(d, ref.values, parallel)
 	res := &Result{
 		Workload:       workload.Name(),
 		Nodes:          d.NumNodes(),
 		Edges:          d.NumEdges(),
-		Depth:          d.Depth(),
+		Depth:          ref.depth,
 		Workers:        workers,
-		SinkPaths:      sched.TotalSinkPaths(d, serial),
+		SinkPaths:      ref.sinkPaths,
 		Match:          verifyErr == nil,
-		SerialMillis:   float64(serialDur.Microseconds()) / 1000,
+		SerialMillis:   float64(ref.dur.Microseconds()) / 1000,
 		ParallelMillis: float64(parallelDur.Microseconds()) / 1000,
 	}
 	// A zero/near-zero duration (trivial DAG, coarse clock) would make the
 	// ratio 0/0 or +Inf; leave Speedup 0 there — Match is the correctness
 	// signal, not Speedup.
-	if serialDur > 0 && parallelDur > 0 {
-		res.Speedup = float64(serialDur) / float64(parallelDur)
+	if ref.dur > 0 && parallelDur > 0 {
+		res.Speedup = float64(ref.dur) / float64(parallelDur)
 	}
 	if verifyErr != nil {
 		return res, fmt.Errorf("%w: %v (workload %s on %d-node %s dag, seed %d)",
