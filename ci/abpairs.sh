@@ -20,7 +20,16 @@
 # metric's bound, or when either side's interquartile range is wider than
 # the bound and not every change run beats every parent run; "within bound"
 # otherwise. Which way is better, and the bound, come from BENCHMARK.json.
-# Exits non-zero if any run reports failed > 0 (or did not finish).
+# The last line on stdout is the trajectory record: one JSON object with the
+# workload, the parent SHA, the pair count, per end-to-end metric each
+# side's q1/median/q3, the per-pair change/parent ratios (in seed order),
+# the wins and the verdict, and the count of failed runs. Append it to
+# BENCH_trajectory.jsonl to keep it:
+#
+#   ci/abpairs.sh svc_mem 5 | tail -n 1 >> BENCH_trajectory.jsonl
+#
+# Exits non-zero if any run reports failed > 0 (or did not finish), or if a
+# metric's ratio count differs from the pair count.
 #
 # parent-rev defaults to HEAD when the checkout has uncommitted changes
 # (the change is the working tree) and to HEAD~1 when it is clean (the
@@ -68,7 +77,7 @@ for i in $(seq 1 "$pairs"); do
 	fi
 done
 
-python3 - "$runs" "$root/BENCHMARK.json" <<'PY'
+python3 - "$runs" "$root/BENCHMARK.json" "$workload" "$sha" "$pairs" <<'PY'
 import json, statistics, sys
 
 sides = {"parent": {}, "change": {}}
@@ -109,12 +118,18 @@ for name in names:
 # The verdicts: one line per end-to-end metric both sides reported.
 both = sorted(set(sides["parent"]) & set(sides["change"]))
 print(f"{'metric':<16}{'pair ratio':>11}   verdict (gain: better in >= 9/10 pairs and medians apart by more than the parent's IQR)")
+npairs = int(sys.argv[5])
+record = {"workload": sys.argv[3], "parent": sys.argv[4], "pairs": npairs, "metrics": {}, "failed": bad}
 for name in names:
     pairs = [s for s in both if name in sides["parent"][s] and name in sides["change"][s]]
-    if name not in spec or not pairs or any(sides["parent"][s][name] == 0 for s in pairs):
+    if name not in spec:
+        continue
+    ratios = [sides["change"][s][name] / sides["parent"][s][name] for s in pairs if sides["parent"][s][name] != 0]
+    record["metrics"][name] = {"ratios": [round(r, 6) for r in ratios]}
+    if not pairs or len(ratios) < len(pairs):
         continue
     sign = 1 if name in higher_is_better else -1
-    ratio = statistics.median(sides["change"][s][name] / sides["parent"][s][name] for s in pairs)
+    ratio = statistics.median(ratios)
     wins = sum(sign * (sides["change"][s][name] - sides["parent"][s][name]) > 0 for s in pairs)
     parent = [sides["parent"][s][name] for s in pairs]
     change = [sides["change"][s][name] for s in pairs]
@@ -132,7 +147,15 @@ for name in names:
         verdict = "within bound"
     print(f"{name:<16}{ratio:>11.4f}   {verdict}: better in {wins}/{len(pairs)} pairs, medians "
           f"{gap:+.4g} apart (+ is better), parent IQR {q3 - q1:.4g}, spread {100 * spread:.1f}%, bound {100 * bound:g}%")
+    record["metrics"][name].update({"parent": {"q1": q1, "median": parent_med, "q3": q3},
+                                    "change": {"q1": c1, "median": change_med, "q3": c3},
+                                    "wins": wins, "verdict": verdict})
+print(json.dumps(record, separators=(",", ":")))
+short = [name for name, m in record["metrics"].items() if len(m["ratios"]) != npairs]
+for name in short:
+    print(f"{name}: {len(record['metrics'][name]['ratios'])} ratios for {npairs} pairs", file=sys.stderr)
 if bad:
     print(f"{bad} run(s) failed or did not finish", file=sys.stderr)
+if bad or short:
     sys.exit(1)
 PY

@@ -6,7 +6,12 @@
 // Usage:
 //
 //	dagworker -coordinator http://127.0.0.1:8081
-//	dagworker -coordinator http://coord:8081 -capacity 4 -workloads pathcount,hashchain
+//	dagworker -coordinator http://coord:8081 -capacity 4
+//
+// At registration the worker sends its build identity — the generator
+// version and workload table compiled into it — and the coordinator refuses
+// a worker whose build differs from its own: every worker may be handed any
+// run. A refused worker exits 1 with the coordinator's message.
 //
 // While a run executes, the worker heartbeats on the interval the
 // coordinator announced at registration; each heartbeat extends the leases
@@ -46,8 +51,6 @@ func main() {
 		coordinator = flag.String("coordinator", "", "base URL of the coordinator's fleet listener, e.g. http://127.0.0.1:8081 (required)")
 		name        = flag.String("name", "", "worker name, the prefix of the coordinator-assigned worker ID (empty = hostname)")
 		capacity    = flag.Int("capacity", 1, "runs executed concurrently")
-		workloads   = flag.String("workloads", "", "comma-separated workloads this worker accepts (empty = all registered)")
-		shapes      = flag.String("shapes", "", "comma-separated DAG shapes this worker accepts, e.g. random,chain,dynamic (empty = all)")
 		runWorkers  = flag.Int("run-workers", 0, "default scheduler pool size per run (0 = NumCPU)")
 	)
 	flag.Parse()
@@ -55,28 +58,6 @@ func main() {
 	if *coordinator == "" {
 		fmt.Fprintln(os.Stderr, "dagworker: -coordinator is required")
 		os.Exit(2)
-	}
-	var accepts []string
-	if *workloads != "" {
-		for _, wl := range strings.Split(*workloads, ",") {
-			wl = strings.TrimSpace(wl)
-			if _, err := sched.LookupWorkload(wl); err != nil {
-				fmt.Fprintln(os.Stderr, "dagworker:", err)
-				os.Exit(2)
-			}
-			accepts = append(accepts, wl)
-		}
-	}
-	var acceptShapes []string
-	if *shapes != "" {
-		for _, sh := range strings.Split(*shapes, ",") {
-			sh = strings.TrimSpace(sh)
-			if _, err := gen.ParseShape(sh); err != nil {
-				fmt.Fprintln(os.Stderr, "dagworker:", err)
-				os.Exit(2)
-			}
-			acceptShapes = append(acceptShapes, sh)
-		}
 	}
 	if *name == "" {
 		host, err := os.Hostname()
@@ -96,8 +77,6 @@ func main() {
 		client:     fleet.NewClient(strings.TrimRight(*coordinator, "/")),
 		name:       *name,
 		capacity:   *capacity,
-		workloads:  accepts,
-		shapes:     acceptShapes,
 		runWorkers: *runWorkers,
 		running:    make(map[string]*task),
 	}
@@ -121,8 +100,6 @@ type worker struct {
 	client     *fleet.Client
 	name       string
 	capacity   int
-	workloads  []string
-	shapes     []string
 	runWorkers int
 
 	mu        sync.Mutex
@@ -151,6 +128,7 @@ func (w *worker) run(ctx context.Context) error {
 
 	sem := make(chan struct{}, w.capacity)
 	backoff := time.Second
+	var refused error // a re-registration the coordinator refused: exit 1 after draining
 lease:
 	for {
 		select {
@@ -181,6 +159,9 @@ lease:
 		case errors.Is(err, fleet.ErrUnregistered):
 			log.Printf("dagworker: coordinator forgot us (restart?), re-registering")
 			if rerr := w.reregister(ctx, workerID); rerr != nil {
+				if errors.Is(rerr, fleet.ErrRefused) {
+					refused = rerr
+				}
 				<-sem
 				break lease
 			}
@@ -206,7 +187,7 @@ lease:
 	w.inflight.Wait()
 	close(hbStop)
 	<-hbDone
-	return nil
+	return refused
 }
 
 // defaultLeaseWait mirrors the server's default long-poll window.
@@ -241,16 +222,17 @@ func (w *worker) snapshotRunning() []string {
 }
 
 // register acquires a fresh worker ID, retrying with backoff until the
-// coordinator answers or ctx ends.
+// coordinator answers or ctx ends. A refusal (fleet.ErrRefused: this build
+// differs from the coordinator's) is returned at once; no retry can cure it.
 func (w *worker) register(ctx context.Context) error {
 	backoff := 500 * time.Millisecond
 	for {
 		cctx, cancel := context.WithTimeout(context.Background(), reportTimeout)
 		resp, err := w.client.Register(cctx, fleet.RegisterRequest{
-			Name:      w.name,
-			Capacity:  w.capacity,
-			Workloads: w.workloads,
-			Shapes:    w.shapes,
+			Name:       w.name,
+			Capacity:   w.capacity,
+			GenVersion: gen.CurrentVersion,
+			Workloads:  sched.Workloads(),
 		})
 		cancel()
 		if err == nil {
@@ -264,6 +246,9 @@ func (w *worker) register(ctx context.Context) error {
 			w.mu.Unlock()
 			log.Printf("dagworker: registered as %s (lease ttl %v, heartbeat %v)", resp.WorkerID, ttl, w.heartbeat)
 			return nil
+		}
+		if errors.Is(err, fleet.ErrRefused) {
+			return fmt.Errorf("coordinator refused registration: %w", err)
 		}
 		if ctx.Err() != nil {
 			return fmt.Errorf("registering with %s: %w", w.name, err)

@@ -154,16 +154,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// queued is one pending queue entry: the run's ID, when it entered the
-// queue (so pops can observe queue-wait and scrapes the oldest entry's
-// age), and its workload name and DAG shape so Lease can match entries
-// against a worker's advertised capabilities without a store read per
-// candidate.
+// queued is one pending queue entry: the run's ID and when it entered the
+// queue, so pops can observe queue-wait and scrapes the oldest entry's age.
 type queued struct {
-	id       string
-	at       time.Time
-	workload string
-	shape    string
+	id string
+	at time.Time
 }
 
 // tenantQueue is one tenant's scheduling state. All fields are guarded by
@@ -201,22 +196,16 @@ type priorityClass struct {
 }
 
 // pick dequeues the next run this class should dispatch, or reports false
-// when no tenant in the class has an eligible queued run. It implements
+// when no tenant in the class has a run it may start. It implements
 // unit-cost deficit round-robin: when the cursor reaches a backlogged
 // tenant with no credit left, the tenant is granted `weight` credits and
 // serves them one pick at a time before the cursor moves on — so over a
 // full rotation each backlogged tenant drains runs in proportion to its
 // weight. An empty queue forfeits its remaining credit (classic DRR: idle
 // tenants must not bank bursts); a tenant at its in-flight cap is skipped
-// with its credit intact and resumes when capacity frees up.
-//
-// eligible, when non-nil, restricts the pick to entries whose workload and
-// DAG shape it accepts — the requesting worker's advertised capabilities.
-// The earliest eligible entry in the tenant's FIFO is served; a tenant
-// whose queued work is entirely ineligible is skipped with its credit
-// intact, exactly like an at-cap tenant (another worker may drain it). A
-// nil eligible (the in-process workers) always serves the head.
-func (cl *priorityClass) pick(eligible func(workload, shape string) bool) (*tenantQueue, queued, bool) {
+// with its credit intact and resumes when capacity frees up. Every worker
+// runs every run, so a pick always serves the head of the tenant's FIFO.
+func (cl *priorityClass) pick() (*tenantQueue, queued, bool) {
 	n := len(cl.order)
 	for i := 0; i < n; i++ {
 		tq := cl.order[cl.cursor]
@@ -229,30 +218,12 @@ func (cl *priorityClass) pick(eligible func(workload, shape string) bool) (*tena
 			cl.cursor = (cl.cursor + 1) % n
 			continue
 		}
-		j := 0
-		if eligible != nil {
-			j = -1
-			for k := range tq.queue {
-				if eligible(tq.queue[k].workload, tq.queue[k].shape) {
-					j = k
-					break
-				}
-			}
-			if j < 0 {
-				cl.cursor = (cl.cursor + 1) % n
-				continue
-			}
-		}
 		if tq.deficit <= 0 {
 			tq.deficit = tq.cfg.Weight
 		}
 		tq.deficit--
-		entry := tq.queue[j]
-		if j == 0 {
-			tq.queue = tq.queue[1:]
-		} else {
-			tq.queue = append(tq.queue[:j], tq.queue[j+1:]...)
-		}
+		entry := tq.queue[0]
+		tq.queue = tq.queue[1:]
 		if tq.deficit <= 0 || len(tq.queue) == 0 {
 			cl.cursor = (cl.cursor + 1) % n
 		}
@@ -519,7 +490,7 @@ func (d *Dispatcher) Submit(spec run.Spec) (run.Run, error) {
 		d.met.rejections.With(cfg.Name, "shutting_down").Inc()
 		return run.Run{}, ErrShuttingDown
 	}
-	tq.queue = append(tq.queue, queued{id: r.ID, at: time.Now(), workload: spec.Workload, shape: spec.Shape.String()})
+	tq.queue = append(tq.queue, queued{id: r.ID, at: time.Now()})
 	d.cond.Signal()
 	d.mu.Unlock()
 	d.met.submits.With(cfg.Name).Inc()
@@ -544,7 +515,7 @@ func (d *Dispatcher) Recover(runs []run.Run) int {
 	now := time.Now()
 	for _, r := range runs {
 		tq := d.queueForLocked(r.Spec.Tenant)
-		tq.queue = append(tq.queue, queued{id: r.ID, at: now, workload: r.Spec.Workload, shape: r.Spec.Shape.String()})
+		tq.queue = append(tq.queue, queued{id: r.ID, at: now})
 		d.met.submits.With(tq.cfg.Name).Inc()
 	}
 	d.cond.Broadcast()

@@ -19,8 +19,8 @@ import (
 // fairness guarantees hold no matter where execution happens.
 
 // work is one in-process worker: lease, execute, complete, until the
-// queues close and drain. It leases under the worker name "" and supports
-// every workload, so an embedded run's snapshot carries no worker.
+// queues close and drain. It leases under the worker name "", so an
+// embedded run's snapshot carries no worker.
 func (d *Dispatcher) work() {
 	defer d.wg.Done()
 	for {
@@ -43,22 +43,22 @@ func (d *Dispatcher) work() {
 	}
 }
 
-// Lease blocks until a queued run matching the worker's supported
-// workloads is scheduled to it, then transitions the run to running
-// (store.Begin, attributing it to worker; the grant is not logged) and
-// returns the running snapshot. It returns ctx.Err() when the caller gives
-// up waiting (long-poll deadline), ErrShuttingDown once a drain has begun
-// and the queues are empty.
+// Lease blocks until a queued run is scheduled to the worker, then
+// transitions the run to running (store.Begin, attributing it to worker;
+// the grant is not logged) and returns the running snapshot. It returns
+// ctx.Err() when the caller gives up waiting (long-poll deadline),
+// ErrShuttingDown once a drain has begun and the queues are empty.
 //
-// supports filters which queue entries this worker may take, by workload
-// name and DAG shape (nil accepts everything); a tenant whose queued work
-// is entirely unsupported is skipped without losing its rotation credit.
+// The third parameter is retired and ignored: it was a per-worker
+// capability filter, and every worker now runs every run (internal/fleet
+// checks a worker's build at register instead). Pass nil.
+//
 // onCancel is the run's cancel hook: the store invokes it (possibly under
 // the store's lock — it must not call back into the dispatcher) when
 // cancellation is requested. An in-process worker cancels the run's
 // context; the fleet layer passes a no-op, since its heartbeat reads the
 // acknowledgement off the run (run.Run.CancelRequested).
-func (d *Dispatcher) Lease(ctx context.Context, worker string, supports func(workload, shape string) bool, onCancel func(id string)) (run.Run, error) {
+func (d *Dispatcher) Lease(ctx context.Context, worker string, _ func(workload, shape string) bool, onCancel func(id string)) (run.Run, error) {
 	stop := context.AfterFunc(ctx, func() {
 		// Lock-step with the wait loop below so a cancellation arriving
 		// between the ctx.Err() check and cond.Wait() is never lost.
@@ -79,7 +79,7 @@ func (d *Dispatcher) Lease(ctx context.Context, worker string, supports func(wor
 			}
 			found := false
 			for _, cl := range d.classes {
-				if tq, picked, found = cl.pick(supports); found {
+				if tq, picked, found = cl.pick(); found {
 					break
 				}
 			}
@@ -206,7 +206,7 @@ func (d *Dispatcher) ExpireLease(id string) (run.Run, error) {
 	d.mu.Lock()
 	tq := d.queueForLocked(r.Spec.Tenant)
 	tq.inflight--
-	tq.queue = append(tq.queue, queued{id: id, at: time.Now(), workload: r.Spec.Workload, shape: r.Spec.Shape.String()})
+	tq.queue = append(tq.queue, queued{id: id, at: time.Now()})
 	d.cond.Broadcast()
 	d.mu.Unlock()
 	d.met.redispatched.With(r.Spec.Tenant).Inc()

@@ -220,44 +220,6 @@ func TestExpireLeaseHonoursAcknowledgedCancel(t *testing.T) {
 	}
 }
 
-// TestLeaseWorkloadFilter pins eligibility routing: a worker that only
-// supports hashchain must not be handed a pathcount run, and a tenant
-// whose queued work is unsupported is skipped rather than blocking.
-func TestLeaseWorkloadFilter(t *testing.T) {
-	_, d := newRemoteDispatcher(t, Options{QueueDepth: 8})
-	pc, err := d.Submit(pipelineSpec(5, 2, 0)) // default workload: pathcount
-	if err != nil {
-		t.Fatal(err)
-	}
-	hcSpec := pipelineSpec(5, 2, 0)
-	hcSpec.Workload = "hashchain"
-	hc, err := d.Submit(hcSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	r, err := d.Lease(ctx, "hc-only", func(w, _ string) bool { return w == "hashchain" }, func(string) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.ID != hc.ID {
-		t.Fatalf("hashchain-only worker leased %s, want %s", r.ID, hc.ID)
-	}
-
-	// An unrestricted worker gets the remaining pathcount run.
-	r2 := lease(t, d, "any")
-	if r2.ID != pc.ID {
-		t.Fatalf("unrestricted worker leased %s, want %s", r2.ID, pc.ID)
-	}
-	for _, id := range []string{pc.ID, hc.ID} {
-		if _, err := d.CompleteLease(id, run.StateSucceeded, "", &run.Result{Match: true}); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func TestLeaseLongPollTimesOut(t *testing.T) {
 	_, d := newRemoteDispatcher(t, Options{QueueDepth: 8})
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)

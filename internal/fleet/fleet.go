@@ -5,11 +5,15 @@
 //
 // # Protocol
 //
-// A worker registers once (name, capacity, supported workloads and DAG
-// shapes) and receives a unique worker ID plus the coordinator's lease TTL
-// and heartbeat interval (HeartbeatInterval of the TTL). It then long-polls for
-// leases: each grant transitions one run to running through the dispatcher
-// (store.Begin, attributed to the worker ID) and starts a lease clock.
+// A worker registers once (name, capacity and its build identity: the
+// generator version and workload table it was built with) and receives a
+// unique worker ID plus the coordinator's lease TTL and heartbeat interval
+// (HeartbeatInterval of the TTL). Every worker may be handed any run, so a
+// worker whose build differs from the coordinator's is refused at register
+// (checkBuild). It then long-polls for leases: each grant transitions the
+// run at the head of the next tenant's queue to running through the
+// dispatcher (store.Begin, attributed to the worker ID) and starts a lease
+// clock.
 // While executing, the worker heartbeats every interval; a heartbeat
 // extends every lease it names and returns two lists — runs the
 // coordinator wants cancelled (a POST /v1/runs/{id}/cancel acknowledged on
@@ -38,6 +42,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"sort"
@@ -75,8 +80,6 @@ type worker struct {
 	id        string
 	name      string
 	capacity  int
-	workloads map[string]bool      // nil/empty = every workload
-	shapes    map[string]bool      // nil/empty = every DAG shape
 	expiresAt time.Time            // registration lapses without polls/heartbeats
 	polls     int                  // acquire calls in flight
 	leases    map[string]time.Time // run ID → when its lease lapses
@@ -153,39 +156,46 @@ func (m *Manager) Close() {
 	<-m.done
 }
 
-// register admits a worker and returns its unique ID. An unknown or empty
-// workload or shape name is rejected so misconfigured workers fail loudly
-// at boot instead of idling forever with an unmatchable filter.
-func (m *Manager) register(name string, capacity int, workloads, shapes []string) (string, error) {
+// checkBuild is the register handshake: every worker may be handed any run,
+// so it must have been built with the generator version and workload table
+// this coordinator admits runs under. The error names the difference.
+func checkBuild(genVersion int, workloads []string) error {
+	const rebuild = "rebuild the worker from the coordinator's source"
+	if genVersion == 0 {
+		return fmt.Errorf("register names no gen_version: capability lists (workloads, shapes) are retired and every worker runs every run; %s", rebuild)
+	}
+	if genVersion != gen.CurrentVersion {
+		return fmt.Errorf("worker gen_version %d, coordinator gen_version %d; %s", genVersion, gen.CurrentVersion, rebuild)
+	}
+	have := make(map[string]bool, len(workloads))
+	for _, name := range workloads {
+		have[name] = true
+	}
+	var missing, extra []string
+	for _, name := range sched.Workloads() {
+		if !have[name] {
+			missing = append(missing, name)
+		}
+		delete(have, name)
+	}
+	for name := range have {
+		extra = append(extra, name)
+	}
+	if len(missing) > 0 || len(extra) > 0 {
+		sort.Strings(extra)
+		return fmt.Errorf("worker workload table differs from the coordinator's: missing %q, extra %q; %s", missing, extra, rebuild)
+	}
+	return nil
+}
+
+// register admits a worker whose build passed checkBuild and returns its
+// unique ID.
+func (m *Manager) register(name string, capacity int) string {
 	if name == "" {
 		name = "worker"
 	}
 	if capacity <= 0 {
 		capacity = 1
-	}
-	var set map[string]bool
-	if len(workloads) > 0 {
-		set = make(map[string]bool, len(workloads))
-		for _, w := range workloads {
-			if _, err := sched.LookupWorkload(w); err != nil {
-				return "", fmt.Errorf("unsupported workload %q", w)
-			}
-			if w == "" {
-				w = sched.DefaultWorkload
-			}
-			set[w] = true
-		}
-	}
-	var shapeSet map[string]bool
-	if len(shapes) > 0 {
-		shapeSet = make(map[string]bool, len(shapes))
-		for _, s := range shapes {
-			sh, err := gen.ParseShape(s)
-			if err != nil {
-				return "", fmt.Errorf("unsupported shape %q", s)
-			}
-			shapeSet[sh.String()] = true
-		}
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -195,12 +205,10 @@ func (m *Manager) register(name string, capacity int, workloads, shapes []string
 		id:        id,
 		name:      name,
 		capacity:  capacity,
-		workloads: set,
-		shapes:    shapeSet,
 		expiresAt: m.deadline(),
 		leases:    make(map[string]time.Time),
 	}
-	return id, nil
+	return id
 }
 
 // deadline is when a lease or registration touched now lapses.
@@ -244,11 +252,10 @@ func (m *Manager) acquire(ctx context.Context, workerID string) (run.Run, error)
 		return run.Run{}, errAtCapacity
 	}
 	w.polls++
-	supports := w.supports()
 	m.mu.Unlock()
 
 	// No cancel hook: a heartbeat reads the acknowledgement off the run.
-	r, err := m.disp.Lease(ctx, workerID, supports, func(string) {})
+	r, err := m.disp.Lease(ctx, workerID, nil, func(string) {})
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -260,26 +267,6 @@ func (m *Manager) acquire(ctx context.Context, workerID string) (run.Run, error)
 	w.leases[r.ID] = w.expiresAt
 	m.met.granted.Inc()
 	return r, nil
-}
-
-// supports returns the eligibility filter for the dispatcher's pick. Must
-// be called with mu held; the returned closure reads only immutable state.
-func (w *worker) supports() func(workload, shape string) bool {
-	if len(w.workloads) == 0 && len(w.shapes) == 0 {
-		return nil
-	}
-	workloads, shapes := w.workloads, w.shapes
-	return func(workload, shape string) bool {
-		if workload == "" {
-			// Specs admitted before a default workload was stamped run the
-			// registry default.
-			workload = sched.DefaultWorkload
-		}
-		if len(workloads) > 0 && !workloads[workload] {
-			return false
-		}
-		return len(shapes) == 0 || shapes[shape]
-	}
 }
 
 // heartbeat extends the named leases and returns the runs the worker must
@@ -335,7 +322,7 @@ func dedupe(ids []string) []string {
 // discarded by the worker.
 func (m *Manager) complete(workerID, runID string, state run.State, errMsg string, result *run.Result) (run.Run, error) {
 	if !state.Terminal() {
-		return run.Run{}, fmt.Errorf("fleet: non-terminal completion state %s", state)
+		return run.Run{}, fmt.Errorf("%w: %s", errNonTerminal, state)
 	}
 	m.mu.Lock()
 	w := m.workers[workerID]
@@ -354,6 +341,10 @@ func (m *Manager) complete(workerID, runID string, state run.State, errMsg strin
 }
 
 var errUnknownWorker = fmt.Errorf("fleet: unknown worker")
+
+// errNonTerminal refuses a completion report whose state is not terminal
+// (an absent state decodes as queued); the lease stays held.
+var errNonTerminal = errors.New("fleet: completion state is not terminal")
 
 // sweep is the expiry loop: every quarter TTL it expires overdue leases
 // (the store requeues their runs, or finishes them cancelled when a cancel

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +15,7 @@ import (
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/gen"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/metrics"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/run"
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/sched"
 )
 
 // harness is one coordinator-side stack (store → remote dispatcher →
@@ -64,7 +68,9 @@ func (h *harness) submit(t *testing.T) run.Run {
 
 func (h *harness) register(t *testing.T, name string) RegisterResponse {
 	t.Helper()
-	resp, err := h.client.Register(context.Background(), RegisterRequest{Name: name, Capacity: 4})
+	resp, err := h.client.Register(context.Background(), RegisterRequest{
+		Name: name, Capacity: 4, GenVersion: gen.CurrentVersion, Workloads: sched.Workloads(),
+	})
 	if err != nil {
 		t.Fatalf("Register(%s): %v", name, err)
 	}
@@ -159,11 +165,84 @@ func TestLeaseNoWorkAndUnknownWorker(t *testing.T) {
 	}
 }
 
-func TestRegisterRejectsUnknownWorkload(t *testing.T) {
+// TestRegisterHandshake pins the register-time build check: a worker is
+// admitted only with the coordinator's generator version and its exact
+// workload table, and a refusal is a 400 naming the difference. The bodies
+// are raw JSON, as a worker built from any revision would send them.
+func TestRegisterHandshake(t *testing.T) {
 	h := newHarness(t, Options{})
-	_, err := h.client.Register(context.Background(), RegisterRequest{Name: "w", Workloads: []string{"nope"}})
-	if err == nil {
-		t.Fatal("Register with unknown workload succeeded")
+	table := sched.Workloads()
+	cases := []struct {
+		name string
+		body map[string]any
+		want []string // substrings of the refusal; nil = admitted
+	}{
+		{"matching build", map[string]any{"name": "w", "gen_version": gen.CurrentVersion, "workloads": table}, nil},
+		{"other gen_version", map[string]any{"name": "w", "gen_version": gen.CurrentVersion + 1, "workloads": table},
+			[]string{fmt.Sprint("gen_version ", gen.CurrentVersion+1), fmt.Sprint("gen_version ", gen.CurrentVersion)}},
+		{"no gen_version", map[string]any{"name": "w", "workloads": table}, []string{"gen_version", "retired"}},
+		{"missing workload", map[string]any{"name": "w", "gen_version": gen.CurrentVersion, "workloads": table[1:]},
+			[]string{"missing", table[0]}},
+		{"extra workload", map[string]any{"name": "w", "gen_version": gen.CurrentVersion, "workloads": append([]string{"nope"}, table...)},
+			[]string{"extra", "nope"}},
+		{"capability lists", map[string]any{"name": "w", "workloads": []string{"hashchain"}, "shapes": []string{"chain"}},
+			[]string{"retired"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := h.metricValue(t, "dagd_workers")
+			var out RegisterResponse
+			status, err := h.client.post(context.Background(), "/fleet/v1/register", tc.body, &out)
+			registered := h.metricValue(t, "dagd_workers") - before
+			if tc.want == nil {
+				if err != nil || out.WorkerID == "" || registered != 1 {
+					t.Fatalf("register = %d %+v, %v (%v workers added); want admitted", status, out, err, registered)
+				}
+				return
+			}
+			if status != http.StatusBadRequest || registered != 0 {
+				t.Fatalf("register = %d, %v (%v workers added); want a 400 refusal", status, err, registered)
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("refusal %q does not name %q", err, want)
+				}
+			}
+		})
+	}
+}
+
+// TestCompleteRefusesNonTerminalState pins that a completion report whose
+// state is not terminal is the reporter's error, a 400, and leaves the lease
+// held for the holder's real report.
+func TestCompleteRefusesNonTerminalState(t *testing.T) {
+	h := newHarness(t, Options{})
+	w := h.register(t, "w")
+	sub := h.submit(t)
+	if _, err := h.client.Lease(context.Background(), w.WorkerID, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		body map[string]any
+	}{
+		{"running", map[string]any{"worker_id": w.WorkerID, "run_id": sub.ID, "state": "running"}},
+		{"no state", map[string]any{"worker_id": w.WorkerID, "run_id": sub.ID}}, // decodes as queued
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			status, err := h.client.post(context.Background(), "/fleet/v1/complete", tc.body, nil)
+			if status != http.StatusBadRequest {
+				t.Errorf("complete = %d, %v; want 400", status, err)
+			}
+			if got, _ := h.store.Get(sub.ID); got.State != run.StateRunning {
+				t.Fatalf("after a refused report the run is %s, want running", got.State)
+			}
+		})
+	}
+	if _, err := h.client.Complete(context.Background(), CompleteRequest{
+		WorkerID: w.WorkerID, RunID: sub.ID, State: run.StateSucceeded, Result: &run.Result{Match: true},
+	}); err != nil {
+		t.Fatalf("the holder's report after the refusals: %v", err)
 	}
 }
 
@@ -365,7 +444,9 @@ func TestWorkerRegistrationLapses(t *testing.T) {
 // instead of a lease.
 func TestCapacityRefusal(t *testing.T) {
 	h := newHarness(t, Options{})
-	resp, err := h.client.Register(context.Background(), RegisterRequest{Name: "small", Capacity: 1})
+	resp, err := h.client.Register(context.Background(), RegisterRequest{
+		Name: "small", Capacity: 1, GenVersion: gen.CurrentVersion, Workloads: sched.Workloads(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,114 +461,12 @@ func TestCapacityRefusal(t *testing.T) {
 	}
 }
 
-// TestWorkloadFilteredLease verifies workload routing end to end over
-// HTTP: a hashchain-only worker only ever receives hashchain runs.
-func TestWorkloadFilteredLease(t *testing.T) {
-	h := newHarness(t, Options{})
-	resp, err := h.client.Register(context.Background(), RegisterRequest{Name: "hc", Workloads: []string{"hashchain"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.submit(t) // pathcount (default)
-	hc, err := h.disp.Submit(run.Spec{
-		Config:   gen.Config{Shape: gen.Pipeline, Stages: 5, Width: 2},
-		Workload: "hashchain",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	leased, err := h.client.Lease(context.Background(), resp.WorkerID, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if leased.ID != hc.ID {
-		t.Fatalf("hashchain worker leased %s, want %s", leased.ID, hc.ID)
-	}
-}
-
-// TestShapeFilteredLease verifies DAG-shape routing end to end over HTTP: a
-// worker advertising only the chain and dynamic shapes never receives a
-// pipeline run, and an unrestricted worker picks it up afterwards.
-func TestShapeFilteredLease(t *testing.T) {
-	h := newHarness(t, Options{})
-	resp, err := h.client.Register(context.Background(), RegisterRequest{
-		Name: "scenario", Shapes: []string{"chain", "dynamic"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.submit(t) // pipeline
-	chain, err := h.disp.Submit(run.Spec{Config: gen.Config{Shape: gen.Chain, Nodes: 100}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	leased, err := h.client.Lease(context.Background(), resp.WorkerID, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if leased.ID != chain.ID {
-		t.Fatalf("shape-restricted worker leased %s, want chain run %s", leased.ID, chain.ID)
-	}
-	// The pipeline run is still there for an unrestricted worker.
-	anyResp := h.register(t, "any")
-	leased2, err := h.client.Lease(context.Background(), anyResp.WorkerID, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if leased2.Spec.Shape != gen.Pipeline {
-		t.Fatalf("unrestricted worker leased shape %v, want pipeline", leased2.Spec.Shape)
-	}
-}
-
-// TestShapeAndWorkloadFiltersCompose pins that both filters must pass: a
-// worker restricted to hashchain AND chain takes neither a pathcount chain
-// run nor a hashchain pipeline run.
-func TestShapeAndWorkloadFiltersCompose(t *testing.T) {
-	h := newHarness(t, Options{})
-	resp, err := h.client.Register(context.Background(), RegisterRequest{
-		Name: "narrow", Workloads: []string{"hashchain"}, Shapes: []string{"chain"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.disp.Submit(run.Spec{Config: gen.Config{Shape: gen.Chain, Nodes: 10}}); err != nil {
-		t.Fatal(err) // pathcount chain: wrong workload
-	}
-	if _, err := h.disp.Submit(run.Spec{
-		Config: gen.Config{Shape: gen.Pipeline, Stages: 5, Width: 2}, Workload: "hashchain",
-	}); err != nil {
-		t.Fatal(err) // hashchain pipeline: wrong shape
-	}
-	if _, err := h.client.Lease(context.Background(), resp.WorkerID, 100*time.Millisecond); !errors.Is(err, ErrNoWork) {
-		t.Fatalf("Lease with no matching run = %v, want ErrNoWork", err)
-	}
-	match, err := h.disp.Submit(run.Spec{
-		Config: gen.Config{Shape: gen.Chain, Nodes: 10}, Workload: "hashchain",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	leased, err := h.client.Lease(context.Background(), resp.WorkerID, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if leased.ID != match.ID {
-		t.Fatalf("leased %s, want the hashchain chain run %s", leased.ID, match.ID)
-	}
-}
-
 // TestSweepDuringPollKeepsRegistration pins that a sweep landing while a
 // worker long-polls never prunes it: the run the poll returns is held under
-// the worker's own registration, so its capacity and filters still apply
-// and a hashchain-only worker is never handed a pathcount run.
+// the worker's own registration.
 func TestSweepDuringPollKeepsRegistration(t *testing.T) {
 	h := newHarness(t, Options{})
-	resp, err := h.client.Register(context.Background(), RegisterRequest{
-		Name: "hc", Capacity: 4, Workloads: []string{"hashchain"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := h.register(t, "hc")
 	type polled struct {
 		r   run.Run
 		err error
@@ -513,10 +492,6 @@ func TestSweepDuringPollKeepsRegistration(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	h.submit(t) // pathcount
-	if r, err := h.client.Lease(context.Background(), resp.WorkerID, 100*time.Millisecond); !errors.Is(err, ErrNoWork) {
-		t.Fatalf("hashchain-only worker's next lease = %+v, %v; want ErrNoWork", r, err)
-	}
 }
 
 // waitPolling blocks until the worker has an acquire in flight.
@@ -532,12 +507,4 @@ func waitPolling(t *testing.T, m *Manager, workerID string) {
 		}
 	}
 	t.Fatalf("worker %s never started polling", workerID)
-}
-
-func TestRegisterRejectsUnknownShape(t *testing.T) {
-	h := newHarness(t, Options{})
-	_, err := h.client.Register(context.Background(), RegisterRequest{Name: "w", Shapes: []string{"mobius"}})
-	if err == nil {
-		t.Fatal("Register with unknown shape succeeded")
-	}
 }

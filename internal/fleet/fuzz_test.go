@@ -49,7 +49,7 @@ func FuzzLeaseProtocol(f *testing.F) {
 // argument past the end of the input reads as 0).
 const (
 	opSubmit    = iota // workload: odd = hashchain, else pathcount
-	opRegister         // slot, capacity-1, filter: odd = hashchain only
+	opRegister         // slot, capacity-1, a retired byte (it was the workload filter)
 	opAcquire          // slot
 	opHeartbeat        // slot, mask: bit i names the worker's i-th lease, bit 7 also some run it may not hold
 	opComplete         // slot, run, state
@@ -83,8 +83,9 @@ var leaseSeeds = [][]byte{
 		opHeartbeat, 0, 1, opComplete, 0, 0, 2},
 	// cancel while running: relayed on a heartbeat, reported cancelled.
 	{opSubmit, 0, opRegister, 0, 0, 0, opAcquire, 0, opCancel, 0, opHeartbeat, 0, 0xff, opComplete, 0, 0, 2},
-	// at capacity: the second run waits until the hog is cancelled, while a
-	// hashchain-only worker takes the run it can.
+	// at capacity: the hog's worker is refused a second lease, a second
+	// worker takes the queue's head, and the first takes the next run once
+	// the hog is cancelled.
 	{opRegister, 0, 0, 0, opSubmit, 0, opAcquire, 0, opSubmit, 0, opAcquire, 0,
 		opRegister, 1, 0, 1, opSubmit, 1, opAcquire, 1, opComplete, 1, 2, 0,
 		opCancel, 0, opHeartbeat, 0, 1, opComplete, 0, 0, 2, opAcquire, 0, opComplete, 0, 1, 0},
@@ -119,7 +120,6 @@ type leaseSim struct {
 	clock    time.Time
 	runs     []string             // submitted run IDs, by index
 	workers  [simSlots]string     // worker ID per slot; "" = none registered yet
-	hcOnly   [simSlots]bool       // the slot's worker accepts hashchain only
 	terminal map[string]run.State // run ID → the terminal state it reached
 }
 
@@ -146,7 +146,9 @@ func (s *leaseSim) step(op int) {
 	case opSubmit:
 		s.submit(s.arg()%2 == 1)
 	case opRegister:
-		s.register(s.arg()%simSlots, 1+s.arg()%3, s.arg()%2 == 1)
+		slot, capacity := s.arg()%simSlots, 1+s.arg()%3
+		s.arg() // retired: every worker runs every run
+		s.register(slot, capacity)
 	case opAcquire:
 		s.acquire(s.arg() % simSlots)
 	case opHeartbeat:
@@ -217,21 +219,14 @@ func (s *leaseSim) submit(hashchain bool) {
 	s.runs = append(s.runs, r.ID)
 }
 
-func (s *leaseSim) register(slot, capacity int, hcOnly bool) {
-	var workloads []string
-	if hcOnly {
-		workloads = []string{"hashchain"}
-	}
-	id, err := s.h.mgr.register(fmt.Sprint("w", slot), capacity, workloads, nil)
-	if err != nil {
-		s.t.Fatal(err)
-	}
-	s.workers[slot], s.hcOnly[slot] = id, hcOnly
+func (s *leaseSim) register(slot, capacity int) {
+	s.workers[slot] = s.h.mgr.register(fmt.Sprint("w", slot), capacity)
 }
 
 // acquire polls for the slot's worker. The poll is granted exactly when the
-// worker is registered, under capacity and some queued run passes its
-// filter; only then does it get a wait long enough to matter.
+// worker is registered, under capacity and some run is queued: every worker
+// runs every run, so no queued run may wait while a worker has room. Only
+// then does the poll get a wait long enough to matter.
 func (s *leaseSim) acquire(slot int) {
 	id := s.workers[slot]
 	if id == "" {
@@ -244,8 +239,7 @@ func (s *leaseSim) acquire(slot int) {
 	m.mu.Unlock()
 	eligible := false
 	for _, rid := range s.runs {
-		r := s.get(rid)
-		eligible = eligible || r.State == run.StateQueued && (!s.hcOnly[slot] || r.Spec.Workload == "hashchain")
+		eligible = eligible || s.get(rid).State == run.StateQueued
 	}
 	wait := time.Millisecond
 	if registered && !full && eligible {
@@ -266,9 +260,6 @@ func (s *leaseSim) acquire(slot int) {
 	case eligible:
 		if err != nil || r.State != run.StateRunning || r.Worker != id {
 			s.t.Fatalf("acquire by %s with work queued = %+v, %v; want a run running on it", id, r, err)
-		}
-		if s.hcOnly[slot] && r.Spec.Workload != "hashchain" {
-			s.t.Fatalf("hashchain-only worker %s leased a %s run", id, r.Spec.Workload)
 		}
 	default:
 		if !errors.Is(err, context.DeadlineExceeded) {
@@ -582,7 +573,7 @@ func (s *leaseSim) drain() {
 	s.checkExpired(overdue)
 	s.check()
 
-	s.register(0, maxSimRuns, false)
+	s.register(0, maxSimRuns)
 	for s.h.metricValue(s.t, "dagd_queue_depth") > 0 {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		r, err := s.h.mgr.acquire(ctx, s.workers[0])

@@ -18,17 +18,20 @@ import (
 // coordinator↔worker protocol — separate listener from the public v1 API,
 // simpler error shape ({"error": "..."} plus status code semantics):
 //
-//	register   admit a worker → worker ID + lease clocks
+//	register   admit a worker whose build matches → worker ID + lease clocks
 //	lease      long-poll one ready run (204 when the poll drains empty)
 //	heartbeat  extend leases → pending cancels + lost leases
-//	complete   report a terminal outcome (409 when the lease was lost)
+//	complete   report a terminal outcome (400 for a non-terminal state,
+//	           409 when the lease was lost)
 
-// RegisterRequest admits a worker.
+// RegisterRequest admits a worker. GenVersion and Workloads are its build
+// identity — gen.CurrentVersion and sched.Workloads() as compiled into it —
+// and must equal the coordinator's.
 type RegisterRequest struct {
-	Name      string   `json:"name,omitempty"`
-	Capacity  int      `json:"capacity,omitempty"`
-	Workloads []string `json:"workloads,omitempty"` // empty = all registered workloads
-	Shapes    []string `json:"shapes,omitempty"`    // empty = all DAG shapes
+	Name       string   `json:"name,omitempty"`
+	Capacity   int      `json:"capacity,omitempty"`
+	GenVersion int      `json:"gen_version,omitempty"`
+	Workloads  []string `json:"workloads,omitempty"`
 }
 
 // RegisterResponse carries the worker's identity and the coordinator's
@@ -126,11 +129,11 @@ func (m *Manager) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if !decodeInto(w, r, &req) {
 		return
 	}
-	id, err := m.register(req.Name, req.Capacity, req.Workloads, req.Shapes)
-	if err != nil {
+	if err := checkBuild(req.GenVersion, req.Workloads); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	id := m.register(req.Name, req.Capacity)
 	writeJSON(w, http.StatusOK, RegisterResponse{
 		WorkerID:        id,
 		LeaseTTLMillis:  m.opts.LeaseTTL.Milliseconds(),
@@ -193,6 +196,8 @@ func (m *Manager) handleComplete(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err == nil:
 		writeJSON(w, http.StatusOK, CompleteResponse{Run: fr})
+	case errors.Is(err, errNonTerminal):
+		writeError(w, http.StatusBadRequest, "%v", err)
 	case errors.Is(err, dispatch.ErrNotLeased):
 		writeError(w, http.StatusConflict, "run %q is not leased to worker %q (lease expired?)", req.RunID, req.WorkerID)
 	default:
@@ -226,6 +231,11 @@ var ErrUnregistered = errors.New("fleet: worker not registered")
 
 // ErrDraining is returned by Lease when the coordinator is shutting down.
 var ErrDraining = errors.New("fleet: coordinator draining")
+
+// ErrRefused is returned when the coordinator answered 400: the request is
+// one it will never accept, so retrying it is pointless — at register, the
+// worker's build differs from the coordinator's.
+var ErrRefused = errors.New("fleet: refused")
 
 // ErrNoWork is returned by Lease when the long poll elapsed with nothing
 // ready.
@@ -263,6 +273,8 @@ func (c *Client) post(ctx context.Context, path string, in, out any) (int, error
 func mapStatus(status int, msg string) error {
 	base := fmt.Errorf("fleet: http %d: %s", status, msg)
 	switch status {
+	case http.StatusBadRequest:
+		return fmt.Errorf("%w (%s)", ErrRefused, msg)
 	case http.StatusNotFound:
 		return fmt.Errorf("%w (%s)", ErrUnregistered, msg)
 	case http.StatusConflict:
@@ -274,7 +286,8 @@ func mapStatus(status int, msg string) error {
 }
 
 // Register admits the worker and returns its assigned identity and the
-// coordinator's lease clocks.
+// coordinator's lease clocks. ErrRefused means the coordinator will never
+// admit this build.
 func (c *Client) Register(ctx context.Context, req RegisterRequest) (RegisterResponse, error) {
 	var out RegisterResponse
 	_, err := c.post(ctx, "/fleet/v1/register", req, &out)

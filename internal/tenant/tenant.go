@@ -60,8 +60,8 @@ type Config struct {
 	// both have work queued. Zero means 1.
 	Weight int `json:"weight,omitempty"`
 	// Priority is the tenant's priority class. Classes are strict: no run
-	// from a lower class is dispatched while a higher class has an eligible
-	// queued run. Fairness (weights) applies within a class only.
+	// from a lower class is dispatched while a higher class has a queued
+	// run under its tenant's in-flight cap. Fairness (weights) applies within a class only.
 	Priority int `json:"priority,omitempty"`
 	// MaxInFlight caps how many of the tenant's runs may execute
 	// concurrently. A tenant at its cap is skipped by the scheduler — its
