@@ -23,14 +23,35 @@
 // Either way a repeated edge is an error like any other defect.
 //
 // Once built, a DAG is never mutated; all accessor methods are safe for
-// concurrent use.
+// concurrent use. Its arrays come from the package's free lists (see
+// internal/slab), and Release gives them back: the owner of a DAG that is
+// done with it releases it, after which neither the DAG nor any slice its
+// methods returned may be used. A DAG that is never released is garbage
+// like any other value.
 package dag
 
 import (
 	"errors"
 	"fmt"
 	"math"
+
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/slab"
 )
+
+// The free lists every array of a DAG comes from: ids for the adjacency
+// lists and the topological order, offsets for the CSR offsets and the
+// package's int32 scratch.
+var (
+	ids     slab.List[NodeID]
+	offsets slab.List[int32]
+)
+
+// ParentArrays returns recycled arrays for an n-node graph's m parent
+// entries in compressed-sparse-row form, for the caller to fill and hand to
+// FromParents: off of length n+1 and list of length m, neither cleared.
+func ParentArrays(n, m int) (off []int32, list []NodeID) {
+	return offsets.Get(n + 1), ids.Get(m)
+}
 
 // NodeID identifies a node in a DAG. Nodes are dense integers in [0, N).
 // 32 bits address every node a DAG can hold (MaxSize), at half the bytes of
@@ -92,7 +113,9 @@ func (a *adjacency) isolated() []NodeID {
 // repeat reports one (u, x) where x appears twice in u's list, or u = -1 if
 // no list repeats a neighbour. stamp[x] == u+1 marks x as seen in u's list.
 func (a *adjacency) repeat() (u, x NodeID) {
-	stamp := make([]int32, len(a.off)-1)
+	stamp := offsets.Get(len(a.off) - 1)
+	defer offsets.Put(stamp)
+	clear(stamp)
 	for owner := range stamp {
 		for _, nb := range a.of(NodeID(owner)) {
 			if stamp[nb] == int32(owner)+1 {
@@ -102,6 +125,12 @@ func (a *adjacency) repeat() (u, x NodeID) {
 		}
 	}
 	return -1, 0
+}
+
+// release returns the adjacency's arrays to the free lists.
+func (a *adjacency) release() {
+	offsets.Put(a.off)
+	ids.Put(a.list)
 }
 
 // ascending reports whether every list is strictly ascending, in which case
@@ -130,13 +159,20 @@ func FromEdges(n int, edges [][2]NodeID) (*DAG, error) {
 	// Degrees are counted two slots ahead of their node: the prefix sum then
 	// leaves the start of u's list in slot u+1, the fill advances it to the
 	// end — the start of u+1's — and slots 0..n are the offsets. Slots are
-	// computed in int: u+2 overflows a NodeID near MaxSize.
-	out := adjacency{make([]int32, n+2), make([]NodeID, len(edges))}
-	in := adjacency{make([]int32, n+2), make([]NodeID, len(edges))}
+	// computed in int: u+2 overflows a NodeID near MaxSize. Only the
+	// offsets need clearing: the fill writes every list entry.
+	d := &DAG{
+		out: adjacency{offsets.Get(n + 2), ids.Get(len(edges))},
+		in:  adjacency{offsets.Get(n + 2), ids.Get(len(edges))},
+	}
+	out, in := &d.out, &d.in
+	clear(out.off)
+	clear(in.off)
 	forward := true
 	for _, e := range edges {
 		u, v := e[0], e[1]
 		if !validEdge(n, u, v) {
+			d.Release()
 			return nil, edgeError(n, u, v)
 		}
 		forward = forward && u < v
@@ -157,21 +193,22 @@ func FromEdges(n int, edges [][2]NodeID) (*DAG, error) {
 	out.off, in.off = out.off[:n+1], in.off[:n+1]
 	if !out.ascending() {
 		if u, v := out.repeat(); u >= 0 {
+			d.Release()
 			return nil, fmt.Errorf("dag: duplicate edge (%d,%d)", u, v)
 		}
 	}
 
-	topo := make([]NodeID, 0, n)
 	if forward {
 		// Every edge runs up the IDs, so ascending ID order is topological.
-		for v := range n {
-			topo = append(topo, NodeID(v))
-		}
-		return &DAG{out: out, in: in, topo: topo}, nil
+		d.topo = idOrder(n)
+		return d, nil
 	}
 	// Kahn's algorithm, the order doubling as the work queue: a node joins it
-	// when pending, its count of unvisited parents, reaches zero.
-	pending := make([]int32, n)
+	// when pending, its count of unvisited parents, reaches zero. No node
+	// joins twice, so the order never outgrows its n slots.
+	topo := ids.Get(n)[:0]
+	pending := offsets.Get(n)
+	defer offsets.Put(pending)
 	for v := range pending {
 		if pending[v] = in.off[v+1] - in.off[v]; pending[v] == 0 {
 			topo = append(topo, NodeID(v))
@@ -184,10 +221,21 @@ func FromEdges(n int, edges [][2]NodeID) (*DAG, error) {
 			}
 		}
 	}
+	d.topo = topo
 	if len(topo) != n {
+		d.Release()
 		return nil, fmt.Errorf("dag: %d of %d nodes unreachable by Kahn's algorithm: %w", n-len(topo), n, ErrCycle)
 	}
-	return &DAG{out: out, in: in, topo: topo}, nil
+	return d, nil
+}
+
+// idOrder returns the order 0..n-1, ascending IDs.
+func idOrder(n int) []NodeID {
+	topo := ids.Get(n)
+	for v := range topo {
+		topo[v] = NodeID(v)
+	}
+	return topo
 }
 
 // FromParents freezes an n-node forward graph from its parent lists in
@@ -197,9 +245,21 @@ func FromEdges(n int, edges [][2]NodeID) (*DAG, error) {
 // are not n+1 non-decreasing values from 0 to len(list), a parent that is
 // not in [0, v) (a self-loop wraps ErrCycle), or a repeated parent.
 //
-// FromParents keeps off and list as the DAG's parents side: the caller must
-// not modify them afterwards.
+// FromParents keeps off and list as the DAG's parents side, and Release
+// recycles them with the rest of the DAG: the caller must not use them
+// afterwards. ParentArrays takes them from the same free lists.
 func FromParents(n int, off []int32, list []NodeID) (*DAG, error) {
+	d, err := BorrowParents(n, off, list)
+	if err == nil {
+		d.borrowed = false
+	}
+	return d, err
+}
+
+// BorrowParents is FromParents over parent arrays that stay their caller's:
+// the DAG reads them, and Release leaves them alone. The caller must not
+// modify them while the DAG is in use.
+func BorrowParents(n int, off []int32, list []NodeID) (*DAG, error) {
 	if err := CheckSize(n, len(list)); err != nil {
 		return nil, err
 	}
@@ -217,10 +277,12 @@ func FromParents(n int, off []int32, list []NodeID) (*DAG, error) {
 		}
 	}
 	// Children are counted two slots ahead of their node, as in FromEdges.
-	out := adjacency{make([]int32, n+2), make([]NodeID, len(list))}
+	out := adjacency{offsets.Get(n + 2), ids.Get(len(list))}
+	clear(out.off)
 	for v := 0; v < n; v++ {
 		for _, u := range list[off[v]:off[v+1]] {
 			if uint(u) >= uint(v) {
+				out.release()
 				return nil, parentError(u, NodeID(v))
 			}
 			out.off[int(u)+2]++
@@ -240,14 +302,11 @@ func FromParents(n int, off []int32, list []NodeID) (*DAG, error) {
 	// strictly ascending unless a parent list repeats its parent.
 	if !out.ascending() {
 		if u, v := out.repeat(); u >= 0 {
+			out.release()
 			return nil, fmt.Errorf("dag: duplicate edge (%d,%d)", u, v)
 		}
 	}
-	topo := make([]NodeID, n)
-	for v := range topo {
-		topo[v] = NodeID(v)
-	}
-	return &DAG{out: out, in: adjacency{off, list}, topo: topo}, nil
+	return &DAG{out: out, in: adjacency{off, list}, topo: idOrder(n), borrowed: true}, nil
 }
 
 // parentError says why u cannot be a parent of v in a forward graph.
@@ -261,11 +320,24 @@ func parentError(u, v NodeID) error {
 	return fmt.Errorf("dag: edge (%d,%d) does not run upward: a parent must be below its child", u, v)
 }
 
-// DAG is an immutable directed acyclic graph, made by FromEdges or
-// FromParents.
+// DAG is an immutable directed acyclic graph, made by FromEdges,
+// FromParents or BorrowParents.
 type DAG struct {
-	out, in adjacency // children and parents; one list entry per edge in each
-	topo    []NodeID
+	out, in  adjacency // children and parents; one list entry per edge in each
+	topo     []NodeID
+	borrowed bool // in belongs to BorrowParents' caller, not to the DAG
+}
+
+// Release returns d's arrays to the free lists, all but a borrowed parents
+// side. Neither d nor any slice its methods returned may be used afterwards;
+// a second Release does nothing.
+func (d *DAG) Release() {
+	d.out.release()
+	if !d.borrowed {
+		d.in.release()
+	}
+	ids.Put(d.topo)
+	*d = DAG{}
 }
 
 // NumNodes returns the number of nodes.
@@ -300,15 +372,20 @@ func (d *DAG) Sources() []NodeID { return d.in.isolated() }
 func (d *DAG) Sinks() []NodeID { return d.out.isolated() }
 
 // Depth returns the length in edges of the longest path in the DAG
-// (the critical-path length, i.e. the span of the task graph).
+// (the critical-path length, i.e. the span of the task graph). In
+// topological order each node's depth is written once, from its parents',
+// so the scratch array needs no clearing.
 func (d *DAG) Depth() int {
-	depth := make([]int32, len(d.topo))
+	depth := offsets.Get(len(d.topo))
 	longest := int32(0)
-	for _, u := range d.topo {
-		for _, v := range d.Children(u) {
-			depth[v] = max(depth[v], depth[u]+1)
-			longest = max(longest, depth[v])
+	for _, v := range d.topo {
+		dv := int32(0)
+		for _, u := range d.Parents(v) {
+			dv = max(dv, depth[u]+1)
 		}
+		depth[v] = dv
+		longest = max(longest, dv)
 	}
+	offsets.Put(depth)
 	return int(longest)
 }

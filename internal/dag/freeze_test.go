@@ -285,6 +285,9 @@ func FuzzFreeze(f *testing.F) {
 		}
 		if err == nil {
 			assertSameGraph(t, got, want)
+			// Released, so later inputs freeze into recycled arrays: under
+			// the poison tag a slot the freeze reads before writing reads -1.
+			defer got.Release()
 		}
 
 		off, parents, grouped, ok := byChild(n, edges)
@@ -311,7 +314,37 @@ func FuzzFreeze(f *testing.F) {
 		}
 		wantGrouped, _ := refBuild(n, grouped)
 		assertSameGraph(t, fromParents, wantGrouped)
+		fromParents.Release()
 	})
+}
+
+// TestReleaseLeavesBorrowedParents pins the two ownership rules of Release:
+// a graph frozen by BorrowParents leaves the caller's parent arrays as they
+// were (under the poison tag a recycled array reads all ones), and a
+// released DAG can be released again.
+func TestReleaseLeavesBorrowedParents(t *testing.T) {
+	// Class-sized capacities, which a Put would take.
+	off := []int32{0, 0, 1, 3}
+	parents := append(make([]NodeID, 0, 4), 0, 0, 1)
+	d, err := BorrowParents(3, off, parents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Depth(); got != 2 {
+		t.Fatalf("Depth = %d, want 2", got)
+	}
+	d.Release()
+	d.Release()
+	if off[3] != 3 || parents[2] != 1 {
+		t.Fatalf("Release reached the borrowed arrays: off %v, parents %v", off, parents)
+	}
+	// Nothing of the caller's is handed out again.
+	for i := 0; i < 8; i++ {
+		o, p := ParentArrays(3, 3)
+		if &o[0] == &off[0] || &p[0] == &parents[0] {
+			t.Fatal("ParentArrays returned an array BorrowParents' caller still owns")
+		}
+	}
 }
 
 // TestFromParentsRejects pins that every malformed parent CSR is refused

@@ -121,6 +121,7 @@ type leaseSim struct {
 	runs     []string             // submitted run IDs, by index
 	workers  [simSlots]string     // worker ID per slot; "" = none registered yet
 	terminal map[string]run.State // run ID → the terminal state it reached
+	refused  string               // the worker whose poll this step refused for want of work
 }
 
 func newLeaseSim(t *testing.T, prog []byte) *leaseSim {
@@ -226,7 +227,10 @@ func (s *leaseSim) register(slot, capacity int) {
 // acquire polls for the slot's worker. The poll is granted exactly when the
 // worker is registered, under capacity and some run is queued: every worker
 // runs every run, so no queued run may wait while a worker has room. Only
-// then does the poll get a wait long enough to matter.
+// then does the poll get a wait long enough to matter; a poll the model
+// expects refused gets a context that has already expired. Lease checks the
+// context before it picks, so the step's scrape in check must then show
+// what a wait would have found: no run queued in the dispatcher.
 func (s *leaseSim) acquire(slot int) {
 	id := s.workers[slot]
 	if id == "" {
@@ -241,11 +245,10 @@ func (s *leaseSim) acquire(slot int) {
 	for _, rid := range s.runs {
 		eligible = eligible || s.get(rid).State == run.StateQueued
 	}
-	wait := time.Millisecond
+	ctx, cancel := context.WithDeadline(context.Background(), time.Time{})
 	if registered && !full && eligible {
-		wait = 10 * time.Second
+		ctx, cancel = context.WithTimeout(context.Background(), 10*time.Second)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), wait)
 	r, err := m.acquire(ctx, id)
 	cancel()
 	switch {
@@ -265,6 +268,7 @@ func (s *leaseSim) acquire(slot int) {
 		if !errors.Is(err, context.DeadlineExceeded) {
 			s.t.Fatalf("acquire by %s with nothing it can take = %+v, %v; want DeadlineExceeded", id, r, err)
 		}
+		s.refused = id
 	}
 }
 
@@ -519,6 +523,10 @@ func (s *leaseSim) check() {
 	if counts[run.StateQueued] != queued {
 		s.t.Fatalf("store holds %d runs queued, the dispatcher's queues %d", counts[run.StateQueued], queued)
 	}
+	if s.refused != "" && queued != 0 {
+		s.t.Fatalf("acquire by %s refused while the dispatcher holds %d queued runs", s.refused, queued)
+	}
+	s.refused = ""
 
 	m := s.h.mgr
 	m.mu.Lock()

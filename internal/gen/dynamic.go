@@ -291,10 +291,11 @@ func (d *Dyn) NumEdges() int { return len(d.graph.Load().parents) }
 // The DAG takes the published parent lists as they are, so its Parents(v)
 // matches the expander's Parents(v) element for element — a workload that
 // folds parent values in order sees identical inputs on both the parallel
-// and serial passes. It shares their arrays: a published range is never
-// written again, so levels expanded later do not reach it.
+// and serial passes. It borrows their arrays: a published range is never
+// written again, so levels expanded later do not reach it, and releasing
+// the DAG leaves them to the expander.
 func (d *Dyn) FinalDAG() (*dag.DAG, error) {
 	g := d.graph.Load()
 	n, m := g.numNodes(), len(g.parents)
-	return dag.FromParents(n, g.parOff[:n+1:n+1], g.parents[:m:m])
+	return dag.BorrowParents(n, g.parOff[:n+1:n+1], g.parents[:m:m])
 }

@@ -36,6 +36,15 @@ import (
 	"math/rand/v2"
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/dag"
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/slab"
+)
+
+// The free lists of the generators' own scratch: the edge lists a graph is
+// frozen from and the random shape's per-node flags, all released once the
+// graph is frozen. The graphs' arrays come from dag's.
+var (
+	edgeLists slab.List[[2]dag.NodeID]
+	flags     slab.List[bool]
 )
 
 // Shape selects which generator a Config drives.
@@ -202,8 +211,8 @@ func ChainDAG(n int) (*dag.DAG, error) {
 		return nil, err
 	}
 	// Node v > 0 has the one parent v-1.
-	off := make([]int32, n+1)
-	parents := make([]dag.NodeID, n-1)
+	off, parents := dag.ParentArrays(n, n-1)
+	off[0], off[1] = 0, 0
 	for v := 1; v < n; v++ {
 		parents[v-1] = dag.NodeID(v - 1)
 		off[v+1] = int32(v)
@@ -220,7 +229,8 @@ func ExplicitDAG(n int, edges []Edge) (*dag.DAG, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("gen: explicit dag needs >= 1 node, got %d", n)
 	}
-	list := make([][2]dag.NodeID, len(edges))
+	list := edgeLists.Get(len(edges))
+	defer edgeLists.Put(list)
 	for i, e := range edges {
 		if uint(e[0]) >= uint(n) || uint(e[1]) >= uint(n) {
 			return nil, fmt.Errorf("gen: edge (%d,%d) out of range [0,%d)", e[0], e[1], n)
@@ -247,6 +257,7 @@ func RandomDAG(n int, p float64, seed int64) (*dag.DAG, error) {
 	}
 	rng := rand.New(rand.NewPCG(uint64(seed), seedStream))
 	g := skipSample(n, p, rng)
+	defer g.release()
 	g.fillIn(rng)
 	// The fill-in edges come last yet fix each node's parent order, so the
 	// list is frozen as it stands: grouping it by child is FromEdges' fill.
@@ -265,10 +276,12 @@ const seedStream = 0x9e3779b97f4a7c15
 // adjacency list is ascending. p = 0 and p = 1 draw nothing.
 func skipSample(n int, p float64, rng *rand.Rand) randomEdges {
 	g := randomEdges{
-		edges:     make([][2]dag.NodeID, 0, randomReserve(n, p)),
-		hasParent: make([]bool, n),
-		hasChild:  make([]bool, n),
+		edges:     edgeLists.Get(randomReserve(n, p))[:0],
+		hasParent: flags.Get(n),
+		hasChild:  flags.Get(n),
 	}
+	clear(g.hasParent)
+	clear(g.hasChild)
 	switch {
 	case p == 1:
 		for i := 0; i < n; i++ {
@@ -310,9 +323,28 @@ type randomEdges struct {
 }
 
 func (g *randomEdges) add(i, j int) {
+	if len(g.edges) == cap(g.edges) {
+		g.grow()
+	}
 	g.edges = append(g.edges, [2]dag.NodeID{dag.NodeID(i), dag.NodeID(j)})
 	g.hasParent[j] = true
 	g.hasChild[i] = true
+}
+
+// grow doubles the edge list's capacity, as append would, but within the
+// free list's classes.
+func (g *randomEdges) grow() {
+	edges := edgeLists.Get(2 * cap(g.edges))[:len(g.edges)]
+	copy(edges, g.edges)
+	edgeLists.Put(g.edges)
+	g.edges = edges
+}
+
+// release returns the edge list and the flags to their free lists.
+func (g *randomEdges) release() {
+	edgeLists.Put(g.edges)
+	flags.Put(g.hasParent)
+	flags.Put(g.hasChild)
 }
 
 // fillIn gives every orphaned interior node a random earlier parent, then
@@ -335,7 +367,7 @@ func (g *randomEdges) fillIn(rng *rand.Rand) {
 // randomReserve is a random DAG's starting edge capacity: the expected
 // p·n(n-1)/2 plus the most the fill-in adds, in float64 so that a large n
 // cannot wrap it, capped at 1<<20 edges so that a huge spec does not claim
-// its memory before the first pair is drawn; past the cap append's doubling
+// its memory before the first pair is drawn; past the cap grow's doubling
 // costs an amortised copy per edge, less than the freeze already spends.
 func randomReserve(n int, p float64) int {
 	return int(math.Min(p*float64(n)*float64(n-1)/2+2*float64(n), 1<<20))
@@ -361,9 +393,10 @@ func PipelineDAG(stages, width int) (*dag.DAG, error) {
 	// Grid node (s, i) is ID 1 + s*width + i; its parents are listed in
 	// ascending ID order, node by node.
 	id := func(s, i int) dag.NodeID { return dag.NodeID(1 + s*width + i) }
-	// An interior column has three parents, the two edge columns two.
-	off := make([]int32, 2, n+1) // the source, node 0, has no parent
-	parents := make([]dag.NodeID, 0, 2*width+(stages-1)*(3*width-2))
+	// An interior column has three parents, the two edge columns two; the
+	// arrays are filled by appending within their exact lengths.
+	off, parents := dag.ParentArrays(n, 2*width+(stages-1)*(3*width-2))
+	off, parents = append(off[:0], 0, 0), parents[:0] // the source, node 0, has no parent
 	for i := 0; i < width; i++ {
 		parents = append(parents, 0) // the source feeds all of stage 0
 		off = append(off, int32(len(parents)))

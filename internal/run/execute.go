@@ -32,6 +32,15 @@ var ErrMismatch = errors.New("run: parallel results diverge from serial referenc
 // them once Serial returns, so they overlap the parallel pass too; on the
 // dynamic shape they follow the reference, which follows the pass.
 //
+// Execute owns every array of the run — the graph's CSR and order, the
+// parallel values and the reference's — and returns them to the free lists
+// they came from (see internal/slab) once the result is built, on every
+// path after the join. That is the engine's one ownership rule: nothing that
+// outlives Execute may hold a *dag.DAG or a slice of the run's, and a Result
+// holds only scalars. Callers of the layers below (Executor.Run, RunDynamic,
+// gen.Generate) that never release simply leave their arrays to the
+// garbage collector.
+//
 // defaultWorkers is used when spec.Workers is 0 (<= 0 falls back to
 // NumCPU). On a verification mismatch the measured Result (with Match
 // false) is returned alongside an error wrapping ErrMismatch; on unknown
@@ -67,6 +76,7 @@ func Execute(ctx context.Context, spec Spec, defaultWorkers int) (*Result, error
 	if spec.ParallelWork {
 		sc, ok := workload.(sched.SplitComputable)
 		if !ok {
+			d.Release()
 			return nil, fmt.Errorf("%w: workload %s cannot split per-node work", ErrInvalidSpec, workload.Name())
 		}
 		opts.SplitWork = spec.Work
@@ -86,6 +96,7 @@ func Execute(ctx context.Context, spec Spec, defaultWorkers int) (*Result, error
 	parallel, err := sched.New(d, opts).Run(ctx, hook)
 	parallelDur := time.Since(t1)
 	<-joined
+	defer release(d, parallel, ref.values)
 	if err != nil {
 		return nil, err
 	}
@@ -137,14 +148,25 @@ func executeDynamic(ctx context.Context, spec Spec, workload sched.Workload, wor
 
 	d, err := dyn.FinalDAG()
 	if err != nil {
+		sched.ReleaseValues(parallel)
 		return nil, err
 	}
 	ref := sweep(ctx, workload, d, spec.Work)
+	defer release(d, parallel, ref.values)
 	if ref.err != nil {
 		return nil, ref.err
 	}
 
 	return buildResult(workload, spec, d, workers, ref, parallel, parallelDur)
+}
+
+// release returns a finished run's graph and both passes' values to the
+// free lists. The final DAG of a dynamic run borrows the expander's parent
+// arrays, which its Release leaves alone.
+func release(d *dag.DAG, parallel, serial []uint64) {
+	d.Release()
+	sched.ReleaseValues(parallel)
+	sched.ReleaseValues(serial)
 }
 
 func buildResult(workload sched.Workload, spec Spec, d *dag.DAG, workers int,

@@ -238,10 +238,13 @@ func (s Spec) validateShape() error {
 		// out-of-range edges, and cycles (the freeze's Kahn pass) are all
 		// rejected before the spec can ever reach a dispatcher. The build
 		// is O(nodes+edges), the same cost the dispatcher pays again at
-		// execution — acceptable for the hard bounds above.
-		if _, err := gen.ExplicitDAG(s.Nodes, s.Edges); err != nil {
+		// execution — acceptable for the hard bounds above. The graph is
+		// released at once: Execute builds its own.
+		d, err := gen.ExplicitDAG(s.Nodes, s.Edges)
+		if err != nil {
 			return err
 		}
+		d.Release()
 	default:
 		return fmt.Errorf("unknown dag shape %v", s.Shape)
 	}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/dag"
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/slab"
 )
 
 // DynamicGraph is a DAG discovered while it executes (the Nabbit dynamic
@@ -52,31 +53,65 @@ func RunDynamic(ctx context.Context, g DynamicGraph, workers int, f Compute) ([]
 	return (&wsRun{g: g, f: f}).run(ctx, workers)
 }
 
-// segSize is how many nodes one growth segment of the node table holds.
+// The free lists of a run's node table: the values (the flat part, the
+// segments' and the results), the pending counters, and the split-work
+// slice counters.
+var (
+	nodeValues    slab.List[uint64]
+	counters      slab.List[int32]
+	sliceCounters slab.List[atomic.Int32]
+)
+
+// ReleaseValues returns per-node values that Executor.Run, RunDynamic or a
+// built-in workload's Serial returned to the free list they came from.
+// Neither the slice nor any slice of its array may be used afterwards.
+func ReleaseValues(values []uint64) { nodeValues.Put(values) }
+
+// segSize is how many nodes one growth segment of the node table holds: a
+// class size of the free lists, so a segment's arrays fit theirs exactly.
 const segSize = 1024
 
 // segment is one fixed-size block of node slots for nodes discovered while
-// the run executes. A segment never moves once allocated, so a pointer into
-// it stays valid for the rest of the run. Its counters are only ever
+// the run executes. A segment's arrays never move once taken, so a pointer
+// into them stays valid for the rest of the run. Its counters are only ever
 // accessed atomically.
 type segment struct {
-	values  [segSize]uint64
-	pending [segSize]int32
+	values  []uint64 // segSize slots each
+	pending []int32
 }
 
 // results returns the values of the first n nodes as one slice: the flat
 // part itself when the graph never grew, a copy with the segments appended
-// otherwise.
+// otherwise. The caller owns it; release leaves it alone.
 func (r *wsRun) results(n int) []uint64 {
 	if n == len(r.values) {
-		return r.values
+		out := r.values
+		r.values = nil
+		return out
 	}
-	out := make([]uint64, n)
+	out := nodeValues.Get(n)
 	done := copy(out, r.values)
 	for _, seg := range *r.dir.Load() {
-		done += copy(out[done:], seg.values[:])
+		done += copy(out[done:], seg.values)
 	}
 	return out
+}
+
+// release returns the node table to the free lists once every worker has
+// exited: the counters, the segments, and the flat values unless results
+// handed them out.
+func (r *wsRun) release() {
+	nodeValues.Put(r.values)
+	counters.Put(r.pending)
+	sliceCounters.Put(r.remaining)
+	if p := r.dir.Load(); p != nil {
+		for _, seg := range *p {
+			nodeValues.Put(seg.values)
+			counters.Put(seg.pending)
+		}
+	}
+	r.values, r.pending, r.remaining = nil, nil, nil
+	r.dir.Store(nil)
 }
 
 // value and counter locate node id's slots in the table. A worker holds an
@@ -104,7 +139,7 @@ func (r *wsRun) counter(id dag.NodeID) *int32 {
 // node's index in it.
 func (r *wsRun) segmentOf(id dag.NodeID) (*segment, int) {
 	i := int(id) - len(r.values)
-	return (*r.dir.Load())[i/segSize], i % segSize
+	return &(*r.dir.Load())[i/segSize], i % segSize
 }
 
 // ensure grows the node table to cover n nodes, initializing each new
@@ -123,14 +158,14 @@ func (r *wsRun) ensure(n int) {
 	if old >= n {
 		return
 	}
-	var dir []*segment
+	var dir []segment
 	if p := r.dir.Load(); p != nil {
 		dir = *p
 	}
 	if need := (n - len(r.values) + segSize - 1) / segSize; need > len(dir) {
-		grown := make([]*segment, need)
+		grown := make([]segment, need)
 		for i := copy(grown, dir); i < need; i++ {
-			grown[i] = new(segment)
+			grown[i] = segment{nodeValues.Get(segSize), counters.Get(segSize)}
 		}
 		r.dir.Store(&grown)
 	}

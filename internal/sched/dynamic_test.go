@@ -243,11 +243,19 @@ func FuzzRunDynamic(f *testing.F) {
 		if err := w.Verify(final, serial, vals); err != nil {
 			t.Fatal(err)
 		}
-		ref, _ := discover(1)
+		ref, refVals := discover(1)
 		if final.NumNodes() != ref.NumNodes() || final.NumEdges() != ref.NumEdges() {
 			t.Fatalf("final graph depends on the pool: %d nodes/%d edges at P=%d, %d/%d at P=1",
 				final.NumNodes(), final.NumEdges(), pool, ref.NumNodes(), ref.NumEdges())
 		}
+		// Released, as run.Execute releases them, so the next input's run
+		// takes these arrays back: built with the poison tag, a slot a run
+		// reads before writing then reads all ones.
+		for _, v := range [][]uint64{vals, serial, refVals} {
+			ReleaseValues(v)
+		}
+		final.Release()
+		ref.Release()
 	})
 }
 

@@ -138,11 +138,13 @@ func (e *Executor) SplitWorkers() int {
 
 // TotalSinkPaths sums the values of all sink nodes — for the pathcount
 // workload, the number of distinct source→sink paths through the whole DAG
-// (mod 2^64).
+// (mod 2^64). It reads each node's out-degree rather than collect Sinks.
 func TotalSinkPaths(d *dag.DAG, values []uint64) uint64 {
 	var total uint64
-	for _, s := range d.Sinks() {
-		total += values[s]
+	for v := range d.NumNodes() {
+		if d.OutDegree(dag.NodeID(v)) == 0 {
+			total += values[v]
+		}
 	}
 	return total
 }

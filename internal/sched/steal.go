@@ -121,7 +121,7 @@ type wsRun struct {
 	// instruction, paid per node).
 	values  []uint64
 	pending []int32
-	dir     atomic.Pointer[[]*segment]
+	dir     atomic.Pointer[[]segment]
 	growMu  sync.Mutex
 	size    atomic.Int64 // nodes covered by the table so far
 
@@ -158,14 +158,18 @@ type wsRun struct {
 
 // run executes f over every node g has and discovers, on a pool of workers
 // goroutines, and returns the per-node values indexed by NodeID. One worker
-// runs on the caller's goroutine.
+// runs on the caller's goroutine. The node table comes from the free lists
+// and goes back to them when run returns, all but the values it hands out.
+// No slot is cleared: a counter is stored before any worker reads it, and a
+// value is written before any child reads it.
 func (r *wsRun) run(ctx context.Context, workers int) ([]uint64, error) {
 	n := r.g.NumNodes()
-	r.values = make([]uint64, n)
-	r.pending = make([]int32, n)
+	r.values = nodeValues.Get(n)
+	r.pending = counters.Get(n)
+	defer r.release()
 	r.size.Store(int64(n))
 	if r.chunks > 1 {
-		r.remaining = make([]atomic.Int32, n)
+		r.remaining = sliceCounters.Get(n)
 	}
 	r.deques = make([]*wsDeque, workers)
 	for i := range r.deques {
@@ -194,7 +198,7 @@ func (r *wsRun) run(ctx context.Context, workers int) ([]uint64, error) {
 		}
 	}
 	if seeded == 0 {
-		return r.values, nil
+		return r.results(n), nil
 	}
 
 	parent := ctx

@@ -157,7 +157,9 @@ func (w *funcWorkload) Verify(d *dag.DAG, serial, parallel []uint64) error {
 // burning work spin iterations per node. It polls ctx on a spin-iteration
 // budget, not a fixed node stride: with heavy per-node work a 64-node
 // stride would mean seconds between checks, defeating prompt cancellation
-// and shutdown force-cancel.
+// and shutdown force-cancel. The values come from the free list
+// ReleaseValues returns them to, uncleared: the sweep writes every node's
+// before any child reads it.
 func serialSweep(ctx context.Context, d *dag.DAG, work int, fn nodeFunc) ([]uint64, error) {
 	const pollBudget = 1 << 20
 	pollEvery := 64
@@ -168,11 +170,12 @@ func serialSweep(ctx context.Context, d *dag.DAG, work int, fn nodeFunc) ([]uint
 			pollEvery = 64
 		}
 	}
-	values := make([]uint64, d.NumNodes())
+	values := nodeValues.Get(d.NumNodes())
 	buf := make([]uint64, 0, 16)
 	for i, u := range d.TopoOrder() {
 		if i%pollEvery == 0 {
 			if err := ctx.Err(); err != nil {
+				nodeValues.Put(values)
 				return nil, err
 			}
 		}
