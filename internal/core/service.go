@@ -120,9 +120,6 @@ func NewService(opts ServiceOptions) (*Service, error) {
 		Metrics:           opts.Metrics,
 		Remote:            opts.Remote,
 	})
-	if len(recovered) > 0 {
-		disp.Recover(recovered)
-	}
 	svc := &Service{
 		Store:           store,
 		Dispatcher:      disp,

@@ -5,24 +5,26 @@
 //
 // # One run lifecycle
 //
-// Every run takes the same path: Submit queues it, Lease picks it off the
-// queues and marks it running under a worker's name, the worker executes
-// it, and the completion is recorded, its in-flight slot released and old
-// history evicted. Who the worker is is the only thing that varies. An
-// embedded dagd starts Options.Dispatchers in-process workers (worker name
-// "") that loop Lease → run.Execute → complete; a coordinator
+// Every run takes the same path: Submit admits it into its tenant's queue
+// in the store, Lease picks it off the queues and marks it running under a
+// worker's name, the worker executes it, and the completion is recorded
+// and old history evicted. Who the worker is is the only thing that
+// varies. An embedded dagd starts Options.Dispatchers in-process workers
+// (worker name "") that loop Lease → run.Execute → complete; a coordinator
 // (Options.Remote) starts none and internal/fleet drives Lease /
 // CompleteLease / ExpireLease on behalf of dagworker processes.
 //
-// # The lease is the store's running state
+// # One record of a run: the store's
 //
-// A run holds an in-flight slot exactly while the store has it running.
-// Lease takes the slot and calls store.Begin; complete and ExpireLease call
-// store.Finish or store.Requeue first and give the slot back only if the
-// store made the transition. The store refuses the second of two racing
-// calls with run.ErrNotRunning, so of a completion and an expiry exactly
-// one wins and the loser gets ErrNotLeased. The dispatcher keeps no lease
-// table of its own.
+// The queues, in-flight slots and leases are run.Store's (its "Tenant
+// queues"), moved by the transitions that change a run's state; the
+// dispatcher keeps only policy: tenant configs, token buckets, DRR deficits
+// and cursors, priority classes. Lease is one store.BeginNext call, this
+// package's pick and the queued → running transition in one step.
+// complete and ExpireLease call store.Finish or store.Requeue, which
+// refuses the second of two racing calls with run.ErrNotRunning, so of a
+// completion and an expiry exactly one wins and the loser gets
+// ErrNotLeased.
 //
 // # Multi-tenant scheduling
 //
@@ -38,15 +40,15 @@
 // Every leased run has a cancel hook registered in the store, so POST
 // /v1/runs/{id}/cancel aborts the exact run it names: an in-process worker
 // cancels the run's context; the fleet relays the run's CancelRequested to
-// the remote worker on its next heartbeat. Cancelling a run that is still queued removes it from its
-// tenant's queue immediately, freeing the slot for new submissions.
+// the remote worker on its next heartbeat. Cancelling a run that is still
+// queued unlinks it from its tenant's queue, freeing the slot for new
+// submissions.
 package dispatch
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
 	"runtime"
 	"sort"
 	"strconv"
@@ -154,49 +156,30 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// queued is one pending queue entry: the run's ID and when it entered the
-// queue, so pops can observe queue-wait and scrapes the oldest entry's age.
-type queued struct {
-	id string
-	at time.Time
-}
-
-// tenantQueue is one tenant's scheduling state. All fields are guarded by
-// the Dispatcher's mu.
+// tenantQueue is one tenant's policy over its queue in the store. Only
+// pick, under the store's lock, touches deficit and the class cursors.
 type tenantQueue struct {
-	cfg    tenant.Config
-	bucket *tenant.Bucket // nil when the tenant has no submit rate limit
-
-	queue    []queued // pending runs, FIFO within the tenant
-	reserved int      // Submit slots held while store.Create runs outside mu
-	inflight int      // runs the store holds running (see the package doc)
-	deficit  int      // deficit-round-robin credit within the priority class
-}
-
-// depth is the tenant's effective queue bound: its configured quota, or
-// the service-wide default.
-func (tq *tenantQueue) depth(serviceDefault int) int {
-	if tq.cfg.MaxQueueDepth > 0 {
-		return tq.cfg.MaxQueueDepth
-	}
-	return serviceDefault
+	cfg     tenant.Config
+	bucket  *tenant.Bucket // nil when the tenant has no submit rate limit
+	q       *run.Queue
+	deficit int // deficit-round-robin credit within the priority class
 }
 
 // atInFlightCap reports whether the tenant may not start another run.
 func (tq *tenantQueue) atInFlightCap() bool {
-	return tq.cfg.MaxInFlight > 0 && tq.inflight >= tq.cfg.MaxInFlight
+	return tq.cfg.MaxInFlight > 0 && tq.q.Running() >= tq.cfg.MaxInFlight
 }
 
 // priorityClass is the deficit-round-robin rotation over one priority
-// level's tenants. Guarded by the Dispatcher's mu.
+// level's tenants.
 type priorityClass struct {
 	priority int
 	order    []*tenantQueue
 	cursor   int
 }
 
-// pick dequeues the next run this class should dispatch, or reports false
-// when no tenant in the class has a run it may start. It implements
+// pick names the tenant whose queue's head this class dispatches next, or
+// nil when no tenant in the class has a run it may start. It implements
 // unit-cost deficit round-robin: when the cursor reaches a backlogged
 // tenant with no credit left, the tenant is granted `weight` credits and
 // serves them one pick at a time before the cursor moves on — so over a
@@ -205,11 +188,11 @@ type priorityClass struct {
 // tenants must not bank bursts); a tenant at its in-flight cap is skipped
 // with its credit intact and resumes when capacity frees up. Every worker
 // runs every run, so a pick always serves the head of the tenant's FIFO.
-func (cl *priorityClass) pick() (*tenantQueue, queued, bool) {
+func (cl *priorityClass) pick() *tenantQueue {
 	n := len(cl.order)
 	for i := 0; i < n; i++ {
 		tq := cl.order[cl.cursor]
-		if len(tq.queue) == 0 {
+		if tq.q.Len() == 0 {
 			tq.deficit = 0
 			cl.cursor = (cl.cursor + 1) % n
 			continue
@@ -222,18 +205,16 @@ func (cl *priorityClass) pick() (*tenantQueue, queued, bool) {
 			tq.deficit = tq.cfg.Weight
 		}
 		tq.deficit--
-		entry := tq.queue[0]
-		tq.queue = tq.queue[1:]
-		if tq.deficit <= 0 || len(tq.queue) == 0 {
+		if tq.deficit <= 0 || tq.q.Len() == 1 {
 			cl.cursor = (cl.cursor + 1) % n
 		}
-		return tq, entry, true
+		return tq
 	}
-	return nil, queued{}, false
+	return nil
 }
 
-// Dispatcher owns the per-tenant run queues and, unless Options.Remote, the
-// in-process workers draining them.
+// Dispatcher is the scheduling policy over the store's tenant queues and,
+// unless Options.Remote, the in-process workers draining them.
 type Dispatcher struct {
 	store *run.Store
 	opts  Options
@@ -245,11 +226,8 @@ type Dispatcher struct {
 
 	wg sync.WaitGroup // in-process workers
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queues  map[string]*tenantQueue
-	classes []*priorityClass // strictly descending by priority
-	closed  bool
+	queues  map[string]*tenantQueue // every configured tenant's; fixed at New
+	classes []*priorityClass        // strictly descending by priority
 
 	met instruments
 }
@@ -316,11 +294,10 @@ func New(store *run.Store, opts Options) *Dispatcher {
 		baseCancel: cancel,
 		queues:     make(map[string]*tenantQueue),
 	}
-	d.cond = sync.NewCond(&d.mu)
 
 	byPriority := make(map[int]*priorityClass)
 	for _, cfg := range opts.Tenants.Configs() {
-		tq := &tenantQueue{cfg: cfg}
+		tq := &tenantQueue{cfg: cfg, q: store.Queue(cfg.Name)}
 		if cfg.SubmitRate > 0 {
 			tq.bucket = tenant.NewBucket(cfg.SubmitRate, cfg.SubmitBurst)
 		}
@@ -340,23 +317,25 @@ func New(store *run.Store, opts Options) *Dispatcher {
 	}
 
 	d.met = newInstruments(opts.Metrics)
-	// Queue depth, in-flight, and oldest-age are derived state refreshed at
-	// scrape time: one lock acquisition per scrape instead of gauge
-	// bookkeeping on every queue mutation.
-	opts.Metrics.OnCollect(func() {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		now := time.Now()
+	// A durable store comes up holding its re-admitted runs queued: they
+	// count as admissions, as a Submit's would.
+	store.View(func() {
 		for name, tq := range d.queues {
-			prio := strconv.Itoa(tq.cfg.Priority)
-			d.met.queueDepth.With(name, prio).Set(float64(len(tq.queue)))
-			d.met.inflight.With(name, prio).Set(float64(tq.inflight))
-			age := 0.0
-			if len(tq.queue) > 0 {
-				age = now.Sub(tq.queue[0].at).Seconds()
-			}
-			d.met.oldestAge.With(name, prio).Set(age)
+			d.met.submits.With(name).Add(float64(tq.q.Len()))
 		}
+	})
+	// Queue depth, in-flight, and oldest-age are read off the store's
+	// queues at scrape time: one lock acquisition per scrape.
+	opts.Metrics.OnCollect(func() {
+		now := time.Now()
+		d.store.View(func() {
+			for name, tq := range d.queues {
+				prio := strconv.Itoa(tq.cfg.Priority)
+				d.met.queueDepth.With(name, prio).Set(float64(tq.q.Len()))
+				d.met.inflight.With(name, prio).Set(float64(tq.q.Running()))
+				d.met.oldestAge.With(name, prio).Set(tq.q.Age(now).Seconds())
+			}
+		})
 	})
 
 	// Apply the retention bound to whatever the store came up holding: a
@@ -375,51 +354,18 @@ func New(store *run.Store, opts Options) *Dispatcher {
 	return d
 }
 
-// queueForLocked returns the queue a tenant name schedules into: the named
-// tenant's own queue, or the catch-all default's. The registry is static
-// for the dispatcher's lifetime, so the mapping never changes — a run
-// enqueued, cancelled, or recovered under a name always lands on the same
-// queue.
-func (d *Dispatcher) queueForLocked(name string) *tenantQueue {
-	if tq, ok := d.queues[name]; ok {
-		return tq
-	}
-	return d.queues[tenant.Default]
-}
-
 // QueueDepth returns the default per-tenant queue capacity (the queue_full
 // error reports it); tenants with a configured MaxQueueDepth use that
 // instead.
 func (d *Dispatcher) QueueDepth() int { return d.opts.QueueDepth }
 
-func (d *Dispatcher) queuedLocked() int {
-	n := 0
-	for _, tq := range d.queues {
-		n += len(tq.queue)
-	}
-	return n
-}
-
-// Draining reports whether Shutdown has begun, i.e. whether new
-// submissions would be refused with ErrShuttingDown. Readiness probes use
-// this to flip unready while liveness stays green.
-func (d *Dispatcher) Draining() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.closed
-}
-
-// Submit resolves the spec's tenant, enforces the tenant's rate limit and
-// queue quota, validates the spec, registers a queued run, and enqueues
-// it. It never blocks on execution: backpressure fails fast with a
-// RetryableError wrapping ErrRateLimited, ErrQuotaExceeded, or
-// ErrQueueFull, and no run is left behind in the store.
-//
-// The store.Create call — which may fsync a WAL record — runs outside the
-// queue lock: Submit reserves the tenant's queue slot under the lock,
-// creates, then converts the reservation into a real queue entry. Other
-// submissions, cancellations, and leases proceed during the disk
-// write.
+// Submit resolves the spec's tenant, enforces the tenant's rate limit,
+// validates the spec, and admits a queued run within the tenant's depth
+// (run.Store.Admit, which holds no lock across the disk write). It never
+// blocks on execution: backpressure fails fast with a RetryableError
+// wrapping ErrRateLimited, ErrQuotaExceeded, or ErrQueueFull, leaving no
+// run behind. A drain waits for every admitted run, so a Submit that
+// succeeds executes, or replays after a restart.
 func (d *Dispatcher) Submit(spec run.Spec) (run.Run, error) {
 	// Stamp the service defaults before validation so the stored spec (and
 	// any 400 for a bad default) reflects what will actually execute — the
@@ -441,106 +387,41 @@ func (d *Dispatcher) Submit(spec run.Spec) (run.Run, error) {
 		return run.Run{}, err
 	}
 
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		d.met.rejections.With(cfg.Name, "shutting_down").Inc()
-		return run.Run{}, ErrShuttingDown
-	}
-	tq := d.queueForLocked(cfg.Name)
+	tq := d.queues[cfg.Name]
 	if tq.bucket != nil {
 		if ok, retry := tq.bucket.Take(); !ok {
-			d.mu.Unlock()
 			d.met.rejections.With(cfg.Name, "rate_limited").Inc()
 			return run.Run{}, &RetryableError{Err: ErrRateLimited, Tenant: cfg.Name, RetryAfter: retry}
 		}
 	}
-	if len(tq.queue)+tq.reserved >= tq.depth(d.opts.QueueDepth) {
-		sentinel := ErrQueueFull
-		reason := "queue_full"
-		if tq.cfg.MaxQueueDepth > 0 {
-			sentinel = ErrQuotaExceeded
-			reason = "quota_exceeded"
-		}
-		d.mu.Unlock()
+	// The tenant's configured quota, or the service-wide default.
+	depth, sentinel, reason := d.opts.QueueDepth, ErrQueueFull, "queue_full"
+	if tq.cfg.MaxQueueDepth > 0 {
+		depth, sentinel, reason = tq.cfg.MaxQueueDepth, ErrQuotaExceeded, "quota_exceeded"
+	}
+	r, err := d.store.Admit(spec, depth)
+	switch {
+	case errors.Is(err, run.ErrDraining):
+		d.met.rejections.With(cfg.Name, "shutting_down").Inc()
+		return run.Run{}, ErrShuttingDown
+	case errors.Is(err, run.ErrQueueFull):
 		d.met.rejections.With(cfg.Name, reason).Inc()
 		return run.Run{}, &RetryableError{Err: sentinel, Tenant: cfg.Name, RetryAfter: time.Second}
-	}
-	tq.reserved++
-	d.mu.Unlock()
-
-	r, err := d.store.Create(spec)
-
-	d.mu.Lock()
-	tq.reserved--
-	if err != nil {
-		d.mu.Unlock()
+	case err != nil:
 		// Durable stores refuse to admit a run they could not log; surface
 		// the failure instead of accepting work that a restart would lose.
 		return run.Run{}, err
 	}
-	if d.closed {
-		d.mu.Unlock()
-		// Shutdown began while the record was being written; the workers
-		// may already have drained, so enqueuing now could strand the run
-		// in queued forever. Roll the create back — the ID never escaped.
-		if derr := d.store.Delete(r.ID); derr != nil {
-			log.Printf("dispatch: rolling back %s admitted during shutdown: %v", r.ID, derr)
-		}
-		d.met.rejections.With(cfg.Name, "shutting_down").Inc()
-		return run.Run{}, ErrShuttingDown
-	}
-	tq.queue = append(tq.queue, queued{id: r.ID, at: time.Now()})
-	d.cond.Signal()
-	d.mu.Unlock()
 	d.met.submits.With(cfg.Name).Inc()
 	return r, nil
 }
 
-// Recover enqueues runs that already exist in the store as queued — the
-// interrupted runs a durable store re-admitted during crash recovery —
-// each into its owning tenant's queue (runs whose tenant is no longer
-// configured drain through the catch-all default queue, keeping their
-// original attribution). It deliberately ignores queue-depth quotas:
-// recovered work was admitted before the restart, and dropping it now
-// would turn a crash into silent data loss. The transient over-depth
-// backlog drains like any other. Returns how many runs were enqueued
-// (zero after Shutdown has begun).
-func (d *Dispatcher) Recover(runs []run.Run) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return 0
-	}
-	now := time.Now()
-	for _, r := range runs {
-		tq := d.queueForLocked(r.Spec.Tenant)
-		tq.queue = append(tq.queue, queued{id: r.ID, at: now})
-		d.met.submits.With(tq.cfg.Name).Inc()
-	}
-	d.cond.Broadcast()
-	return len(runs)
-}
-
 // Cancel requests cancellation of the identified run (see run.Store.Cancel
-// for the state semantics). A run cancelled while still queued is removed
-// from its tenant's queue immediately, so the slot is free for new
-// submissions.
+// for the state semantics: a queued run leaves its tenant's queue at once,
+// so the slot is free for new submissions).
 func (d *Dispatcher) Cancel(id string) (run.Run, error) {
 	r, err := d.store.Cancel(id)
 	if err == nil && r.State == run.StateCancelled && r.StartedAt == nil {
-		// Cancelled straight out of the queue: drop the pending entry.
-		d.mu.Lock()
-		tq := d.queueForLocked(r.Spec.Tenant)
-		for i, entry := range tq.queue {
-			if entry.id == id {
-				tq.queue = append(tq.queue[:i], tq.queue[i+1:]...)
-				break
-			}
-		}
-		// A drain may be waiting for exactly this queue to empty.
-		d.cond.Broadcast()
-		d.mu.Unlock()
 		// The run reached a terminal state without ever being leased, so
 		// complete will neither count it nor evict past the retention bound.
 		d.met.completed.With(r.Spec.Tenant, run.StateCancelled.String()).Inc()
@@ -550,72 +431,25 @@ func (d *Dispatcher) Cancel(id string) (run.Run, error) {
 }
 
 // Shutdown stops accepting new runs and waits until nothing is queued or
-// leased. What ctx expiring first means is the one place the two modes
-// differ: in-process runs are force-cancelled (each finishes as cancelled)
-// and Shutdown keeps waiting for them, while remote leases are abandoned —
-// they replay as queued on the next boot, exactly like a crash. Either way
-// ctx's error is returned. Shutdown is idempotent.
+// leased (run.Store.Drain). What ctx expiring first means is the one place
+// the two modes differ: in-process runs are force-cancelled (each finishes
+// as cancelled) and Shutdown keeps waiting for them, while remote leases
+// are abandoned — they replay as queued on the next boot, exactly like a
+// crash. Either way ctx's error is returned. Shutdown is idempotent.
 func (d *Dispatcher) Shutdown(ctx context.Context) error {
-	d.mu.Lock()
-	if !d.closed {
-		d.closed = true
-		d.cond.Broadcast()
-	}
-	d.mu.Unlock()
-
-	err := d.drain(ctx)
+	err := d.store.Drain(ctx)
 	if err != nil && !d.opts.Remote {
 		d.baseCancel()
 	}
-	// An in-process worker leaves once the queues are closed and empty and
-	// its own last complete call has returned, so this wait both finishes
-	// a forced drain and covers the tail (Finish, eviction) of a clean one.
+	// An in-process worker leaves once the queues are draining and empty
+	// and its own last complete call has returned, so this wait both
+	// finishes a forced drain and covers the tail (Finish, eviction) of a
+	// clean one.
 	d.wg.Wait()
 	return err
-}
-
-// drain waits until nothing is queued or leased: complete and ExpireLease
-// broadcast on every state change, so the wait re-checks until then, or
-// until ctx gives up.
-func (d *Dispatcher) drain(ctx context.Context) error {
-	stop := context.AfterFunc(ctx, func() {
-		// Taking mu before broadcasting guarantees the waiter below is
-		// either still before its ctx.Err() check or parked in Wait —
-		// never in between, where a wakeup could be lost.
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		d.cond.Broadcast()
-	})
-	defer stop()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for {
-		pending := 0
-		for _, tq := range d.queues {
-			pending += len(tq.queue) + tq.inflight
-		}
-		if pending == 0 {
-			return nil
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		d.cond.Wait()
-	}
 }
 
 // evict drops terminal history past the retention bound.
 func (d *Dispatcher) evict() {
 	d.met.evicted.Add(float64(d.store.EvictTerminal(d.opts.RetainRuns)))
-}
-
-// release returns the in-flight slot of a run the store just finished,
-// waking Lease callers that may have been skipping the tenant at its cap
-// (and drain waiters).
-func (d *Dispatcher) release(tenantName string) {
-	d.mu.Lock()
-	tq := d.queueForLocked(tenantName)
-	tq.inflight--
-	d.cond.Broadcast()
-	d.mu.Unlock()
 }

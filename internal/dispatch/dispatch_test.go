@@ -29,16 +29,16 @@ func newDispatcher(t *testing.T, opts Options) (*run.Store, *Dispatcher) {
 // tenantLoad is one tenant's queued runs and in-flight slots.
 type tenantLoad struct{ queued, inflight int }
 
-// loads reads every tenant's queue length and in-flight slots under one
-// d.mu acquisition: the quantities the collect hook renders as
-// dagd_queue_depth and dagd_inflight_runs.
+// loads reads every tenant's queue length and in-flight slots off the
+// store's queues in one acquisition: the quantities the collect hook
+// renders as dagd_queue_depth and dagd_inflight_runs.
 func loads(d *Dispatcher) map[string]tenantLoad {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make(map[string]tenantLoad, len(d.queues))
-	for name, tq := range d.queues {
-		out[name] = tenantLoad{queued: len(tq.queue), inflight: tq.inflight}
-	}
+	out := map[string]tenantLoad{}
+	d.store.View(func() {
+		for name, tq := range d.queues {
+			out[name] = tenantLoad{queued: tq.q.Len(), inflight: tq.q.Running()}
+		}
+	})
 	return out
 }
 
@@ -541,10 +541,10 @@ func TestQuotaExceeded(t *testing.T) {
 	}
 }
 
-// TestRecoverRoutesToOwningTenantQueue: recovered runs land in their own
-// tenant's queue — and runs attributed to a tenant that is no longer
-// configured drain through the default queue while keeping their recorded
-// attribution.
+// TestRecoverRoutesToOwningTenantQueue: runs the store holds queued — as
+// recovery leaves them — wait in their own tenant's queue, and runs
+// attributed to a tenant that is no longer configured drain through the
+// default queue while keeping their recorded attribution.
 func TestRecoverRoutesToOwningTenantQueue(t *testing.T) {
 	reg := mustRegistry(t,
 		tenant.Config{Name: "alpha"},
@@ -560,9 +560,6 @@ func TestRecoverRoutesToOwningTenantQueue(t *testing.T) {
 			t.Fatal(err)
 		}
 		recovered = append(recovered, r)
-	}
-	if n := d.Recover(recovered); n != 3 {
-		t.Fatalf("Recover admitted %d runs, want 3", n)
 	}
 
 	queued := loads(d)
@@ -585,12 +582,10 @@ func TestRecoverRoutesToOwningTenantQueue(t *testing.T) {
 	}
 }
 
-// TestQueuedCancelPoppedBeforeUnlink is the regression test for the race
-// where a dispatcher pops an ID after store.Cancel succeeded but before
-// Dispatcher.Cancel unlinks it from the queue: Begin returns ErrNotQueued
-// and the dispatcher must skip the run — never execute it — and free the
-// slot for the next one. Cancelling through the store directly models the
-// lost race deterministically (the queue entry is never unlinked at all).
+// TestQueuedCancelPoppedBeforeUnlink: a run cancelled while queued is
+// never executed, even cancelled through the store alone, past the
+// dispatcher: store.Cancel itself unlinks it, so no lease can pick it and
+// the next run is served.
 func TestQueuedCancelPoppedBeforeUnlink(t *testing.T) {
 	store, d := newDispatcher(t, Options{QueueDepth: 8, Dispatchers: 1})
 	plugID := plugDispatcher(t, store, d)
@@ -603,16 +598,15 @@ func TestQueuedCancelPoppedBeforeUnlink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Bypass Dispatcher.Cancel so the stale ID stays in the queue — exactly
-	// the window where a dispatcher pops before the unlink runs.
+	// Bypass Dispatcher.Cancel: the store's transition alone unlinks it.
 	if _, err := store.Cancel(victim.ID); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Cancel(plugID); err != nil {
 		t.Fatal(err)
 	}
-	// The follower completing proves the dispatcher skipped the stale entry
-	// without wedging or leaking the slot.
+	// The follower completing proves the dispatcher skipped the cancelled
+	// run without wedging or leaking the slot.
 	waitForState(t, store, follower.ID, run.StateSucceeded)
 	got, err := store.Get(victim.ID)
 	if err != nil {
@@ -652,9 +646,9 @@ func (l *blockingCreateLog) Wait(ticket uint64) error {
 
 func (l *blockingCreateLog) Close() error { return nil }
 
-// TestSubmitDoesNotHoldLockAcrossCreate pins the satellite fix: with
-// store.Create blocked (an fsync in flight), Snapshot and other
-// submissions' backpressure checks must not block behind it.
+// TestSubmitDoesNotHoldLockAcrossCreate: with a create record's wait
+// blocked (an fsync in flight), reading the queues and other submissions'
+// backpressure checks must not block behind it.
 func TestSubmitDoesNotHoldLockAcrossCreate(t *testing.T) {
 	blocking := &blockingCreateLog{entered: make(chan struct{}), release: make(chan struct{})}
 	d := New(run.NewStore(blocking), Options{QueueDepth: 1, Dispatchers: 1})
@@ -677,13 +671,13 @@ func TestSubmitDoesNotHoldLockAcrossCreate(t *testing.T) {
 	select {
 	case n := <-lens:
 		if n != 0 {
-			t.Errorf("QueueLen during Create = %d, want 0 (slot reserved, not enqueued)", n)
+			t.Errorf("QueueLen during Create = %d, want 0 (admitted, not yet linked)", n)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("reading the queues blocked behind an in-flight store.Create")
+		t.Fatal("reading the queues blocked behind an in-flight create")
 	}
 
-	// The reservation still counts against the depth: a concurrent submit
+	// The admission still counts against the depth: a concurrent submit
 	// sees the depth-1 queue as full instead of over-admitting.
 	overflow := make(chan error, 1)
 	go func() {
@@ -693,15 +687,66 @@ func TestSubmitDoesNotHoldLockAcrossCreate(t *testing.T) {
 	select {
 	case err := <-overflow:
 		if !errors.Is(err, ErrQueueFull) {
-			t.Errorf("submit during reserved Create = %v, want ErrQueueFull", err)
+			t.Errorf("submit during an admission's create = %v, want ErrQueueFull", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("second Submit blocked behind the first's store.Create")
+		t.Fatal("second Submit blocked behind the first's create")
 	}
 
 	close(blocking.release)
 	if err := <-submitted; err != nil {
 		t.Fatalf("blocked submit failed after release: %v", err)
+	}
+}
+
+// TestSubmitDuringShutdown pins admission across a drain: a Submit whose
+// create record is still being written when Shutdown begins succeeds, and
+// its run executes before Shutdown returns; a Submit after Shutdown began
+// is refused and leaves no run.
+func TestSubmitDuringShutdown(t *testing.T) {
+	blocking := &blockingCreateLog{entered: make(chan struct{}), release: make(chan struct{})}
+	store := run.NewStore(blocking)
+	d := New(store, Options{QueueDepth: 4, Dispatchers: 1})
+	type result struct {
+		r   run.Run
+		err error
+	}
+	submitted := make(chan result, 1)
+	go func() {
+		r, err := d.Submit(pipelineSpec(5, 2, 0))
+		submitted <- result{r, err}
+	}()
+	<-blocking.entered
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	shut := make(chan error, 1)
+	go func() { shut <- d.Shutdown(ctx) }()
+	for !store.Draining() {
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := d.Submit(pipelineSpec(5, 2, 0)); !errors.Is(err, ErrShuttingDown) {
+		t.Fatalf("Submit after Shutdown began = %v, want ErrShuttingDown", err)
+	}
+	select {
+	case err := <-shut:
+		t.Fatalf("Shutdown returned (%v) with an admission in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	close(blocking.release)
+	res := <-submitted
+	if res.err != nil {
+		t.Fatalf("Submit in flight at Shutdown = %v, want success", res.err)
+	}
+	if err := <-shut; err != nil {
+		t.Fatalf("Shutdown = %v", err)
+	}
+	if got, err := store.Get(res.r.ID); err != nil || got.State != run.StateSucceeded {
+		t.Errorf("run admitted across Shutdown = %s, %v; want succeeded", got.State, err)
+	}
+	if n := store.Len(); n != 1 {
+		t.Errorf("store holds %d runs, want only the admitted one", n)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"time"
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/run"
 )
@@ -44,9 +43,9 @@ func (d *Dispatcher) work() {
 }
 
 // Lease blocks until a queued run is scheduled to the worker, then
-// transitions the run to running (store.Begin, attributing it to worker;
-// the grant is not logged) and returns the running snapshot. It returns
-// ctx.Err() when the caller gives up waiting (long-poll deadline),
+// transitions the run to running (attributing it to worker; the grant is
+// not logged) and returns the running snapshot, in one store.BeginNext. It
+// returns ctx.Err() when the caller gives up waiting (long-poll deadline),
 // ErrShuttingDown once a drain has begun and the queues are empty.
 //
 // The third parameter is retired and ignored: it was a per-worker
@@ -59,65 +58,23 @@ func (d *Dispatcher) work() {
 // context; the fleet layer passes a no-op, since its heartbeat reads the
 // acknowledgement off the run (run.Run.CancelRequested).
 func (d *Dispatcher) Lease(ctx context.Context, worker string, _ func(workload, shape string) bool, onCancel func(id string)) (run.Run, error) {
-	stop := context.AfterFunc(ctx, func() {
-		// Lock-step with the wait loop below so a cancellation arriving
-		// between the ctx.Err() check and cond.Wait() is never lost.
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		d.cond.Broadcast()
-	})
-	defer stop()
-
-	for {
-		d.mu.Lock()
-		var picked queued
-		var tq *tenantQueue
-		for {
-			if err := ctx.Err(); err != nil {
-				d.mu.Unlock()
-				return run.Run{}, err
+	var picked *tenantQueue
+	r, queuedAt, err := d.store.BeginNext(ctx, func() *run.Queue {
+		for _, cl := range d.classes {
+			if picked = cl.pick(); picked != nil {
+				return picked.q
 			}
-			found := false
-			for _, cl := range d.classes {
-				if tq, picked, found = cl.pick(); found {
-					break
-				}
-			}
-			if found {
-				break
-			}
-			// A drain keeps serving leases until the queues are empty:
-			// queued runs stuck behind an in-flight cap still count as
-			// pending work, and a release will broadcast and re-run the
-			// pick. Leased runs finishing is drain's concern, not Lease's.
-			if d.closed && d.queuedLocked() == 0 {
-				d.mu.Unlock()
-				return run.Run{}, ErrShuttingDown
-			}
-			d.cond.Wait()
 		}
-		// The slot is taken before Begin so a tenant's cap holds while the
-		// store is written; it is given back below if Begin refuses.
-		tq.inflight++
-		now := time.Now()
-		d.mu.Unlock()
-
-		// Begin outside mu: it takes the store's map lock, and logs nothing.
-		r, err := d.store.Begin(picked.id, now, worker, func() { onCancel(picked.id) })
-		if err != nil {
-			// ErrNotQueued or ErrNotFound: cancelled while queued and popped
-			// before Cancel could unlink it (or rolled back). Release the
-			// claim and pick again.
-			d.mu.Lock()
-			tq.inflight--
-			d.cond.Broadcast()
-			d.mu.Unlock()
-			continue
-		}
-		// Only a granted lease counts as a queue wait.
-		d.met.queueWait.With(tq.cfg.Name).Observe(now.Sub(picked.at).Seconds())
-		return r, nil
+		return nil
+	}, worker, onCancel)
+	if errors.Is(err, run.ErrDraining) {
+		return run.Run{}, ErrShuttingDown
 	}
+	if err != nil {
+		return run.Run{}, err
+	}
+	d.met.queueWait.With(picked.cfg.Name).Observe(r.DispatchedAt.Sub(queuedAt).Seconds())
+	return r, nil
 }
 
 // complete records the outcome of a leased run — runErr is what
@@ -139,8 +96,7 @@ func (d *Dispatcher) complete(id string, result *run.Result, runErr error) (run.
 }
 
 // finished settles a leased run the store just made terminal: it counts
-// the outcome, releases the lease's in-flight slot and evicts history past
-// the retention bound.
+// the outcome and evicts history past the retention bound.
 func (d *Dispatcher) finished(fr run.Run) {
 	d.met.completed.With(fr.Spec.Tenant, fr.State.String()).Inc()
 	if fr.StartedAt != nil && fr.FinishedAt != nil {
@@ -150,7 +106,6 @@ func (d *Dispatcher) finished(fr run.Run) {
 	if fr.Result != nil {
 		d.met.runNodes.With(fr.Spec.Workload).Add(float64(fr.Result.Nodes))
 	}
-	d.release(fr.Spec.Tenant)
 	d.evict()
 }
 
@@ -182,10 +137,9 @@ func (d *Dispatcher) CompleteLease(id string, state run.State, errMsg string, re
 
 // ExpireLease abandons a leased run whose worker stopped heartbeating; the
 // store decides what it becomes (run.Store.Requeue). A run that ends
-// cancelled is settled as complete settles any outcome. A requeued one
-// (Restarts++, the requeue record crash recovery writes) goes to the tail
-// of its tenant's queue for re-dispatch, bypassing queue-depth quotas the
-// same way crash recovery does — the work was already admitted once.
+// cancelled is settled as complete settles any outcome; a requeued one
+// (Restarts++) is back at the tail of its tenant's queue, past quotas as a
+// recovered run is, since the work was admitted once.
 // Returns ErrNotLeased when the store does not have the run running (its
 // completion won the race).
 func (d *Dispatcher) ExpireLease(id string) (run.Run, error) {
@@ -195,20 +149,13 @@ func (d *Dispatcher) ExpireLease(id string) (run.Run, error) {
 	}
 	if err != nil {
 		// As in complete: the outcome stands in memory, only its record
-		// may be missing from the log. Settle it regardless, or a requeued
-		// run would sit queued with no queue entry.
+		// may be missing from the log. Settle it regardless.
 		log.Printf("dispatch: recording expiry of %s: %v", id, err)
 	}
 	if r.State.Terminal() {
 		d.finished(r)
 		return r, err
 	}
-	d.mu.Lock()
-	tq := d.queueForLocked(r.Spec.Tenant)
-	tq.inflight--
-	tq.queue = append(tq.queue, queued{id: id, at: time.Now()})
-	d.cond.Broadcast()
-	d.mu.Unlock()
 	d.met.redispatched.With(r.Spec.Tenant).Inc()
 	return r, err
 }

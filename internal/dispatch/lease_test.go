@@ -84,10 +84,9 @@ func TestLeaseCompleteLifecycle(t *testing.T) {
 	}
 }
 
-// TestQueueWaitCountsGrantedLeasesOnly: a run cancelled while queued whose
-// entry Lease pops before Cancel unlinks it is skipped, not leased, and must
-// not leave a sample in dagd_queue_wait_seconds. Cancelling through the
-// store leaves the stale entry in place deterministically.
+// TestQueueWaitCountsGrantedLeasesOnly: a run cancelled while queued, even
+// through the store alone, is never leased and leaves no sample in
+// dagd_queue_wait_seconds: only a granted lease counts as a queue wait.
 func TestQueueWaitCountsGrantedLeasesOnly(t *testing.T) {
 	store, d := newRemoteDispatcher(t, Options{QueueDepth: 8, Metrics: metrics.NewRegistry()})
 	victim, err := d.Submit(pipelineSpec(5, 2, 0))
@@ -331,7 +330,7 @@ func TestLeaseDrainServesQueuedWork(t *testing.T) {
 	}()
 	// Wait until the drain has begun so the lease below exercises the
 	// closed-but-backlogged path.
-	for !d.Draining() {
+	for !store.Draining() {
 		time.Sleep(time.Millisecond)
 	}
 	r := lease(t, d, "w1")

@@ -322,7 +322,7 @@ func TestLifecycleParity(t *testing.T) {
 				for i := 0; i < 4; i++ {
 					ids[fmt.Sprint("run", i)] = h.submit(t, pipelineSpec(30, 3, 0))
 				}
-				if h.d.Draining() {
+				if h.store.Draining() {
 					t.Error("Draining() true before Shutdown")
 				}
 				ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
@@ -337,7 +337,7 @@ func TestLifecycleParity(t *testing.T) {
 						t.Errorf("%s after drain = %s, want succeeded", label, got.State)
 					}
 				}
-				if !h.d.Draining() {
+				if !h.store.Draining() {
 					t.Error("Draining() false after Shutdown")
 				}
 				if _, err := h.d.Submit(pipelineSpec(5, 2, 0)); !errors.Is(err, ErrShuttingDown) {

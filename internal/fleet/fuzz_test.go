@@ -228,9 +228,9 @@ func (s *leaseSim) register(slot, capacity int) {
 // worker is registered, under capacity and some run is queued: every worker
 // runs every run, so no queued run may wait while a worker has room. Only
 // then does the poll get a wait long enough to matter; a poll the model
-// expects refused gets a context that has already expired. Lease checks the
-// context before it picks, so the step's scrape in check must then show
-// what a wait would have found: no run queued in the dispatcher.
+// expects refused gets a context that has already expired. Lease gives up
+// on it only when its pick finds nothing, so the step's scrape in check
+// must then show what a wait would have found: no run queued.
 func (s *leaseSim) acquire(slot int) {
 	id := s.workers[slot]
 	if id == "" {
@@ -516,15 +516,12 @@ func (s *leaseSim) race(b int, state run.State) {
 func (s *leaseSim) check() {
 	s.t.Helper()
 	counts := s.h.store.CountByState()
-	// The dispatcher's collect hook renders its two gauges under one lock,
-	// the fleet's its two under another.
+	// The dispatcher's collect hook renders its two gauges off the store's
+	// queues under one lock, the fleet's its two under another.
 	load := s.h.metricSums(s.t, "dagd_queue_depth", "dagd_inflight_runs", "dagd_workers", "dagd_active_leases")
 	queued, inflight, workers, leases := int(load[0]), int(load[1]), int(load[2]), int(load[3])
-	if counts[run.StateQueued] != queued {
-		s.t.Fatalf("store holds %d runs queued, the dispatcher's queues %d", counts[run.StateQueued], queued)
-	}
 	if s.refused != "" && queued != 0 {
-		s.t.Fatalf("acquire by %s refused while the dispatcher holds %d queued runs", s.refused, queued)
+		s.t.Fatalf("acquire by %s refused while %d runs are queued", s.refused, queued)
 	}
 	s.refused = ""
 

@@ -1,7 +1,9 @@
 package gen
 
 import (
+	"math"
 	"testing"
+	"time"
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/dag"
 )
@@ -77,4 +79,34 @@ func BenchmarkDynamicExpand(b *testing.B) {
 		nodes += d.NumNodes()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
+}
+
+// BenchmarkDynamicDeepNarrow times discovering a level at two depths: a
+// width-1 expansion of 200k stages against one of 50k, the short size timed
+// over four specs so both are measured over the same span of wall time,
+// best of five alternating reps each. Four times the stages must take
+// under eight times as long (linear is 4; a per-level cost linear in the
+// depth would be 16). TestDynamicDeepNarrow checks the same by counting,
+// which load cannot flake; this is the wall-clock view, with the ratio
+// reported.
+func BenchmarkDynamicDeepNarrow(b *testing.B) {
+	expand := func(stages, specs int) (took time.Duration) {
+		for range specs {
+			d := narrow(b, stages)
+			start := time.Now()
+			expandNarrow(b, d, func() {})
+			took += time.Since(start)
+		}
+		return took
+	}
+	short, long := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for range max(b.N, 5) {
+		short = min(short, expand(50_000, 4)/4)
+		long = min(long, expand(200_000, 1))
+	}
+	ratio := float64(long) / float64(short)
+	b.ReportMetric(ratio, "ratio")
+	if ratio >= 8 {
+		b.Fatalf("200k stages took %v, 50k took %v: ratio %.1f, want < 8 (linear is 4)", long, short, ratio)
+	}
 }

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/dag"
 )
@@ -396,44 +395,22 @@ func TestDynamicConcurrentReaders(t *testing.T) {
 
 // TestDynamicDeepNarrow pins that discovering a level costs the same however
 // many levels came before: a width-1 spec is one node per level, so each
-// Expand publishes a level and then looks its node's children up. Four
-// times the stages must take about four times as long; a ratio of 16 would
-// mean a per-level cost linear in the depth. The short size is timed over
-// four specs, so both sizes are measured over the same span of wall time
-// and share whatever load the machine is under; the reps alternate between
-// the sizes, and each size's best of five is compared.
+// Expand publishes one level, and what that publish writes into the
+// expander's arrays — the level's elements, plus every element copied when
+// an array outgrows its capacity — is counted. One publish may copy all the
+// levels before it when an array moves; amortized over the levels, the
+// count per level must be the same constant at 50k stages and at 200k. A
+// publish that copied every earlier level would make it grow with the
+// depth. The wall-clock form of this check is BenchmarkDynamicDeepNarrow.
 func TestDynamicDeepNarrow(t *testing.T) {
-	expand := func(stages, specs int) (took time.Duration) {
-		for range specs {
-			d, err := NewDynamic(Config{Shape: Dynamic, Stages: stages, Width: 1, EdgeProb: 0.5, Seed: 4}, DynLimits{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			start := time.Now()
-			for u := dag.NodeID(0); ; {
-				children, err := d.Expand(u)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(children) == 0 {
-					break
-				}
-				u = children[0]
-			}
-			took += time.Since(start)
-			if got := d.NumNodes(); got != stages+1 {
-				t.Fatalf("stages %d: NumNodes = %d, want %d", stages, got, stages+1)
-			}
+	for _, stages := range []int{50_000, 200_000} {
+		d := narrow(t, stages)
+		cost, total := publishCost(d), 0
+		expandNarrow(t, d, func() { total += cost() })
+		if perLevel := float64(total) / float64(stages); perLevel > 32 {
+			t.Errorf("%d stages: publishing wrote %d elements, %.1f per level; want at most 32 whatever the depth",
+				stages, total, perLevel)
 		}
-		return took
-	}
-	short, long := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
-	for range 5 {
-		short = min(short, expand(50_000, 4)/4)
-		long = min(long, expand(200_000, 1))
-	}
-	if ratio := float64(long) / float64(short); ratio >= 8 {
-		t.Fatalf("200k stages took %v, 50k took %v: ratio %.1f, want < 8 (linear is 4)", long, short, ratio)
 	}
 }
 

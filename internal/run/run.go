@@ -303,11 +303,11 @@ type Run struct {
 	// lease expiry requeues the run, and retained on terminal snapshots for
 	// attribution.
 	Worker string `json:"worker,omitempty"`
-	// Lifecycle timestamps. DispatchedAt is when a dispatcher popped the run
-	// off its queue; StartedAt is when the store applied the queued→running
-	// transition. The CreatedAt→DispatchedAt gap is queue wait,
-	// DispatchedAt→StartedAt is Begin overhead (the wait for the store's map
-	// lock; Begin logs nothing), StartedAt→FinishedAt is execution.
+	// Lifecycle timestamps. DispatchedAt is when the run was picked off its
+	// queue; StartedAt is when the store applied the queued→running
+	// transition. BeginNext does both in one step, so they are equal; a
+	// Begin caller stamps its own DispatchedAt. The CreatedAt→DispatchedAt
+	// gap is queue wait, StartedAt→FinishedAt is execution.
 	CreatedAt    time.Time  `json:"created_at"`
 	DispatchedAt *time.Time `json:"dispatched_at,omitempty"`
 	StartedAt    *time.Time `json:"started_at,omitempty"`
@@ -325,4 +325,10 @@ var (
 	ErrNotRunning = errors.New("run: not running")
 	// ErrTerminal is returned by Cancel when the run already finished.
 	ErrTerminal = errors.New("run: already in a terminal state")
+	// ErrQueueFull is returned by Admit when the run's queue is at the
+	// depth it was given.
+	ErrQueueFull = errors.New("run: queue full")
+	// ErrDraining is returned by Admit once Drain has begun, and by
+	// BeginNext once, besides, no run waits or is being admitted.
+	ErrDraining = errors.New("run: store draining")
 )

@@ -35,7 +35,7 @@ const (
 	OpCancelReq Op = "cancelreq"
 	OpRequeue   Op = "requeue" // running → queued: a lease expired, or recovery re-admitted it
 	OpPut       Op = "put"     // a snapshot as-is: recovery's repairs, a log's compaction
-	OpDel       Op = "del"     // run removed (submit rollback; evictions in older logs)
+	OpDel       Op = "del"     // run removed (Delete; submit rollbacks and evictions in older logs)
 )
 
 // Log is what a Store writes its transitions through: the durable log in
@@ -54,9 +54,10 @@ type Log interface {
 
 // Store tracks runs for every service layer: the dispatcher records
 // lifecycle transitions through it and the API layer reads snapshots from
-// it. It is one map of runs and one list of the terminal ones in
-// CompareFinished order behind one RWMutex — every critical section is a
-// map operation on a small record; the only O(n) hold is List's copy, its
+// it, and the dispatcher leases from its tenant queues. It is one map of
+// runs, one list of the terminal ones in CompareFinished order and one
+// FIFO per tenant behind one RWMutex — every critical section is a map or
+// list operation on a small record; the only O(n) hold is List's copy, its
 // sort runs outside the lock — plus an optional Log. All methods are safe
 // for concurrent use and return snapshot copies, never live state.
 //
@@ -66,7 +67,7 @@ type Log interface {
 // per run: nothing recovery needs lives beside the runs. A transition is
 // one of two kinds:
 //
-//   - Awaited — Create (the client's 202), Finish, Cancel (the terminal
+//   - Awaited — Admit (the client's 202), Finish, Cancel (the terminal
 //     record, or the cancel acknowledgement a running run carries as
 //     CancelRequested), Requeue, Delete, and Recover's own records: the
 //     transitions a client is told about. Each holds the store's write
@@ -80,8 +81,8 @@ type Log interface {
 //     Await waiters before the wait, so a long-poller can hear of a
 //     terminal state one group commit before it is durable; a power cut in
 //     that window replays the run as interrupted.
-//   - Not logged — Begin and EvictTerminal, which take the run map's lock
-//     only. A run replays as its queued record from before Begin, which
+//   - Not logged — Begin, BeginNext and EvictTerminal, which take the run
+//     map's lock only. A run replays as its queued record from before Begin, which
 //     Recover re-admits exactly as it would the running run; the run's
 //     next record (finish, cancel acknowledgement, requeue) carries what
 //     Begin stamped. Retention is a rule (the newest keep terminal runs in
@@ -92,13 +93,25 @@ type Log interface {
 // The run map's lock is held only to apply: readers never wait on a
 // record's encoding, its write, or a segment rotation.
 //
-// A failed append or wait is returned. Create then removes the run again,
+// A failed append or wait is returned. Admit then removes the run again,
 // so a run the log never acknowledged is never observed; any other
 // transition stands in memory, the truth while the process lives.
 //
 // Lock order: the store's write lock, then either the run map's lock or
 // the log's mutex (never both). A log never calls into the store while
 // holding its own.
+//
+// # Tenant queues
+//
+// Every queued run waits in one Queue: its tenant's, once Queue has made
+// one, else the catch-all tenant.Default's. A run is linked at its FIFO's
+// tail, stamped, as it becomes queued: when its create record is durable,
+// when Requeue retries it, when Recover restores it. Leaving queued —
+// Begin, BeginNext, Cancel, Delete — unlinks it, so a FIFO holds only
+// queued runs, in the order they became queued. A queue also counts the
+// runs being admitted into it (within Admit's depth) and its running ones
+// (for in-flight caps). The run map's lock guards it all; BeginNext and
+// Drain wait on it, woken by the transitions under it.
 //
 // # Interrupted runs
 //
@@ -111,8 +124,8 @@ type Log interface {
 //
 // Recover restores terminal runs as immutable history and re-admits the
 // queued and running ones by that rule, logged as OpRequeue so a second
-// crash replays the same, and returned oldest first for the caller to hand
-// to a dispatcher. Its terminal repairs are logged as OpPut: the cancelled
+// crash replays the same, and linked into their tenants' queues oldest
+// first. Its terminal repairs are logged as OpPut: the cancelled
 // outcome, and a run whose spec no longer passes Validate, which recovers
 // as failed. The latter covers a newer binary's tighter bounds, a hand-edited log, and a
 // retired gen_version (gen.CheckVersion): a run interrupted under version
@@ -126,7 +139,10 @@ type Store struct {
 	writeMu  sync.Mutex // the write lock: held from apply through Append by awaited transitions
 	mu       sync.RWMutex
 	runs     map[string]*tracked
-	finished list.List // *tracked, every terminal run, in CompareFinished order
+	finished list.List         // *tracked, every terminal run, in CompareFinished order
+	queues   map[string]*Queue // by tenant; tenant.Default's always
+	draining bool
+	wake     sync.Cond // on mu: BeginNext and Drain wait here
 	seq      atomic.Uint64
 }
 
@@ -134,17 +150,43 @@ type Store struct {
 // dispatcher's cancel hook while the run is in flight, a done channel
 // closed exactly once when the run enters a terminal state (or is deleted
 // before reaching one), which is what Await long-polls block on, and the
-// run's place in the finish order once it is terminal.
+// run's place in the finish order or in its queue.
 type tracked struct {
 	run      Run
 	cancel   context.CancelFunc
 	done     chan struct{}
 	finished *list.Element
+	q        *Queue
+	queued   *list.Element
+	queuedAt time.Time
+}
+
+// Queue is one tenant's queue (see "Tenant queues"). Read it only in a
+// BeginNext pick or under View.
+type Queue struct {
+	fifo              list.List // *tracked
+	creating, running int
+}
+
+// Len is how many runs wait in q.
+func (q *Queue) Len() int { return q.fifo.Len() }
+
+// Running is how many of q's runs are running.
+func (q *Queue) Running() int { return q.running }
+
+// Age is how long q's head has waited at now, zero when q is empty.
+func (q *Queue) Age(now time.Time) time.Duration {
+	if head := q.fifo.Front(); head != nil {
+		return now.Sub(head.Value.(*tracked).queuedAt)
+	}
+	return 0
 }
 
 // NewStore returns an empty store that writes every transition through log.
 func NewStore(log Log) *Store {
-	return &Store{log: log, runs: make(map[string]*tracked)}
+	s := &Store{log: log, runs: make(map[string]*tracked), queues: map[string]*Queue{tenant.Default: {}}}
+	s.wake.L = &s.mu
+	return s
 }
 
 // NewMemStore returns an empty store that logs nothing.
@@ -223,28 +265,23 @@ func (s *Store) file(t *tracked) {
 	}
 }
 
-// unfile takes a run out of the finish order, if it is there.
-func (s *Store) unfile(t *tracked) {
-	if t.finished != nil {
-		s.finished.Remove(t.finished)
-		t.finished = nil
-	}
-}
-
-// remove drops a run from the store. Removing a non-terminal run releases
-// any Await waiters with its last (still non-terminal) snapshot. s.mu is
-// held.
+// remove drops a run from the store: a terminal one out of the finish
+// order, a non-terminal one out of its queue, releasing any Await waiters
+// with its last (still non-terminal) snapshot. s.mu is held.
 func (s *Store) remove(t *tracked) {
-	if !t.run.State.Terminal() {
+	if t.run.State.Terminal() {
+		s.finished.Remove(t.finished)
+	} else {
+		s.leave(t)
 		close(t.done)
 	}
-	s.unfile(t)
 	delete(s.runs, t.run.ID)
 }
 
 // restore upserts a run snapshot exactly as given — ID, timestamps, state
 // and all — for Recover. A terminal restore releases the entry's waiters
-// and files it under its stamp. s.mu is held.
+// and files it under its stamp, a queued one is linked; Recover restores
+// no running run. s.mu is held.
 func (s *Store) restore(r Run) {
 	t, ok := s.runs[r.ID]
 	if !ok {
@@ -254,15 +291,111 @@ func (s *Store) restore(r Run) {
 		// low sequence numbers restored runs already occupy (the random
 		// suffix would disambiguate, but distinct prefixes read better).
 		s.seq.Add(1)
+	} else if t.run.State.Terminal() {
+		s.finished.Remove(t.finished)
+	} else {
+		s.leave(t)
 	}
 	if r.State.Terminal() && !t.run.State.Terminal() {
 		close(t.done)
 	}
-	s.unfile(t)
-	t.run = r
-	if r.State.Terminal() {
+	t.run, t.q = r, s.queueOf(r.Spec.Tenant)
+	if r.State == StateQueued {
+		s.link(t)
+	} else if r.State.Terminal() {
 		s.file(t)
 	}
+}
+
+// queueOf returns the queue a tenant's runs wait in. s.mu is held.
+func (s *Store) queueOf(tenantName string) *Queue {
+	if q, ok := s.queues[tenantName]; ok {
+		return q
+	}
+	return s.queues[tenant.Default]
+}
+
+// Queue returns a tenant's queue, first making it, if the tenant has none,
+// of its runs queued in the default queue, in order.
+func (s *Store) Queue(tenantName string) *Queue {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if q, ok := s.queues[tenantName]; ok {
+		return q
+	}
+	q := &Queue{}
+	s.queues[tenantName] = q
+	def := s.queues[tenant.Default]
+	for e := def.fifo.Front(); e != nil; {
+		t, next := e.Value.(*tracked), e.Next()
+		if t.run.Spec.Tenant == tenantName {
+			def.fifo.Remove(e)
+			t.q, t.queued = q, q.fifo.PushBack(t)
+		}
+		e = next
+	}
+	return q
+}
+
+// link queues a run at its FIFO's tail and wakes a leaser. s.mu is held.
+func (s *Store) link(t *tracked) {
+	t.queuedAt = time.Now()
+	t.queued = t.q.fifo.PushBack(t)
+	s.wakeLocked(true)
+}
+
+// leave takes a run out of its FIFO or running count. s.mu is held.
+func (s *Store) leave(t *tracked) {
+	if t.queued != nil {
+		t.q.fifo.Remove(t.queued)
+		t.queued = nil
+	} else if t.run.State == StateRunning {
+		t.q.running--
+	}
+	// A backlogged queue may have been held at its in-flight cap.
+	s.wakeLocked(t.q.fifo.Len() > 0)
+}
+
+// wakeLocked wakes one leaser when a run may now start, and every waiter
+// once draining, when they all wait on what is left. s.mu is held.
+func (s *Store) wakeLocked(startable bool) {
+	switch {
+	case s.draining:
+		s.wake.Broadcast()
+	case startable:
+		s.wake.Signal()
+	}
+}
+
+// await waits until done reports true or ctx is done. s.mu is held.
+func (s *Store) await(ctx context.Context, done func() bool) error {
+	stop := context.AfterFunc(ctx, func() {
+		// Under mu, so no waiter is between its ctx check and Wait.
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.wake.Broadcast()
+	})
+	defer stop()
+	for !done() {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		s.wake.Wait()
+	}
+	return nil
+}
+
+// backlog counts the runs being admitted, queued and, with running,
+// running. s.mu is held.
+func (s *Store) backlog(running bool) int {
+	n := 0
+	for _, q := range s.queues {
+		n += q.creating + q.fifo.Len()
+		if running {
+			n += q.running
+		}
+	}
+	return n
 }
 
 // transition applies apply to run id and logs the op it returns, awaited.
@@ -303,12 +436,19 @@ func (s *Store) newID() string {
 	return fmt.Sprintf("r%06d-%s", s.seq.Add(1), hex.EncodeToString(b[:]))
 }
 
-// Create registers a new queued run for spec and returns its snapshot once
-// its record is durable. CreatedAt is stripped of its monotonic reading
-// (Round(0)) so that List's sort order and the API layer's UnixNano-based
-// pagination cursors compare the same clock — otherwise a wall-clock step
-// between creations could make paginated walks silently skip runs.
-func (s *Store) Create(spec Spec) (Run, error) {
+// Create is Admit with no depth bound.
+func (s *Store) Create(spec Spec) (Run, error) { return s.Admit(spec, 0) }
+
+// Admit registers a new queued run for spec and, once its record is
+// durable, links it into its tenant's queue and returns it. It refuses with
+// ErrDraining once Drain has begun, and with ErrQueueFull when depth > 0
+// runs are queued or being admitted there, checked and counted under the
+// run map's lock, not held across the log's wait. CreatedAt is stripped of
+// its monotonic reading (Round(0)) so that List's sort order and the API
+// layer's UnixNano-based pagination cursors compare the same clock —
+// otherwise a wall-clock step between creations could make paginated walks
+// silently skip runs.
+func (s *Store) Admit(spec Spec, depth int) (Run, error) {
 	r := Run{
 		ID:        s.newID(),
 		Spec:      spec,
@@ -318,31 +458,48 @@ func (s *Store) Create(spec Spec) (Run, error) {
 	t := &tracked{run: r, done: make(chan struct{})}
 	s.writeMu.Lock()
 	s.mu.Lock()
+	t.q = s.queueOf(spec.Tenant)
+	if s.draining || depth > 0 && t.q.creating+t.q.fifo.Len() >= depth {
+		err := ErrQueueFull
+		if s.draining {
+			err = ErrDraining
+		}
+		s.mu.Unlock()
+		s.writeMu.Unlock()
+		return Run{}, err
+	}
+	t.q.creating++
 	s.runs[r.ID] = t
 	s.mu.Unlock()
 	ticket, err := s.log.Append(OpCreate, &r)
 	if err == nil {
 		s.writeMu.Unlock()
-		if err = s.log.Wait(ticket); err == nil {
-			return r, nil
+		if err = s.log.Wait(ticket); err != nil {
+			s.writeMu.Lock()
 		}
-		s.writeMu.Lock()
 	}
-	// The log never acknowledged the run: take it out again, releasing
-	// anyone who found it in the meantime.
 	s.mu.Lock()
-	if s.runs[r.ID] == t {
+	t.q.creating--
+	switch {
+	case s.runs[r.ID] != t:
+	case err != nil:
+		// The log never acknowledged the run: take it out again, releasing
+		// anyone who found it in the meantime.
 		s.remove(t)
+	case t.run.State == StateQueued: // not cancelled meanwhile
+		s.link(t)
 	}
+	s.wakeLocked(false)
 	s.mu.Unlock()
-	s.writeMu.Unlock()
-	return Run{}, err
+	if err != nil {
+		s.writeMu.Unlock()
+		return Run{}, err
+	}
+	return r, nil
 }
 
-// Delete removes a run entirely. It exists so a submitter can roll back a
-// Create whose queue hand-off failed — before the ID has been revealed to
-// anyone — and it succeeds regardless of state; deleting an unknown ID is
-// a no-op. Deleting a non-terminal run releases any Await waiters with the
+// Delete removes a run entirely, in any state; deleting an unknown ID is a
+// no-op. Deleting a non-terminal run releases any Await waiters with the
 // run's last (still non-terminal) snapshot, so Delete must not be used on
 // runs whose IDs callers may already be watching.
 func (s *Store) Delete(id string) error {
@@ -420,14 +577,14 @@ func (s *Store) CountByState() map[State]int {
 	return counts
 }
 
-// Begin transitions a queued run to running, records the dispatcher's
-// cancel hook, and stamps DispatchedAt (the moment the dispatcher popped
-// the run off its queue) and StartedAt. worker attributes the execution
-// ("" for dagd's in-process workers, the registered worker name for fleet
-// leases). It returns ErrNotQueued (without touching the run) if the run is
-// in any other state — in particular if it was cancelled while still in
-// the queue — and ErrNotFound for an unknown ID; nothing else, since it
-// logs nothing (see the type doc).
+// Begin transitions a queued run to running, unlinking it from its queue,
+// records the dispatcher's cancel hook, and stamps DispatchedAt (given: the
+// moment the caller picked the run) and StartedAt. worker attributes the
+// execution ("" for dagd's in-process workers, the registered worker name
+// for fleet leases). It returns ErrNotQueued (without touching the run) if
+// the run is in any other state — in particular if it was cancelled while
+// still in the queue — and ErrNotFound for an unknown ID; nothing else,
+// since it logs nothing (see the type doc).
 func (s *Store) Begin(id string, dispatchedAt time.Time, worker string, cancel context.CancelFunc) (Run, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -438,13 +595,71 @@ func (s *Store) Begin(id string, dispatchedAt time.Time, worker string, cancel c
 	if t.run.State != StateQueued {
 		return t.run, fmt.Errorf("%w (state %s)", ErrNotQueued, t.run.State)
 	}
-	now := time.Now()
+	s.start(t, dispatchedAt, time.Now(), worker, cancel)
+	return t.run, nil
+}
+
+// start makes a queued run running. s.mu is held.
+func (s *Store) start(t *tracked, dispatchedAt, now time.Time, worker string, cancel context.CancelFunc) {
+	s.leave(t)
+	t.q.running++
 	t.run.State = StateRunning
 	t.run.DispatchedAt = &dispatchedAt
 	t.run.StartedAt = &now
 	t.run.Worker = worker
 	t.cancel = cancel
-	return t.run, nil
+}
+
+// BeginNext waits until pick names a non-empty queue and begins its head
+// as Begin would, in the same step under the run map's lock, returning it
+// with the time it was queued. pick, re-run whenever the queues change,
+// reads Queue counts only and returns nil when no queue may start a run.
+// BeginNext returns ctx's error when ctx is done first, and ErrDraining
+// once draining with nothing queued or being admitted. cancel is the run's
+// cancel hook, called with its ID.
+func (s *Store) BeginNext(ctx context.Context, pick func() *Queue, worker string, cancel func(id string)) (Run, time.Time, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var q *Queue
+	err := s.await(ctx, func() bool {
+		q = pick()
+		return q != nil || s.draining && s.backlog(false) == 0
+	})
+	if err == nil && q == nil {
+		err = ErrDraining
+	}
+	if err != nil {
+		return Run{}, time.Time{}, err
+	}
+	t, now := q.fifo.Front().Value.(*tracked), time.Now()
+	s.start(t, now, now, worker, func() { cancel(t.run.ID) })
+	return t.run, t.queuedAt, nil
+}
+
+// Drain closes the queues to Admit and waits until no run is being
+// admitted, queued or running, or until ctx is done; BeginNext keeps
+// handing out what is left. It is idempotent.
+func (s *Store) Drain(ctx context.Context) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.draining {
+		s.draining = true
+		s.wake.Broadcast()
+	}
+	return s.await(ctx, func() bool { return s.backlog(true) == 0 })
+}
+
+// Draining reports whether Drain has begun.
+func (s *Store) Draining() (draining bool) {
+	s.View(func() { draining = s.draining })
+	return draining
+}
+
+// View calls f under the run map's read lock, so f may read Queue counts.
+func (s *Store) View(f func()) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	f()
 }
 
 // Requeue settles a running run whose remote worker stopped heartbeating,
@@ -458,7 +673,9 @@ func (s *Store) Requeue(id string) (Run, error) {
 			return "", fmt.Errorf("%w (state %s)", ErrNotRunning, t.run.State)
 		}
 		t.cancel = nil
+		s.leave(t)
 		if !interrupt(&t.run, "the worker's lease expired") {
+			s.link(t)
 			return OpRequeue, nil
 		}
 		s.file(t)
@@ -502,6 +719,7 @@ func (s *Store) Finish(id string, result *Result, err error) (Run, error) {
 		if t.run.State != StateRunning {
 			return "", fmt.Errorf("%w (state %s)", ErrNotRunning, t.run.State)
 		}
+		s.leave(t)
 		now := time.Now()
 		t.run.FinishedAt = &now
 		t.run.Result = result
@@ -572,15 +790,15 @@ func (s *Store) Await(ctx context.Context, id string) (Run, error) {
 }
 
 // Cancel requests cancellation of a run. A queued run moves directly to
-// cancelled (a dispatcher that later pops it will find Begin refusing). A
-// running run has its cancel hook invoked and CancelRequested set, logged;
-// it stays running until the dispatcher observes the cancellation and calls
-// Finish, at which point it lands in cancelled. Cancelling a terminal run
-// returns ErrTerminal.
+// cancelled, unlinked from its queue. A running run has its cancel hook
+// invoked and CancelRequested set, logged; it stays running until the
+// dispatcher observes the cancellation and calls Finish, at which point it
+// lands in cancelled. Cancelling a terminal run returns ErrTerminal.
 func (s *Store) Cancel(id string) (Run, error) {
 	return s.transition(id, func(t *tracked) (Op, error) {
 		switch t.run.State {
 		case StateQueued:
+			s.leave(t)
 			now := time.Now()
 			t.run.State = StateCancelled
 			t.run.Error = "cancelled while queued"
@@ -601,13 +819,14 @@ func (s *Store) Cancel(id string) (Run, error) {
 	})
 }
 
-// Recover loads replayed — every run a log held, in any order — into an
-// empty store before it serves, and re-admits what was interrupted (see
-// "Interrupted runs" in the type doc). It returns the runs to re-admit,
-// oldest first.
+// Recover loads replayed — every run a log held, in any order; it sorts
+// the slice — into an empty store before it serves, and re-admits what was
+// interrupted (see "Interrupted runs" in the type doc). It returns the runs
+// it queued again, oldest first.
 func (s *Store) Recover(replayed []Run) ([]Run, error) {
 	var history, readmitted, recovered []Run
 	var ops []Op
+	sort.Slice(replayed, func(i, j int) bool { return CompareRuns(replayed[i], replayed[j]) < 0 })
 	for _, r := range replayed {
 		// Records written before tenancy existed carry no attribution;
 		// replay them as the catch-all default tenant so history filters
@@ -659,7 +878,6 @@ func (s *Store) Recover(replayed []Run) ([]Run, error) {
 			return nil, err
 		}
 	}
-	sort.Slice(recovered, func(i, j int) bool { return CompareRuns(recovered[i], recovered[j]) < 0 })
 	return recovered, nil
 }
 

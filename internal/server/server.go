@@ -347,12 +347,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
 }
 
-// handleReady is the readiness probe: once shutdown begins — the
-// dispatcher stops accepting work — it answers 503 with code shutting_down
+// handleReady is the readiness probe: once shutdown begins — the store's
+// queues stop admitting work — it answers 503 with code shutting_down
 // so load balancers route new submissions elsewhere, while liveness stays
 // green.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	if s.svc.Dispatcher.Draining() {
+	if s.svc.Store.Draining() {
 		writeError(w, dispatch.ErrShuttingDown, nil)
 		return
 	}
