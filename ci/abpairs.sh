@@ -19,8 +19,11 @@
 #   - -go: the package whose test files define the regexp's top-level
 #     benchmark is built once per tree with `go test -c`, and pair i runs
 #     each binary once with -test.bench <bench-regexp> -test.benchmem at
-#     -test.cpu $(nproc). The metrics are each benchmark's ns/op, B/op and
-#     allocs/op, lower is better, and there is no bound.
+#     -test.cpu $(nproc). The metrics are every unit a benchmark line
+#     reports: ns/op, B/op, allocs/op and each b.ReportMetric unit. A unit
+#     ending in "speedup" is higher-is-better, every other is a cost, and
+#     there is no bound. A line's name loses its -cpu suffix, -<digits>, so
+#     no sub-benchmark name may end in one.
 #
 # Prints every run, then each metric's median and quartiles per side and
 # how many pairs the change won. Then, per metric, the median of the
@@ -125,8 +128,7 @@ for line in sys.stdin:
         continue
     name = re.sub(r"-\d+$", "", f[0])
     for value, unit in zip(f[2::2], f[3::2]):
-        if unit in ("ns/op", "B/op", "allocs/op"):
-            metrics[f"{name} {unit}"] = {"value": float(value)}
+        metrics[f"{name} {unit}"] = {"value": float(value)}
 print(json.dumps({"correct": True, "failed": 0, "metrics": metrics}) if metrics else "null")
 ') || out=null
 	else
@@ -168,8 +170,8 @@ def quartiles(xs):
 
 names = sorted({k for runs in sides.values() for m in runs.values() for k in m})
 if mode == "go":
-    # Every benchmark metric is a cost, with no bound.
-    spec = {name: {"better": "lower", "bound": None} for name in names}
+    # A speedup is higher-is-better, every other unit a cost; none has a bound.
+    spec = {name: {"better": "higher" if name.endswith("speedup") else "lower", "bound": None} for name in names}
 else:
     spec = {m["name"]: m for m in json.load(open(bench_json))["end_to_end"]}
 higher_is_better = {name for name, m in spec.items() if m["better"] == "higher"}

@@ -6,14 +6,13 @@
 // transition to a checksummed write-ahead log and recovers it on boot:
 // finished runs are restored as history and interrupted runs re-execute.
 // Each spec may name any registered workload (pathcount, hashchain,
-// longestpath, ...); specs that name none get the -workload default.
+// longestpath, ...); specs that name none get pathcount.
 //
 // Usage:
 //
 //	dagd -addr :8080 -queue 256 -dispatchers 4
 //	dagd -data-dir /var/lib/dagd            # survive restarts
 //	dagd -data-dir /var/lib/dagd -fsync     # survive power loss too
-//	dagd -workload hashchain
 //	dagd -tenants tenants.json              # multi-tenant fair scheduling
 //	dagd -fleet-addr :8081                  # lease runs to dagworker fleet
 //
@@ -58,7 +57,6 @@ import (
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/core"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/fleet"
-	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/sched"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/server"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/tenant"
 )
@@ -69,7 +67,6 @@ func main() {
 		queueDepth   = flag.Int("queue", 256, "dispatch queue depth (max waiting runs)")
 		dispatchers  = flag.Int("dispatchers", 0, "concurrent run executions (0 = NumCPU)")
 		runWorkers   = flag.Int("run-workers", 0, "default scheduler pool size per run (0 = NumCPU)")
-		workload     = flag.String("workload", "", "default workload for specs that name none (empty = "+sched.DefaultWorkload+")")
 		retainRuns   = flag.Int("retain", 0, "terminal runs to keep, oldest evicted first (0 = 4096, negative = unlimited)")
 		dataDir      = flag.String("data-dir", "", "directory for the durable run WAL; empty = in-memory store (state lost on restart)")
 		fsync        = flag.Bool("fsync", false, "fsync the WAL before acknowledging each transition (needs -data-dir); off = durable against crash, not power loss")
@@ -85,10 +82,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	if _, err := sched.LookupWorkload(*workload); err != nil {
-		fmt.Fprintln(os.Stderr, "dagd:", err)
-		os.Exit(2)
-	}
 	if *dataDir == "" && (*fsync || *compactEvery != 0) {
 		fmt.Fprintln(os.Stderr, "dagd: -fsync and -compact-threshold require -data-dir")
 		os.Exit(2)
@@ -115,7 +108,6 @@ func main() {
 		QueueDepth:        *queueDepth,
 		Dispatchers:       *dispatchers,
 		DefaultRunWorkers: *runWorkers,
-		DefaultWorkload:   *workload,
 		RetainRuns:        *retainRuns,
 		DataDir:           *dataDir,
 		Fsync:             *fsync,

@@ -32,9 +32,6 @@ type ServiceOptions struct {
 	// DefaultRunWorkers is the scheduler pool size for specs that leave
 	// Workers at 0.
 	DefaultRunWorkers int
-	// DefaultWorkload is stamped onto specs that name no workload ("" =
-	// sched.DefaultWorkload).
-	DefaultWorkload string
 	// RetainRuns bounds how many terminal runs are kept, oldest-finished
 	// evicted first (negative = unlimited).
 	RetainRuns int
@@ -74,10 +71,9 @@ type Service struct {
 	Store      *run.Store
 	Dispatcher *dispatch.Dispatcher
 
-	fleet           *fleet.Manager // nil unless ServiceOptions.Remote
-	metrics         *metrics.Registry
-	defaultWorkload string
-	recovered       int
+	fleet     *fleet.Manager // nil unless ServiceOptions.Remote
+	metrics   *metrics.Registry
+	recovered int
 }
 
 // NewService builds a Service and starts its dispatcher; with a
@@ -86,9 +82,6 @@ type Service struct {
 // closes the store. It fails only when the data dir cannot be opened or
 // its log chain is corrupt.
 func NewService(opts ServiceOptions) (*Service, error) {
-	if opts.DefaultWorkload == "" {
-		opts.DefaultWorkload = sched.DefaultWorkload
-	}
 	registry, err := tenant.NewRegistry(opts.Tenants)
 	if err != nil {
 		return nil, err
@@ -114,18 +107,16 @@ func NewService(opts ServiceOptions) (*Service, error) {
 		QueueDepth:        opts.QueueDepth,
 		Dispatchers:       opts.Dispatchers,
 		DefaultRunWorkers: opts.DefaultRunWorkers,
-		DefaultWorkload:   opts.DefaultWorkload,
 		RetainRuns:        opts.RetainRuns,
 		Tenants:           registry,
 		Metrics:           opts.Metrics,
 		Remote:            opts.Remote,
 	})
 	svc := &Service{
-		Store:           store,
-		Dispatcher:      disp,
-		metrics:         opts.Metrics,
-		defaultWorkload: opts.DefaultWorkload,
-		recovered:       len(recovered),
+		Store:      store,
+		Dispatcher: disp,
+		metrics:    opts.Metrics,
+		recovered:  len(recovered),
 	}
 	if opts.Remote {
 		svc.fleet = fleet.NewManager(disp, store, fleet.Options{
@@ -160,10 +151,6 @@ func NewService(opts ServiceOptions) (*Service, error) {
 // Metrics returns the service's metric registry — the families every layer
 // below registered into — for the HTTP layer to render at GET /metrics.
 func (s *Service) Metrics() *metrics.Registry { return s.metrics }
-
-// DefaultWorkloadName reports which workload the service stamps onto specs
-// that name none (surfaced by GET /v1/workloads).
-func (s *Service) DefaultWorkloadName() string { return s.defaultWorkload }
 
 // Recovered reports how many interrupted runs this process re-admitted on
 // boot (always 0 for the in-memory store).

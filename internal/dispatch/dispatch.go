@@ -58,6 +58,7 @@ import (
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/gen"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/metrics"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/run"
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/sched"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/tenant"
 )
 
@@ -112,10 +113,6 @@ type Options struct {
 	// DefaultRunWorkers is the scheduler pool size for specs that leave
 	// Workers at 0. Zero or negative means NumCPU.
 	DefaultRunWorkers int
-	// DefaultWorkload is stamped onto specs that name no workload. Empty
-	// means the registry default (sched.DefaultWorkload). An unknown name
-	// here is caught by spec validation at Submit time.
-	DefaultWorkload string
 	// RetainRuns bounds how many terminal runs the store keeps; the
 	// oldest-finished are evicted past it. Zero means 4096; negative
 	// means unlimited retention.
@@ -367,14 +364,14 @@ func (d *Dispatcher) QueueDepth() int { return d.opts.QueueDepth }
 // run behind. A drain waits for every admitted run, so a Submit that
 // succeeds executes, or replays after a restart.
 func (d *Dispatcher) Submit(spec run.Spec) (run.Run, error) {
-	// Stamp the service defaults before validation so the stored spec (and
-	// any 400 for a bad default) reflects what will actually execute — the
-	// generator version too, so a replayed record names the generator it
-	// was admitted under, and fails closed once that one is retired. The tenant
+	// Stamp the defaults before validation so the stored spec reflects
+	// what will actually execute: the registry's default workload, and the
+	// generator version, so a replayed record names the generator it was
+	// admitted under, and fails closed once that one is retired. The tenant
 	// attribution is resolved here — never trusted from the spec — so
 	// unknown names collapse onto the catch-all default tenant.
 	if spec.Workload == "" {
-		spec.Workload = d.opts.DefaultWorkload
+		spec.Workload = sched.DefaultWorkload
 	}
 	if spec.GenVersion == 0 {
 		spec.GenVersion = gen.CurrentVersion

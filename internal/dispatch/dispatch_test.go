@@ -80,22 +80,22 @@ func pipelineSpec(stages, width, work int) run.Spec {
 	}
 }
 
-// TestDefaultWorkloadStamped verifies the service-level default workload is
-// applied at admission: the stored spec and the finished result both carry
-// it, and an explicit workload in the spec still wins.
+// TestDefaultWorkloadStamped verifies the registry's default workload,
+// pathcount, is applied at admission: the stored spec and the finished
+// result both carry it, and an explicit workload in the spec still wins.
 func TestDefaultWorkloadStamped(t *testing.T) {
-	store, d := newDispatcher(t, Options{QueueDepth: 8, Dispatchers: 1, DefaultWorkload: "hashchain"})
+	store, d := newDispatcher(t, Options{QueueDepth: 8, Dispatchers: 1})
 
 	r, err := d.Submit(pipelineSpec(20, 2, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Spec.Workload != "hashchain" {
-		t.Errorf("stored spec workload = %q, want service default hashchain", r.Spec.Workload)
+	if r.Spec.Workload != "pathcount" {
+		t.Errorf("stored spec workload = %q, want the default pathcount", r.Spec.Workload)
 	}
 	got := waitForState(t, store, r.ID, run.StateSucceeded)
-	if got.Result.Workload != "hashchain" {
-		t.Errorf("result workload = %q, want hashchain", got.Result.Workload)
+	if got.Result.Workload != "pathcount" {
+		t.Errorf("result workload = %q, want pathcount", got.Result.Workload)
 	}
 
 	explicit := pipelineSpec(20, 2, 0)
@@ -110,12 +110,18 @@ func TestDefaultWorkloadStamped(t *testing.T) {
 	waitForState(t, store, r2.ID, run.StateSucceeded)
 }
 
-// TestUnknownDefaultWorkloadFailsSubmit: a bad service default is caught at
-// admission, not deep inside a dispatcher goroutine.
-func TestUnknownDefaultWorkloadFailsSubmit(t *testing.T) {
-	_, d := newDispatcher(t, Options{QueueDepth: 4, Dispatchers: 1, DefaultWorkload: "no-such"})
-	if _, err := d.Submit(pipelineSpec(5, 2, 0)); err == nil {
-		t.Error("Submit with unknown default workload succeeded")
+// TestUnknownWorkloadFailsSubmit: a spec naming no registered workload is
+// refused at admission, not deep inside a dispatcher goroutine, and
+// leaves no run behind.
+func TestUnknownWorkloadFailsSubmit(t *testing.T) {
+	store, d := newDispatcher(t, Options{QueueDepth: 4, Dispatchers: 1})
+	spec := pipelineSpec(5, 2, 0)
+	spec.Workload = "no-such"
+	if _, err := d.Submit(spec); !errors.Is(err, run.ErrUnknownWorkload) {
+		t.Errorf("Submit naming an unknown workload = %v, want ErrUnknownWorkload", err)
+	}
+	if n := store.Len(); n != 0 {
+		t.Errorf("store holds %d runs after the refusal, want 0", n)
 	}
 }
 

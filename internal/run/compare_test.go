@@ -1,12 +1,17 @@
 package run
 
 import (
+	"context"
+	"math/rand"
 	"sort"
 	"testing"
 	"time"
+
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/gen"
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/tenant"
 )
 
-// restore is Recover's upsert, under the lock it is called with.
+// restore is Recover's insert, under the lock it is called with.
 func restore(s *Store, r Run) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -113,67 +118,93 @@ func TestEvictionTieBreakDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Force a full FinishedAt tie so only the comparator decides.
+	// Force a full FinishedAt tie so only the comparator decides, restored
+	// into a fresh store newest first.
 	now := time.Now().Round(0)
-	for _, id := range ids {
-		r, err := s.Get(id)
+	s2 := NewMemStore()
+	for i := len(ids) - 1; i >= 0; i-- {
+		r, err := s.Get(ids[i])
 		if err != nil {
 			t.Fatal(err)
 		}
 		r.FinishedAt = &now
-		restore(s, r)
+		restore(s2, r)
 	}
 	survivorsWant := make(map[string]bool)
-	all := s.List() // CompareRuns order; the last 3 must survive EvictTerminal(3)
+	all := s2.List() // CompareRuns order; the last 3 must survive EvictTerminal(3)
 	for _, r := range all[len(all)-3:] {
 		survivorsWant[r.ID] = true
 	}
-	if n := s.EvictTerminal(3); n != 5 {
+	if n := s2.EvictTerminal(3); n != 5 {
 		t.Fatalf("EvictTerminal(3) = %d, want 5", n)
 	}
-	for _, r := range s.List() {
+	for _, r := range s2.List() {
 		if !survivorsWant[r.ID] {
 			t.Errorf("tie-break evicted the wrong run: %s survived, want %v", r.ID, survivorsWant)
 		}
 	}
 }
 
-// TestRestoreRefilesTerminalRun pins restore over an existing terminal
-// entry: the run moves to the place its new FinishedAt earns in the finish
-// order and is counted once, so eviction neither double-counts it nor
-// evicts by the stale stamp.
-func TestRestoreRefilesTerminalRun(t *testing.T) {
-	s := NewMemStore()
+// TestRecoverOrdersHistoryAndQueues pins what Recover makes of a replay
+// in any order: terminal runs are filed by their finish stamps, so
+// eviction takes the oldest-finished first whatever the creation order,
+// and queued runs are linked, and returned, oldest-created first.
+func TestRecoverOrdersHistoryAndQueues(t *testing.T) {
 	t0 := time.Date(2026, 7, 1, 12, 0, 0, 0, time.UTC)
-	var runs []Run
+	var replay []Run
+	// a..d are created in that order and finish in the reverse one.
 	for i := 0; i < 4; i++ {
-		at := t0.Add(time.Duration(i) * time.Second)
-		r := Run{ID: string(rune('a' + i)), State: StateSucceeded, CreatedAt: t0, FinishedAt: &at}
-		restore(s, r)
-		runs = append(runs, r)
+		at := t0.Add(time.Hour - time.Duration(i)*time.Minute)
+		r := runAt(string(rune('a'+i)), t0.Add(time.Duration(i)*time.Second))
+		r.State, r.FinishedAt = StateSucceeded, &at
+		replay = append(replay, r)
 	}
-	// The oldest-finished run becomes the newest; the same snapshot twice
-	// over must still be one entry.
-	newest := t0.Add(time.Hour)
-	runs[0].FinishedAt = &newest
-	restore(s, runs[0])
-	restore(s, runs[0])
-	if n := s.EvictTerminal(4); n != 0 {
-		t.Fatalf("EvictTerminal(4) over 4 runs = %d, want 0 (re-restored run double-counted)", n)
+	var queued []string
+	for i := 0; i < 3; i++ {
+		r := runAt(string(rune('p'+i)), t0.Add(time.Duration(10+i)*time.Second))
+		r.Spec = pipelineSpec()
+		r.Spec.GenVersion = gen.CurrentVersion
+		r.State = StateQueued
+		replay = append(replay, r)
+		queued = append(queued, r.ID)
 	}
+	rand.New(rand.NewSource(1)).Shuffle(len(replay), func(i, j int) { replay[i], replay[j] = replay[j], replay[i] })
+
+	s := NewMemStore()
+	recovered, err := s.Recover(replay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recovered) != len(queued) {
+		t.Fatalf("Recover re-admitted %d runs, want %d", len(recovered), len(queued))
+	}
+	for i, r := range recovered {
+		if r.ID != queued[i] || r.State != StateQueued || r.Restarts != 1 {
+			t.Errorf("re-admitted #%d = %s %s restarts %d, want %s queued restarts 1", i, r.ID, r.State, r.Restarts, queued[i])
+		}
+	}
+	q := s.Queue(tenant.Default)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, want := range queued {
+		r, _, err := s.BeginNext(ctx, func() *Queue {
+			if q.Len() > 0 {
+				return q
+			}
+			return nil
+		}, "w", func(string) {})
+		if err != nil || r.ID != want {
+			t.Fatalf("BeginNext = %s, %v; want the queue's head %s", r.ID, err, want)
+		}
+	}
+
 	if n := s.EvictTerminal(2); n != 2 {
 		t.Fatalf("EvictTerminal(2) = %d, want 2", n)
 	}
-	for i, r := range runs {
-		_, err := s.Get(r.ID)
-		if gone := i == 1 || i == 2; gone != (err != nil) {
-			t.Errorf("run %s: Get = %v, want gone=%v", r.ID, err, gone)
+	for _, id := range []string{"a", "b", "c", "d"} {
+		_, err := s.Get(id)
+		if gone := id == "c" || id == "d"; gone != (err != nil) {
+			t.Errorf("run %s: Get = %v, want gone=%v (the two finished first)", id, err, gone)
 		}
-	}
-	// A terminal entry restored as non-terminal leaves the finish order.
-	runs[3].State, runs[3].FinishedAt = StateQueued, nil
-	restore(s, runs[3])
-	if n := s.EvictTerminal(1); n != 0 {
-		t.Errorf("EvictTerminal(1) = %d, want 0: only one terminal run is left", n)
 	}
 }

@@ -20,7 +20,6 @@ const (
 	qCancel
 	qRequeue
 	qFinish
-	qDelete
 	qEvict
 	qRecover
 	qOps
@@ -122,10 +121,6 @@ func (m *queueSim) step(op, arg byte) {
 	case qFinish:
 		if _, err := m.s.Finish(id, &Result{Match: true}, nil); (err == nil) != (before == StateRunning) {
 			m.t.Fatalf("Finish(%s %s) = %v", before, id, err)
-		}
-	case qDelete:
-		if err := m.s.Delete(id); err != nil {
-			m.t.Fatalf("Delete(%s): %v", id, err)
 		}
 	case qEvict:
 		m.s.EvictTerminal(int(arg) % 4)
@@ -235,6 +230,11 @@ func FuzzStoreQueues(f *testing.F) {
 		}
 		f.Add(prog)
 	}
+	// One run through every move between queued and running, with a
+	// restart in the middle: begun, requeued, recovered, begun again by a
+	// pick, finished, then a queued run of the unconfigured tenant
+	// cancelled and the history evicted.
+	f.Add([]byte{qCreate, 0, qCreate, 3, qBegin, 0, qRequeue, 0, qRecover, 0, qBeginNext, 0, qFinish, 0, qCancel, 1, qEvict, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 128 {
 			prog = prog[:128]

@@ -20,8 +20,8 @@ import (
 // disk, so they never change.
 type Op string
 
-// The logged transitions. All but OpDel log the run's full post-transition
-// snapshot; OpDel logs its ID.
+// The logged transitions. Each logs the run's full post-transition
+// snapshot, except OpDel, which only older versions wrote, with an ID.
 const (
 	OpCreate Op = "create" // run admitted to the queue
 	// OpBegin (queued → running) is written by older versions only: Begin
@@ -35,7 +35,7 @@ const (
 	OpCancelReq Op = "cancelreq"
 	OpRequeue   Op = "requeue" // running → queued: a lease expired, or recovery re-admitted it
 	OpPut       Op = "put"     // a snapshot as-is: recovery's repairs, a log's compaction
-	OpDel       Op = "del"     // run removed (Delete; submit rollbacks and evictions in older logs)
+	OpDel       Op = "del"     // run removed: older versions' deletes, submit rollbacks and evictions
 )
 
 // Log is what a Store writes its transitions through: the durable log in
@@ -69,7 +69,7 @@ type Log interface {
 //
 //   - Awaited — Admit (the client's 202), Finish, Cancel (the terminal
 //     record, or the cancel acknowledgement a running run carries as
-//     CancelRequested), Requeue, Delete, and Recover's own records: the
+//     CancelRequested), Requeue, and Recover's own records: the
 //     transitions a client is told about. Each holds the store's write
 //     lock from applying its transition in memory through appending its
 //     record, so the log holds them in the order memory applied them (two
@@ -107,7 +107,7 @@ type Log interface {
 // one, else the catch-all tenant.Default's. A run is linked at its FIFO's
 // tail, stamped, as it becomes queued: when its create record is durable,
 // when Requeue retries it, when Recover restores it. Leaving queued —
-// Begin, BeginNext, Cancel, Delete — unlinks it, so a FIFO holds only
+// Begin, BeginNext, Cancel — unlinks it, so a FIFO holds only
 // queued runs, in the order they became queued. A queue also counts the
 // runs being admitted into it (within Admit's depth) and its running ones
 // (for in-flight caps). The run map's lock guards it all; BeginNext and
@@ -278,31 +278,22 @@ func (s *Store) remove(t *tracked) {
 	delete(s.runs, t.run.ID)
 }
 
-// restore upserts a run snapshot exactly as given — ID, timestamps, state
-// and all — for Recover. A terminal restore releases the entry's waiters
-// and files it under its stamp, a queued one is linked; Recover restores
-// no running run. s.mu is held.
+// restore adds a run snapshot exactly as given — ID, timestamps, state
+// and all — for Recover, which restores into an empty store one snapshot
+// per ID. A terminal run is filed under its stamp with its waiters
+// released, a queued one is linked; Recover restores no running run. s.mu
+// is held.
 func (s *Store) restore(r Run) {
-	t, ok := s.runs[r.ID]
-	if !ok {
-		t = &tracked{done: make(chan struct{})}
-		s.runs[r.ID] = t
-		// Keep the ID sequence moving so fresh Create IDs don't reuse the
-		// low sequence numbers restored runs already occupy (the random
-		// suffix would disambiguate, but distinct prefixes read better).
-		s.seq.Add(1)
-	} else if t.run.State.Terminal() {
-		s.finished.Remove(t.finished)
-	} else {
-		s.leave(t)
-	}
-	if r.State.Terminal() && !t.run.State.Terminal() {
-		close(t.done)
-	}
-	t.run, t.q = r, s.queueOf(r.Spec.Tenant)
+	t := &tracked{run: r, q: s.queueOf(r.Spec.Tenant), done: make(chan struct{})}
+	s.runs[r.ID] = t
+	// Keep the ID sequence moving so fresh Create IDs don't reuse the low
+	// sequence numbers restored runs already occupy (the random suffix
+	// would disambiguate, but distinct prefixes read better).
+	s.seq.Add(1)
 	if r.State == StateQueued {
 		s.link(t)
 	} else if r.State.Terminal() {
+		close(t.done)
 		s.file(t)
 	}
 }
@@ -496,21 +487,6 @@ func (s *Store) Admit(spec Spec, depth int) (Run, error) {
 		return Run{}, err
 	}
 	return r, nil
-}
-
-// Delete removes a run entirely, in any state; deleting an unknown ID is a
-// no-op. Deleting a non-terminal run releases any Await waiters with the
-// run's last (still non-terminal) snapshot, so Delete must not be used on
-// runs whose IDs callers may already be watching.
-func (s *Store) Delete(id string) error {
-	_, err := s.transition(id, func(t *tracked) (Op, error) {
-		s.remove(t)
-		return OpDel, nil
-	})
-	if errors.Is(err, ErrNotFound) {
-		return nil
-	}
-	return err
 }
 
 // Get returns a snapshot of the run with the given ID.

@@ -4,121 +4,163 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/dag"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/gen"
 )
 
-// Baseline benchmarks for the two generator shapes, parameterized by worker
-// count, so perf PRs can compare like for like:
-//
-//	go test -bench 'BenchmarkRandomDAG|BenchmarkPipelineDAG' -benchmem ./internal/sched/
-
-const benchWork = 500 // per-node busy work; enough that scheduling isn't the whole cost
-
-var benchWorkerCounts = []int{1, 2, 4, 8}
-
-func BenchmarkRandomDAG(b *testing.B) {
-	d, err := gen.RandomDAG(2000, 0.01, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range benchWorkerCounts {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			ctx := context.Background()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := New(d, Options{Workers: workers}).Run(ctx, PathCount(benchWork)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+// gridRow is one graph of BenchmarkGrid and the per-node work W it runs at.
+type gridRow struct {
+	name  string
+	cfg   gen.Config
+	works []int
+	split bool // parallel_work: the scheduler slices each node's W (Options.SplitWork)
 }
 
-func BenchmarkPipelineDAG(b *testing.B) {
-	// Deep and narrow: large span, the shape that stresses scheduler depth.
-	d, err := gen.PipelineDAG(500, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range benchWorkerCounts {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			ctx := context.Background()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := New(d, Options{Workers: workers}).Run(ctx, PathCount(benchWork)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+var gridWorks = []int{0, 50, 500, 5000}
+
+// The graphs are engine_fine's in bench/engine.go. A dynamic pass pays for
+// the expansion, as a dynamic run does, while serial sweeps the final DAG,
+// so dynamic's T1/TS includes the expander. chain_1M and pipeline_10k
+// answer the Nabbit README's worry that span becomes stack depth: the
+// worker loop keeps the next ready child in a local, so they run at
+// constant stack. split is engine_coarse's parallel_work spec: a node is
+// sliced only when W/4096 > 1 (splitChunks), so at every P >= 2.
+var gridRows = []gridRow{
+	{name: "random", cfg: gen.Config{Shape: gen.Random, Nodes: 2000, EdgeProb: 0.01, Seed: 1}, works: gridWorks},
+	{name: "pipeline", cfg: gen.Config{Shape: gen.Pipeline, Stages: 2000, Width: 8}, works: gridWorks},
+	{name: "chain", cfg: gen.Config{Shape: gen.Chain, Nodes: 100000}, works: gridWorks},
+	{name: "dynamic", cfg: gen.Config{Shape: gen.Dynamic, Stages: 12, Width: 3, EdgeProb: 0.2, Seed: 1}, works: gridWorks},
+	{name: "chain_1M", cfg: gen.Config{Shape: gen.Chain, Nodes: 1 << 20}, works: []int{0}},
+	{name: "pipeline_10k", cfg: gen.Config{Shape: gen.Pipeline, Stages: 10000, Width: 8}, works: []int{0}},
+	{name: "split", cfg: gen.Config{Shape: gen.Pipeline, Stages: 40, Width: 1}, works: []int{160000}, split: true},
 }
 
-// The fine-grain regime: work=0, so scheduler overhead is the whole cost and
-// ns/node is the number to compare before and after a scheduler change:
+// BenchmarkGrid is the engine measured the way the Nabbit microbenchmark
+// measures it (Agrawal, Leiserson & Sukha, IPDPS 2010): one sub-benchmark
+// per graph, W and column, named <graph>/W=<w>/<column>, so -bench selects
+// a slice. No name ends in -<digits>, which tools strip as the -cpu suffix.
 //
-//	go test -run '^$' -bench 'BenchmarkFineGrain|BenchmarkRunDynamic' -cpu 2 ./internal/sched/
-
-var fineWorkerCounts = []int{1, 2}
-
-func BenchmarkFineGrain(b *testing.B) {
-	shapes := []struct {
-		name string
-		cfg  gen.Config
-	}{
-		{"pipeline", gen.Config{Shape: gen.Pipeline, Stages: 2000, Width: 8}},
-		{"random", gen.Config{Shape: gen.Random, Nodes: 2000, EdgeProb: 0.01, Seed: 1}},
-		{"chain", gen.Config{Shape: gen.Chain, Nodes: 20000}},
-	}
-	hook := PathCount(0)
-	for _, shape := range shapes {
-		d, err := gen.Generate(shape.cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, workers := range fineWorkerCounts {
-			b.Run(fmt.Sprintf("%s/workers=%d", shape.name, workers), func(b *testing.B) {
-				ex := New(d, Options{Workers: workers})
-				// Cancellable, as every context dagd and bench/ hand the
-				// scheduler is: the per-item poll then reads a real channel.
-				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := ex.Run(ctx, hook); err != nil {
+//	go test -run '^$' -bench 'BenchmarkGrid/.*/W=0$' -cpu 2 ./internal/sched/                   # scheduler overhead
+//	go test -run '^$' -bench 'BenchmarkGrid/^(random|pipeline)$/W=500$' -cpu 2 ./internal/sched/ # speedup table
+//
+// A column is the pass alone at P=1, 2 or 4 workers, through Executor.Run
+// or RunDynamic (never run.Execute, whose reference sweep takes a core),
+// or serial, the workload's reference sweep, so a row shows T1/TS. A cell
+// checks its first pass against the serial sweep before it times anything,
+// and reports ns/node over the nodes it ran and depth, T∞ in nodes. A P>1
+// cell also times P=1 on the same graph and reports speedup, T1/TP, and
+// max-speedup, T1 over T1/P + T∞ with T∞ = depth × T1/n: what a greedy
+// scheduler with free steals is held to by Brent's bound.
+func BenchmarkGrid(b *testing.B) {
+	w := mustLookup(DefaultWorkload)
+	// Cancellable, as every context dagd and bench/ hand the scheduler is:
+	// the per-item poll then reads a real channel.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, row := range gridRows {
+		b.Run(row.name, func(b *testing.B) {
+			d, err := row.graph(ctx)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, work := range row.works {
+				b.Run(fmt.Sprintf("W=%d", work), func(b *testing.B) {
+					ref, err := w.Serial(ctx, d, work)
+					if err != nil {
 						b.Fatal(err)
 					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*d.NumNodes()), "ns/node")
-			})
-		}
+					defer ReleaseValues(ref)
+					check := func(vals []uint64) error { return w.Verify(d, ref, vals) }
+					gridCell(b, "serial", 1, d, check, func(int) ([]uint64, error) { return w.Serial(ctx, d, work) })
+					pass := row.pass(ctx, w, d, work)
+					for _, p := range []int{1, 2, 4} {
+						gridCell(b, fmt.Sprintf("P=%d", p), p, d, check, pass)
+					}
+				})
+			}
+		})
 	}
 }
 
-func BenchmarkRunDynamic(b *testing.B) {
-	cfg := gen.Config{Shape: gen.Dynamic, Stages: 12, Width: 3, EdgeProb: 0.2, Seed: 1}
-	hook := PathCount(0)
-	for _, workers := range fineWorkerCounts {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			nodes := 0
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				// The expander is part of what a dynamic run costs: a fresh
-				// one per iteration, so every run discovers the graph anew.
-				dyn, err := gen.NewDynamic(cfg, gen.DynLimits{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				vals, err := RunDynamic(ctx, dyn, workers, hook)
-				if err != nil {
-					b.Fatal(err)
-				}
-				nodes += len(vals)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
-		})
+// graph returns the row's DAG: the generated one, or a dynamic run's final
+// graph.
+func (r gridRow) graph(ctx context.Context) (*dag.DAG, error) {
+	if r.cfg.Shape != gen.Dynamic {
+		return gen.Generate(r.cfg)
 	}
+	dyn, err := gen.NewDynamic(r.cfg, gen.DynLimits{})
+	if err != nil {
+		return nil, err
+	}
+	vals, err := RunDynamic(ctx, dyn, 1, PathCount(0))
+	if err != nil {
+		return nil, err
+	}
+	ReleaseValues(vals)
+	return dyn.FinalDAG()
+}
+
+// pass returns one parallel pass of the row at W=work on p workers. A
+// dynamic pass builds a fresh expander, so each one discovers the graph
+// anew.
+func (r gridRow) pass(ctx context.Context, w Workload, d *dag.DAG, work int) func(p int) ([]uint64, error) {
+	hook, split := w.Compute(work), 0
+	if r.split {
+		hook, split = w.(SplitComputable).PureCompute(), work
+	}
+	if r.cfg.Shape == gen.Dynamic {
+		return func(p int) ([]uint64, error) {
+			dyn, err := gen.NewDynamic(r.cfg, gen.DynLimits{})
+			if err != nil {
+				return nil, err
+			}
+			return RunDynamic(ctx, dyn, p, hook)
+		}
+	}
+	return func(p int) ([]uint64, error) { return New(d, Options{Workers: p, SplitWork: split}).Run(ctx, hook) }
+}
+
+// gridCell is one cell of the grid: pass at p workers. Each time the
+// testing package runs the cell it checks a first pass before timing any.
+func gridCell(b *testing.B, name string, p int, d *dag.DAG, check func([]uint64) error, pass func(p int) ([]uint64, error)) {
+	depth := float64(d.Depth() + 1)
+	b.Run(name, func(b *testing.B) {
+		run := func(workers int) []uint64 {
+			vals, err := pass(workers)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return vals
+		}
+		vals := run(p)
+		if err := check(vals); err != nil {
+			b.Fatal(err)
+		}
+		ReleaseValues(vals)
+		var t1 time.Duration
+		if p > 1 {
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				ReleaseValues(run(1))
+			}
+			t1 = time.Since(start)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		nodes := 0
+		for i := 0; i < b.N; i++ {
+			vals = run(p)
+			nodes += len(vals)
+			ReleaseValues(vals)
+		}
+		tp := b.Elapsed()
+		b.ReportMetric(float64(tp.Nanoseconds())/float64(nodes), "ns/node")
+		b.ReportMetric(depth, "depth")
+		if p > 1 {
+			b.ReportMetric(float64(t1)/float64(tp), "speedup")
+			b.ReportMetric(1/(1/float64(p)+depth/float64(d.NumNodes())), "max-speedup")
+		}
+	})
 }

@@ -54,26 +54,6 @@ func TestDeepWidthOnePipeline(t *testing.T) {
 	}
 }
 
-// BenchmarkDeepChain pins the per-node cost (time and allocations) of the
-// deep-span path: allocations must stay amortized-constant per node, not
-// per-level.
-func BenchmarkDeepChain(b *testing.B) {
-	const n = 1 << 18
-	d, err := gen.ChainDAG(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ex := New(d, Options{Workers: 4})
-	hook := PathCount(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ex.Run(context.Background(), hook); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestSplitWorkMatchesSerial pins the parallel_work path end to end inside
 // the scheduler: values computed with the pure hook plus scheduler-side
 // sliced work must equal the ordinary serial reference, and more than one

@@ -241,30 +241,6 @@ func TestExecutorReusable(t *testing.T) {
 	assertEqualCounts(t, first, second)
 }
 
-func BenchmarkPathCountSerial(b *testing.B) {
-	d, err := gen.RandomDAG(1000, 0.01, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		serialCounts(b, d, 100)
-	}
-}
-
-func BenchmarkPathCountParallel(b *testing.B) {
-	d, err := gen.RandomDAG(1000, 0.01, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := New(d, Options{Workers: 0}).Run(context.Background(), PathCount(100)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // goroutineID returns the calling goroutine's number, from the header line
 // of its stack trace ("goroutine 7 [running]:").
 func goroutineID() string {

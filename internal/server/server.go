@@ -335,7 +335,7 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"workloads": names,
 		"count":     len(names),
-		"default":   s.svc.DefaultWorkloadName(),
+		"default":   sched.DefaultWorkload,
 	})
 }
 

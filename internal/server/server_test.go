@@ -177,13 +177,13 @@ func TestEndToEndAllWorkloads(t *testing.T) {
 }
 
 func TestWorkloadsEndpoint(t *testing.T) {
-	ts := newTestServer(t, core.ServiceOptions{QueueDepth: 4, Dispatchers: 1, DefaultWorkload: "longestpath"})
+	ts := newTestServer(t, core.ServiceOptions{QueueDepth: 4, Dispatchers: 1})
 	code, body := doJSON(t, http.MethodGet, ts.URL+"/v1/workloads", "")
 	if code != http.StatusOK {
 		t.Fatalf("GET /v1/workloads: status %d", code)
 	}
-	if def, _ := body["default"].(string); def != "longestpath" {
-		t.Errorf("default = %v, want longestpath", body["default"])
+	if def, _ := body["default"].(string); def != "pathcount" {
+		t.Errorf("default = %v, want pathcount", body["default"])
 	}
 	names, _ := body["workloads"].([]any)
 	if len(names) < 3 {

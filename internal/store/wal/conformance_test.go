@@ -84,9 +84,10 @@ func TestStoreConformance(t *testing.T) {
 			t.Run("Eviction", func(t *testing.T) { testEviction(t, open) })
 			t.Run("ListOrder", func(t *testing.T) { testListOrder(t, open) })
 			t.Run("CursorStability", func(t *testing.T) { testCursorStability(t, open) })
-			t.Run("Delete", func(t *testing.T) { testDelete(t, open) })
 			t.Run("Counts", func(t *testing.T) { testCounts(t, open) })
 			t.Run("Requeue", func(t *testing.T) { testRequeue(t, open) })
+			t.Run("AdmitDepth", func(t *testing.T) { testAdmitDepth(t, open) })
+			t.Run("Drain", func(t *testing.T) { testDrain(t, open) })
 			t.Run("Hammer", func(t *testing.T) { testHammer(t, open) })
 		})
 	}
@@ -361,9 +362,8 @@ func testEviction(t *testing.T, open func(*testing.T) *run.Store) {
 	}
 
 	// Runs cancelled while queued take their place in the finish order
-	// between finished ones, and a deleted terminal run stops counting
-	// toward keep: of the 9 terminal runs below, one is deleted, so
-	// EvictTerminal(4) evicts exactly the 4 oldest-finished that are left.
+	// between finished ones: EvictTerminal(4) over the 9 terminal runs
+	// below evicts exactly the 5 oldest-finished.
 	order := append([]string(nil), ids[7:]...)
 	for i := 0; i < 6; i++ {
 		if i%2 == 0 {
@@ -377,15 +377,12 @@ func testEviction(t *testing.T, open func(*testing.T) *run.Store) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := s.Delete(order[6]); err != nil {
-		t.Fatalf("Delete(terminal): %v", err)
-	}
-	if got := s.EvictTerminal(4); got != 4 {
-		t.Fatalf("EvictTerminal(4) over 8 terminal runs = %d, want 4", got)
+	if got := s.EvictTerminal(4); got != 5 {
+		t.Fatalf("EvictTerminal(4) over 9 terminal runs = %d, want 5", got)
 	}
 	for i, id := range order {
 		_, err := s.Get(id)
-		if gone := i < 4 || i == 6; gone != errors.Is(err, run.ErrNotFound) {
+		if gone := i < 5; gone != errors.Is(err, run.ErrNotFound) {
 			t.Errorf("finish-order position %d (%s): Get = %v, want gone=%v", i, id, err, gone)
 		}
 	}
@@ -593,41 +590,6 @@ func testCursorStability(t *testing.T, open func(*testing.T) *run.Store) {
 	}
 }
 
-func testDelete(t *testing.T, open func(*testing.T) *run.Store) {
-	s := open(t)
-	r := create(t, s)
-	if err := s.Delete(r.ID); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	if _, err := s.Get(r.ID); !errors.Is(err, run.ErrNotFound) {
-		t.Errorf("Get after Delete = %v, want ErrNotFound", err)
-	}
-	// Deleting the unknown is permitted (rollback paths may race).
-	if err := s.Delete(r.ID); err != nil {
-		t.Errorf("second Delete = %v, want nil", err)
-	}
-
-	// Deleting a non-terminal run releases parked waiters.
-	w := create(t, s)
-	got := make(chan run.Run, 1)
-	go func() {
-		r, err := s.Await(context.Background(), w.ID)
-		if err != nil {
-			t.Error(err)
-		}
-		got <- r
-	}()
-	time.Sleep(10 * time.Millisecond)
-	if err := s.Delete(w.ID); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-got:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Await never released by Delete")
-	}
-}
-
 // testRequeue exercises the lease-expiry path in its two outcomes. A
 // running run drops back to queued with Restarts incremented, execution
 // fields cleared, attribution intact, and Await waiters still parked until
@@ -747,6 +709,100 @@ func testRequeue(t *testing.T, open func(*testing.T) *run.Store) {
 	}
 	if _, err := s.Requeue(c.ID); !errors.Is(err, run.ErrNotRunning) {
 		t.Errorf("Requeue(cancelled) = %v, want ErrNotRunning", err)
+	}
+}
+
+// headOf returns a BeginNext pick that starts q's head whenever q holds a
+// run.
+func headOf(q *run.Queue) func() *run.Queue {
+	return func() *run.Queue {
+		if q.Len() > 0 {
+			return q
+		}
+		return nil
+	}
+}
+
+// testAdmitDepth: Admit's depth bound counts the tenant's queued runs, a
+// refusal leaves nothing behind, and a run leaving the queue frees its
+// place. Depth 0 is no bound.
+func testAdmitDepth(t *testing.T, open func(*testing.T) *run.Store) {
+	s := open(t)
+	q := s.Queue(spec().Tenant)
+	var admitted []run.Run
+	for i := 0; i < 2; i++ {
+		r, err := s.Admit(spec(), 2)
+		if err != nil {
+			t.Fatalf("Admit %d within depth 2: %v", i, err)
+		}
+		admitted = append(admitted, r)
+	}
+	if _, err := s.Admit(spec(), 2); !errors.Is(err, run.ErrQueueFull) {
+		t.Fatalf("Admit beyond depth 2 = %v, want ErrQueueFull", err)
+	}
+	if s.Len() != 2 || q.Len() != 2 {
+		t.Errorf("after a refused Admit: Len = %d, queue holds %d; want 2 and 2", s.Len(), q.Len())
+	}
+	got, _, err := s.BeginNext(context.Background(), headOf(q), "w", func(string) {})
+	if err != nil || got.ID != admitted[0].ID || got.State != run.StateRunning {
+		t.Fatalf("BeginNext = %s %s, %v; want the oldest admitted %s running", got.ID, got.State, err, admitted[0].ID)
+	}
+	if _, err := s.Admit(spec(), 2); err != nil {
+		t.Errorf("Admit into the place a begun run freed: %v", err)
+	}
+	if _, err := s.Admit(spec(), 0); err != nil {
+		t.Errorf("Admit with no depth bound over a full queue: %v", err)
+	}
+	if q.Len() != 3 {
+		t.Errorf("queue holds %d, want 3", q.Len())
+	}
+}
+
+// testDrain: once Drain has begun, Admit refuses while BeginNext still
+// hands out what is queued; Drain returns only when nothing is queued or
+// running, and BeginNext then reports ErrDraining.
+func testDrain(t *testing.T, open func(*testing.T) *run.Store) {
+	s := open(t)
+	q := s.Queue(spec().Tenant)
+	ctx := context.Background()
+	first, second := create(t, s), create(t, s)
+	if got, _, err := s.BeginNext(ctx, headOf(q), "w", func(string) {}); err != nil || got.ID != first.ID {
+		t.Fatalf("BeginNext = %s, %v; want %s", got.ID, err, first.ID)
+	}
+
+	drained := make(chan error, 1)
+	go func() { drained <- s.Drain(ctx) }()
+	for deadline := time.Now().Add(5 * time.Second); !s.Draining(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("Drain never began")
+		}
+	}
+	if _, err := s.Admit(spec(), 0); !errors.Is(err, run.ErrDraining) {
+		t.Errorf("Admit while draining = %v, want ErrDraining", err)
+	}
+	if got, _, err := s.BeginNext(ctx, headOf(q), "w", func(string) {}); err != nil || got.ID != second.ID {
+		t.Fatalf("BeginNext while draining = %s, %v; want the queued %s", got.ID, err, second.ID)
+	}
+	finish(t, s, first.ID, &run.Result{Match: true}, nil)
+	select {
+	case err := <-drained:
+		t.Fatalf("Drain returned %v with %s still running", err, second.ID)
+	case <-time.After(20 * time.Millisecond):
+	}
+	finish(t, s, second.ID, &run.Result{Match: true}, nil)
+	select {
+	case err := <-drained:
+		if err != nil {
+			t.Fatalf("Drain = %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Drain never returned")
+	}
+	if _, _, err := s.BeginNext(ctx, headOf(q), "w", func(string) {}); !errors.Is(err, run.ErrDraining) {
+		t.Errorf("BeginNext after the drain = %v, want ErrDraining", err)
+	}
+	if n := s.CountByState()[run.StateSucceeded]; n != 2 {
+		t.Errorf("%d runs succeeded, want 2", n)
 	}
 }
 

@@ -165,7 +165,6 @@ const (
 	progBegin
 	progCancel
 	progRequeue
-	progDelete
 	progEvict
 	progSucceed
 	progFail
@@ -183,7 +182,6 @@ const (
 //   - every run memory held replays as Recover derives it: terminal runs
 //     identical, queued and running ones requeued with Restarts+1, or
 //     cancelled if a cancel was acknowledged while they ran;
-//   - a deleted run never reappears;
 //   - an evicted run that reappears is older than every retained terminal
 //     run, and EvictTerminal down to the retained count removes exactly
 //     those.
@@ -201,10 +199,10 @@ func FuzzStoreReplay(f *testing.F) {
 	f.Add([]byte{3, progCreate, 0, progBegin, 0, progCancel, 0, progCreate, 0, progBegin, 1, progCancelled, 1})
 	// A lease expiry after an acknowledged cancel finishes the run cancelled.
 	f.Add([]byte{0, progCreate, 0, progBegin, 0, progCancel, 0, progRequeue, 0})
-	// Races, a lease expiry, retention and a rollback, across compaction
-	// swaps and rotations with fsync on.
+	// Races, a lease expiry and retention, across compaction swaps and
+	// rotations with fsync on.
 	f.Add([]byte{7, progCreate, 0, progCreate, 0, progCreate, 0, progCreate, 0, progBegin, 0, progBegin, 1,
-		progRace, 0, progRequeue, 1, progBegin, 2, progSucceed, 2, progEvict, 1, progDelete, 3,
+		progRace, 0, progRequeue, 1, progBegin, 2, progSucceed, 2, progEvict, 1,
 		progBegin, 1, progRace, 1, progCreate, 0, progSucceed, 1, progEvict, 2, progCreate, 0, progBegin, 5})
 	// Begin racing a cancel, then the winner's follow-up.
 	f.Add([]byte{1, progCreate, 0, progCreate, 0, progBeginRace, 0, progBeginRace, 1, progCancelled, 0,
@@ -236,7 +234,7 @@ func FuzzStoreReplay(f *testing.F) {
 			t.Fatalf("store failed: %v", err)
 		}
 		var ids []string
-		deleted, evicted, cancelAcked := map[string]bool{}, map[string]bool{}, map[string]bool{}
+		evicted, cancelAcked := map[string]bool{}, map[string]bool{}
 		for step := 1; step+1 < len(prog) && step < 128; step += 2 {
 			op, arg := int(prog[step])%progOps, int(prog[step+1])
 			switch op {
@@ -283,11 +281,6 @@ func FuzzStoreReplay(f *testing.F) {
 					}
 					delete(cancelAcked, id)
 				}
-			case progDelete:
-				if _, err := s.Get(id); err == nil {
-					deleted[id] = true
-				}
-				refused(s.Delete(id))
 			case progSucceed, progFail, progCancelled:
 				runErr := map[int]error{progSucceed: nil, progFail: errors.New("boom"), progCancelled: context.Canceled}[op]
 				_, err := s.Finish(id, &run.Result{Nodes: 12, Match: runErr == nil}, runErr)
@@ -379,8 +372,6 @@ func FuzzStoreReplay(f *testing.F) {
 				if r.State.Terminal() {
 					retained = append(retained, r)
 				}
-			case deleted[r.ID]:
-				t.Fatalf("deleted run %s reappeared as %s", r.ID, r.State)
 			case !evicted[r.ID]:
 				t.Fatalf("run %s (%s) reappeared that memory never evicted", r.ID, r.State)
 			default:

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -246,13 +247,15 @@ const (
 	parentSegCancel    = "r000007-00000010" // create/begin/cancelreq
 	parentQueued2      = "r000008-00000011" // create, in the active segment
 	parentCancelQueued = "r000009-00000012" // create/cancel, in the active segment
+	parentDeleted      = "r000010-00000013" // create/del, in the active segment
 )
 
 // parentFixture lays out by hand a one-shard data dir as the version before
 // this one wrote it: begin records, cancelreq records whose snapshot does
 // not carry the flag (in a segment, and as the compaction snapshot's
-// record of a running run), a leftover segment below the snapshot, two
-// sealed segments and an active one. It returns every run's last snapshot.
+// record of a running run), a del record, a leftover segment below the
+// snapshot, two sealed segments and an active one. It returns every
+// undeleted run's last snapshot.
 func parentFixture(t *testing.T, dir string) map[string]*run.Run {
 	t.Helper()
 	base := time.Date(2026, 7, 1, 12, 0, 0, 0, time.UTC)
@@ -320,7 +323,9 @@ func parentFixture(t *testing.T, dir string) map[string]*run.Run {
 		create(parentSegCancel, 15), begin(parentSegCancel, 16), cancelReq(parentSegCancel)))
 	plantSegment(t, dir, 5, frames(
 		create(parentQueued2, 17), create(parentCancelQueued, 18),
-		step(run.OpCancel, parentCancelQueued, func(r *run.Run) { r.State, r.FinishedAt = run.StateCancelled, at(19) })))
+		step(run.OpCancel, parentCancelQueued, func(r *run.Run) { r.State, r.FinishedAt = run.StateCancelled, at(19) }),
+		create(parentDeleted, 20),
+		func() record { delete(runs, parentDeleted); return record{Op: run.OpDel, ID: parentDeleted} }))
 	return runs
 }
 
@@ -329,7 +334,7 @@ func parentFixture(t *testing.T, dir string) map[string]*run.Run {
 // byte-identical, runs a begin record left running and runs only created
 // queued again with Restarts 1, and runs whose cancellation was
 // acknowledged — in a segment, or in the snapshot — cancelled, without
-// re-executing. Nothing about the layout changes.
+// re-executing. A deleted run stays gone. Nothing about the layout changes.
 func TestParentDataDirBoots(t *testing.T) {
 	dir := t.TempDir()
 	wrote := parentFixture(t, dir)
@@ -342,6 +347,9 @@ func TestParentDataDirBoots(t *testing.T) {
 	defer s.Close()
 	if got := s.Len(); got != len(wrote) {
 		t.Errorf("Open holds %d runs, the fixture wrote %d", got, len(wrote))
+	}
+	if _, err := s.Get(parentDeleted); !errors.Is(err, run.ErrNotFound) {
+		t.Errorf("deleted run %s resurrected by replay: %v", parentDeleted, err)
 	}
 	for _, id := range []string{parentSucceeded, parentSnapshot, parentFailed, parentCancelQueued} {
 		got, err := s.Get(id)

@@ -25,11 +25,7 @@ func createSegment(dir string, seq uint64) (*os.File, error) {
 // compaction or rotation as thresholds demand (run.Log). With Fsync on, the
 // returned ticket is non-zero and Wait makes the record durable.
 func (l *walLog) Append(op run.Op, r *run.Run) (uint64, error) {
-	rec := record{Op: op, Run: r}
-	if op == run.OpDel {
-		rec = record{Op: op, ID: r.ID}
-	}
-	buf, err := encodeFrame(nil, rec)
+	buf, err := encodeFrame(nil, record{Op: op, Run: r})
 	if err != nil {
 		return 0, err
 	}

@@ -33,8 +33,8 @@
 //
 // where the payload is one JSON-encoded record: a run.Op name plus either a
 // full post-transition run snapshot ("create", "finish", "cancel",
-// "cancelreq", "requeue", "put") or a bare run ID ("del", written when a
-// submit is rolled back; older logs also hold one per evicted run and
+// "cancelreq", "requeue", "put") or a bare run ID ("del", which only
+// older versions wrote, for deletes, submit rollbacks and evictions;
 // replay honours them). Older logs also hold "begin" records, and
 // "cancelreq" records whose snapshot lacks cancel_requested; replay reads
 // the first as any snapshot and sets the flag on the second. Carrying the
