@@ -37,6 +37,14 @@
 # bound" otherwise. Without one: "loss" when the parent wins by the same
 # rule, "flat" otherwise.
 #
+# A -go record can hold hundreds of metrics, and five pairs of identical
+# trees then read a few "gain" and "loss" by chance. So in -go mode a gain
+# or a loss also needs its one-sided sign test over the pairs (ties
+# dropped) to reach p <= 0.05 / tested, where tested is how many of the
+# record's metrics receive a verdict; otherwise the metric reads "flat".
+# The record then carries "tested" and each metric's "p", the smaller of
+# the two one-sided p values. Workload mode keeps the rule above as it is.
+#
 # The last line on stdout is the trajectory record: one JSON object with the
 # PR number given by -pr (null without it), the workload or the bench
 # regexp, the parent SHA, the pair count, per metric each side's
@@ -148,7 +156,7 @@ for i in $(seq 1 "$pairs"); do
 done
 
 python3 - "$runs" "$root/BENCHMARK.json" "$mode" "$target" "$sha" "$pairs" "$pr" <<'PY'
-import json, statistics, sys
+import json, math, statistics, sys
 
 runs_file, bench_json, mode, target, sha, npairs, pr = sys.argv[1:]
 npairs = int(npairs)
@@ -198,14 +206,24 @@ print(f"{'metric':<{width}}{'pair ratio':>11}   verdict (gain: better in >= 9/10
 record = {"pr": None if pr == "null" else int(pr)}
 record.update({"bench": target} if mode == "go" else {"workload": target})
 record.update({"parent": sha, "pairs": npairs, "metrics": {}, "failed": bad})
+judged = {}
 for name in names:
     pairs = [s for s in both if name in sides["parent"][s] and name in sides["change"][s]]
     if name not in spec:
         continue
     ratios = [sides["change"][s][name] / sides["parent"][s][name] for s in pairs if sides["parent"][s][name] != 0]
     record["metrics"][name] = {"ratios": [round(r, 6) for r in ratios]}
-    if not pairs or len(ratios) < len(pairs):
-        continue
+    if pairs and len(ratios) == len(pairs):
+        judged[name] = (pairs, ratios)
+
+def sign_p(k, n):
+    """One-sided sign-test p: the chance of k or more of n fair coin flips."""
+    return sum(math.comb(n, i) for i in range(k, n + 1)) / 2 ** n
+
+if mode == "go":
+    record["tested"] = len(judged)
+alpha = 0.05 / max(len(judged), 1)
+for name, (pairs, ratios) in judged.items():
     sign = 1 if name in higher_is_better else -1
     ratio = statistics.median(ratios)
     wins = sum(sign * (sides["change"][s][name] - sides["parent"][s][name]) > 0 for s in pairs)
@@ -218,20 +236,27 @@ for name in names:
     spread = max((q3 - q1) / parent_med, (c3 - c1) / change_med if change_med else 0)
     bound = spec[name]["bound"]
     separated = min(sign * x for x in change) > max(sign * x for x in parent)
-    if 10 * wins >= 9 * len(pairs) and gap > q3 - q1:
+    p_gain, p_loss = sign_p(wins, wins + losses), sign_p(losses, wins + losses)
+    # In -go mode a verdict must also be unlikely from noise across the record.
+    gain_ok, loss_ok = mode != "go" or p_gain <= alpha, mode != "go" or p_loss <= alpha
+    if 10 * wins >= 9 * len(pairs) and gap > q3 - q1 and gain_ok:
         verdict = "gain"
     elif bound is None:
-        verdict = "loss" if 10 * losses >= 9 * len(pairs) and -gap > c3 - c1 else "flat"
+        verdict = "loss" if 10 * losses >= 9 * len(pairs) and -gap > c3 - c1 and loss_ok else "flat"
     elif -gap > bound * parent_med or (spread > bound and not separated):
         verdict = "unresolved"
     else:
         verdict = "within bound"
     bound_note = "no bound" if bound is None else f"bound {100 * bound:g}%"
+    if mode == "go":
+        bound_note += f", sign-test p {min(p_gain, p_loss):.3g} (needs <= {alpha:.3g})"
     print(f"{name:<{width}}{ratio:>11.4f}   {verdict}: better in {wins}/{len(pairs)} pairs, medians "
           f"{gap:+.4g} apart (+ is better), parent IQR {q3 - q1:.4g}, spread {100 * spread:.1f}%, {bound_note}")
     record["metrics"][name].update({"parent": {"q1": q1, "median": parent_med, "q3": q3},
                                     "change": {"q1": c1, "median": change_med, "q3": c3},
                                     "wins": wins, "verdict": verdict})
+    if mode == "go":
+        record["metrics"][name]["p"] = round(min(p_gain, p_loss), 6)
 print(json.dumps(record, separators=(",", ":")))
 short = [name for name, m in record["metrics"].items() if len(m["ratios"]) != npairs]
 for name in short:

@@ -1,4 +1,4 @@
-// Command dagbench generates a benchmark DAG, executes a registered
+// Command dagbench generates a benchmark DAG, executes a built-in
 // workload both serially and on the concurrent work-stealing scheduler,
 // checks the two results against each other, and prints timing as JSON. It
 // drives the same execution path as the dagd service (run.Execute), so
@@ -56,8 +56,8 @@ func main() {
 		work      = flag.Int("work", 0, "busy-work iterations per node (Nabbit W)")
 		parallel  = flag.Bool("parallel-work", false, "split each node's work across idle workers (Nabbit UseParallelNodes)")
 		workers   = flag.Int("workers", 0, "worker pool size (0 = NumCPU)")
-		workload  = flag.String("workload", "", "registered workload name (empty = "+sched.DefaultWorkload+")")
-		list      = flag.Bool("list-workloads", false, "print registered workload names and exit")
+		workload  = flag.String("workload", "", "built-in workload name (empty = "+sched.DefaultWorkload+")")
+		list      = flag.Bool("list-workloads", false, "print built-in workload names and exit")
 		timeout   = flag.Duration("timeout", 5*time.Minute, "overall run timeout")
 	)
 	flag.Parse()

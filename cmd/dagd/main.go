@@ -5,8 +5,8 @@
 // memory by default, or durable with -data-dir, which logs every state
 // transition to a checksummed write-ahead log and recovers it on boot:
 // finished runs are restored as history and interrupted runs re-execute.
-// Each spec may name any registered workload (pathcount, hashchain,
-// longestpath, ...); specs that name none get pathcount.
+// Each spec may name any built-in workload (hashchain, longestpath,
+// pathcount); specs that name none get pathcount.
 //
 // Usage:
 //

@@ -388,7 +388,7 @@ func (w *worker) execute(workerID string, r run.Run) {
 		return
 	}
 
-	state, errMsg := outcome(err)
+	state, errMsg := run.Outcome(err)
 	for attempt := 1; ; attempt++ {
 		cctx, ccancel := context.WithTimeout(context.Background(), reportTimeout)
 		fr, cerr := w.client.Complete(cctx, fleet.CompleteRequest{
@@ -416,21 +416,5 @@ func (w *worker) execute(workerID string, r run.Run) {
 			log.Printf("dagworker: reporting %s failed: %v (retrying)", r.ID, cerr)
 			time.Sleep(500 * time.Millisecond)
 		}
-	}
-}
-
-// outcome maps Execute's error to the wire state + message, mirroring how
-// store.Finish classifies outcomes (dispatch.CompleteLease turns the pair
-// back into that error).
-func outcome(err error) (run.State, string) {
-	switch {
-	case err == nil:
-		return run.StateSucceeded, ""
-	case errors.Is(err, context.Canceled):
-		msg := strings.TrimSuffix(err.Error(), context.Canceled.Error())
-		msg = strings.TrimSuffix(msg, ": ")
-		return run.StateCancelled, msg
-	default:
-		return run.StateFailed, err.Error()
 	}
 }

@@ -365,7 +365,7 @@ func (d *Dispatcher) QueueDepth() int { return d.opts.QueueDepth }
 // succeeds executes, or replays after a restart.
 func (d *Dispatcher) Submit(spec run.Spec) (run.Run, error) {
 	// Stamp the defaults before validation so the stored spec reflects
-	// what will actually execute: the registry's default workload, and the
+	// what will actually execute: sched.DefaultWorkload, and the
 	// generator version, so a replayed record names the generator it was
 	// admitted under, and fails closed once that one is retired. The tenant
 	// attribution is resolved here — never trusted from the spec — so

@@ -80,7 +80,7 @@ func pipelineSpec(stages, width, work int) run.Spec {
 	}
 }
 
-// TestDefaultWorkloadStamped verifies the registry's default workload,
+// TestDefaultWorkloadStamped verifies the default workload,
 // pathcount, is applied at admission: the stored spec and the finished
 // result both carry it, and an explicit workload in the spec still wins.
 func TestDefaultWorkloadStamped(t *testing.T) {
@@ -110,7 +110,7 @@ func TestDefaultWorkloadStamped(t *testing.T) {
 	waitForState(t, store, r2.ID, run.StateSucceeded)
 }
 
-// TestUnknownWorkloadFailsSubmit: a spec naming no registered workload is
+// TestUnknownWorkloadFailsSubmit: a spec naming no built-in workload is
 // refused at admission, not deep inside a dispatcher goroutine, and
 // leaves no run behind.
 func TestUnknownWorkloadFailsSubmit(t *testing.T) {

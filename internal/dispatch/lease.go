@@ -17,6 +17,10 @@ import (
 // round-robin within one, in-flight caps) is the one pick inside Lease, so
 // fairness guarantees hold no matter where execution happens.
 
+// execute is what a worker runs a leased run with; tests wrap it to fail
+// runs the built-in workloads never fail.
+var execute = run.Execute
+
 // work is one in-process worker: lease, execute, complete, until the
 // queues close and drain. It leases under the worker name "", so an
 // embedded run's snapshot carries no worker.
@@ -34,7 +38,7 @@ func (d *Dispatcher) work() {
 			cancel()
 			return // ErrShuttingDown: closed and drained
 		}
-		res, runErr := run.Execute(ctx, r.Spec, d.opts.DefaultRunWorkers)
+		res, runErr := execute(ctx, r.Spec, d.opts.DefaultRunWorkers)
 		cancel()
 		// The lease is this goroutine's own and never expires, so complete
 		// cannot lose a race; store failures are logged inside.

@@ -3,6 +3,7 @@ package dispatch
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -111,37 +112,48 @@ func TestQueueWaitCountsGrantedLeasesOnly(t *testing.T) {
 	}
 }
 
+// TestCompleteLeaseOutcomes records each error twice, on a run of its own:
+// once as a remote worker reports it (run.Outcome's state and message,
+// through CompleteLease) and once as an embedded worker does (the error
+// itself, through complete to Store.Finish). Both must store the same state
+// and the error's full text.
 func TestCompleteLeaseOutcomes(t *testing.T) {
 	cases := []struct {
 		name      string
-		state     run.State
-		errMsg    string
+		err       error
 		wantState run.State
 	}{
-		{"failed", run.StateFailed, "node 3 exploded", run.StateFailed},
-		{"cancelled", run.StateCancelled, "", run.StateCancelled},
-		{"cancelled_with_msg", run.StateCancelled, "ctx done", run.StateCancelled},
+		{"succeeded", nil, run.StateSucceeded},
+		{"failed", errors.New("node 3 exploded"), run.StateFailed},
+		{"mismatch", fmt.Errorf("%w: node 3", run.ErrMismatch), run.StateFailed},
+		{"cancelled", context.Canceled, run.StateCancelled},
+		{"cancelled_with_msg", fmt.Errorf("ctx done: %w", context.Canceled), run.StateCancelled},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			store, d := newRemoteDispatcher(t, Options{QueueDepth: 8})
-			sub, err := d.Submit(pipelineSpec(5, 2, 0))
-			if err != nil {
-				t.Fatal(err)
+			wantErr := ""
+			if tc.err != nil {
+				wantErr = tc.err.Error()
 			}
-			lease(t, d, "w1")
-			fr, err := d.CompleteLease(sub.ID, tc.state, tc.errMsg, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fr.State != tc.wantState {
-				t.Errorf("state = %s, want %s", fr.State, tc.wantState)
-			}
-			if tc.errMsg != "" && fr.Error == "" {
-				t.Errorf("error text lost: %+v", fr)
-			}
-			if got, _ := store.Get(sub.ID); got.State != tc.wantState {
-				t.Errorf("store state = %s, want %s", got.State, tc.wantState)
+			for _, remote := range []bool{true, false} {
+				store, d := newRemoteDispatcher(t, Options{QueueDepth: 8})
+				sub, err := d.Submit(pipelineSpec(5, 2, 0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				lease(t, d, "w1")
+				if remote {
+					state, msg := run.Outcome(tc.err)
+					_, err = d.CompleteLease(sub.ID, state, msg, nil)
+				} else {
+					_, err = d.complete(sub.ID, nil, tc.err)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, _ := store.Get(sub.ID); got.State != tc.wantState || got.Error != wantErr {
+					t.Errorf("remote=%v: stored %s %q, want %s %q", remote, got.State, got.Error, tc.wantState, wantErr)
+				}
 			}
 		})
 	}

@@ -12,11 +12,9 @@ import (
 	"testing"
 	"time"
 
-	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/dag"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/gen"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/metrics"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/run"
-	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/sched"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/tenant"
 )
 
@@ -28,22 +26,20 @@ import (
 // the one intended difference (what an expired Shutdown context does) is
 // spelled out in its scenario.
 
-// mismatchWorkload is pathcount with a verifier that always objects, so a
-// spec naming it passes admission and fails in the worker with a result.
-type mismatchWorkload struct{ sched.Workload }
-
-func (mismatchWorkload) Name() string { return "parity-mismatch" }
-func (mismatchWorkload) Verify(*dag.DAG, []uint64, []uint64) error {
-	return errors.New("forced divergence")
-}
+// mismatchSeed marks a pipeline spec the workers fail as a divergence, with
+// the run's measured result, so it passes admission and fails in the worker.
+// A pipeline ignores its seed, so the marker changes nothing else.
+const mismatchSeed = -7
 
 func init() {
-	base, err := sched.LookupWorkload(sched.DefaultWorkload)
-	if err == nil {
-		err = sched.RegisterWorkload(mismatchWorkload{base})
-	}
-	if err != nil {
-		panic(err)
+	base := execute
+	execute = func(ctx context.Context, spec run.Spec, workers int) (*run.Result, error) {
+		res, err := base(ctx, spec, workers)
+		if err == nil && spec.Shape == gen.Pipeline && spec.Seed == mismatchSeed {
+			res.Match = false
+			err = fmt.Errorf("%w: forced divergence", run.ErrMismatch)
+		}
+		return res, err
 	}
 }
 
@@ -67,17 +63,9 @@ func leaseLoop(ctx context.Context, d *Dispatcher) {
 			cancel()
 			return
 		}
-		res, runErr := run.Execute(runCtx, r.Spec, 2)
+		res, runErr := execute(runCtx, r.Spec, 2)
 		cancel()
-		state, msg := run.StateSucceeded, ""
-		switch {
-		case runErr == nil:
-		case errors.Is(runErr, context.Canceled):
-			state = run.StateCancelled
-			msg = strings.TrimSuffix(strings.TrimSuffix(runErr.Error(), context.Canceled.Error()), ": ")
-		default:
-			state, msg = run.StateFailed, runErr.Error()
-		}
+		state, msg := run.Outcome(runErr)
 		// ErrNotLeased cannot happen: nothing in these scenarios expires.
 		_, _ = d.CompleteLease(r.ID, state, msg, res)
 	}
@@ -241,7 +229,7 @@ func TestLifecycleParity(t *testing.T) {
 			name: "failing spec", workers: 1,
 			drive: func(t *testing.T, h *harness) map[string]string {
 				bad := pipelineSpec(5, 2, 0)
-				bad.Workload = "parity-mismatch"
+				bad.Seed = mismatchSeed
 				id := h.submit(t, bad)
 				got := waitForState(t, h.store, id, run.StateFailed)
 				if got.Result == nil || got.Result.Match || !strings.Contains(got.Error, "forced divergence") {

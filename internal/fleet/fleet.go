@@ -12,8 +12,8 @@
 // worker whose build differs from the coordinator's is refused at register
 // (checkBuild). It then long-polls for leases: each grant transitions the
 // run at the head of the next tenant's queue to running through the
-// dispatcher (store.Begin, attributed to the worker ID) and starts a lease
-// clock.
+// dispatcher (Lease's store.BeginNext, attributed to the worker ID) and
+// starts a lease clock.
 // While executing, the worker heartbeats every interval; a heartbeat
 // extends every lease it names and returns two lists — runs the
 // coordinator wants cancelled (a POST /v1/runs/{id}/cancel acknowledged on

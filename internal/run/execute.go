@@ -16,12 +16,15 @@ import (
 // diverge from the workload's serial reference.
 var ErrMismatch = errors.New("run: parallel results diverge from serial reference")
 
-// Execute performs one run end to end: resolve the workload from the
-// registry, generate the DAG from spec, sweep the workload's serial
-// reference, run the concurrent scheduler with the workload's Compute hook,
-// and verify the two against each other. It is the single execution path
-// shared by the dagbench CLI and the dagd dispatcher, so the two surfaces
-// can never drift.
+// lookupWorkload is how Execute resolves a spec's workload; tests wrap it
+// to reach Execute with workloads the table does not hold.
+var lookupWorkload = sched.LookupWorkload
+
+// Execute performs one run end to end: resolve the workload by name,
+// generate the DAG from spec, sweep the workload's serial reference, run the
+// concurrent scheduler with the workload's Compute hook, and verify the two
+// against each other. It is the single execution path shared by the dagbench
+// CLI and the dagd dispatcher, so the two surfaces can never drift.
 //
 // On every shape but dynamic the reference sweeps on a goroutine of its own
 // while the parallel pass runs on the caller's, so a run's wall time is the
@@ -47,7 +50,7 @@ var ErrMismatch = errors.New("run: parallel results diverge from serial referenc
 // workloads, generation, or cancellation errors the Result is nil. Execute
 // does not call spec.Validate — admission policy belongs to the caller.
 func Execute(ctx context.Context, spec Spec, defaultWorkers int) (*Result, error) {
-	workload, err := sched.LookupWorkload(spec.Workload)
+	workload, err := lookupWorkload(spec.Workload)
 	if err != nil {
 		return nil, err
 	}
@@ -74,13 +77,8 @@ func Execute(ctx context.Context, spec Spec, defaultWorkers int) (*Result, error
 	opts := sched.Options{Workers: workers}
 	hook := workload.Compute(spec.Work)
 	if spec.ParallelWork {
-		sc, ok := workload.(sched.SplitComputable)
-		if !ok {
-			d.Release()
-			return nil, fmt.Errorf("%w: workload %s cannot split per-node work", ErrInvalidSpec, workload.Name())
-		}
 		opts.SplitWork = spec.Work
-		hook = sc.PureCompute()
+		hook = workload.PureCompute()
 	}
 
 	// The DAG is read-only to both passes, and Workload's contract lets

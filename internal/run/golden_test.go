@@ -2,10 +2,13 @@ package run
 
 import (
 	"context"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/gen"
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/sched"
 )
 
 // TestGoldenResults pins what a run reports for the benchmark's graphs — the
@@ -15,6 +18,11 @@ import (
 // freeze learned to skip Kahn's pass, so they hold a run's outcome fixed
 // across the graph's representation, not just its digest.
 func TestGoldenResults(t *testing.T) {
+	names := append([]string(nil), goldenWorkloads[:]...)
+	sort.Strings(names)
+	if !reflect.DeepEqual(names, sched.Workloads()) {
+		t.Fatalf("goldens cover workloads %v, the table holds %v", names, sched.Workloads())
+	}
 	for _, tc := range goldenCases {
 		for i := range goldenWorkloads {
 			checkGolden(t, tc, i)

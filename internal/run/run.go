@@ -96,15 +96,13 @@ func (s State) Terminal() bool {
 // config plus the execution knobs. Its JSON form is the POST /v1/runs body.
 type Spec struct {
 	gen.Config
-	Workload string `json:"workload,omitempty"` // registered workload name; "" = the default (pathcount)
+	Workload string `json:"workload,omitempty"` // built-in workload name; "" = the default (pathcount)
 	Work     int    `json:"work,omitempty"`     // busy-work iterations per node (Nabbit W)
 	Workers  int    `json:"workers,omitempty"`  // per-run worker pool size; 0 = service default
 	// ParallelWork enables intra-node parallelism (Nabbit UseParallelNodes):
 	// each node's Work iterations are split into sub-tasks that idle workers
-	// steal, instead of burning on one worker. Requires a workload that
-	// separates its busy-work from its value recurrence
-	// (sched.SplitComputable — all built-ins qualify); not valid for the
-	// dynamic shape.
+	// steal, instead of burning on one worker. Every workload splits; not
+	// valid for the dynamic shape.
 	ParallelWork bool `json:"parallel_work,omitempty"`
 	// Tenant is the owning tenant's name. The dispatcher stamps it at
 	// admission from the resolved X-Tenant identity (never trusted from the
@@ -136,15 +134,14 @@ var (
 	// violations, and malformed explicit graphs (self-loops, duplicate or
 	// out-of-range edges, cycles).
 	ErrInvalidSpec = errors.New("run: invalid spec")
-	// ErrUnknownWorkload marks specs naming a workload absent from the
-	// registry.
+	// ErrUnknownWorkload marks specs naming no built-in workload.
 	ErrUnknownWorkload = errors.New("run: unknown workload")
 )
 
 // Validate checks spec against shape-specific and service-wide bounds.
 // Failures wrap ErrInvalidSpec or ErrUnknownWorkload. Unknown workload
 // names fail admission here (HTTP 400), never inside a dispatcher; the
-// empty workload means the registry default.
+// empty workload means sched.DefaultWorkload.
 func (s Spec) Validate() error {
 	if err := s.validateShape(); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidSpec, err)
@@ -164,17 +161,11 @@ func (s Spec) Validate() error {
 	if len(s.Tenant) > tenant.MaxNameLen {
 		return fmt.Errorf("%w: tenant name longer than %d bytes", ErrInvalidSpec, tenant.MaxNameLen)
 	}
-	w, err := sched.LookupWorkload(s.Workload)
-	if err != nil {
+	if _, err := sched.LookupWorkload(s.Workload); err != nil {
 		return fmt.Errorf("%w: %v", ErrUnknownWorkload, err)
 	}
-	if s.ParallelWork {
-		if s.Shape == gen.Dynamic {
-			return fmt.Errorf("%w: parallel_work is not supported for the dynamic shape", ErrInvalidSpec)
-		}
-		if _, ok := w.(sched.SplitComputable); !ok {
-			return fmt.Errorf("%w: workload %s cannot split per-node work (no pure compute hook)", ErrInvalidSpec, w.Name())
-		}
+	if s.ParallelWork && s.Shape == gen.Dynamic {
+		return fmt.Errorf("%w: parallel_work is not supported for the dynamic shape", ErrInvalidSpec)
 	}
 	return nil
 }

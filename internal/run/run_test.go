@@ -600,14 +600,11 @@ func TestExecuteDeterministicAcrossCalls(t *testing.T) {
 	}
 }
 
-// TestExecuteAllWorkloads drives every registered workload through the
+// TestExecuteAllWorkloads drives every built-in workload through the
 // shared execution path: each must generate, verify serial-vs-parallel, and
 // stamp its name into the result.
 func TestExecuteAllWorkloads(t *testing.T) {
 	for _, name := range sched.Workloads() {
-		if name == brokenWorkloadName {
-			continue
-		}
 		spec := Spec{
 			Config:   gen.Config{Shape: gen.Random, Nodes: 200, EdgeProb: 0.03, Seed: 8},
 			Workload: name,
@@ -639,6 +636,8 @@ func (brokenWorkload) Compute(work int) sched.Compute {
 	return func(id dag.NodeID, parentValues []uint64) uint64 { return uint64(len(parentValues)) }
 }
 
+func (w brokenWorkload) PureCompute() sched.Compute { return w.Compute(0) }
+
 func (brokenWorkload) Serial(ctx context.Context, d *dag.DAG, work int) ([]uint64, error) {
 	values := make([]uint64, d.NumNodes())
 	for i := range values {
@@ -656,9 +655,20 @@ func (brokenWorkload) Verify(d *dag.DAG, serial, parallel []uint64) error {
 	return nil
 }
 
+// The test doubles reach Execute through its lookup, wrapped once for the
+// whole binary so parallel tests never race on it; Validate and the
+// built-in table never see them.
 func init() {
-	if err := sched.RegisterWorkload(brokenWorkload{}); err != nil {
-		panic(err)
+	base := lookupWorkload
+	lookupWorkload = func(name string) (sched.Workload, error) {
+		switch name {
+		case brokenWorkloadName:
+			return brokenWorkload{}, nil
+		case slowUnwindName:
+			pathcount, err := base("pathcount")
+			return slowUnwindWorkload{pathcount}, err
+		}
+		return base(name)
 	}
 }
 
@@ -669,9 +679,6 @@ func init() {
 func TestExecuteMismatch(t *testing.T) {
 	spec := pipelineSpec()
 	spec.Workload = brokenWorkloadName
-	if err := spec.Validate(); err != nil {
-		t.Fatalf("registered broken workload failed validation: %v", err)
-	}
 	res, err := Execute(context.Background(), spec, 2)
 	if !errors.Is(err, ErrMismatch) {
 		t.Fatalf("Execute(broken) error = %v, want ErrMismatch", err)
@@ -735,28 +742,14 @@ func (w slowUnwindWorkload) Serial(ctx context.Context, d *dag.DAG, work int) ([
 	return values, err
 }
 
-func init() {
-	pathcount, err := sched.LookupWorkload("pathcount")
-	if err == nil {
-		err = sched.RegisterWorkload(slowUnwindWorkload{pathcount})
-	}
-	if err != nil {
-		panic(err)
-	}
-}
-
 // TestExecuteCancelStopsBothPasses pins that Execute leaves nothing running
 // behind it. Cancelled 20 ms into a run whose reference sweeps beside the
 // pass, it returns context.Canceled within a second, only after the
-// reference has returned, and with no goroutine of its own left over; a
-// parallel_work spec it cannot split starts nothing at all.
+// reference has returned, and with no goroutine of its own left over.
 func TestExecuteCancelStopsBothPasses(t *testing.T) {
 	heavy := Spec{Config: gen.Config{Shape: gen.Pipeline, Stages: 200, Width: 8}, Work: 2_000_000, Workers: 2}
 	slow := heavy
 	slow.Workload = slowUnwindName
-	unsplit := heavy
-	unsplit.Workload = "unsplittable-test"
-	unsplit.ParallelWork = true
 	for _, tc := range []struct {
 		name string
 		spec Spec
@@ -764,7 +757,6 @@ func TestExecuteCancelStopsBothPasses(t *testing.T) {
 	}{
 		{"heavy", heavy, context.Canceled},
 		{"slow-unwind reference", slow, context.Canceled},
-		{"unsplittable parallel_work", unsplit, ErrInvalidSpec},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()

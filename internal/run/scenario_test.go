@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/dag"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/gen"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/sched"
 )
@@ -93,32 +92,6 @@ func TestValidateDynamic(t *testing.T) {
 	}
 }
 
-// unsplittableWorkload is a Workload whose per-node work is inherent to the
-// value computation — it deliberately does NOT implement SplitComputable,
-// so admission must refuse parallel_work for it.
-type unsplittableWorkload struct{}
-
-func (unsplittableWorkload) Name() string { return "unsplittable-test" }
-func (unsplittableWorkload) Compute(work int) sched.Compute {
-	return func(id dag.NodeID, parents []uint64) uint64 { return uint64(id) }
-}
-func (unsplittableWorkload) Serial(ctx context.Context, d *dag.DAG, work int) ([]uint64, error) {
-	vals := make([]uint64, d.NumNodes())
-	for i := range vals {
-		vals[i] = uint64(i)
-	}
-	return vals, nil
-}
-func (unsplittableWorkload) Verify(d *dag.DAG, serial, parallel []uint64) error { return nil }
-
-// Registered once per process, not per test run: the registry refuses a
-// second registration, which would fail the test under -count=2.
-func init() {
-	if err := sched.RegisterWorkload(unsplittableWorkload{}); err != nil {
-		panic(err)
-	}
-}
-
 func TestValidateParallelWork(t *testing.T) {
 	ok := pipelineSpec()
 	ok.ParallelWork = true
@@ -130,12 +103,6 @@ func TestValidateParallelWork(t *testing.T) {
 	dynSpec.ParallelWork = true
 	if err := dynSpec.Validate(); !errors.Is(err, ErrInvalidSpec) {
 		t.Errorf("parallel_work on dynamic shape Validate() = %v, want ErrInvalidSpec", err)
-	}
-	unsplit := pipelineSpec()
-	unsplit.ParallelWork = true
-	unsplit.Workload = "unsplittable-test"
-	if err := unsplit.Validate(); !errors.Is(err, ErrInvalidSpec) {
-		t.Errorf("parallel_work on unsplittable workload Validate() = %v, want ErrInvalidSpec", err)
 	}
 }
 
@@ -197,19 +164,23 @@ func TestExecuteDynamicGrowthBound(t *testing.T) {
 	}
 }
 
-// TestExecuteParallelWork pins the parallel_work knob through Execute: the
-// run completes with Match=true, proving pure-hook finalization plus
-// scheduler-side sliced work equals the inline-spin serial reference.
+// TestExecuteParallelWork pins the parallel_work knob through Execute for
+// every workload: each run completes with Match=true, proving pure-hook
+// finalization plus scheduler-side sliced work equals the inline-spin serial
+// reference. Admission no longer asks whether a workload splits, so this is
+// what holds each one to it.
 func TestExecuteParallelWork(t *testing.T) {
-	spec := Spec{Config: gen.Config{Shape: gen.Pipeline, Stages: 20, Width: 2}}
-	spec.Work = 1 << 16
-	spec.ParallelWork = true
-	spec.Workload = "hashchain"
-	res, err := Execute(context.Background(), spec, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Match {
-		t.Error("parallel_work Match = false")
+	for _, name := range sched.Workloads() {
+		spec := Spec{Config: gen.Config{Shape: gen.Pipeline, Stages: 20, Width: 2}}
+		spec.Work = 1 << 16
+		spec.ParallelWork = true
+		spec.Workload = name
+		res, err := Execute(context.Background(), spec, 8)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !res.Match {
+			t.Errorf("%s: parallel_work Match = false", name)
+		}
 	}
 }

@@ -687,9 +687,26 @@ func end(r *Run, state State, msg string) {
 	redactEdges(r)
 }
 
-// Finish transitions a running run to its terminal state: cancelled if err
-// is a context cancellation, failed for any other error, succeeded
-// otherwise. The result (may be nil on error) and FinishedAt are recorded.
+// Outcome classifies an execution error as the terminal state it ends a run
+// in — succeeded for nil, cancelled for a context cancellation, failed for
+// anything else — and the message a worker reports with it: the error text,
+// less a cancellation's trailing "context canceled", which the coordinator
+// adds back (dispatch.CompleteLease).
+func Outcome(err error) (State, string) {
+	switch {
+	case err == nil:
+		return StateSucceeded, ""
+	case errors.Is(err, context.Canceled):
+		msg := strings.TrimSuffix(err.Error(), context.Canceled.Error())
+		return StateCancelled, strings.TrimSuffix(msg, ": ")
+	default:
+		return StateFailed, err.Error()
+	}
+}
+
+// Finish transitions a running run to the terminal state Outcome gives err,
+// keeping err's full text as the run's error. The result (may be nil on
+// error) and FinishedAt are recorded.
 func (s *Store) Finish(id string, result *Result, err error) (Run, error) {
 	return s.transition(id, func(t *tracked) (Op, error) {
 		if t.run.State != StateRunning {
@@ -700,14 +717,8 @@ func (s *Store) Finish(id string, result *Result, err error) (Run, error) {
 		t.run.FinishedAt = &now
 		t.run.Result = result
 		t.cancel = nil
-		switch {
-		case err == nil:
-			t.run.State = StateSucceeded
-		case errors.Is(err, context.Canceled):
-			t.run.State = StateCancelled
-			t.run.Error = err.Error()
-		default:
-			t.run.State = StateFailed
+		t.run.State, _ = Outcome(err)
+		if err != nil {
 			t.run.Error = err.Error()
 		}
 		redactEdges(&t.run)

@@ -108,7 +108,7 @@ func (r gridRow) graph(ctx context.Context) (*dag.DAG, error) {
 func (r gridRow) pass(ctx context.Context, w Workload, d *dag.DAG, work int) func(p int) ([]uint64, error) {
 	hook, split := w.Compute(work), 0
 	if r.split {
-		hook, split = w.(SplitComputable).PureCompute(), work
+		hook, split = w.PureCompute(), work
 	}
 	if r.cfg.Shape == gen.Dynamic {
 		return func(p int) ([]uint64, error) {

@@ -68,7 +68,7 @@ func TestSplitWorkMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pure := w.(SplitComputable).PureCompute()
+	pure := w.PureCompute()
 
 	const splitWork = 1 << 20 // chunks = min(workers, splitWork/4096) = 8
 	ex := New(d, Options{Workers: 8, SplitWork: splitWork})
@@ -101,7 +101,7 @@ func TestSplitWorkSingleNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := New(d, Options{Workers: 4, SplitWork: 1 << 18})
-	vals, err := ex.Run(context.Background(), mustLookup("pathcount").(SplitComputable).PureCompute())
+	vals, err := ex.Run(context.Background(), mustLookup("pathcount").PureCompute())
 	if err != nil {
 		t.Fatal(err)
 	}

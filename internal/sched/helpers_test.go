@@ -1,7 +1,7 @@
 package sched
 
-// mustLookup resolves a built-in workload; the registry is populated in
-// init, so a miss is a programming error.
+// mustLookup resolves a built-in workload; the table is fixed, so a miss is
+// a programming error.
 func mustLookup(name string) Workload {
 	w, err := LookupWorkload(name)
 	if err != nil {

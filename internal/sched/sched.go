@@ -1,7 +1,7 @@
 // Package sched executes the nodes of a DAG concurrently on a worker pool,
 // respecting dependency order: a node becomes runnable the moment its last
-// parent retires. The per-node work is a pluggable Workload resolved from a
-// registry (see workload.go); the built-in pathcount workload counts
+// parent retires. The per-node work is a Workload looked up by name in a
+// fixed table (see workload.go): the pathcount workload counts
 // source→sink paths, hashchain mixes a non-commutative digest along every
 // dependency edge, and longestpath computes critical-path depths. Every
 // workload carries its own single-threaded reference sweep and verifier, so
@@ -57,7 +57,7 @@ type Options struct {
 	// UseParallelNodes): the scheduler burns SplitWork spin iterations per
 	// node itself, sliced into sub-tasks that idle workers steal off the
 	// deques. The Compute hook passed to Run must then be PURE — no
-	// emulated work folded in (see SplitComputable) — or the work would be
+	// emulated work folded in (Workload.PureCompute) — or the work would be
 	// double-counted.
 	SplitWork int
 }

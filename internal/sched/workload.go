@@ -4,21 +4,21 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"sort"
 	"strings"
-	"sync"
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/dag"
 )
 
 // Workload bundles everything the engine needs to run one kind of per-node
-// computation over a DAG: a registry name, the concurrent Compute hook, a
-// single-threaded reference sweep, and a verifier comparing the two. The
-// scheduler itself is workload-agnostic; the run layer resolves a workload
-// by name at admission time and dispatches through this interface, so new
-// scenarios plug in without touching the scheduler or the service.
+// computation over a DAG: a name, the concurrent Compute hook and its pure
+// counterpart, a single-threaded reference sweep, and a verifier comparing
+// the two. The scheduler itself is workload-agnostic; the run layer resolves
+// a workload by name at admission time and dispatches through this
+// interface. The built-ins are a fixed table; tests substitute fakes
+// through the interface.
 type Workload interface {
-	// Name is the registry key ("pathcount", "hashchain", ...).
+	SplitComputable
+	// Name is the table key ("pathcount", "hashchain", ...).
 	Name() string
 	// Compute returns the per-node hook with work busy-iterations of
 	// emulated compute folded in. The returned hook must be safe for
@@ -34,70 +34,51 @@ type Workload interface {
 	Verify(d *dag.DAG, serial, parallel []uint64) error
 }
 
-// SplitComputable is the optional Workload extension behind the
-// parallel_work spec knob (Nabbit UseParallelNodes). A workload that can
-// separate its emulated busy-work from its value recurrence implements
-// PureCompute, returning the hook with NO spin folded in; the scheduler
-// then burns the work itself via Options.SplitWork, sliced across idle
-// workers, and finalizes the node with the pure hook. Workloads whose
-// "work" is inherent to the value computation cannot split and simply
-// don't implement this — admission rejects parallel_work for them.
+// SplitComputable is the part of Workload behind the parallel_work spec
+// knob (Nabbit UseParallelNodes): PureCompute returns the hook with NO spin
+// folded in, and the scheduler then burns the work itself via
+// Options.SplitWork, sliced across idle workers, and finalizes the node with
+// the pure hook. Every workload is a pure recurrence, so every workload
+// splits.
 type SplitComputable interface {
 	PureCompute() Compute
 }
 
-// DefaultWorkload is the registry key assumed when a caller names no
-// workload.
+// DefaultWorkload is the workload assumed when a caller names no workload.
 const DefaultWorkload = "pathcount"
 
-var (
-	registryMu sync.RWMutex
-	registry   = make(map[string]Workload)
-)
-
-// RegisterWorkload adds w to the registry. It rejects empty names and
-// duplicates, so a name can never be silently rebound underneath a running
-// service.
-func RegisterWorkload(w Workload) error {
-	name := w.Name()
-	if name == "" {
-		return fmt.Errorf("sched: workload has empty name")
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[name]; dup {
-		return fmt.Errorf("sched: workload %q already registered", name)
-	}
-	registry[name] = w
-	return nil
+// workloads is the built-in table, sorted by name: pathcount is the
+// original source→sink path counter; hashchain stresses ordering
+// correctness with a non-commutative mix; and longestpath computes each
+// node's critical-path depth.
+var workloads = [...]*funcWorkload{
+	{name: "hashchain", fn: hashChainFn},
+	{name: "longestpath", fn: longestPathFn},
+	{name: "pathcount", fn: pathCountFn},
 }
 
 // LookupWorkload resolves a workload name; the empty string resolves to
-// DefaultWorkload. Unknown names report the registered set, so admission
-// errors tell the caller what would have been accepted.
+// DefaultWorkload. Unknown names report the known set, so admission errors
+// tell the caller what would have been accepted.
 func LookupWorkload(name string) (Workload, error) {
 	if name == "" {
 		name = DefaultWorkload
 	}
-	registryMu.RLock()
-	w, ok := registry[name]
-	registryMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("sched: unknown workload %q (registered: %s)",
-			name, strings.Join(Workloads(), ", "))
+	for _, w := range workloads {
+		if w.name == name {
+			return w, nil
+		}
 	}
-	return w, nil
+	return nil, fmt.Errorf("sched: unknown workload %q (known: %s)",
+		name, strings.Join(Workloads(), ", "))
 }
 
-// Workloads returns the sorted names of all registered workloads.
+// Workloads returns the sorted names of the built-in workloads.
 func Workloads() []string {
-	registryMu.RLock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
+	names := make([]string, len(workloads))
+	for i, w := range workloads {
+		names[i] = w.name
 	}
-	registryMu.RUnlock()
-	sort.Strings(names)
 	return names
 }
 
@@ -107,8 +88,7 @@ type nodeFunc func(id dag.NodeID, parentValues []uint64) uint64
 
 // funcWorkload adapts a nodeFunc into a full Workload: Compute folds in
 // spin()-emulated per-node work, Serial is a cancellable topological sweep,
-// and Verify compares elementwise. All built-in workloads are funcWorkloads;
-// external implementations may satisfy Workload directly.
+// and Verify compares elementwise. Every built-in workload is one.
 type funcWorkload struct {
 	name string
 	fn   nodeFunc
@@ -124,9 +104,8 @@ func (w *funcWorkload) Compute(work int) Compute {
 	}
 }
 
-// PureCompute implements SplitComputable: the recurrence with no emulated
-// work, for split-work runs where the scheduler spins on the workload's
-// behalf. The serial reference still spins inline, so split and unsplit
+// PureCompute is the recurrence with no emulated work, for split-work runs
+// where the scheduler spins on the workload's behalf. The serial reference still spins inline, so split and unsplit
 // runs verify against the same values (spin never feeds the recurrence).
 func (w *funcWorkload) PureCompute() Compute {
 	fn := w.fn
@@ -187,21 +166,6 @@ func serialSweep(ctx context.Context, d *dag.DAG, work int, fn nodeFunc) ([]uint
 		values[u] = fn(u, buf)
 	}
 	return values, nil
-}
-
-// Built-in workloads. pathcount is the original source→sink path counter;
-// hashchain stresses ordering correctness with a non-commutative mix; and
-// longestpath computes each node's critical-path depth.
-func init() {
-	for _, w := range []*funcWorkload{
-		{name: "pathcount", fn: pathCountFn},
-		{name: "hashchain", fn: hashChainFn},
-		{name: "longestpath", fn: longestPathFn},
-	} {
-		if err := RegisterWorkload(w); err != nil {
-			panic(err)
-		}
-	}
 }
 
 // pathCountFn counts distinct source→any-node paths: sources get 1, every

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -9,19 +10,11 @@ import (
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/gen"
 )
 
+// TestRegistryBuiltins pins the built-in table: its names, sorted, and what
+// the empty name and an unknown one resolve to.
 func TestRegistryBuiltins(t *testing.T) {
-	names := Workloads()
-	for _, want := range []string{"pathcount", "hashchain", "longestpath"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("built-in workload %q not registered (have %v)", want, names)
-		}
+	if got, want := Workloads(), []string{"hashchain", "longestpath", "pathcount"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Workloads() = %v, want %v", got, want)
 	}
 	def, err := LookupWorkload("")
 	if err != nil {
@@ -33,21 +26,12 @@ func TestRegistryBuiltins(t *testing.T) {
 	if _, err := LookupWorkload("bogus"); err == nil {
 		t.Error("LookupWorkload(bogus) succeeded")
 	} else if !strings.Contains(err.Error(), "pathcount") {
-		t.Errorf("unknown-workload error should name the registered set, got %v", err)
+		t.Errorf("unknown-workload error should name the known set, got %v", err)
 	}
 }
 
-func TestRegisterWorkloadRejectsBadNames(t *testing.T) {
-	if err := RegisterWorkload(&funcWorkload{name: "", fn: pathCountFn}); err == nil {
-		t.Error("empty-name registration succeeded")
-	}
-	if err := RegisterWorkload(&funcWorkload{name: DefaultWorkload, fn: pathCountFn}); err == nil {
-		t.Error("duplicate registration succeeded")
-	}
-}
-
-// TestAllWorkloadsParallelMatchesSerial is the registry-wide version of the
-// original pathcount self-check: every registered workload must verify its
+// TestAllWorkloadsParallelMatchesSerial is the table-wide version of the
+// original pathcount self-check: every built-in workload must verify its
 // parallel result against its own serial reference, on both generator
 // shapes, with and without emulated work.
 func TestAllWorkloadsParallelMatchesSerial(t *testing.T) {

@@ -4,7 +4,7 @@
 //	GET  /v1/runs             list runs (?state=/?tenant= filters, ?limit=&cursor= pagination)
 //	GET  /v1/runs/{id}        poll one run's status/result (?wait=1s long-polls until terminal)
 //	POST /v1/runs/{id}/cancel request cancellation
-//	GET  /v1/workloads        list registered workloads + the service default
+//	GET  /v1/workloads        list built-in workloads + the service default
 //	GET  /healthz             liveness; reads no state (stays 200 while draining)
 //	GET  /readyz              readiness; 503 shutting_down once shutdown starts
 //	GET  /metrics             Prometheus text exposition of every dagd metric

@@ -154,9 +154,8 @@ func TestEndToEndBothShapes(t *testing.T) {
 	}
 }
 
-// TestEndToEndAllWorkloads submits one run per registered workload over
-// HTTP and requires each to pass its serial-vs-parallel self-check — the
-// acceptance criterion for workload pluggability.
+// TestEndToEndAllWorkloads submits one run per built-in workload over HTTP
+// and requires each to pass its serial-vs-parallel self-check.
 func TestEndToEndAllWorkloads(t *testing.T) {
 	ts := newTestServer(t, core.ServiceOptions{QueueDepth: 8, Dispatchers: 2})
 	for _, name := range sched.Workloads() {

@@ -36,8 +36,7 @@ const (
 	// violations, bad shapes, or a malformed explicit graph (self-loop,
 	// duplicate/out-of-range edge, cycle). HTTP 400.
 	CodeInvalidSpec Code = "invalid_spec"
-	// CodeUnknownWorkload: the spec names a workload absent from the
-	// registry. HTTP 400.
+	// CodeUnknownWorkload: the spec names no built-in workload. HTTP 400.
 	CodeUnknownWorkload Code = "unknown_workload"
 	// CodeUnsupportedMediaType: the request body's Content-Type is not
 	// application/json. HTTP 415.

@@ -62,7 +62,7 @@ type RunSpec struct {
 	Width    int     `json:"width,omitempty"`    // pipeline width (pipeline); max branching (dynamic)
 	Seed     int64   `json:"seed,omitempty"`     // generator seed (random, dynamic)
 	Edges    []Edge  `json:"edges,omitempty"`    // literal edge list (explicit)
-	Workload string  `json:"workload,omitempty"` // registered workload name; "" = server default
+	Workload string  `json:"workload,omitempty"` // built-in workload name; "" = server default
 	Work     int     `json:"work,omitempty"`     // busy-work iterations per node
 	Workers  int     `json:"workers,omitempty"`  // per-run scheduler pool size; 0 = server default
 	// ParallelWork splits each node's Work across idle scheduler workers
@@ -127,9 +127,8 @@ type Run struct {
 	// Lifecycle timestamps, each stamped when the run crosses the matching
 	// transition: CreatedAt at admission, DispatchedAt when a dispatcher
 	// popped it off the queue, StartedAt when the queued→running transition
-	// was applied (the gap to DispatchedAt is the server's Begin overhead,
-	// a wait for the run store's map lock; nothing is logged there),
-	// FinishedAt at the terminal transition. Clients
+	// was applied (a lease stamps both from one clock read, so they are
+	// equal), FinishedAt at the terminal transition. Clients
 	// compute queue-vs-execute breakdowns from these.
 	CreatedAt    time.Time  `json:"created_at"`
 	DispatchedAt *time.Time `json:"dispatched_at,omitempty"`

@@ -145,7 +145,7 @@ func decodeError(resp *http.Response) error {
 
 // SubmitOptions carries the execution knobs shared by every shape.
 type SubmitOptions struct {
-	Workload string // registered workload name; "" = server default
+	Workload string // built-in workload name; "" = server default
 	Work     int    // busy-work iterations per node
 	Workers  int    // per-run scheduler pool size; 0 = server default
 }
@@ -262,7 +262,7 @@ func (c *Client) Cancel(ctx context.Context, id string) (*api.Run, error) {
 	return &r, nil
 }
 
-// Workloads lists the registered workload names and the server default.
+// Workloads lists the built-in workload names and the server default.
 func (c *Client) Workloads(ctx context.Context) (*api.WorkloadList, error) {
 	var wl api.WorkloadList
 	if err := c.do(ctx, http.MethodGet, "/v1/workloads", nil, nil, &wl); err != nil {
