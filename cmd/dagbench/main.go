@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strconv"
 	"time"
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/gen"
@@ -55,7 +56,7 @@ func main() {
 		edges     = flag.String("edges", "", `explicit edge list as JSON, e.g. [[0,1],[1,2]] (explicit shape)`)
 		work      = flag.Int("work", 0, "busy-work iterations per node (Nabbit W)")
 		parallel  = flag.Bool("parallel-work", false, "split each node's work across idle workers (Nabbit UseParallelNodes)")
-		workers   = flag.Int("workers", 0, "worker pool size (0 = NumCPU)")
+		workers   = flag.Int("workers", 0, "worker pool size (0 = NumCPU); a run with -work below the serial grain ("+strconv.Itoa(sched.SerialGrain)+") is walked on one goroutine instead, and BenchmarkGrid measures the pool at a fixed P")
 		workload  = flag.String("workload", "", "built-in workload name (empty = "+sched.DefaultWorkload+")")
 		list      = flag.Bool("list-workloads", false, "print built-in workload names and exit")
 		timeout   = flag.Duration("timeout", 5*time.Minute, "overall run timeout")

@@ -52,11 +52,13 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"syscall"
 	"time"
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/core"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/fleet"
+	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/sched"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/server"
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/tenant"
 )
@@ -66,7 +68,7 @@ func main() {
 		addr         = flag.String("addr", ":8080", "listen address")
 		queueDepth   = flag.Int("queue", 256, "dispatch queue depth (max waiting runs)")
 		dispatchers  = flag.Int("dispatchers", 0, "concurrent run executions (0 = NumCPU)")
-		runWorkers   = flag.Int("run-workers", 0, "default scheduler pool size per run (0 = NumCPU)")
+		runWorkers   = flag.Int("run-workers", 0, "default scheduler pool size per run (0 = NumCPU); a run with work below the serial grain ("+strconv.Itoa(sched.SerialGrain)+") is walked on one goroutine instead")
 		retainRuns   = flag.Int("retain", 0, "terminal runs to keep, oldest evicted first (0 = 4096, negative = unlimited)")
 		dataDir      = flag.String("data-dir", "", "directory for the durable run WAL; empty = in-memory store (state lost on restart)")
 		fsync        = flag.Bool("fsync", false, "fsync the WAL before acknowledging each transition (needs -data-dir); off = durable against crash, not power loss")

@@ -35,6 +35,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -51,7 +52,7 @@ func main() {
 		coordinator = flag.String("coordinator", "", "base URL of the coordinator's fleet listener, e.g. http://127.0.0.1:8081 (required)")
 		name        = flag.String("name", "", "worker name, the prefix of the coordinator-assigned worker ID (empty = hostname)")
 		capacity    = flag.Int("capacity", 1, "runs executed concurrently")
-		runWorkers  = flag.Int("run-workers", 0, "default scheduler pool size per run (0 = NumCPU)")
+		runWorkers  = flag.Int("run-workers", 0, "default scheduler pool size per run (0 = NumCPU); a run with work below the serial grain ("+strconv.Itoa(sched.SerialGrain)+") is walked on one goroutine instead")
 	)
 	flag.Parse()
 

@@ -46,11 +46,19 @@ var (
 	offsets slab.List[int32]
 )
 
-// ParentArrays returns recycled arrays for an n-node graph's m parent
-// entries in compressed-sparse-row form, for the caller to fill and hand to
-// FromParents: off of length n+1 and list of length m, neither cleared.
-func ParentArrays(n, m int) (off []int32, list []NodeID) {
-	return offsets.Get(n + 1), ids.Get(m)
+// Offsets and IDs return recycled arrays of length n, not cleared, from the
+// free lists a DAG's offsets and its lists come from: a generator fills an
+// n-node graph's m parent entries in compressed-sparse-row form in
+// Offsets(n+1) and IDs(m) and hands them to FromParents, and gen's dynamic
+// expander grows its levels in them. ReleaseArrays takes back what a caller
+// is done with; either side may be nil.
+func Offsets(n int) []int32 { return offsets.Get(n) }
+
+func IDs(n int) []NodeID { return ids.Get(n) }
+
+func ReleaseArrays(off []int32, list []NodeID) {
+	offsets.Put(off)
+	ids.Put(list)
 }
 
 // NodeID identifies a node in a DAG. Nodes are dense integers in [0, N).
@@ -247,7 +255,7 @@ func idOrder(n int) []NodeID {
 //
 // FromParents keeps off and list as the DAG's parents side, and Release
 // recycles them with the rest of the DAG: the caller must not use them
-// afterwards. ParentArrays takes them from the same free lists.
+// afterwards. Offsets and IDs take them from the same free lists.
 func FromParents(n int, off []int32, list []NodeID) (*DAG, error) {
 	d, err := BorrowParents(n, off, list)
 	if err == nil {

@@ -340,9 +340,9 @@ func TestReleaseLeavesBorrowedParents(t *testing.T) {
 	}
 	// Nothing of the caller's is handed out again.
 	for i := 0; i < 8; i++ {
-		o, p := ParentArrays(3, 3)
+		o, p := Offsets(4), IDs(3)
 		if &o[0] == &off[0] || &p[0] == &parents[0] {
-			t.Fatal("ParentArrays returned an array BorrowParents' caller still owns")
+			t.Fatal("Offsets or IDs returned an array BorrowParents' caller still owns")
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -57,6 +56,52 @@ type Dyn struct {
 	rng *rand.Rand // guarded by mu
 }
 
+// rngs recycles the expanders' generators: at about 5 KB a source is the
+// largest thing a warm dynamic run would otherwise allocate.
+var rngs sync.Pool
+
+// newRand returns a generator seeded with seed, recycled if one is free.
+// Seeding resets the whole state, so it draws what a new one would.
+func newRand(seed int64) *rand.Rand {
+	if r, ok := rngs.Get().(*rand.Rand); ok {
+		r.Seed(seed)
+		return r
+	}
+	return rand.New(rand.NewSource(seed))
+}
+
+// Release returns every array the expander grew to the free lists: the
+// newest state's and those the states before it left behind when a level
+// moved an array to a larger one. Neither the expander nor a DAG FinalDAG
+// made of it may be used afterwards; a second Release does nothing. An
+// expander that is never released leaves its arrays to the garbage
+// collector.
+func (d *Dyn) Release() {
+	d.mu.Lock()
+	if d.rng != nil {
+		rngs.Put(d.rng)
+		d.rng = nil
+	}
+	d.mu.Unlock()
+	// States that hold the same array are consecutive, and the oldest of
+	// them returns it. A move always raises the capacity.
+	for g := d.graph.Swap(nil); g != nil; g = g.prev {
+		p := g.prev
+		if p == nil || cap(p.parOff) != cap(g.parOff) {
+			dag.ReleaseArrays(g.parOff, nil)
+		}
+		if p == nil || cap(p.parents) != cap(g.parents) {
+			dag.ReleaseArrays(nil, g.parents)
+		}
+		if p == nil || cap(p.kidOff) != cap(g.kidOff) {
+			dag.ReleaseArrays(g.kidOff, nil)
+		}
+		if p == nil || cap(p.kids) != cap(g.kids) {
+			dag.ReleaseArrays(nil, g.kids)
+		}
+	}
+}
+
 // dynGraph is one published state of a Dyn: immutable once stored. The
 // parents of node v are parents[parOff[v]:parOff[v+1]], primary parent
 // first; a node below last has its children in kids[kidOff[u]:kidOff[u+1]],
@@ -69,7 +114,8 @@ type dynGraph struct {
 	kids    []dag.NodeID
 	last    int
 	depth   int
-	err     error // sticky growth-bound error
+	err     error     // sticky growth-bound error
+	prev    *dynGraph // the state this one grew from, for Release
 }
 
 func (g *dynGraph) numNodes() int { return len(g.parOff) - 1 }
@@ -109,9 +155,11 @@ func NewDynamic(cfg Config, limits DynLimits) (*Dyn, error) {
 		width:  cfg.Width,
 		p:      cfg.EdgeProb,
 		limits: limits,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		rng:    newRand(cfg.Seed),
 	}
-	d.graph.Store(&dynGraph{parOff: []int32{0, 0}, kidOff: []int32{0}})
+	parOff, kidOff := dag.Offsets(2), dag.Offsets(1)
+	parOff[0], parOff[1], kidOff[0] = 0, 0, 0
+	d.graph.Store(&dynGraph{parOff: parOff, kidOff: kidOff})
 	return d, nil
 }
 
@@ -161,7 +209,9 @@ func (d *Dyn) grow(seen *dynGraph) *dynGraph {
 // published), so the shared PRNG is consumed deterministically: first every
 // previous-level node's child count, then every new node's cross-parent
 // draws. The slices it appends to may share backing arrays with g; it only
-// writes past g's lengths, where no reader looks.
+// writes past g's lengths, where no reader looks. An array too small for the
+// level moves to a larger one from the free lists; the old one stays with g
+// until Release.
 func (d *Dyn) growLocked(g *dynGraph) (*dynGraph, error) {
 	level := g.depth + 1
 	first, n := g.last, g.numNodes() // the previous level is [first, n)
@@ -169,7 +219,8 @@ func (d *Dyn) growLocked(g *dynGraph) (*dynGraph, error) {
 	parOff, parents, kidOff, kids := g.parOff, g.parents, g.kidOff, g.kids
 
 	// Child counts, checked against the caps node by node.
-	counts := make([]int32, 0, prev)
+	counts := dag.Offsets(prev)[:0]
+	defer dag.ReleaseArrays(counts, nil)
 	nodes, edges := n, len(parents)
 	for j := 0; j < prev; j++ {
 		c := 1 + d.rng.Intn(d.width)
@@ -195,11 +246,20 @@ func (d *Dyn) growLocked(g *dynGraph) (*dynGraph, error) {
 	if d.p > 0 && prev > 1 {
 		crosses = int(3 * d.p * float64(grown))
 	}
-	parOff = slices.Grow(parOff, grown)
-	parents = slices.Grow(parents, grown+crosses)
+	parOff = reserve(parOff, grown, dag.Offsets)
+	parents = reserve(parents, grown+crosses, dag.IDs)
 	for j, c := range counts {
 		for ; c > 0; c-- {
 			own := len(parents)
+			if len(parents)+4 > cap(parents) { // the primary and up to three cross-parents
+				// More cross-parents than expected: the array moves
+				// again, and one only this build held goes back now.
+				moved := reserve(parents, 4, dag.IDs)
+				if cap(parents) != cap(g.parents) {
+					dag.ReleaseArrays(nil, parents)
+				}
+				parents = moved
+			}
 			parents = append(parents, dag.NodeID(first+j))
 			if d.p > 0 && prev > 1 {
 				for t := 0; t < 3; t++ {
@@ -211,6 +271,13 @@ func (d *Dyn) growLocked(g *dynGraph) (*dynGraph, error) {
 						continue
 					}
 					if err := d.checkEdges(edges + 1); err != nil {
+						// Only this build holds an array it moved.
+						if cap(parOff) != cap(g.parOff) {
+							dag.ReleaseArrays(parOff, nil)
+						}
+						if cap(parents) != cap(g.parents) {
+							dag.ReleaseArrays(nil, parents)
+						}
 						return nil, err
 					}
 					edges++
@@ -220,20 +287,22 @@ func (d *Dyn) growLocked(g *dynGraph) (*dynGraph, error) {
 			parOff = append(parOff, int32(len(parents)))
 		}
 	}
-	next := &dynGraph{parOff: parOff, parents: parents, last: n, depth: level}
+	next := &dynGraph{parOff: parOff, parents: parents, last: n, depth: level, prev: g}
 
 	// The previous level's children: each node's primaries, then its
 	// cross-children in draw order, which is the order of the new nodes and
 	// of their parent lists. cursor holds each previous-level node's count
 	// of cross-children, then the slot its next one goes in.
-	cursor := make([]int32, prev)
+	cursor := dag.Offsets(prev)
+	defer dag.ReleaseArrays(cursor, nil)
+	clear(cursor)
 	for v := n; v < nodes; v++ {
 		for _, w := range next.parentsOf(dag.NodeID(v))[1:] {
 			cursor[int(w)-first]++
 		}
 	}
-	kidOff = slices.Grow(kidOff, prev)
-	kids = slices.Grow(kids, len(parents)-len(g.parents))
+	kidOff = reserve(kidOff, prev, dag.Offsets)
+	kids = reserve(kids, len(parents)-len(g.parents), dag.IDs)
 	child := dag.NodeID(n)
 	for j, c := range counts {
 		for ; c > 0; c-- {
@@ -256,6 +325,19 @@ func (d *Dyn) growLocked(g *dynGraph) (*dynGraph, error) {
 	}
 	next.kidOff, next.kids = kidOff, kids
 	return next, nil
+}
+
+// reserve returns s with room for n more elements: s itself if it has the
+// room, else a copy in an array from get, which returns a free list's
+// class-sized array. It never writes s's array, which published states may
+// be reading.
+func reserve[T any](s []T, n int, get func(int) []T) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	grown := get(len(s) + n)[:len(s)]
+	copy(grown, s)
+	return grown
 }
 
 // checkEdges fails if the graph may not hold m edges.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -452,5 +453,83 @@ func TestDynamicGrowthBoundPublishesNothing(t *testing.T) {
 		if fin.NumNodes() != nodes || fin.NumEdges() != edges {
 			t.Errorf("%+v: FinalDAG has %d/%d, want %d/%d", tc.limits, fin.NumNodes(), fin.NumEdges(), nodes, edges)
 		}
+	}
+}
+
+// TestDynamicReleaseRecycles pins that Release hands every array an
+// expander grew back exactly once. It releases an expander whose last build
+// failed at the edge cap after moving its parent arrays, then, twice each,
+// whole expanders of two seeds that grow slowly enough for states to share
+// arrays. An expander of each seed then lives on the released arrays at
+// once, so an array handed out twice would be written by both, and each
+// must draw the graph, parents and children, that a fresh one drew. Built
+// with the poison tag, the recycled arrays start all ones.
+func TestDynamicReleaseRecycles(t *testing.T) {
+	expand := func(cfg Config, limits DynLimits) (*Dyn, error) {
+		d, err := NewDynamic(cfg, limits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = walk(d, func([]dag.NodeID) {})
+		return d, err
+	}
+
+	fast := Config{Shape: Dynamic, Stages: 9, Width: 3, EdgeProb: 0.3, Seed: 7}
+	whole, err := expand(fast, DynLimits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The cap admits the last level's primary parents and one cross-parent,
+	// so its build fails among the cross-parents, after it grew its arrays.
+	g := whole.graph.Load()
+	limits := DynLimits{MaxEdges: int(g.parOff[g.last]) + g.numNodes() - g.last + 1}
+	whole.Release()
+	failed, err := expand(fast, limits)
+	if !errors.Is(err, ErrGrowthBound) {
+		t.Fatalf("walk under %+v = %v, want ErrGrowthBound", limits, err)
+	}
+	if c := cap(failed.graph.Load().parents); c >= limits.MaxEdges {
+		t.Fatalf("the failed build's parents fit the published array (cap %d), so it moved nothing", c)
+	}
+	failed.Release()
+
+	// A node's parents, then its children.
+	graphOf := func(d *Dyn) [][2][]dag.NodeID {
+		out := make([][2][]dag.NodeID, d.NumNodes())
+		for v := range out {
+			kids, err := d.Expand(dag.NodeID(v))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[v] = [2][]dag.NodeID{append([]dag.NodeID(nil), d.Parents(dag.NodeID(v))...), append([]dag.NodeID(nil), kids...)}
+		}
+		return out
+	}
+	slow := [2]Config{
+		{Shape: Dynamic, Stages: 12, Width: 2, EdgeProb: 0.3, Seed: 7},
+		{Shape: Dynamic, Stages: 12, Width: 2, EdgeProb: 0.3, Seed: 8},
+	}
+	var want [2][][2][]dag.NodeID
+	for i, cfg := range slow {
+		d, err := expand(cfg, DynLimits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = graphOf(d)
+		d.Release()
+		d.Release()
+	}
+
+	var twins [2]*Dyn
+	for i, cfg := range slow {
+		if twins[i], err = expand(cfg, DynLimits{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, d := range twins {
+		if got := graphOf(d); !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("%+v on released arrays drew a different graph (%d nodes, want %d)", slow[i], len(got), len(want[i]))
+		}
+		d.Release()
 	}
 }

@@ -211,7 +211,7 @@ func ChainDAG(n int) (*dag.DAG, error) {
 		return nil, err
 	}
 	// Node v > 0 has the one parent v-1.
-	off, parents := dag.ParentArrays(n, n-1)
+	off, parents := dag.Offsets(n+1), dag.IDs(n-1)
 	off[0], off[1] = 0, 0
 	for v := 1; v < n; v++ {
 		parents[v-1] = dag.NodeID(v - 1)
@@ -395,7 +395,7 @@ func PipelineDAG(stages, width int) (*dag.DAG, error) {
 	id := func(s, i int) dag.NodeID { return dag.NodeID(1 + s*width + i) }
 	// An interior column has three parents, the two edge columns two; the
 	// arrays are filled by appending within their exact lengths.
-	off, parents := dag.ParentArrays(n, 2*width+(stages-1)*(3*width-2))
+	off, parents := dag.Offsets(n+1), dag.IDs(2*width+(stages-1)*(3*width-2))
 	off, parents = append(off[:0], 0, 0), parents[:0] // the source, node 0, has no parent
 	for i := 0; i < width; i++ {
 		parents = append(parents, 0) // the source feeds all of stage 0

@@ -45,10 +45,18 @@ var lookupWorkload = sched.LookupWorkload
 // garbage collector.
 //
 // defaultWorkers is used when spec.Workers is 0 (<= 0 falls back to
-// NumCPU). On a verification mismatch the measured Result (with Match
-// false) is returned alongside an error wrapping ErrMismatch; on unknown
-// workloads, generation, or cancellation errors the Result is nil. Execute
-// does not call spec.Validate — admission policy belongs to the caller.
+// NumCPU). A run whose per-node work is below sched.SerialGrain is walked
+// whatever its worker count: its pass is one sweep on the caller's
+// goroutine (sched.Walk, sched.WalkDynamic), because there a node costs
+// less than the pool spends to schedule it, and its Result reports one
+// worker. At or above the grain the pass runs on the work-stealing pool at
+// the requested width. Either way the pass goes through the workload's
+// Compute hook and the reference checks it.
+//
+// On a verification mismatch the measured Result (with Match false) is
+// returned alongside an error wrapping ErrMismatch; on unknown workloads,
+// generation, or cancellation errors the Result is nil. Execute does not
+// call spec.Validate — admission policy belongs to the caller.
 func Execute(ctx context.Context, spec Spec, defaultWorkers int) (*Result, error) {
 	workload, err := lookupWorkload(spec.Workload)
 	if err != nil {
@@ -61,8 +69,12 @@ func Execute(ctx context.Context, spec Spec, defaultWorkers int) (*Result, error
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
+	walk := spec.Work < sched.SerialGrain
+	if walk {
+		workers = 1
+	}
 	if spec.Shape == gen.Dynamic {
-		return executeDynamic(ctx, spec, workload, workers)
+		return executeDynamic(ctx, spec, workload, workers, walk)
 	}
 	d, err := gen.Generate(spec.Config)
 	if err != nil {
@@ -73,10 +85,10 @@ func Execute(ctx context.Context, spec Spec, defaultWorkers int) (*Result, error
 	// per-node work itself, sliced across idle workers, and finalizes each
 	// node with the workload's pure hook. The serial reference is
 	// untouched — spin never feeds the recurrence — so Verify still compares
-	// like with like.
+	// like with like. A walked run has no idle workers to slice for.
 	opts := sched.Options{Workers: workers}
 	hook := workload.Compute(spec.Work)
-	if spec.ParallelWork {
+	if spec.ParallelWork && !walk {
 		opts.SplitWork = spec.Work
 		hook = workload.PureCompute()
 	}
@@ -91,7 +103,12 @@ func Execute(ctx context.Context, spec Spec, defaultWorkers int) (*Result, error
 		ref = sweep(ctx, workload, d, spec.Work)
 	}()
 	t1 := time.Now()
-	parallel, err := sched.New(d, opts).Run(ctx, hook)
+	var parallel []uint64
+	if walk {
+		parallel, err = sched.Walk(ctx, d, spec.Work, hook)
+	} else {
+		parallel, err = sched.New(d, opts).Run(ctx, hook)
+	}
 	parallelDur := time.Since(t1)
 	<-joined
 	defer release(d, parallel, ref.values)
@@ -132,13 +149,20 @@ func sweep(ctx context.Context, workload sched.Workload, d *dag.DAG, work int) r
 // the parallel pass executes (bounded by the service growth caps), and the
 // serial reference then sweeps the *final* graph — it necessarily runs
 // after the parallel pass, not beside it as on the static shapes.
-func executeDynamic(ctx context.Context, spec Spec, workload sched.Workload, workers int) (*Result, error) {
+func executeDynamic(ctx context.Context, spec Spec, workload sched.Workload, workers int, walk bool) (*Result, error) {
 	dyn, err := gen.NewDynamic(spec.Config, gen.DynLimits{MaxNodes: MaxNodes, MaxEdges: MaxEdges})
 	if err != nil {
 		return nil, err
 	}
+	defer dyn.Release()
+	hook := workload.Compute(spec.Work)
 	t1 := time.Now()
-	parallel, err := sched.RunDynamic(ctx, dyn, workers, workload.Compute(spec.Work))
+	var parallel []uint64
+	if walk {
+		parallel, err = sched.WalkDynamic(ctx, dyn, spec.Work, hook)
+	} else {
+		parallel, err = sched.RunDynamic(ctx, dyn, workers, hook)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +184,8 @@ func executeDynamic(ctx context.Context, spec Spec, workload sched.Workload, wor
 
 // release returns a finished run's graph and both passes' values to the
 // free lists. The final DAG of a dynamic run borrows the expander's parent
-// arrays, which its Release leaves alone.
+// arrays, which its Release leaves alone: the expander's own Release, after
+// this one, returns them.
 func release(d *dag.DAG, parallel, serial []uint64) {
 	d.Release()
 	sched.ReleaseValues(parallel)

@@ -16,7 +16,9 @@ import (
 // workload: the graph's size and depth, and the sum of its sink values. The
 // values were recorded before node IDs narrowed to 32 bits and before the
 // freeze learned to skip Kahn's pass, so they hold a run's outcome fixed
-// across the graph's representation, not just its digest.
+// across the graph's representation, not just its digest. Every spec is
+// below the serial grain, so Execute walks it; each is also sent to the
+// pool at two and four workers, and all three must match the goldens.
 func TestGoldenResults(t *testing.T) {
 	names := append([]string(nil), goldenWorkloads[:]...)
 	sort.Strings(names)
@@ -77,19 +79,34 @@ var goldenCases = []goldenCase{
 		200, 516, 17, [3]uint64{0x45f, 0xfbddefc7dee4b2b4, 0x11}},
 }
 
-// checkGolden executes tc under its i-th workload and reports, with
-// t.Errorf so that any goroutine may call it, where the result departs from
-// the golden one.
+// checkGolden executes tc under its i-th workload, walked by Execute and on
+// the pool at two and four workers, and reports, with t.Errorf so that any
+// goroutine may call it, where a result departs from the golden one. The
+// pool passes raise the spec's work to the serial grain, which reaches the
+// pool without moving a value: spin never feeds the recurrence.
 func checkGolden(t *testing.T, tc goldenCase, i int) {
-	spec := tc.spec
-	spec.Workload = goldenWorkloads[i]
-	res, err := Execute(context.Background(), spec, 2)
-	if err != nil {
-		t.Errorf("%s %s: %v", tc.name, spec.Workload, err)
-		return
-	}
-	if res.Nodes != tc.nodes || res.Edges != tc.edges || res.Depth != tc.depth || res.SinkPaths != tc.sinks[i] {
-		t.Errorf("%s %s: nodes %d edges %d depth %d sinks %#x, want %d %d %d %#x",
-			tc.name, spec.Workload, res.Nodes, res.Edges, res.Depth, res.SinkPaths, tc.nodes, tc.edges, tc.depth, tc.sinks[i])
+	for _, pass := range []struct {
+		name          string
+		work, workers int
+	}{
+		{"walked", tc.spec.Work, 0},
+		{"P=2", sched.SerialGrain, 2},
+		{"P=4", sched.SerialGrain, 4},
+	} {
+		spec := tc.spec
+		spec.Workload = goldenWorkloads[i]
+		spec.Work, spec.Workers = pass.work, pass.workers
+		res, err := Execute(context.Background(), spec, 2)
+		if err != nil {
+			t.Errorf("%s %s %s: %v", tc.name, spec.Workload, pass.name, err)
+			continue
+		}
+		if want := max(pass.workers, 1); res.Workers != want {
+			t.Errorf("%s %s %s: %d workers, want %d", tc.name, spec.Workload, pass.name, res.Workers, want)
+		}
+		if res.Nodes != tc.nodes || res.Edges != tc.edges || res.Depth != tc.depth || res.SinkPaths != tc.sinks[i] {
+			t.Errorf("%s %s %s: nodes %d edges %d depth %d sinks %#x, want %d %d %d %#x", tc.name, spec.Workload, pass.name,
+				res.Nodes, res.Edges, res.Depth, res.SinkPaths, tc.nodes, tc.edges, tc.depth, tc.sinks[i])
+		}
 	}
 }

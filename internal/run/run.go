@@ -98,7 +98,10 @@ type Spec struct {
 	gen.Config
 	Workload string `json:"workload,omitempty"` // built-in workload name; "" = the default (pathcount)
 	Work     int    `json:"work,omitempty"`     // busy-work iterations per node (Nabbit W)
-	Workers  int    `json:"workers,omitempty"`  // per-run worker pool size; 0 = service default
+	// Workers is the run's worker pool size; 0 means the service default.
+	// It applies from sched.SerialGrain up: Execute walks a run of lower
+	// Work on one goroutine whatever Workers says.
+	Workers int `json:"workers,omitempty"`
 	// ParallelWork enables intra-node parallelism (Nabbit UseParallelNodes):
 	// each node's Work iterations are split into sub-tasks that idle workers
 	// steal, instead of burning on one worker. Every workload splits; not
@@ -250,6 +253,9 @@ func (s Spec) validateShape() error {
 // uses every core Speedup is the ratio of two passes that shared the cores,
 // not a Nabbit T1/TP; that is ParallelMillis at one worker over
 // ParallelMillis at P, on a machine with a core to spare for the reference.
+//
+// Workers is the width the pass ran at: the requested pool size from
+// sched.SerialGrain up, and 1 for a walked run below it.
 type Result struct {
 	Workload       string  `json:"workload"`
 	Nodes          int     `json:"nodes"`

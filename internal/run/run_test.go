@@ -675,25 +675,72 @@ func init() {
 // TestExecuteMismatch covers the self-check failure path: a broken workload
 // must yield Match=false and an error wrapping ErrMismatch, with the
 // measured Result still returned so callers can report timings alongside
-// the failure.
+// the failure. The pass goes through the workload's Compute hook whether
+// the run is walked (below the serial grain) or on the pool (at it).
 func TestExecuteMismatch(t *testing.T) {
 	spec := pipelineSpec()
 	spec.Workload = brokenWorkloadName
-	res, err := Execute(context.Background(), spec, 2)
-	if !errors.Is(err, ErrMismatch) {
-		t.Fatalf("Execute(broken) error = %v, want ErrMismatch", err)
+	for _, work := range []int{spec.Work, sched.SerialGrain} {
+		spec.Work = work
+		res, err := Execute(context.Background(), spec, 2)
+		if !errors.Is(err, ErrMismatch) {
+			t.Fatalf("W=%d: Execute(broken) error = %v, want ErrMismatch", work, err)
+		}
+		if res == nil {
+			t.Fatalf("W=%d: mismatch path returned nil Result; measured timings must survive the failure", work)
+		}
+		if res.Match {
+			t.Errorf("W=%d: mismatch result has Match=true", work)
+		}
+		if res.Workload != brokenWorkloadName {
+			t.Errorf("W=%d: result workload = %q, want %q", work, res.Workload, brokenWorkloadName)
+		}
+		if res.Nodes == 0 {
+			t.Errorf("W=%d: mismatch result lost its measurements", work)
+		}
+		want := 2
+		if work < sched.SerialGrain {
+			want = 1
+		}
+		if res.Workers != want {
+			t.Errorf("W=%d: %d workers, want %d", work, res.Workers, want)
+		}
 	}
-	if res == nil {
-		t.Fatal("mismatch path returned nil Result; measured timings must survive the failure")
-	}
-	if res.Match {
-		t.Error("mismatch result has Match=true")
-	}
-	if res.Workload != brokenWorkloadName {
-		t.Errorf("result workload = %q, want %q", res.Workload, brokenWorkloadName)
-	}
-	if res.Nodes == 0 {
-		t.Error("mismatch result lost its measurements")
+}
+
+// TestExecuteChoosesPassByGrain pins where Execute elides the pool: below
+// sched.SerialGrain a run is walked — one worker reported, no steal, every
+// node counted — and at the grain it gets the width it asked for.
+func TestExecuteChoosesPassByGrain(t *testing.T) {
+	pipeline := gen.Config{Shape: gen.Pipeline, Stages: 50, Width: 4}
+	dynamic := gen.Config{Shape: gen.Dynamic, Stages: 8, Width: 3, EdgeProb: 0.3, Seed: 21}
+	for _, tc := range []struct {
+		cfg         gen.Config
+		work        int
+		wantWorkers int
+	}{
+		{pipeline, 0, 1},
+		{pipeline, sched.SerialGrain - 1, 1},
+		{pipeline, sched.SerialGrain, 4},
+		{dynamic, 0, 1},
+		{dynamic, sched.SerialGrain - 1, 1},
+		{dynamic, sched.SerialGrain, 4},
+	} {
+		spec := Spec{Config: tc.cfg, Work: tc.work, Workers: 4}
+		nodes, steals := sched.NodesExecuted(), sched.Steals()
+		res, err := Execute(context.Background(), spec, 2)
+		if err != nil {
+			t.Fatalf("%v W=%d: %v", tc.cfg.Shape, tc.work, err)
+		}
+		if res.Workers != tc.wantWorkers {
+			t.Errorf("%v W=%d: %d workers, want %d", tc.cfg.Shape, tc.work, res.Workers, tc.wantWorkers)
+		}
+		if moved := sched.NodesExecuted() - nodes; moved != int64(res.Nodes) {
+			t.Errorf("%v W=%d: NodesExecuted moved by %d, want %d", tc.cfg.Shape, tc.work, moved, res.Nodes)
+		}
+		if tc.wantWorkers == 1 && sched.Steals() != steals {
+			t.Errorf("%v W=%d: a walked run moved Steals by %d", tc.cfg.Shape, tc.work, sched.Steals()-steals)
+		}
 	}
 }
 

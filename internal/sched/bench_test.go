@@ -18,7 +18,7 @@ type gridRow struct {
 	split bool // parallel_work: the scheduler slices each node's W (Options.SplitWork)
 }
 
-var gridWorks = []int{0, 50, 500, 5000}
+var gridWorks = []int{0, 50, 100, 200, 500, 5000}
 
 // The graphs are engine_fine's in bench/engine.go. A dynamic pass pays for
 // the expansion, as a dynamic run does, while serial sweeps the final DAG,
@@ -47,7 +47,12 @@ var gridRows = []gridRow{
 //
 // A column is the pass alone at P=1, 2 or 4 workers, through Executor.Run
 // or RunDynamic (never run.Execute, whose reference sweep takes a core),
-// or serial, the workload's reference sweep, so a row shows T1/TS. A cell
+// or serial, the workload's reference sweep, so a row shows T1/TS. Below
+// SerialGrain run.Execute walks a run instead: on a static row that is the
+// serial sweep's loop through the run's Compute hook, so the serial column
+// times it, and on dynamic, where the walk also expands the graph, a walk
+// column does. The lowest W at which some row's P column beats its walk is
+// where the pool starts to pay, and SerialGrain is read off it. A cell
 // checks its first pass against the serial sweep before it times anything,
 // and reports ns/node over the nodes it ran and depth, T∞ in nodes. A P>1
 // cell also times P=1 on the same graph and reports speedup, T1/TP, and
@@ -74,6 +79,9 @@ func BenchmarkGrid(b *testing.B) {
 					defer ReleaseValues(ref)
 					check := func(vals []uint64) error { return w.Verify(d, ref, vals) }
 					gridCell(b, "serial", 1, d, check, func(int) ([]uint64, error) { return w.Serial(ctx, d, work) })
+					if row.cfg.Shape == gen.Dynamic {
+						gridCell(b, "walk", 1, d, check, row.walk(ctx, w, work))
+					}
 					pass := row.pass(ctx, w, d, work)
 					for _, p := range []int{1, 2, 4} {
 						gridCell(b, fmt.Sprintf("P=%d", p), p, d, check, pass)
@@ -102,9 +110,24 @@ func (r gridRow) graph(ctx context.Context) (*dag.DAG, error) {
 	return dyn.FinalDAG()
 }
 
+// walk returns the dynamic row's pass at W=work as run.Execute makes it
+// below SerialGrain: WalkDynamic over a fresh expander, released after it,
+// as a run releases its own.
+func (r gridRow) walk(ctx context.Context, w Workload, work int) func(int) ([]uint64, error) {
+	hook := w.Compute(work)
+	return func(int) ([]uint64, error) {
+		dyn, err := gen.NewDynamic(r.cfg, gen.DynLimits{})
+		if err != nil {
+			return nil, err
+		}
+		defer dyn.Release()
+		return WalkDynamic(ctx, dyn, work, hook)
+	}
+}
+
 // pass returns one parallel pass of the row at W=work on p workers. A
 // dynamic pass builds a fresh expander, so each one discovers the graph
-// anew.
+// anew, and releases it as a run does.
 func (r gridRow) pass(ctx context.Context, w Workload, d *dag.DAG, work int) func(p int) ([]uint64, error) {
 	hook, split := w.Compute(work), 0
 	if r.split {
@@ -116,6 +139,7 @@ func (r gridRow) pass(ctx context.Context, w Workload, d *dag.DAG, work int) fun
 			if err != nil {
 				return nil, err
 			}
+			defer dyn.Release()
 			return RunDynamic(ctx, dyn, p, hook)
 		}
 	}

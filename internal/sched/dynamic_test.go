@@ -182,8 +182,9 @@ func TestStaticGraphThroughDynamicEntry(t *testing.T) {
 
 // FuzzRunDynamic drives the expander and the scheduler together: whatever
 // the spec and pool size, the parallel values verify against the serial
-// sweep of the final graph, and the final graph itself is the one a
-// single-worker run discovers — a pure function of the spec.
+// sweep of the final graph, the final graph itself is the one a
+// single-worker run discovers — a pure function of the spec — and a walk
+// of the spec computes the pool's values node for node.
 func FuzzRunDynamic(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(2), uint8(77), uint8(4))
 	f.Add(int64(17), uint8(8), uint8(3), uint8(77), uint8(8))
@@ -228,10 +229,19 @@ func FuzzRunDynamic(f *testing.F) {
 			t.Fatalf("final graph depends on the pool: %d nodes/%d edges at P=%d, %d/%d at P=1",
 				final.NumNodes(), final.NumEdges(), pool, ref.NumNodes(), ref.NumEdges())
 		}
+		dyn, err := gen.NewDynamic(cfg, gen.DynLimits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		walked, err := WalkDynamic(context.Background(), dyn, 0, w.Compute(0))
+		if err != nil {
+			t.Fatalf("WalkDynamic: %v", err)
+		}
+		assertEqualCounts(t, vals, walked)
 		// Released, as run.Execute releases them, so the next input's run
 		// takes these arrays back: built with the poison tag, a slot a run
 		// reads before writing then reads all ones.
-		for _, v := range [][]uint64{vals, serial, refVals} {
+		for _, v := range [][]uint64{vals, serial, refVals, walked} {
 			ReleaseValues(v)
 		}
 		final.Release()

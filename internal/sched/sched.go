@@ -32,6 +32,14 @@
 // mutex hand-off establish happens-before between a parent's published
 // value and every reader (the memory-model note in steal.go), so runs are
 // clean under the race detector.
+//
+// A pool only pays when a node costs more than scheduling it. Walk and
+// WalkDynamic are the pass elided to one sweep on the caller's goroutine,
+// with no workers, deques, counters or wake channel (Cilk's serial
+// elision), and run.Execute walks every run whose per-node work is below
+// SerialGrain, a constant measured on BenchmarkGrid. Executor.Run and
+// RunDynamic keep their fixed width, so BenchmarkGrid still measures the
+// pool at P = 1, 2 and 4 whatever the work.
 package sched
 
 import (

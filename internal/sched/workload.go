@@ -115,7 +115,7 @@ func (w *funcWorkload) PureCompute() Compute {
 }
 
 func (w *funcWorkload) Serial(ctx context.Context, d *dag.DAG, work int) ([]uint64, error) {
-	return serialSweep(ctx, d, work, w.fn)
+	return sweep(ctx, d, work, w.Compute(work))
 }
 
 func (w *funcWorkload) Verify(d *dag.DAG, serial, parallel []uint64) error {
@@ -130,42 +130,6 @@ func (w *funcWorkload) Verify(d *dag.DAG, serial, parallel []uint64) error {
 		}
 	}
 	return nil
-}
-
-// serialSweep evaluates fn over d in topological order on one goroutine,
-// burning work spin iterations per node. It polls ctx on a spin-iteration
-// budget, not a fixed node stride: with heavy per-node work a 64-node
-// stride would mean seconds between checks, defeating prompt cancellation
-// and shutdown force-cancel. The values come from the free list
-// ReleaseValues returns them to, uncleared: the sweep writes every node's
-// before any child reads it.
-func serialSweep(ctx context.Context, d *dag.DAG, work int, fn nodeFunc) ([]uint64, error) {
-	const pollBudget = 1 << 20
-	pollEvery := 64
-	if work > 0 {
-		if pollEvery = pollBudget / work; pollEvery < 1 {
-			pollEvery = 1
-		} else if pollEvery > 64 {
-			pollEvery = 64
-		}
-	}
-	values := nodeValues.Get(d.NumNodes())
-	buf := make([]uint64, 0, 16)
-	for i, u := range d.TopoOrder() {
-		if i%pollEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				nodeValues.Put(values)
-				return nil, err
-			}
-		}
-		spin(work)
-		buf = buf[:0]
-		for _, p := range d.Parents(u) {
-			buf = append(buf, values[p])
-		}
-		values[u] = fn(u, buf)
-	}
-	return values, nil
 }
 
 // pathCountFn counts distinct source→any-node paths: sources get 1, every

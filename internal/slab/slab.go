@@ -4,12 +4,29 @@
 // run returns, and on a small machine fresh memory costs a page fault per
 // 4 KB besides the zeroing; a warm engine takes them ready-made instead.
 //
-// Class c holds slices of capacity 1<<c, each class a sync.Pool, so what
-// stays retained is bounded by the garbage collector's eviction of pools,
-// not by a cap of our own. Get returns a slice whose contents are whatever
-// its last user left: a caller clears what it reads before writing. Put
-// takes back only a slice whose capacity is a class size, which every Get
-// returns; anything else is left to the garbage collector.
+// Class c holds slices of capacity 1<<c. Each class keeps the last four
+// slices put back on a stack of its own, guarded by the list's mutex, and
+// Get takes from the top, so a slice released on one goroutine is found by
+// the next Get whichever processor either ran on. What a stack cannot take
+// goes to the class's sync.Pool, where a Get finds it only if the pool's
+// per-processor caches allow, and the garbage collector evicts it.
+//
+// The stacks are what the collector never reclaims, so they are capped by
+// bytes as well as by count: a list keeps at most 8 MiB on its stacks, and
+// a slice that would take it past that goes to the pool. The engine
+// declares seven lists (dag's ids and offsets, gen's edge lists and flags,
+// sched's values, counters and slice counters), so an idle process holds
+// at most 56 MiB in them, whatever size its runs were. Without the byte
+// cap, four slices per class of arrays at the service's caps (an edge list
+// of a random graph at MaxEdges reaches the 1<<23-entry class) left about
+// 300 MB in use after a handful of maximum-size runs and an idle
+// collection. The cap still holds every array of the benchmark's runs,
+// whose largest, a 100,000-node chain's values, is 1 MiB.
+//
+// Get returns a slice whose contents are whatever its last user left: a
+// caller clears what it reads before writing. Put takes back only a slice
+// whose capacity is a class size, which every Get returns; anything else
+// is left to the garbage collector.
 //
 // Built with the poison tag, Put overwrites a slice with all-ones bytes
 // before it is pooled (-1 for a signed integer, the maximum for an
@@ -21,13 +38,33 @@ package slab
 import (
 	"math/bits"
 	"sync"
+	"unsafe"
 )
 
-// List is a free list of []T, one pool per power-of-two capacity. The zero
+const (
+	// retain is how many released slices of one class a list keeps on its
+	// stack, beyond the garbage collector's reach. It covers the arrays of
+	// one class a run holds at once: a graph's two edge lists and its order,
+	// or both passes' values.
+	retain = 4
+	// budget is how many bytes a list keeps on all its stacks together.
+	budget = 8 << 20
+)
+
+// List is a free list of []T, one class per power-of-two capacity. The zero
 // value is ready to use; declare one per element type, in the package that
 // owns the type, and never copy it.
 type List[T any] struct {
-	classes [bits.UintSize]sync.Pool // class c holds *[]T of capacity 1<<c
+	mu     sync.Mutex
+	held   int                  // bytes on the stacks, at most budget
+	stacks [bits.UintSize][][]T // class c holds at most retain slices of capacity 1<<c
+	pools  [bits.UintSize]sync.Pool
+}
+
+// bytes returns the size of a slice of capacity c.
+func (l *List[T]) bytes(c int) int {
+	var zero T
+	return c * int(unsafe.Sizeof(zero))
 }
 
 // class returns the smallest c with 1<<c >= n, for n >= 1.
@@ -40,7 +77,17 @@ func (l *List[T]) Get(n int) []T {
 		return nil
 	}
 	c := class(n)
-	if p, ok := l.classes[c].Get().(*[]T); ok {
+	l.mu.Lock()
+	if k := len(l.stacks[c]); k > 0 {
+		s := l.stacks[c][k-1]
+		l.stacks[c][k-1] = nil
+		l.stacks[c] = l.stacks[c][:k-1]
+		l.held -= l.bytes(cap(s))
+		l.mu.Unlock()
+		return s[:n]
+	}
+	l.mu.Unlock()
+	if p, ok := l.pools[c].Get().(*[]T); ok {
 		return (*p)[:n]
 	}
 	return make([]T, n, 1<<c)
@@ -56,5 +103,16 @@ func (l *List[T]) Put(s []T) {
 	}
 	s = s[:c]
 	poison(s)
-	l.classes[class(c)].Put(&s)
+	k := class(c)
+	size := l.bytes(c)
+	l.mu.Lock()
+	if len(l.stacks[k]) < retain && l.held+size <= budget {
+		l.stacks[k] = append(l.stacks[k], s)
+		l.held += size
+		l.mu.Unlock()
+		return
+	}
+	l.mu.Unlock()
+	boxed := s // declared here, so only a Put that reaches the pool allocates its header
+	l.pools[k].Put(&boxed)
 }

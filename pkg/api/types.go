@@ -64,7 +64,10 @@ type RunSpec struct {
 	Edges    []Edge  `json:"edges,omitempty"`    // literal edge list (explicit)
 	Workload string  `json:"workload,omitempty"` // built-in workload name; "" = server default
 	Work     int     `json:"work,omitempty"`     // busy-work iterations per node
-	Workers  int     `json:"workers,omitempty"`  // per-run scheduler pool size; 0 = server default
+	// Workers is the run's scheduler pool size; 0 means the server's
+	// default. It applies at or above the serial grain (Work of 60): a
+	// run below it is walked on one goroutine whatever Workers says.
+	Workers int `json:"workers,omitempty"`
 	// ParallelWork splits each node's Work across idle scheduler workers
 	// (Nabbit UseParallelNodes). Not valid for the dynamic shape.
 	ParallelWork bool `json:"parallel_work,omitempty"`
@@ -87,6 +90,10 @@ type RunSpec struct {
 // uses every core Speedup is the ratio of two passes that shared the cores,
 // not a Nabbit T1/TP; that is ParallelMillis at one worker over
 // ParallelMillis at P, on a machine with a core to spare for the reference.
+//
+// Workers is the width the pass ran at: the spec's (or the server's
+// default) at or above the serial grain, and 1 for a run below it, whose
+// pass is walked on one goroutine.
 type Result struct {
 	Workload       string  `json:"workload"`
 	Nodes          int     `json:"nodes"`
