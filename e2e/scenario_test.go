@@ -21,9 +21,10 @@ func slowDynamicSpec() api.RunSpec {
 
 // TestScenarioShapesThroughDagd drives one embedded dagd through what only
 // a real process shows. One run per scenario shape/knob — a ≥500k-deep
-// chain, a parallel_work pipeline, a dynamic run — must verify end to end,
-// the pipeline-cap overflow spec must be refused at admission, and an
-// over-cap dynamic run must fail closed. Then the page those runs left on
+// chain, a parallel_work pipeline, a dynamic run unsplit and with
+// parallel_work — must verify end to end, the pipeline-cap overflow spec
+// must be refused at admission, and an over-cap dynamic run must fail
+// closed. Then the page those runs left on
 // /metrics, the -debug-addr listener, and the SIGTERM drain are checked on
 // the same process.
 func TestScenarioShapesThroughDagd(t *testing.T) {
@@ -43,6 +44,7 @@ func TestScenarioShapesThroughDagd(t *testing.T) {
 		{"deep chain", api.RunSpec{Shape: api.ShapeChain, Nodes: 500001}, 500000, nil},
 		{"parallel work", api.RunSpec{Shape: api.ShapePipeline, Stages: 10, Width: 2, Work: 65536, ParallelWork: true, Workload: "hashchain"}, 0, nil},
 		{"dynamic", api.RunSpec{Shape: api.ShapeDynamic, Stages: 8, Width: 3, EdgeProb: 0.3, Seed: 11}, 8, nil},
+		{"dynamic parallel work", api.RunSpec{Shape: api.ShapeDynamic, Stages: 6, Width: 2, EdgeProb: 0.3, Seed: 11, Work: 65536, ParallelWork: true, Workload: "hashchain"}, 6, nil},
 		// stages·width = 3037000500² wraps negative in int64, which an
 		// unguarded cap check admits.
 		{"overflow pipeline", api.RunSpec{Shape: api.ShapePipeline, Stages: 3037000500, Width: 3037000500}, 0, api.ErrInvalidSpec},

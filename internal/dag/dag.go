@@ -361,6 +361,10 @@ func (d *DAG) Children(id NodeID) []NodeID { return d.out.of(id) }
 // Parents returns the in-neighbors of id, on the same terms as Children.
 func (d *DAG) Parents(id NodeID) []NodeID { return d.in.of(id) }
 
+// Expand returns id's children and never an error: a built DAG is the
+// dynamic graph that discovers nothing (sched.DynamicGraph).
+func (d *DAG) Expand(id NodeID) ([]NodeID, error) { return d.out.of(id), nil }
+
 // InDegree returns the number of edges entering id.
 func (d *DAG) InDegree(id NodeID) int { return len(d.in.of(id)) }
 

@@ -24,7 +24,9 @@ var lookupWorkload = sched.LookupWorkload
 // generate the DAG from spec, sweep the workload's serial reference, run the
 // concurrent scheduler with the workload's Compute hook, and verify the two
 // against each other. It is the single execution path shared by the dagbench
-// CLI and the dagd dispatcher, so the two surfaces can never drift.
+// CLI and the dagd dispatcher, so the two surfaces can never drift. Both
+// kinds of graph, built and discovered, reach the pool through its one
+// entry, sched.New, with the same hook and Options.
 //
 // On every shape but dynamic the reference sweeps on a goroutine of its own
 // while the parallel pass runs on the caller's, so a run's wall time is the
@@ -73,24 +75,24 @@ func Execute(ctx context.Context, spec Spec, defaultWorkers int) (*Result, error
 	if walk {
 		workers = 1
 	}
-	if spec.Shape == gen.Dynamic {
-		return executeDynamic(ctx, spec, workload, workers, walk)
-	}
-	d, err := gen.Generate(spec.Config)
-	if err != nil {
-		return nil, err
-	}
-
-	// parallel_work (Nabbit UseParallelNodes): the scheduler burns the
-	// per-node work itself, sliced across idle workers, and finalizes each
-	// node with the workload's pure hook. The serial reference is
-	// untouched — spin never feeds the recurrence — so Verify still compares
-	// like with like. A walked run has no idle workers to slice for.
+	// parallel_work (Nabbit UseParallelNodes), on every shape: the
+	// scheduler burns the per-node work itself, sliced across idle workers,
+	// and finalizes each node with the workload's pure hook. The serial
+	// reference is untouched — spin never feeds the recurrence — so Verify
+	// still compares like with like. A walked run has no idle workers to
+	// slice for.
 	opts := sched.Options{Workers: workers}
 	hook := workload.Compute(spec.Work)
 	if spec.ParallelWork && !walk {
 		opts.SplitWork = spec.Work
 		hook = workload.PureCompute()
+	}
+	if spec.Shape == gen.Dynamic {
+		return executeDynamic(ctx, spec, workload, opts, hook, walk)
+	}
+	d, err := gen.Generate(spec.Config)
+	if err != nil {
+		return nil, err
 	}
 
 	// The DAG is read-only to both passes, and Workload's contract lets
@@ -149,19 +151,18 @@ func sweep(ctx context.Context, workload sched.Workload, d *dag.DAG, work int) r
 // the parallel pass executes (bounded by the service growth caps), and the
 // serial reference then sweeps the *final* graph — it necessarily runs
 // after the parallel pass, not beside it as on the static shapes.
-func executeDynamic(ctx context.Context, spec Spec, workload sched.Workload, workers int, walk bool) (*Result, error) {
+func executeDynamic(ctx context.Context, spec Spec, workload sched.Workload, opts sched.Options, hook sched.Compute, walk bool) (*Result, error) {
 	dyn, err := gen.NewDynamic(spec.Config, gen.DynLimits{MaxNodes: MaxNodes, MaxEdges: MaxEdges})
 	if err != nil {
 		return nil, err
 	}
 	defer dyn.Release()
-	hook := workload.Compute(spec.Work)
 	t1 := time.Now()
 	var parallel []uint64
 	if walk {
 		parallel, err = sched.WalkDynamic(ctx, dyn, spec.Work, hook)
 	} else {
-		parallel, err = sched.RunDynamic(ctx, dyn, workers, hook)
+		parallel, err = sched.New(dyn, opts).Run(ctx, hook)
 	}
 	if err != nil {
 		return nil, err
@@ -179,7 +180,7 @@ func executeDynamic(ctx context.Context, spec Spec, workload sched.Workload, wor
 		return nil, ref.err
 	}
 
-	return buildResult(workload, spec, d, workers, ref, parallel, parallelDur)
+	return buildResult(workload, spec, d, opts.Workers, ref, parallel, parallelDur)
 }
 
 // release returns a finished run's graph and both passes' values to the

@@ -55,19 +55,21 @@ func TestExecuteRecyclesMemory(t *testing.T) {
 
 // TestExecuteRecyclesMemoryOnPool is TestExecuteRecyclesMemory for runs at
 // the serial grain, which the work-stealing pool executes: its node table
-// and pending counters, a split run's slice counters and a dynamic run's
-// growth segments come from the free lists too, so a warm run allocates
-// under 5% of its graph's array bytes.
+// and pending counters and a dynamic run's growth segments come from the
+// free lists too, and a split run holds no per-node state, so a warm run
+// allocates under 5% of its graph's array bytes.
 func TestExecuteRecyclesMemoryOnPool(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under -race sync.Pool drops a quarter of its Puts on purpose")
 	}
 	pipeline := gen.Config{Shape: gen.Pipeline, Stages: 2000, Width: 8}
+	dynamic := gen.Config{Shape: gen.Dynamic, Stages: 12, Width: 3, EdgeProb: 0.2, Seed: 1}
 	for _, spec := range []Spec{
 		{Config: gen.Config{Shape: gen.Chain, Nodes: 100000}, Workload: "longestpath"},
 		{Config: pipeline, Workload: "pathcount"},
 		{Config: pipeline, Workload: "pathcount", ParallelWork: true},
-		{Config: gen.Config{Shape: gen.Dynamic, Stages: 12, Width: 3, EdgeProb: 0.2, Seed: 1}, Workload: "hashchain"},
+		{Config: dynamic, Workload: "hashchain"},
+		{Config: dynamic, Workload: "hashchain", ParallelWork: true},
 	} {
 		spec.Work = sched.SerialGrain
 		name := fmt.Sprintf("%s parallel_work=%v", spec.Shape, spec.ParallelWork)

@@ -104,8 +104,8 @@ type Spec struct {
 	Workers int `json:"workers,omitempty"`
 	// ParallelWork enables intra-node parallelism (Nabbit UseParallelNodes):
 	// each node's Work iterations are split into sub-tasks that idle workers
-	// steal, instead of burning on one worker. Every workload splits; not
-	// valid for the dynamic shape.
+	// steal, instead of burning on one worker. Every workload splits, on
+	// every shape.
 	ParallelWork bool `json:"parallel_work,omitempty"`
 	// Tenant is the owning tenant's name. The dispatcher stamps it at
 	// admission from the resolved X-Tenant identity (never trusted from the
@@ -166,9 +166,6 @@ func (s Spec) Validate() error {
 	}
 	if _, err := sched.LookupWorkload(s.Workload); err != nil {
 		return fmt.Errorf("%w: %v", ErrUnknownWorkload, err)
-	}
-	if s.ParallelWork && s.Shape == gen.Dynamic {
-		return fmt.Errorf("%w: parallel_work is not supported for the dynamic shape", ErrInvalidSpec)
 	}
 	return nil
 }

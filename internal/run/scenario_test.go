@@ -101,8 +101,8 @@ func TestValidateParallelWork(t *testing.T) {
 	}
 	dynSpec := Spec{Config: gen.Config{Shape: gen.Dynamic, Stages: 4, Width: 2}}
 	dynSpec.ParallelWork = true
-	if err := dynSpec.Validate(); !errors.Is(err, ErrInvalidSpec) {
-		t.Errorf("parallel_work on dynamic shape Validate() = %v, want ErrInvalidSpec", err)
+	if err := dynSpec.Validate(); err != nil {
+		t.Errorf("parallel_work on the dynamic shape rejected: %v", err)
 	}
 }
 
@@ -165,22 +165,30 @@ func TestExecuteDynamicGrowthBound(t *testing.T) {
 }
 
 // TestExecuteParallelWork pins the parallel_work knob through Execute for
-// every workload: each run completes with Match=true, proving pure-hook
+// every workload, on a built pipeline and on a discovered dynamic graph at
+// two pool widths: each run completes with Match=true, proving pure-hook
 // finalization plus scheduler-side sliced work equals the inline-spin serial
 // reference. Admission no longer asks whether a workload splits, so this is
 // what holds each one to it.
 func TestExecuteParallelWork(t *testing.T) {
+	pipeline := gen.Config{Shape: gen.Pipeline, Stages: 20, Width: 2}
+	dynamic := gen.Config{Shape: gen.Dynamic, Stages: 6, Width: 2, EdgeProb: 0.3, Seed: 21}
 	for _, name := range sched.Workloads() {
-		spec := Spec{Config: gen.Config{Shape: gen.Pipeline, Stages: 20, Width: 2}}
-		spec.Work = 1 << 16
-		spec.ParallelWork = true
-		spec.Workload = name
-		res, err := Execute(context.Background(), spec, 8)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !res.Match {
-			t.Errorf("%s: parallel_work Match = false", name)
+		for _, spec := range []Spec{
+			{Config: pipeline},
+			{Config: dynamic, Workers: 2},
+			{Config: dynamic, Workers: 4},
+		} {
+			spec.Work = 1 << 16
+			spec.ParallelWork = true
+			spec.Workload = name
+			res, err := Execute(context.Background(), spec, 8)
+			if err != nil {
+				t.Fatalf("%s %s P=%d: %v", name, spec.Shape, spec.Workers, err)
+			}
+			if !res.Match {
+				t.Errorf("%s %s P=%d: parallel_work Match = false", name, spec.Shape, spec.Workers)
+			}
 		}
 	}
 }

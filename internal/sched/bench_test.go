@@ -2,7 +2,11 @@ package sched
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,13 +16,17 @@ import (
 
 // gridRow is one graph of BenchmarkGrid and the per-node work W it runs at.
 type gridRow struct {
-	name  string
-	cfg   gen.Config
-	works []int
-	split bool // parallel_work: the scheduler slices each node's W (Options.SplitWork)
+	name       string
+	cfg        gen.Config
+	works      []int
+	split      bool  // parallel_work: the scheduler slices each node's W (Options.SplitWork)
+	splitWorks []int // the W at which the row also has split/P=2 and split/P=4 cells
 }
 
-var gridWorks = []int{0, 50, 100, 200, 500, 5000}
+var (
+	gridWorks  = []int{0, 50, 100, 200, 500, 5000}
+	splitWorks = []int{500, 5000}
+)
 
 // The graphs are engine_fine's in bench/engine.go. A dynamic pass pays for
 // the expansion, as a dynamic run does, while serial sweeps the final DAG,
@@ -26,15 +34,33 @@ var gridWorks = []int{0, 50, 100, 200, 500, 5000}
 // answer the Nabbit README's worry that span becomes stack depth: the
 // worker loop keeps the next ready child in a local, so they run at
 // constant stack. split is engine_coarse's parallel_work spec: a node is
-// sliced only when W/4096 > 1 (splitChunks), so at every P >= 2.
+// sliced only when W/4096 > 1 (splitChunks), so at every P >= 2. The four
+// engine_fine graphs cross with parallel_work in their split/P columns at
+// W=500 and W=5000, the Nabbit matrix of dag_type by UseParallelNodes;
+// there W/4096 <= 1, so a node burns its W as one slice and the columns
+// price the split path, not its stealing.
 var gridRows = []gridRow{
-	{name: "random", cfg: gen.Config{Shape: gen.Random, Nodes: 2000, EdgeProb: 0.01, Seed: 1}, works: gridWorks},
-	{name: "pipeline", cfg: gen.Config{Shape: gen.Pipeline, Stages: 2000, Width: 8}, works: gridWorks},
-	{name: "chain", cfg: gen.Config{Shape: gen.Chain, Nodes: 100000}, works: gridWorks},
-	{name: "dynamic", cfg: gen.Config{Shape: gen.Dynamic, Stages: 12, Width: 3, EdgeProb: 0.2, Seed: 1}, works: gridWorks},
+	{name: "random", cfg: gen.Config{Shape: gen.Random, Nodes: 2000, EdgeProb: 0.01, Seed: 1}, works: gridWorks, splitWorks: splitWorks},
+	{name: "pipeline", cfg: gen.Config{Shape: gen.Pipeline, Stages: 2000, Width: 8}, works: gridWorks, splitWorks: splitWorks},
+	{name: "chain", cfg: gen.Config{Shape: gen.Chain, Nodes: 100000}, works: gridWorks, splitWorks: splitWorks},
+	{name: "dynamic", cfg: gen.Config{Shape: gen.Dynamic, Stages: 12, Width: 3, EdgeProb: 0.2, Seed: 1}, works: gridWorks, splitWorks: splitWorks},
 	{name: "chain_1M", cfg: gen.Config{Shape: gen.Chain, Nodes: 1 << 20}, works: []int{0}},
 	{name: "pipeline_10k", cfg: gen.Config{Shape: gen.Pipeline, Stages: 10000, Width: 8}, works: []int{0}},
 	{name: "split", cfg: gen.Config{Shape: gen.Pipeline, Stages: 40, Width: 1}, works: []int{160000}, split: true},
+}
+
+// columns returns the row's cells at W=work, in the order BenchmarkGrid
+// runs them.
+func (r gridRow) columns(work int) []string {
+	cols := []string{"serial"}
+	if r.cfg.Shape == gen.Dynamic {
+		cols = append(cols, "walk")
+	}
+	cols = append(cols, "P=1", "P=2", "P=4")
+	if slices.Contains(r.splitWorks, work) {
+		cols = append(cols, "split/P=2", "split/P=4")
+	}
+	return cols
 }
 
 // BenchmarkGrid is the engine measured the way the Nabbit microbenchmark
@@ -45,9 +71,10 @@ var gridRows = []gridRow{
 //	go test -run '^$' -bench 'BenchmarkGrid/.*/W=0$' -cpu 2 ./internal/sched/                   # scheduler overhead
 //	go test -run '^$' -bench 'BenchmarkGrid/^(random|pipeline)$/W=500$' -cpu 2 ./internal/sched/ # speedup table
 //
-// A column is the pass alone at P=1, 2 or 4 workers, through Executor.Run
-// or RunDynamic (never run.Execute, whose reference sweep takes a core),
-// or serial, the workload's reference sweep, so a row shows T1/TS. Below
+// A column is the pass alone at P=1, 2 or 4 workers, through the pool's one
+// entry, New(graph, opts).Run (never run.Execute, whose reference sweep
+// takes a core) — split/P=2 and split/P=4 with parallel_work — or serial,
+// the workload's reference sweep, so a row shows T1/TS. Below
 // SerialGrain run.Execute walks a run instead: on a static row that is the
 // serial sweep's loop through the run's Compute hook, so the serial column
 // times it, and on dynamic, where the walk also expands the graph, a walk
@@ -78,13 +105,18 @@ func BenchmarkGrid(b *testing.B) {
 					}
 					defer ReleaseValues(ref)
 					check := func(vals []uint64) error { return w.Verify(d, ref, vals) }
-					gridCell(b, "serial", 1, d, check, func(int) ([]uint64, error) { return w.Serial(ctx, d, work) })
-					if row.cfg.Shape == gen.Dynamic {
-						gridCell(b, "walk", 1, d, check, row.walk(ctx, w, work))
-					}
-					pass := row.pass(ctx, w, d, work)
-					for _, p := range []int{1, 2, 4} {
-						gridCell(b, fmt.Sprintf("P=%d", p), p, d, check, pass)
+					for _, col := range row.columns(work) {
+						p, pass := 1, func(int) ([]uint64, error) { return w.Serial(ctx, d, work) }
+						switch col {
+						case "serial":
+						case "walk":
+							pass = row.walk(ctx, w, work)
+						default:
+							workers, split := strings.CutPrefix(col, "split/")
+							fmt.Sscanf(workers, "P=%d", &p)
+							pass = row.pass(ctx, w, d, work, row.split || split)
+						}
+						gridCell(b, col, p, d, check, pass)
 					}
 				})
 			}
@@ -125,25 +157,26 @@ func (r gridRow) walk(ctx context.Context, w Workload, work int) func(int) ([]ui
 	}
 }
 
-// pass returns one parallel pass of the row at W=work on p workers. A
-// dynamic pass builds a fresh expander, so each one discovers the graph
-// anew, and releases it as a run does.
-func (r gridRow) pass(ctx context.Context, w Workload, d *dag.DAG, work int) func(p int) ([]uint64, error) {
-	hook, split := w.Compute(work), 0
-	if r.split {
-		hook, split = w.PureCompute(), work
+// pass returns one parallel pass of the row at W=work on p workers, through
+// the pool's one entry; split passes W to the scheduler to slice
+// (parallel_work). A dynamic pass builds a fresh expander, so each one
+// discovers the graph anew, and releases it as a run does.
+func (r gridRow) pass(ctx context.Context, w Workload, d *dag.DAG, work int, split bool) func(p int) ([]uint64, error) {
+	hook, splitWork := w.Compute(work), 0
+	if split {
+		hook, splitWork = w.PureCompute(), work
 	}
-	if r.cfg.Shape == gen.Dynamic {
-		return func(p int) ([]uint64, error) {
-			dyn, err := gen.NewDynamic(r.cfg, gen.DynLimits{})
-			if err != nil {
-				return nil, err
-			}
-			defer dyn.Release()
-			return RunDynamic(ctx, dyn, p, hook)
+	return func(p int) ([]uint64, error) {
+		if r.cfg.Shape != gen.Dynamic {
+			return New(d, Options{Workers: p, SplitWork: splitWork}).Run(ctx, hook)
 		}
+		dyn, err := gen.NewDynamic(r.cfg, gen.DynLimits{})
+		if err != nil {
+			return nil, err
+		}
+		defer dyn.Release()
+		return New(dyn, Options{Workers: p, SplitWork: splitWork}).Run(ctx, hook)
 	}
-	return func(p int) ([]uint64, error) { return New(d, Options{Workers: p, SplitWork: split}).Run(ctx, hook) }
 }
 
 // gridCell is one cell of the grid: pass at p workers. Each time the
@@ -187,4 +220,46 @@ func gridCell(b *testing.B, name string, p int, d *dag.DAG, check func([]uint64)
 			b.ReportMetric(1/(1/float64(p)+depth/float64(d.NumNodes())), "max-speedup")
 		}
 	})
+}
+
+// TestGridRecordNamesEveryCell holds BENCH_nabbit.json, the grid's record
+// that ci/grid.sh writes at the repository root, to the grid gridRows
+// defines: a cell the record misses, or one the grid no longer has, fails,
+// so a PR that changes the grid re-records it.
+func TestGridRecordNamesEveryCell(t *testing.T) {
+	raw, err := os.ReadFile("../../BENCH_nabbit.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var record struct {
+		Cells map[string]json.RawMessage `json:"cells"`
+	}
+	if err := json.Unmarshal(raw, &record); err != nil {
+		t.Fatalf("BENCH_nabbit.json: %v", err)
+	}
+	want := map[string]bool{}
+	for _, row := range gridRows {
+		for _, work := range row.works {
+			for _, col := range row.columns(work) {
+				want[fmt.Sprintf("%s/W=%d/%s", row.name, work, col)] = true
+			}
+		}
+	}
+	var missing, extra []string
+	for cell := range want {
+		if _, ok := record.Cells[cell]; !ok {
+			missing = append(missing, cell)
+		}
+	}
+	for cell := range record.Cells {
+		if !want[cell] {
+			extra = append(extra, cell)
+		}
+	}
+	slices.Sort(missing)
+	slices.Sort(extra)
+	if len(missing)+len(extra) > 0 {
+		t.Fatalf("BENCH_nabbit.json misses %d of the grid's %d cells %q and holds %d it does not have %q: re-record it with ci/grid.sh",
+			len(missing), len(want), missing, len(extra), extra)
+	}
 }

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"context"
-	"runtime"
 	"sync/atomic"
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/dag"
@@ -11,7 +10,8 @@ import (
 
 // DynamicGraph is a DAG discovered while it executes (the Nabbit dynamic
 // mode). The scheduler learns a node's successors only by calling Expand
-// after executing it; the graph may grow on every expansion.
+// after executing it; the graph may grow on every expansion. A built
+// *dag.DAG is one too, whose Expand discovers nothing.
 //
 // Contract: node IDs are dense in [0, NumNodes()). Expand(u) returns u's
 // successors, materializing them (and possibly siblings) as a side effect —
@@ -26,40 +26,26 @@ type DynamicGraph interface {
 	Expand(u dag.NodeID) ([]dag.NodeID, error)
 }
 
-// staticGraph is a fully built DAG seen as a DynamicGraph: every node is
-// known before the run starts, and expanding one only looks its children up.
-type staticGraph struct{ *dag.DAG }
-
-func (s staticGraph) Expand(u dag.NodeID) ([]dag.NodeID, error) { return s.Children(u), nil }
-
 // static returns the run's graph as the DAG it is, or nil if it can grow.
 // The core asks once per run and once per worker, outside the node loop: a
 // static DAG's adjacency is then read straight from its CSR arrays, and as
 // its table never grows, its nodes skip Expand, NumNodes and ensure.
 func (r *wsRun) static() *dag.DAG {
-	s, _ := r.g.(staticGraph)
-	return s.DAG
+	d, _ := r.g.(*dag.DAG)
+	return d
 }
 
-// RunDynamic executes f over every node g discovers, in dependency order,
-// on a work-stealing pool of the given size (zero or negative means
-// runtime.NumCPU()). It returns the per-node values of the final graph,
-// indexed by NodeID. If any expansion fails — typically the growth bound —
-// the run winds down promptly and the expansion error is returned.
+// RunDynamic is New(g, Options{Workers: workers}).Run(ctx, f): the pool's
+// one entry, kept as a call for the benchmark's engine layer.
 func RunDynamic(ctx context.Context, g DynamicGraph, workers int, f Compute) ([]uint64, error) {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	return (&wsRun{g: g, f: f}).run(ctx, workers)
+	return New(g, Options{Workers: workers}).Run(ctx, f)
 }
 
 // The free lists of a run's node table: the values (the flat part, the
-// segments' and the results), the pending counters, and the split-work
-// slice counters.
+// segments' and the results) and the pending counters.
 var (
-	nodeValues    slab.List[uint64]
-	counters      slab.List[int32]
-	sliceCounters slab.List[atomic.Int32]
+	nodeValues slab.List[uint64]
+	counters   slab.List[int32]
 )
 
 // ReleaseValues returns per-node values that Executor.Run, RunDynamic or a
@@ -103,14 +89,13 @@ func (r *wsRun) results(n int) []uint64 {
 func (r *wsRun) release() {
 	nodeValues.Put(r.values)
 	counters.Put(r.pending)
-	sliceCounters.Put(r.remaining)
 	if p := r.dir.Load(); p != nil {
 		for _, seg := range *p {
 			nodeValues.Put(seg.values)
 			counters.Put(seg.pending)
 		}
 	}
-	r.values, r.pending, r.remaining = nil, nil, nil
+	r.values, r.pending = nil, nil
 	r.dir.Store(nil)
 }
 

@@ -57,39 +57,60 @@ func TestDeepWidthOnePipeline(t *testing.T) {
 // TestSplitWorkMatchesSerial pins the parallel_work path end to end inside
 // the scheduler: values computed with the pure hook plus scheduler-side
 // sliced work must equal the ordinary serial reference, and more than one
-// worker must actually have executed slices of some node's work.
+// worker must actually have executed slices of some node's work — on a
+// built DAG and on a graph the run discovers, through the one entry.
 func TestSplitWorkMatchesSerial(t *testing.T) {
-	d, err := gen.ChainDAG(64)
-	if err != nil {
-		t.Fatal(err)
-	}
 	w := mustLookup("hashchain")
-	serial, err := w.Serial(context.Background(), d, 0)
+	const splitWork = 1 << 20 // chunks = min(workers, splitWork/4096) = 8
+	chain, err := gen.ChainDAG(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pure := w.PureCompute()
+	for _, name := range []string{"chain", "dynamic"} {
+		// Slice stealing is timing-dependent; retry a few times before
+		// declaring that no second worker ever participated.
+		participated := 0
+		for attempt := 0; attempt < 10 && participated < 2; attempt++ {
+			var g DynamicGraph = chain
+			d := chain
+			if name == "dynamic" {
+				if g, err = gen.NewDynamic(gen.Config{Shape: gen.Dynamic, Stages: 4, Width: 2, EdgeProb: 0.3, Seed: 17}, gen.DynLimits{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ex := New(g, Options{Workers: 8, SplitWork: splitWork})
+			vals, err := runLive(ex, w.PureCompute())
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if dyn, ok := g.(*gen.Dyn); ok {
+				if d, err = dyn.FinalDAG(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			serial, err := w.Serial(context.Background(), d, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if verr := w.Verify(d, serial, vals); verr != nil {
+				t.Fatalf("%s: %v", name, verr)
+			}
+			participated = ex.SplitWorkers()
+		}
+		if participated < 2 {
+			t.Fatalf("%s: SplitWorkers = %d after retries, want >= 2 (no intra-node parallelism observed)", name, participated)
+		}
+	}
+}
 
-	const splitWork = 1 << 20 // chunks = min(workers, splitWork/4096) = 8
-	ex := New(d, Options{Workers: 8, SplitWork: splitWork})
-	// Slice stealing is timing-dependent; retry a few times before declaring
-	// that no second worker ever participated.
-	participated := 0
-	for attempt := 0; attempt < 10; attempt++ {
-		vals, err := ex.Run(context.Background(), pure)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if verr := w.Verify(d, serial, vals); verr != nil {
-			t.Fatal(verr)
-		}
-		if participated = ex.SplitWorkers(); participated >= 2 {
-			break
-		}
-	}
-	if participated < 2 {
-		t.Fatalf("SplitWorkers = %d after retries, want >= 2 (no intra-node parallelism observed)", participated)
-	}
+// runLive is ex.Run under a liveness bound. A split protocol that loses a
+// slice's decrement, or reuses a record before its last slice is done,
+// leaves a node that never retires and the pool parked; the bound turns
+// that hang into a prompt error instead of the test binary's timeout.
+func runLive(ex *Executor, f Compute) ([]uint64, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	return ex.Run(ctx, f)
 }
 
 // TestSplitWorkSingleNode is the degenerate Nabbit UseParallelNodes case: a
@@ -155,8 +176,8 @@ func TestRunDynamicMatchesSerial(t *testing.T) {
 }
 
 // TestStaticGraphThroughDynamicEntry runs fully built DAGs through
-// RunDynamic: the two entry points share one core, so the values must be
-// identical to Executor.Run's, node for node.
+// RunDynamic: a *dag.DAG is the DynamicGraph whose Expand discovers
+// nothing, so the pool computes the walk's values, node for node.
 func TestStaticGraphThroughDynamicEntry(t *testing.T) {
 	for _, cfg := range []gen.Config{
 		{Shape: gen.Random, Nodes: 1500, EdgeProb: 0.01, Seed: 5},
@@ -168,11 +189,11 @@ func TestStaticGraphThroughDynamicEntry(t *testing.T) {
 			t.Fatal(err)
 		}
 		hook := mustLookup("hashchain").Compute(0)
-		want, err := New(d, Options{Workers: 4}).Run(context.Background(), hook)
+		want, err := Walk(context.Background(), d, 0, hook)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunDynamic(context.Background(), staticGraph{d}, 4, hook)
+		got, err := RunDynamic(context.Background(), d, 4, hook)
 		if err != nil {
 			t.Fatalf("%v: RunDynamic: %v", cfg.Shape, err)
 		}
@@ -184,14 +205,19 @@ func TestStaticGraphThroughDynamicEntry(t *testing.T) {
 // the spec and pool size, the parallel values verify against the serial
 // sweep of the final graph, the final graph itself is the one a
 // single-worker run discovers — a pure function of the spec — and a walk
-// of the spec computes the pool's values node for node.
+// of the spec computes the pool's values node for node. A nonzero split
+// runs the pool with split work large enough to slice every node (W/4096
+// >= 2 slices at P >= 2), so its records are taken, shared and reused
+// across the growth segments too.
 func FuzzRunDynamic(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint8(2), uint8(77), uint8(4))
-	f.Add(int64(17), uint8(8), uint8(3), uint8(77), uint8(8))
-	f.Add(int64(3), uint8(10), uint8(4), uint8(0), uint8(2)) // tree, crosses segments
-	f.Add(int64(9), uint8(1), uint8(1), uint8(255), uint8(1))
-	f.Add(int64(-5), uint8(10), uint8(1), uint8(128), uint8(3)) // chain-like
-	f.Fuzz(func(t *testing.T, seed int64, stages, width, p, workers uint8) {
+	f.Add(int64(1), uint8(4), uint8(2), uint8(77), uint8(4), uint8(0))
+	f.Add(int64(17), uint8(8), uint8(3), uint8(77), uint8(8), uint8(0))
+	f.Add(int64(3), uint8(10), uint8(4), uint8(0), uint8(2), uint8(0)) // tree, crosses segments
+	f.Add(int64(9), uint8(1), uint8(1), uint8(255), uint8(1), uint8(0))
+	f.Add(int64(-5), uint8(10), uint8(1), uint8(128), uint8(3), uint8(0)) // chain-like
+	f.Add(int64(17), uint8(6), uint8(3), uint8(77), uint8(3), uint8(1))   // split
+	f.Add(int64(3), uint8(9), uint8(4), uint8(0), uint8(1), uint8(200))   // split, crosses segments
+	f.Fuzz(func(t *testing.T, seed int64, stages, width, p, workers, split uint8) {
 		cfg := gen.Config{
 			Shape:    gen.Dynamic,
 			Stages:   1 + int(stages)%10,
@@ -200,15 +226,18 @@ func FuzzRunDynamic(f *testing.F) {
 			Seed:     seed,
 		}
 		w := mustLookup("hashchain")
-		pool := 1 + int(workers)%8
-		discover := func(workers int) (*dag.DAG, []uint64) {
+		opts := Options{Workers: 1 + int(workers)%8}
+		if split > 0 {
+			opts = Options{Workers: 2 + int(workers)%7, SplitWork: 8192 + 64*int(split)}
+		}
+		discover := func(opts Options) (*dag.DAG, []uint64) {
 			dyn, err := gen.NewDynamic(cfg, gen.DynLimits{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			vals, err := RunDynamic(context.Background(), dyn, workers, w.Compute(0))
+			vals, err := runLive(New(dyn, opts), w.PureCompute())
 			if err != nil {
-				t.Fatalf("RunDynamic(P=%d): %v", workers, err)
+				t.Fatalf("Run(%+v): %v", opts, err)
 			}
 			final, err := dyn.FinalDAG()
 			if err != nil {
@@ -216,7 +245,7 @@ func FuzzRunDynamic(f *testing.F) {
 			}
 			return final, vals
 		}
-		final, vals := discover(pool)
+		final, vals := discover(opts)
 		serial, err := w.Serial(context.Background(), final, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -224,10 +253,10 @@ func FuzzRunDynamic(f *testing.F) {
 		if err := w.Verify(final, serial, vals); err != nil {
 			t.Fatal(err)
 		}
-		ref, refVals := discover(1)
+		ref, refVals := discover(Options{Workers: 1})
 		if final.NumNodes() != ref.NumNodes() || final.NumEdges() != ref.NumEdges() {
-			t.Fatalf("final graph depends on the pool: %d nodes/%d edges at P=%d, %d/%d at P=1",
-				final.NumNodes(), final.NumEdges(), pool, ref.NumNodes(), ref.NumEdges())
+			t.Fatalf("final graph depends on the pool: %d nodes/%d edges at %+v, %d/%d at P=1",
+				final.NumNodes(), final.NumEdges(), opts, ref.NumNodes(), ref.NumEdges())
 		}
 		dyn, err := gen.NewDynamic(cfg, gen.DynLimits{})
 		if err != nil {

@@ -7,13 +7,13 @@
 // workload carries its own single-threaded reference sweep and verifier, so
 // the parallel scheduler is self-checking end to end.
 //
-// There is one scheduler with two entry points. Executor.Run takes a fully
-// built DAG and RunDynamic a DynamicGraph that is discovered while it runs;
-// both drive the same work-stealing core (see steal.go), which only ever
-// sees a DynamicGraph — a static DAG is the graph whose Expand looks its
-// children up and whose NumNodes never changes. Each worker owns a deque of
-// ready nodes, pushing and popping LIFO at the tail and stealing half a
-// victim's deque FIFO from the head when it runs dry. A retiring node
+// There is one scheduler with one entry: New takes a DynamicGraph, either a
+// fully built *dag.DAG — the graph whose Expand looks its children up and
+// whose NumNodes never changes — or a graph discovered while it runs, and
+// Executor.Run drives the work-stealing core (see steal.go) over it with
+// the same Options; RunDynamic is that call in one line. Each worker owns a
+// deque of ready nodes, pushing and popping LIFO at the tail and stealing
+// half a victim's deque FIFO from the head when it runs dry. A retiring node
 // publishes all newly-ready children in one batched push and keeps the
 // first child to execute directly. Dependency tracking stays lock-free:
 // each node carries a pending-parent counter, filled with plain stores
@@ -37,9 +37,17 @@
 // WalkDynamic are the pass elided to one sweep on the caller's goroutine,
 // with no workers, deques, counters or wake channel (Cilk's serial
 // elision), and run.Execute walks every run whose per-node work is below
-// SerialGrain, a constant measured on BenchmarkGrid. Executor.Run and
-// RunDynamic keep their fixed width, so BenchmarkGrid still measures the
-// pool at P = 1, 2 and 4 whatever the work.
+// SerialGrain, a constant measured on BenchmarkGrid. Executor.Run keeps
+// its fixed width, so BenchmarkGrid still measures the pool at P = 1, 2
+// and 4 whatever the work.
+//
+// Split work (Nabbit UseParallelNodes, Options.SplitWork) runs on either
+// kind of graph. A split node's state is its own while its slices run: the
+// first worker to take the node takes a small record, the outstanding-slice
+// count, from its free list, and the node's slice items point at it; the
+// worker whose decrement reaches zero finalizes the node and keeps the
+// record. No split state is sized by the node table, and a node found by
+// expansion splits like any other.
 package sched
 
 import (
@@ -62,34 +70,34 @@ type Options struct {
 	// Workers is the pool size. Zero or negative means runtime.NumCPU().
 	Workers int
 	// SplitWork, when positive, enables intra-node parallelism (Nabbit's
-	// UseParallelNodes): the scheduler burns SplitWork spin iterations per
-	// node itself, sliced into sub-tasks that idle workers steal off the
-	// deques. The Compute hook passed to Run must then be PURE — no
-	// emulated work folded in (Workload.PureCompute) — or the work would be
-	// double-counted.
+	// UseParallelNodes) on either kind of graph: the scheduler burns
+	// SplitWork spin iterations per node itself, sliced into sub-tasks that
+	// idle workers steal off the deques, and a split node's slices share one
+	// small record, not a slot of a node-sized table, so a node an expansion
+	// discovers splits like any other. The Compute hook passed to Run must
+	// then be PURE — no emulated work folded in (Workload.PureCompute) — or
+	// the work would be double-counted.
 	SplitWork int
 }
 
-// Executor runs a Compute hook over every node of one DAG. An Executor is
-// reusable: each Run call owns its own scheduling state.
+// Executor runs a Compute hook over every node of one graph. An Executor
+// is reusable: each Run call owns its own scheduling state.
 type Executor struct {
-	d         *dag.DAG
+	g         DynamicGraph
 	workers   int
 	splitWork int
 	splitMask atomic.Uint64 // worker-participation bits of the latest Run
 }
 
-// New returns an Executor for d.
-func New(d *dag.DAG, opts Options) *Executor {
+// New returns an Executor for g: a built *dag.DAG, whose Expand only looks
+// its children up, or a graph discovered while it runs. It is the pool's
+// one entry; RunDynamic is New and Run in one call.
+func New(g DynamicGraph, opts Options) *Executor {
 	w := opts.Workers
 	if w <= 0 {
 		w = runtime.NumCPU()
 	}
-	sw := opts.SplitWork
-	if sw < 0 {
-		sw = 0
-	}
-	return &Executor{d: d, workers: w, splitWork: sw}
+	return &Executor{g: g, workers: w, splitWork: max(opts.SplitWork, 0)}
 }
 
 // Process-lifetime execution tallies, exposed through NodesExecuted and
@@ -108,11 +116,13 @@ func NodesExecuted() int64 { return nodesExecuted.Load() }
 // stealHalf that found work) across every Executor.Run in this process.
 func Steals() int64 { return stealsTotal.Load() }
 
-// Run executes f once per node, in dependency order, on the work-stealing
-// worker pool. It returns the per-node values indexed by NodeID. If ctx is
-// cancelled mid-run, workers drain promptly and ctx.Err() is returned.
+// Run executes f once per node the graph has and discovers, in dependency
+// order, on the work-stealing worker pool. It returns the per-node values of
+// the final graph, indexed by NodeID. If ctx is cancelled mid-run, workers
+// drain promptly and ctx's cause is returned; if an expansion fails —
+// typically the growth bound — the run winds down and returns that error.
 func (e *Executor) Run(ctx context.Context, f Compute) ([]uint64, error) {
-	r := &wsRun{g: staticGraph{e.d}, f: f, splitWork: e.splitWork, chunks: e.splitChunks()}
+	r := &wsRun{g: e.g, f: f, splitWork: e.splitWork, chunks: e.splitChunks()}
 	values, err := r.run(ctx, e.workers)
 	e.splitMask.Store(r.splitMask.Load())
 	return values, err
@@ -124,17 +134,7 @@ func (e *Executor) Run(ctx context.Context, f Compute) ([]uint64, error) {
 // dwarfs the work being parallelized).
 func (e *Executor) splitChunks() int {
 	const minSplitChunk = 4096
-	if e.splitWork <= 0 {
-		return 1
-	}
-	chunks := e.splitWork / minSplitChunk
-	if chunks > e.workers {
-		chunks = e.workers
-	}
-	if chunks < 1 {
-		chunks = 1
-	}
-	return chunks
+	return min(max(e.splitWork/minSplitChunk, 1), e.workers)
 }
 
 // SplitWorkers reports how many distinct workers (of the first 64)

@@ -45,13 +45,18 @@ import (
 //     or via steal) establishes happens-before from every parent's write to
 //     the child's read, and runs stay clean under the race detector.
 
-// wsItem is one deque entry. chunk 0 means "the whole node"; chunk k > 0 is
-// the k-th slice of a split node's emulated work (the Nabbit
-// UseParallelNodes mode, see the split-work section of the worker loop).
+// wsItem is one deque entry: a whole node, or, when split is set, one slice
+// of a split node's emulated work (the Nabbit UseParallelNodes mode, see
+// slice).
 type wsItem struct {
 	id    dag.NodeID
-	chunk int32
+	split *splitNode
 }
+
+// splitNode is a split node's record while its slices run (see slice): the
+// count of slices still outstanding, which every slice item of the node
+// points at.
+type splitNode struct{ left atomic.Int32 }
 
 // wsDeque is one worker's ready queue. The trailing pad keeps separately
 // indexed deques off each other's cache line (the struct is padded to 64
@@ -102,10 +107,9 @@ func (q *wsDeque) stealHalf(into []wsItem) []wsItem {
 }
 
 // wsRun is the per-run scheduling state shared by all workers: the one core
-// behind Executor.Run and RunDynamic. It executes a DynamicGraph; a static
-// DAG enters as the graph whose Expand never discovers anything (see
-// staticGraph), so its whole node table is the flat part and ensure never
-// grows it.
+// behind Executor.Run. It executes a DynamicGraph; a built *dag.DAG is the
+// graph whose Expand never discovers anything, so its whole node table is
+// the flat part and ensure never grows it.
 type wsRun struct {
 	g DynamicGraph
 	f Compute
@@ -143,17 +147,14 @@ type wsRun struct {
 	retired atomic.Int64 // the workers' flushed tallies
 	steals  atomic.Int64 // successful stealHalf operations this run
 
-	// Split-work state (Nabbit UseParallelNodes). When splitWork > 0 the
-	// Compute hook is pure (no spin folded in) and the scheduler burns
-	// splitWork spin iterations per node itself, sliced into chunks pieces
-	// that idle workers can steal. remaining[v] counts a node's unfinished
-	// slices; whichever worker drops it to zero finalizes the node. Only
-	// Executor.Run sets it, on a graph that never grows, so remaining covers
-	// the flat part of the table only.
+	// Split work (Nabbit UseParallelNodes). When splitWork > 0 the Compute
+	// hook is pure (no spin folded in) and the scheduler burns splitWork
+	// spin iterations per node itself, sliced into chunks pieces that idle
+	// workers can steal. The state of a node being split is its splitNode
+	// record; the run holds none per node.
 	splitWork int
 	chunks    int
-	remaining []atomic.Int32
-	splitMask atomic.Uint64 // bit per worker (mod 64) that ran a split slice
+	splitMask atomic.Uint64 // bit per worker (of the first 64) that ran a split slice
 }
 
 // run executes f over every node g has and discovers, on a pool of workers
@@ -168,9 +169,6 @@ func (r *wsRun) run(ctx context.Context, workers int) ([]uint64, error) {
 	r.pending = counters.Get(n)
 	defer r.release()
 	r.size.Store(int64(n))
-	if r.chunks > 1 {
-		r.remaining = sliceCounters.Get(n)
-	}
 	r.deques = make([]*wsDeque, workers)
 	for i := range r.deques {
 		r.deques[i] = new(wsDeque)
@@ -245,29 +243,6 @@ func (r *wsRun) run(ctx context.Context, workers int) ([]uint64, error) {
 	return nil, context.Cause(ctx)
 }
 
-// chunkSize returns the spin iterations of slice k (1-based): splitWork
-// divided as evenly as possible, with the remainder spread over the lowest
-// slice numbers so every slice differs by at most one iteration.
-func (r *wsRun) chunkSize(k int) int {
-	base := r.splitWork / r.chunks
-	if k <= r.splitWork%r.chunks {
-		base++
-	}
-	return base
-}
-
-// markSplit records that worker self executed a split slice. Go 1.22 has no
-// atomic Or, so the bit lands via a CAS loop.
-func (r *wsRun) markSplit(self int) {
-	bit := uint64(1) << (uint(self) % 64)
-	for {
-		old := r.splitMask.Load()
-		if old&bit != 0 || r.splitMask.CompareAndSwap(old, old|bit) {
-			return
-		}
-	}
-}
-
 // notify wakes up to k parked workers, dropping tokens once the semaphore
 // is full (at that point every worker already has a pending wakeup).
 func (r *wsRun) notify(k int) {
@@ -317,7 +292,13 @@ func (r *wsRun) worker(done <-chan struct{}, self int) {
 	batch := make([]wsItem, 0, 16)
 	stealBuf := make([]wsItem, 0, 16)
 	var tally int64 // nodes retired since this worker's last flush
-	defer func() { r.retired.Add(tally) }()
+	var sp splitter
+	defer func() {
+		r.retired.Add(tally)
+		if sp.ran && self < 64 {
+			r.splitMask.Add(1 << self) // once per worker, so Add sets one bit
+		}
+	}()
 	var next wsItem
 	have := false
 	for {
@@ -349,35 +330,8 @@ func (r *wsRun) worker(done <-chan struct{}, self int) {
 		it := next
 		have = false
 
-		// Split-work protocol: the first worker to touch a node stakes out
-		// its slice counter and publishes slices 2..chunks for others to
-		// steal, then burns slice 1 itself. Whichever worker's decrement
-		// hits zero falls through to finalize the node; everyone else goes
-		// back for more work. The counter store precedes the publish (deque
-		// mutex), so slice holders always see it initialized, and the
-		// decrement chain orders every slice's spin before the finalize.
-		if r.splitWork > 0 {
-			if r.chunks == 1 {
-				spin(r.splitWork)
-			} else {
-				if it.chunk == 0 {
-					r.remaining[it.id].Store(int32(r.chunks))
-					batch = batch[:0]
-					for k := int32(2); k <= int32(r.chunks); k++ {
-						batch = append(batch, wsItem{id: it.id, chunk: k})
-					}
-					q.pushBatch(batch)
-					r.notify(len(batch))
-					r.markSplit(self)
-					spin(r.chunkSize(1))
-				} else {
-					r.markSplit(self)
-					spin(r.chunkSize(int(it.chunk)))
-				}
-				if r.remaining[it.id].Add(-1) > 0 {
-					continue
-				}
-			}
+		if r.splitWork > 0 && !r.slice(it, q, &sp) {
+			continue
 		}
 		id := it.id
 
@@ -426,4 +380,51 @@ func (r *wsRun) worker(done <-chan struct{}, self int) {
 		}
 		tally++
 	}
+}
+
+// splitter is one worker's side of the split-work protocol: the records it
+// may reuse, its publish buffer, and whether it has run a slice.
+type splitter struct {
+	free []*splitNode
+	buf  []wsItem
+	ran  bool
+}
+
+// slice burns one item's share of a split run's per-node work and reports
+// whether the item's node is ready to finalize. The first worker to take a
+// node takes a record from its free list, sets the slice count and
+// publishes slices 2..chunks for others to steal, then burns slice 1 (which
+// carries the remainder) itself. Whichever worker's decrement hits zero
+// finalizes the node and keeps the record; every other slice's worker goes
+// back for more work. The count's store precedes the publish (deque mutex),
+// so slice holders always see it set, and the decrement chain orders every
+// slice's spin before the finalize.
+func (r *wsRun) slice(it wsItem, q *wsDeque, sp *splitter) bool {
+	if r.chunks == 1 {
+		spin(r.splitWork)
+		return true
+	}
+	s, size := it.split, r.splitWork/r.chunks
+	if s == nil {
+		if k := len(sp.free); k > 0 {
+			s, sp.free = sp.free[k-1], sp.free[:k-1]
+		} else {
+			s = new(splitNode)
+		}
+		s.left.Store(int32(r.chunks))
+		sp.buf = sp.buf[:0]
+		for k := 1; k < r.chunks; k++ {
+			sp.buf = append(sp.buf, wsItem{id: it.id, split: s})
+		}
+		q.pushBatch(sp.buf)
+		r.notify(len(sp.buf))
+		size += r.splitWork % r.chunks
+	}
+	sp.ran = true
+	spin(size)
+	if s.left.Add(-1) > 0 {
+		return false
+	}
+	sp.free = append(sp.free, s)
+	return true
 }

@@ -81,7 +81,7 @@ func Walk(ctx context.Context, d *dag.DAG, work int, f Compute) ([]uint64, error
 }
 
 // WalkDynamic executes f over every node g discovers, on the caller's
-// goroutine: the pass RunDynamic makes, elided to one sweep. It visits node
+// goroutine: the pass Executor.Run makes over g, elided to one sweep. It visits node
 // IDs in order and expands each node after it runs, so it needs IDs that
 // are topological — every parent below its child, as the built-in expander
 // numbers them — and fails closed on a parent that is not. An expansion

@@ -33,7 +33,8 @@ func TestOverflowSpecAdmission(t *testing.T) {
 
 // TestScenarioShapesEndToEnd submits one run per new scenario shape/knob
 // through the full service: a deep chain (the ≥500k-span acceptance bar), a
-// parallel_work pipeline, and a small dynamic run. All must verify.
+// parallel_work pipeline, and a small dynamic run, unsplit and with
+// parallel_work. All must verify.
 func TestScenarioShapesEndToEnd(t *testing.T) {
 	ts := newTestServer(t, core.ServiceOptions{QueueDepth: 8, Dispatchers: 2})
 	cases := []struct {
@@ -43,6 +44,7 @@ func TestScenarioShapesEndToEnd(t *testing.T) {
 		{"deep chain", `{"shape":"chain","nodes":500001}`, 500000},
 		{"parallel work", `{"shape":"pipeline","stages":10,"width":2,"work":65536,"parallel_work":true,"workload":"hashchain"}`, 0},
 		{"dynamic", `{"shape":"dynamic","stages":8,"width":3,"p":0.3,"seed":11}`, 8},
+		{"dynamic parallel work", `{"shape":"dynamic","stages":6,"width":2,"p":0.3,"seed":11,"work":65536,"parallel_work":true,"workload":"hashchain"}`, 6},
 	}
 	for _, tc := range cases {
 		id := submit(t, ts.URL, tc.spec)

@@ -69,7 +69,7 @@ type RunSpec struct {
 	// run below it is walked on one goroutine whatever Workers says.
 	Workers int `json:"workers,omitempty"`
 	// ParallelWork splits each node's Work across idle scheduler workers
-	// (Nabbit UseParallelNodes). Not valid for the dynamic shape.
+	// (Nabbit UseParallelNodes), on every shape.
 	ParallelWork bool `json:"parallel_work,omitempty"`
 	// GenVersion names the generator version the seed is drawn with:
 	// 0 means the server's current version, which it stamps on the stored
