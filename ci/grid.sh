@@ -8,7 +8,8 @@
 # and max over the three runs of each ratio the cell has:
 #   - speedup: T1/TP, the cell's own one-worker pass over its P-worker pass
 #     (P>1 columns);
-#   - max_speedup: Brent's bound for the graph at P (P>1 columns);
+#   - max_speedup: Brent's bound for the graph at P (P>1 columns), over
+#     the span of slices on a split cell whose nodes are sliced;
 #   - t1_ts: the cell's one-worker time over the serial sweep of its row and
 #     W — T1/TS, the work overhead — sample i over serial's sample i of the
 #     same invocation. For a P>1 column T1 is speedup × its ns/node; for P=1

@@ -4,10 +4,11 @@
 //
 // A DAG is stored compressed-sparse-row: every children list back to back in
 // one flat array with an offset per node, and the same for parents, each
-// entry a 32-bit NodeID. Two constructors build it in O(n+m), chosen by the
-// form the graph is stated in:
+// entry a 32-bit NodeID. Three constructors build it, chosen by who states
+// the graph:
 //
-//   - FromEdges freezes an edge list. It validates each edge and fills both
+//   - FromEdges freezes an edge list from outside: a client's explicit spec,
+//     or the random generator's draws. It validates each edge and fills both
 //     arrays in a stable counting pass (every Children(u) and Parents(v)
 //     keeps edge-list order). The two remaining passes run only when the
 //     edge list leaves them work: repeated edges are looked for with a stamp
@@ -15,12 +16,19 @@
 //     repeat), and Kahn's algorithm orders the graph unless every edge runs
 //     from a lower ID to a higher one (then 0..n-1 is the order and no cycle
 //     is possible).
-//   - FromParents freezes a forward graph already stated as parent lists in
-//     CSR form, as a generator that builds each node's parents in order has
-//     them. It keeps those arrays as the parents side and fills only the
-//     children, ascending, in one counting pass; 0..n-1 is the order.
+//   - FromParents freezes a forward graph stated as parent lists in CSR
+//     form, checking every offset and parent, and fills the children,
+//     ascending, in one counting pass; 0..n-1 is the order. No generator
+//     calls it: it is the reference the generators' layouts are tested
+//     against (internal/gen's TestLaidShapes and FuzzLaidShapes).
+//   - Laid takes a forward graph its generator laid out whole: both CSR
+//     sides and the depth, stated by formula (chain, pipeline) or by the
+//     dynamic expander's counts, whose children FillChildren writes, the
+//     same fill FromParents runs. It checks nothing at run time; the tests
+//     above hold each layout to FromParents' freeze of the same parent
+//     lists.
 //
-// Either way a repeated edge is an error like any other defect.
+// A repeated edge is an error like any other defect in the two freezes.
 //
 // Once built, a DAG is never mutated; all accessor methods are safe for
 // concurrent use. Its arrays come from the package's free lists (see
@@ -47,11 +55,11 @@ var (
 )
 
 // Offsets and IDs return recycled arrays of length n, not cleared, from the
-// free lists a DAG's offsets and its lists come from: a generator fills an
-// n-node graph's m parent entries in compressed-sparse-row form in
-// Offsets(n+1) and IDs(m) and hands them to FromParents, and gen's dynamic
-// expander grows its levels in them. ReleaseArrays takes back what a caller
-// is done with; either side may be nil.
+// free lists a DAG's offsets and its lists come from: a generator lays out
+// each side of an n-node graph's m edges in Offsets(n+1) and IDs(m) and
+// hands them to Laid, and gen's dynamic expander grows its levels in them.
+// ReleaseArrays takes back what a caller is done with; either side may be
+// nil.
 func Offsets(n int) []int32 { return offsets.Get(n) }
 
 func IDs(n int) []NodeID { return ids.Get(n) }
@@ -158,8 +166,8 @@ func (a *adjacency) ascending() bool {
 // FromEdges freezes an n-node graph, nodes 0..n-1, from an edge list, which
 // it does not retain. The list is a client's or a generator's statement of
 // the graph, so every defect is an error: an endpoint out of range, a
-// self-loop or a cycle (both wrapping ErrCycle), or a repeated edge. A graph
-// whose parent lists already exist in order is frozen by FromParents.
+// self-loop or a cycle (both wrapping ErrCycle), or a repeated edge. A
+// generator that lays out both sides of a forward graph hands them to Laid.
 func FromEdges(n int, edges [][2]NodeID) (*DAG, error) {
 	if err := CheckSize(n, len(edges)); err != nil {
 		return nil, err
@@ -170,8 +178,9 @@ func FromEdges(n int, edges [][2]NodeID) (*DAG, error) {
 	// computed in int: u+2 overflows a NodeID near MaxSize. Only the
 	// offsets need clearing: the fill writes every list entry.
 	d := &DAG{
-		out: adjacency{offsets.Get(n + 2), ids.Get(len(edges))},
-		in:  adjacency{offsets.Get(n + 2), ids.Get(len(edges))},
+		out:   adjacency{offsets.Get(n + 2), ids.Get(len(edges))},
+		in:    adjacency{offsets.Get(n + 2), ids.Get(len(edges))},
+		depth: -1,
 	}
 	out, in := &d.out, &d.in
 	clear(out.off)
@@ -257,17 +266,6 @@ func idOrder(n int) []NodeID {
 // recycles them with the rest of the DAG: the caller must not use them
 // afterwards. Offsets and IDs take them from the same free lists.
 func FromParents(n int, off []int32, list []NodeID) (*DAG, error) {
-	d, err := BorrowParents(n, off, list)
-	if err == nil {
-		d.borrowed = false
-	}
-	return d, err
-}
-
-// BorrowParents is FromParents over parent arrays that stay their caller's:
-// the DAG reads them, and Release leaves them alone. The caller must not
-// modify them while the DAG is in use.
-func BorrowParents(n int, off []int32, list []NodeID) (*DAG, error) {
 	if err := CheckSize(n, len(list)); err != nil {
 		return nil, err
 	}
@@ -284,7 +282,9 @@ func BorrowParents(n int, off []int32, list []NodeID) (*DAG, error) {
 			return nil, fmt.Errorf("dag: parent offsets decrease at node %d (%d after %d)", v, off[v+1], off[v])
 		}
 	}
-	// Children are counted two slots ahead of their node, as in FromEdges.
+	// Children are counted two slots ahead of their node, as in FromEdges,
+	// so the prefix sum leaves the start of u's list in slot u+1, where
+	// FillChildren wants it.
 	out := adjacency{offsets.Get(n + 2), ids.Get(len(list))}
 	clear(out.off)
 	for v := 0; v < n; v++ {
@@ -299,13 +299,8 @@ func BorrowParents(n int, off []int32, list []NodeID) (*DAG, error) {
 	for i := 2; i < n+2; i++ {
 		out.off[i] += out.off[i-1]
 	}
-	for v := 0; v < n; v++ {
-		for _, u := range list[off[v]:off[v+1]] {
-			out.list[out.off[int(u)+1]] = NodeID(v)
-			out.off[int(u)+1]++
-		}
-	}
 	out.off = out.off[:n+1]
+	FillChildren(out.off, out.list, off, list)
 	// Each children list is filled in ascending child order, so it is
 	// strictly ascending unless a parent list repeats its parent.
 	if !out.ascending() {
@@ -314,7 +309,53 @@ func BorrowParents(n int, off []int32, list []NodeID) (*DAG, error) {
 			return nil, fmt.Errorf("dag: duplicate edge (%d,%d)", u, v)
 		}
 	}
-	return &DAG{out: out, in: adjacency{off, list}, topo: idOrder(n), borrowed: true}, nil
+	return &DAG{out: out, in: adjacency{off, list}, topo: idOrder(n), depth: -1}, nil
+}
+
+// FillChildren writes the children lists of the forward graph whose parent
+// lists are parOff and parents into list, each in ascending child order. On
+// entry off[0] is 0 and off[u+1] holds the start of u's list; each slot
+// advances past the children written, so off ends as the children's n+1
+// offsets. The parent lists are not checked: a parent must be below its
+// child, and off must give every node the room its children take.
+func FillChildren(off []int32, list []NodeID, parOff []int32, parents []NodeID) {
+	for v := 0; v+1 < len(parOff); v++ {
+		for _, u := range parents[parOff[v]:parOff[v+1]] {
+			list[off[int(u)+1]] = NodeID(v)
+			off[int(u)+1]++
+		}
+	}
+}
+
+// Layout is a forward graph as the generator that built it lays it out:
+// nodes 0..n-1, every edge from a lower ID to a higher one, each side in
+// compressed-sparse-row form over n+1 offsets, and the longest path's
+// length.
+type Layout struct {
+	ParentOff []int32 // the parents of v are Parents[ParentOff[v]:ParentOff[v+1]]
+	Parents   []NodeID
+	ChildOff  []int32 // the children of u are Children[ChildOff[u]:ChildOff[u+1]], ascending
+	Children  []NodeID
+	Depth     int // the length in edges of the longest path
+	// BorrowParents leaves the parents side its caller's: the DAG reads it
+	// and Release leaves it alone, so the caller must not modify it while
+	// the DAG is in use.
+	BorrowParents bool
+}
+
+// Laid returns the DAG l lays out, with 0..n-1 as its topological order and
+// l.Depth as its Depth. It keeps l's arrays, checking none of them: a
+// layout is its generator's statement of the graph, held in tests to the
+// DAG FromParents freezes from the same parent lists. Release recycles
+// every array but a borrowed parents side.
+func Laid(l Layout) *DAG {
+	return &DAG{
+		out:      adjacency{l.ChildOff, l.Children},
+		in:       adjacency{l.ParentOff, l.Parents},
+		topo:     idOrder(len(l.ParentOff) - 1),
+		depth:    int32(l.Depth),
+		borrowed: l.BorrowParents,
+	}
 }
 
 // parentError says why u cannot be a parent of v in a forward graph.
@@ -329,11 +370,12 @@ func parentError(u, v NodeID) error {
 }
 
 // DAG is an immutable directed acyclic graph, made by FromEdges,
-// FromParents or BorrowParents.
+// FromParents or Laid.
 type DAG struct {
 	out, in  adjacency // children and parents; one list entry per edge in each
 	topo     []NodeID
-	borrowed bool // in belongs to BorrowParents' caller, not to the DAG
+	depth    int32 // the longest path's length in edges, or -1 if not stated
+	borrowed bool  // in belongs to Laid's caller, not to the DAG
 }
 
 // Release returns d's arrays to the free lists, all but a borrowed parents
@@ -384,10 +426,14 @@ func (d *DAG) Sources() []NodeID { return d.in.isolated() }
 func (d *DAG) Sinks() []NodeID { return d.out.isolated() }
 
 // Depth returns the length in edges of the longest path in the DAG
-// (the critical-path length, i.e. the span of the task graph). In
-// topological order each node's depth is written once, from its parents',
-// so the scratch array needs no clearing.
+// (the critical-path length, i.e. the span of the task graph): the layout's
+// own figure for a Laid graph, otherwise one pass in topological order, in
+// which each node's depth is written once, from its parents', so the
+// scratch array needs no clearing.
 func (d *DAG) Depth() int {
+	if d.depth >= 0 {
+		return int(d.depth)
+	}
 	depth := offsets.Get(len(d.topo))
 	longest := int32(0)
 	for _, v := range d.topo {

@@ -319,19 +319,22 @@ func FuzzFreeze(f *testing.F) {
 }
 
 // TestReleaseLeavesBorrowedParents pins the two ownership rules of Release:
-// a graph frozen by BorrowParents leaves the caller's parent arrays as they
-// were (under the poison tag a recycled array reads all ones), and a
-// released DAG can be released again.
+// a graph laid out over borrowed parent arrays leaves them as they were
+// (under the poison tag a recycled array reads all ones), and a released
+// DAG can be released again.
 func TestReleaseLeavesBorrowedParents(t *testing.T) {
 	// Class-sized capacities, which a Put would take.
 	off := []int32{0, 0, 1, 3}
 	parents := append(make([]NodeID, 0, 4), 0, 0, 1)
-	d, err := BorrowParents(3, off, parents)
-	if err != nil {
-		t.Fatal(err)
-	}
+	kidOff, kids := Offsets(4), IDs(3)
+	kidOff[0], kidOff[1], kidOff[2], kidOff[3] = 0, 0, 2, 3
+	FillChildren(kidOff, kids, off, parents)
+	d := Laid(Layout{ParentOff: off, Parents: parents, ChildOff: kidOff, Children: kids, Depth: 2, BorrowParents: true})
 	if got := d.Depth(); got != 2 {
 		t.Fatalf("Depth = %d, want 2", got)
+	}
+	if !slices.Equal(d.Children(0), []NodeID{1, 2}) || !slices.Equal(d.Children(1), []NodeID{2}) {
+		t.Fatalf("FillChildren wrote %v, want [1 2 2]", kids)
 	}
 	d.Release()
 	d.Release()
@@ -342,7 +345,7 @@ func TestReleaseLeavesBorrowedParents(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		o, p := Offsets(4), IDs(3)
 		if &o[0] == &off[0] || &p[0] == &parents[0] {
-			t.Fatal("Offsets or IDs returned an array BorrowParents' caller still owns")
+			t.Fatal("Offsets or IDs returned an array the layout borrowed")
 		}
 	}
 }

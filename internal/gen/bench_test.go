@@ -13,10 +13,11 @@ var benchSink *dag.DAG
 // BenchmarkGenerate times graph construction over the four shapes of the
 // benchmark's engine_fine workload, where run.Execute pays for it on every
 // run, plus the service mix's random graph. The dynamic case is FinalDAG of a
-// graph expanded once beforehand: the freeze of the discovered graph that
+// graph expanded once beforehand: the layout of the discovered graph that
 // the serial verification sweeps. ns/edge is the figure to compare across
-// shapes: for random it carries one draw per edge, for the other shapes the
-// freeze alone.
+// shapes: for random it carries one draw per edge and FromEdges' freeze,
+// for chain and pipeline the layout by formula alone, and for dynamic the
+// one pass that fills the children from the expander's counts.
 func BenchmarkGenerate(b *testing.B) {
 	static := func(cfg Config) func() (*dag.DAG, error) {
 		return func() (*dag.DAG, error) { return Generate(cfg) }

@@ -368,16 +368,38 @@ func (d *Dyn) NumNodes() int { return d.graph.Load().numNodes() }
 // NumEdges returns how many edges have been discovered so far.
 func (d *Dyn) NumEdges() int { return len(d.graph.Load().parents) }
 
-// FinalDAG freezes the discovered graph into an immutable DAG, for the
+// FinalDAG lays the discovered graph out as an immutable DAG, for the
 // serial verification sweep that runs after a dynamic execution finishes.
 // The DAG takes the published parent lists as they are, so its Parents(v)
 // matches the expander's Parents(v) element for element — a workload that
 // folds parent values in order sees identical inputs on both the parallel
 // and serial passes. It borrows their arrays: a published range is never
 // written again, so levels expanded later do not reach it, and releasing
-// the DAG leaves them to the expander.
+// the DAG leaves them to the expander. Its children offsets are the
+// expander's (the newest level has none), so one fill over the parent lists
+// writes every children list in ascending order, and its depth is the
+// expander's level count: every edge joins adjacent levels and every level
+// is reached. The error is always nil.
 func (d *Dyn) FinalDAG() (*dag.DAG, error) {
 	g := d.graph.Load()
 	n, m := g.numNodes(), len(g.parents)
-	return dag.BorrowParents(n, g.parOff[:n+1:n+1], g.parents[:m:m])
+	// Slot u+1 holds the start of u's children list, as FillChildren takes
+	// it; the lists of the newest level, from g.last on, are empty and
+	// start at the end, kidOff[g.last] = m.
+	off := dag.Offsets(n + 1)
+	off[0] = 0
+	copy(off[1:], g.kidOff[:g.last+1])
+	for i := g.last + 2; i <= n; i++ {
+		off[i] = int32(m)
+	}
+	kids := dag.IDs(m)
+	dag.FillChildren(off, kids, g.parOff, g.parents)
+	return dag.Laid(dag.Layout{
+		ParentOff:     g.parOff[: n+1 : n+1],
+		Parents:       g.parents[:m:m],
+		ChildOff:      off,
+		Children:      kids,
+		Depth:         g.depth,
+		BorrowParents: true,
+	}), nil
 }

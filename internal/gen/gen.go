@@ -27,6 +27,15 @@
 // depends on its node count). Each shape has one generator: GenVersion names
 // it, and a version whose generators were replaced is retired, refused like
 // any unknown one (see CheckVersion).
+//
+// An edge list, Explicit's from a client or Random's from its draws, is
+// frozen by dag.FromEdges, which checks every edge. Chain and Pipeline lay
+// their graphs out by formula, both sides and the depth in one pass, and
+// the dynamic expander's final graph takes its children offsets and depth
+// from the expander's own counts; both hand dag.Laid what they built,
+// unchecked at run time. TestLaidShapes and FuzzLaidShapes are those
+// checks: every laid graph must equal dag.FromParents' validating freeze of
+// its parent lists.
 package gen
 
 import (
@@ -202,7 +211,8 @@ func Generate(cfg Config) (*dag.DAG, error) {
 	}
 }
 
-// ChainDAG builds the n-node path 0→1→…→n-1.
+// ChainDAG builds the n-node path 0→1→…→n-1, laid out by formula in one
+// pass: node v's parent is v-1 and its child v+1, and the depth is n-1.
 func ChainDAG(n int) (*dag.DAG, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("gen: chain needs >= 1 node, got %d", n)
@@ -210,14 +220,19 @@ func ChainDAG(n int) (*dag.DAG, error) {
 	if err := dag.CheckSize(n, n-1); err != nil {
 		return nil, err
 	}
-	// Node v > 0 has the one parent v-1.
-	off, parents := dag.Offsets(n+1), dag.IDs(n-1)
-	off[0], off[1] = 0, 0
+	// Edge v-1→v is entry v-1 of both lists: node v's parents start at
+	// v-1 (none for node 0), node u's children at u (none for node n-1).
+	parOff, parents := dag.Offsets(n+1), dag.IDs(n-1)
+	kidOff, kids := dag.Offsets(n+1), dag.IDs(n-1)
+	parOff[0], parOff[1] = 0, 0
+	kidOff[0], kidOff[n] = 0, int32(n-1)
 	for v := 1; v < n; v++ {
 		parents[v-1] = dag.NodeID(v - 1)
-		off[v+1] = int32(v)
+		kids[v-1] = dag.NodeID(v)
+		parOff[v+1] = int32(v)
+		kidOff[v] = int32(v)
 	}
-	return dag.FromParents(n, off, parents)
+	return dag.Laid(dag.Layout{ParentOff: parOff, Parents: parents, ChildOff: kidOff, Children: kids, Depth: n - 1}), nil
 }
 
 // ExplicitDAG builds the graph a client described literally: n nodes
@@ -377,7 +392,8 @@ func randomReserve(n int, p float64) int {
 // and sink (last node). Grid node (s, i) connects to (s+1, j) for every j
 // with |i-j| <= 1. The source feeds all of stage 0; all of the last stage
 // feeds the sink. The shape is fully determined by its dimensions, so no
-// seed is involved.
+// seed is involved: both sides are laid out by formula in one pass over the
+// nodes, and the depth is stages+1.
 func PipelineDAG(stages, width int) (*dag.DAG, error) {
 	if stages < 1 || width < 1 {
 		return nil, fmt.Errorf("gen: pipeline needs stages >= 1 and width >= 1, got %dx%d", stages, width)
@@ -390,28 +406,47 @@ func PipelineDAG(stages, width int) (*dag.DAG, error) {
 		return nil, fmt.Errorf("gen: pipeline %dx%d is too large: 3·stages·width must stay under %d", stages, width, dag.MaxSize)
 	}
 	n := stages*width + 2
-	// Grid node (s, i) is ID 1 + s*width + i; its parents are listed in
-	// ascending ID order, node by node.
+	// Grid node (s, i) is ID 1 + s*width + i. Both sides are appended node
+	// by node in ID order, each list ascending: within the grid, column i
+	// meets columns i-1..i+1 of the stage before and of the stage after.
 	id := func(s, i int) dag.NodeID { return dag.NodeID(1 + s*width + i) }
+	sink := dag.NodeID(n - 1)
 	// An interior column has three parents, the two edge columns two; the
 	// arrays are filled by appending within their exact lengths.
-	off, parents := dag.Offsets(n+1), dag.IDs(2*width+(stages-1)*(3*width-2))
-	off, parents = append(off[:0], 0, 0), parents[:0] // the source, node 0, has no parent
+	m := 2*width + (stages-1)*(3*width-2)
+	parOff, parents := dag.Offsets(n + 1)[:0], dag.IDs(m)[:0]
+	kidOff, kids := dag.Offsets(n + 1)[:0], dag.IDs(m)[:0]
+	// The source, node 0, has no parent and feeds all of stage 0.
+	parOff, kidOff = append(parOff, 0, 0), append(kidOff, 0)
 	for i := 0; i < width; i++ {
-		parents = append(parents, 0) // the source feeds all of stage 0
-		off = append(off, int32(len(parents)))
+		kids = append(kids, id(0, i))
 	}
-	for s := 1; s < stages; s++ {
+	kidOff = append(kidOff, int32(len(kids)))
+	for s := 0; s < stages; s++ {
 		for j := 0; j < width; j++ {
-			for i := max(j-1, 0); i <= min(j+1, width-1); i++ {
-				parents = append(parents, id(s-1, i))
+			lo, hi := max(j-1, 0), min(j+1, width-1)
+			if s == 0 {
+				parents = append(parents, 0)
+			} else {
+				for i := lo; i <= hi; i++ {
+					parents = append(parents, id(s-1, i))
+				}
 			}
-			off = append(off, int32(len(parents)))
+			if s == stages-1 {
+				kids = append(kids, sink) // all of the last stage feeds the sink
+			} else {
+				for i := lo; i <= hi; i++ {
+					kids = append(kids, id(s+1, i))
+				}
+			}
+			parOff = append(parOff, int32(len(parents)))
+			kidOff = append(kidOff, int32(len(kids)))
 		}
 	}
 	for i := 0; i < width; i++ {
 		parents = append(parents, id(stages-1, i))
 	}
-	off = append(off, int32(len(parents)))
-	return dag.FromParents(n, off, parents)
+	parOff, kidOff = append(parOff, int32(len(parents))), append(kidOff, int32(len(kids)))
+	// The longest path runs source, one node per stage, sink.
+	return dag.Laid(dag.Layout{ParentOff: parOff, Parents: parents, ChildOff: kidOff, Children: kids, Depth: stages + 1}), nil
 }

@@ -83,8 +83,15 @@ func (r gridRow) columns(work int) []string {
 // checks its first pass against the serial sweep before it times anything,
 // and reports ns/node over the nodes it ran and depth, T∞ in nodes. A P>1
 // cell also times P=1 on the same graph and reports speedup, T1/TP, and
-// max-speedup, T1 over T1/P + T∞ with T∞ = depth × T1/n: what a greedy
-// scheduler with free steals is held to by Brent's bound.
+// max-speedup, T1 over T1/P + T∞: the speedup Brent's bound,
+// T_P <= T1/P + T∞, guarantees a greedy scheduler with free steals — a
+// floor a measurement may beat, up to min(P, T1/T∞). T∞ is
+// depth × T1/(n × chunks), where chunks is how many slices the cell's pass
+// cuts each node's W into (splitChunks; 1 unless split): a split node's
+// slices run side by side, so the span is depth slices of W/chunks, not
+// depth nodes of W. Only the split row slices (W=160000: 2 slices at P=2,
+// 4 at P=4); the other rows' split/ columns, at W=500 and W=5000, keep
+// whole nodes.
 func BenchmarkGrid(b *testing.B) {
 	w := mustLookup(DefaultWorkload)
 	// Cancellable, as every context dagd and bench/ hand the scheduler is:
@@ -106,7 +113,7 @@ func BenchmarkGrid(b *testing.B) {
 					defer ReleaseValues(ref)
 					check := func(vals []uint64) error { return w.Verify(d, ref, vals) }
 					for _, col := range row.columns(work) {
-						p, pass := 1, func(int) ([]uint64, error) { return w.Serial(ctx, d, work) }
+						p, chunks, pass := 1, 1, func(int) ([]uint64, error) { return w.Serial(ctx, d, work) }
 						switch col {
 						case "serial":
 						case "walk":
@@ -115,8 +122,11 @@ func BenchmarkGrid(b *testing.B) {
 							workers, split := strings.CutPrefix(col, "split/")
 							fmt.Sscanf(workers, "P=%d", &p)
 							pass = row.pass(ctx, w, d, work, row.split || split)
+							if row.split || split {
+								chunks = New(d, Options{Workers: p, SplitWork: work}).splitChunks()
+							}
 						}
-						gridCell(b, col, p, d, check, pass)
+						gridCell(b, col, p, chunks, d, check, pass)
 					}
 				})
 			}
@@ -179,9 +189,10 @@ func (r gridRow) pass(ctx context.Context, w Workload, d *dag.DAG, work int, spl
 	}
 }
 
-// gridCell is one cell of the grid: pass at p workers. Each time the
-// testing package runs the cell it checks a first pass before timing any.
-func gridCell(b *testing.B, name string, p int, d *dag.DAG, check func([]uint64) error, pass func(p int) ([]uint64, error)) {
+// gridCell is one cell of the grid: pass at p workers, cutting each node's
+// W into chunks slices. Each time the testing package runs the cell it
+// checks a first pass before timing any.
+func gridCell(b *testing.B, name string, p, chunks int, d *dag.DAG, check func([]uint64) error, pass func(p int) ([]uint64, error)) {
 	depth := float64(d.Depth() + 1)
 	b.Run(name, func(b *testing.B) {
 		run := func(workers int) []uint64 {
@@ -217,7 +228,7 @@ func gridCell(b *testing.B, name string, p int, d *dag.DAG, check func([]uint64)
 		b.ReportMetric(depth, "depth")
 		if p > 1 {
 			b.ReportMetric(float64(t1)/float64(tp), "speedup")
-			b.ReportMetric(1/(1/float64(p)+depth/float64(d.NumNodes())), "max-speedup")
+			b.ReportMetric(1/(1/float64(p)+depth/float64(d.NumNodes()*chunks)), "max-speedup")
 		}
 	})
 }
