@@ -2,6 +2,12 @@
 // edges, adjacency in both directions, cycle detection via Kahn's algorithm,
 // and topological ordering.
 //
+// A forward graph — every edge from a lower ID to a higher one — has
+// ascending IDs as its topological order and keeps no order array: Forward
+// reports it, and a sweep over such a graph iterates IDs. Every generated
+// graph is forward; only an explicit graph with an edge that runs down the
+// IDs keeps an order, Kahn's.
+//
 // A DAG is stored compressed-sparse-row: every children list back to back in
 // one flat array with an offset per node, and the same for parents, each
 // entry a 32-bit NodeID. Three constructors build it, chosen by who states
@@ -47,8 +53,8 @@ import (
 )
 
 // The free lists every array of a DAG comes from: ids for the adjacency
-// lists and the topological order, offsets for the CSR offsets and the
-// package's int32 scratch.
+// lists and a non-forward graph's topological order, offsets for the CSR
+// offsets and the package's int32 scratch.
 var (
 	ids     slab.List[NodeID]
 	offsets slab.List[int32]
@@ -216,8 +222,8 @@ func FromEdges(n int, edges [][2]NodeID) (*DAG, error) {
 	}
 
 	if forward {
-		// Every edge runs up the IDs, so ascending ID order is topological.
-		d.topo = idOrder(n)
+		// Every edge runs up the IDs, so ascending ID order is topological
+		// and the graph keeps no order array.
 		return d, nil
 	}
 	// Kahn's algorithm, the order doubling as the work queue: a node joins it
@@ -246,21 +252,13 @@ func FromEdges(n int, edges [][2]NodeID) (*DAG, error) {
 	return d, nil
 }
 
-// idOrder returns the order 0..n-1, ascending IDs.
-func idOrder(n int) []NodeID {
-	topo := ids.Get(n)
-	for v := range topo {
-		topo[v] = NodeID(v)
-	}
-	return topo
-}
-
 // FromParents freezes an n-node forward graph from its parent lists in
 // compressed-sparse-row form: the parents of v are list[off[v]:off[v+1]], and
 // Parents(v) keeps that order. Children are filled in ascending order, and
-// the topological order is 0..n-1. Every defect is an error: offsets that
-// are not n+1 non-decreasing values from 0 to len(list), a parent that is
-// not in [0, v) (a self-loop wraps ErrCycle), or a repeated parent.
+// the graph is forward: it keeps no order array. Every defect is an error:
+// offsets that are not n+1 non-decreasing values from 0 to len(list), a
+// parent that is not in [0, v) (a self-loop wraps ErrCycle), or a repeated
+// parent.
 //
 // FromParents keeps off and list as the DAG's parents side, and Release
 // recycles them with the rest of the DAG: the caller must not use them
@@ -309,7 +307,7 @@ func FromParents(n int, off []int32, list []NodeID) (*DAG, error) {
 			return nil, fmt.Errorf("dag: duplicate edge (%d,%d)", u, v)
 		}
 	}
-	return &DAG{out: out, in: adjacency{off, list}, topo: idOrder(n), depth: -1}, nil
+	return &DAG{out: out, in: adjacency{off, list}, depth: -1}, nil
 }
 
 // FillChildren writes the children lists of the forward graph whose parent
@@ -343,16 +341,15 @@ type Layout struct {
 	BorrowParents bool
 }
 
-// Laid returns the DAG l lays out, with 0..n-1 as its topological order and
-// l.Depth as its Depth. It keeps l's arrays, checking none of them: a
-// layout is its generator's statement of the graph, held in tests to the
-// DAG FromParents freezes from the same parent lists. Release recycles
-// every array but a borrowed parents side.
+// Laid returns the forward DAG l lays out, with l.Depth as its Depth. It
+// keeps l's arrays, checking none of them: a layout is its generator's
+// statement of the graph, held in tests to the DAG FromParents freezes from
+// the same parent lists. Release recycles every array but a borrowed
+// parents side.
 func Laid(l Layout) *DAG {
 	return &DAG{
 		out:      adjacency{l.ChildOff, l.Children},
 		in:       adjacency{l.ParentOff, l.Parents},
-		topo:     idOrder(len(l.ParentOff) - 1),
 		depth:    int32(l.Depth),
 		borrowed: l.BorrowParents,
 	}
@@ -373,9 +370,9 @@ func parentError(u, v NodeID) error {
 // FromParents or Laid.
 type DAG struct {
 	out, in  adjacency // children and parents; one list entry per edge in each
-	topo     []NodeID
-	depth    int32 // the longest path's length in edges, or -1 if not stated
-	borrowed bool  // in belongs to Laid's caller, not to the DAG
+	topo     []NodeID  // Kahn's order; nil for a forward graph
+	depth    int32     // the longest path's length in edges, or -1 if not stated
+	borrowed bool      // in belongs to Laid's caller, not to the DAG
 }
 
 // Release returns d's arrays to the free lists, all but a borrowed parents
@@ -390,8 +387,9 @@ func (d *DAG) Release() {
 	*d = DAG{}
 }
 
-// NumNodes returns the number of nodes.
-func (d *DAG) NumNodes() int { return len(d.topo) }
+// NumNodes returns the number of nodes: one fewer than the parents'
+// offsets, or none for a released DAG, which has no offsets.
+func (d *DAG) NumNodes() int { return max(len(d.in.off)-1, 0) }
 
 // NumEdges returns the number of distinct edges.
 func (d *DAG) NumEdges() int { return len(d.out.list) }
@@ -413,11 +411,25 @@ func (d *DAG) InDegree(id NodeID) int { return len(d.in.of(id)) }
 // OutDegree returns the number of edges leaving id.
 func (d *DAG) OutDegree(id NodeID) int { return len(d.out.of(id)) }
 
-// TopoOrder returns a topological order of all nodes: 0..n-1 when every
-// edge runs from a lower ID to a higher one, otherwise Kahn's order, sources
-// first in ascending ID. The returned slice is shared and must not be
-// modified.
-func (d *DAG) TopoOrder() []NodeID { return d.topo }
+// Forward reports whether every edge runs from a lower ID to a higher one,
+// so that ascending IDs are a topological order. A forward graph keeps no
+// order array, and a sweep over it iterates 0..n-1.
+func (d *DAG) Forward() bool { return d.topo == nil }
+
+// TopoOrder returns a topological order of all nodes: 0..n-1 for a forward
+// graph, otherwise Kahn's order, sources first in ascending ID. A forward
+// graph keeps no order, so each call makes a new one, taking nothing from
+// the free lists; a non-forward graph's is shared and must not be modified.
+func (d *DAG) TopoOrder() []NodeID {
+	if d.topo != nil {
+		return d.topo
+	}
+	order := make([]NodeID, d.NumNodes())
+	for v := range order {
+		order[v] = NodeID(v)
+	}
+	return order
+}
 
 // Sources returns all nodes with in-degree zero, in ascending ID order.
 func (d *DAG) Sources() []NodeID { return d.in.isolated() }
@@ -427,16 +439,20 @@ func (d *DAG) Sinks() []NodeID { return d.out.isolated() }
 
 // Depth returns the length in edges of the longest path in the DAG
 // (the critical-path length, i.e. the span of the task graph): the layout's
-// own figure for a Laid graph, otherwise one pass in topological order, in
-// which each node's depth is written once, from its parents', so the
-// scratch array needs no clearing.
+// own figure for a Laid graph, otherwise one pass in topological order
+// (ascending IDs for a forward graph), in which each node's depth is
+// written once, from its parents', so the scratch array needs no clearing.
 func (d *DAG) Depth() int {
 	if d.depth >= 0 {
 		return int(d.depth)
 	}
-	depth := offsets.Get(len(d.topo))
+	depth := offsets.Get(d.NumNodes())
 	longest := int32(0)
-	for _, v := range d.topo {
+	for i := range depth {
+		v := NodeID(i)
+		if d.topo != nil {
+			v = d.topo[i]
+		}
 		dv := int32(0)
 		for _, u := range d.Parents(v) {
 			dv = max(dv, depth[u]+1)

@@ -12,9 +12,10 @@ import (
 )
 
 // TestReleaseLaidReturnsItsArrays pins what releasing a laid graph hands
-// back: every array the DAG owns — both sides and the order of a chain or a
-// pipeline; the children side and the order of a dynamic final graph — and
-// none of the expander's, whose parent lists read as they did. The classes
+// back: every array the DAG owns — both sides of a chain or a pipeline; the
+// children side of a dynamic final graph — and none of the expander's,
+// whose parent lists read as they did. A laid graph is forward and owns no
+// order array, so the release returns none. The classes
 // the graph's arrays come from are drained first, down to a fresh, zeroed
 // array, so afterwards each class's stack holds exactly what the release
 // put there: the arrays the graph owned, all ones from the poisoning Put,
@@ -39,7 +40,7 @@ func TestReleaseLaidReturnsItsArrays(t *testing.T) {
 	final := func(d *Dyn) (*dag.DAG, error) { return d.FinalDAG() }
 	for _, tc := range []struct {
 		name   string
-		owned  int // offsets arrays and lists the DAG owns, besides its order
+		owned  int // offsets arrays and lists the DAG owns
 		expand func() *Dyn
 		build  func(*Dyn) (*dag.DAG, error)
 	}{
@@ -67,7 +68,7 @@ func TestReleaseLaidReturnsItsArrays(t *testing.T) {
 		// Drain each class the graph takes from; then lay it out again.
 		offClass := bits.Len(uint(n)) // the class of n+1 offsets
 		lists := map[int]int{bits.Len(uint(m - 1)): tc.owned}
-		lists[bits.Len(uint(n-1))]++ // the order
+		lists[bits.Len(uint(n-1))] += 0 // an order's class: a laid graph puts none there
 		for dag.Offsets(1 << offClass)[0] == -1 {
 		}
 		for c := range lists {
@@ -77,7 +78,7 @@ func TestReleaseLaidReturnsItsArrays(t *testing.T) {
 		if d, err = tc.build(dyn); err != nil {
 			t.Fatal(err)
 		}
-		want := []unsafe.Pointer{unsafe.Pointer(unsafe.SliceData(d.Children(0))), unsafe.Pointer(unsafe.SliceData(d.TopoOrder()))}
+		want := []unsafe.Pointer{unsafe.Pointer(unsafe.SliceData(d.Children(0)))}
 		if tc.owned == 2 {
 			want = append(want, unsafe.Pointer(unsafe.SliceData(d.Parents(0))))
 		}

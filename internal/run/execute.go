@@ -37,10 +37,10 @@ var lookupWorkload = sched.LookupWorkload
 // them once Serial returns, so they overlap the parallel pass too; on the
 // dynamic shape they follow the reference, which follows the pass.
 //
-// Execute owns every array of the run — the graph's CSR and order, the
-// parallel values and the reference's — and returns them to the free lists
-// they came from (see internal/slab) once the result is built, on every
-// path after the join. That is the engine's one ownership rule: nothing that
+// Execute owns every array of the run — the graph's CSR (and order, if it
+// has one), the parallel values and the reference's — and returns them to
+// the free lists they came from (see internal/slab) once the result is
+// built, on every path after the join. That is the engine's one ownership rule: nothing that
 // outlives Execute may hold a *dag.DAG or a slice of the run's, and a Result
 // holds only scalars. Callers of the layers below (Executor.Run, RunDynamic,
 // gen.Generate) that never release simply leave their arrays to the

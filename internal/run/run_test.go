@@ -633,7 +633,7 @@ type brokenWorkload struct{}
 func (brokenWorkload) Name() string { return brokenWorkloadName }
 
 func (brokenWorkload) Compute(work int) sched.Compute {
-	return func(id dag.NodeID, parentValues []uint64) uint64 { return uint64(len(parentValues)) }
+	return func(id dag.NodeID, parents []dag.NodeID, values []uint64) uint64 { return uint64(len(parents)) }
 }
 
 func (w brokenWorkload) PureCompute() sched.Compute { return w.Compute(0) }

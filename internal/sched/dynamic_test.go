@@ -317,7 +317,7 @@ func TestRunDynamicCancellation(t *testing.T) {
 
 	started := make(chan struct{})
 	var once sync.Once
-	hook := func(id dag.NodeID, parents []uint64) uint64 {
+	hook := func(id dag.NodeID, parents []dag.NodeID, values []uint64) uint64 {
 		once.Do(func() { close(started) })
 		return 1
 	}

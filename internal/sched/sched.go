@@ -41,6 +41,14 @@
 // its fixed width, so BenchmarkGrid still measures the pool at P = 1, 2
 // and 4 whatever the work.
 //
+// A node is one call of the Compute hook, which reads its parents' values
+// in place: the sweeps and the pool over a built DAG hand it the graph's
+// parent list and their own values table, with no copy. Only the pool over
+// a discovered graph, whose table is segmented, gathers the values first.
+// A sweep visits a forward graph — every generated one — by ID, since the
+// graph keeps no order array, and polls its context on a countdown, not a
+// per-node division.
+//
 // Split work (Nabbit UseParallelNodes, Options.SplitWork) runs on either
 // kind of graph. A split node's state is its own while its slices run: the
 // first worker to take the node takes a small record, the outstanding-slice
@@ -59,11 +67,16 @@ import (
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/dag"
 )
 
-// Compute is the per-node work hook. It receives the node's ID and the
-// already-computed values of all its parents (in Parents order) and returns
-// the node's value. Implementations must be safe for concurrent invocation
-// on distinct nodes.
-type Compute func(id dag.NodeID, parentValues []uint64) uint64
+// Compute is the per-node work hook. It returns node id's value as a
+// function of values[p] for each p in parents, taken in order: the node's
+// parents in Parents order, every one already computed. It reads the
+// parents' values in place, in the caller's table, so it may read no other
+// slot of values — the others may be unwritten or being written by another
+// worker — and it never writes values: the caller stores what it returns.
+// Implementations must be safe for concurrent invocation on distinct nodes,
+// and a workload's hook may run beside its Serial on the same DAG, the same
+// node included.
+type Compute func(id dag.NodeID, parents []dag.NodeID, values []uint64) uint64
 
 // Options configures an Executor.
 type Options struct {

@@ -133,12 +133,10 @@ func TestCustomComputeHook(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	depth := func(id dag.NodeID, parents []uint64) uint64 {
+	depth := func(id dag.NodeID, parents []dag.NodeID, values []uint64) uint64 {
 		var m uint64
-		for _, v := range parents {
-			if v > m {
-				m = v
-			}
+		for _, p := range parents {
+			m = max(m, values[p])
 		}
 		return m + 1
 	}
@@ -169,7 +167,7 @@ func TestMidRunCancellation(t *testing.T) {
 	started := make(chan struct{})
 	var once sync.Once
 	var computed atomic.Int64
-	hook := func(id dag.NodeID, parents []uint64) uint64 {
+	hook := func(id dag.NodeID, parents []dag.NodeID, values []uint64) uint64 {
 		once.Do(func() { close(started) })
 		computed.Add(1)
 		time.Sleep(50 * time.Microsecond) // keep nodes in flight long enough to observe
@@ -263,11 +261,11 @@ func TestNodesExecutedExact(t *testing.T) {
 	caller := goroutineID()
 	for _, workers := range []int{1, 2, 4} {
 		var elsewhere atomic.Int64
-		hook := func(id dag.NodeID, parents []uint64) uint64 {
+		hook := func(id dag.NodeID, parents []dag.NodeID, values []uint64) uint64 {
 			if workers == 1 && goroutineID() != caller {
 				elsewhere.Add(1)
 			}
-			return PathCount(0)(id, parents)
+			return PathCount(0)(id, parents, values)
 		}
 		check := func(name string, run func() ([]uint64, error)) {
 			t.Helper()

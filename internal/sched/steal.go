@@ -288,7 +288,13 @@ func (r *wsRun) steal(self int, scratch *[]wsItem) (wsItem, bool) {
 func (r *wsRun) worker(done <-chan struct{}, self int) {
 	q := r.deques[self]
 	static := r.static()
-	parentBuf := make([]uint64, 0, 16)
+	// A discovered graph's values are segmented, so its hook cannot read
+	// them in place: the worker gathers a node's parents' values into
+	// gathered and hands the hook index, whose slot i holds i, as the parent
+	// list. This is the one gather left; a static graph's r.values covers
+	// every node, and its hook reads them there.
+	var gathered []uint64
+	var index []dag.NodeID
 	batch := make([]wsItem, 0, 16)
 	stealBuf := make([]wsItem, 0, 16)
 	var tally int64 // nodes retired since this worker's last flush
@@ -335,24 +341,23 @@ func (r *wsRun) worker(done <-chan struct{}, self int) {
 		}
 		id := it.id
 
-		var parents, children []dag.NodeID
+		// Run the node, then discover its successors (for a static DAG, look
+		// them up) and make sure the table covers them before touching their
+		// counters. An expansion error — the growth bound — ends the whole
+		// run.
+		var children []dag.NodeID
 		if static != nil {
-			parents = static.Parents(id)
-		} else {
-			parents = r.g.Parents(id)
-		}
-		parentBuf = parentBuf[:0]
-		for _, p := range parents {
-			parentBuf = append(parentBuf, *r.value(p))
-		}
-		*r.value(id) = r.f(id, parentBuf)
-
-		// Discover the node's successors (for a static DAG, look them up) and
-		// make sure the table covers them before touching their counters. An
-		// expansion error — the growth bound — ends the whole run.
-		if static != nil {
+			r.values[id] = r.f(id, static.Parents(id), r.values)
 			children = static.Children(id)
 		} else {
+			gathered = gathered[:0]
+			for _, p := range r.g.Parents(id) {
+				gathered = append(gathered, *r.value(p))
+			}
+			for k := len(index); k < len(gathered); k++ {
+				index = append(index, dag.NodeID(k))
+			}
+			*r.value(id) = r.f(id, index[:len(gathered)], gathered)
 			var err error
 			if children, err = r.g.Expand(id); err != nil {
 				r.stop(err)

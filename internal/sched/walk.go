@@ -30,9 +30,11 @@ import (
 const SerialGrain = 60
 
 // pollEvery returns how many nodes a sweep runs between polls of its
-// context. The poll follows a spin-iteration budget, not a fixed node
-// stride: with heavy per-node work a 64-node stride would mean seconds
-// between checks, defeating prompt cancellation and shutdown force-cancel.
+// context: it polls before nodes 0, pollEvery, 2*pollEvery and so on,
+// counting down to each poll rather than dividing per node. The poll
+// follows a spin-iteration budget, not a fixed node stride: with heavy
+// per-node work a 64-node stride would mean seconds between checks,
+// defeating prompt cancellation and shutdown force-cancel.
 func pollEvery(work int) int {
 	const pollBudget = 1 << 20
 	if work <= 0 {
@@ -44,24 +46,32 @@ func pollEvery(work int) int {
 // sweep evaluates f over d in topological order on one goroutine, work
 // being f's per-node spin iterations, which set how often it polls ctx. It
 // is both a workload's serial reference (Serial passes its own hook) and
-// the static walk (Walk passes the run's). The values come from the free
-// list ReleaseValues returns them to, uncleared: the sweep writes every
-// node's before any child reads it. A cancelled sweep releases them and
-// returns ctx's cause.
+// the static walk (Walk passes the run's). A forward graph is swept by ID,
+// with no order array; any other in its Kahn order. Each node is one call
+// of f, which reads its parents' values in place in the sweep's own array.
+// The values come from the free list ReleaseValues returns them to,
+// uncleared: the sweep writes every node's before any child reads it. A
+// cancelled sweep releases them and returns ctx's cause.
 func sweep(ctx context.Context, d *dag.DAG, work int, f Compute) ([]uint64, error) {
-	poll := pollEvery(work)
 	values := nodeValues.Get(d.NumNodes())
-	buf := make([]uint64, 0, 16)
-	for i, u := range d.TopoOrder() {
-		if i%poll == 0 && ctx.Err() != nil {
-			nodeValues.Put(values)
-			return nil, context.Cause(ctx)
+	var order []dag.NodeID
+	if !d.Forward() {
+		order = d.TopoOrder()
+	}
+	poll, left := pollEvery(work), 1 // left: nodes up to the next poll
+	for i := range values {
+		if left--; left == 0 {
+			if ctx.Err() != nil {
+				nodeValues.Put(values)
+				return nil, context.Cause(ctx)
+			}
+			left = poll
 		}
-		buf = buf[:0]
-		for _, p := range d.Parents(u) {
-			buf = append(buf, values[p])
+		u := dag.NodeID(i)
+		if order != nil {
+			u = order[i]
 		}
-		values[u] = f(u, buf)
+		values[u] = f(u, d.Parents(u), values)
 	}
 	return values, nil
 }
@@ -89,16 +99,18 @@ func Walk(ctx context.Context, d *dag.DAG, work int, f Compute) ([]uint64, error
 // done ctx with its cause; either way the walk's values go back to the free
 // list. work is as for Walk.
 func WalkDynamic(ctx context.Context, g DynamicGraph, work int, f Compute) ([]uint64, error) {
-	poll := pollEvery(work)
 	values := nodeValues.Get(g.NumNodes())
-	buf := make([]uint64, 0, 16)
 	fail := func(err error) ([]uint64, error) {
 		nodeValues.Put(values)
 		return nil, err
 	}
+	poll, left := pollEvery(work), 1 // left: nodes up to the next poll
 	for v := 0; v < g.NumNodes(); v++ {
-		if v%poll == 0 && ctx.Err() != nil {
-			return fail(context.Cause(ctx))
+		if left--; left == 0 {
+			if ctx.Err() != nil {
+				return fail(context.Cause(ctx))
+			}
+			left = poll
 		}
 		if v == len(values) {
 			// An expansion grew the graph past the values: a free list's
@@ -114,14 +126,13 @@ func WalkDynamic(ctx context.Context, g DynamicGraph, work int, f Compute) ([]ui
 			values = values[:n]
 		}
 		id := dag.NodeID(v)
-		buf = buf[:0]
-		for _, p := range g.Parents(id) {
+		parents := g.Parents(id)
+		for _, p := range parents {
 			if uint(p) >= uint(v) {
 				return fail(fmt.Errorf("sched: walk of node %d: parent %d is not below it", v, p))
 			}
-			buf = append(buf, values[p])
 		}
-		values[v] = f(id, buf)
+		values[v] = f(id, parents, values)
 		if _, err := g.Expand(id); err != nil {
 			return fail(err)
 		}

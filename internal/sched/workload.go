@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"github.com/paper-repo-growth/conf_micro_daglisunbfg16/internal/dag"
@@ -21,8 +22,9 @@ type Workload interface {
 	// Name is the table key ("pathcount", "hashchain", ...).
 	Name() string
 	// Compute returns the per-node hook with work busy-iterations of
-	// emulated compute folded in. The returned hook must be safe for
-	// concurrent invocation on distinct nodes.
+	// emulated compute folded in; at work <= 0 it is the recurrence itself.
+	// The returned hook must be safe for concurrent invocation on distinct
+	// nodes.
 	Compute(work int) Compute
 	// Serial computes the reference values with a single-threaded sweep in
 	// topological order, polling ctx for cooperative cancellation. It may
@@ -82,37 +84,36 @@ func Workloads() []string {
 	return names
 }
 
-// nodeFunc is the pure per-node recurrence of a workload: the node's value
-// as a function of its ID and its parents' values (in Parents order).
-type nodeFunc func(id dag.NodeID, parentValues []uint64) uint64
-
-// funcWorkload adapts a nodeFunc into a full Workload: Compute folds in
-// spin()-emulated per-node work, Serial is a cancellable topological sweep,
-// and Verify compares elementwise. Every built-in workload is one.
+// funcWorkload adapts a workload's pure per-node recurrence, a Compute
+// hook reading its parents' values in place, into a full Workload: Compute
+// folds in spin()-emulated per-node work, Serial is a cancellable
+// topological sweep, and Verify compares the two passes' values in bulk.
+// Every built-in workload is one.
 type funcWorkload struct {
 	name string
-	fn   nodeFunc
+	fn   Compute
 }
 
 func (w *funcWorkload) Name() string { return w.name }
 
+// Compute is the recurrence itself at work <= 0, so a sweep at work 0 makes
+// one indirect call per node; otherwise it spins first.
 func (w *funcWorkload) Compute(work int) Compute {
 	fn := w.fn
-	return func(id dag.NodeID, parentValues []uint64) uint64 {
+	if work <= 0 {
+		return fn
+	}
+	return func(id dag.NodeID, parents []dag.NodeID, values []uint64) uint64 {
 		spin(work)
-		return fn(id, parentValues)
+		return fn(id, parents, values)
 	}
 }
 
 // PureCompute is the recurrence with no emulated work, for split-work runs
-// where the scheduler spins on the workload's behalf. The serial reference still spins inline, so split and unsplit
-// runs verify against the same values (spin never feeds the recurrence).
-func (w *funcWorkload) PureCompute() Compute {
-	fn := w.fn
-	return func(id dag.NodeID, parentValues []uint64) uint64 {
-		return fn(id, parentValues)
-	}
-}
+// where the scheduler spins on the workload's behalf. The serial reference
+// still spins inline, so split and unsplit runs verify against the same
+// values (spin never feeds the recurrence).
+func (w *funcWorkload) PureCompute() Compute { return w.fn }
 
 func (w *funcWorkload) Serial(ctx context.Context, d *dag.DAG, work int) ([]uint64, error) {
 	return sweep(ctx, d, work, w.Compute(work))
@@ -123,24 +124,27 @@ func (w *funcWorkload) Verify(d *dag.DAG, serial, parallel []uint64) error {
 		return fmt.Errorf("sched: workload %s: serial computed %d values, parallel %d",
 			w.name, len(serial), len(parallel))
 	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			return fmt.Errorf("sched: workload %s: node %d: parallel value %#x != serial reference %#x",
-				w.name, i, parallel[i], serial[i])
-		}
+	if slices.Equal(serial, parallel) {
+		return nil
 	}
-	return nil
+	// The bulk compare failed, so some node diverges: name the first.
+	i := 0
+	for serial[i] == parallel[i] {
+		i++
+	}
+	return fmt.Errorf("sched: workload %s: node %d: parallel value %#x != serial reference %#x",
+		w.name, i, parallel[i], serial[i])
 }
 
 // pathCountFn counts distinct source→any-node paths: sources get 1, every
 // other node the sum of its parents' counts, in wrapping uint64 arithmetic.
-func pathCountFn(id dag.NodeID, parentValues []uint64) uint64 {
-	if len(parentValues) == 0 {
+func pathCountFn(id dag.NodeID, parents []dag.NodeID, values []uint64) uint64 {
+	if len(parents) == 0 {
 		return 1
 	}
 	var sum uint64
-	for _, v := range parentValues {
-		sum += v
+	for _, p := range parents {
+		sum += values[p]
 	}
 	return sum
 }
@@ -151,11 +155,11 @@ func pathCountFn(id dag.NodeID, parentValues []uint64) uint64 {
 // that ever presented parent values out of Parents order would be caught
 // by the serial-vs-parallel self-check, not just one that dropped a
 // dependency edge (which pathcount already catches).
-func hashChainFn(id dag.NodeID, parentValues []uint64) uint64 {
+func hashChainFn(id dag.NodeID, parents []dag.NodeID, values []uint64) uint64 {
 	h := (uint64(id) + 1) * 0x9e3779b97f4a7c15 // splitmix-style per-node seed
 	h ^= h >> 29
-	for _, v := range parentValues {
-		h = (h ^ v) * 0x100000001b3
+	for _, p := range parents {
+		h = (h ^ values[p]) * 0x100000001b3
 		h = bits.RotateLeft64(h, 23)
 	}
 	return h
@@ -164,15 +168,13 @@ func hashChainFn(id dag.NodeID, parentValues []uint64) uint64 {
 // longestPathFn computes the critical-path depth: sources are 0, every
 // other node max(parents)+1. The sink values of a pipeline DAG equal the
 // graph's Depth(), which doubles as a cheap structural cross-check.
-func longestPathFn(id dag.NodeID, parentValues []uint64) uint64 {
-	var m uint64
-	for _, v := range parentValues {
-		if v > m {
-			m = v
-		}
-	}
-	if len(parentValues) == 0 {
+func longestPathFn(id dag.NodeID, parents []dag.NodeID, values []uint64) uint64 {
+	if len(parents) == 0 {
 		return 0
+	}
+	var m uint64
+	for _, p := range parents {
+		m = max(m, values[p])
 	}
 	return m + 1
 }

@@ -44,8 +44,8 @@ import (
 const (
 	// retain is how many released slices of one class a list keeps on its
 	// stack, beyond the garbage collector's reach. It covers the arrays of
-	// one class a run holds at once: a graph's two edge lists and its order,
-	// or both passes' values.
+	// one class a run holds at once: a graph's two edge lists and a
+	// non-forward graph's order, or both passes' values.
 	retain = 4
 	// budget is how many bytes a list keeps on all its stacks together.
 	budget = 8 << 20
